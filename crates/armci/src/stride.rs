@@ -192,9 +192,12 @@ pub fn strided_to_subarray(strides: &[usize], count: &[usize]) -> Option<Datatyp
     validate(strides, count).ok()?;
     let sl = strides.len();
     let n = sl + 1;
-    // sizes[d] for d = 0 (outermost) .. n-1 (innermost, bytes)
-    let mut sizes = vec![0usize; n];
-    let mut subsizes = vec![0usize; n];
+    // One packed buffer, `sizes ++ subsizes ++ starts` (all starts 0),
+    // indexed d = 0 (outermost) .. n-1 (innermost, bytes): the datatype
+    // takes it over without another allocation.
+    let mut shape = vec![0usize; 3 * n];
+    let (sizes, rest) = shape.split_at_mut(n);
+    let subsizes = &mut rest[..n];
     sizes[n - 1] = if sl == 0 { count[0] } else { strides[0] };
     subsizes[n - 1] = count[0];
     for d in 1..sl {
@@ -209,11 +212,10 @@ pub fn strided_to_subarray(strides: &[usize], count: &[usize]) -> Option<Datatyp
         sizes[0] = count[sl];
         subsizes[0] = count[sl];
     }
-    if subsizes.iter().zip(&sizes).any(|(&s, &z)| s > z) {
+    if subsizes.iter().zip(sizes.iter()).any(|(&s, &z)| s > z) {
         return None;
     }
-    let starts = vec![0usize; n];
-    Datatype::subarray(&sizes, &subsizes, &starts, 1).ok()
+    Datatype::subarray_packed(shape, 1).ok()
 }
 
 #[cfg(test)]

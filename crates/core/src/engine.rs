@@ -55,9 +55,12 @@ use crate::ops::OpClass;
 use crate::transport;
 use crate::ArmciMpi;
 use armci::{ArmciError, ArmciResult, GlobalAddr, IovDesc, NbHandle, StridedMethod};
+use ctree::ConflictTree;
+use mpisim::dtype::{zip_into, Flat};
 use mpisim::mpi3::RmaRequest;
 use mpisim::{AccOp, Datatype, ElemType, LockMode, RmaClass};
 use std::collections::HashSet;
+use std::ops::Range;
 
 /// How the scheduler issues queued nonblocking operations at flush.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -336,13 +339,11 @@ pub(crate) enum ExecBuf<'a> {
     Acc(&'a [u8], ElemType),
 }
 
-/// An open nonblocking aggregate epoch: operations to one `(GMR, target)`
-/// pair whose completion has been deferred to `ARMCI_Wait`.
 /// What an operation does to its target ranges, for MPI-2 aggregation
 /// conflict checks (mirrors the simulator's epoch access rules:
 /// overlapping gets are fine, overlapping same-type accumulates are
 /// fine, everything else conflicts).
-#[derive(Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum NbKind {
     Get,
     Put,
@@ -386,27 +387,43 @@ fn conflicts(issued: &[(usize, usize, NbKind)], new: &[(usize, usize, NbKind)]) 
 /// class) starts a new run: the conservative per-op fallback, which
 /// preserves program order because MPI executes the flush's operations
 /// in issue order within one epoch.
-fn form_runs(ops: &[QueuedOp]) -> Vec<Vec<usize>> {
-    let mut runs: Vec<Vec<usize>> = Vec::new();
-    let mut segs: Vec<(usize, usize)> = Vec::new();
+///
+/// Incremental: `tree` holds the current run's segments, and each
+/// candidate's segments are checked and inserted one at a time, so
+/// forming the runs costs O(S·log S) over S queued segments. `tree` and
+/// `runs` are caller-owned scratch (runs come out as index ranges).
+fn form_runs(ops: &[QueuedOp], tree: &mut ConflictTree, runs: &mut Vec<Range<usize>>) {
+    runs.clear();
+    // Whether the current run can still grow: a run whose first
+    // operation's own segments overlap can never prove a candidate
+    // disjoint from it.
+    let mut open = false;
     for (i, op) in ops.iter().enumerate() {
         if let Some(run) = runs.last_mut() {
-            if ops[run[0]].kind == op.kind {
-                let mut cand = segs.clone();
-                cand.extend(op.segs.iter().copied());
-                if ctree::scan_segments(&cand).is_ok() {
-                    run.push(i);
-                    segs = cand;
-                    continue;
-                }
+            if open
+                && ops[run.start].kind == op.kind
+                && op
+                    .segs
+                    .iter()
+                    .all(|&(off, len)| tree.try_insert(off, off + len).is_ok())
+            {
+                run.end = i + 1;
+                continue;
             }
         }
-        segs = op.segs.clone();
-        runs.push(vec![i]);
+        // A rejected candidate may have left part of its segments in the
+        // tree; the new run starts from an empty one either way.
+        tree.clear();
+        open = op
+            .segs
+            .iter()
+            .all(|&(off, len)| tree.try_insert(off, off + len).is_ok());
+        runs.push(i..i + 1);
     }
-    runs
 }
 
+/// An open nonblocking aggregate epoch: operations to one `(GMR, target)`
+/// pair whose completion has been deferred to `ARMCI_Wait`.
 struct NbEpoch {
     gmr: u64,
     target: usize,
@@ -423,12 +440,38 @@ struct NbEpoch {
 
 /// One operation queued by the coalescing scheduler: payload already
 /// moved, wire issue deferred to flush.
+#[derive(Debug)]
 struct QueuedOp {
     kind: NbKind,
-    /// Window-absolute target byte segments, in datatype order.
+    /// Window-absolute target byte segments, in datatype order. The only
+    /// flattening of the operation's target datatype: the conflict check,
+    /// staging, run formation and the merged issue all borrow it.
     segs: Vec<(usize, usize)>,
     /// Payload bytes (statistics).
     bytes: u64,
+}
+
+impl QueuedOp {
+    /// Flattens a planned operation's target datatype into
+    /// window-absolute segments (one allocation, sized exactly).
+    fn new(op: &PlannedOp, kind: NbKind) -> QueuedOp {
+        let mut segs = Vec::new();
+        op.tdt.segments_into(&mut segs);
+        for s in &mut segs {
+            s.0 += op.tdisp;
+        }
+        QueuedOp {
+            kind,
+            segs,
+            bytes: op.bytes,
+        }
+    }
+
+    fn overlaps(&self, lo: usize, hi: usize) -> bool {
+        self.segs
+            .iter()
+            .any(|&(off, len)| lo < off + len && off < hi)
+    }
 }
 
 /// A per-`(GMR, target)` scheduler queue: the deferred-issue counterpart
@@ -445,10 +488,42 @@ struct SchedQueue {
     /// Handle ids with operations in this queue.
     ids: Vec<u64>,
     ops: Vec<QueuedOp>,
-    /// Target byte ranges already queued (MPI-2 conflict check, exactly
-    /// as for [`NbEpoch`]: the coarsened epoch is still one epoch, so
-    /// conflicting accesses inside it would be erroneous).
-    ranges: Vec<(usize, usize, NbKind)>,
+    /// The kind every queued operation has, or `None` once kinds mix.
+    uniform: Option<NbKind>,
+}
+
+impl SchedQueue {
+    /// Would operations of `kind` over `new` conflict with a queued one
+    /// (MPI-2 conflict check, exactly as for [`NbEpoch`]: the coarsened
+    /// epoch is still one epoch, so conflicting accesses inside it would
+    /// be erroneous)? A kind compatible with a uniform queue cannot
+    /// conflict, so only mixed queues pay the range scan.
+    fn conflicts(&self, kind: NbKind, new: &[QueuedOp]) -> bool {
+        if self.uniform.is_some_and(|k| k.compatible(kind)) {
+            return false;
+        }
+        new.iter().flat_map(|n| &n.segs).any(|&(off, len)| {
+            self.ops
+                .iter()
+                .any(|q| !kind.compatible(q.kind) && q.overlaps(off, off + len))
+        })
+    }
+}
+
+/// Buffers the coalescing scheduler reuses across enqueues and flushes,
+/// so a steady-state queued operation allocates only its own segment
+/// list. Each field is taken out while in use and put back after.
+#[derive(Default)]
+struct SchedScratch {
+    /// The plan being enqueued, flattened, before it joins a queue.
+    staged: Vec<QueuedOp>,
+    /// Origin segments and copy pieces of the operation being staged.
+    flat: Flat,
+    /// Run formation's conflict tree and output.
+    tree: ConflictTree,
+    runs: Vec<Range<usize>>,
+    /// A wire operation's merged target segments.
+    merged: Vec<(usize, usize)>,
 }
 
 /// Engine-side nonblocking state.
@@ -461,6 +536,7 @@ pub(crate) struct NbState {
     queues: Vec<SchedQueue>,
     /// Online issue-cost estimates for [`CoalesceMode::Auto`].
     model: CostModel,
+    scratch: SchedScratch,
     /// Handle ids whose operations have completed (epoch closed) but whose
     /// `wait` has not been called yet.
     resolved: HashSet<u64>,
@@ -1212,16 +1288,9 @@ impl ArmciMpi {
         let op_overhead = self.world.platform().mpi.op_overhead;
         for plan in plans {
             let t0 = self.vnow();
-            let plan_ranges: Vec<(usize, usize, NbKind)> = plan
-                .ops
-                .iter()
-                .flat_map(|op| {
-                    op.tdt
-                        .segments()
-                        .into_iter()
-                        .map(move |(off, len)| (op.tdisp + off, op.tdisp + off + len, kind))
-                })
-                .collect();
+            // Flatten every operation's target once, up front.
+            let mut staged = std::mem::take(&mut self.nb.borrow_mut().scratch.staged);
+            staged.extend(plan.ops.iter().map(|op| QueuedOp::new(op, kind)));
             // Join an open queue on (gmr, target) or open a new one. The
             // coarsened MPI-2 epoch is still *one* epoch, so a plan whose
             // ranges would conflict with queued operations cannot join —
@@ -1231,7 +1300,7 @@ impl ArmciMpi {
             let found = self.nb.borrow().queues.iter().position(|q| {
                 q.gmr == plan.gmr
                     && q.target == plan.target
-                    && (!per_op || (q.mode == plan.mode && !conflicts(&q.ranges, &plan_ranges)))
+                    && (!per_op || (q.mode == plan.mode && !q.conflicts(kind, &staged)))
             });
             let idx = match found {
                 Some(i) => {
@@ -1257,7 +1326,7 @@ impl ArmciMpi {
                         t_open,
                         ids: Vec::new(),
                         ops: Vec::new(),
-                        ranges: Vec::new(),
+                        uniform: Some(kind),
                     });
                     nb.queues.len() - 1
                 }
@@ -1268,9 +1337,11 @@ impl ArmciMpi {
                 let gmr = gmrs
                     .get(&plan.gmr)
                     .ok_or_else(|| crate::gmr::gmr_vanished(plan.gmr))?;
-                for op in &plan.ops {
-                    self.sched_stage_op(gmr, plan.target, op, buf)?;
+                let mut flat = std::mem::take(&mut self.nb.borrow_mut().scratch.flat);
+                for (op, q) in plan.ops.iter().zip(&staged) {
+                    self.sched_stage_op(gmr, plan.target, op, &q.segs, buf, &mut flat)?;
                 }
+                self.nb.borrow_mut().scratch.flat = flat;
             }
             // Software issue overhead per queued operation; the wire time
             // itself is charged when the flush prices the runs.
@@ -1305,79 +1376,51 @@ impl ArmciMpi {
                 );
             });
             let mut nb = self.nb.borrow_mut();
+            let nb = &mut *nb;
             let q = &mut nb.queues[idx];
-            for op in &plan.ops {
-                q.ops.push(QueuedOp {
-                    kind,
-                    segs: op
-                        .tdt
-                        .segments()
-                        .into_iter()
-                        .map(|(off, len)| (op.tdisp + off, len))
-                        .collect(),
-                    bytes: op.bytes,
-                });
+            if q.uniform != Some(kind) {
+                q.uniform = None;
             }
+            q.ops.append(&mut staged);
             q.ids.push(id);
-            q.ranges.extend(plan_ranges);
+            nb.scratch.staged = staged;
         }
         Ok(NbHandle::deferred(id))
     }
 
     /// Moves one planned operation's payload between the caller's buffer
-    /// and the target window *now*, without wire pricing: a two-pointer
-    /// walk pairs the origin datatype's segments with the target
-    /// datatype's, splitting at whichever boundary comes first.
+    /// and the target window *now*, without wire pricing: the origin
+    /// datatype is flattened into `flat`, zipped with the operation's
+    /// already-flattened window-absolute target segments `tsegs` (a
+    /// two-pointer walk splitting at whichever boundary comes first), and
+    /// the resulting piece list moves in one staging call.
     fn sched_stage_op(
         &self,
         gmr: &Gmr,
         target: usize,
         op: &PlannedOp,
+        tsegs: &[(usize, usize)],
         buf: &ExecBuf,
+        flat: &mut Flat,
     ) -> ArmciResult<()> {
-        let osegs = op.odt.segments();
-        let tsegs = op.tdt.segments();
-        let (mut oi, mut ti) = (0usize, 0usize);
-        let (mut opos, mut tpos) = (0usize, 0usize);
-        while oi < osegs.len() && ti < tsegs.len() {
-            let (ooff, olen) = osegs[oi];
-            let (toff, tlen) = tsegs[ti];
-            let len = (olen - opos).min(tlen - tpos);
-            let o = ooff + opos;
-            let t = op.tdisp + toff + tpos;
-            match *buf {
-                ExecBuf::Get(ptr, buflen) => {
-                    // Safety: see `issue_op` — the pointer covers `buflen`
-                    // bytes and the borrow ends with this call.
-                    let b = unsafe { std::slice::from_raw_parts_mut(ptr, buflen) };
-                    self.tx()
-                        .stage_get(&gmr.win, &mut b[o..o + len], target, t)?;
-                }
-                ExecBuf::Put(ptr, buflen) => {
-                    // Safety: as above, read-only.
-                    let b = unsafe { std::slice::from_raw_parts(ptr, buflen) };
-                    self.tx().stage_put(&gmr.win, &b[o..o + len], target, t)?;
-                }
-                ExecBuf::Acc(staged, elem) => {
-                    self.tx().stage_acc(
-                        &gmr.win,
-                        &staged[o..o + len],
-                        target,
-                        t,
-                        elem,
-                        AccOp::Sum,
-                    )?;
-                }
+        op.odt.segments_into(&mut flat.osegs);
+        flat.pieces.clear();
+        zip_into(&flat.osegs, tsegs, &mut flat.pieces);
+        match *buf {
+            ExecBuf::Get(ptr, buflen) => {
+                // Safety: see `issue_op` — the pointer covers `buflen`
+                // bytes and the borrow ends with this call.
+                let b = unsafe { std::slice::from_raw_parts_mut(ptr, buflen) };
+                self.tx().stage_get(&gmr.win, b, target, &flat.pieces)?;
             }
-            opos += len;
-            tpos += len;
-            if opos == olen {
-                oi += 1;
-                opos = 0;
+            ExecBuf::Put(ptr, buflen) => {
+                // Safety: as above, read-only.
+                let b = unsafe { std::slice::from_raw_parts(ptr, buflen) };
+                self.tx().stage_put(&gmr.win, b, target, &flat.pieces)?;
             }
-            if tpos == tlen {
-                ti += 1;
-                tpos = 0;
+            ExecBuf::Acc(staged, elem) => {
+                self.tx()
+                    .stage_acc(&gmr.win, staged, target, &flat.pieces, elem, AccOp::Sum)?;
             }
         }
         Ok(())
@@ -1410,21 +1453,31 @@ impl ArmciMpi {
             // segments; charge it like the plan stage charges its scan.
             let n = q.ops.len().max(1) as f64;
             self.charge(4e-9 * n * n.log2().max(1.0));
-            let runs = form_runs(&q.ops);
+            let (mut tree, mut runs, mut merged) = {
+                let mut nb = self.nb.borrow_mut();
+                let sc = &mut nb.scratch;
+                (
+                    std::mem::take(&mut sc.tree),
+                    std::mem::take(&mut sc.runs),
+                    std::mem::take(&mut sc.merged),
+                )
+            };
+            form_runs(&q.ops, &mut tree, &mut runs);
             // Wire origin: transfers without a per-target epoch (standing
             // lock_all, or the free-running channel) have been on the wire
             // since enqueue; MPI-2 transfers cannot start before the
             // coarsened lock was granted.
             let mut wire_t = if per_op { t1 } else { q.t_open };
             'runs: for run in &runs {
-                let kind = q.ops[run[0]].kind;
+                let ops = &q.ops[run.clone()];
+                let kind = ops[0].kind;
                 let class = kind.rma_class();
-                let bytes: u64 = run.iter().map(|&i| q.ops[i].bytes).sum();
-                let all_segs: Vec<(usize, usize)> = run
-                    .iter()
-                    .flat_map(|&i| q.ops[i].segs.iter().copied())
-                    .collect();
-                let merged = ctree::merge_segments(&all_segs);
+                let bytes: u64 = ops.iter().map(|op| op.bytes).sum();
+                merged.clear();
+                for op in ops {
+                    merged.extend_from_slice(&op.segs);
+                }
+                ctree::merge_in_place(&mut merged);
                 let use_merged = match self.cfg.coalesce {
                     CoalesceMode::Datatype => true,
                     CoalesceMode::Batched => false,
@@ -1434,7 +1487,7 @@ impl ArmciMpi {
                         self.nb
                             .borrow()
                             .model
-                            .prefer_merged(bytes, run.len(), merged.len())
+                            .prefer_merged(bytes, ops.len(), merged.len())
                     }
                     CoalesceMode::PerOp => unreachable!("scheduler inactive in PerOp mode"),
                 };
@@ -1458,10 +1511,12 @@ impl ArmciMpi {
                     // Batched shape: one wire op per queued op (adjacent
                     // segments within an op still merge), pipelined under
                     // the one coarsened epoch.
-                    for &i in run {
-                        let op = &q.ops[i];
-                        let segs = ctree::merge_segments(&op.segs);
-                        let cost = match self.tx().issue_merged(&gmr.win, class, q.target, &segs) {
+                    for op in ops {
+                        merged.clear();
+                        merged.extend_from_slice(&op.segs);
+                        ctree::merge_in_place(&mut merged);
+                        let cost = match self.tx().issue_merged(&gmr.win, class, q.target, &merged)
+                        {
                             Ok(c) => c,
                             Err(e) => {
                                 res = Err(e.into());
@@ -1471,13 +1526,20 @@ impl ArmciMpi {
                         self.nb
                             .borrow_mut()
                             .model
-                            .observe(cost, op.bytes, segs.len());
+                            .observe(cost, op.bytes, merged.len());
                         wire_t += cost;
-                        segs_out += segs.len() as u64;
+                        segs_out += merged.len() as u64;
                         wire_ops += 1;
                         self.note_wire_op(kind, op.bytes);
                     }
                 }
+            }
+            {
+                let mut nb = self.nb.borrow_mut();
+                let sc = &mut nb.scratch;
+                sc.tree = tree;
+                sc.runs = runs;
+                sc.merged = merged;
             }
             let t2 = self.vnow();
             // Completion: the wire finishes at `wire_t`; advance there.
@@ -1651,7 +1713,8 @@ impl ArmciMpi {
             let mut keep_q = Vec::new();
             let mut out_q = Vec::new();
             for q in std::mem::take(&mut nb.queues) {
-                if q.gmr == gmr && q.target == target && overlap(&q.ranges) {
+                if q.gmr == gmr && q.target == target && q.ops.iter().any(|op| op.overlaps(lo, hi))
+                {
                     out_q.push(q);
                 } else {
                     keep_q.push(q);
@@ -1803,5 +1866,106 @@ impl ArmciMpi {
         Err(ArmciError::BadDescriptor(
             "wait on unknown nonblocking handle".into(),
         ))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// Reference run formation: re-scans the run's accumulated segments
+    /// plus the candidate's from scratch for every queued operation.
+    fn form_runs_reference(ops: &[QueuedOp]) -> Vec<Vec<usize>> {
+        let mut runs: Vec<Vec<usize>> = Vec::new();
+        let mut segs: Vec<(usize, usize)> = Vec::new();
+        for (i, op) in ops.iter().enumerate() {
+            if let Some(run) = runs.last_mut() {
+                if ops[run[0]].kind == op.kind {
+                    let mut cand = segs.clone();
+                    cand.extend(op.segs.iter().copied());
+                    if ctree::scan_segments(&cand).is_ok() {
+                        run.push(i);
+                        segs = cand;
+                        continue;
+                    }
+                }
+            }
+            segs = op.segs.clone();
+            runs.push(vec![i]);
+        }
+        runs
+    }
+
+    fn kind_of(k: usize) -> NbKind {
+        match k {
+            0 => NbKind::Get,
+            1 => NbKind::Put,
+            2 => NbKind::Acc(ElemType::F64),
+            _ => NbKind::Acc(ElemType::I64),
+        }
+    }
+
+    /// Random queues: each op picks a kind (mostly the previous one, so
+    /// runs can grow) and a few segments on a small address space, so
+    /// overlapping, adjacent and self-overlapping ops all occur.
+    fn arb_queue() -> impl Strategy<Value = Vec<QueuedOp>> {
+        proptest::collection::vec(
+            (
+                0usize..8,
+                proptest::collection::vec((0usize..40, 0usize..6), 1..5),
+            ),
+            0..24,
+        )
+        .prop_map(|specs| {
+            let mut kind = 0usize;
+            specs
+                .into_iter()
+                .map(|(k, segs)| {
+                    if k < 4 {
+                        kind = k;
+                    }
+                    QueuedOp {
+                        kind: kind_of(kind),
+                        segs: segs.into_iter().map(|(w, len)| (w * 4, len * 4)).collect(),
+                        bytes: 0,
+                    }
+                })
+                .collect()
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Incremental run formation splits every queue exactly like the
+        /// from-scratch reference.
+        #[test]
+        fn form_runs_matches_reference(ops in arb_queue()) {
+            let mut tree = ConflictTree::new();
+            let mut runs = Vec::new();
+            form_runs(&ops, &mut tree, &mut runs);
+            let got: Vec<Vec<usize>> = runs.iter().map(|r| r.clone().collect()).collect();
+            prop_assert_eq!(got, form_runs_reference(&ops));
+        }
+    }
+
+    #[test]
+    fn self_overlapping_seed_takes_no_followers() {
+        let op = |segs: Vec<(usize, usize)>| QueuedOp {
+            kind: NbKind::Put,
+            segs,
+            bytes: 0,
+        };
+        let ops = vec![
+            op(vec![(0, 8), (4, 8)]),
+            op(vec![(64, 8)]),
+            op(vec![(96, 8)]),
+        ];
+        let mut tree = ConflictTree::new();
+        let mut runs = Vec::new();
+        form_runs(&ops, &mut tree, &mut runs);
+        assert_eq!(runs, vec![0..1, 1..3]);
+        assert_eq!(form_runs_reference(&ops), vec![vec![0], vec![1, 2]]);
     }
 }

@@ -497,30 +497,30 @@ mod tests {
             win: &WinHandle,
             origin: &[u8],
             target: usize,
-            tdisp: usize,
+            pieces: &[(usize, usize, usize)],
         ) -> MpiResult<()> {
-            self.inner.stage_put(win, origin, target, tdisp)
+            self.inner.stage_put(win, origin, target, pieces)
         }
         fn stage_get(
             &self,
             win: &WinHandle,
             origin: &mut [u8],
             target: usize,
-            tdisp: usize,
+            pieces: &[(usize, usize, usize)],
         ) -> MpiResult<()> {
             self.faults.get_ok()?;
-            self.inner.stage_get(win, origin, target, tdisp)
+            self.inner.stage_get(win, origin, target, pieces)
         }
         fn stage_acc(
             &self,
             win: &WinHandle,
             origin: &[u8],
             target: usize,
-            tdisp: usize,
+            pieces: &[(usize, usize, usize)],
             elem: ElemType,
             op: AccOp,
         ) -> MpiResult<()> {
-            self.inner.stage_acc(win, origin, target, tdisp, elem, op)
+            self.inner.stage_acc(win, origin, target, pieces, elem, op)
         }
         fn issue_merged(
             &self,

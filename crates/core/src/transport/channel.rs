@@ -26,11 +26,11 @@
 //! ([`WinHandle::net_extra`] with `msgs = nsegs`).
 
 use super::{EpochStyle, ProgressSupport, Transport, TransportStats};
-use mpisim::dtype::{zip_segments, Datatype};
+use mpisim::dtype::{Datatype, Flat};
 use mpisim::mpi3::{FetchOp, RmaRequest};
 use mpisim::{AccOp, ElemType, LockMode, MpiError, MpiResult, RmaClass, WinHandle};
 use simnet::ChannelParams;
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 
 /// One channel transfer, priced. `offloaded` means the NIC handled it
 /// end-to-end (contiguous, no combine).
@@ -40,11 +40,13 @@ struct Priced {
 }
 
 /// The channel wire backend. Stateless per window; the only state is a
-/// pair of offload counters surfaced through [`Transport::stats`].
+/// pair of offload counters surfaced through [`Transport::stats`] and the
+/// flattening scratch its software path reuses.
 #[derive(Debug, Default)]
 pub struct ChannelTransport {
     offloaded: Cell<u64>,
     fallback: Cell<u64>,
+    flat: RefCell<Flat>,
 }
 
 impl ChannelTransport {
@@ -131,6 +133,18 @@ impl ChannelTransport {
         priced.cost + extra + prog
     }
 
+    /// Flattens both datatypes once and zips them into window-absolute
+    /// copy pieces (target offsets shifted by `tdisp`) for the staging
+    /// movers.
+    fn pieces(flat: &mut Flat, odt: &Datatype, tdisp: usize, tdt: &Datatype) -> MpiResult<()> {
+        flat.flatten_target(tdt);
+        flat.zip_origin(odt, tdt.size())?;
+        for p in &mut flat.pieces {
+            p.1 += tdisp;
+        }
+        Ok(())
+    }
+
     /// Moves put payload segment-by-segment and returns the priced total.
     fn put_priced(
         &self,
@@ -142,10 +156,9 @@ impl ChannelTransport {
         tdt: &Datatype,
     ) -> MpiResult<f64> {
         Self::check_origin(origin.len(), odt)?;
-        let pairs = zip_segments(odt, tdt)?;
-        for &(ooff, toff, len) in &pairs {
-            win.stage_put_bytes(&origin[ooff..ooff + len], target, tdisp + toff)?;
-        }
+        let mut flat = self.flat.borrow_mut();
+        Self::pieces(&mut flat, odt, tdisp, tdt)?;
+        win.stage_put_bytes(origin, target, &flat.pieces)?;
         let bytes = odt.size();
         let nsegs = odt.num_segments().max(tdt.num_segments());
         let priced = Self::price(win.channel_params(), bytes, nsegs, false);
@@ -163,10 +176,9 @@ impl ChannelTransport {
         tdt: &Datatype,
     ) -> MpiResult<f64> {
         Self::check_origin(origin.len(), odt)?;
-        let pairs = zip_segments(odt, tdt)?;
-        for &(ooff, toff, len) in &pairs {
-            win.stage_get_bytes(&mut origin[ooff..ooff + len], target, tdisp + toff)?;
-        }
+        let mut flat = self.flat.borrow_mut();
+        Self::pieces(&mut flat, odt, tdisp, tdt)?;
+        win.stage_get_bytes(origin, target, &flat.pieces)?;
         let bytes = odt.size();
         let nsegs = odt.num_segments().max(tdt.num_segments());
         let priced = Self::price(win.channel_params(), bytes, nsegs, false);
@@ -207,17 +219,23 @@ impl ChannelTransport {
         // Gather the origin selection contiguously, then combine per
         // target segment — the same shape as the wire path, so origin
         // segments need not be element-aligned, only target ones.
+        let mut flat = self.flat.borrow_mut();
+        let flat = &mut *flat;
         let mut staged = vec![0u8; odt.size()];
         let mut w = 0usize;
-        for (off, len) in odt.segments() {
+        odt.segments_into(&mut flat.osegs);
+        for &(off, len) in &flat.osegs {
             staged[w..w + len].copy_from_slice(&origin[off..off + len]);
             w += len;
         }
+        flat.flatten_target(tdt);
+        flat.pieces.clear();
         let mut s = 0usize;
-        for (toff, len) in tdt.segments() {
-            win.stage_acc_bytes(&staged[s..s + len], target, tdisp + toff, elem, op)?;
+        for &(toff, len) in &flat.tsegs {
+            flat.pieces.push((s, tdisp + toff, len));
             s += len;
         }
+        win.stage_acc_bytes(&staged, target, &flat.pieces, elem, op)?;
         let bytes = odt.size();
         let nsegs = odt.num_segments().max(tdt.num_segments());
         let priced = Self::price(win.channel_params(), bytes, nsegs, true);

@@ -187,7 +187,7 @@ pub trait Transport {
         tdisp: usize,
     ) -> MpiResult<()> {
         let dt = Datatype::contiguous(origin.len());
-        self.put(win, origin, &dt.clone(), target, tdisp, &dt)
+        self.put(win, origin, &dt, target, tdisp, &dt)
     }
 
     /// Contiguous-get convenience (byte protocols).
@@ -199,7 +199,7 @@ pub trait Transport {
         tdisp: usize,
     ) -> MpiResult<()> {
         let dt = Datatype::contiguous(origin.len());
-        self.get(win, origin, &dt.clone(), target, tdisp, &dt)
+        self.get(win, origin, &dt, target, tdisp, &dt)
     }
 
     /// Request-based put: payload moves now, completion is deferred.
@@ -244,38 +244,42 @@ pub trait Transport {
     }
 
     /// Moves scheduler-deferred put payload (no pricing, no admission).
+    /// `pieces` are one operation's `(origin_offset, target_disp, len)`
+    /// copy pieces: every piece is bounds-checked before any byte moves,
+    /// and the copy takes the target's I/O lock once.
     fn stage_put(
         &self,
         win: &WinHandle,
         origin: &[u8],
         target: usize,
-        tdisp: usize,
+        pieces: &[(usize, usize, usize)],
     ) -> MpiResult<()> {
-        win.stage_put_bytes(origin, target, tdisp)
+        win.stage_put_bytes(origin, target, pieces)
     }
 
-    /// Moves scheduler-deferred get payload.
+    /// Moves scheduler-deferred get payload; see [`Transport::stage_put`].
     fn stage_get(
         &self,
         win: &WinHandle,
         origin: &mut [u8],
         target: usize,
-        tdisp: usize,
+        pieces: &[(usize, usize, usize)],
     ) -> MpiResult<()> {
-        win.stage_get_bytes(origin, target, tdisp)
+        win.stage_get_bytes(origin, target, pieces)
     }
 
-    /// Applies scheduler-deferred accumulate payload (element-atomic).
+    /// Applies scheduler-deferred accumulate payload (element-atomic);
+    /// see [`Transport::stage_put`].
     fn stage_acc(
         &self,
         win: &WinHandle,
         origin: &[u8],
         target: usize,
-        tdisp: usize,
+        pieces: &[(usize, usize, usize)],
         elem: ElemType,
         op: AccOp,
     ) -> MpiResult<()> {
-        win.stage_acc_bytes(origin, target, tdisp, elem, op)
+        win.stage_acc_bytes(origin, target, pieces, elem, op)
     }
 
     /// Prices one coalesced run of same-class operations whose bytes

@@ -1,0 +1,192 @@
+//! Allocation budget of the transfer hot paths.
+//!
+//! A counting global allocator tallies the heap allocations (`alloc`,
+//! `alloc_zeroed` and `realloc`) made by rank 0's thread while it issues
+//! calls in steady state, after warm-up calls have grown every reusable
+//! buffer (the windows' flattening scratch, the scheduler's scratch, the
+//! datatype cache's key, the epoch record list). Each scenario asserts a
+//! per-call budget. A regression that re-introduces per-segment or
+//! per-call churn on these paths fails here before it shows up as host
+//! time in the benchmark.
+
+use armci::Armci;
+use armci_mpi::ArmciMpi;
+use ga::{GaType, GlobalArray};
+use mpisim::{Runtime, RuntimeConfig};
+use simnet::{Platform, PlatformId};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+    static COUNT: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Counts the current thread's allocations while its `COUNTING` flag is
+/// set; every other thread (the idle peer rank, parallel tests) is
+/// ignored.
+struct Counting;
+
+fn note() {
+    if COUNTING.try_with(Cell::get).unwrap_or(false) {
+        COUNT.with(|c| c.set(c.get() + 1));
+    }
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the counting touches only
+// const-initialised thread-locals, which never allocate.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note();
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note();
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Mean allocations per call of `call`, over `calls` calls after `warm`
+/// warm-up calls. `call` runs `per` operations, so the result is per
+/// operation.
+fn per_op(warm: usize, calls: usize, per: usize, mut call: impl FnMut()) -> f64 {
+    for _ in 0..warm {
+        call();
+    }
+    COUNT.with(|c| c.set(0));
+    COUNTING.with(|c| c.set(true));
+    for _ in 0..calls {
+        call();
+    }
+    COUNTING.with(|c| c.set(false));
+    COUNT.with(Cell::get) as f64 / (calls * per) as f64
+}
+
+/// Two ranks with `ranks_per_node` cores per node: 1 puts them on
+/// separate nodes (every transfer rides the wire), 2 on one node (the
+/// shm tier). Semantic checks and time charging stay on, as in the
+/// benchmark.
+fn layout(ranks_per_node: u32) -> RuntimeConfig {
+    let mut platform = Platform::get(PlatformId::InfiniBandCluster).customized("alloc-budget");
+    platform.sockets_per_node = 1;
+    platform.cores_per_socket = ranks_per_node;
+    RuntimeConfig {
+        platform,
+        ..Default::default()
+    }
+}
+
+/// The array the tile scenarios read: 8×8×8×16 doubles, split over two
+/// ranks along the last dimension, so rank 1 owns `[.., .., .., 8..16]`.
+const DIMS: [usize; 4] = [8, 8, 8, 16];
+/// A 4×4×4×4 tile inside rank 1's block: 64 segments of 32 bytes, the
+/// CCSD tile shape.
+const TILE_LO: [usize; 4] = [2, 2, 2, 10];
+const TILE_HI: [usize; 4] = [6, 6, 6, 14];
+
+/// Runs `measure` on rank 0 against an initialised tile array, and
+/// returns what it measured.
+fn with_tile_array(
+    ranks_per_node: u32,
+    measure: impl Fn(&GlobalArray<'_, ArmciMpi>) -> f64 + Sync,
+) -> f64 {
+    let out = Runtime::run_with(2, layout(ranks_per_node), |p| {
+        let rt = ArmciMpi::new(p);
+        let a = GlobalArray::create(&rt, "tiles", GaType::F64, &DIMS).unwrap();
+        a.zero().unwrap();
+        assert_eq!(a.locate(&TILE_LO), 1, "the tile lives on rank 1");
+        let got = if rt.rank() == 0 { measure(&a) } else { 0.0 };
+        a.sync();
+        a.destroy().unwrap();
+        got
+    });
+    out[0]
+}
+
+/// Tiles issued per volley before waiting, as the CCSD prefetch does.
+const VOLLEY: usize = 8;
+
+#[test]
+fn remote_nonblocking_tile_get_budget() {
+    let per_get = with_tile_array(1, |a| {
+        let mut bufs = vec![vec![0.0f64; 256]; VOLLEY];
+        let mut handles = Vec::with_capacity(VOLLEY);
+        per_op(4, 32, VOLLEY, || {
+            for buf in bufs.iter_mut() {
+                handles.push(a.nb_get_patch_into(&TILE_LO, &TILE_HI, buf).unwrap());
+            }
+            for h in handles.drain(..) {
+                a.nb_wait(h).unwrap();
+            }
+        })
+    });
+    println!("remote nb tile get: {per_get:.2} allocations per get");
+    // Per get: its plan (datatypes, op and plan lists), its flattened
+    // target segments and its GA handle list, plus a share of the
+    // volley's queue.
+    assert!(per_get <= 7.0, "{per_get} allocations per remote tile get");
+}
+
+#[test]
+fn shm_local_tile_get_budget() {
+    let per_get = with_tile_array(2, |a| {
+        let mut buf = vec![0.0f64; 256];
+        per_op(4, 64, 1, || {
+            let h = a.nb_get_patch_into(&TILE_LO, &TILE_HI, &mut buf).unwrap();
+            a.nb_wait(h).unwrap();
+        })
+    });
+    println!("shm-local nb tile get: {per_get:.2} allocations per get");
+    assert!(
+        per_get <= 5.0,
+        "{per_get} allocations per shm-local tile get"
+    );
+}
+
+#[test]
+fn ga_get_patch_budget() {
+    let per_get = with_tile_array(1, |a| {
+        per_op(4, 64, 1, || {
+            let v = a.get_patch(&TILE_LO, &TILE_HI).unwrap();
+            assert_eq!(v.len(), 256);
+        })
+    });
+    println!("GA get_patch: {per_get:.2} allocations per get");
+    // The returned vector plus the plan.
+    assert!(per_get <= 5.0, "{per_get} allocations per get_patch");
+}
+
+#[test]
+fn blocking_contiguous_put_budget() {
+    let out = Runtime::run_with(2, layout(1), |p| {
+        let rt = ArmciMpi::new(p);
+        let bases = rt.malloc(4096).unwrap();
+        let got = if rt.rank() == 0 {
+            let src = vec![7u8; 256];
+            per_op(4, 256, 1, || rt.put(&src, bases[1].offset(512)).unwrap())
+        } else {
+            0.0
+        };
+        rt.barrier();
+        rt.free(bases[rt.rank()]).unwrap();
+        got
+    });
+    let per_put = out[0];
+    println!("blocking contiguous put: {per_put:.2} allocations per put");
+    // The plan's operation list.
+    assert!(per_put <= 1.0, "{per_put} allocations per contiguous put");
+}

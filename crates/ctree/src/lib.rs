@@ -39,116 +39,24 @@ impl std::fmt::Display for Conflict {
 
 impl std::error::Error for Conflict {}
 
+/// Index of "no child" in the node arena.
+const NIL: u32 = u32::MAX;
+
+#[derive(Debug, Clone, Copy)]
 struct Node {
     lo: usize,
     hi: usize,
     height: u32,
-    left: Option<Box<Node>>,
-    right: Option<Box<Node>>,
-}
-
-impl Node {
-    fn new(lo: usize, hi: usize) -> Box<Node> {
-        Box::new(Node {
-            lo,
-            hi,
-            height: 1,
-            left: None,
-            right: None,
-        })
-    }
-}
-
-fn height(n: &Option<Box<Node>>) -> u32 {
-    n.as_ref().map_or(0, |n| n.height)
-}
-
-fn update(n: &mut Box<Node>) {
-    n.height = 1 + height(&n.left).max(height(&n.right));
-}
-
-fn balance_factor(n: &Node) -> i64 {
-    height(&n.left) as i64 - height(&n.right) as i64
-}
-
-fn rotate_right(mut n: Box<Node>) -> Box<Node> {
-    let mut l = n.left.take().expect("rotate_right without left child");
-    n.left = l.right.take();
-    update(&mut n);
-    l.right = Some(n);
-    update(&mut l);
-    l
-}
-
-fn rotate_left(mut n: Box<Node>) -> Box<Node> {
-    let mut r = n.right.take().expect("rotate_left without right child");
-    n.right = r.left.take();
-    update(&mut n);
-    r.left = Some(n);
-    update(&mut r);
-    r
-}
-
-fn rebalance(mut n: Box<Node>) -> Box<Node> {
-    update(&mut n);
-    let bf = balance_factor(&n);
-    if bf > 1 {
-        if balance_factor(n.left.as_ref().unwrap()) < 0 {
-            n.left = Some(rotate_left(n.left.take().unwrap()));
-        }
-        rotate_right(n)
-    } else if bf < -1 {
-        if balance_factor(n.right.as_ref().unwrap()) > 0 {
-            n.right = Some(rotate_right(n.right.take().unwrap()));
-        }
-        rotate_left(n)
-    } else {
-        n
-    }
-}
-
-#[allow(clippy::type_complexity)]
-fn insert(
-    node: Option<Box<Node>>,
-    lo: usize,
-    hi: usize,
-) -> Result<Box<Node>, (Conflict, Option<Box<Node>>)> {
-    match node {
-        None => Ok(Node::new(lo, hi)),
-        Some(mut n) => {
-            // Half-open intervals intersect iff lo < n.hi && n.lo < hi.
-            if lo < n.hi && n.lo < hi {
-                let c = Conflict {
-                    existing: (n.lo, n.hi),
-                    new: (lo, hi),
-                };
-                return Err((c, Some(n)));
-            }
-            if hi <= n.lo {
-                match insert(n.left.take(), lo, hi) {
-                    Ok(l) => n.left = Some(l),
-                    Err((c, l)) => {
-                        n.left = l;
-                        return Err((c, Some(n)));
-                    }
-                }
-            } else {
-                debug_assert!(lo >= n.hi);
-                match insert(n.right.take(), lo, hi) {
-                    Ok(r) => n.right = Some(r),
-                    Err((c, r)) => {
-                        n.right = r;
-                        return Err((c, Some(n)));
-                    }
-                }
-            }
-            Ok(rebalance(n))
-        }
-    }
+    left: u32,
+    right: u32,
 }
 
 /// AVL tree of pairwise-disjoint half-open ranges with merged
 /// check-and-insert.
+///
+/// Nodes live in one arena vector and link by index, so inserting costs no
+/// per-node allocation, and [`ConflictTree::clear`] keeps the arena for
+/// reuse: a tree held across scans allocates nothing in steady state.
 ///
 /// ```
 /// use ctree::ConflictTree;
@@ -161,10 +69,19 @@ fn insert(
 /// assert_eq!(conflict.new, (8, 40));
 /// assert_eq!(t.len(), 2);
 /// ```
-#[derive(Default)]
+#[derive(Debug, Clone)]
 pub struct ConflictTree {
-    root: Option<Box<Node>>,
-    len: usize,
+    nodes: Vec<Node>,
+    root: u32,
+}
+
+impl Default for ConflictTree {
+    fn default() -> Self {
+        ConflictTree {
+            nodes: Vec::new(),
+            root: NIL,
+        }
+    }
 }
 
 impl ConflictTree {
@@ -173,19 +90,118 @@ impl ConflictTree {
         ConflictTree::default()
     }
 
+    /// Removes every range, keeping the arena's capacity.
+    pub fn clear(&mut self) {
+        self.nodes.clear();
+        self.root = NIL;
+    }
+
     /// Number of stored ranges.
     pub fn len(&self) -> usize {
-        self.len
+        self.nodes.len()
     }
 
     /// No ranges stored?
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.nodes.is_empty()
     }
 
     /// Tree height (0 for empty); exposed for balance tests and benches.
     pub fn height(&self) -> u32 {
-        height(&self.root)
+        self.h(self.root)
+    }
+
+    fn h(&self, n: u32) -> u32 {
+        if n == NIL {
+            0
+        } else {
+            self.nodes[n as usize].height
+        }
+    }
+
+    fn update(&mut self, n: u32) {
+        let Node { left, right, .. } = self.nodes[n as usize];
+        self.nodes[n as usize].height = 1 + self.h(left).max(self.h(right));
+    }
+
+    fn balance_factor(&self, n: u32) -> i64 {
+        let Node { left, right, .. } = self.nodes[n as usize];
+        self.h(left) as i64 - self.h(right) as i64
+    }
+
+    fn rotate_right(&mut self, n: u32) -> u32 {
+        let l = self.nodes[n as usize].left;
+        debug_assert!(l != NIL, "rotate_right without left child");
+        self.nodes[n as usize].left = self.nodes[l as usize].right;
+        self.update(n);
+        self.nodes[l as usize].right = n;
+        self.update(l);
+        l
+    }
+
+    fn rotate_left(&mut self, n: u32) -> u32 {
+        let r = self.nodes[n as usize].right;
+        debug_assert!(r != NIL, "rotate_left without right child");
+        self.nodes[n as usize].right = self.nodes[r as usize].left;
+        self.update(n);
+        self.nodes[r as usize].left = n;
+        self.update(r);
+        r
+    }
+
+    fn rebalance(&mut self, n: u32) -> u32 {
+        self.update(n);
+        let bf = self.balance_factor(n);
+        if bf > 1 {
+            let l = self.nodes[n as usize].left;
+            if self.balance_factor(l) < 0 {
+                self.nodes[n as usize].left = self.rotate_left(l);
+            }
+            self.rotate_right(n)
+        } else if bf < -1 {
+            let r = self.nodes[n as usize].right;
+            if self.balance_factor(r) > 0 {
+                self.nodes[n as usize].right = self.rotate_right(r);
+            }
+            self.rotate_left(n)
+        } else {
+            n
+        }
+    }
+
+    /// Inserts below `n`, returning the subtree's new root. A conflict is
+    /// found on the way down, before anything is linked, so an `Err`
+    /// leaves the tree unchanged.
+    fn insert(&mut self, n: u32, lo: usize, hi: usize) -> Result<u32, Conflict> {
+        if n == NIL {
+            let idx = u32::try_from(self.nodes.len()).expect("conflict tree node count");
+            assert!(idx != NIL, "conflict tree node count");
+            self.nodes.push(Node {
+                lo,
+                hi,
+                height: 1,
+                left: NIL,
+                right: NIL,
+            });
+            return Ok(idx);
+        }
+        let node = self.nodes[n as usize];
+        // Half-open intervals intersect iff lo < n.hi && n.lo < hi.
+        if lo < node.hi && node.lo < hi {
+            return Err(Conflict {
+                existing: (node.lo, node.hi),
+                new: (lo, hi),
+            });
+        }
+        if hi <= node.lo {
+            let l = self.insert(node.left, lo, hi)?;
+            self.nodes[n as usize].left = l;
+        } else {
+            debug_assert!(lo >= node.hi);
+            let r = self.insert(node.right, lo, hi)?;
+            self.nodes[n as usize].right = r;
+        }
+        Ok(self.rebalance(n))
     }
 
     /// Checks `[lo, hi)` against all stored ranges and inserts it when
@@ -196,17 +212,8 @@ impl ConflictTree {
         if lo == hi {
             return Ok(());
         }
-        match insert(self.root.take(), lo, hi) {
-            Ok(root) => {
-                self.root = Some(root);
-                self.len += 1;
-                Ok(())
-            }
-            Err((c, root)) => {
-                self.root = root;
-                Err(c)
-            }
-        }
+        self.root = self.insert(self.root, lo, hi)?;
+        Ok(())
     }
 
     /// Pure overlap query (no insertion).
@@ -214,49 +221,50 @@ impl ConflictTree {
         if lo >= hi {
             return None;
         }
-        let mut cur = &self.root;
-        while let Some(n) = cur {
+        let mut cur = self.root;
+        while cur != NIL {
+            let n = &self.nodes[cur as usize];
             if lo < n.hi && n.lo < hi {
                 return Some((n.lo, n.hi));
             }
-            cur = if hi <= n.lo { &n.left } else { &n.right };
+            cur = if hi <= n.lo { n.left } else { n.right };
         }
         None
     }
 
     /// In-order range dump (ascending, for tests).
     pub fn ranges(&self) -> Vec<(usize, usize)> {
-        fn walk(n: &Option<Box<Node>>, out: &mut Vec<(usize, usize)>) {
-            if let Some(n) = n {
-                walk(&n.left, out);
-                out.push((n.lo, n.hi));
-                walk(&n.right, out);
+        fn walk(t: &ConflictTree, n: u32, out: &mut Vec<(usize, usize)>) {
+            if n != NIL {
+                let node = &t.nodes[n as usize];
+                walk(t, node.left, out);
+                out.push((node.lo, node.hi));
+                walk(t, node.right, out);
             }
         }
-        let mut out = Vec::with_capacity(self.len);
-        walk(&self.root, &mut out);
+        let mut out = Vec::with_capacity(self.len());
+        walk(self, self.root, &mut out);
         out
     }
 
     /// Verifies the AVL + ordering invariants (test support).
     pub fn check_invariants(&self) -> bool {
-        fn check(n: &Option<Box<Node>>, min: usize, max: usize) -> Option<u32> {
-            match n {
-                None => Some(0),
-                Some(n) => {
-                    if n.lo < min || n.hi > max || n.lo >= n.hi {
-                        return None;
-                    }
-                    let hl = check(&n.left, min, n.lo)?;
-                    let hr = check(&n.right, n.hi, max)?;
-                    if (hl as i64 - hr as i64).abs() > 1 || n.height != 1 + hl.max(hr) {
-                        return None;
-                    }
-                    Some(n.height)
-                }
+        fn check(t: &ConflictTree, n: u32, min: usize, max: usize) -> Option<u32> {
+            if n == NIL {
+                return Some(0);
             }
+            let node = &t.nodes[n as usize];
+            if node.lo < min || node.hi > max || node.lo >= node.hi {
+                return None;
+            }
+            let hl = check(t, node.left, min, node.lo)?;
+            let hr = check(t, node.right, node.hi, max)?;
+            if (hl as i64 - hr as i64).abs() > 1 || node.height != 1 + hl.max(hr) {
+                return None;
+            }
+            Some(node.height)
         }
-        check(&self.root, 0, usize::MAX).is_some()
+        check(self, self.root, 0, usize::MAX).is_some()
     }
 }
 
@@ -285,20 +293,30 @@ pub fn scan_segments(segs: &[(usize, usize)]) -> Result<(), Conflict> {
 /// writes or accumulates would change semantics — but the function itself
 /// is total and the merged cover is byte-equal for any input.
 pub fn merge_segments(segs: &[(usize, usize)]) -> Vec<(usize, usize)> {
-    let mut v: Vec<(usize, usize)> = segs
-        .iter()
-        .filter(|&&(_, len)| len > 0)
-        .map(|&(off, len)| (off, off + len))
-        .collect();
-    v.sort_unstable();
-    let mut out: Vec<(usize, usize)> = Vec::with_capacity(v.len());
-    for (lo, hi) in v {
-        match out.last_mut() {
-            Some(last) if lo <= last.1 => last.1 = last.1.max(hi),
-            _ => out.push((lo, hi)),
+    let mut v = segs.to_vec();
+    merge_in_place(&mut v);
+    v
+}
+
+/// [`merge_segments`] on a caller-owned list, replacing it with the merged
+/// cover without allocating.
+pub fn merge_in_place(segs: &mut Vec<(usize, usize)>) {
+    segs.retain(|&(_, len)| len > 0);
+    segs.sort_unstable();
+    let mut w = 0usize;
+    for i in 0..segs.len() {
+        let (lo, len) = segs[i];
+        match w.checked_sub(1).map(|k| segs[k]) {
+            Some((plo, plen)) if lo <= plo + plen => {
+                segs[w - 1].1 = (plo + plen).max(lo + len) - plo;
+            }
+            _ => {
+                segs[w] = (lo, len);
+                w += 1;
+            }
         }
     }
-    out.into_iter().map(|(lo, hi)| (lo, hi - lo)).collect()
+    segs.truncate(w);
 }
 
 /// Reference O(N²) pairwise scan (tests, ablation benchmarks).
@@ -412,6 +430,22 @@ mod tests {
         }
         assert!(t.check_invariants());
         assert!(t.height() <= 15);
+    }
+
+    #[test]
+    fn clear_empties_and_tree_is_reusable() {
+        let mut t = ConflictTree::new();
+        for i in 0..64 {
+            t.try_insert(i * 4, i * 4 + 2).unwrap();
+        }
+        t.clear();
+        assert!(t.is_empty());
+        assert_eq!(t.height(), 0);
+        assert_eq!(t.overlaps(0, 1000), None);
+        t.try_insert(1, 3).unwrap();
+        assert!(t.try_insert(2, 5).is_err());
+        assert_eq!(t.ranges(), vec![(1, 3)]);
+        assert!(t.check_invariants());
     }
 
     #[test]

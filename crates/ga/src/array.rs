@@ -1,8 +1,9 @@
 //! The distributed array object and its one-sided patch operations.
 
-use crate::dist::Distribution;
+use crate::dist::{Distribution, Region, MAX_DIM};
 use crate::GaResult;
 use armci::{AccKind, Armci, ArmciError, ArmciGroup, GlobalAddr, NbHandle, RmwOp};
+use std::borrow::Cow;
 
 /// Handle for a nonblocking patch operation (`NGA_NbPut`/`NbGet`/`NbAcc`):
 /// one ARMCI handle per owner the patch fans out to. Complete it with
@@ -64,6 +65,86 @@ pub struct GlobalArray<'a, A: Armci + ?Sized> {
     bases: Vec<GlobalAddr>,
 }
 
+/// 8-byte element types a patch moves as little-endian words.
+trait Word: Copy {
+    /// Converts between native and little-endian order (the same swap
+    /// both ways; a no-op on little-endian hosts).
+    fn swap_le(self) -> Self;
+}
+
+impl Word for f64 {
+    fn swap_le(self) -> f64 {
+        f64::from_bits(u64::from_le(self.to_bits()))
+    }
+}
+
+impl Word for i64 {
+    fn swap_le(self) -> i64 {
+        i64::from_le(self)
+    }
+}
+
+/// The raw bytes of a word slice.
+fn bytes_of<T: Word>(v: &[T]) -> &[u8] {
+    // SAFETY: `Word` is private and implemented only for `f64` and `i64`:
+    // 8-byte numbers without padding, so every byte is initialised, and
+    // `u8` needs no alignment. The view borrows `v` for its lifetime.
+    unsafe { std::slice::from_raw_parts(v.as_ptr().cast::<u8>(), std::mem::size_of_val(v)) }
+}
+
+/// The raw bytes of a word slice, writable: a patch read lands in the
+/// caller's buffer in place.
+fn bytes_of_mut<T: Word>(v: &mut [T]) -> &mut [u8] {
+    // SAFETY: as in `bytes_of`; writes through the view are sound because
+    // every bit pattern is a valid `f64`/`i64`.
+    unsafe { std::slice::from_raw_parts_mut(v.as_mut_ptr().cast::<u8>(), std::mem::size_of_val(v)) }
+}
+
+/// A patch's elements as the little-endian bytes global memory holds: a
+/// view of `data` on little-endian hosts, a converted copy elsewhere.
+fn le_bytes<T: Word>(data: &[T]) -> Cow<'_, [u8]> {
+    if cfg!(target_endian = "little") {
+        Cow::Borrowed(bytes_of(data))
+    } else {
+        let swapped: Vec<T> = data.iter().map(|x| x.swap_le()).collect();
+        Cow::Owned(bytes_of(&swapped).to_vec())
+    }
+}
+
+/// Turns words read as little-endian bytes into native order in place.
+fn from_le_in_place<T: Word>(v: &mut [T]) {
+    if cfg!(target_endian = "big") {
+        for x in v {
+            *x = x.swap_le();
+        }
+    }
+}
+
+/// ARMCI strided arguments for one owner's share of a patch, in
+/// fixed-size arrays: `n - 1` stride levels and `n` counts.
+struct StridedArgs {
+    raddr: GlobalAddr,
+    loff: usize,
+    n: usize,
+    rstrides: [usize; MAX_DIM],
+    lstrides: [usize; MAX_DIM],
+    count: [usize; MAX_DIM],
+}
+
+impl StridedArgs {
+    fn rstrides(&self) -> &[usize] {
+        &self.rstrides[..self.n - 1]
+    }
+
+    fn lstrides(&self) -> &[usize] {
+        &self.lstrides[..self.n - 1]
+    }
+
+    fn count(&self) -> &[usize] {
+        &self.count[..self.n]
+    }
+}
+
 enum Verb<'d> {
     Put(&'d [u8]),
     Get(&'d mut [u8]),
@@ -121,6 +202,12 @@ impl<'a, A: Armci + ?Sized> GlobalArray<'a, A> {
         dist: Distribution,
         group: ArmciGroup,
     ) -> GaResult<Self> {
+        if dist.ndim() > MAX_DIM {
+            return Err(ArmciError::BadDescriptor(format!(
+                "{} dimensions exceed the supported {MAX_DIM}",
+                dist.ndim()
+            )));
+        }
         if dist.ncells() != group.size() {
             return Err(ArmciError::BadDescriptor(format!(
                 "distribution has {} cells for a group of {}",
@@ -217,54 +304,45 @@ impl<'a, A: Armci + ?Sized> GlobalArray<'a, A> {
         lo.iter().zip(hi).map(|(&l, &h)| h - l).product()
     }
 
-    /// Byte offset of `idx` (relative to `origin`) in a row-major array
-    /// of extents `dims`.
-    fn offset_in(&self, idx: &[usize], origin: &[usize], dims: &[usize]) -> usize {
+    /// Byte offset of `idx` in the row-major array spanning `[lo, hi)`.
+    fn offset_in(&self, idx: &[usize], lo: &[usize], hi: &[usize]) -> usize {
         let mut off = 0usize;
-        for d in 0..dims.len() {
-            off = off * dims[d] + (idx[d] - origin[d]);
+        for d in 0..lo.len() {
+            off = off * (hi[d] - lo[d]) + (idx[d] - lo[d]);
         }
         off * self.ty.elem()
     }
 
-    /// Builds ARMCI strided arguments for moving the intersection
-    /// `[ilo, ihi)` between a remote block (`blo..bhi`) and the local
-    /// dense patch buffer (`lo..hi`). Returns
-    /// `(remote_addr, remote_strides, local_offset, local_strides, count)`.
-    #[allow(clippy::type_complexity)]
-    fn strided_args(
-        &self,
-        cell: usize,
-        ilo: &[usize],
-        ihi: &[usize],
-        lo: &[usize],
-        hi: &[usize],
-    ) -> (GlobalAddr, Vec<usize>, usize, Vec<usize>, Vec<usize>) {
+    /// Builds ARMCI strided arguments for moving the intersection of
+    /// region `r` between its owner's block and the local dense patch
+    /// buffer (`lo..hi`).
+    fn strided_args(&self, r: &Region, lo: &[usize], hi: &[usize]) -> StridedArgs {
         let n = self.dist.ndim();
         let elem = self.ty.elem();
-        let (blo, bhi) = self.dist.cell_block(cell);
-        let bdims: Vec<usize> = blo.iter().zip(&bhi).map(|(&l, &h)| h - l).collect();
-        let pdims: Vec<usize> = lo.iter().zip(hi).map(|(&l, &h)| h - l).collect();
-        // count[0] = contiguous bytes along the last dimension
-        let mut count = Vec::with_capacity(n);
-        count.push((ihi[n - 1] - ilo[n - 1]) * elem);
-        for d in (0..n - 1).rev() {
-            count.push(ihi[d] - ilo[d]);
-        }
-        // byte stride of dimension d in an array of extents `dims`
-        let stride_of =
-            |dims: &[usize], d: usize| -> usize { dims[d + 1..].iter().product::<usize>() * elem };
-        // stride level j corresponds to dimension n-2-j... : count[j]
-        // (j>=1) covers dim n-1-j, whose stride is stride_of(dims, n-1-j)
-        let mut rstrides = Vec::with_capacity(n - 1);
-        let mut lstrides = Vec::with_capacity(n - 1);
+        let (ilo, ihi, blo, bhi) = (r.ilo(), r.ihi(), r.blo(), r.bhi());
+        let mut a = StridedArgs {
+            raddr: self.bases[r.cell].offset(self.offset_in(ilo, blo, bhi)),
+            loff: self.offset_in(ilo, lo, hi),
+            n,
+            rstrides: [0; MAX_DIM],
+            lstrides: [0; MAX_DIM],
+            count: [0; MAX_DIM],
+        };
+        // count[0] = contiguous bytes along the last dimension; count[j]
+        // (j >= 1) covers dimension n-1-j, and stride level j-1 steps it:
+        // the byte size of everything inside it, in the block (remote)
+        // and in the patch (local).
+        a.count[0] = (ihi[n - 1] - ilo[n - 1]) * elem;
+        let (mut rs, mut ls) = (elem, elem);
         for j in 1..n {
-            rstrides.push(stride_of(&bdims, n - 1 - j));
-            lstrides.push(stride_of(&pdims, n - 1 - j));
+            let d = n - j;
+            a.count[j] = ihi[d - 1] - ilo[d - 1];
+            rs *= bhi[d] - blo[d];
+            ls *= hi[d] - lo[d];
+            a.rstrides[j - 1] = rs;
+            a.lstrides[j - 1] = ls;
         }
-        let raddr = self.bases[cell].offset(self.offset_in(ilo, &blo, &bdims));
-        let loff = self.offset_in(ilo, lo, &pdims);
-        (raddr, rstrides, loff, lstrides, count)
+        a
     }
 
     fn check_patch(&self, lo: &[usize], hi: &[usize], buf_len_bytes: usize) -> GaResult<()> {
@@ -296,42 +374,27 @@ impl<'a, A: Armci + ?Sized> GlobalArray<'a, A> {
     /// one strided ARMCI operation per owner.
     fn xfer(&self, lo: &[usize], hi: &[usize], mut verb: Verb<'_>) -> GaResult<()> {
         let trace = obs::enabled().then(|| (verb.name(false), verb.bytes(), self.rt.vtime()));
-        for (cell, ilo, ihi) in self.dist.locate_region(lo, hi) {
-            let (raddr, rstrides, loff, lstrides, count) =
-                self.strided_args(cell, &ilo, &ihi, lo, hi);
-            let sub_bytes: usize = count.iter().product();
+        self.dist.for_each_region(lo, hi, |r| {
+            let a = self.strided_args(r, lo, hi);
+            let (raddr, loff) = (a.raddr, a.loff);
+            let (rs, ls, count) = (a.rstrides(), a.lstrides(), a.count());
             match &mut verb {
-                Verb::Put(data) => {
-                    self.rt
-                        .put_strided(&data[loff..], &lstrides, raddr, &rstrides, &count)?;
-                    let _ = sub_bytes;
-                }
-                Verb::Get(out) => {
-                    self.rt
-                        .get_strided(raddr, &rstrides, &mut out[loff..], &lstrides, &count)?;
-                }
-                Verb::Acc(scale, data) => {
-                    self.rt.acc_strided(
-                        AccKind::Double(*scale),
-                        &data[loff..],
-                        &lstrides,
-                        raddr,
-                        &rstrides,
-                        &count,
-                    )?;
-                }
+                Verb::Put(data) => self.rt.put_strided(&data[loff..], ls, raddr, rs, count),
+                Verb::Get(out) => self.rt.get_strided(raddr, rs, &mut out[loff..], ls, count),
+                Verb::Acc(scale, data) => self.rt.acc_strided(
+                    AccKind::Double(*scale),
+                    &data[loff..],
+                    ls,
+                    raddr,
+                    rs,
+                    count,
+                ),
                 Verb::AccI64(scale, data) => {
-                    self.rt.acc_strided(
-                        AccKind::Long(*scale),
-                        &data[loff..],
-                        &lstrides,
-                        raddr,
-                        &rstrides,
-                        &count,
-                    )?;
+                    self.rt
+                        .acc_strided(AccKind::Long(*scale), &data[loff..], ls, raddr, rs, count)
                 }
             }
-        }
+        })?;
         if let Some((name, bytes, t0)) = trace {
             obs::span(obs::EventKind::GaOp { name, bytes }, t0, self.rt.vtime());
         }
@@ -345,37 +408,36 @@ impl<'a, A: Armci + ?Sized> GlobalArray<'a, A> {
     fn nb_xfer(&self, lo: &[usize], hi: &[usize], mut verb: Verb<'_>) -> GaResult<GaNbHandle> {
         let trace = obs::enabled().then(|| (verb.name(true), verb.bytes(), self.rt.vtime()));
         let mut handles = Vec::new();
-        for (cell, ilo, ihi) in self.dist.locate_region(lo, hi) {
-            let (raddr, rstrides, loff, lstrides, count) =
-                self.strided_args(cell, &ilo, &ihi, lo, hi);
-            let h = match &mut verb {
-                Verb::Put(data) => {
-                    self.rt
-                        .nb_put_strided(&data[loff..], &lstrides, raddr, &rstrides, &count)?
-                }
-                Verb::Get(out) => {
-                    self.rt
-                        .nb_get_strided(raddr, &rstrides, &mut out[loff..], &lstrides, &count)?
-                }
+        self.dist.for_each_region(lo, hi, |r| {
+            let a = self.strided_args(r, lo, hi);
+            let (raddr, loff) = (a.raddr, a.loff);
+            let (rs, ls, count) = (a.rstrides(), a.lstrides(), a.count());
+            handles.push(match &mut verb {
+                Verb::Put(data) => self
+                    .rt
+                    .nb_put_strided(&data[loff..], ls, raddr, rs, count)?,
+                Verb::Get(out) => self
+                    .rt
+                    .nb_get_strided(raddr, rs, &mut out[loff..], ls, count)?,
                 Verb::Acc(scale, data) => self.rt.nb_acc_strided(
                     AccKind::Double(*scale),
                     &data[loff..],
-                    &lstrides,
+                    ls,
                     raddr,
-                    &rstrides,
-                    &count,
+                    rs,
+                    count,
                 )?,
                 Verb::AccI64(scale, data) => self.rt.nb_acc_strided(
                     AccKind::Long(*scale),
                     &data[loff..],
-                    &lstrides,
+                    ls,
                     raddr,
-                    &rstrides,
-                    &count,
+                    rs,
+                    count,
                 )?,
-            };
-            handles.push(h);
-        }
+            });
+            Ok::<(), ArmciError>(())
+        })?;
         if let Some((name, bytes, t0)) = trace {
             obs::span(obs::EventKind::GaOp { name, bytes }, t0, self.rt.vtime());
         }
@@ -400,8 +462,7 @@ impl<'a, A: Armci + ?Sized> GlobalArray<'a, A> {
     pub fn put_patch(&self, lo: &[usize], hi: &[usize], data: &[f64]) -> GaResult<()> {
         self.want(GaType::F64)?;
         self.check_patch(lo, hi, data.len() * 8)?;
-        let bytes = armci::acc::f64s_to_bytes(data);
-        self.xfer(lo, hi, Verb::Put(&bytes))
+        self.xfer(lo, hi, Verb::Put(&le_bytes(data)))
     }
 
     /// `NGA_Get`: reads the patch into a dense row-major vector.
@@ -409,9 +470,10 @@ impl<'a, A: Armci + ?Sized> GlobalArray<'a, A> {
         self.want(GaType::F64)?;
         let len = Self::patch_len(lo, hi);
         self.check_patch(lo, hi, len * 8)?;
-        let mut bytes = vec![0u8; len * 8];
-        self.xfer(lo, hi, Verb::Get(&mut bytes))?;
-        Ok(armci::acc::bytes_to_f64s(&bytes))
+        let mut out = vec![0.0f64; len];
+        self.xfer(lo, hi, Verb::Get(bytes_of_mut(&mut out)))?;
+        from_le_in_place(&mut out);
+        Ok(out)
     }
 
     /// `NGA_Acc`: `patch += scale * data`, atomic per element with
@@ -419,8 +481,7 @@ impl<'a, A: Armci + ?Sized> GlobalArray<'a, A> {
     pub fn acc_patch(&self, scale: f64, lo: &[usize], hi: &[usize], data: &[f64]) -> GaResult<()> {
         self.want(GaType::F64)?;
         self.check_patch(lo, hi, data.len() * 8)?;
-        let bytes = armci::acc::f64s_to_bytes(data);
-        self.xfer(lo, hi, Verb::Acc(scale, &bytes))
+        self.xfer(lo, hi, Verb::Acc(scale, &le_bytes(data)))
     }
 
     /// `NGA_NbPut`: nonblocking patch write. The transfer stays in flight
@@ -431,8 +492,7 @@ impl<'a, A: Armci + ?Sized> GlobalArray<'a, A> {
     pub fn nb_put_patch(&self, lo: &[usize], hi: &[usize], data: &[f64]) -> GaResult<GaNbHandle> {
         self.want(GaType::F64)?;
         self.check_patch(lo, hi, data.len() * 8)?;
-        let bytes = armci::acc::f64s_to_bytes(data);
-        self.nb_xfer(lo, hi, Verb::Put(&bytes))
+        self.nb_xfer(lo, hi, Verb::Put(&le_bytes(data)))
     }
 
     /// `NGA_NbGet`: nonblocking patch read into a caller-owned buffer.
@@ -446,9 +506,10 @@ impl<'a, A: Armci + ?Sized> GlobalArray<'a, A> {
     ) -> GaResult<GaNbHandle> {
         self.want(GaType::F64)?;
         self.check_patch(lo, hi, out.len() * 8)?;
-        let mut bytes = vec![0u8; out.len() * 8];
-        let h = self.nb_xfer(lo, hi, Verb::Get(&mut bytes))?;
-        out.copy_from_slice(&armci::acc::bytes_to_f64s(&bytes));
+        // The simulator moves bytes at issue, so the patch lands in `out`
+        // now; only completion is deferred.
+        let h = self.nb_xfer(lo, hi, Verb::Get(bytes_of_mut(out)))?;
+        from_le_in_place(out);
         Ok(h)
     }
 
@@ -462,8 +523,7 @@ impl<'a, A: Armci + ?Sized> GlobalArray<'a, A> {
     ) -> GaResult<GaNbHandle> {
         self.want(GaType::F64)?;
         self.check_patch(lo, hi, data.len() * 8)?;
-        let bytes = armci::acc::f64s_to_bytes(data);
-        self.nb_xfer(lo, hi, Verb::Acc(scale, &bytes))
+        self.nb_xfer(lo, hi, Verb::Acc(scale, &le_bytes(data)))
     }
 
     /// `NGA_NbWait`: completes a nonblocking patch operation.
@@ -475,11 +535,7 @@ impl<'a, A: Armci + ?Sized> GlobalArray<'a, A> {
     pub fn put_patch_i64(&self, lo: &[usize], hi: &[usize], data: &[i64]) -> GaResult<()> {
         self.want(GaType::I64)?;
         self.check_patch(lo, hi, data.len() * 8)?;
-        let mut bytes = Vec::with_capacity(data.len() * 8);
-        for &x in data {
-            bytes.extend_from_slice(&x.to_le_bytes());
-        }
-        self.xfer(lo, hi, Verb::Put(&bytes))
+        self.xfer(lo, hi, Verb::Put(&le_bytes(data)))
     }
 
     /// Integer get.
@@ -487,12 +543,10 @@ impl<'a, A: Armci + ?Sized> GlobalArray<'a, A> {
         self.want(GaType::I64)?;
         let len = Self::patch_len(lo, hi);
         self.check_patch(lo, hi, len * 8)?;
-        let mut bytes = vec![0u8; len * 8];
-        self.xfer(lo, hi, Verb::Get(&mut bytes))?;
-        Ok(bytes
-            .chunks_exact(8)
-            .map(|c| i64::from_le_bytes(c.try_into().unwrap()))
-            .collect())
+        let mut out = vec![0i64; len];
+        self.xfer(lo, hi, Verb::Get(bytes_of_mut(&mut out)))?;
+        from_le_in_place(&mut out);
+        Ok(out)
     }
 
     /// Integer accumulate.
@@ -505,11 +559,7 @@ impl<'a, A: Armci + ?Sized> GlobalArray<'a, A> {
     ) -> GaResult<()> {
         self.want(GaType::I64)?;
         self.check_patch(lo, hi, data.len() * 8)?;
-        let mut bytes = Vec::with_capacity(data.len() * 8);
-        for &x in data {
-            bytes.extend_from_slice(&x.to_le_bytes());
-        }
-        self.xfer(lo, hi, Verb::AccI64(scale, &bytes))
+        self.xfer(lo, hi, Verb::AccI64(scale, &le_bytes(data)))
     }
 
     /// `NGA_Read_inc`: atomically adds `inc` to the I64 element at `idx`
@@ -518,8 +568,7 @@ impl<'a, A: Armci + ?Sized> GlobalArray<'a, A> {
         self.want(GaType::I64)?;
         let cell = self.dist.locate(idx);
         let (blo, bhi) = self.dist.cell_block(cell);
-        let bdims: Vec<usize> = blo.iter().zip(&bhi).map(|(&l, &h)| h - l).collect();
-        let addr = self.bases[cell].offset(self.offset_in(idx, &blo, &bdims));
+        let addr = self.bases[cell].offset(self.offset_in(idx, &blo, &bhi));
         let t0 = obs::enabled().then(|| self.rt.vtime());
         let res = self.rt.rmw(RmwOp::FetchAdd(inc), addr);
         if let Some(t0) = t0 {

@@ -43,6 +43,46 @@ fn prime_factors(mut n: usize) -> Vec<usize> {
     out
 }
 
+/// Most dimensions a patch fan-out handles (GA's `GA_MAX_DIM`).
+pub const MAX_DIM: usize = 7;
+
+/// One owner's share of a patch, as visited by
+/// [`Distribution::for_each_region`]: the owning cell, the intersection
+/// `[ilo, ihi)` of the patch with the cell's block, and the block
+/// `[blo, bhi)` itself.
+#[derive(Debug, Clone, Copy)]
+pub struct Region {
+    /// The owning cell (group rank).
+    pub cell: usize,
+    ndim: usize,
+    ilo: [usize; MAX_DIM],
+    ihi: [usize; MAX_DIM],
+    blo: [usize; MAX_DIM],
+    bhi: [usize; MAX_DIM],
+}
+
+impl Region {
+    /// Intersection lower bounds.
+    pub fn ilo(&self) -> &[usize] {
+        &self.ilo[..self.ndim]
+    }
+
+    /// Intersection upper bounds (exclusive).
+    pub fn ihi(&self) -> &[usize] {
+        &self.ihi[..self.ndim]
+    }
+
+    /// The owning block's lower bounds.
+    pub fn blo(&self) -> &[usize] {
+        &self.blo[..self.ndim]
+    }
+
+    /// The owning block's upper bounds (exclusive).
+    pub fn bhi(&self) -> &[usize] {
+        &self.bhi[..self.ndim]
+    }
+}
+
 /// A block distribution: per dimension, the block boundaries
 /// (`bounds[d]` has `grid[d] + 1` entries, `bounds[d][0] == 0`,
 /// `bounds[d].last() == dims[d]`).
@@ -177,57 +217,67 @@ impl Distribution {
         cell
     }
 
-    /// All cells whose blocks intersect the half-open patch `[lo, hi)`,
-    /// with the intersection bounds. This is the fan-out of Figure 2.
+    /// Visits every cell whose block intersects the half-open patch
+    /// `[lo, hi)`, with the intersection bounds — the fan-out of Figure 2
+    /// — in row-major cell order, stopping at the first error `f`
+    /// returns. Visiting allocates nothing: each [`Region`] holds its
+    /// bounds in fixed-size arrays, so the array may have at most
+    /// [`MAX_DIM`] dimensions.
     #[allow(clippy::needless_range_loop)] // indexes several parallel arrays
-    pub fn locate_region(
+    pub fn for_each_region<E>(
         &self,
         lo: &[usize],
         hi: &[usize],
-    ) -> Vec<(usize, Vec<usize>, Vec<usize>)> {
-        assert_eq!(lo.len(), self.ndim());
-        assert_eq!(hi.len(), self.ndim());
-        for d in 0..self.ndim() {
+        mut f: impl FnMut(&Region) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let n = self.ndim();
+        assert!(n <= MAX_DIM, "{n} dimensions exceed MAX_DIM = {MAX_DIM}");
+        assert_eq!(lo.len(), n);
+        assert_eq!(hi.len(), n);
+        for d in 0..n {
             assert!(lo[d] < hi[d], "empty patch in dim {d}");
             assert!(hi[d] <= self.dims[d], "patch exceeds dim {d}");
         }
         // Per dimension, the range of grid blocks the patch touches.
-        let mut block_ranges = Vec::with_capacity(self.ndim());
-        for d in 0..self.ndim() {
-            let first = self.block_of(d, lo[d]);
-            let last = self.block_of(d, hi[d] - 1);
-            block_ranges.push(first..=last);
+        let (mut first, mut last) = ([0usize; MAX_DIM], [0usize; MAX_DIM]);
+        for d in 0..n {
+            first[d] = self.block_of(d, lo[d]);
+            last[d] = self.block_of(d, hi[d] - 1);
         }
         // Cartesian product of the per-dim block ranges.
-        let mut out = Vec::new();
-        let mut coords: Vec<usize> = block_ranges.iter().map(|r| *r.start()).collect();
+        let mut coords = first;
         loop {
-            // the cell and its intersection with the patch
-            let mut cell = 0usize;
-            for d in 0..self.ndim() {
-                cell = cell * self.grid[d] + coords[d];
+            // the cell, its block, and its intersection with the patch
+            let mut r = Region {
+                cell: 0,
+                ndim: n,
+                ilo: [0; MAX_DIM],
+                ihi: [0; MAX_DIM],
+                blo: [0; MAX_DIM],
+                bhi: [0; MAX_DIM],
+            };
+            for d in 0..n {
+                r.cell = r.cell * self.grid[d] + coords[d];
+                r.blo[d] = self.bounds[d][coords[d]];
+                r.bhi[d] = self.bounds[d][coords[d] + 1];
+                r.ilo[d] = lo[d].max(r.blo[d]);
+                r.ihi[d] = hi[d].min(r.bhi[d]);
             }
-            let ilo: Vec<usize> = (0..self.ndim())
-                .map(|d| lo[d].max(self.bounds[d][coords[d]]))
-                .collect();
-            let ihi: Vec<usize> = (0..self.ndim())
-                .map(|d| hi[d].min(self.bounds[d][coords[d] + 1]))
-                .collect();
-            if ilo.iter().zip(&ihi).all(|(&l, &h)| l < h) {
-                out.push((cell, ilo, ihi));
+            if (0..n).all(|d| r.ilo[d] < r.ihi[d]) {
+                f(&r)?;
             }
             // increment coords over the ranges (last dim fastest)
-            let mut d = self.ndim();
+            let mut d = n;
             loop {
                 if d == 0 {
-                    return out;
+                    return Ok(());
                 }
                 d -= 1;
-                if coords[d] < *block_ranges[d].end() {
+                if coords[d] < last[d] {
                     coords[d] += 1;
                     break;
                 }
-                coords[d] = *block_ranges[d].start();
+                coords[d] = first[d];
             }
         }
     }
@@ -249,6 +299,22 @@ impl Distribution {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `(cell, ilo, ihi)` of every region, in visiting order.
+    fn regions(
+        d: &Distribution,
+        lo: &[usize],
+        hi: &[usize],
+    ) -> Vec<(usize, Vec<usize>, Vec<usize>)> {
+        let mut out = Vec::new();
+        d.for_each_region(lo, hi, |r| {
+            assert_eq!(d.cell_block(r.cell), (r.blo().to_vec(), r.bhi().to_vec()));
+            out.push((r.cell, r.ilo().to_vec(), r.ihi().to_vec()));
+            Ok::<(), ()>(())
+        })
+        .unwrap();
+        out
+    }
 
     #[test]
     fn proc_grid_covers_all_processes() {
@@ -292,11 +358,11 @@ mod tests {
     }
 
     #[test]
-    fn locate_region_covers_patch_disjointly() {
+    fn regions_cover_patch_disjointly() {
         let d = Distribution::regular(&[20, 20], 6);
         let lo = [3, 5];
         let hi = [17, 19];
-        let parts = d.locate_region(&lo, &hi);
+        let parts = regions(&d, &lo, &hi);
         // total elements match and parts are disjoint
         let total: usize = parts
             .iter()
@@ -314,7 +380,7 @@ mod tests {
     #[test]
     fn single_cell_patch() {
         let d = Distribution::regular(&[16], 4);
-        let parts = d.locate_region(&[5], &[7]);
+        let parts = regions(&d, &[5], &[7]);
         assert_eq!(parts.len(), 1);
         assert_eq!(parts[0], (1, vec![5], vec![7]));
     }
@@ -327,7 +393,7 @@ mod tests {
         assert_eq!(d.locate(&[2]), 1);
         assert_eq!(d.locate(&[8]), 1);
         assert_eq!(d.locate(&[9]), 2);
-        let parts = d.locate_region(&[1], &[10]);
+        let parts = regions(&d, &[1], &[10]);
         assert_eq!(parts.len(), 3);
     }
 
@@ -337,8 +403,8 @@ mod tests {
         let d = Distribution::regular(&[2], 3);
         let lens: Vec<usize> = (0..d.ncells()).map(|c| d.cell_len(c)).collect();
         assert_eq!(lens.iter().sum::<usize>(), 2);
-        // locate_region never returns empty blocks
-        let parts = d.locate_region(&[0], &[2]);
+        // empty blocks are never visited
+        let parts = regions(&d, &[0], &[2]);
         assert!(parts.iter().all(|(_, l, h)| l[0] < h[0]));
     }
 
@@ -360,6 +426,6 @@ mod tests {
     #[should_panic(expected = "empty patch")]
     fn empty_patch_rejected() {
         let d = Distribution::regular(&[8], 2);
-        d.locate_region(&[3], &[3]);
+        regions(&d, &[3], &[3]);
     }
 }

@@ -11,7 +11,9 @@
 //! displacement on the target side).
 
 use crate::error::{MpiError, MpiResult};
+use std::borrow::Borrow;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// A derived datatype (byte-granular).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -29,17 +31,20 @@ pub enum Datatype {
     /// non-negative; blocks may be unsorted but must not overlap (checked at
     /// use when semantic checks are enabled).
     Indexed { blocks: Vec<(usize, usize)> },
-    /// An n-dimensional subarray in C (row-major) order.
+    /// An n-dimensional subarray in C (row-major) order, built with
+    /// [`Datatype::subarray`] or [`Datatype::subarray_packed`].
     ///
-    /// `sizes` are the full array dimensions **in elements**, `subsizes` the
-    /// patch dimensions, `starts` the patch origin, and `elem` the element
-    /// width in bytes.
-    Subarray {
-        sizes: Vec<usize>,
-        subsizes: Vec<usize>,
-        starts: Vec<usize>,
-        elem: usize,
-    },
+    /// `shape` packs three length-`n` arrays back to back: the full array
+    /// dimensions **in elements** (`sizes`), the patch dimensions
+    /// (`subsizes`) and the patch origin (`starts`). `elem` is the element
+    /// width in bytes. One allocation holds all three arrays.
+    Subarray { shape: Box<[usize]>, elem: usize },
+}
+
+/// Splits a packed subarray shape into `(sizes, subsizes, starts)`.
+fn split_shape(shape: &[usize]) -> (&[usize], &[usize], &[usize]) {
+    let n = shape.len() / 3;
+    (&shape[..n], &shape[n..2 * n], &shape[2 * n..])
 }
 
 impl Datatype {
@@ -63,6 +68,25 @@ impl Datatype {
                 starts.len()
             )));
         }
+        let mut shape = Vec::with_capacity(3 * sizes.len());
+        shape.extend_from_slice(sizes);
+        shape.extend_from_slice(subsizes);
+        shape.extend_from_slice(starts);
+        Self::subarray_packed(shape, elem)
+    }
+
+    /// Builds a subarray datatype from an already-packed shape
+    /// (`sizes ++ subsizes ++ starts`, see [`Datatype::Subarray`]),
+    /// validating it. Takes ownership so the type costs no further
+    /// allocation.
+    pub fn subarray_packed(shape: Vec<usize>, elem: usize) -> MpiResult<Datatype> {
+        if !shape.len().is_multiple_of(3) {
+            return Err(MpiError::BadDatatype(format!(
+                "packed subarray shape of {} words is not three equal arrays",
+                shape.len()
+            )));
+        }
+        let (sizes, subsizes, starts) = split_shape(&shape);
         if sizes.is_empty() {
             return Err(MpiError::BadDatatype("zero-dimensional subarray".into()));
         }
@@ -78,9 +102,7 @@ impl Datatype {
             }
         }
         Ok(Datatype::Subarray {
-            sizes: sizes.to_vec(),
-            subsizes: subsizes.to_vec(),
-            starts: starts.to_vec(),
+            shape: shape.into_boxed_slice(),
             elem,
         })
     }
@@ -93,7 +115,9 @@ impl Datatype {
                 count, blocklen, ..
             } => count * blocklen,
             Datatype::Indexed { blocks } => blocks.iter().map(|&(_, l)| l).sum(),
-            Datatype::Subarray { subsizes, elem, .. } => subsizes.iter().product::<usize>() * elem,
+            Datatype::Subarray { shape, elem } => {
+                split_shape(shape).1.iter().product::<usize>() * elem
+            }
         }
     }
 
@@ -116,9 +140,8 @@ impl Datatype {
                 }
             }
             Datatype::Indexed { blocks } => blocks.iter().filter(|&&(_, l)| l > 0).count(),
-            Datatype::Subarray {
-                subsizes, sizes, ..
-            } => {
+            Datatype::Subarray { shape, .. } => {
+                let (sizes, subsizes, _) = split_shape(shape);
                 if subsizes.contains(&0) {
                     return 0;
                 }
@@ -151,16 +174,12 @@ impl Datatype {
                     (count - 1) * stride + blocklen
                 }
             }
-            Datatype::Indexed { blocks } => blocks.iter().map(|&(d, l)| d + l).max().unwrap_or(0),
-            Datatype::Subarray {
-                sizes,
-                subsizes,
-                starts,
-                elem,
-            } => {
+            Datatype::Indexed { blocks } => blocks_extent(blocks),
+            Datatype::Subarray { shape, elem } => {
                 // True span: one past the last selected byte, so that tight
                 // window allocations (last row not spanning a full stride)
                 // pass bounds checks.
+                let (sizes, subsizes, starts) = split_shape(shape);
                 if subsizes.contains(&0) {
                     return 0;
                 }
@@ -180,6 +199,16 @@ impl Datatype {
     /// runs.
     pub fn segments(&self) -> Vec<(usize, usize)> {
         let mut out = Vec::new();
+        self.segments_into(&mut out);
+        out
+    }
+
+    /// [`Datatype::segments`] into a caller-owned buffer: `out` is cleared,
+    /// sized once from [`Datatype::num_segments`], and filled. A buffer
+    /// reused across calls makes flattening allocation-free.
+    pub fn segments_into(&self, out: &mut Vec<(usize, usize)>) {
+        out.clear();
+        out.reserve(self.num_segments());
         match self {
             Datatype::Contiguous { len } => {
                 if *len > 0 {
@@ -192,30 +221,35 @@ impl Datatype {
                 stride,
             } => {
                 if *blocklen > 0 {
-                    for i in 0..*count {
-                        out.push((i * stride, *blocklen));
-                    }
+                    out.extend((0..*count).map(|i| (i * stride, *blocklen)));
                 }
+                coalesce(out);
             }
-            Datatype::Indexed { blocks } => {
-                out.extend(blocks.iter().copied().filter(|&(_, l)| l > 0));
-            }
-            Datatype::Subarray {
-                sizes,
-                subsizes,
-                starts,
-                elem,
-            } => {
-                subarray_segments(sizes, subsizes, starts, *elem, &mut out);
+            Datatype::Indexed { blocks } => flatten_blocks(blocks, out),
+            Datatype::Subarray { shape, elem } => {
+                let (sizes, subsizes, starts) = split_shape(shape);
+                subarray_segments(sizes, subsizes, starts, *elem, out);
+                coalesce(out);
             }
         }
-        coalesce(&mut out);
-        out
     }
 }
 
+/// One past the last byte an indexed block list touches.
+pub(crate) fn blocks_extent(blocks: &[(usize, usize)]) -> usize {
+    blocks.iter().map(|&(d, l)| d + l).max().unwrap_or(0)
+}
+
+/// Flattens an indexed block list the way [`Datatype::Indexed`] does:
+/// empty blocks dropped, adjacent ones coalesced. Appends to `out`.
+pub(crate) fn flatten_blocks(blocks: &[(usize, usize)], out: &mut Vec<(usize, usize)>) {
+    out.extend(blocks.iter().copied().filter(|&(_, l)| l > 0));
+    coalesce(out);
+}
+
 /// Row-major subarray enumeration: emits one segment per innermost-dimension
-/// run.
+/// run. The outer dimensions are walked recursively, so no index or stride
+/// arrays are allocated.
 fn subarray_segments(
     sizes: &[usize],
     subsizes: &[usize],
@@ -223,40 +257,39 @@ fn subarray_segments(
     elem: usize,
     out: &mut Vec<(usize, usize)>,
 ) {
-    let n = sizes.len();
+    fn walk(
+        d: usize,
+        base: usize,
+        stride: usize,
+        dims: (&[usize], &[usize], &[usize]),
+        run: usize,
+        out: &mut Vec<(usize, usize)>,
+    ) {
+        let (sizes, subsizes, starts) = dims;
+        let last = sizes.len() - 1;
+        if d == last {
+            out.push((base + starts[last] * stride, run));
+            return;
+        }
+        // Byte stride of dimension d+1 (C order: last dim fastest).
+        let inner = stride / sizes[d + 1];
+        for i in 0..subsizes[d] {
+            walk(
+                d + 1,
+                base + (starts[d] + i) * stride,
+                inner,
+                dims,
+                run,
+                out,
+            );
+        }
+    }
     if subsizes.contains(&0) {
         return;
     }
-    // Byte strides of each dimension (C order: last dim fastest).
-    let mut strides = vec![0usize; n];
-    let mut acc = elem;
-    for d in (0..n).rev() {
-        strides[d] = acc;
-        acc *= sizes[d];
-    }
-    let run = subsizes[n - 1] * elem;
-    // Iterate over all index tuples of the outer n-1 dims.
-    let outer: usize = subsizes[..n - 1].iter().product();
-    let mut idx = vec![0usize; n.saturating_sub(1)];
-    for _ in 0..outer.max(1) {
-        let mut off = starts[n - 1] * elem;
-        for d in 0..n - 1 {
-            off += (starts[d] + idx[d]) * strides[d];
-        }
-        out.push((off, run));
-        // increment mixed-radix counter (idx over subsizes[..n-1]),
-        // innermost of the outer dims moves fastest
-        for d in (0..n - 1).rev() {
-            idx[d] += 1;
-            if idx[d] < subsizes[d] {
-                break;
-            }
-            idx[d] = 0;
-        }
-        if n == 1 {
-            break;
-        }
-    }
+    let stride0 = elem * sizes[1..].iter().product::<usize>();
+    let run = subsizes[sizes.len() - 1] * elem;
+    walk(0, 0, stride0, (sizes, subsizes, starts), run, out);
 }
 
 /// Merges adjacent `(offset, len)` pairs that are contiguous in memory.
@@ -275,21 +308,15 @@ fn coalesce(segs: &mut Vec<(usize, usize)>) {
     segs.truncate(w);
 }
 
-/// Splits the segment lists of two datatypes into a common refinement so
-/// that bytes can be copied pairwise. Returns `(origin_piece, target_piece,
-/// len)` triples. Errors if total sizes differ.
-pub fn zip_segments(origin: &Datatype, target: &Datatype) -> MpiResult<Vec<(usize, usize, usize)>> {
-    let ob = origin.size();
-    let tb = target.size();
-    if ob != tb {
-        return Err(MpiError::TypeMismatch {
-            origin_bytes: ob,
-            target_bytes: tb,
-        });
-    }
-    let os = origin.segments();
-    let ts = target.segments();
-    let mut out = Vec::with_capacity(os.len().max(ts.len()));
+/// Splits two flattened segment lists into a common refinement so that
+/// bytes can be copied pairwise: appends `(origin_piece, target_piece,
+/// len)` triples to `out` until either list runs out.
+pub fn zip_into(
+    os: &[(usize, usize)],
+    ts: &[(usize, usize)],
+    out: &mut Vec<(usize, usize, usize)>,
+) {
+    out.reserve(os.len().max(ts.len()));
     let (mut oi, mut ti) = (0usize, 0usize);
     let (mut ooff, mut toff) = (0usize, 0usize);
     while oi < os.len() && ti < ts.len() {
@@ -308,79 +335,176 @@ pub fn zip_segments(origin: &Datatype, target: &Datatype) -> MpiResult<Vec<(usiz
             toff = 0;
         }
     }
-    Ok(out)
 }
 
-/// Structural signature of a datatype: a canonical `Vec<u64>` encoding of
+/// Reusable flattening buffers for one transfer: the target datatype's
+/// segments, the origin's, and their common refinement (the copy pieces).
+/// A transfer flattens each datatype into these exactly once; admission,
+/// the copy, and pricing then borrow the lists. Held per window handle,
+/// so steady-state transfers flatten without allocating.
+#[derive(Debug, Default)]
+pub struct Flat {
+    /// Target segments, relative to the target displacement.
+    pub tsegs: Vec<(usize, usize)>,
+    /// Origin segments, relative to the origin buffer.
+    pub osegs: Vec<(usize, usize)>,
+    /// `(origin_offset, target_offset, len)` copy pieces.
+    pub pieces: Vec<(usize, usize, usize)>,
+}
+
+impl Flat {
+    /// Flattens `target` into [`Flat::tsegs`].
+    pub fn flatten_target(&mut self, target: &Datatype) {
+        target.segments_into(&mut self.tsegs);
+    }
+
+    /// Checks that `origin` selects `target_bytes` bytes, flattens it into
+    /// [`Flat::osegs`], and zips it with the already-flattened target into
+    /// [`Flat::pieces`].
+    pub fn zip_origin(&mut self, origin: &Datatype, target_bytes: usize) -> MpiResult<()> {
+        let ob = origin.size();
+        if ob != target_bytes {
+            return Err(MpiError::TypeMismatch {
+                origin_bytes: ob,
+                target_bytes,
+            });
+        }
+        origin.segments_into(&mut self.osegs);
+        self.pieces.clear();
+        zip_into(&self.osegs, &self.tsegs, &mut self.pieces);
+        Ok(())
+    }
+}
+
+/// Splits the segment lists of two datatypes into a common refinement so
+/// that bytes can be copied pairwise. Returns `(origin_piece, target_piece,
+/// len)` triples. Errors if total sizes differ. Allocates fresh buffers;
+/// hot paths keep a [`Flat`] instead.
+pub fn zip_segments(origin: &Datatype, target: &Datatype) -> MpiResult<Vec<(usize, usize, usize)>> {
+    let mut flat = Flat::default();
+    flat.flatten_target(target);
+    flat.zip_origin(origin, target.size())?;
+    Ok(flat.pieces)
+}
+
+/// Structural signature of a datatype: a canonical `u64` encoding of
 /// shape (kind tag, dims, counts, strides, element size). Every variant
 /// starts with a distinct tag and variable-length parts carry an explicit
 /// length prefix, so encodings of different shapes cannot collide.
 /// Indexed blocks are normalised relative to their lowest displacement —
 /// the same IOV shape issued at a different window displacement commits
 /// to the same cached descriptor.
+///
+/// Hashes exactly like its word slice (it borrows as `[u64]`), so the
+/// cache can look a signature up from a reusable key buffer without
+/// building one.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct DtypeSig(Vec<u64>);
+pub struct DtypeSig(Box<[u64]>);
+
+impl Borrow<[u64]> for DtypeSig {
+    fn borrow(&self) -> &[u64] {
+        &self.0
+    }
+}
 
 impl DtypeSig {
     /// Signature of one datatype.
     pub fn of(d: &Datatype) -> DtypeSig {
         let mut v = Vec::new();
-        Self::encode(d, &mut v);
-        DtypeSig(v)
+        encode(d, &mut v);
+        DtypeSig(v.into_boxed_slice())
     }
 
     /// Combined signature of an (origin, target) pair — one wire pack
     /// descriptor covers both sides.
     pub fn pair(origin: &Datatype, target: &Datatype) -> DtypeSig {
         let mut v = Vec::new();
-        Self::encode(origin, &mut v);
-        Self::encode(target, &mut v);
-        DtypeSig(v)
+        encode(origin, &mut v);
+        encode(target, &mut v);
+        DtypeSig(v.into_boxed_slice())
+    }
+}
+
+fn encode(d: &Datatype, v: &mut Vec<u64>) {
+    match d {
+        Datatype::Contiguous { len } => {
+            v.push(0);
+            v.push(*len as u64);
+        }
+        Datatype::Vector {
+            count,
+            blocklen,
+            stride,
+        } => {
+            v.push(1);
+            v.push(*count as u64);
+            v.push(*blocklen as u64);
+            v.push(*stride as u64);
+        }
+        Datatype::Indexed { blocks } => encode_indexed(blocks, v),
+        Datatype::Subarray { shape, elem } => {
+            // The pack descriptor depends on dims/counts/strides, not
+            // on where the patch sits — `starts` is excluded so every
+            // same-shape patch hits one committed type.
+            let (sizes, subsizes, _) = split_shape(shape);
+            v.push(3);
+            v.push(*elem as u64);
+            v.push(sizes.len() as u64);
+            v.extend(sizes.iter().map(|&s| s as u64));
+            v.extend(subsizes.iter().map(|&s| s as u64));
+        }
+    }
+}
+
+/// Indexed encoding: live (non-empty) blocks relative to the lowest live
+/// displacement, with a count prefix.
+fn encode_indexed(blocks: &[(usize, usize)], v: &mut Vec<u64>) {
+    let live = || blocks.iter().filter(|&&(_, l)| l > 0);
+    let base = live().map(|&(o, _)| o).min().unwrap_or(0);
+    v.push(2);
+    v.push(live().count() as u64);
+    for &(o, l) in live() {
+        v.push((o - base) as u64);
+        v.push(l as u64);
+    }
+}
+
+/// FxHash-style word hasher for signature keys: deterministic, and far
+/// cheaper than SipHash on ~100-word keys. Keys are internal shape
+/// encodings, so SipHash's flooding resistance buys nothing here.
+#[derive(Debug, Default, Clone, Copy)]
+struct SigHasher(u64);
+
+impl SigHasher {
+    fn add(&mut self, w: u64) {
+        self.0 = (self.0.rotate_left(5) ^ w).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for SigHasher {
+    fn finish(&self) -> u64 {
+        self.0
     }
 
-    fn encode(d: &Datatype, v: &mut Vec<u64>) {
-        match d {
-            Datatype::Contiguous { len } => {
-                v.push(0);
-                v.push(*len as u64);
-            }
-            Datatype::Vector {
-                count,
-                blocklen,
-                stride,
-            } => {
-                v.push(1);
-                v.push(*count as u64);
-                v.push(*blocklen as u64);
-                v.push(*stride as u64);
-            }
-            Datatype::Indexed { blocks } => {
-                v.push(2);
-                let live: Vec<(usize, usize)> =
-                    blocks.iter().copied().filter(|&(_, l)| l > 0).collect();
-                let base = live.iter().map(|&(o, _)| o).min().unwrap_or(0);
-                v.push(live.len() as u64);
-                for (o, l) in live {
-                    v.push((o - base) as u64);
-                    v.push(l as u64);
-                }
-            }
-            Datatype::Subarray {
-                sizes,
-                subsizes,
-                starts: _,
-                elem,
-            } => {
-                // The pack descriptor depends on dims/counts/strides, not
-                // on where the patch sits — `starts` is excluded so every
-                // same-shape patch hits one committed type.
-                v.push(3);
-                v.push(*elem as u64);
-                v.push(sizes.len() as u64);
-                v.extend(sizes.iter().map(|&s| s as u64));
-                v.extend(subsizes.iter().map(|&s| s as u64));
-            }
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.add(u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
         }
+        let rest = words.remainder();
+        if !rest.is_empty() {
+            let mut w = [0u8; 8];
+            w[..rest.len()].copy_from_slice(rest);
+            self.add(u64::from_le_bytes(w));
+        }
+    }
+
+    fn write_u64(&mut self, w: u64) {
+        self.add(w);
+    }
+
+    fn write_usize(&mut self, w: usize) {
+        self.add(w as u64);
     }
 }
 
@@ -389,11 +513,15 @@ impl DtypeSig {
 /// descriptor build cost. Bounded, with least-recently-used eviction by a
 /// monotonic use tick; hit/miss/eviction counters feed `StageStats` and
 /// the obs `DtypeCommit` instants.
+///
+/// Lookups encode the signature into a reusable key buffer, so a hit
+/// allocates nothing; only a miss stores a copy of the key.
 #[derive(Debug)]
 pub struct DtypeCache {
     cap: usize,
     tick: u64,
-    map: HashMap<DtypeSig, u64>,
+    map: HashMap<DtypeSig, u64, BuildHasherDefault<SigHasher>>,
+    key: Vec<u64>,
     /// Consultations that found a committed descriptor.
     pub hits: u64,
     /// Consultations that had to build (and commit) a descriptor.
@@ -408,7 +536,8 @@ impl DtypeCache {
         DtypeCache {
             cap: cap.max(1),
             tick: 0,
-            map: HashMap::new(),
+            map: HashMap::default(),
+            key: Vec::new(),
             hits: 0,
             misses: 0,
             evictions: 0,
@@ -419,17 +548,33 @@ impl DtypeCache {
     /// committing it on miss. Returns `true` on hit (descriptor build
     /// skipped).
     pub fn commit_pair(&mut self, origin: &Datatype, target: &Datatype) -> bool {
-        self.commit_sig(DtypeSig::pair(origin, target))
+        self.commit_with(|v| {
+            encode(origin, v);
+            encode(target, v);
+        })
     }
 
     /// Consults the cache for one datatype's descriptor.
     pub fn commit(&mut self, d: &Datatype) -> bool {
-        self.commit_sig(DtypeSig::of(d))
+        self.commit_with(|v| encode(d, v))
     }
 
-    fn commit_sig(&mut self, sig: DtypeSig) -> bool {
+    /// Consults the cache for a scheduler-merged transfer: a contiguous
+    /// origin of `bytes` paired with the indexed target `blocks` — the
+    /// same signature as [`DtypeCache::commit_pair`] on those two types,
+    /// without building them.
+    pub fn commit_merged(&mut self, bytes: usize, blocks: &[(usize, usize)]) -> bool {
+        self.commit_with(|v| {
+            encode(&Datatype::contiguous(bytes), v);
+            encode_indexed(blocks, v);
+        })
+    }
+
+    fn commit_with(&mut self, fill: impl FnOnce(&mut Vec<u64>)) -> bool {
+        self.key.clear();
+        fill(&mut self.key);
         self.tick += 1;
-        if let Some(last) = self.map.get_mut(&sig) {
+        if let Some(last) = self.map.get_mut(self.key.as_slice()) {
             *last = self.tick;
             self.hits += 1;
             return true;
@@ -437,18 +582,15 @@ impl DtypeCache {
         self.misses += 1;
         if self.map.len() >= self.cap {
             // cap is small (tens of shapes); a linear LRU scan beats
-            // maintaining an ordered index
-            if let Some(lru) = self
-                .map
-                .iter()
-                .min_by_key(|&(_, &last)| last)
-                .map(|(k, _)| k.clone())
-            {
-                self.map.remove(&lru);
+            // maintaining an ordered index. Ticks are unique, so the
+            // scan's result does not depend on map order.
+            if let Some(lru) = self.map.values().min().copied() {
+                self.map.retain(|_, &mut last| last != lru);
                 self.evictions += 1;
             }
         }
-        self.map.insert(sig, self.tick);
+        self.map
+            .insert(DtypeSig(self.key.as_slice().into()), self.tick);
         false
     }
 

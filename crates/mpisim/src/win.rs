@@ -19,7 +19,7 @@
 //!    the detection and the design's compliance.
 
 use crate::comm::Comm;
-use crate::dtype::{zip_segments, Datatype, DtypeCache};
+use crate::dtype::{blocks_extent, flatten_blocks, Datatype, DtypeCache, Flat};
 use crate::error::{MpiError, MpiResult};
 use crate::progress::ProgressModel;
 use crate::runtime::Shared;
@@ -323,6 +323,13 @@ pub struct WinHandle {
     /// skip the pack-descriptor build cost. Origin-local, like MPI's
     /// committed handles.
     dtype_cache: RefCell<DtypeCache>,
+    /// Flattening scratch: each transfer flattens its datatypes into these
+    /// buffers once (see [`Flat`]), so steady-state transfers allocate
+    /// nothing for their segment lists.
+    flat: RefCell<Flat>,
+    /// A drained epoch record list kept for the next `lock`, so recording
+    /// an epoch's accesses reuses one allocation.
+    spare_records: RefCell<Vec<OpRecord>>,
     pub(crate) lock_all_active: Cell<bool>,
     /// Active-target (fence) epoch open on this handle (§III "active
     /// mode"). Between two `fence` calls every rank may be both origin
@@ -438,6 +445,8 @@ impl WinHandle {
                 comm.platform().reg.clone(),
             ),
             dtype_cache: RefCell::new(DtypeCache::new(64)),
+            flat: RefCell::new(Flat::default()),
+            spare_records: RefCell::new(Vec::new()),
             lock_all_active: Cell::new(false),
             active_epoch: Cell::new(false),
             progress: Cell::new(ProgressModel::Off),
@@ -686,7 +695,7 @@ impl WinHandle {
             target,
             Epoch {
                 mode,
-                ops: Vec::new(),
+                ops: self.spare_records.take(),
                 issued: 0,
             },
         );
@@ -715,6 +724,9 @@ impl WinHandle {
             .remove(&target)
             .ok_or(MpiError::NotLocked { target })?;
         self.inner.locks[target].release(ep.mode);
+        let mut records = ep.ops;
+        records.clear();
+        *self.spare_records.borrow_mut() = records;
         // Unlock completes the epoch remotely: one more serviced round.
         let prog = self.progress_extra(target, 1);
         self.charge(0.5 * self.params().epoch_overhead + prog);
@@ -743,10 +755,17 @@ impl WinHandle {
     }
 
     /// Validates epoch presence and (optionally) records + conflict-checks
-    /// the operation's target ranges.
-    fn admit(&self, target: usize, tdisp: usize, tdt: &Datatype, kind: OpKind) -> MpiResult<()> {
+    /// the operation's target ranges: `segs` are the flattened target
+    /// datatype (relative to `tdisp`) and `extent` its span.
+    fn admit(
+        &self,
+        target: usize,
+        tdisp: usize,
+        extent: usize,
+        segs: &[(usize, usize)],
+        kind: OpKind,
+    ) -> MpiResult<()> {
         let size = self.inner.sizes[target];
-        let extent = tdt.extent();
         if tdisp + extent > size {
             return Err(MpiError::OutOfBounds {
                 target,
@@ -767,19 +786,7 @@ impl WinHandle {
             None => return Err(MpiError::NoEpoch { target }),
         };
         if self.shared.cfg.semantic_checks {
-            for (off, len) in tdt.segments() {
-                let (lo, hi) = (tdisp + off, tdisp + off + len);
-                for r in &ep.ops {
-                    if lo < r.hi && r.lo < hi && !kind.compatible(r.kind) {
-                        return Err(MpiError::ConflictingAccess {
-                            target,
-                            first: (r.lo, r.hi - r.lo),
-                            second: (lo, hi - lo),
-                        });
-                    }
-                }
-                ep.ops.push(OpRecord { lo, hi, kind });
-            }
+            record_checked(&mut ep.ops, target, tdisp, segs, kind)?;
         }
         Ok(())
     }
@@ -830,6 +837,10 @@ impl WinHandle {
     /// the consultation as a `DtypeCommit` instant.
     fn dtype_commit(&self, odt: &Datatype, tdt: &Datatype) -> bool {
         let hit = self.dtype_cache.borrow_mut().commit_pair(odt, tdt);
+        self.note_dtype_commit(hit)
+    }
+
+    fn note_dtype_commit(&self, hit: bool) -> bool {
         if obs::enabled() {
             obs::instant_at(
                 obs::EventKind::DtypeCommit {
@@ -899,6 +910,130 @@ impl WinHandle {
     // ------------------------------------------------------------------
     // Data movement
     // ------------------------------------------------------------------
+    //
+    // Every mover flattens each datatype exactly once into the handle's
+    // `Flat` scratch: admission borrows the target segments, and the copy
+    // walks the zipped pieces under one I/O lock. The wire (`*_core`) and
+    // shm entry points share these movers and differ only in pricing.
+
+    /// The origin datatype must fit in the caller's buffer.
+    fn check_origin(origin_len: usize, odt: &Datatype) -> MpiResult<()> {
+        if odt.extent() > origin_len {
+            return Err(MpiError::BadDatatype(format!(
+                "origin datatype extent {} exceeds buffer {}",
+                odt.extent(),
+                origin_len
+            )));
+        }
+        Ok(())
+    }
+
+    /// Validates, admits and moves a put's bytes.
+    fn put_move(
+        &self,
+        origin: &[u8],
+        odt: &Datatype,
+        target: usize,
+        tdisp: usize,
+        tdt: &Datatype,
+    ) -> MpiResult<()> {
+        Self::check_origin(origin.len(), odt)?;
+        let mut flat = self.flat.borrow_mut();
+        flat.flatten_target(tdt);
+        self.admit(target, tdisp, tdt.extent(), &flat.tsegs, OpKind::Write)?;
+        flat.zip_origin(odt, tdt.size())?;
+        self.inner
+            .section(target)
+            .with_mut(|dst| copy_in(dst, tdisp, origin, &flat.pieces));
+        Ok(())
+    }
+
+    /// Validates, admits and moves a get's bytes.
+    fn get_move(
+        &self,
+        origin: &mut [u8],
+        odt: &Datatype,
+        target: usize,
+        tdisp: usize,
+        tdt: &Datatype,
+    ) -> MpiResult<()> {
+        Self::check_origin(origin.len(), odt)?;
+        let mut flat = self.flat.borrow_mut();
+        flat.flatten_target(tdt);
+        self.admit(target, tdisp, tdt.extent(), &flat.tsegs, OpKind::Read)?;
+        flat.zip_origin(odt, tdt.size())?;
+        self.inner
+            .section(target)
+            .with(|src| copy_out(src, tdisp, origin, &flat.pieces));
+        Ok(())
+    }
+
+    /// Validates, admits and applies an accumulate: the origin selection is
+    /// packed into pooled scratch (steady state: no allocation), then
+    /// combined per target segment. Every target segment must be
+    /// element-aligned.
+    #[allow(clippy::too_many_arguments)]
+    fn acc_move(
+        &self,
+        origin: &[u8],
+        odt: &Datatype,
+        target: usize,
+        tdisp: usize,
+        tdt: &Datatype,
+        elem: ElemType,
+        op: AccOp,
+    ) -> MpiResult<()> {
+        let es = elem.size();
+        if !odt.size().is_multiple_of(es) {
+            return Err(MpiError::BadDatatype(format!(
+                "accumulate of {} bytes not a multiple of element size {es}",
+                odt.size()
+            )));
+        }
+        Self::check_origin(origin.len(), odt)?;
+        let mut flat = self.flat.borrow_mut();
+        flat.flatten_target(tdt);
+        self.admit(
+            target,
+            tdisp,
+            tdt.extent(),
+            &flat.tsegs,
+            OpKind::Acc(elem, op),
+        )?;
+        for &(_, len) in &flat.tsegs {
+            if len % es != 0 {
+                return Err(MpiError::BadDatatype(format!(
+                    "target segment of {len} bytes not element-aligned (elem {es})"
+                )));
+            }
+        }
+        if odt.size() != tdt.size() {
+            return Err(MpiError::TypeMismatch {
+                origin_bytes: odt.size(),
+                target_bytes: tdt.size(),
+            });
+        }
+        odt.segments_into(&mut flat.osegs);
+        let mut staged = self.pool.take(odt.size());
+        let mut w = 0usize;
+        for &(off, len) in &flat.osegs {
+            staged[w..w + len].copy_from_slice(&origin[off..off + len]);
+            w += len;
+        }
+        self.inner.section(target).with_mut(|dst| {
+            let mut s = 0usize;
+            for &(toff, len) in &flat.tsegs {
+                apply_acc(
+                    &mut dst[tdisp + toff..tdisp + toff + len],
+                    &staged[s..s + len],
+                    elem,
+                    op,
+                );
+                s += len;
+            }
+        });
+        Ok(())
+    }
 
     /// One-sided put: origin bytes (selected by `odt` within `origin`) are
     /// written into `target`'s window (selected by `tdt` at `tdisp`).
@@ -930,25 +1065,8 @@ impl WinHandle {
         tdt: &Datatype,
     ) -> MpiResult<f64> {
         self.check_alive()?;
-        if odt.extent() > origin.len() {
-            return Err(MpiError::BadDatatype(format!(
-                "origin datatype extent {} exceeds buffer {}",
-                odt.extent(),
-                origin.len()
-            )));
-        }
-        self.admit(target, tdisp, tdt, OpKind::Write)?;
-        let pairs = zip_segments(odt, tdt)?;
-        self.inner.section(target).with_mut(|dst| {
-            for (ooff, toff, len) in &pairs {
-                dst[tdisp + toff..tdisp + toff + len].copy_from_slice(&origin[*ooff..*ooff + *len]);
-            }
-        });
-        let issued = self.bump_issued(target);
-        let nsegs = odt.num_segments().max(tdt.num_segments());
-        let cached = nsegs > 1 && self.dtype_commit(odt, tdt);
-        self.note_rma(obs::OpKind::Put, target, odt.size(), nsegs, cached);
-        Ok(self.op_cost(simnet::Op::Put, odt.size(), nsegs, issued, cached))
+        self.put_move(origin, odt, target, tdisp, tdt)?;
+        Ok(self.wire_cost(simnet::Op::Put, obs::OpKind::Put, odt, target, tdt))
     }
 
     /// One-sided get: bytes from `target`'s window into `origin`.
@@ -977,25 +1095,8 @@ impl WinHandle {
         tdt: &Datatype,
     ) -> MpiResult<f64> {
         self.check_alive()?;
-        if odt.extent() > origin.len() {
-            return Err(MpiError::BadDatatype(format!(
-                "origin datatype extent {} exceeds buffer {}",
-                odt.extent(),
-                origin.len()
-            )));
-        }
-        self.admit(target, tdisp, tdt, OpKind::Read)?;
-        let pairs = zip_segments(odt, tdt)?;
-        self.inner.section(target).with(|src| {
-            for (ooff, toff, len) in &pairs {
-                origin[*ooff..*ooff + *len].copy_from_slice(&src[tdisp + toff..tdisp + toff + len]);
-            }
-        });
-        let issued = self.bump_issued(target);
-        let nsegs = odt.num_segments().max(tdt.num_segments());
-        let cached = nsegs > 1 && self.dtype_commit(odt, tdt);
-        self.note_rma(obs::OpKind::Get, target, odt.size(), nsegs, cached);
-        Ok(self.op_cost(simnet::Op::Get, odt.size(), nsegs, issued, cached))
+        self.get_move(origin, odt, target, tdisp, tdt)?;
+        Ok(self.wire_cost(simnet::Op::Get, obs::OpKind::Get, odt, target, tdt))
     }
 
     /// One-sided accumulate: `target[i] = target[i] ⊕ origin[i]` element
@@ -1032,62 +1133,25 @@ impl WinHandle {
         op: AccOp,
     ) -> MpiResult<f64> {
         self.check_alive()?;
-        let es = elem.size();
-        if !odt.size().is_multiple_of(es) {
-            return Err(MpiError::BadDatatype(format!(
-                "accumulate of {} bytes not a multiple of element size {es}",
-                odt.size()
-            )));
-        }
-        if odt.extent() > origin.len() {
-            return Err(MpiError::BadDatatype(format!(
-                "origin datatype extent {} exceeds buffer {}",
-                odt.extent(),
-                origin.len()
-            )));
-        }
-        self.admit(target, tdisp, tdt, OpKind::Acc(elem, op))?;
-        // Stage the origin contiguously, then combine per target segment.
-        let osegs = odt.segments();
-        let tsegs = tdt.segments();
-        for &(_, len) in &tsegs {
-            if len % es != 0 {
-                return Err(MpiError::BadDatatype(format!(
-                    "target segment of {len} bytes not element-aligned (elem {es})"
-                )));
-            }
-        }
-        if odt.size() != tdt.size() {
-            return Err(MpiError::TypeMismatch {
-                origin_bytes: odt.size(),
-                target_bytes: tdt.size(),
-            });
-        }
-        // Pack the origin into pooled scratch (steady-state: zero
-        // allocations per accumulate).
-        let mut staged = self.pool.take(odt.size());
-        let mut w = 0usize;
-        for &(off, len) in &osegs {
-            staged[w..w + len].copy_from_slice(&origin[off..off + len]);
-            w += len;
-        }
-        self.inner.section(target).with_mut(|dst| {
-            let mut s = 0usize;
-            for &(toff, len) in &tsegs {
-                apply_acc(
-                    &mut dst[tdisp + toff..tdisp + toff + len],
-                    &staged[s..s + len],
-                    elem,
-                    op,
-                );
-                s += len;
-            }
-        });
+        self.acc_move(origin, odt, target, tdisp, tdt, elem, op)?;
+        Ok(self.wire_cost(simnet::Op::Acc, obs::OpKind::Acc, odt, target, tdt))
+    }
+
+    /// Epoch accounting, datatype-cache consultation, the RMA event and
+    /// the virtual-time price of one wire operation whose bytes moved.
+    fn wire_cost(
+        &self,
+        op: simnet::Op,
+        kind: obs::OpKind,
+        odt: &Datatype,
+        target: usize,
+        tdt: &Datatype,
+    ) -> f64 {
         let issued = self.bump_issued(target);
         let nsegs = odt.num_segments().max(tdt.num_segments());
         let cached = nsegs > 1 && self.dtype_commit(odt, tdt);
-        self.note_rma(obs::OpKind::Acc, target, odt.size(), nsegs, cached);
-        Ok(self.op_cost(simnet::Op::Acc, odt.size(), nsegs, issued, cached))
+        self.note_rma(kind, target, odt.size(), nsegs, cached);
+        self.op_cost(op, odt.size(), nsegs, issued, cached)
     }
 
     // ------------------------------------------------------------------
@@ -1125,45 +1189,67 @@ impl WinHandle {
     }
 
     /// Moves put bytes for a queued (scheduler-deferred) operation.
-    pub fn stage_put_bytes(&self, origin: &[u8], target: usize, tdisp: usize) -> MpiResult<()> {
-        self.stage_check(target, tdisp, origin.len())?;
+    /// `pieces` are `(origin_offset, target_disp, len)` triples: every
+    /// piece is bounds-checked before any byte moves, then all of them
+    /// copy under one I/O lock.
+    pub fn stage_put_bytes(
+        &self,
+        origin: &[u8],
+        target: usize,
+        pieces: &[(usize, usize, usize)],
+    ) -> MpiResult<()> {
+        for &(_, tdisp, len) in pieces {
+            self.stage_check(target, tdisp, len)?;
+        }
         self.inner
             .section(target)
-            .with_mut(|dst| dst[tdisp..tdisp + origin.len()].copy_from_slice(origin));
+            .with_mut(|dst| copy_in(dst, 0, origin, pieces));
         Ok(())
     }
 
-    /// Moves get bytes for a queued (scheduler-deferred) operation.
-    pub fn stage_get_bytes(&self, origin: &mut [u8], target: usize, tdisp: usize) -> MpiResult<()> {
-        self.stage_check(target, tdisp, origin.len())?;
+    /// Moves get bytes for a queued (scheduler-deferred) operation; see
+    /// [`WinHandle::stage_put_bytes`].
+    pub fn stage_get_bytes(
+        &self,
+        origin: &mut [u8],
+        target: usize,
+        pieces: &[(usize, usize, usize)],
+    ) -> MpiResult<()> {
+        for &(_, tdisp, len) in pieces {
+            self.stage_check(target, tdisp, len)?;
+        }
         self.inner
             .section(target)
-            .with(|src| origin.copy_from_slice(&src[tdisp..tdisp + origin.len()]));
+            .with(|src| copy_out(src, 0, origin, pieces));
         Ok(())
     }
 
     /// Applies accumulate bytes for a queued (scheduler-deferred)
-    /// operation. Element alignment is the caller's contract, as with
-    /// [`WinHandle::accumulate`].
+    /// operation; see [`WinHandle::stage_put_bytes`]. Every piece must be
+    /// a whole number of elements; element alignment within the window is
+    /// the caller's contract, as with [`WinHandle::accumulate`].
     pub fn stage_acc_bytes(
         &self,
         origin: &[u8],
         target: usize,
-        tdisp: usize,
+        pieces: &[(usize, usize, usize)],
         elem: ElemType,
         op: AccOp,
     ) -> MpiResult<()> {
         let es = elem.size();
-        if !origin.len().is_multiple_of(es) {
-            return Err(MpiError::BadDatatype(format!(
-                "accumulate of {} bytes not a multiple of element size {es}",
-                origin.len()
-            )));
+        for &(_, tdisp, len) in pieces {
+            if !len.is_multiple_of(es) {
+                return Err(MpiError::BadDatatype(format!(
+                    "accumulate of {len} bytes not a multiple of element size {es}"
+                )));
+            }
+            self.stage_check(target, tdisp, len)?;
         }
-        self.stage_check(target, tdisp, origin.len())?;
-        self.inner
-            .section(target)
-            .with_mut(|dst| apply_acc(&mut dst[tdisp..tdisp + origin.len()], origin, elem, op));
+        self.inner.section(target).with_mut(|dst| {
+            for &(o, t, len) in pieces {
+                apply_acc(&mut dst[t..t + len], &origin[o..o + len], elem, op);
+            }
+        });
         Ok(())
     }
 
@@ -1175,7 +1261,8 @@ impl WinHandle {
     /// already moved via the `stage_*` movers; this performs the epoch
     /// admission, consults the committed-datatype cache, records the RMA
     /// (and pack) events, and returns the virtual-time cost for the
-    /// caller to charge or defer.
+    /// caller to charge or defer. `segs` is priced exactly like an
+    /// indexed target type with those blocks, without building one.
     pub fn issue_merged(
         &self,
         class: RmaClass,
@@ -1183,20 +1270,22 @@ impl WinHandle {
         segs: &[(usize, usize)],
     ) -> MpiResult<f64> {
         self.check_alive()?;
-        let tdt = Datatype::Indexed {
-            blocks: segs.to_vec(),
-        };
         let kind = match class {
             RmaClass::Get => OpKind::Read,
             RmaClass::Put => OpKind::Write,
             RmaClass::Acc(elem, op) => OpKind::Acc(elem, op),
         };
-        self.admit(target, 0, &tdt, kind)?;
-        let bytes = tdt.size();
-        let nsegs = tdt.num_segments();
-        let odt = Datatype::contiguous(bytes);
+        {
+            let mut flat = self.flat.borrow_mut();
+            flat.tsegs.clear();
+            flatten_blocks(segs, &mut flat.tsegs);
+            self.admit(target, 0, blocks_extent(segs), &flat.tsegs, kind)?;
+        }
+        let bytes: usize = segs.iter().map(|&(_, len)| len).sum();
+        let nsegs = segs.iter().filter(|&&(_, len)| len > 0).count();
         let issued = self.bump_issued(target);
-        let cached = nsegs > 1 && self.dtype_commit(&odt, &tdt);
+        let cached = nsegs > 1
+            && self.note_dtype_commit(self.dtype_cache.borrow_mut().commit_merged(bytes, segs));
         let (op, okind) = match class {
             RmaClass::Get => (simnet::Op::Get, obs::OpKind::Get),
             RmaClass::Put => (simnet::Op::Put, obs::OpKind::Put),
@@ -1211,13 +1300,13 @@ impl WinHandle {
     /// Contiguous-put convenience.
     pub fn put_bytes(&self, origin: &[u8], target: usize, tdisp: usize) -> MpiResult<()> {
         let dt = Datatype::contiguous(origin.len());
-        self.put(origin, &dt.clone(), target, tdisp, &dt)
+        self.put(origin, &dt, target, tdisp, &dt)
     }
 
     /// Contiguous-get convenience.
     pub fn get_bytes(&self, origin: &mut [u8], target: usize, tdisp: usize) -> MpiResult<()> {
         let dt = Datatype::contiguous(origin.len());
-        self.get(origin, &dt.clone(), target, tdisp, &dt)
+        self.get(origin, &dt, target, tdisp, &dt)
     }
 
     // ------------------------------------------------------------------
@@ -1337,29 +1426,9 @@ impl WinHandle {
         tdisp: usize,
         tdt: &Datatype,
     ) -> MpiResult<f64> {
-        self.check_alive()?;
-        if !self.shm_reachable(target) {
-            return Err(MpiError::ShmUnavailable { target });
-        }
-        if odt.extent() > origin.len() {
-            return Err(MpiError::BadDatatype(format!(
-                "origin datatype extent {} exceeds buffer {}",
-                odt.extent(),
-                origin.len()
-            )));
-        }
-        self.admit(target, tdisp, tdt, OpKind::Write)?;
-        let pairs = zip_segments(odt, tdt)?;
-        self.inner.section(target).with_mut(|dst| {
-            for (ooff, toff, len) in &pairs {
-                dst[tdisp + toff..tdisp + toff + len].copy_from_slice(&origin[*ooff..*ooff + *len]);
-            }
-        });
-        let nsegs = odt.num_segments().max(tdt.num_segments());
-        self.note_shm(true, target, odt.size());
-        Ok(self
-            .shm_params()
-            .op_cost(simnet::Op::Put, odt.size(), nsegs))
+        self.check_shm(target)?;
+        self.put_move(origin, odt, target, tdisp, tdt)?;
+        Ok(self.shm_cost(simnet::Op::Put, true, odt, target, tdt))
     }
 
     /// Shared-memory get; see [`WinHandle::shm_put`].
@@ -1371,29 +1440,9 @@ impl WinHandle {
         tdisp: usize,
         tdt: &Datatype,
     ) -> MpiResult<f64> {
-        self.check_alive()?;
-        if !self.shm_reachable(target) {
-            return Err(MpiError::ShmUnavailable { target });
-        }
-        if odt.extent() > origin.len() {
-            return Err(MpiError::BadDatatype(format!(
-                "origin datatype extent {} exceeds buffer {}",
-                odt.extent(),
-                origin.len()
-            )));
-        }
-        self.admit(target, tdisp, tdt, OpKind::Read)?;
-        let pairs = zip_segments(odt, tdt)?;
-        self.inner.section(target).with(|src| {
-            for (ooff, toff, len) in &pairs {
-                origin[*ooff..*ooff + *len].copy_from_slice(&src[tdisp + toff..tdisp + toff + len]);
-            }
-        });
-        let nsegs = odt.num_segments().max(tdt.num_segments());
-        self.note_shm(false, target, odt.size());
-        Ok(self
-            .shm_params()
-            .op_cost(simnet::Op::Get, odt.size(), nsegs))
+        self.check_shm(target)?;
+        self.get_move(origin, odt, target, tdisp, tdt)?;
+        Ok(self.shm_cost(simnet::Op::Get, false, odt, target, tdt))
     }
 
     /// Shared-memory accumulate; see [`WinHandle::shm_put`]. The combine
@@ -1411,63 +1460,32 @@ impl WinHandle {
         elem: ElemType,
         op: AccOp,
     ) -> MpiResult<f64> {
+        self.check_shm(target)?;
+        self.acc_move(origin, odt, target, tdisp, tdt, elem, op)?;
+        Ok(self.shm_cost(simnet::Op::Acc, true, odt, target, tdt))
+    }
+
+    /// The window is alive and `target` is a node peer.
+    fn check_shm(&self, target: usize) -> MpiResult<()> {
         self.check_alive()?;
         if !self.shm_reachable(target) {
             return Err(MpiError::ShmUnavailable { target });
         }
-        let es = elem.size();
-        if !odt.size().is_multiple_of(es) {
-            return Err(MpiError::BadDatatype(format!(
-                "accumulate of {} bytes not a multiple of element size {es}",
-                odt.size()
-            )));
-        }
-        if odt.extent() > origin.len() {
-            return Err(MpiError::BadDatatype(format!(
-                "origin datatype extent {} exceeds buffer {}",
-                odt.extent(),
-                origin.len()
-            )));
-        }
-        self.admit(target, tdisp, tdt, OpKind::Acc(elem, op))?;
-        let osegs = odt.segments();
-        let tsegs = tdt.segments();
-        for &(_, len) in &tsegs {
-            if len % es != 0 {
-                return Err(MpiError::BadDatatype(format!(
-                    "target segment of {len} bytes not element-aligned (elem {es})"
-                )));
-            }
-        }
-        if odt.size() != tdt.size() {
-            return Err(MpiError::TypeMismatch {
-                origin_bytes: odt.size(),
-                target_bytes: tdt.size(),
-            });
-        }
-        let mut staged = self.pool.take(odt.size());
-        let mut w = 0usize;
-        for &(off, len) in &osegs {
-            staged[w..w + len].copy_from_slice(&origin[off..off + len]);
-            w += len;
-        }
-        self.inner.section(target).with_mut(|dst| {
-            let mut s = 0usize;
-            for &(toff, len) in &tsegs {
-                apply_acc(
-                    &mut dst[tdisp + toff..tdisp + toff + len],
-                    &staged[s..s + len],
-                    elem,
-                    op,
-                );
-                s += len;
-            }
-        });
+        Ok(())
+    }
+
+    /// The shm event and shm-tier price of one node-local operation.
+    fn shm_cost(
+        &self,
+        op: simnet::Op,
+        write: bool,
+        odt: &Datatype,
+        target: usize,
+        tdt: &Datatype,
+    ) -> f64 {
         let nsegs = odt.num_segments().max(tdt.num_segments());
-        self.note_shm(true, target, odt.size());
-        Ok(self
-            .shm_params()
-            .op_cost(simnet::Op::Acc, odt.size(), nsegs))
+        self.note_shm(write, target, odt.size());
+        self.shm_params().op_cost(op, odt.size(), nsegs)
     }
 
     // ------------------------------------------------------------------
@@ -1683,6 +1701,97 @@ impl ShmSection {
     }
 }
 
+/// Copies `(origin_offset, target_offset, len)` pieces from `origin` into
+/// `dst` at `tdisp + target_offset`.
+fn copy_in(dst: &mut [u8], tdisp: usize, origin: &[u8], pieces: &[(usize, usize, usize)]) {
+    for &(o, t, len) in pieces {
+        dst[tdisp + t..tdisp + t + len].copy_from_slice(&origin[o..o + len]);
+    }
+}
+
+/// Copies pieces the other way: from `src` at `tdisp + target_offset`
+/// into `origin`.
+fn copy_out(src: &[u8], tdisp: usize, origin: &mut [u8], pieces: &[(usize, usize, usize)]) {
+    for &(o, t, len) in pieces {
+        origin[o..o + len].copy_from_slice(&src[tdisp + t..tdisp + t + len]);
+    }
+}
+
+/// Conflict-checks one operation's target segments (relative to `tdisp`)
+/// against an epoch's records and appends them. The outcome is exactly
+/// the all-pairs reference scan's (`record_naive`): the same Ok/Err, the
+/// same reported pair, the same records left behind on error. It just
+/// never compares an operation's segments with each other pairwise. Only
+/// a self-incompatible kind (a write) can conflict with itself; that gets
+/// one O(n) sortedness pass, and an O(n log n) sort when the segments are
+/// unsorted. The earlier operations' records are then scanned only when
+/// one of them is incompatible with `kind`.
+fn record_checked(
+    records: &mut Vec<OpRecord>,
+    target: usize,
+    tdisp: usize,
+    segs: &[(usize, usize)],
+    kind: OpKind,
+) -> MpiResult<()> {
+    let own = if kind.compatible(kind) {
+        None
+    } else {
+        first_self_overlap(segs)
+    };
+    // Segment j's conflicts with earlier operations precede (in record
+    // order) its conflicts with its own operation, so only segments up to
+    // the first self-conflict need the scan.
+    let scan = own.map_or(segs.len(), |(j, _)| j + 1);
+    let mut err = None;
+    if !records.iter().all(|r| kind.compatible(r.kind)) {
+        err = segs[..scan]
+            .iter()
+            .enumerate()
+            .find_map(|(j, &(off, len))| {
+                let (lo, hi) = (tdisp + off, tdisp + off + len);
+                records
+                    .iter()
+                    .find(|r| lo < r.hi && r.lo < hi && !kind.compatible(r.kind))
+                    .map(|r| (j, (r.lo, r.hi - r.lo)))
+            });
+    }
+    let err = err.or(own.map(|(j, i)| (j, (tdisp + segs[i].0, segs[i].1))));
+    let keep = err.map_or(segs.len(), |(j, _)| j);
+    records.extend(segs[..keep].iter().map(|&(off, len)| OpRecord {
+        lo: tdisp + off,
+        hi: tdisp + off + len,
+        kind,
+    }));
+    match err {
+        Some((j, first)) => Err(MpiError::ConflictingAccess {
+            target,
+            first,
+            second: (tdisp + segs[j].0, segs[j].1),
+        }),
+        None => Ok(()),
+    }
+}
+
+/// The first `(j, i)`, `i < j`, with overlapping segments, in the order
+/// the all-pairs scan meets them — or `None` when the segments are
+/// pairwise disjoint. Ascending disjoint lists (every contiguous, vector
+/// and subarray type) are proven clean in one pass; unsorted ones by a
+/// sort. Only a list that really overlaps (an error) pays the pairwise
+/// search.
+fn first_self_overlap(segs: &[(usize, usize)]) -> Option<(usize, usize)> {
+    let disjoint = |s: &[(usize, usize)]| s.windows(2).all(|w| w[0].0 + w[0].1 <= w[1].0);
+    if disjoint(segs) {
+        return None;
+    }
+    let mut sorted = segs.to_vec();
+    sorted.sort_unstable();
+    if disjoint(&sorted) {
+        return None;
+    }
+    let overlap = |a: (usize, usize), b: (usize, usize)| a.0 < b.0 + b.1 && b.0 < a.0 + a.1;
+    (1..segs.len()).find_map(|j| (0..j).find(|&i| overlap(segs[i], segs[j])).map(|i| (j, i)))
+}
+
 /// Element-wise combine.
 fn apply_acc(dst: &mut [u8], src: &[u8], elem: ElemType, op: AccOp) {
     debug_assert_eq!(dst.len(), src.len());
@@ -1806,5 +1915,100 @@ mod tests {
         l.release(LockMode::Exclusive);
         h.join().unwrap();
         assert!(flag.load(Ordering::SeqCst));
+    }
+}
+
+/// Admission equivalence: [`record_checked`] against the all-pairs
+/// reference scan it replaced.
+#[cfg(test)]
+mod admission_proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// Reference all-pairs scan: each segment against every record in the
+    /// epoch, the operation's own earlier segments included.
+    fn record_naive(
+        records: &mut Vec<OpRecord>,
+        target: usize,
+        tdisp: usize,
+        segs: &[(usize, usize)],
+        kind: OpKind,
+    ) -> MpiResult<()> {
+        for &(off, len) in segs {
+            let (lo, hi) = (tdisp + off, tdisp + off + len);
+            for r in records.iter() {
+                if lo < r.hi && r.lo < hi && !kind.compatible(r.kind) {
+                    return Err(MpiError::ConflictingAccess {
+                        target,
+                        first: (r.lo, r.hi - r.lo),
+                        second: (lo, hi - lo),
+                    });
+                }
+            }
+            records.push(OpRecord { lo, hi, kind });
+        }
+        Ok(())
+    }
+
+    /// Contiguous, vector, subarray, or unsorted (possibly overlapping
+    /// or adjacent) indexed target types, picked by the first component.
+    fn arb_datatype() -> impl Strategy<Value = Datatype> {
+        (
+            0usize..4,
+            (1usize..64, 1usize..8, 1usize..8, 0usize..8),
+            proptest::collection::vec((1usize..4, 0usize..3, 0usize..3), 1..4),
+            proptest::collection::vec((0usize..96, 0usize..12), 1..12),
+        )
+            .prop_map(
+                |(pick, (len, count, blocklen, pad), dims, blocks)| match pick {
+                    0 => Datatype::contiguous(len),
+                    1 => Datatype::Vector {
+                        count,
+                        blocklen,
+                        stride: blocklen + pad,
+                    },
+                    2 => {
+                        let sizes: Vec<usize> = dims.iter().map(|&(s, a, b)| s + a + b).collect();
+                        let subsizes: Vec<usize> = dims.iter().map(|&(s, _, _)| s).collect();
+                        let starts: Vec<usize> = dims.iter().map(|&(_, a, _)| a).collect();
+                        Datatype::subarray(&sizes, &subsizes, &starts, 8).unwrap()
+                    }
+                    _ => Datatype::Indexed { blocks },
+                },
+            )
+    }
+
+    fn arb_kind() -> impl Strategy<Value = OpKind> {
+        (0usize..4).prop_map(|k| match k {
+            0 => OpKind::Read,
+            1 => OpKind::Write,
+            2 => OpKind::Acc(ElemType::F64, AccOp::Sum),
+            _ => OpKind::Acc(ElemType::I64, AccOp::Sum),
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Over random multi-op epochs, every admission gives the same
+        /// Ok/Err (with the same reported pair) and leaves the same
+        /// records as the reference scan.
+        #[test]
+        fn admission_matches_all_pairs_reference(
+            ops in proptest::collection::vec((arb_datatype(), 0usize..64, arb_kind()), 1..10)
+        ) {
+            let (mut fast, mut naive) = (Vec::new(), Vec::new());
+            for (dt, tdisp, kind) in &ops {
+                let segs = dt.segments();
+                let got = record_checked(&mut fast, 3, *tdisp, &segs, *kind);
+                let want = record_naive(&mut naive, 3, *tdisp, &segs, *kind);
+                prop_assert_eq!(got, want);
+                let key = |r: &OpRecord| (r.lo, r.hi, format!("{:?}", r.kind));
+                prop_assert_eq!(
+                    fast.iter().map(key).collect::<Vec<_>>(),
+                    naive.iter().map(key).collect::<Vec<_>>()
+                );
+            }
+        }
     }
 }

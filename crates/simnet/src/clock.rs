@@ -12,7 +12,13 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A monotonically non-decreasing virtual clock, in seconds.
+///
+/// Aligned to 128 bytes (two cache lines, covering adjacent-line
+/// prefetch) so that a runtime's per-rank clocks, stored side by side,
+/// never share a line: one rank thread's CAS on its own clock must not
+/// invalidate its neighbour's.
 #[derive(Debug, Default)]
+#[repr(align(128))]
 pub struct VClock {
     bits: AtomicU64,
 }
@@ -131,6 +137,14 @@ mod tests {
         c.advance(9.0);
         c.reset();
         assert_eq!(c.now(), 0.0);
+    }
+
+    #[test]
+    fn clocks_in_a_vec_do_not_share_cache_lines() {
+        assert_eq!(std::mem::align_of::<VClock>(), 128);
+        let clocks: Vec<VClock> = (0..3).map(|_| VClock::new()).collect();
+        let gap = &clocks[1] as *const VClock as usize - &clocks[0] as *const VClock as usize;
+        assert!(gap >= 128);
     }
 
     #[test]
