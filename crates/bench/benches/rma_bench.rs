@@ -25,7 +25,6 @@ fn bench_rmw(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::from_parameter(label), &mpi3, |b, &mpi3| {
             b.iter(|| {
                 let cfg = Config {
-                    use_mpi3_rmw: mpi3,
                     // The default resolves to native atomics; the MPI-2
                     // arm must really run the mutex protocol.
                     atomics: if mpi3 {

@@ -1,9 +1,10 @@
 //! Coalescing-scheduler A/B: the same traffic replayed through three
 //! arms — the paper's per-op baseline (one blocking exclusive epoch per
-//! operation, §V-C), the legacy nonblocking path (aggregate epochs, one
-//! wire operation per queued op), and the coalescing scheduler (merged
-//! runs under coarsened epochs, committed-datatype cache) — on a
-//! Figure 3/4-style strided mix and the CCSD ladder proxy (§VII).
+//! operation, §V-C), the scheduler's batched issue shape (coarsened
+//! epochs, one wire operation per queued op), and the full coalescing
+//! scheduler (merged runs under coarsened epochs, committed-datatype
+//! cache) — on a Figure 3/4-style strided mix and the CCSD ladder proxy
+//! (§VII).
 //!
 //! Payloads and energies must be bit-identical across arms; the arms
 //! differ only in epoch count, wire-operation count, and virtual time.
@@ -33,7 +34,7 @@ pub struct Row {
     pub transport: &'static str,
     /// `"fig3-strided-mix"` or `"ccsd-proxy"`.
     pub workload: &'static str,
-    /// `"blocking-perop"`, `"nb-perop"` or `"nb-coalesced"`.
+    /// `"blocking-perop"`, `"nb-batched"` or `"nb-coalesced"`.
     pub arm: &'static str,
     /// Node layout of the measurement (one rank per node; see
     /// `crate::internode`).
@@ -74,9 +75,11 @@ fn arm_cfg(arm: &str, epochless: bool) -> Config {
         } else {
             AtomicsMode::MutexFallback
         },
+        // Blocking calls never enqueue, so the blocking arm runs under
+        // the default mode.
         coalesce: match arm {
-            "nb-coalesced" => CoalesceMode::Auto,
-            _ => CoalesceMode::PerOp,
+            "nb-batched" => CoalesceMode::Batched,
+            _ => CoalesceMode::Auto,
         },
         // This A/B isolates the wire scheduler: rank-local ops are
         // always "same node", so the shared-memory bypass would route
@@ -253,7 +256,7 @@ fn run_ccsd_arm(platform: PlatformId, arm: &'static str) -> Row {
 
 /// Measures all arms of both workloads on one platform.
 pub fn generate(platform: PlatformId) -> Vec<Row> {
-    const ARMS: [&str; 3] = ["blocking-perop", "nb-perop", "nb-coalesced"];
+    const ARMS: [&str; 3] = ["blocking-perop", "nb-batched", "nb-coalesced"];
     let mut rows = Vec::new();
     let mut ref_image: Option<Vec<u8>> = None;
     for arm in ARMS {

@@ -6,7 +6,7 @@
 //! **Runtime rows** (`source: "runtime"`): every driver runs once per
 //! arm — `baseline` (defaults), `transport` (RAMC-style channels),
 //! `atomics` (forced mutex fallback), `progress` (per-node agents),
-//! `coalesce` (per-op legacy engine) — at 4 ranks, one per node, on the
+//! `coalesce` (batched scheduler issue) — at 4 ranks, one per node, on the
 //! virtual-time runtime. Each arm's payload is checked against the
 //! driver's bit-exact oracle AND against the baseline arm's outputs
 //! (`verified`): the config axes are *timing* models and must never
@@ -132,7 +132,7 @@ pub fn arms() -> Vec<(&'static str, Config)> {
         (
             "coalesce",
             Config {
-                coalesce: CoalesceMode::PerOp,
+                coalesce: CoalesceMode::Batched,
                 ..Default::default()
             },
         ),
@@ -141,7 +141,6 @@ pub fn arms() -> Vec<(&'static str, Config)> {
 
 fn coalesce_name(c: CoalesceMode) -> &'static str {
     match c {
-        CoalesceMode::PerOp => "per-op",
         CoalesceMode::Batched => "batched",
         CoalesceMode::Datatype => "datatype",
         CoalesceMode::Auto => "auto",

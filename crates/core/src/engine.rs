@@ -18,37 +18,33 @@
 //! 4. **complete** — `unlock` (MPI-2) or `flush` (MPI-3), statistics, and
 //!    virtual-time accounting.
 //!
-//! Nonblocking operations run the same plans through the request-based
-//! path: the execute stage issues `rput`/`rget`/`racc` (§VIII-B(3)) and
-//! the complete stage is deferred to `ARMCI_Wait`. Consecutive
-//! nonblocking operations to the same `(GMR, target)` pair coalesce into
-//! one **aggregate epoch** — the engine-level realisation of ARMCI's
-//! aggregate handles — so a train of small operations pays one epoch and
-//! pipelines on the wire. In MPI-2 mode at most one aggregate epoch is
-//! open at a time (opening a second target completes the first), which
-//! keeps the hold-and-wait deadlock impossible; in epochless mode no
-//! per-target lock is held at all and any number of targets may have
-//! operations in flight concurrently.
-//!
 //! # The coalescing scheduler
 //!
-//! With [`CoalesceMode`] other than `PerOp` (the default is `Auto`), the
-//! nonblocking path goes one step further than epoch aggregation: queued
-//! operations are *merged*. Payload bytes still move at enqueue (through
-//! the window's `stage_*` movers, so no raw caller pointer outlives the
-//! call), but the wire operations themselves are deferred into a
-//! per-`(GMR, target)` queue. At flush the queue is walked in program
-//! order and split into **runs** of same-class operations (all-get,
-//! all-put, or all-accumulate with one element type) whose target
-//! segments the [`ctree`] conflict scan proves disjoint; each run is
-//! issued as **one** MPI operation whose target datatype is the
-//! adjacency-merged segment list, under **one** coarsened epoch per
-//! flush (shared-lock when the §VIII-A access-mode hint allows it,
-//! `flush`-completed under `lock_all` on the MPI-3 path). Operations
-//! that would conflict fall back to one wire operation each — never
-//! merged, still inside the coarsened epoch. An online [`CostModel`]
-//! fed by observed issue costs arbitrates `Auto` between the merged
-//! datatype and the batched per-op issue shape.
+//! Nonblocking operations run the same plans through one deferred path,
+//! with completion deferred to `ARMCI_Wait` (or the next synchronising
+//! call). Payload bytes move at enqueue (through the window's `stage_*`
+//! movers, so no raw caller pointer outlives the call), but the wire
+//! operations themselves are deferred into a per-`(GMR, target)` queue
+//! — the engine-level realisation of ARMCI's aggregate handles. At
+//! flush the queue is walked in program order and split into **runs** of
+//! same-class operations (all-get, all-put, or all-accumulate with one
+//! element type) whose target segments the [`ctree`] conflict scan
+//! proves disjoint; each run is issued as **one** MPI operation whose
+//! target datatype is the adjacency-merged segment list, under **one**
+//! coarsened epoch per flush (shared-lock when the §VIII-A access-mode
+//! hint allows it, `flush`-completed under `lock_all` on the MPI-3
+//! path). Operations that would conflict fall back to one wire
+//! operation each — never merged, still inside the coarsened epoch. An
+//! online [`CostModel`] fed by observed issue costs arbitrates
+//! [`CoalesceMode::Auto`] between the merged datatype and the batched
+//! per-op issue shape. In MPI-2 mode at most one queue is open at a time
+//! (opening a second target flushes the first), which keeps the
+//! hold-and-wait deadlock impossible; in epochless mode any number of
+//! targets may have operations in flight concurrently.
+//!
+//! Request-based atomics (`ARMCI_Rmw` under a standing `lock_all` or the
+//! channel backend) join per-target *atomic batches* whose requests
+//! complete at the same synchronisation points.
 
 use crate::gmr::Gmr;
 use crate::ops::OpClass;
@@ -65,9 +61,6 @@ use std::ops::Range;
 /// How the scheduler issues queued nonblocking operations at flush.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CoalesceMode {
-    /// Legacy behaviour: one request-based wire operation per queued
-    /// operation, issued at enqueue inside the aggregate epoch.
-    PerOp,
     /// Coarsened epochs, one wire operation per queued operation
     /// (the §VI-A batched shape).
     Batched,
@@ -171,18 +164,18 @@ pub struct StageStats {
     pub plans: u64,
     /// RMA operations contained in those plans.
     pub planned_ops: u64,
-    /// Access contexts opened (epoch locks in MPI-2 mode; aggregate-epoch
-    /// entries under `lock_all` in epochless mode).
+    /// Access contexts opened (blocking epochs, plus one per scheduler
+    /// queue or atomic batch opened).
     pub acquires: u64,
     /// RMA operations issued by the execute stage (blocking and
-    /// request-based combined).
+    /// scheduler-flushed combined).
     pub executed_ops: u64,
     /// Access contexts completed (unlock or flush).
     pub completes: u64,
-    /// Operations issued through the nonblocking (request-based) path.
+    /// Operations submitted through the nonblocking path.
     pub nb_submitted: u64,
-    /// Nonblocking operations that joined an already-open aggregate epoch
-    /// instead of paying for a new one.
+    /// Nonblocking operations that joined an already-open scheduler queue
+    /// or atomic batch instead of paying for a new one.
     pub nb_aggregated: u64,
     /// `ARMCI_Wait`/`ARMCI_WaitAll` resolutions.
     pub nb_waits: u64,
@@ -339,12 +332,23 @@ pub(crate) enum ExecBuf<'a> {
     Acc(&'a [u8], ElemType),
 }
 
-/// What an operation does to its target ranges, for MPI-2 aggregation
+impl ExecBuf<'_> {
+    /// The access kind of every operation moving against this buffer.
+    pub(crate) fn kind(&self) -> NbKind {
+        match *self {
+            ExecBuf::Get(..) => NbKind::Get,
+            ExecBuf::Put(..) => NbKind::Put,
+            ExecBuf::Acc(_, elem) => NbKind::Acc(elem),
+        }
+    }
+}
+
+/// What an operation does to its target ranges, for MPI-2 queue
 /// conflict checks (mirrors the simulator's epoch access rules:
 /// overlapping gets are fine, overlapping same-type accumulates are
-/// fine, everything else conflicts).
+/// fine, everything else conflicts) and per-class operation statistics.
 #[derive(Debug, Clone, Copy, PartialEq)]
-enum NbKind {
+pub(crate) enum NbKind {
     Get,
     Put,
     Acc(ElemType),
@@ -368,16 +372,6 @@ impl NbKind {
             NbKind::Acc(elem) => RmaClass::Acc(elem, AccOp::Sum),
         }
     }
-}
-
-/// Do any of the new target ranges overlap an already-issued range with
-/// an incompatible access kind?
-fn conflicts(issued: &[(usize, usize, NbKind)], new: &[(usize, usize, NbKind)]) -> bool {
-    new.iter().any(|&(lo, hi, k)| {
-        issued
-            .iter()
-            .any(|&(ilo, ihi, ik)| lo < ihi && ilo < hi && !k.compatible(ik))
-    })
 }
 
 /// Splits queued operations (kept in program order) into maximal runs of
@@ -422,20 +416,15 @@ fn form_runs(ops: &[QueuedOp], tree: &mut ConflictTree, runs: &mut Vec<Range<usi
     }
 }
 
-/// An open nonblocking aggregate epoch: operations to one `(GMR, target)`
-/// pair whose completion has been deferred to `ARMCI_Wait`.
-struct NbEpoch {
+/// In-flight request-based atomics on one `(GMR, target)` pair whose
+/// completion has been deferred to `ARMCI_Wait` (only opened by backends
+/// without per-target locks; see [`ArmciMpi::nb_attach_atomic`]).
+struct AtomicBatch {
     gmr: u64,
     target: usize,
-    mode: LockMode,
-    /// Handle ids with operations in this epoch.
+    /// Handle ids with atomics in this batch.
     ids: Vec<u64>,
-    /// In-flight request-based operations.
     reqs: Vec<RmaRequest>,
-    /// Target byte ranges already issued in this epoch (MPI-2 mode only:
-    /// a joining plan that would conflict forces a fresh epoch instead,
-    /// because conflicting accesses within one epoch are erroneous).
-    ranges: Vec<(usize, usize, NbKind)>,
 }
 
 /// One operation queued by the coalescing scheduler: payload already
@@ -474,9 +463,9 @@ impl QueuedOp {
     }
 }
 
-/// A per-`(GMR, target)` scheduler queue: the deferred-issue counterpart
-/// of [`NbEpoch`]. No lock is held while the queue is open — the
-/// coarsened epoch is acquired and released entirely inside the flush.
+/// A per-`(GMR, target)` scheduler queue. No lock is held while the
+/// queue is open — the coarsened epoch is acquired and released entirely
+/// inside the flush.
 struct SchedQueue {
     gmr: u64,
     target: usize,
@@ -494,10 +483,10 @@ struct SchedQueue {
 
 impl SchedQueue {
     /// Would operations of `kind` over `new` conflict with a queued one
-    /// (MPI-2 conflict check, exactly as for [`NbEpoch`]: the coarsened
-    /// epoch is still one epoch, so conflicting accesses inside it would
-    /// be erroneous)? A kind compatible with a uniform queue cannot
-    /// conflict, so only mixed queues pay the range scan.
+    /// (MPI-2 conflict check: the coarsened epoch is still one epoch, so
+    /// conflicting accesses inside it would be erroneous)? A kind
+    /// compatible with a uniform queue cannot conflict, so only mixed
+    /// queues pay the range scan.
     fn conflicts(&self, kind: NbKind, new: &[QueuedOp]) -> bool {
         if self.uniform.is_some_and(|k| k.compatible(kind)) {
             return false;
@@ -530,10 +519,10 @@ struct SchedScratch {
 #[derive(Default)]
 pub(crate) struct NbState {
     next_id: u64,
-    open: Vec<NbEpoch>,
-    /// Coalescing-scheduler queues (used when `Config::coalesce` is not
-    /// `PerOp`; `open` stays empty then, and vice versa).
+    /// Coalescing-scheduler queues.
     queues: Vec<SchedQueue>,
+    /// Request-based atomics awaiting completion.
+    atomics: Vec<AtomicBatch>,
     /// Online issue-cost estimates for [`CoalesceMode::Auto`].
     model: CostModel,
     scratch: SchedScratch,
@@ -908,8 +897,8 @@ impl ArmciMpi {
     // Acquire / execute / complete — blocking path
     // ------------------------------------------------------------------
 
-    /// Runs plans to completion. Outstanding nonblocking aggregate epochs
-    /// are completed first, serialising blocking traffic (and §V-E1
+    /// Runs plans to completion. Outstanding nonblocking operations are
+    /// completed first, serialising blocking traffic (and §V-E1
     /// staging) behind in-flight nonblocking operations.
     pub(crate) fn run_plans(&self, plans: &[TransferPlan], buf: &ExecBuf) -> ArmciResult<()> {
         self.nb_quiesce()?;
@@ -1012,20 +1001,12 @@ impl ArmciMpi {
                 let b = unsafe { std::slice::from_raw_parts_mut(ptr, len) };
                 self.tx()
                     .get(&gmr.win, b, &op.odt, target, op.tdisp, &op.tdt)?;
-                self.stat(|s| {
-                    s.gets += 1;
-                    s.bytes_got += op.bytes;
-                });
             }
             ExecBuf::Put(ptr, len) => {
                 // Safety: as above, read-only.
                 let b = unsafe { std::slice::from_raw_parts(ptr, len) };
                 self.tx()
                     .put(&gmr.win, b, &op.odt, target, op.tdisp, &op.tdt)?;
-                self.stat(|s| {
-                    s.puts += 1;
-                    s.bytes_put += op.bytes;
-                });
             }
             ExecBuf::Acc(staged, elem) => {
                 self.tx().accumulate(
@@ -1038,22 +1019,40 @@ impl ArmciMpi {
                     elem,
                     AccOp::Sum,
                 )?;
-                self.stat(|s| {
-                    s.accs += 1;
-                    s.bytes_acc += op.bytes;
-                });
             }
         }
+        self.note_op(buf.kind(), op.bytes);
         Ok(())
     }
 
+    /// Counts one MPI-level operation of `kind` moving `bytes` in the
+    /// per-class operation statistics.
+    pub(crate) fn note_op(&self, kind: NbKind, bytes: u64) {
+        self.stat(|s| match kind {
+            NbKind::Get => {
+                s.gets += 1;
+                s.bytes_got += bytes;
+            }
+            NbKind::Put => {
+                s.puts += 1;
+                s.bytes_put += bytes;
+            }
+            NbKind::Acc(_) => {
+                s.accs += 1;
+                s.bytes_acc += bytes;
+            }
+        });
+    }
+
     // ------------------------------------------------------------------
-    // Acquire / execute — nonblocking (request-based) path
+    // The coalescing scheduler (enqueue / flush)
     // ------------------------------------------------------------------
 
-    /// Runs plans through the request-based path and returns a deferred
-    /// handle; completion happens at `ARMCI_Wait` (or at the next
-    /// synchronisation point).
+    /// Enqueues plans on the coalescing scheduler and returns a deferred
+    /// handle: payload moves now (through the window's bounds-checked
+    /// staging movers), wire issue and epoch accounting are deferred to
+    /// the queue's flush at `ARMCI_Wait` (or the next synchronisation
+    /// point).
     pub(crate) fn nb_run_plans(
         &self,
         plans: Vec<TransferPlan>,
@@ -1080,211 +1079,7 @@ impl ArmciMpi {
             nb.next_id += 1;
             nb.next_id
         };
-        if self.cfg.coalesce != CoalesceMode::PerOp {
-            return self.sched_run_plans(plans, buf, id);
-        }
-        let kind = match *buf {
-            ExecBuf::Get(..) => NbKind::Get,
-            ExecBuf::Put(..) => NbKind::Put,
-            ExecBuf::Acc(_, elem) => NbKind::Acc(elem),
-        };
-        for plan in plans {
-            let t0 = self.vnow();
-            // The plan's target byte ranges, for the aggregation conflict
-            // check and the epoch's issued-range record.
-            let plan_ranges: Vec<(usize, usize, NbKind)> = plan
-                .ops
-                .iter()
-                .flat_map(|op| {
-                    op.tdt
-                        .segments()
-                        .into_iter()
-                        .map(move |(off, len)| (op.tdisp + off, op.tdisp + off + len, kind))
-                })
-                .collect();
-            // acquire: join an open aggregate epoch on (gmr, target) or
-            // open a new one. Without per-target epochs (MPI-3 epochless
-            // under lock_all, or the channel backend) lock modes are
-            // irrelevant. An MPI-2 epoch whose issued operations would
-            // conflict with this plan (overlapping put/put, get/put,
-            // mixed-type acc) cannot be joined — conflicting accesses
-            // within one epoch are erroneous — so it is retired and a
-            // fresh epoch opened.
-            let per_op = self.tx.epoch_style() == transport::EpochStyle::PerOp;
-            let found = self.nb.borrow().open.iter().position(|e| {
-                e.gmr == plan.gmr
-                    && e.target == plan.target
-                    && (!per_op || (e.mode == plan.mode && !conflicts(&e.ranges, &plan_ranges)))
-            });
-            let idx = match found {
-                Some(i) => {
-                    self.stage(|g| g.nb_aggregated += plan.ops.len() as u64);
-                    i
-                }
-                None => {
-                    if per_op {
-                        // Deadlock safety: opening a second MPI-2 aggregate
-                        // epoch while one is held would be hold-and-wait;
-                        // complete the outstanding one first.
-                        self.nb_quiesce()?;
-                        let gmrs = self.gmrs.borrow();
-                        let gmr = gmrs
-                            .get(&plan.gmr)
-                            .ok_or_else(|| crate::gmr::gmr_vanished(plan.gmr))?;
-                        self.epoch_begin(gmr, plan.target, plan.mode)?;
-                        // Mark the lock as an aggregate epoch: the auditor
-                        // exempts staging performed under it (§V-E1 applies
-                        // to blocking epochs only).
-                        obs::instant(obs::EventKind::NbEpochOpen {
-                            win: plan.gmr,
-                            target: plan.target as u32,
-                        });
-                    }
-                    self.stage(|g| g.acquires += 1);
-                    let mut nb = self.nb.borrow_mut();
-                    nb.open.push(NbEpoch {
-                        gmr: plan.gmr,
-                        target: plan.target,
-                        mode: plan.mode,
-                        ids: Vec::new(),
-                        reqs: Vec::new(),
-                        ranges: Vec::new(),
-                    });
-                    nb.open.len() - 1
-                }
-            };
-            let t1 = self.vnow();
-            // execute: request-based issue; completion deferred.
-            let mut reqs = Vec::with_capacity(plan.ops.len());
-            {
-                let gmrs = self.gmrs.borrow();
-                let gmr = gmrs
-                    .get(&plan.gmr)
-                    .ok_or_else(|| crate::gmr::gmr_vanished(plan.gmr))?;
-                for op in &plan.ops {
-                    reqs.push(self.nb_issue_op(gmr, plan.target, op, buf)?);
-                }
-            }
-            let t2 = self.vnow();
-            self.stage(|g| {
-                g.nb_submitted += reqs.len() as u64;
-                g.executed_ops += reqs.len() as u64;
-                g.acquire_s += t1 - t0;
-                g.execute_s += t2 - t1;
-            });
-            obs::batch(|b| {
-                b.span(
-                    obs::EventKind::Stage {
-                        stage: "acquire",
-                        gmr: plan.gmr,
-                    },
-                    t0,
-                    t1,
-                );
-                b.span(
-                    obs::EventKind::Stage {
-                        stage: "execute",
-                        gmr: plan.gmr,
-                    },
-                    t1,
-                    t2,
-                );
-                b.span(
-                    obs::EventKind::Op {
-                        name: match kind {
-                            NbKind::Get => "nb_get",
-                            NbKind::Put => "nb_put",
-                            NbKind::Acc(_) => "nb_acc",
-                        },
-                        gmr: plan.gmr,
-                        bytes: plan.ops.iter().map(|o| o.bytes).sum(),
-                    },
-                    t0,
-                    t2,
-                );
-            });
-            let mut nb = self.nb.borrow_mut();
-            let ep = &mut nb.open[idx];
-            ep.reqs.append(&mut reqs);
-            ep.ids.push(id);
-            ep.ranges.extend(plan_ranges);
-        }
-        Ok(NbHandle::deferred(id))
-    }
-
-    fn nb_issue_op(
-        &self,
-        gmr: &Gmr,
-        target: usize,
-        op: &PlannedOp,
-        buf: &ExecBuf,
-    ) -> ArmciResult<RmaRequest> {
-        let req = match *buf {
-            ExecBuf::Get(ptr, len) => {
-                // Safety: see `issue_op`; the simulator moves bytes at
-                // issue, only virtual-time completion is deferred, so the
-                // borrow ends with this call.
-                let b = unsafe { std::slice::from_raw_parts_mut(ptr, len) };
-                let r = self
-                    .tx()
-                    .rget(&gmr.win, b, &op.odt, target, op.tdisp, &op.tdt)?;
-                self.stat(|s| {
-                    s.gets += 1;
-                    s.bytes_got += op.bytes;
-                });
-                r
-            }
-            ExecBuf::Put(ptr, len) => {
-                // Safety: as above, read-only.
-                let b = unsafe { std::slice::from_raw_parts(ptr, len) };
-                let r = self
-                    .tx()
-                    .rput(&gmr.win, b, &op.odt, target, op.tdisp, &op.tdt)?;
-                self.stat(|s| {
-                    s.puts += 1;
-                    s.bytes_put += op.bytes;
-                });
-                r
-            }
-            ExecBuf::Acc(staged, elem) => {
-                let r = self.tx().racc(
-                    &gmr.win,
-                    staged,
-                    &op.odt,
-                    target,
-                    op.tdisp,
-                    &op.tdt,
-                    elem,
-                    AccOp::Sum,
-                )?;
-                self.stat(|s| {
-                    s.accs += 1;
-                    s.bytes_acc += op.bytes;
-                });
-                r
-            }
-        };
-        Ok(req)
-    }
-
-    // ------------------------------------------------------------------
-    // The coalescing scheduler (enqueue / flush)
-    // ------------------------------------------------------------------
-
-    /// Enqueues plans on the coalescing scheduler: payload moves now
-    /// (through the window's bounds-checked staging movers), wire issue
-    /// and epoch accounting are deferred to the queue's flush.
-    fn sched_run_plans(
-        &self,
-        plans: Vec<TransferPlan>,
-        buf: &ExecBuf,
-        id: u64,
-    ) -> ArmciResult<NbHandle> {
-        let kind = match *buf {
-            ExecBuf::Get(..) => NbKind::Get,
-            ExecBuf::Put(..) => NbKind::Put,
-            ExecBuf::Acc(_, elem) => NbKind::Acc(elem),
-        };
+        let kind = buf.kind();
         let op_overhead = self.world.platform().mpi.op_overhead;
         for plan in plans {
             let t0 = self.vnow();
@@ -1294,8 +1089,7 @@ impl ArmciMpi {
             // Join an open queue on (gmr, target) or open a new one. The
             // coarsened MPI-2 epoch is still *one* epoch, so a plan whose
             // ranges would conflict with queued operations cannot join —
-            // the queue is flushed and a fresh one opened, exactly like
-            // the per-op path splits its aggregate epoch.
+            // the queue is flushed and a fresh one opened.
             let per_op = self.tx.epoch_style() == transport::EpochStyle::PerOp;
             let found = self.nb.borrow().queues.iter().position(|q| {
                 q.gmr == plan.gmr
@@ -1489,7 +1283,6 @@ impl ArmciMpi {
                             .model
                             .prefer_merged(bytes, ops.len(), merged.len())
                     }
-                    CoalesceMode::PerOp => unreachable!("scheduler inactive in PerOp mode"),
                 };
                 if use_merged {
                     let cost = match self.tx().issue_merged(&gmr.win, class, q.target, &merged) {
@@ -1506,7 +1299,7 @@ impl ArmciMpi {
                     wire_t += cost;
                     segs_out += merged.len() as u64;
                     wire_ops += 1;
-                    self.note_wire_op(kind, bytes);
+                    self.note_op(kind, bytes);
                 } else {
                     // Batched shape: one wire op per queued op (adjacent
                     // segments within an op still merge), pipelined under
@@ -1530,7 +1323,7 @@ impl ArmciMpi {
                         wire_t += cost;
                         segs_out += merged.len() as u64;
                         wire_ops += 1;
-                        self.note_wire_op(kind, op.bytes);
+                        self.note_op(kind, op.bytes);
                     }
                 }
             }
@@ -1611,92 +1404,36 @@ impl ArmciMpi {
         res
     }
 
-    /// Counts one wire operation in the per-class operation statistics
-    /// (the scheduler's merged runs are what actually hits the wire).
-    fn note_wire_op(&self, kind: NbKind, bytes: u64) {
-        self.stat(|s| match kind {
-            NbKind::Get => {
-                s.gets += 1;
-                s.bytes_got += bytes;
-            }
-            NbKind::Put => {
-                s.puts += 1;
-                s.bytes_put += bytes;
-            }
-            NbKind::Acc(_) => {
-                s.accs += 1;
-                s.bytes_acc += bytes;
-            }
-        });
-    }
-
     // ------------------------------------------------------------------
     // Complete — nonblocking path
     // ------------------------------------------------------------------
 
-    /// Completes every open aggregate epoch. Called by blocking transfers,
-    /// direct local access, fences, barriers and collective memory
-    /// operations: any synchronising call serialises against in-flight
-    /// nonblocking operations instead of corrupting them.
+    /// Completes every open scheduler queue and atomic batch. Called by
+    /// blocking transfers, direct local access, fences, barriers and
+    /// collective memory operations: any synchronising call serialises
+    /// against in-flight nonblocking operations instead of corrupting
+    /// them.
     pub(crate) fn nb_quiesce(&self) -> ArmciResult<()> {
-        let queues = std::mem::take(&mut self.nb.borrow_mut().queues);
-        for q in queues {
-            self.sched_flush(q)?;
-        }
-        let open = std::mem::take(&mut self.nb.borrow_mut().open);
-        for ep in open {
-            self.nb_complete_epoch(ep)?;
-        }
-        Ok(())
+        self.nb_retire(|_| true, |_| true)
     }
 
-    /// Completes only the open aggregate epochs that touch `gmr`. Used by
-    /// RMW, whose atomicity guarantee is per-location: an RMW on the
-    /// NXTVAL counter must not retire in-flight transfers on unrelated
-    /// allocations (that would serialise the §VIII-B(3) overlap schedule).
+    /// Completes only the nonblocking work that touches `gmr`. Used by
+    /// the mutex RMW protocol, whose atomicity guarantee is per-location:
+    /// an RMW on the NXTVAL counter must not retire in-flight transfers on
+    /// unrelated allocations (that would serialise the §VIII-B(3) overlap
+    /// schedule).
     pub(crate) fn nb_quiesce_gmr(&self, gmr: u64) -> ArmciResult<()> {
-        let (queues, epochs) = {
-            let mut nb = self.nb.borrow_mut();
-            let mut keep_q = Vec::new();
-            let mut out_q = Vec::new();
-            for q in std::mem::take(&mut nb.queues) {
-                if q.gmr == gmr {
-                    out_q.push(q);
-                } else {
-                    keep_q.push(q);
-                }
-            }
-            nb.queues = keep_q;
-            let mut keep = Vec::new();
-            let mut out = Vec::new();
-            for ep in std::mem::take(&mut nb.open) {
-                if ep.gmr == gmr {
-                    out.push(ep);
-                } else {
-                    keep.push(ep);
-                }
-            }
-            nb.open = keep;
-            (out_q, out)
-        };
-        for q in queues {
-            self.sched_flush(q)?;
-        }
-        for ep in epochs {
-            self.nb_complete_epoch(ep)?;
-        }
-        Ok(())
+        self.nb_retire(|q| q.gmr == gmr, |b| b.gmr == gmr)
     }
 
     /// Quiesce for a native atomic on bytes `[lo, hi)` of `(gmr,
-    /// target)`: retires only the in-flight nonblocking work the atomic
-    /// actually orders against. Under a per-op (MPI-2) backend the
-    /// atomic takes its own per-target lock, so every open aggregate
-    /// epoch on the same `(gmr, target)` must retire first regardless of
-    /// ranges; under the epochless and channel disciplines only
-    /// range-overlapping work must complete (location consistency), and
-    /// everything else stays in flight — §VIII-B(4)'s point that atomics
-    /// need not serialise the overlap schedule.
+    /// target)`: retires only the queued transfers on that pair whose
+    /// target segments overlap the atomic (location consistency), and
+    /// leaves everything else in flight — §VIII-B(4)'s point that atomics
+    /// need not serialise the overlap schedule. Queues hold no lock until
+    /// their flush, so a per-op backend's own atomic lock cannot collide
+    /// with them. Atomic batches stay open: atomics are ordered against
+    /// each other at issue.
     pub(crate) fn nb_quiesce_for_atomic(
         &self,
         gmr: u64,
@@ -1704,59 +1441,46 @@ impl ArmciMpi {
         lo: usize,
         hi: usize,
     ) -> ArmciResult<()> {
-        let per_op = self.tx.epoch_style() == transport::EpochStyle::PerOp;
-        let overlap = |ranges: &[(usize, usize, NbKind)]| {
-            ranges.iter().any(|&(rlo, rhi, _)| lo < rhi && rlo < hi)
-        };
-        let (queues, epochs) = {
-            let mut nb = self.nb.borrow_mut();
-            let mut keep_q = Vec::new();
-            let mut out_q = Vec::new();
-            for q in std::mem::take(&mut nb.queues) {
-                if q.gmr == gmr && q.target == target && q.ops.iter().any(|op| op.overlaps(lo, hi))
-                {
-                    out_q.push(q);
-                } else {
-                    keep_q.push(q);
-                }
-            }
-            nb.queues = keep_q;
-            let mut keep = Vec::new();
-            let mut out = Vec::new();
-            for ep in std::mem::take(&mut nb.open) {
-                if ep.gmr == gmr && ep.target == target && (per_op || overlap(&ep.ranges)) {
-                    out.push(ep);
-                } else {
-                    keep.push(ep);
-                }
-            }
-            nb.open = keep;
-            (out_q, out)
-        };
+        self.nb_retire(
+            |q| q.gmr == gmr && q.target == target && q.ops.iter().any(|op| op.overlaps(lo, hi)),
+            |_| false,
+        )
+    }
+
+    /// Retires the scheduler queues selected by `queue` (flushing each),
+    /// then the atomic batches selected by `batch`, in open order; the
+    /// rest stay in flight.
+    fn nb_retire(
+        &self,
+        queue: impl FnMut(&mut SchedQueue) -> bool,
+        batch: impl FnMut(&mut AtomicBatch) -> bool,
+    ) -> ArmciResult<()> {
+        let queues: Vec<_> = self.nb.borrow_mut().queues.extract_if(.., queue).collect();
         for q in queues {
             self.sched_flush(q)?;
         }
-        for ep in epochs {
-            self.nb_complete_epoch(ep)?;
+        let batches: Vec<_> = self.nb.borrow_mut().atomics.extract_if(.., batch).collect();
+        for b in batches {
+            self.nb_complete_batch(b)?;
         }
         Ok(())
     }
 
-    /// Attaches an in-flight atomic's completion request to the open
-    /// aggregate epoch on `(gmr, target)` — creating one if necessary —
-    /// and returns the deferred handle that retires it. Only meaningful
-    /// for backends without per-target locks (`Flush` or `None` epoch
-    /// styles): the standing `lock_all` (or the NIC) covers the access,
-    /// so the RMW joins the same completion batch as coalesced data
+    /// Attaches an in-flight atomic's completion request to the atomic
+    /// batch on `(gmr, target)` — opening one if necessary — and returns
+    /// the deferred handle that retires it. Only meaningful for backends
+    /// without per-target locks (`Flush` or `None` epoch styles): the
+    /// standing `lock_all` (or the NIC) covers the access, so the RMW
+    /// completes at the same synchronisation points as coalesced data
     /// traffic instead of forcing its own exclusive epoch.
     pub(crate) fn nb_attach_atomic(&self, gmr: u64, target: usize, req: RmaRequest) -> NbHandle {
         let mut nb = self.nb.borrow_mut();
         nb.next_id += 1;
         let id = nb.next_id;
         let idx = match nb
-            .open
+            .atomics
             .iter()
-            .position(|e| e.gmr == gmr && e.target == target)
+            .position(|b| b.gmr == gmr && b.target == target)
         {
             Some(i) => {
                 self.stage(|g| g.nb_aggregated += 1);
@@ -1764,40 +1488,38 @@ impl ArmciMpi {
             }
             None => {
                 self.stage(|g| g.acquires += 1);
-                nb.open.push(NbEpoch {
+                nb.atomics.push(AtomicBatch {
                     gmr,
                     target,
-                    mode: LockMode::Shared,
                     ids: Vec::new(),
                     reqs: Vec::new(),
-                    ranges: Vec::new(),
                 });
-                nb.open.len() - 1
+                nb.atomics.len() - 1
             }
         };
-        let ep = &mut nb.open[idx];
-        ep.reqs.push(req);
-        ep.ids.push(id);
+        let b = &mut nb.atomics[idx];
+        b.reqs.push(req);
+        b.ids.push(id);
         self.stage(|g| g.nb_submitted += 1);
         NbHandle::deferred(id)
     }
 
-    /// Completes one aggregate epoch: waits all requests (advancing the
-    /// virtual clock to the latest completion), then unlocks (MPI-2) or
-    /// flushes (MPI-3).
-    fn nb_complete_epoch(&self, ep: NbEpoch) -> ArmciResult<()> {
+    /// Completes one atomic batch: waits all requests (advancing the
+    /// virtual clock to the latest completion), then closes the access
+    /// context (`flush` under `lock_all`, nothing on the channel).
+    fn nb_complete_batch(&self, b: AtomicBatch) -> ArmciResult<()> {
         let t0 = self.vnow();
         {
             let gmrs = self.gmrs.borrow();
             let gmr = gmrs
-                .get(&ep.gmr)
-                .ok_or_else(|| crate::gmr::gmr_vanished(ep.gmr))?;
-            for r in ep.reqs {
+                .get(&b.gmr)
+                .ok_or_else(|| crate::gmr::gmr_vanished(b.gmr))?;
+            for r in b.reqs {
                 self.tx().complete(&gmr.win, r);
             }
-            self.epoch_end(gmr, ep.target)?;
+            self.epoch_end(gmr, b.target)?;
         }
-        self.nb.borrow_mut().resolved.extend(ep.ids);
+        self.nb.borrow_mut().resolved.extend(b.ids);
         let t1 = self.vnow();
         self.stage(|g| {
             g.completes += 1;
@@ -1805,13 +1527,13 @@ impl ArmciMpi {
         });
         if obs::enabled() {
             obs::instant(obs::EventKind::NbEpochClose {
-                win: ep.gmr,
-                target: ep.target as u32,
+                win: b.gmr,
+                target: b.target as u32,
             });
             obs::span(
                 obs::EventKind::Stage {
                     stage: "complete",
-                    gmr: ep.gmr,
+                    gmr: b.gmr,
                 },
                 t0,
                 t1,
@@ -1820,9 +1542,9 @@ impl ArmciMpi {
         Ok(())
     }
 
-    /// `ARMCI_Wait`: completes the aggregate epoch holding `handle`'s
-    /// operations (a no-op for eagerly-completed or already-completed
-    /// handles).
+    /// `ARMCI_Wait`: completes the queues and atomic batch holding
+    /// `handle`'s operations (a no-op for eagerly-completed or
+    /// already-completed handles).
     pub(crate) fn nb_wait(&self, handle: NbHandle) -> ArmciResult<()> {
         self.stage(|g| g.nb_waits += 1);
         if handle.completed_eagerly {
@@ -1831,36 +1553,17 @@ impl ArmciMpi {
         let Some(id) = handle.id else {
             return Ok(());
         };
-        // A handle's operations can sit in a scheduler queue and/or an
+        // A handle's operations can sit in scheduler queues and/or an
         // already-resolved earlier flush (an MPI-2 multi-plan transfer
         // split across targets): retire every live holder first, then the
         // resolved record.
-        let mut found = false;
-        loop {
-            let pos = self
-                .nb
-                .borrow()
-                .queues
-                .iter()
-                .position(|q| q.ids.contains(&id));
-            let Some(i) = pos else { break };
-            let q = self.nb.borrow_mut().queues.remove(i);
-            self.sched_flush(q)?;
-            found = true;
-        }
-        loop {
-            let pos = self
-                .nb
-                .borrow()
-                .open
-                .iter()
-                .position(|e| e.ids.contains(&id));
-            let Some(i) = pos else { break };
-            let ep = self.nb.borrow_mut().open.remove(i);
-            self.nb_complete_epoch(ep)?;
-            found = true;
-        }
-        if self.nb.borrow_mut().resolved.remove(&id) || found {
+        let live = {
+            let nb = self.nb.borrow();
+            nb.queues.iter().any(|q| q.ids.contains(&id))
+                || nb.atomics.iter().any(|b| b.ids.contains(&id))
+        };
+        self.nb_retire(|q| q.ids.contains(&id), |b| b.ids.contains(&id))?;
+        if self.nb.borrow_mut().resolved.remove(&id) || live {
             return Ok(());
         }
         Err(ArmciError::BadDescriptor(

@@ -21,9 +21,10 @@
 //!   (§VI-C);
 //! * **mutexes** use the Latham et al. RMA queueing algorithm (§V-D),
 //!   blocked waiters sleeping in a wildcard receive;
-//! * **RMW** (fetch-and-add, swap) runs under a per-GMR mutex in two
-//!   exclusive epochs — or, with [`Config::use_mpi3_rmw`], via the MPI-3
-//!   `fetch_and_op` extension the paper advocates (§VIII-B);
+//! * **RMW** (fetch-and-add, swap) runs via the MPI-3 `fetch_and_op`
+//!   extension the paper advocates (§VIII-B) — or, with
+//!   [`AtomicsMode::MutexFallback`], under a per-GMR mutex in two
+//!   exclusive epochs (§V-D);
 //! * **direct local access** (§V-E) and **global-buffer staging** (§V-E1)
 //!   keep local load/stores and global↔global copies epoch-correct;
 //! * **node-aware shared memory** ([`shm`], the §VIII-B outlook):
@@ -105,9 +106,6 @@ pub struct Config {
     pub strided: StridedMethod,
     /// Method used by `*_iov` operations (`Direct` acts as `IovDatatype`).
     pub iov: StridedMethod,
-    /// Legacy switch predating [`Config::atomics`]: `true` forces MPI-3
-    /// atomics for `ARMCI_Rmw` regardless of the mode selector.
-    pub use_mpi3_rmw: bool,
     /// RMW discipline selector; see [`AtomicsMode`]. `Auto` resolves
     /// against what the wire backend can price.
     pub atomics: AtomicsMode,
@@ -141,7 +139,6 @@ impl Default for Config {
         Config {
             strided: StridedMethod::Direct,
             iov: StridedMethod::Auto,
-            use_mpi3_rmw: false,
             atomics: AtomicsMode::Auto,
             epochless: false,
             coalesce: CoalesceMode::Auto,
@@ -231,7 +228,7 @@ pub struct ArmciMpi {
     pub(crate) pool: BufferPool,
     /// Transfer-engine pipeline counters and stage timings.
     pub(crate) stage_stats: RefCell<StageStats>,
-    /// Open nonblocking aggregate epochs and resolved handles.
+    /// Scheduler queues, atomic batches and resolved nonblocking handles.
     pub(crate) nb: RefCell<engine::NbState>,
     /// Committed-datatype cache counters of already-freed windows; live
     /// windows are folded in at snapshot time (the caches themselves live

@@ -244,7 +244,7 @@ mod tests {
     use super::*;
     use crate::transport::{EpochStyle, MpiRmaTransport, Transport};
     use mpisim::dtype::Datatype;
-    use mpisim::mpi3::{FetchOp, RmaRequest};
+    use mpisim::mpi3::FetchOp;
     use mpisim::{
         AccOp, ElemType, MpiError, MpiResult, Proc, RmaClass, Runtime, RuntimeConfig, WinHandle,
     };
@@ -311,43 +311,6 @@ mod tests {
         ) -> MpiResult<()> {
             self.inner
                 .accumulate(win, origin, odt, target, tdisp, tdt, elem, op)
-        }
-        fn rput(
-            &self,
-            win: &WinHandle,
-            origin: &[u8],
-            odt: &Datatype,
-            target: usize,
-            tdisp: usize,
-            tdt: &Datatype,
-        ) -> MpiResult<mpisim::mpi3::RmaRequest> {
-            self.inner.rput(win, origin, odt, target, tdisp, tdt)
-        }
-        fn rget(
-            &self,
-            win: &WinHandle,
-            origin: &mut [u8],
-            odt: &Datatype,
-            target: usize,
-            tdisp: usize,
-            tdt: &Datatype,
-        ) -> MpiResult<RmaRequest> {
-            self.inner.rget(win, origin, odt, target, tdisp, tdt)
-        }
-        #[allow(clippy::too_many_arguments)]
-        fn racc(
-            &self,
-            win: &WinHandle,
-            origin: &[u8],
-            odt: &Datatype,
-            target: usize,
-            tdisp: usize,
-            tdt: &Datatype,
-            elem: ElemType,
-            op: AccOp,
-        ) -> MpiResult<RmaRequest> {
-            self.inner
-                .racc(win, origin, odt, target, tdisp, tdt, elem, op)
         }
         fn issue_merged(
             &self,

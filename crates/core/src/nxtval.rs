@@ -19,8 +19,8 @@
 //!   stay unique and per-rank monotonic, and the home rank sees
 //!   `1/block` of the traffic.
 //!
-//! Losers of a refill race return their unused tickets to the `holes`
-//! cell, and [`NxtvalCounter::drain`] merges still-stocked shard tails
+//! Losers of a refill race return their whole block to the `holes` cell
+//! and draw from the winner's shard instead, and [`NxtvalCounter::drain`] merges still-stocked shard tails
 //! back into the home counter (CAS) or the holes cell, so
 //! [`NxtvalCounter::issued`] — `home - holes` — equals the number of
 //! tickets actually handed out once the counter is drained.
@@ -132,12 +132,14 @@ impl NxtvalCounter {
             // the block's first ticket for itself and installs the rest.
             let base = rt.rmw(RmwOp::FetchAdd(self.block as i64), self.home())?;
             let installed = pack(base + 1, self.block - 1);
-            if rt.compare_and_swap(word, installed, self.shard(), 8)? != word {
-                // A concurrent refiller won the install; our remainder
-                // would orphan the shard word, so return it to `holes`.
-                rt.rmw(RmwOp::FetchAdd(self.block as i64 - 1), self.holes())?;
+            if rt.compare_and_swap(word, installed, self.shard(), 8)? == word {
+                return Ok(base);
             }
-            return Ok(base);
+            // A concurrent refiller won the install. Its block may sit
+            // below ours, so keeping `base` would break per-rank
+            // monotonicity at this rank's next shard draw: return the
+            // whole block to `holes` and retry from the shard.
+            rt.rmw(RmwOp::FetchAdd(self.block as i64), self.holes())?;
         }
     }
 

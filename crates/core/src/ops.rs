@@ -121,7 +121,7 @@ impl ArmciMpi {
     }
 
     /// Nonblocking contiguous get (§VIII-B(3)): planned like `get_impl`
-    /// but executed through the request-based path; the returned handle
+    /// but executed through the coalescing scheduler; the returned handle
     /// completes at `wait` or the next synchronisation point. The
     /// simulator moves bytes at issue time, so `dst` is filled on return —
     /// only the virtual-time completion is deferred.

@@ -18,8 +18,8 @@
 //! silent software emulation). Atomics quiesce only the in-flight
 //! nonblocking work they order against
 //! ([`crate::ArmciMpi::nb_quiesce_for_atomic`]), and the nonblocking
-//! variant attaches its completion request to the engine's aggregate
-//! epochs so RMWs ride coalesced/epochless batches (§VIII-B(3)+(4)).
+//! variant attaches its completion request to the engine's atomic
+//! batches so RMWs ride coalesced/epochless batches (§VIII-B(3)+(4)).
 
 use crate::engine::ExecBuf;
 use crate::gmr::Translation;
@@ -37,9 +37,6 @@ impl ArmciMpi {
     /// mutex protocol. `Native` on a backend that cannot price an 8-byte
     /// atomic is an error, not a silent fallback.
     pub(crate) fn atomics_native(&self) -> ArmciResult<bool> {
-        if self.cfg.use_mpi3_rmw {
-            return Ok(true);
-        }
         let supported = self.tx.atomic_widths().contains(&RMW_WIDTH);
         match self.cfg.atomics {
             AtomicsMode::Auto => Ok(supported || self.cfg.epochless),
@@ -80,7 +77,7 @@ impl ArmciMpi {
             Ok(old)
         } else {
             // The mutex protocol's two exclusive epochs conflict with any
-            // open aggregate epoch on the allocation; quiesce it whole.
+            // in-flight nonblocking work on the allocation; quiesce it whole.
             self.nb_quiesce_gmr(tr.gmr)?;
             self.stat(|s| s.rmw_mutex_fallback += 1);
             let old = self.rmw_mutex(op, target)?;
@@ -91,7 +88,7 @@ impl ArmciMpi {
 
     /// Nonblocking RMW: the fetched value is returned immediately (its
     /// ordering against other atomics is decided at issue), while the
-    /// completion round trip joins the engine's aggregate epoch on
+    /// completion round trip joins the engine's atomic batch on
     /// `(gmr, target)` and retires at `ARMCI_Wait`/fence like any other
     /// coalesced operation. Backends whose atomics complete inside their
     /// own bracketing (per-op MPI-2 locks, the mutex protocol) return an
@@ -451,43 +448,6 @@ mod tests {
         ) -> MpiResult<()> {
             self.faults.get_ok()?;
             self.inner.get_bytes(win, origin, target, tdisp)
-        }
-        fn rput(
-            &self,
-            win: &WinHandle,
-            origin: &[u8],
-            odt: &Datatype,
-            target: usize,
-            tdisp: usize,
-            tdt: &Datatype,
-        ) -> MpiResult<RmaRequest> {
-            self.inner.rput(win, origin, odt, target, tdisp, tdt)
-        }
-        fn rget(
-            &self,
-            win: &WinHandle,
-            origin: &mut [u8],
-            odt: &Datatype,
-            target: usize,
-            tdisp: usize,
-            tdt: &Datatype,
-        ) -> MpiResult<RmaRequest> {
-            self.faults.get_ok()?;
-            self.inner.rget(win, origin, odt, target, tdisp, tdt)
-        }
-        fn racc(
-            &self,
-            win: &WinHandle,
-            origin: &[u8],
-            odt: &Datatype,
-            target: usize,
-            tdisp: usize,
-            tdt: &Datatype,
-            elem: ElemType,
-            op: AccOp,
-        ) -> MpiResult<RmaRequest> {
-            self.inner
-                .racc(win, origin, odt, target, tdisp, tdt, elem, op)
         }
         fn complete(&self, win: &WinHandle, req: RmaRequest) {
             self.inner.complete(win, req)

@@ -153,10 +153,6 @@ impl ArmciMpi {
                 self.shm_tx
                     .get(&gmr.win, b, &op.odt, target, op.tdisp, &op.tdt)
                     .map_err(|e| Self::shm_err(gmr.id, e))?;
-                self.stat(|s| {
-                    s.gets += 1;
-                    s.bytes_got += op.bytes;
-                });
             }
             ExecBuf::Put(ptr, len) => {
                 // Safety: as above, read-only.
@@ -164,10 +160,6 @@ impl ArmciMpi {
                 self.shm_tx
                     .put(&gmr.win, b, &op.odt, target, op.tdisp, &op.tdt)
                     .map_err(|e| Self::shm_err(gmr.id, e))?;
-                self.stat(|s| {
-                    s.puts += 1;
-                    s.bytes_put += op.bytes;
-                });
             }
             ExecBuf::Acc(staged, elem) => {
                 self.shm_tx
@@ -182,12 +174,9 @@ impl ArmciMpi {
                         AccOp::Sum,
                     )
                     .map_err(|e| Self::shm_err(gmr.id, e))?;
-                self.stat(|s| {
-                    s.accs += 1;
-                    s.bytes_acc += op.bytes;
-                });
             }
         };
+        self.note_op(buf.kind(), op.bytes);
         Ok(())
     }
 

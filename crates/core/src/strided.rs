@@ -205,7 +205,7 @@ impl ArmciMpi {
     }
 
     /// Nonblocking strided put (`ARMCI_NbPutS`): same planning as the
-    /// blocking path, executed through the request-based engine path.
+    /// blocking path, executed through the coalescing scheduler.
     pub(crate) fn nb_put_strided_impl(
         &self,
         src: &[u8],

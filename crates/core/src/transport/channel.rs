@@ -145,103 +145,6 @@ impl ChannelTransport {
         Ok(())
     }
 
-    /// Moves put payload segment-by-segment and returns the priced total.
-    fn put_priced(
-        &self,
-        win: &WinHandle,
-        origin: &[u8],
-        odt: &Datatype,
-        target: usize,
-        tdisp: usize,
-        tdt: &Datatype,
-    ) -> MpiResult<f64> {
-        Self::check_origin(origin.len(), odt)?;
-        let mut flat = self.flat.borrow_mut();
-        Self::pieces(&mut flat, odt, tdisp, tdt)?;
-        win.stage_put_bytes(origin, target, &flat.pieces)?;
-        let bytes = odt.size();
-        let nsegs = odt.num_segments().max(tdt.num_segments());
-        let priced = Self::price(win.channel_params(), bytes, nsegs, false);
-        Ok(self.account(win, obs::OpKind::Put, target, bytes, nsegs, &priced))
-    }
-
-    /// Moves get payload and returns the priced total.
-    fn get_priced(
-        &self,
-        win: &WinHandle,
-        origin: &mut [u8],
-        odt: &Datatype,
-        target: usize,
-        tdisp: usize,
-        tdt: &Datatype,
-    ) -> MpiResult<f64> {
-        Self::check_origin(origin.len(), odt)?;
-        let mut flat = self.flat.borrow_mut();
-        Self::pieces(&mut flat, odt, tdisp, tdt)?;
-        win.stage_get_bytes(origin, target, &flat.pieces)?;
-        let bytes = odt.size();
-        let nsegs = odt.num_segments().max(tdt.num_segments());
-        let priced = Self::price(win.channel_params(), bytes, nsegs, false);
-        Ok(self.account(win, obs::OpKind::Get, target, bytes, nsegs, &priced))
-    }
-
-    /// Applies accumulate payload (element-atomic per target segment via
-    /// the staging mover's slab lock) and returns the priced total. The
-    /// wire path's validation is replicated: element-multiple size,
-    /// matching origin/target sizes, element-aligned target segments
-    /// (checked by the mover).
-    #[allow(clippy::too_many_arguments)]
-    fn acc_priced(
-        &self,
-        win: &WinHandle,
-        origin: &[u8],
-        odt: &Datatype,
-        target: usize,
-        tdisp: usize,
-        tdt: &Datatype,
-        elem: ElemType,
-        op: AccOp,
-    ) -> MpiResult<f64> {
-        let es = elem.size();
-        if !odt.size().is_multiple_of(es) {
-            return Err(MpiError::BadDatatype(format!(
-                "accumulate of {} bytes not a multiple of element size {es}",
-                odt.size()
-            )));
-        }
-        Self::check_origin(origin.len(), odt)?;
-        if odt.size() != tdt.size() {
-            return Err(MpiError::TypeMismatch {
-                origin_bytes: odt.size(),
-                target_bytes: tdt.size(),
-            });
-        }
-        // Gather the origin selection contiguously, then combine per
-        // target segment — the same shape as the wire path, so origin
-        // segments need not be element-aligned, only target ones.
-        let mut flat = self.flat.borrow_mut();
-        let flat = &mut *flat;
-        let mut staged = vec![0u8; odt.size()];
-        let mut w = 0usize;
-        odt.segments_into(&mut flat.osegs);
-        for &(off, len) in &flat.osegs {
-            staged[w..w + len].copy_from_slice(&origin[off..off + len]);
-            w += len;
-        }
-        flat.flatten_target(tdt);
-        flat.pieces.clear();
-        let mut s = 0usize;
-        for &(toff, len) in &flat.tsegs {
-            flat.pieces.push((s, tdisp + toff, len));
-            s += len;
-        }
-        win.stage_acc_bytes(&staged, target, &flat.pieces, elem, op)?;
-        let bytes = odt.size();
-        let nsegs = odt.num_segments().max(tdt.num_segments());
-        let priced = Self::price(win.channel_params(), bytes, nsegs, true);
-        Ok(self.account(win, obs::OpKind::Acc, target, bytes, nsegs, &priced))
-    }
-
     /// Total cost of one NIC atomic to `target`: the channel atomic
     /// price plus congestion delay for its single 8-byte message.
     fn atomic_total(&self, win: &WinHandle, target: usize) -> f64 {
@@ -302,8 +205,14 @@ impl Transport for ChannelTransport {
         tdisp: usize,
         tdt: &Datatype,
     ) -> MpiResult<()> {
-        let total = self.put_priced(win, origin, odt, target, tdisp, tdt)?;
-        win.charge_virtual(total);
+        Self::check_origin(origin.len(), odt)?;
+        let mut flat = self.flat.borrow_mut();
+        Self::pieces(&mut flat, odt, tdisp, tdt)?;
+        win.stage_put_bytes(origin, target, &flat.pieces)?;
+        let bytes = odt.size();
+        let nsegs = odt.num_segments().max(tdt.num_segments());
+        let priced = Self::price(win.channel_params(), bytes, nsegs, false);
+        win.charge_virtual(self.account(win, obs::OpKind::Put, target, bytes, nsegs, &priced));
         Ok(())
     }
 
@@ -316,8 +225,14 @@ impl Transport for ChannelTransport {
         tdisp: usize,
         tdt: &Datatype,
     ) -> MpiResult<()> {
-        let total = self.get_priced(win, origin, odt, target, tdisp, tdt)?;
-        win.charge_virtual(total);
+        Self::check_origin(origin.len(), odt)?;
+        let mut flat = self.flat.borrow_mut();
+        Self::pieces(&mut flat, odt, tdisp, tdt)?;
+        win.stage_get_bytes(origin, target, &flat.pieces)?;
+        let bytes = odt.size();
+        let nsegs = odt.num_segments().max(tdt.num_segments());
+        let priced = Self::price(win.channel_params(), bytes, nsegs, false);
+        win.charge_virtual(self.account(win, obs::OpKind::Get, target, bytes, nsegs, &priced));
         Ok(())
     }
 
@@ -332,53 +247,49 @@ impl Transport for ChannelTransport {
         elem: ElemType,
         op: AccOp,
     ) -> MpiResult<()> {
-        let total = self.acc_priced(win, origin, odt, target, tdisp, tdt, elem, op)?;
-        win.charge_virtual(total);
+        // Validation replicates the wire path: element-multiple size,
+        // matching origin/target sizes, element-aligned target segments
+        // (checked by the staging mover).
+        let es = elem.size();
+        if !odt.size().is_multiple_of(es) {
+            return Err(MpiError::BadDatatype(format!(
+                "accumulate of {} bytes not a multiple of element size {es}",
+                odt.size()
+            )));
+        }
+        Self::check_origin(origin.len(), odt)?;
+        if odt.size() != tdt.size() {
+            return Err(MpiError::TypeMismatch {
+                origin_bytes: odt.size(),
+                target_bytes: tdt.size(),
+            });
+        }
+        // Gather the origin selection contiguously, then combine per
+        // target segment (element-atomic via the mover's slab lock) — the
+        // same shape as the wire path, so origin segments need not be
+        // element-aligned, only target ones.
+        let mut flat = self.flat.borrow_mut();
+        let flat = &mut *flat;
+        let mut staged = vec![0u8; odt.size()];
+        let mut w = 0usize;
+        odt.segments_into(&mut flat.osegs);
+        for &(off, len) in &flat.osegs {
+            staged[w..w + len].copy_from_slice(&origin[off..off + len]);
+            w += len;
+        }
+        flat.flatten_target(tdt);
+        flat.pieces.clear();
+        let mut s = 0usize;
+        for &(toff, len) in &flat.tsegs {
+            flat.pieces.push((s, tdisp + toff, len));
+            s += len;
+        }
+        win.stage_acc_bytes(&staged, target, &flat.pieces, elem, op)?;
+        let bytes = odt.size();
+        let nsegs = odt.num_segments().max(tdt.num_segments());
+        let priced = Self::price(win.channel_params(), bytes, nsegs, true);
+        win.charge_virtual(self.account(win, obs::OpKind::Acc, target, bytes, nsegs, &priced));
         Ok(())
-    }
-
-    fn rput(
-        &self,
-        win: &WinHandle,
-        origin: &[u8],
-        odt: &Datatype,
-        target: usize,
-        tdisp: usize,
-        tdt: &Datatype,
-    ) -> MpiResult<RmaRequest> {
-        let total = self.put_priced(win, origin, odt, target, tdisp, tdt)?;
-        let issue = win.channel_params().doorbell.min(total);
-        Ok(win.defer(issue, total))
-    }
-
-    fn rget(
-        &self,
-        win: &WinHandle,
-        origin: &mut [u8],
-        odt: &Datatype,
-        target: usize,
-        tdisp: usize,
-        tdt: &Datatype,
-    ) -> MpiResult<RmaRequest> {
-        let total = self.get_priced(win, origin, odt, target, tdisp, tdt)?;
-        let issue = win.channel_params().doorbell.min(total);
-        Ok(win.defer(issue, total))
-    }
-
-    fn racc(
-        &self,
-        win: &WinHandle,
-        origin: &[u8],
-        odt: &Datatype,
-        target: usize,
-        tdisp: usize,
-        tdt: &Datatype,
-        elem: ElemType,
-        op: AccOp,
-    ) -> MpiResult<RmaRequest> {
-        let total = self.acc_priced(win, origin, odt, target, tdisp, tdt, elem, op)?;
-        let issue = win.channel_params().doorbell.min(total);
-        Ok(win.defer(issue, total))
     }
 
     fn issue_merged(

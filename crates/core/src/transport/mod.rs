@@ -1,10 +1,10 @@
 //! Pluggable wire backends.
 //!
 //! Everything in ARMCI-MPI that issues wire traffic — epoch bracketing,
-//! blocking and request-based data movement, the coalescing scheduler's
-//! staged payloads and merged-run issue, byte-protocol accesses (the
-//! Latham mutex queue), and atomic read-modify-write — goes through the
-//! object-safe [`Transport`] trait. Three implementations exist:
+//! blocking data movement, the coalescing scheduler's staged payloads
+//! and merged-run issue, byte-protocol accesses (the Latham mutex queue),
+//! and atomic read-modify-write — goes through the object-safe
+//! [`Transport`] trait. Three implementations exist:
 //!
 //! * [`MpiRmaTransport`] — the paper's backend: MPI-2 per-op passive
 //!   epochs (`lock`/`unlock`) or the MPI-3 epochless discipline
@@ -97,9 +97,7 @@ pub struct TransportStats {
 ///   must provide real mutual exclusion here; the default takes the
 ///   window lock unless a standing `lock_all` already covers it.
 /// * Blocking data movement (`put`/`get`/`accumulate`) validates,
-///   moves payload, and charges its full cost. Request-based movement
-///   (`rput`/`rget`/`racc`) moves payload eagerly, charges issue
-///   overhead, and defers the rest to `complete`.
+///   moves payload, and charges its full cost.
 /// * `stage_*` move scheduler-deferred payload without pricing;
 ///   `issue_merged` prices (without charging) one coalesced run whose
 ///   bytes already moved.
@@ -201,41 +199,6 @@ pub trait Transport {
         let dt = Datatype::contiguous(origin.len());
         self.get(win, origin, &dt, target, tdisp, &dt)
     }
-
-    /// Request-based put: payload moves now, completion is deferred.
-    fn rput(
-        &self,
-        win: &WinHandle,
-        origin: &[u8],
-        odt: &Datatype,
-        target: usize,
-        tdisp: usize,
-        tdt: &Datatype,
-    ) -> MpiResult<RmaRequest>;
-
-    /// Request-based get.
-    fn rget(
-        &self,
-        win: &WinHandle,
-        origin: &mut [u8],
-        odt: &Datatype,
-        target: usize,
-        tdisp: usize,
-        tdt: &Datatype,
-    ) -> MpiResult<RmaRequest>;
-
-    /// Request-based accumulate.
-    fn racc(
-        &self,
-        win: &WinHandle,
-        origin: &[u8],
-        odt: &Datatype,
-        target: usize,
-        tdisp: usize,
-        tdt: &Datatype,
-        elem: ElemType,
-        op: AccOp,
-    ) -> MpiResult<RmaRequest>;
 
     /// Completes a request, advancing the virtual clock to its remote
     /// completion time.
@@ -484,44 +447,6 @@ impl Transport for MpiRmaTransport {
         win.get_bytes(origin, target, tdisp)
     }
 
-    fn rput(
-        &self,
-        win: &WinHandle,
-        origin: &[u8],
-        odt: &Datatype,
-        target: usize,
-        tdisp: usize,
-        tdt: &Datatype,
-    ) -> MpiResult<RmaRequest> {
-        win.rput(origin, odt, target, tdisp, tdt)
-    }
-
-    fn rget(
-        &self,
-        win: &WinHandle,
-        origin: &mut [u8],
-        odt: &Datatype,
-        target: usize,
-        tdisp: usize,
-        tdt: &Datatype,
-    ) -> MpiResult<RmaRequest> {
-        win.rget(origin, odt, target, tdisp, tdt)
-    }
-
-    fn racc(
-        &self,
-        win: &WinHandle,
-        origin: &[u8],
-        odt: &Datatype,
-        target: usize,
-        tdisp: usize,
-        tdt: &Datatype,
-        elem: ElemType,
-        op: AccOp,
-    ) -> MpiResult<RmaRequest> {
-        win.racc(origin, odt, target, tdisp, tdt, elem, op)
-    }
-
     fn issue_merged(
         &self,
         win: &WinHandle,
@@ -678,49 +603,6 @@ impl Transport for ShmTransport {
         let cost = win.shm_acc(origin, odt, target, tdisp, tdt, elem, op)?;
         win.charge_virtual(cost);
         Ok(())
-    }
-
-    fn rput(
-        &self,
-        win: &WinHandle,
-        origin: &[u8],
-        odt: &Datatype,
-        target: usize,
-        tdisp: usize,
-        tdt: &Datatype,
-    ) -> MpiResult<RmaRequest> {
-        // Node-local copies have no wire latency to overlap; complete
-        // eagerly (a zero-length deferral).
-        self.put(win, origin, odt, target, tdisp, tdt)?;
-        Ok(win.defer(0.0, 0.0))
-    }
-
-    fn rget(
-        &self,
-        win: &WinHandle,
-        origin: &mut [u8],
-        odt: &Datatype,
-        target: usize,
-        tdisp: usize,
-        tdt: &Datatype,
-    ) -> MpiResult<RmaRequest> {
-        self.get(win, origin, odt, target, tdisp, tdt)?;
-        Ok(win.defer(0.0, 0.0))
-    }
-
-    fn racc(
-        &self,
-        win: &WinHandle,
-        origin: &[u8],
-        odt: &Datatype,
-        target: usize,
-        tdisp: usize,
-        tdt: &Datatype,
-        elem: ElemType,
-        op: AccOp,
-    ) -> MpiResult<RmaRequest> {
-        self.accumulate(win, origin, odt, target, tdisp, tdt, elem, op)?;
-        Ok(win.defer(0.0, 0.0))
     }
 
     fn issue_merged(

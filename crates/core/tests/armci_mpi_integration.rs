@@ -538,7 +538,7 @@ fn rmw_swap() {
 #[test]
 fn rmw_mpi3_backend_matches() {
     let cfg = Config {
-        use_mpi3_rmw: true,
+        atomics: armci_mpi::AtomicsMode::Native,
         ..Default::default()
     };
     let n = 4;

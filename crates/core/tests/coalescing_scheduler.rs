@@ -1,9 +1,10 @@
-//! The coalescing RMA scheduler: behavioural equivalence with the
-//! per-op path, wire-level op merging and epoch coarsening, §VIII-A
-//! access-mode rejection, and the committed-datatype cache.
+//! The coalescing RMA scheduler: behavioural equivalence with blocking
+//! program order on every wire discipline, wire-level op merging and
+//! epoch coarsening, §VIII-A access-mode rejection, and the
+//! committed-datatype cache.
 
 use armci::{AccKind, AccessMode, Armci, ArmciError, ArmciExt};
-use armci_mpi::{ArmciMpi, CoalesceMode, Config};
+use armci_mpi::{ArmciMpi, CoalesceMode, Config, TransportKind};
 use mpisim::{Runtime, RuntimeConfig};
 use proptest::prelude::*;
 
@@ -118,9 +119,8 @@ fn get_from_accumulate_only_region_is_rejected() {
 // ---------------------------------------------------------------------
 
 /// Eight adjacent disjoint nonblocking puts to one target coalesce into
-/// one epoch *and* one wire operation (the per-op aggregate epoch already
-/// gave one epoch; the scheduler's merge is what removes the other seven
-/// wire ops).
+/// one epoch *and* one wire operation (the queue's coarsened epoch gives
+/// the one epoch; run merging is what removes the other seven wire ops).
 #[test]
 fn adjacent_puts_merge_into_one_wire_op() {
     Runtime::run_with(2, quiet(), |p| {
@@ -186,7 +186,8 @@ fn repeated_strided_shape_hits_dtype_cache() {
 }
 
 // ---------------------------------------------------------------------
-// Equivalence: every coalesce mode leaves the same memory as PerOp
+// Equivalence: every coalesce mode leaves the same memory as blocking
+// program order
 // ---------------------------------------------------------------------
 
 /// One random operation: (kind, slot offset, slot length, payload seed).
@@ -197,10 +198,28 @@ fn arb_ops() -> impl Strategy<Value = Vec<MixOp>> {
     proptest::collection::vec((0u8..3, 0usize..24, 1usize..6, 0u8..200), 1..12)
 }
 
-/// Replays a nonblocking op mix under one scheduler mode; returns the
-/// final remote image and the concatenated get results.
-fn run_mix(coalesce: CoalesceMode, epochless: bool, ops: Vec<MixOp>) -> (Vec<u8>, Vec<u8>) {
-    let cfg = cfg(coalesce, epochless);
+/// The wire disciplines every mode is checked under, as `(epochless,
+/// transport)`: MPI-2 per-op epochs, MPI-3 `lock_all` + flush, and the
+/// epoch-free channel backend.
+const DISCIPLINES: [(bool, TransportKind); 3] = [
+    (false, TransportKind::MpiRma),
+    (true, TransportKind::MpiRma),
+    (false, TransportKind::Channel),
+];
+
+/// Replays an op mix under one wire discipline — through the coalescing
+/// scheduler in `mode`, or with blocking calls in program order when
+/// `mode` is `None` — and returns the final remote image and the
+/// concatenated get results.
+fn run_mix(
+    mode: Option<CoalesceMode>,
+    (epochless, transport): (bool, TransportKind),
+    ops: Vec<MixOp>,
+) -> (Vec<u8>, Vec<u8>) {
+    let cfg = Config {
+        transport,
+        ..cfg(mode.unwrap_or_default(), epochless)
+    };
     Runtime::run_with(2, quiet(), move |p| {
         let rt = ArmciMpi::with_config(p, cfg.clone());
         let bases = rt.malloc(256).unwrap();
@@ -217,18 +236,28 @@ fn run_mix(coalesce: CoalesceMode, epochless: bool, ops: Vec<MixOp>) -> (Vec<u8>
                         let payload: Vec<u8> = (0..bytes)
                             .map(|i| (i as u8).wrapping_mul(11).wrapping_add(seed))
                             .collect();
-                        handles.push(rt.nb_put(&payload, addr).unwrap());
+                        match mode {
+                            Some(_) => handles.push(rt.nb_put(&payload, addr).unwrap()),
+                            None => rt.put(&payload, addr).unwrap(),
+                        }
                     }
                     1 => {
                         let mut buf = vec![0u8; bytes];
-                        handles.push(rt.nb_get(addr, &mut buf).unwrap());
+                        match mode {
+                            Some(_) => handles.push(rt.nb_get(addr, &mut buf).unwrap()),
+                            None => rt.get(addr, &mut buf).unwrap(),
+                        }
                         gets.push(buf);
                     }
                     _ => {
                         let raw: Vec<u8> = std::iter::repeat_n(f64::from(seed).to_le_bytes(), len)
                             .flatten()
                             .collect();
-                        handles.push(rt.nb_acc(AccKind::Double(1.0), &raw, addr).unwrap());
+                        let kind = AccKind::Double(1.0);
+                        match mode {
+                            Some(_) => handles.push(rt.nb_acc(kind, &raw, addr).unwrap()),
+                            None => rt.acc(kind, &raw, addr).unwrap(),
+                        }
                     }
                 }
             }
@@ -248,15 +277,16 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Any mix of possibly-overlapping nonblocking puts, gets and
-    /// accumulates leaves byte-identical remote memory and get results
-    /// under every coalesce mode, in both epoch disciplines.
+    /// accumulates leaves the same remote memory and get results as the
+    /// blocking calls in program order, under every coalesce mode and
+    /// every wire discipline.
     #[test]
     fn coalesce_modes_equivalent(ops in arb_ops()) {
-        for epochless in [false, true] {
-            let reference = run_mix(CoalesceMode::PerOp, epochless, ops.clone());
+        for discipline in DISCIPLINES {
+            let reference = run_mix(None, discipline, ops.clone());
             for mode in [CoalesceMode::Batched, CoalesceMode::Datatype, CoalesceMode::Auto] {
-                let got = run_mix(mode, epochless, ops.clone());
-                prop_assert_eq!(&got, &reference, "mode {:?} epochless {}", mode, epochless);
+                let got = run_mix(Some(mode), discipline, ops.clone());
+                prop_assert_eq!(&got, &reference, "mode {:?} discipline {:?}", mode, discipline);
             }
         }
     }

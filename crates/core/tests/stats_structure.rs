@@ -143,14 +143,14 @@ fn rmw_protocol_shape_mpi2_vs_mpi3() {
     assert_eq!(mpi3.rmw_mutex_fallback, 0);
     assert_eq!(mpi3.gets, 0);
     assert_eq!(mpi3.puts, 0);
-    // The legacy switch still forces the native path too.
-    let legacy = shape(Config {
-        use_mpi3_rmw: true,
+    // Forcing native atomics takes the same single-atomic shape.
+    let native = shape(Config {
+        atomics: armci_mpi::AtomicsMode::Native,
         ..Default::default()
     });
-    assert_eq!(legacy.rmws, 1);
-    assert_eq!(legacy.rmw_native, 1);
-    assert_eq!(legacy.mutex_locks, 0);
+    assert_eq!(native.rmws, 1);
+    assert_eq!(native.rmw_native, 1);
+    assert_eq!(native.mutex_locks, 0);
 }
 
 #[test]

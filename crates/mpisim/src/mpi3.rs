@@ -11,7 +11,7 @@
 
 use crate::dtype::Datatype;
 use crate::error::{MpiError, MpiResult};
-use crate::win::{AccOp, ElemType, LockMode, LockOps, RmaClass, WinHandle};
+use crate::win::{AccOp, ElemType, LockMode, LockOps, WinHandle};
 
 /// Atomic fetch-and-op operator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -22,6 +22,21 @@ pub enum FetchOp {
     Replace,
     /// Fetch only (`MPI_NO_OP`).
     NoOp,
+}
+
+impl FetchOp {
+    /// Applies the operator to an 8-byte little-endian `i64` cell in
+    /// place; returns the old value.
+    fn apply_i64(self, cell: &mut [u8; 8], operand: i64) -> i64 {
+        let old = i64::from_le_bytes(*cell);
+        let new = match self {
+            FetchOp::Sum => old.wrapping_add(operand),
+            FetchOp::Replace => operand,
+            FetchOp::NoOp => old,
+        };
+        *cell = new.to_le_bytes();
+        old
+    }
 }
 
 /// A request-based RMA operation in flight.
@@ -120,32 +135,7 @@ impl WinHandle {
         tdisp: usize,
         op: FetchOp,
     ) -> MpiResult<i64> {
-        self.rmw_guarded(target, tdisp, true, |cell| {
-            let old = i64::from_le_bytes(*cell);
-            let new = match op {
-                FetchOp::Sum => old.wrapping_add(operand),
-                FetchOp::Replace => operand,
-                FetchOp::NoOp => old,
-            };
-            *cell = new.to_le_bytes();
-            old
-        })
-    }
-
-    /// Epoch-free fetch-and-op for channel-style wire backends whose
-    /// atomics complete through a NIC completion queue instead of inside
-    /// an MPI epoch. Same cell-level atomicity as
-    /// [`WinHandle::fetch_and_op_i64`]; no epoch is required or checked,
-    /// and no `Rma` event is emitted (the wire backend records its own
-    /// `TransportIssue`), so the auditor's epoch rules don't apply.
-    pub fn fetch_and_op_i64_raw(
-        &self,
-        operand: i64,
-        target: usize,
-        tdisp: usize,
-        op: FetchOp,
-    ) -> MpiResult<i64> {
-        self.fetch_and_op_i64_priced(operand, target, tdisp, op, self.params_pub().rmw_latency)
+        self.rmw_guarded(target, tdisp, true, |cell| op.apply_i64(cell, operand))
     }
 
     /// Epoch-free fetch-and-op with an explicit backend-supplied price.
@@ -160,16 +150,7 @@ impl WinHandle {
         op: FetchOp,
         cost: f64,
     ) -> MpiResult<i64> {
-        let old = self.rmw_cell(target, tdisp, false, |cell| {
-            let old = i64::from_le_bytes(*cell);
-            let new = match op {
-                FetchOp::Sum => old.wrapping_add(operand),
-                FetchOp::Replace => operand,
-                FetchOp::NoOp => old,
-            };
-            *cell = new.to_le_bytes();
-            old
-        })?;
+        let old = self.rmw_cell(target, tdisp, false, |cell| op.apply_i64(cell, operand))?;
         self.charge_pub(cost);
         Ok(old)
     }
@@ -193,27 +174,6 @@ impl WinHandle {
         })?;
         self.charge_pub(cost);
         Ok(old)
-    }
-
-    /// MPI-3 `MPI_Fetch_and_op` on an f64.
-    pub fn fetch_and_op_f64(
-        &self,
-        operand: f64,
-        target: usize,
-        tdisp: usize,
-        op: FetchOp,
-    ) -> MpiResult<f64> {
-        let old = self.rmw_guarded(target, tdisp, true, |cell| {
-            let old = f64::from_le_bytes(*cell);
-            let new = match op {
-                FetchOp::Sum => old + operand,
-                FetchOp::Replace => operand,
-                FetchOp::NoOp => old,
-            };
-            *cell = new.to_le_bytes();
-            old.to_bits() as i64
-        })?;
-        Ok(f64::from_bits(old as u64))
     }
 
     /// MPI-3 `MPI_Compare_and_swap` on a 64-bit signed integer: if the
@@ -323,16 +283,7 @@ impl WinHandle {
         tdisp: usize,
         op: FetchOp,
     ) -> MpiResult<(i64, RmaRequest)> {
-        let old = self.rmw_cell(target, tdisp, true, |cell| {
-            let old = i64::from_le_bytes(*cell);
-            let new = match op {
-                FetchOp::Sum => old.wrapping_add(operand),
-                FetchOp::Replace => operand,
-                FetchOp::NoOp => old,
-            };
-            *cell = new.to_le_bytes();
-            old
-        })?;
+        let old = self.rmw_cell(target, tdisp, true, |cell| op.apply_i64(cell, operand))?;
         if obs::enabled() {
             obs::instant_at(
                 obs::EventKind::Rma {
@@ -361,16 +312,7 @@ impl WinHandle {
         issue: f64,
         total: f64,
     ) -> MpiResult<(i64, RmaRequest)> {
-        let old = self.rmw_cell(target, tdisp, false, |cell| {
-            let old = i64::from_le_bytes(*cell);
-            let new = match op {
-                FetchOp::Sum => old.wrapping_add(operand),
-                FetchOp::Replace => operand,
-                FetchOp::NoOp => old,
-            };
-            *cell = new.to_le_bytes();
-            old
-        })?;
+        let old = self.rmw_cell(target, tdisp, false, |cell| op.apply_i64(cell, operand))?;
         Ok((old, self.defer(issue, total)))
     }
 
@@ -424,21 +366,6 @@ impl WinHandle {
         let extra = self.net_extra(target, self.wire_ser(simnet::Op::Acc, odt.size()), 1);
         let prog = self.progress_extra(target, 1);
         Ok(self.issue_deferred(cost + extra + prog))
-    }
-
-    /// Request-based scheduler-merged RMA: one wire operation covering a
-    /// whole coalesced run (bytes already staged; see
-    /// [`WinHandle::issue_merged`]). Completion follows the same
-    /// issue-now/complete-later model as `rput`, so merged runs under a
-    /// `lock_all` epoch finish at `flush`/`wait` like §VIII-B(3) requests.
-    pub fn rma_merged(
-        &self,
-        class: RmaClass,
-        target: usize,
-        segs: &[(usize, usize)],
-    ) -> MpiResult<RmaRequest> {
-        let cost = self.issue_merged(class, target, segs)?;
-        Ok(self.issue_deferred(cost))
     }
 
     /// Charges the issue overhead now and defers the rest of `cost` to the

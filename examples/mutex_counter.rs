@@ -51,7 +51,6 @@ fn main() {
             let rt = ArmciMpi::with_config(
                 p,
                 Config {
-                    use_mpi3_rmw: mpi3,
                     // Native atomics are the default now; the MPI-2 arm
                     // must pin the mutex protocol to stay an ablation.
                     atomics: if mpi3 {
