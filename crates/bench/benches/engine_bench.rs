@@ -4,9 +4,7 @@
 //! bench tracks what the harness itself costs in wall-clock to push one
 //! operation through plan → acquire → execute → complete, so engine
 //! refactors (and the progress-engine coupling on that path) show up as
-//! regressions here rather than as mysteriously slow test suites. The
-//! `figures -- harness` artifact (`BENCH_harness.json`) seeds the same
-//! numbers in machine-readable form.
+//! regressions here rather than as mysteriously slow test suites.
 
 use armci::Armci;
 use armci_mpi::{ArmciMpi, Config, ProgressMode};

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! figures [table2|fig3|fig4|fig5|fig6|pipeline|pool|coalesce|shm|transport|rmw|
-//!          progress|harness|workloads|trace|critpath|all] [--json DIR]
+//!          progress|workloads|trace|critpath|all] [--json DIR]
 //! figures check DIR
 //! ```
 //!
@@ -220,15 +220,6 @@ fn schemas() -> Vec<(&'static str, Vec<(&'static str, Kind)>)> {
             ],
         ),
         (
-            "BENCH_harness",
-            vec![
-                ("bench", Kind::Str),
-                ("stage", Kind::Str),
-                ("ops", Kind::UInt),
-                ("ns_per_op", Kind::Num),
-            ],
-        ),
-        (
             "BENCH_workloads",
             vec![
                 ("platform", Kind::Str),
@@ -434,11 +425,6 @@ fn check(dir: &str) -> usize {
         if name == "BENCH_workloads" {
             check_workload_spread(&path, &rows, &mut complain);
         }
-        // The harness seed must cover both recorder arms with sane
-        // measurements, or the overhead A/B has nothing to diff against.
-        if name == "BENCH_harness" {
-            check_harness(&path, &rows, &mut complain);
-        }
         eprintln!("[figures check] {path}: {} rows", rows.len());
     }
     for (name, want_cats) in [
@@ -572,40 +558,6 @@ fn check_workload_spread(path: &str, rows: &[Value], complain: &mut impl FnMut(S
                 && sfield(r, "workload").as_deref() == Some(workload)
         }) {
             complain(format!("{path}: no DES scaling rows for `{workload}`"));
-        }
-    }
-}
-
-/// The BENCH_harness gate: both recorder arms of the engine hot loop
-/// must be present with nonzero op counts and positive per-op times —
-/// the seed rows are what future engine changes get diffed against.
-fn check_harness(path: &str, rows: &[Value], complain: &mut impl FnMut(String)) {
-    let field = |row: &Value, key: &str| -> Option<Value> {
-        let Value::Object(entries) = row else {
-            return None;
-        };
-        entries
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.clone())
-    };
-    for stage in ["record-on", "record-off"] {
-        let Some(row) = rows
-            .iter()
-            .find(|r| matches!(field(r, "stage"), Some(Value::Str(s)) if s == stage))
-        else {
-            complain(format!("{path}: missing `{stage}` arm"));
-            continue;
-        };
-        match field(row, "ops") {
-            Some(Value::UInt(n)) if n > 0 => {}
-            Some(Value::UInt(_)) => complain(format!("{path}: `{stage}` measured zero ops")),
-            _ => {} // missing/mistyped already reported above
-        }
-        match field(row, "ns_per_op") {
-            Some(Value::Float(f)) if f > 0.0 => {}
-            Some(Value::Float(_)) => complain(format!("{path}: `{stage}` ns_per_op not positive")),
-            _ => {} // missing/mistyped already reported above
         }
     }
 }
@@ -880,15 +832,6 @@ fn main() {
         print!("{}", bench::workloads::render(&rows));
         dump(
             "BENCH_workloads",
-            &serde_json::to_string_pretty(&rows).unwrap(),
-        );
-    }
-    if all || what == "harness" {
-        eprintln!("[figures] harness");
-        let rows = bench::harness::generate();
-        print!("{}", bench::harness::render(&rows));
-        dump(
-            "BENCH_harness",
             &serde_json::to_string_pretty(&rows).unwrap(),
         );
     }

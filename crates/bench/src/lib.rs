@@ -39,7 +39,6 @@ pub mod fig3;
 pub mod fig4;
 pub mod fig5;
 pub mod fig6r;
-pub mod harness;
 pub mod pipeline;
 pub mod pool;
 pub mod progress;

@@ -11,11 +11,13 @@
 
 use armci::Armci;
 use armci_mpi::ArmciMpi;
+use ga::ghosts::GhostBlock;
 use ga::{GaType, GlobalArray};
 use mpisim::{Runtime, RuntimeConfig};
 use simnet::{Platform, PlatformId};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use workloads::stencil;
 
 thread_local! {
     static COUNTING: Cell<bool> = const { Cell::new(false) };
@@ -189,4 +191,48 @@ fn blocking_contiguous_put_budget() {
     println!("blocking contiguous put: {per_put:.2} allocations per put");
     // The plan's operation list.
     assert!(per_put <= 1.0, "{per_put} allocations per contiguous put");
+}
+
+/// Allocations of one steady-state stencil step on rank 0 of an `n`×`n`
+/// array split by columns over two nodes: a periodic radius-2 ghost
+/// refresh into a reused block, one Jacobi sweep into a reused buffer,
+/// and the interior written back.
+fn stencil_step_allocs(n: usize) -> f64 {
+    let out = Runtime::run_with(2, layout(1), |p| {
+        let rt = ArmciMpi::new(p);
+        let a = GlobalArray::create(&rt, "stencil", GaType::F64, &[n, n]).unwrap();
+        a.fill(1.0).unwrap();
+        let got = if rt.rank() == 0 {
+            let (lo, hi) = a.my_block();
+            let mut gb = GhostBlock::default();
+            let mut new = vec![0.0f64; (hi[0] - lo[0]) * (hi[1] - lo[1])];
+            per_op(4, 32, 1, || {
+                a.fetch_ghosted_into(&[2, 2], true, &mut gb).unwrap();
+                stencil::sweep(&gb, 2, &mut new);
+                a.put_patch(&lo, &hi, &new).unwrap();
+            })
+        } else {
+            0.0
+        };
+        a.sync();
+        a.destroy().unwrap();
+        got
+    });
+    out[0]
+}
+
+#[test]
+fn stencil_step_budget_independent_of_grid_size() {
+    for n in [64, 256] {
+        let per_step = stencil_step_allocs(n);
+        println!("stencil step {n}x{n}: {per_step:.2} allocations per step");
+        // Six halo pieces fan out to nine per-owner strided gets, each
+        // with its plan; plus the block bounds, the sweep's offset table
+        // and the put's plan. None of it scales with the cell count (44
+        // at both sizes).
+        assert!(
+            per_step <= 48.0,
+            "{per_step} allocations per {n}x{n} stencil step"
+        );
+    }
 }

@@ -120,6 +120,27 @@ fn from_le_in_place<T: Word>(v: &mut [T]) {
     }
 }
 
+/// Where a patch sits in the caller's buffer: a row-major array of
+/// extents `ld` (GA's leading dimensions) with the patch's first element
+/// at index `at`. A dense patch buffer has `ld = hi - lo` and `at = 0`.
+struct LocalLayout {
+    ld: [usize; MAX_DIM],
+    at: [usize; MAX_DIM],
+}
+
+impl LocalLayout {
+    fn dense(lo: &[usize], hi: &[usize]) -> LocalLayout {
+        let mut l = LocalLayout {
+            ld: [0; MAX_DIM],
+            at: [0; MAX_DIM],
+        };
+        for (d, (&l0, &h)) in lo.iter().zip(hi).enumerate() {
+            l.ld[d] = h - l0;
+        }
+        l
+    }
+}
+
 /// ARMCI strided arguments for one owner's share of a patch, in
 /// fixed-size arrays: `n - 1` stride levels and `n` counts.
 struct StridedArgs {
@@ -161,13 +182,6 @@ impl Verb<'_> {
             (Verb::Put(_), true) => "ga_nb_put",
             (Verb::Get(_), true) => "ga_nb_get",
             (Verb::Acc(..) | Verb::AccI64(..), true) => "ga_nb_acc",
-        }
-    }
-
-    fn bytes(&self) -> u64 {
-        match self {
-            Verb::Put(d) | Verb::Acc(_, d) | Verb::AccI64(_, d) => d.len() as u64,
-            Verb::Get(d) => d.len() as u64,
         }
     }
 }
@@ -304,6 +318,11 @@ impl<'a, A: Armci + ?Sized> GlobalArray<'a, A> {
         lo.iter().zip(hi).map(|(&l, &h)| h - l).product()
     }
 
+    /// Bytes a patch moves (what the trace reports per GA verb).
+    fn patch_bytes(&self, lo: &[usize], hi: &[usize]) -> u64 {
+        (Self::patch_len(lo, hi) * self.ty.elem()) as u64
+    }
+
     /// Byte offset of `idx` in the row-major array spanning `[lo, hi)`.
     fn offset_in(&self, idx: &[usize], lo: &[usize], hi: &[usize]) -> usize {
         let mut off = 0usize;
@@ -313,16 +332,26 @@ impl<'a, A: Armci + ?Sized> GlobalArray<'a, A> {
         off * self.ty.elem()
     }
 
+    /// Byte offset of global index `idx` in the local buffer of a patch
+    /// starting at `lo` and laid out as `local`.
+    fn local_offset(&self, idx: &[usize], lo: &[usize], local: &LocalLayout) -> usize {
+        let mut off = 0usize;
+        for d in 0..lo.len() {
+            off = off * local.ld[d] + (idx[d] - lo[d] + local.at[d]);
+        }
+        off * self.ty.elem()
+    }
+
     /// Builds ARMCI strided arguments for moving the intersection of
-    /// region `r` between its owner's block and the local dense patch
-    /// buffer (`lo..hi`).
-    fn strided_args(&self, r: &Region, lo: &[usize], hi: &[usize]) -> StridedArgs {
+    /// region `r` between its owner's block and the local buffer of the
+    /// patch starting at `lo`, laid out as `local`.
+    fn strided_args(&self, r: &Region, lo: &[usize], local: &LocalLayout) -> StridedArgs {
         let n = self.dist.ndim();
         let elem = self.ty.elem();
         let (ilo, ihi, blo, bhi) = (r.ilo(), r.ihi(), r.blo(), r.bhi());
         let mut a = StridedArgs {
             raddr: self.bases[r.cell].offset(self.offset_in(ilo, blo, bhi)),
-            loff: self.offset_in(ilo, lo, hi),
+            loff: self.local_offset(ilo, lo, local),
             n,
             rstrides: [0; MAX_DIM],
             lstrides: [0; MAX_DIM],
@@ -331,14 +360,14 @@ impl<'a, A: Armci + ?Sized> GlobalArray<'a, A> {
         // count[0] = contiguous bytes along the last dimension; count[j]
         // (j >= 1) covers dimension n-1-j, and stride level j-1 steps it:
         // the byte size of everything inside it, in the block (remote)
-        // and in the patch (local).
+        // and in the local buffer.
         a.count[0] = (ihi[n - 1] - ilo[n - 1]) * elem;
         let (mut rs, mut ls) = (elem, elem);
         for j in 1..n {
             let d = n - j;
             a.count[j] = ihi[d - 1] - ilo[d - 1];
             rs *= bhi[d] - blo[d];
-            ls *= hi[d] - lo[d];
+            ls *= local.ld[d];
             a.rstrides[j - 1] = rs;
             a.lstrides[j - 1] = ls;
         }
@@ -346,6 +375,18 @@ impl<'a, A: Armci + ?Sized> GlobalArray<'a, A> {
     }
 
     fn check_patch(&self, lo: &[usize], hi: &[usize], buf_len_bytes: usize) -> GaResult<()> {
+        self.check_bounds(lo, hi)?;
+        let need = Self::patch_len(lo, hi) * self.ty.elem();
+        if buf_len_bytes != need {
+            return Err(ArmciError::BadDescriptor(format!(
+                "patch needs {need} bytes, buffer has {buf_len_bytes}"
+            )));
+        }
+        Ok(())
+    }
+
+    /// Checks that `[lo, hi)` is a nonempty patch inside the array.
+    fn check_bounds(&self, lo: &[usize], hi: &[usize]) -> GaResult<()> {
         let n = self.dist.ndim();
         if lo.len() != n || hi.len() != n {
             return Err(ArmciError::BadDescriptor(format!(
@@ -361,21 +402,31 @@ impl<'a, A: Armci + ?Sized> GlobalArray<'a, A> {
                 )));
             }
         }
-        let need = Self::patch_len(lo, hi) * self.ty.elem();
-        if buf_len_bytes != need {
-            return Err(ArmciError::BadDescriptor(format!(
-                "patch needs {need} bytes, buffer has {buf_len_bytes}"
-            )));
-        }
         Ok(())
     }
 
     /// The Figure 2 fan-out: decompose the patch over owners and issue
-    /// one strided ARMCI operation per owner.
-    fn xfer(&self, lo: &[usize], hi: &[usize], mut verb: Verb<'_>) -> GaResult<()> {
-        let trace = obs::enabled().then(|| (verb.name(false), verb.bytes(), self.rt.vtime()));
+    /// one strided ARMCI operation per owner, against a local buffer laid
+    /// out as `local` (`None`: the dense patch buffer).
+    fn xfer(
+        &self,
+        lo: &[usize],
+        hi: &[usize],
+        local: Option<&LocalLayout>,
+        mut verb: Verb<'_>,
+    ) -> GaResult<()> {
+        let trace =
+            obs::enabled().then(|| (verb.name(false), self.patch_bytes(lo, hi), self.rt.vtime()));
+        let dense;
+        let local = match local {
+            Some(l) => l,
+            None => {
+                dense = LocalLayout::dense(lo, hi);
+                &dense
+            }
+        };
         self.dist.for_each_region(lo, hi, |r| {
-            let a = self.strided_args(r, lo, hi);
+            let a = self.strided_args(r, lo, local);
             let (raddr, loff) = (a.raddr, a.loff);
             let (rs, ls, count) = (a.rstrides(), a.lstrides(), a.count());
             match &mut verb {
@@ -406,10 +457,12 @@ impl<'a, A: Armci + ?Sized> GlobalArray<'a, A> {
     /// unwaited, so transfers to distinct owners stay in flight
     /// concurrently.
     fn nb_xfer(&self, lo: &[usize], hi: &[usize], mut verb: Verb<'_>) -> GaResult<GaNbHandle> {
-        let trace = obs::enabled().then(|| (verb.name(true), verb.bytes(), self.rt.vtime()));
+        let trace =
+            obs::enabled().then(|| (verb.name(true), self.patch_bytes(lo, hi), self.rt.vtime()));
         let mut handles = Vec::new();
+        let local = LocalLayout::dense(lo, hi);
         self.dist.for_each_region(lo, hi, |r| {
-            let a = self.strided_args(r, lo, hi);
+            let a = self.strided_args(r, lo, &local);
             let (raddr, loff) = (a.raddr, a.loff);
             let (rs, ls, count) = (a.rstrides(), a.lstrides(), a.count());
             handles.push(match &mut verb {
@@ -462,18 +515,107 @@ impl<'a, A: Armci + ?Sized> GlobalArray<'a, A> {
     pub fn put_patch(&self, lo: &[usize], hi: &[usize], data: &[f64]) -> GaResult<()> {
         self.want(GaType::F64)?;
         self.check_patch(lo, hi, data.len() * 8)?;
-        self.xfer(lo, hi, Verb::Put(&le_bytes(data)))
+        self.xfer(lo, hi, None, Verb::Put(&le_bytes(data)))
     }
 
     /// `NGA_Get`: reads the patch into a dense row-major vector.
     pub fn get_patch(&self, lo: &[usize], hi: &[usize]) -> GaResult<Vec<f64>> {
         self.want(GaType::F64)?;
-        let len = Self::patch_len(lo, hi);
-        self.check_patch(lo, hi, len * 8)?;
-        let mut out = vec![0.0f64; len];
-        self.xfer(lo, hi, Verb::Get(bytes_of_mut(&mut out)))?;
+        self.check_bounds(lo, hi)?;
+        let mut out = vec![0.0f64; Self::patch_len(lo, hi)];
+        self.xfer(lo, hi, None, Verb::Get(bytes_of_mut(&mut out)))?;
         from_le_in_place(&mut out);
         Ok(out)
+    }
+
+    /// `NGA_Get` with leading dimensions: reads the patch into `out`, a
+    /// row-major buffer of extents `ld`, with the patch's first element at
+    /// index `at` of `out`. Elements of `out` outside the patch are left
+    /// untouched, so a caller can land several patches in one buffer (the
+    /// ghost refresh does). `get_patch` is the case `ld = hi - lo`,
+    /// `at = 0`.
+    pub fn get_patch_strided(
+        &self,
+        lo: &[usize],
+        hi: &[usize],
+        out: &mut [f64],
+        ld: &[usize],
+        at: &[usize],
+    ) -> GaResult<()> {
+        self.want(GaType::F64)?;
+        let local = self.check_local(lo, hi, out.len(), ld, at)?;
+        self.xfer(lo, hi, Some(&local), Verb::Get(bytes_of_mut(out)))?;
+        if cfg!(target_endian = "big") {
+            // Only the elements the patch wrote: one run per patch row.
+            let n = lo.len();
+            let row = hi[n - 1] - lo[n - 1];
+            let rows = Self::patch_len(&lo[..n - 1], &hi[..n - 1]);
+            let mut idx = [0usize; MAX_DIM];
+            for _ in 0..rows {
+                let mut off = 0usize;
+                for d in 0..n {
+                    off = off * ld[d] + at[d] + idx[d];
+                }
+                from_le_in_place(&mut out[off..off + row]);
+                for d in (0..n - 1).rev() {
+                    idx[d] += 1;
+                    if idx[d] < hi[d] - lo[d] {
+                        break;
+                    }
+                    idx[d] = 0;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Validates a leading-dimension buffer for the patch `[lo, hi)`:
+    /// `ld` and `at` have the array's rank, the patch fits inside `ld`
+    /// at `at`, and the buffer holds exactly the `ld` extents.
+    fn check_local(
+        &self,
+        lo: &[usize],
+        hi: &[usize],
+        buf_len: usize,
+        ld: &[usize],
+        at: &[usize],
+    ) -> GaResult<LocalLayout> {
+        self.check_bounds(lo, hi)?;
+        let n = self.dist.ndim();
+        if ld.len() != n || at.len() != n {
+            return Err(ArmciError::BadDescriptor(format!(
+                "leading dimensions of rank {} and origin of rank {} for an array of rank {n}",
+                ld.len(),
+                at.len()
+            )));
+        }
+        let mut local = LocalLayout {
+            ld: [0; MAX_DIM],
+            at: [0; MAX_DIM],
+        };
+        for d in 0..n {
+            if at[d]
+                .checked_add(hi[d] - lo[d])
+                .is_none_or(|end| end > ld[d])
+            {
+                return Err(ArmciError::BadDescriptor(format!(
+                    "patch of extent {} at {} overflows leading dimension {} in dim {d}",
+                    hi[d] - lo[d],
+                    at[d],
+                    ld[d]
+                )));
+            }
+            local.ld[d] = ld[d];
+            local.at[d] = at[d];
+        }
+        // An `ld` whose product overflows is a bad descriptor too.
+        let need = ld.iter().try_fold(1usize, |acc, &x| acc.checked_mul(x));
+        if need != Some(buf_len) {
+            return Err(ArmciError::BadDescriptor(format!(
+                "leading dimensions {ld:?} do not describe a buffer of {buf_len} elements"
+            )));
+        }
+        Ok(local)
     }
 
     /// `NGA_Acc`: `patch += scale * data`, atomic per element with
@@ -481,7 +623,7 @@ impl<'a, A: Armci + ?Sized> GlobalArray<'a, A> {
     pub fn acc_patch(&self, scale: f64, lo: &[usize], hi: &[usize], data: &[f64]) -> GaResult<()> {
         self.want(GaType::F64)?;
         self.check_patch(lo, hi, data.len() * 8)?;
-        self.xfer(lo, hi, Verb::Acc(scale, &le_bytes(data)))
+        self.xfer(lo, hi, None, Verb::Acc(scale, &le_bytes(data)))
     }
 
     /// `NGA_NbPut`: nonblocking patch write. The transfer stays in flight
@@ -535,16 +677,15 @@ impl<'a, A: Armci + ?Sized> GlobalArray<'a, A> {
     pub fn put_patch_i64(&self, lo: &[usize], hi: &[usize], data: &[i64]) -> GaResult<()> {
         self.want(GaType::I64)?;
         self.check_patch(lo, hi, data.len() * 8)?;
-        self.xfer(lo, hi, Verb::Put(&le_bytes(data)))
+        self.xfer(lo, hi, None, Verb::Put(&le_bytes(data)))
     }
 
     /// Integer get.
     pub fn get_patch_i64(&self, lo: &[usize], hi: &[usize]) -> GaResult<Vec<i64>> {
         self.want(GaType::I64)?;
-        let len = Self::patch_len(lo, hi);
-        self.check_patch(lo, hi, len * 8)?;
-        let mut out = vec![0i64; len];
-        self.xfer(lo, hi, Verb::Get(bytes_of_mut(&mut out)))?;
+        self.check_bounds(lo, hi)?;
+        let mut out = vec![0i64; Self::patch_len(lo, hi)];
+        self.xfer(lo, hi, None, Verb::Get(bytes_of_mut(&mut out)))?;
         from_le_in_place(&mut out);
         Ok(out)
     }
@@ -559,7 +700,7 @@ impl<'a, A: Armci + ?Sized> GlobalArray<'a, A> {
     ) -> GaResult<()> {
         self.want(GaType::I64)?;
         self.check_patch(lo, hi, data.len() * 8)?;
-        self.xfer(lo, hi, Verb::AccI64(scale, &le_bytes(data)))
+        self.xfer(lo, hi, None, Verb::AccI64(scale, &le_bytes(data)))
     }
 
     /// `NGA_Read_inc`: atomically adds `inc` to the I64 element at `idx`

@@ -1,10 +1,12 @@
 //! Ghost-cell tests on both backends.
 
-use armci::Armci;
+use armci::{Armci, ArmciError};
 use armci_mpi::ArmciMpi;
 use armci_native::ArmciNative;
+use ga::ghosts::GhostBlock;
 use ga::{GaType, GlobalArray};
 use mpisim::{Proc, Runtime, RuntimeConfig};
+use proptest::prelude::*;
 
 fn quiet() -> RuntimeConfig {
     RuntimeConfig {
@@ -179,6 +181,209 @@ fn bad_ghost_requests_rejected() {
         assert!(a.fetch_ghosted(&[4, 1], false).is_err()); // width ≥ dim
         let c = GlobalArray::create(rt, "i64", GaType::I64, &[4]).unwrap();
         assert!(c.fetch_ghosted(&[1], false).is_err()); // wrong type
+        a.sync();
+        a.destroy().unwrap();
+        c.destroy().unwrap();
+    });
+}
+
+/// One refresh of a reused block: array dims, ghost widths (each below
+/// its dim) and periodicity.
+#[derive(Debug, Clone)]
+struct Refresh {
+    dims: Vec<usize>,
+    width: Vec<usize>,
+    periodic: bool,
+}
+
+fn arb_refresh() -> impl Strategy<Value = Refresh> {
+    (1usize..4)
+        .prop_flat_map(|nd| {
+            (
+                proptest::collection::vec(2usize..8, nd),
+                proptest::collection::vec(0usize..8, nd),
+                0u8..2,
+            )
+        })
+        .prop_map(|(dims, raw, periodic)| Refresh {
+            width: raw.iter().zip(&dims).map(|(&w, &n)| w % n).collect(),
+            dims,
+            periodic: periodic == 1,
+        })
+}
+
+/// The value refresh `round` stores at flat index `flat`: nonzero, and
+/// distinct across rounds, so a stale or missing ghost cell shows.
+fn value(round: usize, flat: usize) -> f64 {
+    (1000 * (round + 1) + flat) as f64
+}
+
+/// What a refreshed block must hold, element by element, built from
+/// global indices alone.
+fn expected_block(r: &Refresh, round: usize, lo: &[usize], hi: &[usize]) -> Vec<f64> {
+    let n = r.dims.len();
+    let bdims: Vec<usize> = (0..n).map(|d| hi[d] - lo[d] + 2 * r.width[d]).collect();
+    let total: usize = bdims.iter().product();
+    if lo.iter().zip(hi).any(|(&l, &h)| l >= h) {
+        return vec![0.0; total.max(1)];
+    }
+    (0..total)
+        .map(|k| {
+            // local index of element k, last dimension fastest
+            let mut rest = k;
+            let mut local = vec![0usize; n];
+            for d in (0..n).rev() {
+                local[d] = rest % bdims[d];
+                rest /= bdims[d];
+            }
+            let mut flat = 0usize;
+            for d in 0..n {
+                let g = (lo[d] + local[d]) as isize - r.width[d] as isize;
+                let dim = r.dims[d] as isize;
+                let g = if r.periodic {
+                    g.rem_euclid(dim)
+                } else if g < 0 || g >= dim {
+                    return 0.0;
+                } else {
+                    g
+                };
+                flat = flat * r.dims[d] + g as usize;
+            }
+            value(round, flat)
+        })
+        .collect()
+}
+
+/// Runs a sequence of refreshes of one reused block and checks each
+/// against [`expected_block`] and a fresh `fetch_ghosted`.
+fn check_refreshes(rt: &dyn Armci, refreshes: &[Refresh]) {
+    let mut block = GhostBlock::default();
+    for (round, r) in refreshes.iter().enumerate() {
+        let a = GlobalArray::create(rt, "refresh", GaType::F64, &r.dims).unwrap();
+        let (lo, hi) = a.my_block();
+        if lo.iter().zip(&hi).all(|(&l, &h)| l < h) {
+            let total: usize = lo.iter().zip(&hi).map(|(&l, &h)| h - l).product();
+            let mut data = Vec::with_capacity(total);
+            let mut idx = lo.clone();
+            for _ in 0..total {
+                let mut flat = 0usize;
+                for (x, n) in idx.iter().zip(&r.dims) {
+                    flat = flat * n + x;
+                }
+                data.push(value(round, flat));
+                for k in (0..idx.len()).rev() {
+                    idx[k] += 1;
+                    if idx[k] < hi[k] {
+                        break;
+                    }
+                    idx[k] = lo[k];
+                }
+            }
+            a.put_patch(&lo, &hi, &data).unwrap();
+        }
+        a.sync();
+        a.fetch_ghosted_into(&r.width, r.periodic, &mut block)
+            .unwrap();
+        assert_eq!(block.data, expected_block(r, round, &lo, &hi), "{r:?}");
+        assert_eq!(block, a.fetch_ghosted(&r.width, r.periodic).unwrap());
+        a.sync();
+        a.destroy().unwrap();
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// A block reused across refreshes that change the array, the width
+    /// and the periodicity always equals the reference, including
+    /// non-periodic margins after a periodic refresh filled them.
+    #[test]
+    fn reused_block_refresh_matches_reference(
+        ranks in 1usize..5,
+        refreshes in proptest::collection::vec(arb_refresh(), 2..5),
+    ) {
+        on_both(ranks, |_, rt| check_refreshes(rt, &refreshes));
+    }
+}
+
+#[test]
+fn strided_get_lands_patch_and_leaves_the_rest() {
+    on_both(3, |_, rt| {
+        let dims = [6usize, 5];
+        let a = GlobalArray::create(rt, "ld", GaType::F64, &dims).unwrap();
+        init(&a, &dims);
+        // patch [1,4)×[2,5) at (2,1) of a 5×6 buffer
+        let mut out = vec![-1.0; 30];
+        a.get_patch_strided(&[1, 2], &[4, 5], &mut out, &[5, 6], &[2, 1])
+            .unwrap();
+        for i in 0..5 {
+            for j in 0..6 {
+                let want = if (2..5).contains(&i) && (1..4).contains(&j) {
+                    ((i - 1) * dims[1] + (j + 1)) as f64
+                } else {
+                    -1.0
+                };
+                assert_eq!(out[i * 6 + j], want, "({i},{j})");
+            }
+        }
+        a.sync();
+        a.destroy().unwrap();
+    });
+}
+
+#[test]
+fn bad_strided_get_descriptors_rejected() {
+    on_both(2, |_, rt| {
+        let a = GlobalArray::create(rt, "bad-ld", GaType::F64, &[4, 4]).unwrap();
+        let c = GlobalArray::create(rt, "bad-ld-i64", GaType::I64, &[4, 4]).unwrap();
+        let mut out = vec![0.0; 16];
+        let bad = |r: Result<(), ArmciError>, what: &str| {
+            assert!(
+                matches!(r, Err(ArmciError::BadDescriptor(_))),
+                "{what}: {r:?}"
+            );
+        };
+        let (lo, hi) = ([1usize, 1], [3usize, 3]);
+        bad(
+            a.get_patch_strided(&lo, &hi, &mut out, &[16], &[0, 0]),
+            "ld rank",
+        );
+        bad(
+            a.get_patch_strided(&lo, &hi, &mut out, &[4, 4], &[0]),
+            "origin rank",
+        );
+        bad(
+            a.get_patch_strided(&lo, &hi, &mut out, &[4, 4], &[3, 0]),
+            "overflows ld",
+        );
+        bad(
+            a.get_patch_strided(&lo, &hi, &mut out, &[4, 4], &[usize::MAX, 0]),
+            "origin overflows usize",
+        );
+        bad(
+            a.get_patch_strided(&lo, &hi, &mut out[..15], &[4, 4], &[0, 0]),
+            "short buffer",
+        );
+        bad(
+            a.get_patch_strided(&lo, &hi, &mut out, &[usize::MAX, 4], &[0, 0]),
+            "ld product overflows",
+        );
+        bad(
+            a.get_patch_strided(&[3, 1], &[1, 3], &mut out, &[4, 4], &[0, 0]),
+            "lo > hi",
+        );
+        bad(
+            a.get_patch_strided(&[1, 1], &[5, 3], &mut out, &[4, 4], &[0, 0]),
+            "hi > dim",
+        );
+        bad(
+            a.get_patch_strided(&[1], &[3], &mut out, &[4, 4], &[0, 0]),
+            "patch rank",
+        );
+        bad(
+            c.get_patch_strided(&lo, &hi, &mut out, &[4, 4], &[0, 0]),
+            "I64 array",
+        );
         a.sync();
         a.destroy().unwrap();
         c.destroy().unwrap();

@@ -1,12 +1,12 @@
 //! Halo-exchange stencil driver: 2D/3D Jacobi iterations with
 //! ghost-cell subarray exchange.
 //!
-//! Each iteration every rank pulls its block plus a `radius`-deep halo
-//! with [`GlobalArray::fetch_ghosted`] — a fan of *strided* subarray
-//! gets that exercise the derived-datatype LRU cache, the conflict-tree
-//! disjointness proofs, and (intra-node) the shm tier — relaxes the
-//! interior, writes it back, and folds a global L1 residual through the
-//! allreduce.
+//! Each iteration every rank refreshes its block plus a `radius`-deep
+//! halo in place with [`GlobalArray::fetch_ghosted_into`] — a fan of
+//! *strided* subarray gets that exercise the derived-datatype LRU cache,
+//! the conflict-tree disjointness proofs, and (intra-node) the shm tier —
+//! relaxes the interior with [`sweep`], writes it back, and folds a global
+//! L1 residual through the allreduce.
 //!
 //! Determinism and the oracle: the per-cell update order is fixed
 //! (centre first, then per dimension minus-neighbour before
@@ -19,6 +19,8 @@
 use crate::SplitMix64;
 use armci::Armci;
 use armci_mpi::{ArmciMpi, Config};
+use ga::dist::MAX_DIM;
+use ga::ghosts::GhostBlock;
 use ga::{Distribution, GaType, GlobalArray};
 use mpisim::{Proc, Runtime, RuntimeConfig};
 
@@ -102,6 +104,87 @@ fn relax(read: &dyn Fn(&[isize]) -> f64, nd: usize, radius: usize) -> f64 {
     sum / count
 }
 
+/// One Jacobi sweep of the radius-`radius` star stencil over the
+/// interior of `gb`: writes the relaxed interior, row-major, into `new`
+/// and returns this block's L1 change, summed in row-major order.
+///
+/// Each cell sums in [`relax`]'s contract order (centre, then dimensions
+/// ascending, `r = 1..=radius`, minus before plus) and divides by the same
+/// count, so the result is bit-equal to [`relax`]. The neighbours are a
+/// table of flat offsets into `gb.data`, built once per sweep, and the
+/// walk goes a whole interior row at a time: per row, `new` starts as the
+/// centre row and each neighbour row is added to it in table order.
+pub fn sweep(gb: &GhostBlock, radius: usize, new: &mut [f64]) -> f64 {
+    let nd = gb.dims.len();
+    assert!(
+        gb.width.iter().all(|&w| w >= radius),
+        "ghost width {:?} below the stencil radius {radius}",
+        gb.width
+    );
+    assert_eq!(
+        new.len(),
+        gb.interior_len(),
+        "output buffer vs interior size"
+    );
+    if new.is_empty() {
+        return 0.0;
+    }
+    // Row-major strides of the ghosted block.
+    let mut stride = [1usize; MAX_DIM];
+    for d in (0..nd - 1).rev() {
+        stride[d] = stride[d + 1] * gb.dims[d + 1];
+    }
+    let mut offsets = Vec::with_capacity(2 * nd * radius);
+    for &s in &stride[..nd] {
+        for r in 1..=radius {
+            let step = (r * s) as isize;
+            offsets.push(-step);
+            offsets.push(step);
+        }
+    }
+    // `1 + 2·nd·radius` is what relax's repeated `count += 2.0` reaches:
+    // small integers are exact in f64.
+    let count = (1 + 2 * nd * radius) as f64;
+    let row = gb.hi[nd - 1] - gb.lo[nd - 1];
+    let mut rows = new.chunks_exact_mut(row);
+    let mut partial = 0.0f64;
+    gb.for_each_interior_row(|c0| {
+        let out = rows.next().expect("one output row per interior row");
+        partial = relax_row(&gb.data, c0, &offsets, count, out, partial);
+    });
+    partial
+}
+
+/// Relaxes the interior row starting at `data[c0]` into `out` and
+/// returns `partial` plus the row's L1 change, added cell by cell.
+///
+/// A function of its own rather than the body of `sweep`'s closure: as
+/// arguments, `out` and `data` are known not to alias, and the row
+/// loops ran ~40% slower when written inside the closure.
+fn relax_row(
+    data: &[f64],
+    c0: usize,
+    offsets: &[isize],
+    count: f64,
+    out: &mut [f64],
+    mut partial: f64,
+) -> f64 {
+    let row = out.len();
+    let centre = &data[c0..c0 + row];
+    out.copy_from_slice(centre);
+    for &off in offsets {
+        let start = c0.wrapping_add_signed(off);
+        for (o, &x) in out.iter_mut().zip(&data[start..start + row]) {
+            *o += x;
+        }
+    }
+    for (o, &old) in out.iter_mut().zip(centre) {
+        *o /= count;
+        partial += (*o - old).abs();
+    }
+    partial
+}
+
 /// Runs the Jacobi sweeps on an established runtime.
 pub fn run_stencil<A: Armci + ?Sized>(p: &Proc, rt: &A, opts: &StencilOpts) -> StencilResult {
     let nd = opts.dims.len();
@@ -111,79 +194,60 @@ pub fn run_stencil<A: Armci + ?Sized>(p: &Proc, rt: &A, opts: &StencilOpts) -> S
     let a = GlobalArray::create(rt, "st-a", GaType::F64, &opts.dims).unwrap();
     let b = GlobalArray::create(rt, "st-b", GaType::F64, &opts.dims).unwrap();
 
-    // Owners initialise their own block from the global seed.
+    // Owners initialise their own block from the global seed, a row at
+    // a time: consecutive cells of a row have consecutive flat indices.
     let (mlo, mhi) = a.my_block();
     let my_cells: usize = mlo
         .iter()
         .zip(&mhi)
         .map(|(&l, &h)| h.saturating_sub(l))
         .product();
+    // The relaxed interior of each sweep; it first carries the initial
+    // block.
+    let mut new = vec![0.0f64; my_cells];
     if my_cells > 0 {
-        let mut init = Vec::with_capacity(my_cells);
+        let row = mhi[nd - 1] - mlo[nd - 1];
         let mut idx = mlo.clone();
-        loop {
+        for out in new.chunks_exact_mut(row) {
             let mut flat = 0usize;
             for (&i, &dim) in idx.iter().zip(&opts.dims) {
                 flat = flat * dim + i;
             }
-            init.push(init_cell(opts.seed, flat));
-            let mut d = nd;
-            loop {
-                if d == 0 {
-                    break;
-                }
-                d -= 1;
+            for (j, v) in out.iter_mut().enumerate() {
+                *v = init_cell(opts.seed, flat + j);
+            }
+            for d in (0..nd - 1).rev() {
                 idx[d] += 1;
                 if idx[d] < mhi[d] {
                     break;
                 }
                 idx[d] = mlo[d];
             }
-            if idx == mlo {
-                break;
-            }
         }
-        a.put_patch(&mlo, &mhi, &init).unwrap();
-        b.put_patch(&mlo, &mhi, &init).unwrap();
+        a.put_patch(&mlo, &mhi, &new).unwrap();
+        b.put_patch(&mlo, &mhi, &new).unwrap();
         ops += 2;
     }
     a.sync();
 
     let width = vec![opts.radius; nd];
+    let mut gb = GhostBlock::default();
     let mut residuals = Vec::with_capacity(opts.iters);
     for it in 0..opts.iters {
         let (src, dst) = if it % 2 == 0 { (&a, &b) } else { (&b, &a) };
-        // The halo fetch: a fan of strided subarray gets.
-        let gb = src.fetch_ghosted(&width, opts.periodic).unwrap();
+        // The halo refresh: a fan of strided subarray gets, landing in
+        // the block reused across sweeps.
+        src.fetch_ghosted_into(&width, opts.periodic, &mut gb)
+            .unwrap();
         ops += 1;
         let mut partial = 0.0f64;
         if my_cells > 0 {
-            let mut new = Vec::with_capacity(my_cells);
-            let mut idx = mlo.clone();
-            loop {
-                if opts.cell_compute_s > 0.0 {
+            if opts.cell_compute_s > 0.0 {
+                for _ in 0..my_cells {
                     p.compute(opts.cell_compute_s);
                 }
-                let old = gb.at(&idx);
-                let val = relax(&|delta| gb.rel(&idx, delta), nd, opts.radius);
-                partial += (val - old).abs();
-                new.push(val);
-                let mut d = nd;
-                loop {
-                    if d == 0 {
-                        break;
-                    }
-                    d -= 1;
-                    idx[d] += 1;
-                    if idx[d] < mhi[d] {
-                        break;
-                    }
-                    idx[d] = mlo[d];
-                }
-                if idx == mlo {
-                    break;
-                }
             }
+            partial = sweep(&gb, opts.radius, &mut new);
             dst.put_patch(&mlo, &mhi, &new).unwrap();
             ops += 1;
         }
@@ -194,6 +258,10 @@ pub fn run_stencil<A: Armci + ?Sized>(p: &Proc, rt: &A, opts: &StencilOpts) -> S
         residuals.push(r[0]);
         dst.sync();
     }
+    // Free the sweep buffers before the full-field gather, so the peak
+    // holds the field but not them.
+    drop(gb);
+    drop(new);
 
     let last = if opts.iters.is_multiple_of(2) { &a } else { &b };
     let zero = vec![0usize; nd];
@@ -352,6 +420,55 @@ mod tests {
         };
         let results = execute(3, quiet(), Config::default(), &opts);
         verify(&opts, 3, &results).unwrap();
+    }
+
+    #[test]
+    fn driver_matches_reference_1d_periodic() {
+        let opts = StencilOpts {
+            dims: vec![29],
+            radius: 2,
+            periodic: true,
+            ..StencilOpts::default()
+        };
+        let results = execute(3, quiet(), Config::default(), &opts);
+        verify(&opts, 3, &results).unwrap();
+    }
+
+    #[test]
+    fn driver_matches_reference_3d_radius2() {
+        let opts = StencilOpts {
+            dims: vec![7, 6, 9],
+            radius: 2,
+            iters: 3,
+            ..StencilOpts::default()
+        };
+        let results = execute(4, quiet(), Config::default(), &opts);
+        verify(&opts, 4, &results).unwrap();
+    }
+
+    /// The per-cell compute charge reaches every rank's clock: each sweep
+    /// charges `cell_compute_s` once per owned cell.
+    #[test]
+    fn cell_compute_is_charged_per_cell() {
+        let opts = StencilOpts {
+            dims: vec![16, 16],
+            cell_compute_s: 1e-6,
+            ..StencilOpts::default()
+        };
+        let ranks = 2;
+        let results = execute(ranks, RuntimeConfig::default(), Config::default(), &opts);
+        verify(&opts, ranks, &results).unwrap();
+        let dist = Distribution::regular(&opts.dims, ranks);
+        for (rank, res) in results.iter().enumerate() {
+            let (lo, hi) = dist.cell_block(rank);
+            let my_cells: usize = lo.iter().zip(&hi).map(|(&l, &h)| h - l).product();
+            let floor = opts.iters as f64 * my_cells as f64 * opts.cell_compute_s;
+            assert!(
+                res.elapsed_s >= floor,
+                "rank {rank}: {} s elapsed, {floor} s of compute",
+                res.elapsed_s
+            );
+        }
     }
 
     #[test]
