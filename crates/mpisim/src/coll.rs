@@ -13,6 +13,7 @@
 //! advancing **its own** clock only. (Bumping peer clocks after release
 //! would race with a fast rank that has already resumed timed work.)
 
+use crate::sync;
 use parking_lot::{Condvar, Mutex};
 use std::sync::Arc;
 
@@ -81,11 +82,10 @@ impl CollectiveCell {
     /// all contributions together with the round number, the latest arrival
     /// time, and the straggler that set it.
     pub fn exchange(&self, rank: usize, data: Vec<u8>, now: f64) -> CollOutcome {
-        let mut st = self.m.lock();
         // Gate: previous round must fully drain first.
-        while st.phase == Phase::Distributing {
-            self.cv.wait(&mut st);
-        }
+        let (mut st, ()) = sync::wait_for(&self.m, &self.cv, self.m.lock(), |st| {
+            (st.phase == Phase::Collecting).then_some(())
+        });
         debug_assert!(
             st.contributions[rank].is_none(),
             "double arrival of rank {rank}"
@@ -118,9 +118,9 @@ impl CollectiveCell {
             st.phase = Phase::Distributing;
             self.cv.notify_all();
         } else {
-            while st.phase == Phase::Collecting {
-                self.cv.wait(&mut st);
-            }
+            (st, ()) = sync::wait_for(&self.m, &self.cv, st, |st| {
+                (st.phase == Phase::Distributing).then_some(())
+            });
         }
         let res = st.results.as_ref().expect("results missing").clone();
         st.leaving += 1;

@@ -35,6 +35,7 @@ pub mod mpi3;
 pub mod p2p;
 pub mod progress;
 pub mod runtime;
+mod sync;
 pub mod win;
 
 pub use comm::{Comm, CommSplitType};

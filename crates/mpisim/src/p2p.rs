@@ -5,6 +5,7 @@
 //! wildcards that the paper's queueing-mutex implementation depends on
 //! ("the process waits on an `MPI_Recv` operation from a wildcard source").
 
+use crate::sync;
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
 
@@ -73,13 +74,11 @@ impl Mailbox {
 
     /// Blocks until a matching message is available and removes it.
     pub fn recv(&self, comm: u64, src: RecvSrc, tag: i32) -> Envelope {
-        let mut q = self.m.lock();
-        loop {
-            if let Some(pos) = q.iter().position(|e| Self::matches(e, comm, src, tag)) {
-                return q.remove(pos).expect("position vanished");
-            }
-            self.cv.wait(&mut q);
-        }
+        sync::wait_for(&self.m, &self.cv, self.m.lock(), |q| {
+            let pos = q.iter().position(|e| Self::matches(e, comm, src, tag))?;
+            q.remove(pos)
+        })
+        .1
     }
 
     /// Non-blocking probe: metadata of the first matching message, if any.

@@ -23,6 +23,7 @@ use crate::dtype::{blocks_extent, flatten_blocks, Datatype, DtypeCache, Flat};
 use crate::error::{MpiError, MpiResult};
 use crate::progress::ProgressModel;
 use crate::runtime::Shared;
+use crate::sync;
 use parking_lot::{Condvar, Mutex};
 use simnet::pool::{BufferPool, RegistrationPolicy};
 use std::cell::{Cell, RefCell};
@@ -140,18 +141,21 @@ impl TargetLock {
         let mut st = self.m.lock();
         match mode {
             LockMode::Shared => {
-                while st.writer || st.waiting_writers > 0 {
-                    self.cv.wait(&mut st);
-                }
-                st.readers += 1;
+                sync::wait_for(&self.m, &self.cv, st, |st| {
+                    (!st.writer && st.waiting_writers == 0).then(|| st.readers += 1)
+                });
             }
             LockMode::Exclusive => {
+                // Counted before the first check and kept through the
+                // unlocked spin rounds, so new shared requests queue
+                // behind a spinning writer as well as a parked one.
                 st.waiting_writers += 1;
-                while st.writer || st.readers > 0 {
-                    self.cv.wait(&mut st);
-                }
-                st.waiting_writers -= 1;
-                st.writer = true;
+                sync::wait_for(&self.m, &self.cv, st, |st| {
+                    (!st.writer && st.readers == 0).then(|| {
+                        st.waiting_writers -= 1;
+                        st.writer = true;
+                    })
+                });
             }
         }
     }
@@ -168,6 +172,7 @@ impl TargetLock {
                 st.writer = false;
             }
         }
+        drop(st);
         self.cv.notify_all();
     }
 }
@@ -1915,6 +1920,103 @@ mod tests {
         l.release(LockMode::Exclusive);
         h.join().unwrap();
         assert!(flag.load(Ordering::SeqCst));
+    }
+
+    /// Eight threads, more than the host's cores, loop over mixed shared
+    /// and exclusive epochs, so waiters both spin and park. Counters
+    /// kept inside the critical sections must never show a writer beside
+    /// readers or two writers.
+    #[test]
+    fn target_lock_oversubscribed_stress_keeps_exclusion() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Arc;
+        const THREADS: usize = 8;
+        const ITERS: usize = 2_000;
+        let l = Arc::new(TargetLock::new());
+        let readers = Arc::new(AtomicUsize::new(0));
+        let writers = Arc::new(AtomicUsize::new(0));
+        let hs: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let (l, readers, writers) =
+                    (Arc::clone(&l), Arc::clone(&readers), Arc::clone(&writers));
+                std::thread::spawn(move || {
+                    for i in 0..ITERS {
+                        if (t + i) % 3 == 0 {
+                            l.acquire(LockMode::Exclusive);
+                            assert_eq!(writers.fetch_add(1, Ordering::SeqCst), 0, "two writers");
+                            assert_eq!(readers.load(Ordering::SeqCst), 0, "writer beside readers");
+                            std::hint::spin_loop();
+                            writers.fetch_sub(1, Ordering::SeqCst);
+                            l.release(LockMode::Exclusive);
+                        } else {
+                            l.acquire(LockMode::Shared);
+                            readers.fetch_add(1, Ordering::SeqCst);
+                            assert_eq!(writers.load(Ordering::SeqCst), 0, "reader beside writer");
+                            std::hint::spin_loop();
+                            readers.fetch_sub(1, Ordering::SeqCst);
+                            l.release(LockMode::Shared);
+                        }
+                    }
+                })
+            })
+            .collect();
+        for h in hs {
+            h.join().unwrap();
+        }
+        let st = l.m.lock();
+        assert_eq!((st.readers, st.writer, st.waiting_writers), (0, false, 0));
+    }
+
+    /// A waiting exclusive requester keeps new shared requests out: once
+    /// the current reader leaves, the writer enters before a reader that
+    /// asked after it. The late reader arrives once while the writer is
+    /// most likely still spinning, and once after it has most likely
+    /// parked. The sleeps only pick the writer's phase; the asserted order
+    /// must hold in either.
+    #[test]
+    fn target_lock_waiting_writer_blocks_new_readers() {
+        use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+        use std::sync::Arc;
+        use std::time::Duration;
+        for park_first in [false, true] {
+            let l = Arc::new(TargetLock::new());
+            let order = Arc::new(AtomicUsize::new(0));
+            l.acquire(LockMode::Shared);
+            let writer = {
+                let (l, order) = (Arc::clone(&l), Arc::clone(&order));
+                std::thread::spawn(move || {
+                    l.acquire(LockMode::Exclusive);
+                    let at = order.fetch_add(1, Ordering::SeqCst);
+                    l.release(LockMode::Exclusive);
+                    at
+                })
+            };
+            while l.m.lock().waiting_writers == 0 {
+                std::thread::yield_now();
+            }
+            if park_first {
+                std::thread::sleep(Duration::from_millis(20));
+            }
+            let asked = Arc::new(AtomicBool::new(false));
+            let reader = {
+                let (l, order, asked) = (Arc::clone(&l), Arc::clone(&order), Arc::clone(&asked));
+                std::thread::spawn(move || {
+                    asked.store(true, Ordering::SeqCst);
+                    l.acquire(LockMode::Shared);
+                    let at = order.fetch_add(1, Ordering::SeqCst);
+                    l.release(LockMode::Shared);
+                    at
+                })
+            };
+            while !asked.load(Ordering::SeqCst) {
+                std::thread::yield_now();
+            }
+            std::thread::sleep(Duration::from_millis(5));
+            assert_eq!(order.load(Ordering::SeqCst), 0, "someone entered early");
+            l.release(LockMode::Shared);
+            let (w, r) = (writer.join().unwrap(), reader.join().unwrap());
+            assert!(w < r, "late reader overtook the waiting writer");
+        }
     }
 }
 

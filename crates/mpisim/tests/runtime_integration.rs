@@ -152,13 +152,20 @@ fn barrier_synchronises_clocks() {
     });
 }
 
+/// Eight ranks on a host with fewer cores run thousands of back-to-back
+/// rendezvous, so the collective cell's waiters both spin and park.
 #[test]
 fn collectives_stress_many_rounds() {
-    Runtime::run_with(4, quiet(), |p: &Proc| {
+    const RANKS: i64 = 8;
+    Runtime::run_with(RANKS as usize, quiet(), |p: &Proc| {
         let w = p.world();
-        for round in 0..200i64 {
-            let s = w.allreduce_i64(ReduceOp::Sum, &[round + p.rank() as i64])[0];
-            assert_eq!(s, 4 * round + 6);
+        let me = p.rank() as i64;
+        for round in 0..2_000i64 {
+            w.barrier();
+            let s = w.allreduce_i64(ReduceOp::Sum, &[round + me, 1]);
+            assert_eq!(s, vec![RANKS * round + RANKS * (RANKS - 1) / 2, RANKS]);
+            let m = w.allreduce_i64(ReduceOp::Max, &[(me + round) % RANKS]);
+            assert_eq!(m, vec![RANKS - 1]);
         }
     });
 }
