@@ -18,6 +18,43 @@ fn bench_subarray_segments(c: &mut Criterion) {
     g.finish();
 }
 
+/// The shapes a transfer flattens on the hot paths: CCSD V and T tile
+/// patches of a rank's local block, a dense tile buffer, and a stencil
+/// column halo. Flattened into a reused buffer, as a transfer does.
+fn bench_subarray_shapes(c: &mut Criterion) {
+    let mut g = c.benchmark_group("subarray_shapes");
+    let shapes = [
+        (
+            "v_tile",
+            Datatype::subarray(&[8, 16, 16, 16], &[4, 4, 4, 4], &[4, 8, 4, 12], 8),
+        ),
+        (
+            "t_tile",
+            Datatype::subarray(&[4, 8, 16, 16], &[2, 2, 4, 4], &[2, 2, 8, 4], 8),
+        ),
+        (
+            "dense_4x4x4x4",
+            Datatype::subarray(&[4; 4], &[4; 4], &[0; 4], 8),
+        ),
+        (
+            "column_halo",
+            Datatype::subarray(&[256, 131], &[256, 2], &[0, 129], 8),
+        ),
+    ];
+    let mut out = Vec::new();
+    for (name, dt) in shapes {
+        let dt = dt.unwrap();
+        g.throughput(Throughput::Elements(dt.num_segments() as u64));
+        g.bench_with_input(BenchmarkId::from_parameter(name), &dt, |b, dt| {
+            b.iter(|| {
+                black_box(dt).segments_into(&mut out);
+                out.len()
+            })
+        });
+    }
+    g.finish();
+}
+
 fn bench_zip(c: &mut Criterion) {
     let mut g = c.benchmark_group("zip_segments");
     for &n in &[64usize, 1024] {
@@ -60,6 +97,7 @@ fn bench_strided_iter(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_subarray_segments,
+    bench_subarray_shapes,
     bench_zip,
     bench_strided_iter
 );

@@ -1578,7 +1578,8 @@ mod tests {
     use proptest::prelude::*;
 
     /// Reference run formation: re-scans the run's accumulated segments
-    /// plus the candidate's from scratch for every queued operation.
+    /// plus the candidate's from scratch, pairwise, for every queued
+    /// operation (independent of the conflict tree).
     fn form_runs_reference(ops: &[QueuedOp]) -> Vec<Vec<usize>> {
         let mut runs: Vec<Vec<usize>> = Vec::new();
         let mut segs: Vec<(usize, usize)> = Vec::new();
@@ -1587,7 +1588,7 @@ mod tests {
                 if ops[run[0]].kind == op.kind {
                     let mut cand = segs.clone();
                     cand.extend(op.segs.iter().copied());
-                    if ctree::scan_segments(&cand).is_ok() {
+                    if ctree::scan_segments_naive(&cand).is_ok() {
                         run.push(i);
                         segs = cand;
                         continue;
@@ -1638,18 +1639,54 @@ mod tests {
         })
     }
 
+    /// Tile-shaped queues: each op is an ascending strided segment list
+    /// (a flattened tile) placed past the previous op's end, so runs grow
+    /// by appending; an occasional op lands below (disjoint or
+    /// overlapping) or changes kind, so the tree links inside a run.
+    fn arb_tile_queue() -> impl Strategy<Value = Vec<QueuedOp>> {
+        proptest::collection::vec(
+            (0usize..16, 1usize..6, 1usize..5, 0usize..4, 0usize..400),
+            0..16,
+        )
+        .prop_map(|specs| {
+            let mut end = 0usize;
+            specs
+                .into_iter()
+                .map(|(pick, count, len, gap, low)| {
+                    let (len, stride) = (len * 8, (len + gap) * 8);
+                    let base = match pick {
+                        0 | 1 => low,
+                        _ => end + gap * 8,
+                    };
+                    let segs: Vec<(usize, usize)> =
+                        (0..count).map(|i| (base + i * stride, len)).collect();
+                    end = end.max(base + (count - 1) * stride + len);
+                    QueuedOp {
+                        kind: kind_of(usize::from(pick == 2)),
+                        segs,
+                        bytes: 0,
+                    }
+                })
+                .collect()
+        })
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
         /// Incremental run formation splits every queue exactly like the
-        /// from-scratch reference.
+        /// from-scratch reference, on random queues and on tile-shaped
+        /// ones (where the tree appends until an out-of-order op links it
+        /// partway through a run).
         #[test]
-        fn form_runs_matches_reference(ops in arb_queue()) {
+        fn form_runs_matches_reference(ops in arb_queue(), tiles in arb_tile_queue()) {
             let mut tree = ConflictTree::new();
             let mut runs = Vec::new();
-            form_runs(&ops, &mut tree, &mut runs);
-            let got: Vec<Vec<usize>> = runs.iter().map(|r| r.clone().collect()).collect();
-            prop_assert_eq!(got, form_runs_reference(&ops));
+            for queue in [&ops, &tiles] {
+                form_runs(queue, &mut tree, &mut runs);
+                let got: Vec<Vec<usize>> = runs.iter().map(|r| r.clone().collect()).collect();
+                prop_assert_eq!(got, form_runs_reference(queue));
+            }
         }
     }
 

@@ -8,7 +8,10 @@
 //! **merged check-and-insert**: each range is checked for conflicts during
 //! its own insertion descent; if a conflict is found the insertion is
 //! abandoned and the caller falls back to the *conservative* transfer
-//! method.
+//! method. Ranges that arrive in ascending order, as flattened strided
+//! transfers do, are appended to a sorted list instead and linked into the
+//! tree only when the first out-of-order range arrives; the worst case
+//! stays O(N·log N).
 //!
 //! Unlike an interval tree, this structure never stores overlapping
 //! ranges — that is precisely the property being verified — which keeps
@@ -58,13 +61,20 @@ struct Node {
 /// per-node allocation, and [`ConflictTree::clear`] keeps the arena for
 /// reuse: a tree held across scans allocates nothing in steady state.
 ///
+/// Ordered input is appended, not linked. While every insert starts at or
+/// above the end of the previous one, the arena is a sorted list that
+/// already proves its ranges disjoint, and an insert is one comparison and
+/// a push. The first out-of-order insert links the sorted arena into a
+/// balanced AVL tree in O(n); from then on inserts take the AVL descent.
+/// Flattened strided transfers arrive ascending, so most scans never link.
+///
 /// ```
 /// use ctree::ConflictTree;
 ///
 /// let mut t = ConflictTree::new();
 /// t.try_insert(0, 16).unwrap();
 /// t.try_insert(32, 48).unwrap();
-/// // overlap detected during the insertion descent; tree unchanged
+/// // overlap detected before anything is inserted; tree unchanged
 /// let conflict = t.try_insert(8, 40).unwrap_err();
 /// assert_eq!(conflict.new, (8, 40));
 /// assert_eq!(t.len(), 2);
@@ -72,6 +82,8 @@ struct Node {
 #[derive(Debug, Clone)]
 pub struct ConflictTree {
     nodes: Vec<Node>,
+    /// Root of the linked tree; [`NIL`] while the arena is an unlinked
+    /// ascending list (and when empty).
     root: u32,
 }
 
@@ -90,7 +102,8 @@ impl ConflictTree {
         ConflictTree::default()
     }
 
-    /// Removes every range, keeping the arena's capacity.
+    /// Removes every range, keeping the arena's capacity. The tree
+    /// returns to appending.
     pub fn clear(&mut self) {
         self.nodes.clear();
         self.root = NIL;
@@ -106,9 +119,20 @@ impl ConflictTree {
         self.nodes.is_empty()
     }
 
+    /// Is the arena still an unlinked ascending list?
+    fn appending(&self) -> bool {
+        self.root == NIL
+    }
+
     /// Tree height (0 for empty); exposed for balance tests and benches.
+    /// An unlinked ascending list reports the height linking would give
+    /// it, which is also the depth of its binary search.
     pub fn height(&self) -> u32 {
-        self.h(self.root)
+        if self.appending() {
+            usize::BITS - self.nodes.len().leading_zeros()
+        } else {
+            self.h(self.root)
+        }
     }
 
     fn h(&self, n: u32) -> u32 {
@@ -169,21 +193,54 @@ impl ConflictTree {
         }
     }
 
+    /// Appends a node to the arena and returns its index.
+    fn push(&mut self, lo: usize, hi: usize) -> u32 {
+        let idx = u32::try_from(self.nodes.len()).expect("conflict tree node count");
+        assert!(idx != NIL, "conflict tree node count");
+        self.nodes.push(Node {
+            lo,
+            hi,
+            height: 1,
+            left: NIL,
+            right: NIL,
+        });
+        idx
+    }
+
+    /// Links the ascending arena slice `lo..hi` into a balanced subtree
+    /// and returns its root: the middle node, over the halves either side.
+    /// Sibling subtrees differ in size by at most one, so in height by at
+    /// most one.
+    fn link(&mut self, lo: usize, hi: usize) -> u32 {
+        if lo == hi {
+            return NIL;
+        }
+        let mid = lo + (hi - lo) / 2;
+        let left = self.link(lo, mid);
+        let right = self.link(mid + 1, hi);
+        let node = &mut self.nodes[mid];
+        node.left = left;
+        node.right = right;
+        self.update(mid as u32);
+        mid as u32
+    }
+
+    /// The lowest stored range of the unlinked ascending list that
+    /// overlaps `[lo, hi)`, by binary search.
+    fn search_sorted(&self, lo: usize, hi: usize) -> Option<(usize, usize)> {
+        let i = self.nodes.partition_point(|n| n.hi <= lo);
+        self.nodes
+            .get(i)
+            .filter(|n| n.lo < hi)
+            .map(|n| (n.lo, n.hi))
+    }
+
     /// Inserts below `n`, returning the subtree's new root. A conflict is
     /// found on the way down, before anything is linked, so an `Err`
     /// leaves the tree unchanged.
     fn insert(&mut self, n: u32, lo: usize, hi: usize) -> Result<u32, Conflict> {
         if n == NIL {
-            let idx = u32::try_from(self.nodes.len()).expect("conflict tree node count");
-            assert!(idx != NIL, "conflict tree node count");
-            self.nodes.push(Node {
-                lo,
-                hi,
-                height: 1,
-                left: NIL,
-                right: NIL,
-            });
-            return Ok(idx);
+            return Ok(self.push(lo, hi));
         }
         let node = self.nodes[n as usize];
         // Half-open intervals intersect iff lo < n.hi && n.lo < hi.
@@ -212,6 +269,21 @@ impl ConflictTree {
         if lo == hi {
             return Ok(());
         }
+        if self.appending() {
+            if self.nodes.last().is_none_or(|n| lo >= n.hi) {
+                self.push(lo, hi);
+                return Ok(());
+            }
+            // Reject a conflict before linking, so that an `Err` leaves
+            // the tree exactly as it was, list or not.
+            if let Some(existing) = self.search_sorted(lo, hi) {
+                return Err(Conflict {
+                    existing,
+                    new: (lo, hi),
+                });
+            }
+            self.root = self.link(0, self.nodes.len());
+        }
         self.root = self.insert(self.root, lo, hi)?;
         Ok(())
     }
@@ -220,6 +292,9 @@ impl ConflictTree {
     pub fn overlaps(&self, lo: usize, hi: usize) -> Option<(usize, usize)> {
         if lo >= hi {
             return None;
+        }
+        if self.appending() {
+            return self.search_sorted(lo, hi);
         }
         let mut cur = self.root;
         while cur != NIL {
@@ -242,29 +317,37 @@ impl ConflictTree {
                 walk(t, node.right, out);
             }
         }
+        if self.appending() {
+            return self.nodes.iter().map(|n| (n.lo, n.hi)).collect();
+        }
         let mut out = Vec::with_capacity(self.len());
         walk(self, self.root, &mut out);
         out
     }
 
-    /// Verifies the AVL + ordering invariants (test support).
+    /// Verifies the ordering invariants, and once linked the AVL ones
+    /// and that every node is reachable (test support).
     pub fn check_invariants(&self) -> bool {
-        fn check(t: &ConflictTree, n: u32, min: usize, max: usize) -> Option<u32> {
+        fn check(t: &ConflictTree, n: u32, min: usize, max: usize) -> Option<(u32, usize)> {
             if n == NIL {
-                return Some(0);
+                return Some((0, 0));
             }
             let node = &t.nodes[n as usize];
             if node.lo < min || node.hi > max || node.lo >= node.hi {
                 return None;
             }
-            let hl = check(t, node.left, min, node.lo)?;
-            let hr = check(t, node.right, node.hi, max)?;
+            let (hl, nl) = check(t, node.left, min, node.lo)?;
+            let (hr, nr) = check(t, node.right, node.hi, max)?;
             if (hl as i64 - hr as i64).abs() > 1 || node.height != 1 + hl.max(hr) {
                 return None;
             }
-            Some(node.height)
+            Some((node.height, 1 + nl + nr))
         }
-        check(self, self.root, 0, usize::MAX).is_some()
+        if self.appending() {
+            return self.nodes.iter().all(|n| n.lo < n.hi)
+                && self.nodes.windows(2).all(|w| w[0].hi <= w[1].lo);
+        }
+        check(self, self.root, 0, usize::MAX).is_some_and(|(_, n)| n == self.len())
     }
 }
 
@@ -507,6 +590,47 @@ mod tests {
     }
 
     #[test]
+    fn ascending_inserts_append_without_linking() {
+        let mut t = ConflictTree::new();
+        for i in 0..100 {
+            t.try_insert(i * 10, i * 10 + 10).unwrap();
+        }
+        assert!(t.appending());
+        assert_eq!(t.height(), 7);
+        assert_eq!(t.overlaps(95, 96), Some((90, 100)));
+        assert_eq!(t.overlaps(1000, 1010), None);
+        assert!(t.check_invariants());
+        // an overlapping insert below the end is rejected by the search
+        // and leaves the list unlinked
+        let c = t.try_insert(5, 25).unwrap_err();
+        assert_eq!((c.existing, c.new), ((0, 10), (5, 25)));
+        assert!(t.appending());
+        assert_eq!(t.len(), 100);
+    }
+
+    #[test]
+    fn first_out_of_order_insert_links_a_balanced_tree() {
+        let mut t = ConflictTree::new();
+        for i in 1..64usize {
+            t.try_insert(i * 4, i * 4 + 2).unwrap();
+        }
+        t.try_insert(0, 2).unwrap();
+        assert!(!t.appending());
+        assert!(t.check_invariants());
+        assert_eq!(t.height(), 7);
+        assert_eq!(t.len(), 64);
+        let expect: Vec<(usize, usize)> = (0..64).map(|i| (i * 4, i * 4 + 2)).collect();
+        assert_eq!(t.ranges(), expect);
+        // linked inserts keep checking, in any order
+        assert!(t.try_insert(100, 103).is_err());
+        t.try_insert(1000, 1001).unwrap();
+        t.try_insert(2, 4).unwrap();
+        assert!(t.check_invariants());
+        t.clear();
+        assert!(t.appending());
+    }
+
+    #[test]
     fn typical_strided_iov_is_clean() {
         // 1024 segments of 16 bytes with stride 64 — the Figure 4 shape.
         let segs: Vec<(usize, usize)> = (0..1024).map(|i| (i * 64, 16)).collect();
@@ -611,6 +735,51 @@ mod proptests {
             oracle.sort_unstable();
             prop_assert_eq!(t.ranges(), oracle);
             prop_assert!(t.check_invariants());
+        }
+
+        /// An ascending prefix (appended) followed by an arbitrary tail
+        /// (linked on its first out-of-order insert) accepts and rejects
+        /// exactly what the naive oracle does; once linked the tree is a
+        /// valid AVL within the height bound, and queries agree with the
+        /// oracle's stored set.
+        #[test]
+        fn ascending_prefix_then_arbitrary_tail_matches_naive(
+            gaps in proptest::collection::vec((0usize..8, 1usize..8), 0..120),
+            tail in proptest::collection::vec((0usize..1200, 1usize..24), 0..60),
+            probes in proptest::collection::vec((0usize..1300, 1usize..24), 8)
+        ) {
+            let mut segs = Vec::new();
+            let mut end = 0usize;
+            for &(gap, len) in &gaps {
+                segs.push((end + gap, len));
+                end += gap + len;
+            }
+            segs.extend(tail.iter().copied());
+            let mut t = ConflictTree::new();
+            let mut stored: Vec<(usize, usize)> = Vec::new();
+            for (i, &(off, len)) in segs.iter().enumerate() {
+                let ok = scan_segments_naive(&[stored.as_slice(), &[(off, len)]].concat()).is_ok();
+                prop_assert_eq!(t.try_insert(off, off + len).is_ok(), ok, "segment {}", i);
+                if ok {
+                    stored.push((off, len));
+                }
+                prop_assert!(t.check_invariants());
+            }
+            prop_assert_eq!(scan_segments(&segs).is_ok(), scan_segments_naive(&segs).is_ok());
+            let n = t.len();
+            let bound = (1.45 * ((n + 2) as f64).log2()).ceil() as u32;
+            prop_assert!(t.height() <= bound, "height {} > bound {}", t.height(), bound);
+            let mut want: Vec<(usize, usize)> = stored.iter().map(|&(o, l)| (o, o + l)).collect();
+            want.sort_unstable();
+            prop_assert_eq!(t.ranges(), want.clone());
+            for &(off, len) in &probes {
+                let (lo, hi) = (off, off + len);
+                let hit = t.overlaps(lo, hi);
+                prop_assert_eq!(hit.is_some(), want.iter().any(|&(a, b)| lo < b && a < hi));
+                if let Some((a, b)) = hit {
+                    prop_assert!(want.contains(&(a, b)) && lo < b && a < hi);
+                }
+            }
         }
 
         /// A reported conflict really overlaps something stored, and a

@@ -77,8 +77,10 @@ impl Datatype {
 
     /// Builds a subarray datatype from an already-packed shape
     /// (`sizes ++ subsizes ++ starts`, see [`Datatype::Subarray`]),
-    /// validating it. Takes ownership so the type costs no further
-    /// allocation.
+    /// validating it: the patch must lie inside the array, and every
+    /// dimension's byte stride and the selected span must fit in `usize`
+    /// (the full array need not). Takes ownership so the type costs no
+    /// further allocation.
     pub fn subarray_packed(shape: Vec<usize>, elem: usize) -> MpiResult<Datatype> {
         if !shape.len().is_multiple_of(3) {
             return Err(MpiError::BadDatatype(format!(
@@ -94,12 +96,21 @@ impl Datatype {
             return Err(MpiError::BadDatatype("zero-size element".into()));
         }
         for i in 0..sizes.len() {
-            if starts[i] + subsizes[i] > sizes[i] {
+            if starts[i]
+                .checked_add(subsizes[i])
+                .is_none_or(|end| end > sizes[i])
+            {
                 return Err(MpiError::BadDatatype(format!(
                     "dim {i}: start {} + subsize {} exceeds size {}",
                     starts[i], subsizes[i], sizes[i]
                 )));
             }
+        }
+        if subarray_span(sizes, subsizes, starts, elem).is_none() {
+            return Err(MpiError::BadDatatype(format!(
+                "subarray sizes {sizes:?} subsizes {subsizes:?} starts {starts:?} of \
+                 {elem}-byte elements: a stride or the selected span exceeds usize::MAX bytes"
+            )));
         }
         Ok(Datatype::Subarray {
             shape: shape.into_boxed_slice(),
@@ -116,7 +127,14 @@ impl Datatype {
             } => count * blocklen,
             Datatype::Indexed { blocks } => blocks.iter().map(|&(_, l)| l).sum(),
             Datatype::Subarray { shape, elem } => {
-                split_shape(shape).1.iter().product::<usize>() * elem
+                // An empty dimension selects nothing, however large the
+                // others' product.
+                let subsizes = split_shape(shape).1;
+                if subsizes.contains(&0) {
+                    0
+                } else {
+                    subsizes.iter().product::<usize>() * elem
+                }
             }
         }
     }
@@ -145,15 +163,8 @@ impl Datatype {
                 if subsizes.contains(&0) {
                     return 0;
                 }
-                // Runs along the innermost dimension; fully-covered inner
-                // dimensions coalesce upward. Let `m` be the outermost
-                // dimension that still contributes to each contiguous run:
-                // one segment per index combination of dims `0..m`.
-                let mut m = sizes.len() - 1;
-                while m > 0 && subsizes[m] == sizes[m] {
-                    m -= 1;
-                }
-                subsizes[..m].iter().product()
+                // One segment per index combination of dims `0..m`.
+                subsizes[..run_dim(sizes, subsizes)].iter().product()
             }
         }
     }
@@ -180,17 +191,8 @@ impl Datatype {
                 // window allocations (last row not spanning a full stride)
                 // pass bounds checks.
                 let (sizes, subsizes, starts) = split_shape(shape);
-                if subsizes.contains(&0) {
-                    return 0;
-                }
-                let n = sizes.len();
-                let mut stride = *elem;
-                let mut last = 0usize;
-                for d in (0..n).rev() {
-                    last += (starts[d] + subsizes[d] - 1) * stride;
-                    stride *= sizes[d];
-                }
-                last + elem
+                subarray_span(sizes, subsizes, starts, *elem)
+                    .expect("subarray span checked at construction")
             }
         }
     }
@@ -229,7 +231,6 @@ impl Datatype {
             Datatype::Subarray { shape, elem } => {
                 let (sizes, subsizes, starts) = split_shape(shape);
                 subarray_segments(sizes, subsizes, starts, *elem, out);
-                coalesce(out);
             }
         }
     }
@@ -247,9 +248,51 @@ pub(crate) fn flatten_blocks(blocks: &[(usize, usize)], out: &mut Vec<(usize, us
     coalesce(out);
 }
 
-/// Row-major subarray enumeration: emits one segment per innermost-dimension
-/// run. The outer dimensions are walked recursively, so no index or stride
-/// arrays are allocated.
+/// One past the last byte a subarray selects (0 when it selects none),
+/// or `None` when a dimension's byte stride or the span overflows `usize`.
+/// The stride product stops at the outermost dimension: the full array may
+/// be larger than the address space even when the selection is not.
+fn subarray_span(
+    sizes: &[usize],
+    subsizes: &[usize],
+    starts: &[usize],
+    elem: usize,
+) -> Option<usize> {
+    if subsizes.contains(&0) {
+        return Some(0);
+    }
+    let mut stride = elem;
+    let mut last = 0usize;
+    for d in (0..sizes.len()).rev() {
+        last = (starts[d] + subsizes[d] - 1)
+            .checked_mul(stride)?
+            .checked_add(last)?;
+        if d > 0 {
+            stride = stride.checked_mul(sizes[d])?;
+        }
+    }
+    last.checked_add(elem)
+}
+
+/// The dimension `m` a subarray's contiguous runs span: the outermost one
+/// whose inner dimensions are all full. Fully covered inner dimensions
+/// coalesce upward, so each run is `subsizes[m]` rows of dimension `m`.
+fn run_dim(sizes: &[usize], subsizes: &[usize]) -> usize {
+    let mut m = sizes.len() - 1;
+    while m > 0 && subsizes[m] == sizes[m] {
+        m -= 1;
+    }
+    m
+}
+
+/// Row-major subarray enumeration, emitting coalesced runs directly.
+///
+/// Each run covers `subsizes[m]` rows of dimension `m` ([`run_dim`]), and
+/// no two runs touch because dimension `m` is partial (or `m == 0`). Starting from the first run, each dimension
+/// from `m - 1` out to 0 replicates the runs emitted so far once per
+/// further index, shifted by that dimension's byte stride, which yields
+/// row-major order. Costs one add and one push per run, with no recursion,
+/// division or index arrays, so the rank is unlimited. Appends to `out`.
 fn subarray_segments(
     sizes: &[usize],
     subsizes: &[usize],
@@ -257,39 +300,37 @@ fn subarray_segments(
     elem: usize,
     out: &mut Vec<(usize, usize)>,
 ) {
-    fn walk(
-        d: usize,
-        base: usize,
-        stride: usize,
-        dims: (&[usize], &[usize], &[usize]),
-        run: usize,
-        out: &mut Vec<(usize, usize)>,
-    ) {
-        let (sizes, subsizes, starts) = dims;
-        let last = sizes.len() - 1;
-        if d == last {
-            out.push((base + starts[last] * stride, run));
-            return;
-        }
-        // Byte stride of dimension d+1 (C order: last dim fastest).
-        let inner = stride / sizes[d + 1];
-        for i in 0..subsizes[d] {
-            walk(
-                d + 1,
-                base + (starts[d] + i) * stride,
-                inner,
-                dims,
-                run,
-                out,
-            );
-        }
-    }
     if subsizes.contains(&0) {
         return;
     }
-    let stride0 = elem * sizes[1..].iter().product::<usize>();
-    let run = subsizes[sizes.len() - 1] * elem;
-    walk(0, 0, stride0, (sizes, subsizes, starts), run, out);
+    let m = run_dim(sizes, subsizes);
+    // Byte stride of dimension m, and the first run's offset. Full inner
+    // dimensions start at 0, so only dimensions 0..=m contribute.
+    let stride_m = elem * sizes[m + 1..].iter().product::<usize>();
+    let mut base = 0;
+    let mut stride = stride_m;
+    for d in (0..=m).rev() {
+        base += starts[d] * stride;
+        if d > 0 {
+            stride *= sizes[d];
+        }
+    }
+    let run = subsizes[m] * stride_m;
+    let first = out.len();
+    out.push((base, run));
+    let mut stride = stride_m;
+    for d in (0..m).rev() {
+        stride *= sizes[d + 1];
+        let len = out.len() - first;
+        let mut shift = 0;
+        for _ in 1..subsizes[d] {
+            shift += stride;
+            for j in first..first + len {
+                let off = out[j].0 + shift;
+                out.push((off, run));
+            }
+        }
+    }
 }
 
 /// Merges adjacent `(offset, len)` pairs that are contiguous in memory.
@@ -618,6 +659,141 @@ impl DtypeCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Reference flattener: one segment per innermost row, outer
+    /// dimensions walked recursively, then [`coalesce`].
+    fn subarray_segments_reference(
+        sizes: &[usize],
+        subsizes: &[usize],
+        starts: &[usize],
+        elem: usize,
+    ) -> Vec<(usize, usize)> {
+        fn walk(
+            d: usize,
+            base: usize,
+            stride: usize,
+            dims: (&[usize], &[usize], &[usize]),
+            run: usize,
+            out: &mut Vec<(usize, usize)>,
+        ) {
+            let (sizes, subsizes, starts) = dims;
+            let last = sizes.len() - 1;
+            if d == last {
+                out.push((base + starts[last] * stride, run));
+                return;
+            }
+            // Byte stride of dimension d+1 (C order: last dim fastest).
+            let inner = stride / sizes[d + 1];
+            for i in 0..subsizes[d] {
+                walk(
+                    d + 1,
+                    base + (starts[d] + i) * stride,
+                    inner,
+                    dims,
+                    run,
+                    out,
+                );
+            }
+        }
+        let mut out = Vec::new();
+        if subsizes.contains(&0) {
+            return out;
+        }
+        let stride0 = elem * sizes[1..].iter().product::<usize>();
+        let run = subsizes[sizes.len() - 1] * elem;
+        walk(0, 0, stride0, (sizes, subsizes, starts), run, &mut out);
+        coalesce(&mut out);
+        out
+    }
+
+    /// Subarray shapes of rank 1–7: each dimension is full, partial
+    /// (with padding after the patch) or, rarely, empty.
+    fn arb_subarray() -> impl Strategy<Value = (Vec<usize>, Vec<usize>, Vec<usize>, usize)> {
+        (1usize..8).prop_flat_map(|rank| {
+            let dims =
+                proptest::collection::vec((0usize..24, 1usize..4, 0usize..3, 1usize..3), rank);
+            (dims, 1usize..17).prop_map(|(specs, elem)| {
+                let (mut sizes, mut subsizes, mut starts) = (Vec::new(), Vec::new(), Vec::new());
+                for (kind, sub, start, pad) in specs {
+                    let (sub, start, pad) = match kind {
+                        0 => (0, start, pad),
+                        1..10 => (sub, 0, 0),
+                        _ => (sub, start, pad),
+                    };
+                    sizes.push(start + sub + pad);
+                    subsizes.push(sub);
+                    starts.push(start);
+                }
+                (sizes, subsizes, starts, elem)
+            })
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        /// The direct flattener emits exactly the reference's coalesced
+        /// segments, sized exactly by `num_segments`.
+        #[test]
+        fn subarray_flattening_matches_reference(
+            (sizes, subsizes, starts, elem) in arb_subarray()
+        ) {
+            let d = Datatype::subarray(&sizes, &subsizes, &starts, elem).unwrap();
+            let mut segs = vec![(7, 7)];
+            d.segments_into(&mut segs);
+            prop_assert_eq!(&segs, &subarray_segments_reference(&sizes, &subsizes, &starts, elem));
+            prop_assert_eq!(d.num_segments(), segs.len());
+            prop_assert_eq!(d.size(), segs.iter().map(|s| s.1).sum::<usize>());
+            let end = segs.last().map_or(0, |&(o, l)| o + l);
+            prop_assert_eq!(d.extent(), end);
+        }
+
+        /// `num_segments` sizes a vector's segment list exactly.
+        #[test]
+        fn vector_num_segments_is_exact(
+            count in 0usize..6, blocklen in 0usize..6, gap in 0usize..4
+        ) {
+            let d = Datatype::Vector { count, blocklen, stride: blocklen + gap };
+            prop_assert_eq!(d.num_segments(), d.segments().len());
+        }
+    }
+
+    #[test]
+    fn extent_of_a_subarray_in_an_oversized_array() {
+        // the full array (2^67 bytes) does not fit the address space, the
+        // 64 selected bytes do
+        let d = Datatype::subarray(&[1 << 61, 8], &[1, 8], &[0, 0], 8).unwrap();
+        assert_eq!(d.size(), 64);
+        assert_eq!(d.extent(), 64);
+        assert_eq!(d.segments(), vec![(0, 64)]);
+        let d = Datatype::subarray(&[1 << 61, 8], &[1, 4], &[(1 << 56) - 1, 2], 8).unwrap();
+        assert_eq!(d.extent(), (1 << 62) - 64 + 48);
+        assert_eq!(d.segments(), vec![((1 << 62) - 64 + 16, 32)]);
+    }
+
+    #[test]
+    fn subarray_spanning_past_usize_is_rejected() {
+        let too_far = [
+            // selected span past usize::MAX
+            Datatype::subarray(&[1 << 61, 8], &[2, 8], &[(1 << 58) - 1, 0], 8),
+            // a dimension's byte stride past usize::MAX
+            Datatype::subarray(&[2, 1 << 62, 8], &[1, 1, 8], &[0, 0, 0], 8),
+            // start + subsize wraps
+            Datatype::subarray(&[8], &[2], &[usize::MAX], 1),
+        ];
+        for r in too_far {
+            assert!(matches!(r, Err(MpiError::BadDatatype(_))), "{r:?}");
+        }
+        // an empty selection spans nothing, whatever its other subsizes
+        let empty = Datatype::subarray(&[1 << 40, 1 << 40, 0], &[1 << 40, 1 << 40, 0], &[0; 3], 8);
+        let empty = empty.unwrap();
+        assert_eq!(
+            (empty.size(), empty.extent(), empty.num_segments()),
+            (0, 0, 0)
+        );
+        assert!(empty.segments().is_empty());
+    }
 
     #[test]
     fn contiguous_is_one_segment() {
