@@ -9,31 +9,35 @@
 //! | Figure 5 | [`fig5`]   | ARMCI/MPI buffer-registration interoperability |
 //! | Figure 6 | [`fig6r`]  | NWChem CCSD and (T) scaling |
 //!
-//! A supplemental §IX comparison (`ds_compare`) pits ARMCI-MPI against
-//! the legacy two-sided data-server ARMCI, [`pipeline`] breaks the
-//! transfer engine's plan/acquire/execute/complete stages down over the
-//! Figure 3/4 workloads (`BENCH_pipeline.json`), [`pool`] reports
-//! the staging buffer pool's hit/miss/registration behaviour on the same
-//! workloads (`BENCH_pool.json`), [`coalesce`] A/B-tests the
-//! coalescing RMA scheduler and committed-datatype cache against the
-//! per-op path on the fig3 mix and the CCSD proxy
-//! (`BENCH_coalesce.json`), asserting bit-identical payloads/energies,
-//! and [`shm`] A/B-tests the intra-node shared-memory fast path against
-//! the forced-wire baseline over a ranks-per-node sweep
-//! (`BENCH_shm.json`). [`transport`] A/B-tests the pluggable wire
-//! backends — MPI passive-target RMA vs RAMC-style remote memory
-//! channels — with and without the congestion-aware shared-NIC queueing
-//! model (`BENCH_transport.json`). [`rmw`] sweeps the NXTVAL contention
-//! story 1 → 4096 ranks across the three ticket disciplines — native
-//! MPI-3 atomics, the §V-D Latham mutex, and the sharded per-node
-//! counter (`BENCH_rmw.json`).
+//! A supplemental §IX comparison ([`ds_compare`]) pits ARMCI-MPI
+//! against the legacy two-sided data-server ARMCI. The `BENCH_*`
+//! artifacts ([`ARTIFACTS`]) repeat the §VII experiment under the
+//! runtime's config axes, all through one runner ([`ab`]) and one row
+//! shape ([`ab::Row`]); [`check`] validates them:
+//!
+//! | artifact | module | what the arms compare |
+//! |----------|--------|-----------------------|
+//! | `BENCH_pipeline` | [`pipeline`] | engine plan/acquire/execute/complete stages, blocking vs nonblocking burst |
+//! | `BENCH_pool` | [`pool`] | staging-pool hits and registration cost, cold vs steady, ARMCI-MPI vs ARMCI-Native |
+//! | `BENCH_coalesce` | [`coalesce`] | per-op epochs vs batched vs coalescing scheduler |
+//! | `BENCH_shm` | [`shm`] | intra-node shared-memory tier vs forced wire, per ranks-per-node |
+//! | `BENCH_transport` | [`transport`] | MPI RMA vs RAMC-style channels, with and without congestion |
+//! | `BENCH_rmw` | [`rmw`] | NXTVAL tickets: native atomics vs mutex vs sharded (+ DES sweep) |
+//! | `BENCH_progress` | [`progress`] | host-CPU progress vs per-node agents under compute skew |
+//! | `BENCH_workloads` | [`workloads`] | graph/stencil/kv across five config axes (+ DES series) |
+//!
+//! The traffic lives in [`drivers`]; [`trace`] captures recorder streams
+//! for the `TRACE_*`/`OBS_*` artifacts.
 //!
 //! The `figures` binary prints each as aligned text and (optionally) JSON.
 //! Bandwidth numbers are **virtual-time** measurements: the operations
 //! really execute on the simulated runtime and the platform cost model
 //! prices them, so shapes are deterministic and platform-faithful.
 
+pub mod ab;
+pub mod check;
 pub mod coalesce;
+pub mod drivers;
 pub mod ds_compare;
 pub mod fig3;
 pub mod fig4;
@@ -48,6 +52,39 @@ pub mod table2;
 pub mod trace;
 pub mod transport;
 pub mod workloads;
+
+use simnet::PlatformId;
+
+/// One `BENCH_*` artifact: the `figures` subcommand that regenerates
+/// `BENCH_<name>.json`, the platforms it covers, and its generator.
+pub struct Artifact {
+    pub name: &'static str,
+    pub platforms: &'static [PlatformId],
+    pub table: fn(PlatformId) -> ab::Table,
+}
+
+impl Artifact {
+    /// The JSON file name, without the extension.
+    pub fn file(&self) -> String {
+        format!("BENCH_{}", self.name)
+    }
+}
+
+const BOTH: &[PlatformId] = &[PlatformId::InfiniBandCluster, PlatformId::CrayXE6];
+
+macro_rules! artifacts {
+    ($($name:ident: $platforms:expr),*) => {
+        /// Every `BENCH_*` artifact, in `figures all` order.
+        pub const ARTIFACTS: &[Artifact] = &[$(Artifact {
+            name: stringify!($name),
+            platforms: $platforms,
+            table: $name::table,
+        }),*];
+    };
+}
+
+artifacts! { pipeline: BOTH, coalesce: BOTH, shm: BOTH, transport: BOTH, rmw: BOTH, pool: BOTH,
+progress: BOTH, workloads: &[PlatformId::InfiniBandCluster] }
 
 /// Runtime configuration for `id` with the ranks spread one per node.
 ///

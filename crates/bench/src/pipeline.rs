@@ -10,57 +10,16 @@
 //! waiting, so they also show epoch aggregation at work.
 
 use armci::{AccKind, Armci};
-use armci_mpi::{ArmciMpi, Config, StageStats};
-use mpisim::Runtime;
+use armci_mpi::{ArmciMpi, Config};
+use mpisim::{Proc, Runtime};
 use serde::Serialize;
 use simnet::PlatformId;
+
+use crate::ab::{recording, Column, Row, Sample, Table};
 
 /// Operations issued back to back per measurement; the nonblocking path
 /// aggregates them into one epoch, the blocking path pays one each.
 pub const BURST: usize = 4;
-
-/// One measured workload configuration.
-#[derive(Debug, Clone, Serialize)]
-pub struct Row {
-    pub platform: PlatformId,
-    /// Wire backend the measurement ran over (see `armci_mpi::transport`).
-    pub transport: &'static str,
-    /// `"contig-put"`, `"contig-acc"` or `"strided-put"`.
-    pub workload: &'static str,
-    /// Contiguous: transfer size. Strided: segment size.
-    pub bytes: usize,
-    /// Strided only: number of segments (1 for contiguous).
-    pub segments: usize,
-    /// Node layout of the measurement (the wire benchmarks spread ranks
-    /// one per node; see `crate::internode`).
-    pub ranks_per_node: u32,
-    pub nonblocking: bool,
-    // Stage counters for the whole burst.
-    pub plans: u64,
-    pub planned_ops: u64,
-    pub acquires: u64,
-    pub executed_ops: u64,
-    pub completes: u64,
-    pub nb_aggregated: u64,
-    // Virtual seconds per stage for the whole burst.
-    pub plan_s: f64,
-    pub acquire_s: f64,
-    pub execute_s: f64,
-    pub complete_s: f64,
-    // Staging buffer pool counters (accumulate staging, bounce copies).
-    pub pool_hits: u64,
-    pub pool_misses: u64,
-    pub pool_reg_s: f64,
-    /// Pool hit-rate for this phase alone (0.0 when the pool was idle).
-    pub pool_hit_rate: f64,
-    // Recorder-derived phase totals (zero when obs is compiled out).
-    /// Virtual seconds passive-target locks were held during the phase.
-    pub epoch_held_s: f64,
-    /// Virtual seconds charged to datatype pack/unpack.
-    pub pack_s: f64,
-    /// MPI-level RMA operations the recorder saw this phase.
-    pub rma_ops: u64,
-}
 
 /// Figure 3 contiguous sizes (a coarse subset: 1 KiB … 1 MiB).
 pub fn contig_sizes() -> Vec<usize> {
@@ -73,23 +32,27 @@ pub fn strided_shapes() -> Vec<(usize, usize)> {
 }
 
 /// Measures every workload on one platform (rank 0 → rank 1, epochless
-/// mode so the nonblocking burst genuinely overlaps).
+/// mode so the nonblocking burst genuinely overlaps). Runs with the
+/// recorder on; each row folds only its own phase's events (rank 0's),
+/// and the rest is drained when the run returns.
 pub fn generate(platform: PlatformId) -> Vec<Row> {
     let cfg = crate::internode(platform);
-    Runtime::run_with(2, cfg, move |p| measure(p, platform)).swap_remove(0)
+    let (mut per_rank, _) = recording(true, || {
+        Runtime::run_with(2, cfg, move |p| measure(p, platform))
+    });
+    per_rank.swap_remove(0)
 }
 
 /// Marks a phase boundary: snapshots the running stage counters and
 /// drains this thread's recorder buffer so [`row`] sees only the
 /// phase's own events. The counters themselves are never reset — the
 /// cumulative totals stay available to the caller.
-fn phase_start(rt: &ArmciMpi) -> StageStats {
+fn phase_start(p: &Proc, rt: &ArmciMpi) -> Sample {
     let _ = obs::take_local();
-    rt.stage_stats()
+    Sample::now(p, rt)
 }
 
-fn measure(p: &mpisim::Proc, platform: PlatformId) -> Vec<Row> {
-    obs::enable();
+fn measure(p: &Proc, platform: PlatformId) -> Vec<Row> {
     let rt = ArmciMpi::with_config(
         p,
         Config {
@@ -108,64 +71,45 @@ fn measure(p: &mpisim::Proc, platform: PlatformId) -> Vec<Row> {
     let mut rows = Vec::new();
     if p.rank() == 0 {
         let src = vec![1u8; max_contig.max(max_strided)];
-        for &size in &contig_sizes() {
+        let contig = |workload| {
+            contig_sizes()
+                .into_iter()
+                .map(move |size| (workload, size, 1))
+        };
+        let strided = strided_shapes()
+            .into_iter()
+            .map(|(seg, n)| ("strided-put", seg, n));
+        for (workload, bytes, segments) in contig("contig-put")
+            .chain(contig("contig-acc"))
+            .chain(strided)
+        {
+            let (buf, dst) = (&src[..bytes * segments], bases[1]);
+            // Strided: dense local, 50%-dense remote, as in Figure 4.
+            let (count, lstr, rstr) = ([bytes, segments], [bytes], [2 * bytes]);
             for nonblocking in [false, true] {
-                let s0 = phase_start(&rt);
-                if nonblocking {
-                    let mut hs = Vec::new();
-                    for _ in 0..BURST {
-                        hs.push(rt.nb_put(&src[..size], bases[1]).unwrap());
-                    }
-                    rt.wait_all(hs).unwrap();
-                } else {
-                    for _ in 0..BURST {
-                        rt.put(&src[..size], bases[1]).unwrap();
+                let s0 = phase_start(p, &rt);
+                let mut hs = Vec::new();
+                for _ in 0..BURST {
+                    match (workload, nonblocking) {
+                        ("contig-put", true) => hs.push(rt.nb_put(buf, dst).unwrap()),
+                        ("contig-put", false) => rt.put(buf, dst).unwrap(),
+                        // Accumulate: the pre-scale staging draws from the
+                        // buffer pool, so these rows exercise its counters.
+                        ("contig-acc", true) => {
+                            hs.push(rt.nb_acc(AccKind::Int(2), buf, dst).unwrap())
+                        }
+                        ("contig-acc", false) => rt.acc(AccKind::Int(2), buf, dst).unwrap(),
+                        (_, true) => {
+                            hs.push(rt.nb_put_strided(buf, &lstr, dst, &rstr, &count).unwrap())
+                        }
+                        (_, false) => rt.put_strided(buf, &lstr, dst, &rstr, &count).unwrap(),
                     }
                 }
-                rows.push(row(platform, "contig-put", size, 1, nonblocking, &rt, &s0));
-            }
-        }
-        for &size in &contig_sizes() {
-            // Accumulate: the pre-scale staging draws from the buffer
-            // pool, so these rows exercise the pool counters.
-            for nonblocking in [false, true] {
-                let s0 = phase_start(&rt);
                 if nonblocking {
-                    let mut hs = Vec::new();
-                    for _ in 0..BURST {
-                        hs.push(rt.nb_acc(AccKind::Int(2), &src[..size], bases[1]).unwrap());
-                    }
                     rt.wait_all(hs).unwrap();
-                } else {
-                    for _ in 0..BURST {
-                        rt.acc(AccKind::Int(2), &src[..size], bases[1]).unwrap();
-                    }
                 }
-                rows.push(row(platform, "contig-acc", size, 1, nonblocking, &rt, &s0));
-            }
-        }
-        for &(seg, n) in &strided_shapes() {
-            let count = [seg, n];
-            let lstr = [seg]; // dense local
-            let rstr = [2 * seg]; // 50%-dense remote, as in Figure 4
-            for nonblocking in [false, true] {
-                let s0 = phase_start(&rt);
-                if nonblocking {
-                    let mut hs = Vec::new();
-                    for _ in 0..BURST {
-                        hs.push(
-                            rt.nb_put_strided(&src[..n * seg], &lstr, bases[1], &rstr, &count)
-                                .unwrap(),
-                        );
-                    }
-                    rt.wait_all(hs).unwrap();
-                } else {
-                    for _ in 0..BURST {
-                        rt.put_strided(&src[..n * seg], &lstr, bases[1], &rstr, &count)
-                            .unwrap();
-                    }
-                }
-                rows.push(row(platform, "strided-put", seg, n, nonblocking, &rt, &s0));
+                let shape = (bytes, segments);
+                rows.push(row(platform, workload, shape, nonblocking, p, &rt, &s0));
             }
         }
     }
@@ -177,72 +121,49 @@ fn measure(p: &mpisim::Proc, platform: PlatformId) -> Vec<Row> {
 fn row(
     platform: PlatformId,
     workload: &'static str,
-    bytes: usize,
-    segments: usize,
+    (bytes, segments): (usize, usize),
     nonblocking: bool,
+    p: &Proc,
     rt: &ArmciMpi,
-    since: &StageStats,
+    since: &Sample,
 ) -> Row {
-    let g = rt.stage_stats().delta(since);
-    let reg = obs::metrics::Registry::from_events(&obs::take_local());
-    Row {
-        platform,
-        transport: rt.transport_name(),
-        workload,
-        bytes,
-        segments,
-        ranks_per_node: 1,
-        nonblocking,
-        plans: g.plans,
-        planned_ops: g.planned_ops,
-        acquires: g.acquires,
-        executed_ops: g.executed_ops,
-        completes: g.completes,
-        nb_aggregated: g.nb_aggregated,
-        plan_s: g.plan_s,
-        acquire_s: g.acquire_s,
-        execute_s: g.execute_s,
-        complete_s: g.complete_s,
-        pool_hits: g.pool_hits,
-        pool_misses: g.pool_misses,
-        pool_reg_s: g.pool_reg_s,
-        pool_hit_rate: g.pool_hit_rate(),
-        epoch_held_s: reg.time("epoch_held_s"),
-        pack_s: reg.time("pack_s"),
-        rma_ops: reg.counter("rma.put")
-            + reg.counter("rma.get")
-            + reg.counter("rma.acc")
-            + reg.counter("rma.rmw"),
-    }
+    let arm = if nonblocking { "nb" } else { "blocking" };
+    let mut row = Row::new(platform, workload, arm, 2, 1).resolved(rt);
+    row.params = vec![
+        ("bytes", bytes.to_value()),
+        ("segments", segments.to_value()),
+    ];
+    row.add(&Sample::now(p, rt).since(since));
+    row.record(&obs::metrics::Registry::from_events(&obs::take_local()));
+    row
 }
 
-/// Renders the table as aligned text.
-pub fn render(rows: &[Row]) -> String {
-    let mut s = String::new();
-    s.push_str(&format!(
-        "# Engine pipeline breakdown — burst of {BURST} puts, virtual µs per stage\n"
-    ));
-    s.push_str(&format!(
-        "{:<24} {:>10} {:>5} {:>3} {:>9} {:>9} {:>9} {:>9} {:>4} {:>4}\n",
-        "workload", "bytes", "segs", "nb", "plan", "acquire", "execute", "complete", "acq", "agg"
-    ));
-    for r in rows {
-        s.push_str(&format!(
-            "{:<24} {:>10} {:>5} {:>3} {:>9.3} {:>9.3} {:>9.3} {:>9.3} {:>4} {:>4}\n",
-            format!("{}/{}", r.platform.name(), r.workload),
-            r.bytes,
-            r.segments,
-            if r.nonblocking { "y" } else { "n" },
-            r.plan_s * 1e6,
-            r.acquire_s * 1e6,
-            r.execute_s * 1e6,
-            r.complete_s * 1e6,
-            r.acquires,
-            r.nb_aggregated,
-        ));
-    }
-    s.push('\n');
-    s
+const COLUMNS: &[Column] = &[
+    ("bytes", |r| r.param("bytes")),
+    ("segs", |r| r.param("segments")),
+    ("plan_µs", |r| r.stage.plan_s * 1e6),
+    ("acquire_µs", |r| r.stage.acquire_s * 1e6),
+    ("execute_µs", |r| r.stage.execute_s * 1e6),
+    ("complete_µs", |r| r.stage.complete_s * 1e6),
+    ("acq", |r| r.stage.acquires as f64),
+    ("agg", |r| r.stage.nb_aggregated as f64),
+];
+
+/// The artifact for one platform; the headline counts the epochs the
+/// nonblocking bursts paid against the blocking ones.
+pub fn table(platform: PlatformId) -> Table {
+    let rows = generate(platform);
+    let acquires = |arm| -> u64 {
+        let of_arm = rows.iter().filter(|r| r.arm == arm);
+        of_arm.map(|r| r.stage.acquires).sum()
+    };
+    let headline = format!(
+        "epochs over every burst: {} nonblocking vs {} blocking\n",
+        acquires("nb"),
+        acquires("blocking")
+    );
+    let title = "Engine pipeline breakdown — burst of 4 ops, virtual µs per stage";
+    Table::new(title, COLUMNS, rows, headline)
 }
 
 #[cfg(test)]
@@ -255,17 +176,18 @@ mod tests {
         let expect = 2 * (2 * contig_sizes().len() + strided_shapes().len());
         assert_eq!(rows.len(), expect);
         for r in &rows {
-            assert!(r.plans >= BURST as u64);
-            assert!(r.executed_ops > 0);
-            if r.nonblocking {
+            let g = &r.stage;
+            assert!(g.plans >= BURST as u64);
+            assert!(g.executed_ops > 0);
+            if r.arm == "nb" {
                 // The burst aggregates into a single flush epoch.
-                assert_eq!(r.acquires, 1, "{}: burst not aggregated", r.workload);
-                assert!(r.nb_aggregated > 0);
-                assert_eq!(r.completes, 1);
+                assert_eq!(g.acquires, 1, "{}: burst not aggregated", r.workload);
+                assert!(g.nb_aggregated > 0);
+                assert_eq!(g.completes, 1);
             } else {
                 // One epoch per blocking transfer.
-                assert_eq!(r.acquires as usize, BURST);
-                assert_eq!(r.completes as usize, BURST);
+                assert_eq!(g.acquires as usize, BURST);
+                assert_eq!(g.completes as usize, BURST);
             }
         }
     }
@@ -276,19 +198,19 @@ mod tests {
         for r in rows.iter().filter(|r| r.workload == "contig-acc") {
             // Every accumulate stages through the pool.
             assert_eq!(
-                (r.pool_hits + r.pool_misses) as usize,
+                (r.stage.pool_hits + r.stage.pool_misses) as usize,
                 BURST,
-                "{}B nb={}: takes",
-                r.bytes,
-                r.nonblocking
+                "{}B {}: takes",
+                r.param("bytes"),
+                r.arm
             );
             // At most one miss per burst: the first take warms the size
             // class, the rest hit it.
-            assert!(r.pool_hits as usize >= BURST - 1);
+            assert!(r.stage.pool_hits as usize >= BURST - 1);
         }
         // Put rows never touch the pool.
         for r in rows.iter().filter(|r| r.workload == "contig-put") {
-            assert_eq!(r.pool_hits + r.pool_misses, 0);
+            assert_eq!(r.stage.pool_hits + r.stage.pool_misses, 0);
         }
     }
 
@@ -297,21 +219,30 @@ mod tests {
         // The aggregated burst should spend no more total virtual time
         // across stages than the blocking one for large transfers.
         let rows = generate(PlatformId::InfiniBandCluster);
-        let total = |r: &Row| r.plan_s + r.acquire_s + r.execute_s + r.complete_s;
-        let big = *contig_sizes().last().unwrap();
-        let b = rows
-            .iter()
-            .find(|r| r.workload == "contig-put" && r.bytes == big && !r.nonblocking)
-            .unwrap();
-        let nb = rows
-            .iter()
-            .find(|r| r.workload == "contig-put" && r.bytes == big && r.nonblocking)
-            .unwrap();
+        let total =
+            |r: &Row| r.stage.plan_s + r.stage.acquire_s + r.stage.execute_s + r.stage.complete_s;
+        let big = *contig_sizes().last().unwrap() as f64;
+        let find = |arm: &str| {
+            rows.iter()
+                .find(|r| r.workload == "contig-put" && r.param("bytes") == big && r.arm == arm)
+                .unwrap()
+        };
+        let (b, nb) = (find("blocking"), find("nb"));
         assert!(
             total(nb) <= total(b) * 1.05,
             "nonblocking {} s vs blocking {} s",
             total(nb),
             total(b)
+        );
+    }
+
+    #[test]
+    fn generator_leaves_recorder_disarmed() {
+        generate(PlatformId::InfiniBandCluster);
+        let _g = obs::test_guard();
+        assert!(
+            !obs::enabled(),
+            "the pipeline generator left the process-global recorder on"
         );
     }
 }

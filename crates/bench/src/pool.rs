@@ -20,80 +20,39 @@ use mpisim::{Proc, Runtime};
 use serde::Serialize;
 use simnet::{PlatformId, PoolStats};
 
-/// One measured phase of one workload.
-#[derive(Debug, Clone, Serialize)]
-pub struct PoolRow {
-    pub platform: PlatformId,
-    /// Wire backend the measurement ran over: `"mpi-rma"` for the
-    /// ARMCI-MPI rows, `"native"` for the prepinned native runtime
-    /// (which bypasses the transport layer entirely).
-    pub transport: &'static str,
-    /// `"armci-mpi"` (on-demand registration) or `"armci-native"`
-    /// (prepinned slab).
-    pub backend: &'static str,
-    /// `"fig3-contig"` (accumulate + copy) or `"fig4-strided"`
-    /// (strided accumulate).
-    pub workload: &'static str,
-    /// `"cold"` = first pass from an empty pool, `"steady"` = the same
-    /// pass repeated after warm-up.
-    pub phase: &'static str,
-    /// Node layout of the measurement (one rank per node; see
-    /// `crate::internode`).
-    pub ranks_per_node: u32,
-    pub hits: u64,
-    pub misses: u64,
-    pub hit_rate: f64,
-    /// Virtual seconds spent registering (pinning) pool buffers.
-    pub reg_cost_s: f64,
-    pub high_water_bytes: u64,
-}
+use crate::ab::{recording, Column, Row, Sample, Table};
+use crate::pipeline::{contig_sizes, strided_shapes};
 
 /// Steady-state passes per workload (the cold row is always one pass).
 pub const STEADY_PASSES: usize = 8;
 
-/// Figure 3 contiguous accumulate/copy sizes.
-pub fn contig_sizes() -> Vec<usize> {
-    (10..=20).step_by(2).map(|k| 1usize << k).collect()
-}
-
-/// Figure 4 strided shapes `(segment bytes, segment count)`.
-pub fn strided_shapes() -> Vec<(usize, usize)> {
-    vec![(16, 64), (1024, 64)]
-}
-
-/// Runs every workload on `platform` for both backends.
-pub fn generate(platform: PlatformId) -> Vec<PoolRow> {
+/// Runs every workload on `platform` for both backends, with the
+/// recorder held off (see [`crate::ab::recording`]).
+pub fn generate(platform: PlatformId) -> Vec<Row> {
     let cfg = crate::internode(platform);
-    Runtime::run_with(2, cfg, move |p| measure(p, platform)).swap_remove(0)
+    let run = || Runtime::run_with(2, cfg, move |p| measure(p, platform));
+    recording(false, run).0.swap_remove(0)
 }
 
-fn row(
-    platform: PlatformId,
-    backend: &'static str,
-    workload: &'static str,
-    phase: &'static str,
-    s: &PoolStats,
-) -> PoolRow {
-    PoolRow {
-        platform,
-        transport: if backend == "armci-mpi" {
-            "mpi-rma"
-        } else {
-            "native"
-        },
-        backend,
-        workload,
-        phase,
-        ranks_per_node: 1,
-        hits: s.hits,
-        misses: s.misses,
-        hit_rate: s.hit_rate(),
-        reg_cost_s: s.reg_cost_s,
-        high_water_bytes: s.high_water_bytes as u64,
-    }
+/// One phase's row: the pool counters as metrics (`pool.*`), plus the
+/// engine deltas when the phase ran on ARMCI-MPI.
+fn row(base: Row, phase: Sample, s: &PoolStats) -> Row {
+    let mut row = base;
+    row.add(&phase);
+    row.metrics = vec![
+        ("pool.hits", s.hits.to_value()),
+        ("pool.misses", s.misses.to_value()),
+        ("pool.hit_rate", s.hit_rate().to_value()),
+        ("pool.reg_cost_s", s.reg_cost_s.to_value()),
+        (
+            "pool.high_water_bytes",
+            (s.high_water_bytes as u64).to_value(),
+        ),
+    ];
+    row
 }
 
-fn measure(p: &Proc, platform: PlatformId) -> Vec<PoolRow> {
+fn measure(p: &Proc, platform: PlatformId) -> Vec<Row> {
     let mut rows = Vec::new();
 
     // --- ARMCI-MPI: on-demand registration -----------------------------
@@ -131,26 +90,19 @@ fn measure(p: &Proc, platform: PlatformId) -> Vec<PoolRow> {
             ("fig3-contig", &contig as &dyn Fn(&ArmciMpi)),
             ("fig4-strided", &strided as &dyn Fn(&ArmciMpi)),
         ] {
+            let base = |phase| Row::new(platform, workload, phase, 2, 1).resolved(&rt);
             rt.reset_pool_stats();
+            let t0 = Sample::now(p, &rt);
             run(&rt);
-            rows.push(row(
-                platform,
-                "armci-mpi",
-                workload,
-                "cold",
-                &rt.pool_stats(),
-            ));
+            let cold = Sample::now(p, &rt).since(&t0);
+            rows.push(row(base("cold"), cold, &rt.pool_stats()));
             rt.reset_pool_stats();
+            let t0 = Sample::now(p, &rt);
             for _ in 0..STEADY_PASSES {
                 run(&rt);
             }
-            rows.push(row(
-                platform,
-                "armci-mpi",
-                workload,
-                "steady",
-                &rt.pool_stats(),
-            ));
+            let steady = Sample::now(p, &rt).since(&t0);
+            rows.push(row(base("steady"), steady, &rt.pool_stats()));
         }
         rt.barrier();
         rt.free(bases[p.rank()]).unwrap();
@@ -173,25 +125,28 @@ fn measure(p: &Proc, platform: PlatformId) -> Vec<PoolRow> {
                 }
             }
         };
+        // The native runtime has no engine, wire backend or coalescer:
+        // only the clock and the pool counters are measured.
+        let base = |phase| Row {
+            transport: "native",
+            atomics: "native",
+            progress: "none",
+            coalesce: "none",
+            ..Row::new(platform, "fig3-contig", phase, 2, 1)
+        };
+        let elapsed = |t0: f64| Sample {
+            virtual_s: p.clock().now() - t0,
+            ..Sample::default()
+        };
+        let t0 = p.clock().now();
         run(&rt);
-        rows.push(row(
-            platform,
-            "armci-native",
-            "fig3-contig",
-            "cold",
-            &rt.pool_stats(),
-        ));
+        rows.push(row(base("cold"), elapsed(t0), &rt.pool_stats()));
         rt.reset_pool_stats();
+        let t0 = p.clock().now();
         for _ in 0..STEADY_PASSES {
             run(&rt);
         }
-        rows.push(row(
-            platform,
-            "armci-native",
-            "fig3-contig",
-            "steady",
-            &rt.pool_stats(),
-        ));
+        rows.push(row(base("steady"), elapsed(t0), &rt.pool_stats()));
         rt.barrier();
         rt.free(bases[p.rank()]).unwrap();
     }
@@ -199,37 +154,37 @@ fn measure(p: &Proc, platform: PlatformId) -> Vec<PoolRow> {
     rows
 }
 
-/// Renders the table as aligned text.
-pub fn render(rows: &[PoolRow]) -> String {
-    let mut s = String::from("# Buffer pool behaviour — registration-aware staging\n");
-    s.push_str(&format!(
-        "{:<30} {:<14} {:>7} {:>7} {:>7} {:>8} {:>12} {:>11}\n",
-        "backend/workload", "phase", "hits", "misses", "hit%", "reg µs", "high water", "platform"
-    ));
-    for r in rows {
-        s.push_str(&format!(
-            "{:<30} {:<14} {:>7} {:>7} {:>6.1}% {:>8.2} {:>12} {:>11}\n",
-            format!("{}/{}", r.backend, r.workload),
-            r.phase,
-            r.hits,
-            r.misses,
-            r.hit_rate * 100.0,
-            r.reg_cost_s * 1e6,
-            r.high_water_bytes,
-            r.platform.name(),
-        ));
-    }
-    s.push('\n');
-    s
+const COLUMNS: &[Column] = &[
+    ("hits", |r| r.metric("pool.hits")),
+    ("misses", |r| r.metric("pool.misses")),
+    ("hit%", |r| r.metric("pool.hit_rate") * 100.0),
+    ("reg_µs", |r| r.metric("pool.reg_cost_s") * 1e6),
+    ("high_water", |r| r.metric("pool.high_water_bytes")),
+];
+
+/// The artifact for one platform; the headline is the ARMCI-MPI
+/// steady-state hit rate per workload.
+pub fn table(platform: PlatformId) -> Table {
+    let rows = generate(platform);
+    let steady: Vec<String> = rows
+        .iter()
+        .filter(|r| r.transport == "mpi-rma" && r.arm == "steady")
+        .map(|r| format!("{} {:.1}%", r.workload, r.metric("pool.hit_rate") * 100.0))
+        .collect();
+    let headline = format!("armci-mpi steady-state hit rate: {}\n", steady.join(", "));
+    let title = "Buffer pool behaviour — registration-aware staging";
+    Table::new(title, COLUMNS, rows, headline)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn find<'a>(rows: &'a [PoolRow], backend: &str, workload: &str, phase: &str) -> &'a PoolRow {
+    /// The row of one phase; `transport` tells the runtimes apart
+    /// (`mpi-rma` for ARMCI-MPI, `native` for ARMCI-Native).
+    fn find<'a>(rows: &'a [Row], transport: &str, workload: &str, phase: &str) -> &'a Row {
         rows.iter()
-            .find(|r| r.backend == backend && r.workload == workload && r.phase == phase)
+            .find(|r| r.transport == transport && r.workload == workload && r.arm == phase)
             .expect("row")
     }
 
@@ -237,36 +192,44 @@ mod tests {
     fn steady_state_hit_rate_exceeds_90_percent() {
         let rows = generate(PlatformId::InfiniBandCluster);
         for workload in ["fig3-contig", "fig4-strided"] {
-            let steady = find(&rows, "armci-mpi", workload, "steady");
+            let steady = find(&rows, "mpi-rma", workload, "steady");
             assert!(
-                steady.hit_rate > 0.9,
+                steady.metric("pool.hit_rate") > 0.9,
                 "{workload}: steady hit rate {} (hits {}, misses {})",
-                steady.hit_rate,
-                steady.hits,
-                steady.misses
+                steady.metric("pool.hit_rate"),
+                steady.metric("pool.hits"),
+                steady.metric("pool.misses")
             );
             // Warm classes pay no further registration.
-            assert_eq!(steady.reg_cost_s, 0.0, "{workload}: steady reg cost");
+            assert_eq!(
+                steady.metric("pool.reg_cost_s"),
+                0.0,
+                "{workload}: steady reg cost"
+            );
         }
     }
 
     #[test]
     fn cold_pass_pays_registration_once_per_class() {
         let rows = generate(PlatformId::InfiniBandCluster);
-        let cold = find(&rows, "armci-mpi", "fig3-contig", "cold");
-        assert!(cold.misses > 0, "cold pass must miss");
-        assert!(cold.reg_cost_s > 0.0, "on-demand misses must pin");
-        let steady = find(&rows, "armci-mpi", "fig3-contig", "steady");
-        assert!(steady.hits > cold.hits);
+        let cold = find(&rows, "mpi-rma", "fig3-contig", "cold");
+        assert!(cold.metric("pool.misses") > 0.0, "cold pass must miss");
+        assert!(
+            cold.metric("pool.reg_cost_s") > 0.0,
+            "on-demand misses must pin"
+        );
+        let steady = find(&rows, "mpi-rma", "fig3-contig", "steady");
+        assert!(steady.metric("pool.hits") > cold.metric("pool.hits"));
     }
 
     #[test]
     fn native_prepinned_pool_never_pays_per_op_registration() {
         let rows = generate(PlatformId::InfiniBandCluster);
         for phase in ["cold", "steady"] {
-            let r = find(&rows, "armci-native", "fig3-contig", phase);
+            let r = find(&rows, "native", "fig3-contig", phase);
             assert_eq!(
-                r.reg_cost_s, 0.0,
+                r.metric("pool.reg_cost_s"),
+                0.0,
                 "{phase}: native slab is registered at init, not per take"
             );
         }

@@ -1,8 +1,8 @@
-//! Asynchronous-progress A/B: the skewed CCSD ladder (every collective
-//! and passive-target round waits on the slowest rank) and the fig3-style
-//! contiguous mix, each run twice — host-CPU progress
-//! ([`armci_mpi::ProgressMode::None`], origins stall while busy targets
-//! compute) and per-node progress agents
+//! Asynchronous-progress A/B (`BENCH_progress.json`): the skewed CCSD
+//! ladder (every collective and passive-target round waits on the
+//! slowest rank) and the fig3-style contiguous mix, each run twice —
+//! host-CPU progress ([`armci_mpi::ProgressMode::None`], origins stall
+//! while busy targets compute) and per-node progress agents
 //! ([`armci_mpi::ProgressMode::Agent`], the agent drains passive-target
 //! rounds at its priced service cost).
 //!
@@ -11,16 +11,17 @@
 //! they do. The headline gate is the collapse of `progress.stall_s`
 //! (passive-target service stalls; `progress.straggler_s` — load
 //! imbalance at synchronisation points — is reported separately because
-//! no agent can compute a straggler's work for it) at skew ≥ 1.0: the
-//! ISSUE's ≥3× reduction, measured service-inclusively so the agent pays
-//! for its own drain time. The fig3 mix is the control: no compute means
-//! no stalls to collapse, so both arms must price identically there.
+//! no agent can compute a straggler's work for it) at skew ≥ 1.0: a ≥3×
+//! reduction, measured service-inclusively (`agent_drain_s` added) so
+//! the agent pays for its own drain time. The fig3 mix is the control:
+//! no compute means no stalls to collapse, so both arms must price
+//! identically there.
 
-use armci_mpi::{ArmciMpi, Config, ProgressMode};
-use mpisim::Runtime;
-use nwchem_proxy::{run_ccsd_skewed, CcsdConfig};
-use serde::Serialize;
+use armci_mpi::{Config, ProgressMode};
+use nwchem_proxy::CcsdConfig;
 use simnet::PlatformId;
+
+use crate::ab::{run_table, Arm, Column, Driver, Row, Table};
 
 /// Compute-skew factors swept by the A/B (`run_ccsd_skewed`'s `skew`:
 /// rank `r` computes `1 + skew·r/(P−1)` times slower).
@@ -33,47 +34,8 @@ pub const RANKS: usize = 4;
 /// (`figures check` asserts the ≥3× reduction on this row).
 pub const GATE_SKEW: f64 = 2.0;
 
-/// Minimum `none/agent` stall ratio at skew ≥ 1.0 (the ISSUE gate).
+/// Minimum `none/agent` stall ratio at skew ≥ 1.0.
 pub const GATE_RATIO: f64 = 3.0;
-
-/// One measured arm of one workload.
-#[derive(Debug, Clone, Serialize)]
-pub struct Row {
-    pub platform: PlatformId,
-    /// Wire backend the measurement ran over.
-    pub transport: &'static str,
-    /// `"ccsd-skewed"` or `"fig3-mix"`.
-    pub workload: &'static str,
-    /// Resolved progress discipline: `"none"` (host CPU) or `"agent"`.
-    pub progress: &'static str,
-    /// Compute-skew factor (zero for the fig3 mix).
-    pub skew: f64,
-    pub ranks: u32,
-    /// Node layout (one rank per node; see `crate::internode`).
-    pub ranks_per_node: u32,
-    /// Virtual seconds ranks spent stalled waiting for a busy target's
-    /// host CPU to service passive-target rounds (`progress.stall_s`) —
-    /// the component a progress agent collapses.
-    pub stall_s: f64,
-    /// Virtual seconds blocked behind slower peers at synchronisation
-    /// points (`progress.straggler_s`) — load imbalance proper, which no
-    /// agent can fix; reported so the split is visible in the artifact.
-    pub straggler_s: f64,
-    /// Virtual seconds of agent service time (`agent_drain_s`): what the
-    /// collapsed stalls were *replaced by*. The headline ratio divides by
-    /// `stall_s + agent_s`, so the agent pays for its own service cost.
-    pub agent_s: f64,
-    /// Passive-target rounds the agent drained (zero under `"none"`).
-    pub agent_ops: u64,
-    /// Stall seconds the agent avoided (`progress.offloaded_s`).
-    pub offloaded_s: f64,
-    /// Rank 0's virtual seconds for the measured phase.
-    pub virtual_s: f64,
-    /// CCSD synthetic energy (zero for the fig3 mix).
-    pub energy: f64,
-    /// Energy (or payload image) bit-identical to the `"none"` arm.
-    pub payload_ok: bool,
-}
 
 /// CCSD shape for the A/B (shared with the `obs critpath ccsd-skewed`
 /// capture): big enough tiles that one DGEMM span dwarfs the agent's
@@ -90,164 +52,32 @@ pub fn ccsd_cfg() -> CcsdConfig {
     }
 }
 
-fn mode_of(arm: &str) -> ProgressMode {
-    match arm {
-        "agent" => ProgressMode::Agent,
-        _ => ProgressMode::None,
-    }
-}
-
-/// Runs the skewed CCSD ladder under one progress arm with the recorder
-/// on; folds the trace into the stall/agent metrics.
-fn run_skewed(platform: PlatformId, skew: f64, arm: &'static str) -> Row {
-    let _g = obs::test_guard();
-    obs::enable();
-    obs::clear();
-    let cfg = crate::internode(platform);
-    let mut out = Runtime::run_with(RANKS, cfg, move |p| {
-        let rt = ArmciMpi::with_config(
-            p,
-            Config {
-                progress: mode_of(arm),
+/// Host-progress then agent arm of the skewed ladder at every skew, then
+/// of the idle-target mix; every arm records its stall metrics.
+pub fn arms(platform: PlatformId) -> Vec<Arm> {
+    let drivers = SKEWS
+        .iter()
+        .map(|&skew| (Driver::CcsdSkewed { skew }, RANKS))
+        .chain([(Driver::IdleTargetMix, 2)]);
+    let mut arms = Vec::new();
+    for (driver, ranks) in drivers {
+        for (label, progress) in [("none", ProgressMode::None), ("agent", ProgressMode::Agent)] {
+            let cfg = Config {
+                progress,
                 ..Default::default()
-            },
-        );
-        let r = run_ccsd_skewed(p, &rt, &ccsd_cfg(), skew);
-        let row = (r, rt.progress_mode_name(), rt.transport_name());
-        obs::flush_thread();
-        row
-    });
-    let events = obs::take();
-    obs::disable();
-    let reg = obs::metrics::Registry::from_events(&events);
-    let (r, progress, transport) = out.swap_remove(0);
-    Row {
-        platform,
-        transport,
-        workload: "ccsd-skewed",
-        progress,
-        skew,
-        ranks: RANKS as u32,
-        ranks_per_node: 1,
-        stall_s: reg.time("progress.stall_s"),
-        straggler_s: reg.time("progress.straggler_s"),
-        agent_s: reg.time("agent_drain_s"),
-        agent_ops: reg.counter("progress.agent_ops"),
-        offloaded_s: reg.time("progress.offloaded_s"),
-        virtual_s: r.elapsed,
-        energy: r.energy,
-        payload_ok: false,
-    }
-}
-
-/// Contiguous put/get/acc rounds with no modelled compute: the control
-/// arm — nothing for an agent to drain, so both disciplines must price
-/// identically and move identical bytes.
-fn run_mix(platform: PlatformId, arm: &'static str) -> (Row, Vec<u8>) {
-    use armci::{AccKind, Armci};
-    const BYTES: usize = 1 << 16;
-    let _g = obs::test_guard();
-    obs::enable();
-    obs::clear();
-    let cfg = crate::internode(platform);
-    let mut out = Runtime::run_with(2, cfg, move |p| {
-        let rt = ArmciMpi::with_config(
-            p,
-            Config {
-                progress: mode_of(arm),
-                ..Default::default()
-            },
-        );
-        let bases = rt.malloc(BYTES).expect("malloc");
-        rt.barrier();
-        let mut row = None;
-        let mut image = Vec::new();
-        if p.rank() == 0 {
-            let t0 = p.clock().now();
-            let src: Vec<u8> = (0..BYTES).map(|b| (b as u8).wrapping_mul(13)).collect();
-            // Small i32 payload: 4 rounds of `dst += 3·src` stay far from
-            // i32 overflow (debug builds check accumulate arithmetic).
-            let acc_src: Vec<u8> = (0..128i32).flat_map(|i| (i % 7).to_le_bytes()).collect();
-            let mut dst = vec![0u8; 1 << 12];
-            for round in 0..4usize {
-                for &size in &[256usize, 1 << 10, 1 << 12] {
-                    rt.put(&src[..size], bases[1].offset(round * (1 << 12)))
-                        .unwrap();
-                    rt.get(bases[1].offset(round * (1 << 12)), &mut dst[..size])
-                        .unwrap();
-                }
-                // Disjoint from every put region ([0, 16 KiB)).
-                rt.acc(AccKind::Int(3), &acc_src, bases[1].offset(1 << 15))
-                    .unwrap();
-            }
-            let t1 = p.clock().now();
-            let mut img = vec![0u8; BYTES];
-            rt.get(bases[1], &mut img).unwrap();
-            image = img;
-            row = Some((t1 - t0, rt.progress_mode_name(), rt.transport_name()));
+            };
+            arms.push(Arm {
+                record: true,
+                ..Arm::new(label, driver, platform, ranks, cfg)
+            });
         }
-        rt.barrier();
-        rt.free(bases[p.rank()]).unwrap();
-        obs::flush_thread();
-        (row, image)
-    });
-    let events = obs::take();
-    obs::disable();
-    let reg = obs::metrics::Registry::from_events(&events);
-    let (row, image) = out.swap_remove(0);
-    let (virtual_s, progress, transport) = row.expect("rank 0 row");
-    (
-        Row {
-            platform,
-            transport,
-            workload: "fig3-mix",
-            progress,
-            skew: 0.0,
-            ranks: 2,
-            ranks_per_node: 1,
-            stall_s: reg.time("progress.stall_s"),
-            straggler_s: reg.time("progress.straggler_s"),
-            agent_s: reg.time("agent_drain_s"),
-            agent_ops: reg.counter("progress.agent_ops"),
-            offloaded_s: reg.time("progress.offloaded_s"),
-            virtual_s,
-            energy: 0.0,
-            payload_ok: false,
-        },
-        image,
-    )
+    }
+    arms
 }
 
 /// Measures both arms of both workloads on one platform.
 pub fn generate(platform: PlatformId) -> Vec<Row> {
-    let mut rows = Vec::new();
-    for &skew in &SKEWS {
-        let mut baseline: Option<f64> = None;
-        for arm in ["none", "agent"] {
-            let mut row = run_skewed(platform, skew, arm);
-            row.payload_ok = match baseline {
-                None => {
-                    baseline = Some(row.energy);
-                    true
-                }
-                Some(e) => e.to_bits() == row.energy.to_bits(),
-            };
-            rows.push(row);
-        }
-    }
-    let mut ref_image: Option<Vec<u8>> = None;
-    for arm in ["none", "agent"] {
-        let (mut row, image) = run_mix(platform, arm);
-        row.payload_ok = match &ref_image {
-            None => {
-                ref_image = Some(image);
-                true
-            }
-            Some(r) => r == &image,
-        };
-        rows.push(row);
-    }
-    rows
+    run_table(arms(platform))
 }
 
 /// The `none/agent` stall-collapse ratio for one workload/skew pair, if
@@ -257,51 +87,46 @@ pub fn generate(platform: PlatformId) -> Vec<Row> {
 pub fn collapse_ratio(rows: &[Row], workload: &str, skew: f64) -> Option<f64> {
     let get = |arm: &str| {
         rows.iter()
-            .find(|r| r.workload == workload && r.progress == arm && r.skew == skew)
+            .find(|r| r.workload == workload && r.progress == arm && r.param("skew") == skew)
     };
     let (none, agent) = (get("none")?, get("agent")?);
-    Some(none.stall_s / (agent.stall_s + agent.agent_s).max(f64::MIN_POSITIVE))
+    let paid = agent.metric("progress.stall_s") + agent.metric("agent_drain_s");
+    Some(none.metric("progress.stall_s") / paid.max(f64::MIN_POSITIVE))
 }
 
-/// Renders the A/B as aligned text with the headline collapse ratios.
-pub fn render(rows: &[Row]) -> String {
-    let mut s = String::new();
-    s.push_str("# Async-progress A/B — progress.stall_s per arm\n");
-    s.push_str(&format!(
-        "{:<24} {:>5} {:>10} {:>10} {:>9} {:>10} {:>10} {:>11} {:>3}\n",
-        "workload/progress",
-        "skew",
-        "stall_ms",
-        "stragl_ms",
-        "agent_ms",
-        "agent_ops",
-        "offl_ms",
-        "virtual_ms",
-        "ok"
-    ));
-    for r in rows {
-        s.push_str(&format!(
-            "{:<24} {:>5.1} {:>10.3} {:>10.3} {:>9.3} {:>10} {:>10.3} {:>11.3} {:>3}\n",
-            format!("{}/{}", r.workload, r.progress),
-            r.skew,
-            r.stall_s * 1e3,
-            r.straggler_s * 1e3,
-            r.agent_s * 1e3,
-            r.agent_ops,
-            r.offloaded_s * 1e3,
-            r.virtual_s * 1e3,
-            if r.payload_ok { "y" } else { "N" },
-        ));
-    }
-    for &skew in &SKEWS {
-        if let Some(ratio) = collapse_ratio(rows, "ccsd-skewed", skew) {
-            s.push_str(&format!(
-                "ccsd-skewed skew={skew}: {ratio:.1}x stall reduction with the agent\n"
-            ));
-        }
-    }
-    s.push('\n');
-    s
+const COLUMNS: &[Column] = &[
+    ("skew", |r| r.param("skew")),
+    ("stall_ms", |r| r.metric("progress.stall_s") * 1e3),
+    ("stragl_ms", |r| r.metric("progress.straggler_s") * 1e3),
+    ("agent_ms", |r| r.metric("agent_drain_s") * 1e3),
+    ("agent_ops", |r| r.metric("progress.agent_ops")),
+    ("offl_ms", |r| r.metric("progress.offloaded_s") * 1e3),
+];
+
+/// The artifact for one platform; the headline lists the collapse ratio
+/// at every skew.
+pub fn table(platform: PlatformId) -> Table {
+    tabulate(generate(platform))
+}
+
+fn tabulate(rows: Vec<Row>) -> Table {
+    let ratios: Vec<String> = SKEWS
+        .iter()
+        .filter_map(|&skew| {
+            let ratio = collapse_ratio(&rows, "ccsd-skewed", skew)?;
+            Some(format!("skew {skew} {ratio:.1}x"))
+        })
+        .collect();
+    let headline = format!(
+        "ccsd-skewed stall reduction with the agent: {}\n",
+        ratios.join(", ")
+    );
+    Table::new(
+        "Async-progress A/B — progress.stall_s per arm",
+        COLUMNS,
+        rows,
+        headline,
+    )
 }
 
 #[cfg(test)]
@@ -314,36 +139,41 @@ mod tests {
             return; // stall metrics ride the recorder
         }
         let rows = generate(PlatformId::InfiniBandCluster);
-        print!("{}", render(&rows)); // shown by libtest on failure
+        print!("{}", tabulate(rows.clone()).render()); // shown by libtest on failure
         assert_eq!(rows.len(), 2 * SKEWS.len() + 2);
         for r in &rows {
             assert!(
                 r.payload_ok,
                 "{}/{} skew {}: payload/energy drifted",
-                r.workload, r.progress, r.skew
+                r.workload,
+                r.progress,
+                r.param("skew")
             );
         }
-        // The ISSUE gate: ≥3× stall collapse wherever the imbalance is
-        // real (skew ≥ 1.0) — both the raw metric across arms and the
+        // The gate: ≥3× stall collapse wherever the imbalance is real
+        // (skew ≥ 1.0) — both the raw metric across arms and the
         // service-inclusive ratio (agent charged for its own service
         // time) — and the agent never slows the run down.
         for &skew in &SKEWS {
             let get = |arm: &str| {
                 rows.iter()
-                    .find(|r| r.workload == "ccsd-skewed" && r.progress == arm && r.skew == skew)
+                    .find(|r| {
+                        r.workload == "ccsd-skewed" && r.progress == arm && r.param("skew") == skew
+                    })
                     .unwrap()
             };
             let (none, agent) = (get("none"), get("agent"));
+            let stall = |r: &Row| r.metric("progress.stall_s");
             if skew >= 1.0 {
                 assert!(
-                    none.stall_s > 0.0,
+                    stall(none) > 0.0,
                     "skew {skew}: host arm recorded no progress stalls to collapse"
                 );
                 assert!(
-                    agent.stall_s * GATE_RATIO <= none.stall_s,
+                    stall(agent) * GATE_RATIO <= stall(none),
                     "skew {skew}: progress.stall_s {:.6} -> {:.6} below the {GATE_RATIO}x gate",
-                    none.stall_s,
-                    agent.stall_s,
+                    stall(none),
+                    stall(agent),
                 );
                 let ratio = collapse_ratio(&rows, "ccsd-skewed", skew).unwrap();
                 assert!(
@@ -359,15 +189,20 @@ mod tests {
         // Agent provenance: drains happen exactly on the agent arms of
         // the compute-skewed runs, never on the host arms.
         for r in &rows {
+            let agent_ops = r.metric("progress.agent_ops");
             match (r.workload, r.progress) {
-                ("ccsd-skewed", "agent") if r.skew > 0.0 => {
-                    assert!(r.agent_ops > 0, "skew {}: agent drained nothing", r.skew)
+                ("ccsd-skewed", "agent") if r.param("skew") > 0.0 => {
+                    assert!(
+                        agent_ops > 0.0,
+                        "skew {}: agent drained nothing",
+                        r.param("skew")
+                    )
                 }
                 ("fig3-mix", _) => assert_eq!(
-                    r.agent_ops, 0,
+                    agent_ops, 0.0,
                     "no-compute control must have nothing to drain"
                 ),
-                (_, "none") => assert_eq!(r.agent_ops, 0, "host arm recorded agent drains"),
+                (_, "none") => assert_eq!(agent_ops, 0.0, "host arm recorded agent drains"),
                 _ => {}
             }
         }

@@ -4,28 +4,30 @@
 //! the **sharded** per-node counter (`armci_mpi::NxtvalCounter`) — under
 //! growing rank counts.
 //!
-//! Two sources feed the same row shape:
+//! Two sources feed the artifact:
 //!
-//! * `"runtime"` rows ground the service times: the executable runtimes
-//!   really take tickets at small rank counts and the per-ticket virtual
-//!   cost (and CAS retry count) is measured;
-//! * `"des"` rows sweep 1 → 4096 ranks through [`scalesim`] with the
-//!   per-discipline service times priced from the same platform model —
-//!   the mutex formula of [`nwchem_proxy::profile::nxtval_service`],
-//!   `rmw_latency` for native, and the slab atomic cost for shards.
+//! * runtime rows (the shared [`Row`], workload `nxtval`) ground the
+//!   service times: the executable runtimes really take tickets at small
+//!   rank counts and the per-ticket virtual cost (and CAS retry count)
+//!   is measured;
+//! * the [`DesPoint`] series (`"source": "des"`) sweeps 1 → 4096 ranks
+//!   through [`scalesim`] with the per-discipline service times priced
+//!   from the same platform model — the mutex formula of
+//!   [`nwchem_proxy::profile::nxtval_service`], `rmw_latency` for
+//!   native, and the slab atomic cost for shards.
 //!
 //! The headline is the paper's §VIII-B argument made quantitative:
 //! native atomics are strictly cheaper than the mutex at every
 //! contended point, and sharding scales ticket throughput past the
 //! single-home-rank plateau that caps both flat disciplines.
 
-use armci::Armci;
-use armci_mpi::{ArmciMpi, AtomicsMode, Config, NxtvalCounter};
-use mpisim::{Runtime, RuntimeConfig};
+use armci_mpi::{AtomicsMode, Config};
 use nwchem_proxy::{nxtval_service, Backend};
 use scalesim::{simulate, simulate_sharded, ShardedCounter, SimConfig};
 use serde::Serialize;
 use simnet::{Platform, PlatformId};
+
+use crate::ab::{run_table, Arm, Column, Driver, Row, Table};
 
 /// Rank counts of the DES sweep (1 → 4096).
 pub const DES_RANKS: [usize; 7] = [1, 4, 16, 64, 256, 1024, 4096];
@@ -40,21 +42,21 @@ pub const RANKS_PER_NODE: u32 = 32;
 pub const BLOCK: usize = 64;
 
 /// Tickets per rank (weak scaling: total tickets grow with ranks).
-const TICKETS_PER_RANK: usize = 8;
+pub const TICKETS_PER_RANK: usize = 8;
 
 /// Per-ticket task time in the DES (compute + comm a claimant performs
 /// before returning for the next ticket).
 const TASK_S: f64 = 200.0e-6;
 
-/// One measured point of the sweep.
+/// One point of the scalesim sweep (a series outside the shared row).
 #[derive(Debug, Clone, Serialize)]
-pub struct Row {
+pub struct DesPoint {
     pub platform: PlatformId,
     /// Wire backend carrying the counter traffic.
     pub transport: &'static str,
     /// Ticket discipline: `"native"`, `"mutex"` or `"sharded"`.
     pub atomics_mode: &'static str,
-    /// `"des"` (scalesim sweep) or `"runtime"` (executable grounding).
+    /// Always `"des"`.
     pub source: &'static str,
     pub ranks: u64,
     pub ranks_per_node: u32,
@@ -68,7 +70,7 @@ pub struct Row {
     pub makespan_s: f64,
     /// Home-counter busy fraction (the flat plateau's cause).
     pub counter_utilisation: f64,
-    /// CAS retries observed (runtime rows; zero in the DES).
+    /// CAS retries (always zero in the DES).
     pub cas_retries: u64,
 }
 
@@ -83,7 +85,7 @@ fn service_s(platform: &Platform, mode: &str) -> f64 {
 }
 
 /// One DES point of the sweep.
-fn des_row(platform: &Platform, mode: &'static str, ranks: usize) -> Row {
+fn des_point(platform: &Platform, mode: &'static str, ranks: usize) -> DesPoint {
     let service = service_s(platform, mode);
     let cfg = SimConfig {
         nprocs: ranks,
@@ -109,7 +111,7 @@ fn des_row(platform: &Platform, mode: &'static str, ranks: usize) -> Row {
     } else {
         simulate(&cfg)
     };
-    Row {
+    DesPoint {
         platform: platform.id,
         transport: "mpi-rma",
         atomics_mode: mode,
@@ -125,137 +127,104 @@ fn des_row(platform: &Platform, mode: &'static str, ranks: usize) -> Row {
     }
 }
 
-/// Executable grounding: every rank takes `TICKETS_PER_RANK` tickets
-/// through the real runtime; the per-ticket virtual cost is the max over
-/// ranks of elapsed / tickets.
-fn runtime_row(id: PlatformId, mode: &'static str, ranks: usize) -> Row {
-    let mut platform = Platform::get(id).customized("rmw-bench");
-    platform.sockets_per_node = 1;
-    platform.cores_per_socket = RANKS_PER_NODE;
-    let service = service_s(&platform, mode);
-    let rcfg = RuntimeConfig {
-        platform: platform.clone(),
-        ..Default::default()
-    };
-    let per_rank = Runtime::run_with(ranks, rcfg, move |p| {
-        let cfg = match mode {
-            "mutex" => Config {
-                atomics: AtomicsMode::MutexFallback,
-                ..Default::default()
-            },
-            _ => Config::default(),
-        };
-        let rt = ArmciMpi::with_config(p, cfg);
-        let counter = match mode {
-            "sharded" => Some(NxtvalCounter::create(&rt, BLOCK as u16).unwrap()),
-            _ => None,
-        };
-        let bases = rt.malloc(8).unwrap();
-        rt.access_mut(bases[p.rank()], 8, &mut |b| b.fill(0))
-            .unwrap();
-        rt.barrier();
-        rt.reset_stats();
-        let t0 = p.clock().now();
-        for _ in 0..TICKETS_PER_RANK {
-            match &counter {
-                Some(c) => c.next(&rt).unwrap(),
-                None => rt.rmw(armci::RmwOp::FetchAdd(1), bases[0]).unwrap(),
-            };
+/// The DES sweep for one platform.
+pub fn des(id: PlatformId) -> Vec<DesPoint> {
+    let platform = Platform::get(id);
+    let mut points = Vec::new();
+    for mode in ["native", "mutex", "sharded"] {
+        for ranks in DES_RANKS {
+            points.push(des_point(&platform, mode, ranks));
         }
-        let elapsed = p.clock().now() - t0;
-        let retries = rt.stats().cas_retries;
-        rt.barrier();
-        if let Some(c) = counter {
-            c.drain(&rt).unwrap();
-            rt.barrier();
-            c.destroy(&rt).unwrap();
-        }
-        rt.free(bases[p.rank()]).unwrap();
-        (elapsed, retries)
-    });
-    let makespan = per_rank.iter().map(|r| r.0).fold(0.0f64, f64::max);
-    let retries: u64 = per_rank.iter().map(|r| r.1).sum();
-    Row {
-        platform: id,
-        transport: "mpi-rma",
-        atomics_mode: mode,
-        source: "runtime",
-        ranks: ranks as u64,
-        ranks_per_node: RANKS_PER_NODE,
-        block: if mode == "sharded" { BLOCK as u64 } else { 1 },
-        service_us: service * 1e6,
-        ticket_us: makespan * 1e6 / TICKETS_PER_RANK as f64,
-        makespan_s: makespan,
-        counter_utilisation: 0.0,
-        cas_retries: retries,
     }
+    points
 }
 
-/// Generates the full sweep for one platform.
-pub fn generate(id: PlatformId) -> Vec<Row> {
-    let platform = Platform::get(id);
-    let mut rows = Vec::new();
-    for mode in ["native", "mutex", "sharded"] {
+/// Executable grounding: every rank takes `TICKETS_PER_RANK` tickets
+/// through the real runtime under each discipline, at every
+/// [`RUNTIME_RANKS`] count.
+pub fn arms(platform: PlatformId) -> Vec<Arm> {
+    let mut arms = Vec::new();
+    for (label, driver, atomics) in [
+        (
+            "native",
+            Driver::Nxtval { sharded: false },
+            AtomicsMode::Auto,
+        ),
+        (
+            "mutex",
+            Driver::Nxtval { sharded: false },
+            AtomicsMode::MutexFallback,
+        ),
+        (
+            "sharded",
+            Driver::Nxtval { sharded: true },
+            AtomicsMode::Auto,
+        ),
+    ] {
         for ranks in RUNTIME_RANKS {
-            rows.push(runtime_row(id, mode, ranks));
+            let cfg = Config {
+                atomics,
+                ..Default::default()
+            };
+            arms.push(Arm {
+                ranks_per_node: RANKS_PER_NODE,
+                ..Arm::new(label, driver, platform, ranks, cfg)
+            });
         }
-        for ranks in DES_RANKS {
-            rows.push(des_row(&platform, mode, ranks));
-        }
+    }
+    arms
+}
+
+/// The runtime rows for one platform, with the per-ticket cost (the
+/// makespan over the tickets each rank took) and the discipline's
+/// modelled home service time.
+pub fn generate(id: PlatformId) -> Vec<Row> {
+    let mut platform = Platform::get(id);
+    platform.sockets_per_node = 1;
+    platform.cores_per_socket = RANKS_PER_NODE;
+    let mut rows = run_table(arms(id));
+    for r in &mut rows {
+        let ticket_us = r.virtual_s * 1e6 / TICKETS_PER_RANK as f64;
+        let service_us = service_s(&platform, r.arm) * 1e6;
+        r.metrics.push(("ticket_us", ticket_us.to_value()));
+        r.metrics.push(("service_us", service_us.to_value()));
     }
     rows
 }
 
-/// Renders the sweep as aligned text with the headline crossovers.
-pub fn render(rows: &[Row]) -> String {
-    let mut s = String::new();
-    s.push_str("# NXTVAL contention sweep — native vs mutex vs sharded\n");
-    s.push_str(&format!(
-        "{:<9} {:>7} {:>8} {:>5} {:>10} {:>11} {:>12} {:>6} {:>8}\n",
-        "mode/src",
-        "ranks",
-        "rpn",
-        "block",
-        "service_µs",
-        "ticket_µs",
-        "makespan_ms",
-        "util%",
-        "retries"
-    ));
-    for r in rows {
-        s.push_str(&format!(
-            "{:<9} {:>7} {:>8} {:>5} {:>10.3} {:>11.2} {:>12.3} {:>5.1}% {:>8}\n",
-            format!("{}/{}", r.atomics_mode, &r.source[..3]),
-            r.ranks,
-            r.ranks_per_node,
-            r.block,
-            r.service_us,
-            r.ticket_us,
-            r.makespan_s * 1e3,
-            r.counter_utilisation * 100.0,
-            r.cas_retries,
-        ));
-    }
-    let des = |mode: &str, ranks: u64| {
-        rows.iter()
-            .find(|r| r.source == "des" && r.atomics_mode == mode && r.ranks == ranks)
+const COLUMNS: &[Column] = &[
+    ("block", |r| r.param("block")),
+    ("service_µs", |r| r.metric("service_us")),
+    ("ticket_µs", |r| r.metric("ticket_us")),
+    ("retries", |r| r.ops.cas_retries as f64),
+];
+
+/// The artifact for one platform: the runtime rows, the DES sweep as
+/// its series, and the headline crossovers at 4096 ranks.
+pub fn table(id: PlatformId) -> Table {
+    let rows = generate(id);
+    let points = des(id);
+    let get = |mode: &str| {
+        points
+            .iter()
+            .find(|d| d.atomics_mode == mode && d.ranks == 4096)
     };
-    if let (Some(n), Some(m), Some(sh)) = (
-        des("native", 4096),
-        des("mutex", 4096),
-        des("sharded", 4096),
-    ) {
-        s.push_str(&format!(
-            "@4096 ranks: mutex {:.1} ms, native {:.1} ms ({:.1}x), sharded {:.1} ms ({:.1}x)\n",
+    let headline = match (get("native"), get("mutex"), get("sharded")) {
+        (Some(n), Some(m), Some(sh)) => format!(
+            "@4096 ranks (DES): mutex {:.1} ms, native {:.1} ms ({:.1}x), sharded {:.1} ms ({:.1}x)\n",
             m.makespan_s * 1e3,
             n.makespan_s * 1e3,
             m.makespan_s / n.makespan_s,
             sh.makespan_s * 1e3,
             m.makespan_s / sh.makespan_s,
-        ));
+        ),
+        _ => String::new(),
+    };
+    let title = "NXTVAL contention — native vs mutex vs sharded tickets";
+    Table {
+        series: points.iter().map(Serialize::to_value).collect(),
+        ..Table::new(title, COLUMNS, rows, headline)
     }
-    s.push('\n');
-    s
 }
 
 #[cfg(test)]
@@ -264,17 +233,18 @@ mod tests {
 
     #[test]
     fn native_beats_mutex_and_sharded_beats_the_plateau() {
-        let rows = generate(PlatformId::InfiniBandCluster);
-        let get = |mode: &str, source: &str, ranks: u64| {
-            rows.iter()
-                .find(|r| r.atomics_mode == mode && r.source == source && r.ranks == ranks)
+        let points = des(PlatformId::InfiniBandCluster);
+        let get = |mode: &str, ranks: u64| {
+            points
+                .iter()
+                .find(|d| d.atomics_mode == mode && d.ranks == ranks)
                 .unwrap()
         };
         // DES acceptance: native strictly cheaper than the Latham mutex
         // at every contended point (≥ 64 ranks).
         for ranks in [64u64, 256, 1024, 4096] {
-            let native = get("native", "des", ranks);
-            let mutex = get("mutex", "des", ranks);
+            let native = get("native", ranks);
+            let mutex = get("mutex", ranks);
             assert!(
                 native.makespan_s < mutex.makespan_s,
                 "{ranks} ranks: native {} vs mutex {}",
@@ -284,13 +254,13 @@ mod tests {
         }
         // The flat native counter plateaus: home utilisation saturates
         // and ticket throughput stalls between 1024 and 4096 ranks.
-        let tp = |r: &Row| TICKETS_PER_RANK as f64 * r.ranks as f64 / r.makespan_s;
-        let n1k = get("native", "des", 1024);
-        let n4k = get("native", "des", 4096);
+        let tp = |d: &DesPoint| TICKETS_PER_RANK as f64 * d.ranks as f64 / d.makespan_s;
+        let n1k = get("native", 1024);
+        let n4k = get("native", 4096);
         assert!(n4k.counter_utilisation > 0.9, "{}", n4k.counter_utilisation);
         assert!(tp(n4k) < 1.1 * tp(n1k), "flat native must plateau");
         // Sharding scales past it.
-        let s4k = get("sharded", "des", 4096);
+        let s4k = get("sharded", 4096);
         assert!(
             tp(s4k) > 2.0 * tp(n4k),
             "sharded {} tickets/s vs flat {}",
@@ -299,7 +269,7 @@ mod tests {
         );
         // The home server sheds ~1/block of the load (visible before
         // both curves saturate the window).
-        let s1k = get("sharded", "des", 1024);
+        let s1k = get("sharded", 1024);
         assert!(
             s1k.counter_utilisation < 0.5 * n1k.counter_utilisation,
             "sharded home util {} vs flat {}",
@@ -308,14 +278,19 @@ mod tests {
         );
         // Executable grounding agrees in ordering: native tickets are
         // cheaper than mutex tickets on the real runtime too.
+        let rows = generate(PlatformId::InfiniBandCluster);
         for ranks in RUNTIME_RANKS {
-            let native = get("native", "runtime", ranks as u64);
-            let mutex = get("mutex", "runtime", ranks as u64);
+            let ticket_us = |arm: &str| {
+                rows.iter()
+                    .find(|r| r.arm == arm && r.ranks == ranks)
+                    .unwrap()
+                    .metric("ticket_us")
+            };
             assert!(
-                native.ticket_us < mutex.ticket_us,
+                ticket_us("native") < ticket_us("mutex"),
                 "{ranks} ranks: native {} µs vs mutex {} µs",
-                native.ticket_us,
-                mutex.ticket_us
+                ticket_us("native"),
+                ticket_us("mutex")
             );
         }
     }

@@ -11,12 +11,10 @@
 //! once the ranks share a node the `shm` arm must be strictly cheaper
 //! in virtual time.
 
-use armci::{AccKind, Armci};
-use armci_mpi::{ArmciMpi, AtomicsMode, Config, StageStats};
-use mpisim::{Runtime, RuntimeConfig};
-use nwchem_proxy::{run_ccsd, CcsdConfig};
-use serde::Serialize;
-use simnet::{Platform, PlatformId};
+use armci_mpi::{AtomicsMode, Config};
+use simnet::PlatformId;
+
+use crate::ab::{run_table, Arm, Column, Driver, Row, Table};
 
 /// Ranks-per-node sweep points (the paper's Table II systems span 4–24
 /// cores per node; 32 covers the fat end of modern nodes).
@@ -26,222 +24,67 @@ pub const RANKS_PER_NODE: [u32; 3] = [1, 8, 32];
 /// ranks/node a single node.
 const RANKS: usize = 8;
 
-/// One measured arm of one workload at one layout.
-#[derive(Debug, Clone, Serialize)]
-pub struct Row {
-    pub platform: PlatformId,
-    /// Wire backend the measurement ran over (see `armci_mpi::transport`).
-    pub transport: &'static str,
-    /// `"fig3-mix"` or `"ccsd-proxy"`.
-    pub workload: &'static str,
-    /// `"shm"` (fast path on) or `"wire"` (forced wire baseline).
-    pub arm: &'static str,
-    pub ranks_per_node: u32,
-    /// Operations routed through the shared slab, summed over ranks.
-    pub shm_hits: u64,
-    /// Payload bytes that never touched the NIC model.
-    pub shm_bypass_bytes: u64,
-    /// Operations that went to the wire engine, summed over ranks.
-    pub executed_ops: u64,
-    pub shm_hit_rate: f64,
-    /// Virtual makespan (max over ranks) of the measured phase.
-    pub virtual_s: f64,
-    /// Payload (or energy) bit-identical to this layout's wire arm.
-    pub payload_ok: bool,
-    /// CCSD synthetic energy (zero for the mix).
-    pub energy: f64,
-}
-
-/// Runtime for `platform` re-shaped to `ranks_per_node` cores per node.
-fn topo(platform: PlatformId, ranks_per_node: u32) -> RuntimeConfig {
-    let mut p = Platform::get(platform).customized("shm-bench");
-    p.sockets_per_node = 1;
-    p.cores_per_socket = ranks_per_node;
-    RuntimeConfig {
-        platform: p,
-        ..Default::default()
-    }
-}
-
-fn arm_cfg(arm: &str) -> Config {
-    Config {
-        shm: arm == "shm",
-        // This A/B measures the data-path tier, in the paper's MPI-2
-        // configuration; pin its mutex RMW so the arms stay comparable
-        // to the seeded artifact now that native atomics are the default.
-        atomics: AtomicsMode::MutexFallback,
-        ..Default::default()
-    }
-}
-
-fn fold(platform: PlatformId, workload: &'static str, arm: &'static str, rpn: u32) -> Row {
-    Row {
-        platform,
-        transport: "mpi-rma",
-        workload,
-        arm,
-        ranks_per_node: rpn,
-        shm_hits: 0,
-        shm_bypass_bytes: 0,
-        executed_ops: 0,
-        shm_hit_rate: 0.0,
-        virtual_s: 0.0,
-        payload_ok: false,
-        energy: 0.0,
-    }
-}
-
-fn add_stats(row: &mut Row, g: &StageStats, elapsed: f64) {
-    row.shm_hits += g.shm_hits;
-    row.shm_bypass_bytes += g.shm_bypass_bytes;
-    row.executed_ops += g.executed_ops;
-    row.virtual_s = row.virtual_s.max(elapsed);
-}
-
-fn finish(row: &mut Row) {
-    let routed = row.shm_hits + row.executed_ops;
-    row.shm_hit_rate = if routed == 0 {
-        0.0
-    } else {
-        row.shm_hits as f64 / routed as f64
-    };
-}
-
-/// Figure 3-style mix: rank 0 fans contiguous put/get/acc at three sizes
-/// out to every peer. Returns the row and the concatenated final images
-/// of all targets (the cross-arm bit-compare payload).
-fn run_mix(platform: PlatformId, rpn: u32, arm: &'static str) -> (Row, Vec<u8>) {
-    const SIZES: [usize; 3] = [1 << 10, 1 << 14, 1 << 18];
-    let max = *SIZES.iter().max().unwrap();
-    let per_rank = Runtime::run_with(RANKS, topo(platform, rpn), move |p| {
-        let rt = ArmciMpi::with_config(p, arm_cfg(arm));
-        let bases = rt.malloc(max).expect("malloc");
-        rt.barrier();
-        let mut out = (StageStats::default(), 0.0f64, Vec::new());
-        if p.rank() == 0 {
-            let src: Vec<u8> = (0..max).map(|i| (i % 251) as u8).collect();
-            let mut dst = vec![0u8; max];
-            let g0 = rt.stage_stats();
-            let t0 = p.clock().now();
-            for &base in &bases[1..] {
-                for &size in &SIZES {
-                    rt.put(&src[..size], base).unwrap();
-                    rt.get(base, &mut dst[..size]).unwrap();
-                    rt.acc(AccKind::Double(1.0), &src[..size], base).unwrap();
-                }
+/// Wire baseline then shm arm, for both workloads at every layout.
+pub fn arms(platform: PlatformId) -> Vec<Arm> {
+    let mut arms = Vec::new();
+    for ranks_per_node in RANKS_PER_NODE {
+        for driver in [Driver::FanoutMix, Driver::Ccsd] {
+            for (label, shm) in [("wire", false), ("shm", true)] {
+                // This A/B measures the data-path tier, in the paper's
+                // MPI-2 configuration; pin its mutex RMW so the arms stay
+                // comparable to the seeded artifact now that native
+                // atomics are the default.
+                let cfg = Config {
+                    shm,
+                    atomics: AtomicsMode::MutexFallback,
+                    ..Default::default()
+                };
+                arms.push(Arm {
+                    ranks_per_node,
+                    ..Arm::new(label, driver, platform, RANKS, cfg)
+                });
             }
-            let elapsed = p.clock().now() - t0;
-            let g1 = rt.stage_stats().delta(&g0);
-            let mut images = Vec::new();
-            for &base in &bases[1..] {
-                let mut image = vec![0u8; max];
-                rt.get(base, &mut image).unwrap();
-                images.extend(image);
-            }
-            out = (g1, elapsed, images);
-        }
-        rt.barrier();
-        rt.free(bases[p.rank()]).unwrap();
-        out
-    });
-    let mut row = fold(platform, "fig3-mix", arm, rpn);
-    let mut payload = Vec::new();
-    for (g, elapsed, images) in per_rank {
-        add_stats(&mut row, &g, elapsed);
-        if !images.is_empty() {
-            payload = images;
         }
     }
-    finish(&mut row);
-    (row, payload)
-}
-
-/// The CCSD ladder proxy (§VII): every rank claims tasks, gets tiles,
-/// accumulates results. Returns the row; the bit-compare payload is the
-/// synthetic energy.
-fn run_ccsd_arm(platform: PlatformId, rpn: u32, arm: &'static str) -> Row {
-    let per_rank = Runtime::run_with(RANKS, topo(platform, rpn), move |p| {
-        let rt = ArmciMpi::with_config(p, arm_cfg(arm));
-        let ccsd = CcsdConfig {
-            iterations: 2,
-            ..CcsdConfig::tiny()
-        };
-        let g0 = rt.stage_stats();
-        let r = run_ccsd(p, &rt, &ccsd);
-        let g1 = rt.stage_stats().delta(&g0);
-        (g1, r.elapsed, r.energy)
-    });
-    let mut row = fold(platform, "ccsd-proxy", arm, rpn);
-    row.energy = per_rank[0].2;
-    for (g, elapsed, _) in per_rank {
-        add_stats(&mut row, &g, elapsed);
-    }
-    finish(&mut row);
-    row
+    arms
 }
 
 /// Measures both arms of both workloads across the ranks-per-node sweep.
 pub fn generate(platform: PlatformId) -> Vec<Row> {
-    let mut rows = Vec::new();
-    for rpn in RANKS_PER_NODE {
-        let (mut wire, wire_image) = run_mix(platform, rpn, "wire");
-        let (mut shm, shm_image) = run_mix(platform, rpn, "shm");
-        wire.payload_ok = true;
-        shm.payload_ok = shm_image == wire_image;
-        rows.push(wire);
-        rows.push(shm);
-
-        let mut wire = run_ccsd_arm(platform, rpn, "wire");
-        let mut shm = run_ccsd_arm(platform, rpn, "shm");
-        wire.payload_ok = true;
-        shm.payload_ok = shm.energy.to_bits() == wire.energy.to_bits();
-        rows.push(wire);
-        rows.push(shm);
-    }
-    rows
+    run_table(arms(platform))
 }
 
-/// Renders the A/B as aligned text with the headline intra-node saving.
-pub fn render(rows: &[Row]) -> String {
-    let mut s = String::new();
-    s.push_str("# Shared-memory tier A/B — intra-node fast path vs forced wire\n");
-    s.push_str(&format!(
-        "{:<22} {:>5} {:>9} {:>12} {:>9} {:>6} {:>11} {:>3}\n",
-        "workload/arm", "rpn", "shm_hits", "bypass_B", "wire_ops", "hit%", "virtual_µs", "ok"
-    ));
-    for r in rows {
-        s.push_str(&format!(
-            "{:<22} {:>5} {:>9} {:>12} {:>9} {:>5.1}% {:>11.1} {:>3}\n",
-            format!("{}/{}", r.workload, r.arm),
-            r.ranks_per_node,
-            r.shm_hits,
-            r.shm_bypass_bytes,
-            r.executed_ops,
-            r.shm_hit_rate * 100.0,
-            r.virtual_s * 1e6,
-            if r.payload_ok { "y" } else { "N" },
-        ));
-    }
-    for workload in ["fig3-mix", "ccsd-proxy"] {
-        for rpn in RANKS_PER_NODE {
-            let get = |arm: &str| {
-                rows.iter()
-                    .find(|r| r.workload == workload && r.arm == arm && r.ranks_per_node == rpn)
+const COLUMNS: &[Column] = &[
+    ("shm_hits", |r| r.stage.shm_hits as f64),
+    ("bypass_B", |r| r.stage.shm_bypass_bytes as f64),
+    ("wire_ops", |r| r.stage.executed_ops as f64),
+    ("hit%", |r| r.stage.shm_hit_rate() * 100.0),
+];
+
+/// The artifact for one platform; the headline is the saving at the
+/// densest layout.
+pub fn table(platform: PlatformId) -> Table {
+    let rows = generate(platform);
+    let rpn = RANKS_PER_NODE[RANKS_PER_NODE.len() - 1];
+    let parts: Vec<String> = ["fig3-mix", "ccsd-proxy"]
+        .iter()
+        .filter_map(|&workload| {
+            let get = |arm| {
+                let at =
+                    |r: &&Row| r.workload == workload && r.arm == arm && r.ranks_per_node == rpn;
+                rows.iter().find(at)
             };
-            if let (Some(wire), Some(shm)) = (get("wire"), get("shm")) {
-                if shm.shm_hits > 0 {
-                    s.push_str(&format!(
-                        "{workload} @ {rpn} ranks/node: {:.1}x cheaper with the shm tier \
-                         ({:.0} B bypassed the NIC)\n",
-                        wire.virtual_s / shm.virtual_s,
-                        shm.shm_bypass_bytes as f64,
-                    ));
-                }
-            }
-        }
-    }
-    s.push('\n');
-    s
+            let (wire, shm) = (get("wire")?, get("shm")?);
+            Some(format!(
+                "{workload} {:.1}x cheaper ({} B bypassed the NIC)",
+                wire.virtual_s / shm.virtual_s,
+                shm.stage.shm_bypass_bytes
+            ))
+        })
+        .collect();
+    let headline = format!("shm tier @ {rpn} ranks/node: {}\n", parts.join(", "));
+    let title = "Shared-memory tier A/B — intra-node fast path vs forced wire";
+    Table::new(title, COLUMNS, rows, headline)
 }
 
 #[cfg(test)]
@@ -266,19 +109,25 @@ mod tests {
         };
         // Spread layout, peer-only traffic: no peers share a node, so the
         // mix rides the wire entirely even with the fast path armed.
-        assert_eq!(get("fig3-mix", "shm", 1).shm_hits, 0);
+        assert_eq!(get("fig3-mix", "shm", 1).stage.shm_hits, 0);
         // The proxy also touches its own tiles — those (and only those)
         // may bypass at 1 rank/node; the remote traffic stays on the wire.
         let spread = get("ccsd-proxy", "shm", 1);
-        assert!(spread.executed_ops > 0, "remote tiles must ride the wire");
+        assert!(
+            spread.stage.executed_ops > 0,
+            "remote tiles must ride the wire"
+        );
         for workload in ["fig3-mix", "ccsd-proxy"] {
             // Packed layouts: the fast path engages and wins outright.
             for rpn in [8, 32] {
                 let wire = get(workload, "wire", rpn);
                 let shm = get(workload, "shm", rpn);
-                assert!(shm.shm_hits > 0, "{workload} @ {rpn}: fast path idle");
-                assert!(shm.shm_bypass_bytes > 0);
-                assert_eq!(wire.shm_hits, 0, "{workload} @ {rpn}: forced-wire leak");
+                assert!(shm.stage.shm_hits > 0, "{workload} @ {rpn}: fast path idle");
+                assert!(shm.stage.shm_bypass_bytes > 0);
+                assert_eq!(
+                    wire.stage.shm_hits, 0,
+                    "{workload} @ {rpn}: forced-wire leak"
+                );
                 assert!(
                     shm.virtual_s < wire.virtual_s,
                     "{workload} @ {rpn} ranks/node: shm {} s not cheaper than wire {} s",
@@ -290,6 +139,10 @@ mod tests {
         // The mix is rank-0-driven onto one node at 8+ ranks/node: every
         // transfer bypasses, so the hit rate saturates.
         let mix = get("fig3-mix", "shm", 8);
-        assert!(mix.shm_hit_rate > 0.99, "hit rate {}", mix.shm_hit_rate);
+        assert!(
+            mix.stage.shm_hit_rate() > 0.99,
+            "hit rate {}",
+            mix.stage.shm_hit_rate()
+        );
     }
 }

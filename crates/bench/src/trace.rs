@@ -16,8 +16,10 @@
 use armci::{AccKind, Armci};
 use armci_mpi::{ArmciMpi, Config};
 use mpisim::{Proc, Runtime};
-use nwchem_proxy::{run_ccsd, run_ccsd_pipelined, run_ccsd_skewed, CcsdConfig};
+use nwchem_proxy::{run_ccsd, run_ccsd_pipelined, CcsdConfig};
 use simnet::PlatformId;
+
+use crate::ab::{Arm, Driver};
 
 /// One captured event stream (every rank, program order within a rank).
 pub struct Capture {
@@ -106,20 +108,29 @@ pub fn critpath_row(workload: &str, ranks: usize, cap: &Capture) -> serde::Value
 }
 
 /// Runs `body` on `ranks` simulated processes with the recorder on and
-/// collects every rank's events. Holds the recorder's global guard for
-/// the duration: the sink is process-wide, so concurrent captures would
-/// cross-contaminate.
+/// collects every rank's events (see [`crate::ab::recording`]: the sink
+/// is process-wide, so concurrent captures would cross-contaminate).
 pub fn capture(ranks: usize, platform: PlatformId, body: impl Fn(&Proc) + Send + Sync) -> Capture {
-    let _g = obs::test_guard();
-    obs::enable();
-    obs::clear();
     let cfg = crate::internode(platform);
-    Runtime::run_with(ranks, cfg, |p| {
-        body(p);
-        obs::flush_thread();
+    let ((), events) = crate::ab::recording(true, || {
+        Runtime::run_with(ranks, cfg, |p| {
+            body(p);
+            obs::flush_thread();
+        });
     });
+    Capture { events }
+}
+
+/// Runs `driver` as a recorded A/B arm (see [`crate::ab::run`]) on the
+/// InfiniBand cluster and keeps its events.
+fn arm_capture(driver: Driver, ranks: usize, cfg: Config) -> Capture {
+    let arm = Arm::new("capture", driver, PlatformId::InfiniBandCluster, ranks, cfg);
+    let arm = Arm {
+        record: true,
+        ..arm
+    };
     Capture {
-        events: obs::take(),
+        events: crate::ab::run(&arm).1,
     }
 }
 
@@ -234,17 +245,11 @@ pub fn ccsd_skewed_capture(skew: f64) -> Capture {
 /// single-iteration run never engages it and both arms would be
 /// trivially identical.
 pub fn ccsd_skewed_capture_with(skew: f64, progress: armci_mpi::ProgressMode) -> Capture {
-    capture(CCSD_SKEWED_RANKS, PlatformId::InfiniBandCluster, move |p| {
-        let rt = ArmciMpi::with_config(
-            p,
-            Config {
-                progress,
-                ..Default::default()
-            },
-        );
-        let cfg = crate::progress::ccsd_cfg();
-        run_ccsd_skewed(p, &rt, &cfg, skew);
-    })
+    let cfg = Config {
+        progress,
+        ..Default::default()
+    };
+    arm_capture(Driver::CcsdSkewed { skew }, CCSD_SKEWED_RANKS, cfg)
 }
 
 /// Ranks used by the workload-suite captures (artifact-row provenance).
@@ -256,37 +261,23 @@ pub const WORKLOAD_RANKS: usize = crate::workloads::RANKS;
 /// and the hot-spot `read_inc` claims serialise at the hub owner — the
 /// trace the ISSUE's ≥0.9 attribution gate reads.
 pub fn graph_capture() -> Capture {
-    capture(WORKLOAD_RANKS, PlatformId::InfiniBandCluster, |p| {
-        let rt = ArmciMpi::with_config(p, Config::default());
-        let opts = crate::workloads::graph_opts();
-        workloads::graph::run_graph(p, &rt, &opts);
-    })
+    arm_capture(Driver::Graph, WORKLOAD_RANKS, Config::default())
 }
 
 /// The halo-exchange stencil: strided ghost fetches through the dtype
 /// cache, collective residual folds, alternating-array syncs.
 pub fn stencil_capture() -> Capture {
-    capture(WORKLOAD_RANKS, PlatformId::InfiniBandCluster, |p| {
-        let rt = ArmciMpi::with_config(p, Config::default());
-        let opts = crate::workloads::stencil_opts();
-        workloads::stencil::run_stencil(p, &rt, &opts);
-    })
+    arm_capture(Driver::Stencil, WORKLOAD_RANKS, Config::default())
 }
 
 /// The KV/parameter-server loop under the mutex atomics fallback, so
 /// the hot-key fetch-and-add contention shows up as lock waits.
 pub fn kv_capture() -> Capture {
-    capture(WORKLOAD_RANKS, PlatformId::InfiniBandCluster, |p| {
-        let rt = ArmciMpi::with_config(
-            p,
-            Config {
-                atomics: armci_mpi::AtomicsMode::MutexFallback,
-                ..Default::default()
-            },
-        );
-        let opts = crate::workloads::kv_opts();
-        workloads::kv::run_kv(p, &rt, &opts);
-    })
+    let cfg = Config {
+        atomics: armci_mpi::AtomicsMode::MutexFallback,
+        ..Default::default()
+    };
+    arm_capture(Driver::Kv, WORKLOAD_RANKS, cfg)
 }
 
 /// Wall-clock for `reps` rounds of fig3-style contiguous put/get with the
@@ -311,36 +302,29 @@ pub fn contig_overhead_off(reps: usize) -> std::time::Duration {
 pub const OVERHEAD_OPS_PER_REP: u64 = 6;
 
 fn contig_loop(reps: usize, record: bool) -> std::time::Duration {
-    let _g = obs::test_guard();
-    if record {
-        obs::enable();
-    } else {
-        obs::disable();
-    }
-    obs::clear();
     let cfg = crate::internode(PlatformId::InfiniBandCluster);
-    let start = std::time::Instant::now();
-    Runtime::run_with(2, cfg, |p| {
-        let rt = ArmciMpi::with_config(p, Config::default());
-        let bases = rt.malloc(1 << 18).expect("malloc");
-        rt.barrier();
-        if p.rank() == 0 {
-            let src = vec![1u8; 1 << 14];
-            let mut dst = vec![0u8; 1 << 14];
-            for _ in 0..reps {
-                for &size in &[256usize, 1 << 10, 1 << 14] {
-                    rt.put(&src[..size], bases[1]).unwrap();
-                    rt.get(bases[1], &mut dst[..size]).unwrap();
+    let (dt, _) = crate::ab::recording(record, || {
+        let start = std::time::Instant::now();
+        Runtime::run_with(2, cfg, |p| {
+            let rt = ArmciMpi::with_config(p, Config::default());
+            let bases = rt.malloc(1 << 18).expect("malloc");
+            rt.barrier();
+            if p.rank() == 0 {
+                let src = vec![1u8; 1 << 14];
+                let mut dst = vec![0u8; 1 << 14];
+                for _ in 0..reps {
+                    for &size in &[256usize, 1 << 10, 1 << 14] {
+                        rt.put(&src[..size], bases[1]).unwrap();
+                        rt.get(bases[1], &mut dst[..size]).unwrap();
+                    }
+                    let _ = obs::take_local();
                 }
-                let _ = obs::take_local();
             }
-        }
-        rt.barrier();
-        rt.free(bases[p.rank()]).unwrap();
+            rt.barrier();
+            rt.free(bases[p.rank()]).unwrap();
+        });
+        start.elapsed()
     });
-    let dt = start.elapsed();
-    obs::clear();
-    obs::disable();
     dt
 }
 

@@ -3,23 +3,21 @@
 //! and without the congestion-aware shared-NIC queueing model.
 //!
 //! Two workloads run at 1 and 8 ranks per node: a Figure 3-style
-//! contiguous put/get/accumulate mix fanned out from rank 0, and the
-//! CCSD ladder proxy (§VII). Payloads and synthetic energies must be
-//! bit-identical across every arm — the backend may only change what
-//! the movement costs and how it is bracketed (epochs vs doorbells),
-//! never what arrives. The channel backend's offload/fallback split is
-//! recorded per arm. On the single-driver mix (whose virtual makespan
-//! is deterministic) congestion pricing must never be cheaper than the
-//! uncongested run of the same backend; the proxy's makespan depends on
-//! dynamic NXTVAL task claiming, so its timings are reported, not
-//! compared.
+//! contiguous put/get/accumulate mix fanned out from rank 0 (plus one
+//! strided put per peer), and the CCSD ladder proxy (§VII). Payloads and
+//! synthetic energies must be bit-identical across every arm — the
+//! backend may only change what the movement costs and how it is
+//! bracketed (epochs vs doorbells), never what arrives. The channel
+//! backend's offload/fallback split is recorded per arm. On the
+//! single-driver mix (whose virtual makespan is deterministic)
+//! congestion pricing must never be cheaper than the uncongested run of
+//! the same backend; the proxy's makespan depends on dynamic NXTVAL task
+//! claiming, so its timings are reported, not compared.
 
-use armci::{AccKind, Armci};
-use armci_mpi::{ArmciMpi, AtomicsMode, Config, TransportKind};
-use mpisim::{Runtime, RuntimeConfig};
-use nwchem_proxy::{run_ccsd, CcsdConfig};
-use serde::Serialize;
-use simnet::{CongestionParams, Platform, PlatformId};
+use armci_mpi::{AtomicsMode, Config, TransportKind};
+use simnet::PlatformId;
+
+use crate::ab::{run_table, Arm, Column, Driver, Row, Table};
 
 /// Ranks-per-node sweep points: fully spread (every transfer crosses
 /// the wire) and packed enough that NICs are shared under congestion.
@@ -28,295 +26,80 @@ pub const RANKS_PER_NODE: [u32; 2] = [1, 8];
 /// Simulated processes per run.
 const RANKS: usize = 8;
 
-/// One measured arm of one workload at one layout.
-#[derive(Debug, Clone, Serialize)]
-pub struct Row {
-    pub platform: PlatformId,
-    /// `"fig3-mix"` or `"ccsd-proxy"`.
-    pub workload: &'static str,
-    /// Wire backend: `"mpi-rma"` or `"channel"`.
-    pub transport: &'static str,
-    /// Whether the shared-NIC congestion model priced this arm.
-    pub congested: bool,
-    pub ranks_per_node: u32,
-    /// Passive-target epochs opened, summed over ranks (zero for the
-    /// channel backend — it has no epochs).
-    pub epochs: u64,
-    /// Flush operations, summed over ranks.
-    pub flushes: u64,
-    /// Channel operations completed in "hardware" (contiguous
-    /// doorbell/CQ transfers and NIC atomics), summed over ranks.
-    pub offloaded_ops: u64,
-    /// Channel operations that took the software fallback, summed.
-    pub fallback_ops: u64,
-    /// Virtual makespan (max over ranks) of the measured phase.
-    pub virtual_s: f64,
-    /// Payload (or energy) bit-identical to the uncongested MPI-RMA arm.
-    pub payload_ok: bool,
-    /// CCSD synthetic energy (zero for the mix).
-    pub energy: f64,
-}
-
-/// Runtime for `platform` at `ranks_per_node`, optionally with the
-/// congestion-aware shared-NIC queueing model armed.
-fn topo(platform: PlatformId, ranks_per_node: u32, congested: bool) -> RuntimeConfig {
-    let mut p = Platform::get(platform).customized("transport-bench");
-    p.sockets_per_node = 1;
-    p.cores_per_socket = ranks_per_node;
-    RuntimeConfig {
-        platform: p,
-        congestion: congested.then(CongestionParams::default),
-        ..Default::default()
-    }
-}
-
-fn arm_cfg(transport: TransportKind) -> Config {
-    Config {
-        transport,
-        // This A/B isolates the wire backend: with the node slab on,
-        // packed layouts would route node-local traffic through the shm
-        // tier (which locks under the channel backend) and measure the
-        // slab instead of the wire. BENCH_shm measures that tier.
-        shm: false,
-        // Both wire arms carry the paper's MPI-2 RMW (mutex protocol) so
-        // the backend comparison is unaffected by the native-atomics
-        // default; BENCH_rmw is where the disciplines are compared.
-        atomics: AtomicsMode::MutexFallback,
-        ..Default::default()
-    }
-}
-
-fn kind_of(transport: &str) -> TransportKind {
-    if transport == "channel" {
-        TransportKind::Channel
-    } else {
-        TransportKind::MpiRma
-    }
-}
-
-fn fold(
-    platform: PlatformId,
-    workload: &'static str,
-    transport: &'static str,
-    congested: bool,
-    rpn: u32,
-) -> Row {
-    Row {
-        platform,
-        workload,
-        transport,
-        congested,
-        ranks_per_node: rpn,
-        epochs: 0,
-        flushes: 0,
-        offloaded_ops: 0,
-        fallback_ops: 0,
-        virtual_s: 0.0,
-        payload_ok: false,
-        energy: 0.0,
-    }
-}
-
-/// Per-rank measurement: epoch/flush deltas, offload counters, elapsed.
-type RankSample = (u64, u64, u64, u64, f64);
-
-fn add_sample(row: &mut Row, s: &RankSample) {
-    row.epochs += s.0;
-    row.flushes += s.1;
-    row.offloaded_ops += s.2;
-    row.fallback_ops += s.3;
-    row.virtual_s = row.virtual_s.max(s.4);
-}
-
-/// Figure 3-style mix: rank 0 fans contiguous put/get/acc at three sizes
-/// out to every peer, plus a strided transfer per peer so the channel
-/// backend exercises its software fallback. Returns the row and the
-/// concatenated final images of all targets (the cross-arm bit-compare
-/// payload).
-fn run_mix(
-    platform: PlatformId,
-    rpn: u32,
-    transport: &'static str,
-    congested: bool,
-) -> (Row, Vec<u8>) {
-    const SIZES: [usize; 3] = [1 << 10, 1 << 14, 1 << 18];
-    let max = *SIZES.iter().max().unwrap();
-    let per_rank = Runtime::run_with(RANKS, topo(platform, rpn, congested), move |p| {
-        let rt = ArmciMpi::with_config(p, arm_cfg(kind_of(transport)));
-        let bases = rt.malloc(max).expect("malloc");
-        rt.barrier();
-        let mut out: (RankSample, Vec<u8>) = ((0, 0, 0, 0, 0.0), Vec::new());
-        if p.rank() == 0 {
-            let src: Vec<u8> = (0..max).map(|i| (i % 251) as u8).collect();
-            let mut dst = vec![0u8; max];
-            let s0 = rt.stats();
-            let t0 = p.clock().now();
-            for &base in &bases[1..] {
-                for &size in &SIZES {
-                    rt.put(&src[..size], base).unwrap();
-                    rt.get(base, &mut dst[..size]).unwrap();
-                    rt.acc(AccKind::Double(1.0), &src[..size], base).unwrap();
+/// Both backends, uncongested then congested, for both workloads at
+/// every layout. The uncongested MPI-RMA arm comes first: it is the
+/// payload baseline of its workload and layout.
+pub fn arms(platform: PlatformId) -> Vec<Arm> {
+    let mut arms = Vec::new();
+    for ranks_per_node in RANKS_PER_NODE {
+        for driver in [Driver::FanoutStridedMix, Driver::Ccsd] {
+            for (label, transport) in [
+                ("mpi-rma", TransportKind::MpiRma),
+                ("channel", TransportKind::Channel),
+            ] {
+                for congested in [false, true] {
+                    let cfg = Config {
+                        transport,
+                        // This A/B isolates the wire backend: with the
+                        // node slab on, packed layouts would route
+                        // node-local traffic through the shm tier and
+                        // measure the slab instead of the wire.
+                        shm: false,
+                        // Both wire arms carry the paper's MPI-2 RMW
+                        // (mutex protocol); BENCH_rmw is where the
+                        // disciplines are compared.
+                        atomics: AtomicsMode::MutexFallback,
+                        ..Default::default()
+                    };
+                    arms.push(Arm {
+                        ranks_per_node,
+                        congested,
+                        ..Arm::new(label, driver, platform, RANKS, cfg)
+                    });
                 }
-                // 2-D strided put: 64-byte rows every 128 bytes.
-                rt.put_strided(&src[..512], &[64], base, &[128], &[64, 8])
-                    .unwrap();
             }
-            let elapsed = p.clock().now() - t0;
-            let s1 = rt.stats();
-            let tx = rt.transport_stats();
-            let mut images = Vec::new();
-            for &base in &bases[1..] {
-                let mut image = vec![0u8; max];
-                rt.get(base, &mut image).unwrap();
-                images.extend(image);
-            }
-            out = (
-                (
-                    s1.epochs - s0.epochs,
-                    s1.flushes - s0.flushes,
-                    tx.offloaded,
-                    tx.fallback,
-                    elapsed,
-                ),
-                images,
-            );
-        }
-        rt.barrier();
-        rt.free(bases[p.rank()]).unwrap();
-        out
-    });
-    let mut row = fold(platform, "fig3-mix", transport, congested, rpn);
-    let mut payload = Vec::new();
-    for (s, images) in per_rank {
-        add_sample(&mut row, &s);
-        if !images.is_empty() {
-            payload = images;
         }
     }
-    (row, payload)
+    arms
 }
 
-/// The CCSD ladder proxy (§VII): every rank claims tasks (NXTVAL RMW),
-/// gets tiles, accumulates results. The bit-compare payload is the
-/// synthetic energy.
-fn run_ccsd_arm(platform: PlatformId, rpn: u32, transport: &'static str, congested: bool) -> Row {
-    let per_rank = Runtime::run_with(RANKS, topo(platform, rpn, congested), move |p| {
-        let rt = ArmciMpi::with_config(p, arm_cfg(kind_of(transport)));
-        let ccsd = CcsdConfig {
-            iterations: 2,
-            ..CcsdConfig::tiny()
-        };
-        let s0 = rt.stats();
-        let r = run_ccsd(p, &rt, &ccsd);
-        let s1 = rt.stats();
-        let tx = rt.transport_stats();
-        let sample: RankSample = (
-            s1.epochs - s0.epochs,
-            s1.flushes - s0.flushes,
-            tx.offloaded,
-            tx.fallback,
-            r.elapsed,
-        );
-        (sample, r.energy)
-    });
-    let mut row = fold(platform, "ccsd-proxy", transport, congested, rpn);
-    row.energy = per_rank[0].1;
-    for (s, _) in &per_rank {
-        add_sample(&mut row, s);
-    }
-    row
-}
-
-/// Measures both backends, uncongested and congested, on both workloads
-/// across the ranks-per-node sweep. The uncongested MPI-RMA arm is the
-/// payload baseline for every other arm of the same workload/layout.
+/// Measures every arm on one platform.
 pub fn generate(platform: PlatformId) -> Vec<Row> {
-    let mut rows = Vec::new();
-    for rpn in RANKS_PER_NODE {
-        let mut arms = Vec::new();
-        let mut baseline_image = Vec::new();
-        for transport in ["mpi-rma", "channel"] {
-            for congested in [false, true] {
-                let (mut row, image) = run_mix(platform, rpn, transport, congested);
-                if transport == "mpi-rma" && !congested {
-                    baseline_image = image;
-                    row.payload_ok = true;
-                } else {
-                    row.payload_ok = image == baseline_image;
-                }
-                arms.push(row);
-            }
-        }
-        rows.extend(arms);
-
-        let mut arms = Vec::new();
-        let mut baseline_energy = 0.0f64;
-        for transport in ["mpi-rma", "channel"] {
-            for congested in [false, true] {
-                let mut row = run_ccsd_arm(platform, rpn, transport, congested);
-                if transport == "mpi-rma" && !congested {
-                    baseline_energy = row.energy;
-                    row.payload_ok = true;
-                } else {
-                    row.payload_ok = row.energy.to_bits() == baseline_energy.to_bits();
-                }
-                arms.push(row);
-            }
-        }
-        rows.extend(arms);
-    }
-    rows
+    run_table(arms(platform))
 }
 
-/// Renders the A/B as aligned text with the headline backend deltas.
-pub fn render(rows: &[Row]) -> String {
-    let mut s = String::new();
-    s.push_str("# Wire-backend A/B — MPI RMA vs RAMC-style channels, +/- congestion\n");
-    s.push_str(&format!(
-        "{:<28} {:>5} {:>8} {:>8} {:>9} {:>9} {:>11} {:>3}\n",
-        "workload/transport", "rpn", "epochs", "flushes", "offload", "fallback", "virtual_µs", "ok"
-    ));
-    for r in rows {
-        s.push_str(&format!(
-            "{:<28} {:>5} {:>8} {:>8} {:>9} {:>9} {:>11.1} {:>3}\n",
-            format!(
-                "{}/{}{}",
-                r.workload,
-                r.transport,
-                if r.congested { "+cong" } else { "" }
-            ),
-            r.ranks_per_node,
-            r.epochs,
-            r.flushes,
-            r.offloaded_ops,
-            r.fallback_ops,
-            r.virtual_s * 1e6,
-            if r.payload_ok { "y" } else { "N" },
-        ));
-    }
-    for workload in ["fig3-mix", "ccsd-proxy"] {
-        for rpn in RANKS_PER_NODE {
-            let get = |transport: &str, congested: bool| {
-                rows.iter().find(|r| {
-                    r.workload == workload
-                        && r.transport == transport
-                        && r.congested == congested
-                        && r.ranks_per_node == rpn
-                })
+const COLUMNS: &[Column] = &[
+    ("epochs", |r| r.ops.epochs as f64),
+    ("flushes", |r| r.ops.flushes as f64),
+    ("offload", |r| r.wire.offloaded as f64),
+    ("fallback", |r| r.wire.fallback as f64),
+];
+
+/// The artifact for one platform; the headline compares the uncongested
+/// backends at one rank per node.
+pub fn table(platform: PlatformId) -> Table {
+    let rows = generate(platform);
+    let parts: Vec<String> = ["fig3-mix", "ccsd-proxy"]
+        .iter()
+        .filter_map(|&workload| {
+            let get = |arm| {
+                let at = |r: &&Row| {
+                    r.workload == workload && r.arm == arm && !r.congested && r.ranks_per_node == 1
+                };
+                rows.iter().find(at)
             };
-            if let (Some(mpi), Some(chan)) = (get("mpi-rma", false), get("channel", false)) {
-                s.push_str(&format!(
-                    "{workload} @ {rpn} ranks/node: channel {:.2}x vs MPI RMA \
-                     ({} offloaded / {} fallback)\n",
-                    mpi.virtual_s / chan.virtual_s,
-                    chan.offloaded_ops,
-                    chan.fallback_ops,
-                ));
-            }
-        }
-    }
-    s.push('\n');
-    s
+            let (mpi, chan) = (get("mpi-rma")?, get("channel")?);
+            Some(format!(
+                "{workload} {:.2}x ({} offloaded / {} fallback)",
+                mpi.virtual_s / chan.virtual_s,
+                chan.wire.offloaded,
+                chan.wire.fallback
+            ))
+        })
+        .collect();
+    let headline = format!("channel vs MPI RMA @ 1 rank/node: {}\n", parts.join(", "));
+    let title = "Wire-backend A/B — MPI RMA vs RAMC-style channels, +/- congestion";
+    Table::new(title, COLUMNS, rows, headline)
 }
 
 #[cfg(test)]
@@ -351,16 +134,16 @@ mod tests {
                 let mpi = get(workload, "mpi-rma", false, rpn);
                 let chan = get(workload, "channel", false, rpn);
                 assert!(
-                    mpi.epochs > 0,
+                    mpi.ops.epochs > 0,
                     "{workload} @ {rpn}: MPI arm opened no epochs"
                 );
                 assert_eq!(
-                    (chan.epochs, chan.flushes),
+                    (chan.ops.epochs, chan.ops.flushes),
                     (0, 0),
                     "{workload} @ {rpn}: channel arm used MPI epochs"
                 );
                 assert!(
-                    chan.offloaded_ops > 0,
+                    chan.wire.offloaded > 0,
                     "{workload} @ {rpn}: channel arm never offloaded"
                 );
                 // Congestion pricing may only add time. Compared on the
@@ -384,6 +167,6 @@ mod tests {
         }
         // The mix includes strided traffic: the channel backend must
         // report a software-fallback share.
-        assert!(get("fig3-mix", "channel", false, 1).fallback_ops > 0);
+        assert!(get("fig3-mix", "channel", false, 1).wire.fallback > 0);
     }
 }

@@ -3,68 +3,64 @@
 //! loop — measured across the runtime's config axes, plus each driver's
 //! scalesim rank-scaling series.
 //!
-//! **Runtime rows** (`source: "runtime"`): every driver runs once per
+//! **Runtime rows** (the shared [`Row`]): every driver runs once per
 //! arm — `baseline` (defaults), `transport` (RAMC-style channels),
 //! `atomics` (forced mutex fallback), `progress` (per-node agents),
-//! `coalesce` (batched scheduler issue) — at 4 ranks, one per node, on the
-//! virtual-time runtime. Each arm's payload is checked against the
-//! driver's bit-exact oracle AND against the baseline arm's outputs
-//! (`verified`): the config axes are *timing* models and must never
-//! change results. Provenance columns carry the *resolved* transport /
-//! atomics / progress names reported by the runtime, not the requested
-//! enum.
+//! `coalesce` (batched scheduler issue) — at 4 ranks, one per node, on
+//! the virtual-time runtime. Each arm's outputs are checked against the
+//! driver's bit-exact oracle (`verified`) and against the baseline arm's
+//! (`payload_ok`): the config axes are *timing* models and must never
+//! change results.
 //!
-//! **DES rows** (`source: "des"`): `workloads::scale` extends each
-//! driver's contended resource to 10⁵–10⁶ simulated clients per
-//! contention discipline.
+//! **DES series** ([`ScalePoint`], `"source": "des"`): `workloads::scale`
+//! extends each driver's contended resource to 10⁵–10⁶ simulated
+//! clients per contention discipline.
 
-use armci_mpi::{ArmciMpi, AtomicsMode, CoalesceMode, Config, ProgressMode, TransportKind};
-use mpisim::Runtime;
+use armci_mpi::{AtomicsMode, CoalesceMode, Config, ProgressMode, TransportKind};
 use serde::Serialize;
 use simnet::{Platform, PlatformId};
-use workloads::{graph, kv, scale, stencil, GraphOpts, KvOpts, StencilOpts};
+use workloads::{scale, GraphOpts, KvOpts, StencilOpts};
+
+use crate::ab::{run_table, Arm, Column, Driver, Row, Table};
 
 /// Ranks of the runtime measurements (one per node; see
 /// [`crate::internode`]).
 pub const RANKS: usize = 4;
 
 /// Minimum spread (slowest arm / fastest arm of virtual time) each
-/// driver must show on at least one config axis — the ISSUE's ≥1.3×
-/// acceptance gate. Enforced by the module test and `figures check`.
+/// driver must show on at least one config axis (≥1.3×). Enforced by the
+/// module test and `figures check`.
 pub const GATE_SPREAD: f64 = 1.3;
 
-/// One measured arm (or one DES scaling point) of one driver.
+/// The config axes compared against the baseline arm.
+pub const AXES: [&str; 4] = ["transport", "atomics", "progress", "coalesce"];
+
+/// One DES scaling point of one driver (a series outside the shared row).
 #[derive(Debug, Clone, Serialize)]
-pub struct Row {
+pub struct ScalePoint {
     pub platform: PlatformId,
     /// `graph`, `stencil`, or `kv`.
     pub workload: &'static str,
-    /// `"runtime"` (measured on the simulated runtime) or `"des"`
-    /// (scalesim discrete-event model).
+    /// Always `"des"`.
     pub source: &'static str,
-    /// Config axis this arm varies: `baseline`, `transport`, `atomics`,
-    /// `progress`, `coalesce` — or `scale` for DES rows.
+    /// Always `"scale"`.
     pub axis: &'static str,
-    /// Resolved wire transport (`mpi-rma` / `channel`).
+    /// Wire transport of the discipline (`mpi-rma` / `channel`).
     pub transport: &'static str,
-    /// Resolved atomics discipline (`native` / `mutex`; DES rows also
-    /// use `sharded`).
+    /// Contention discipline (`native` / `mutex` / `sharded`).
     pub atomics: &'static str,
-    /// Resolved progress discipline (`none` / `agent`).
     pub progress: &'static str,
-    /// Requested coalesce mode of the arm.
     pub coalesce: &'static str,
-    /// Ranks of the runtime run, or simulated clients of the DES point.
+    /// Simulated clients.
     pub ranks: u64,
     pub ranks_per_node: u32,
-    /// One-sided operations issued (runtime) or modelled (DES).
+    /// Operations modelled.
     pub ops: u64,
-    /// Virtual seconds: max over ranks (runtime) / makespan (DES).
+    /// Makespan.
     pub virtual_s: f64,
     /// Operations per virtual second.
     pub throughput_per_s: f64,
-    /// Oracle verdict: bit-exact oracle passed AND outputs identical to
-    /// the baseline arm. Always true on DES rows (nothing to verify).
+    /// Always true (nothing to verify).
     pub verified: bool,
 }
 
@@ -104,9 +100,9 @@ pub fn kv_opts() -> KvOpts {
     }
 }
 
-/// The five config arms swept per driver.
-pub fn arms() -> Vec<(&'static str, Config)> {
-    vec![
+/// The five config arms of every driver, baseline first.
+pub fn arms(platform: PlatformId) -> Vec<Arm> {
+    let axes = [
         ("baseline", Config::default()),
         (
             "transport",
@@ -136,143 +132,24 @@ pub fn arms() -> Vec<(&'static str, Config)> {
                 ..Default::default()
             },
         ),
-    ]
-}
-
-fn coalesce_name(c: CoalesceMode) -> &'static str {
-    match c {
-        CoalesceMode::Batched => "batched",
-        CoalesceMode::Datatype => "datatype",
-        CoalesceMode::Auto => "auto",
-    }
-}
-
-/// Output fingerprint of one driver run, for the cross-arm
-/// bit-identical check.
-#[derive(PartialEq)]
-enum Payload {
-    Graph(Vec<i64>, Vec<i64>),
-    Stencil(Vec<u64>, Vec<u64>),
-    Kv(Vec<i64>),
-}
-
-struct ArmRun {
-    transport: &'static str,
-    atomics: &'static str,
-    progress: &'static str,
-    ops: u64,
-    virtual_s: f64,
-    verified: bool,
-    payload: Payload,
-}
-
-fn run_driver(platform: PlatformId, workload: &'static str, cfg: Config) -> ArmRun {
-    let rt_cfg = crate::internode(platform);
-    match workload {
-        "graph" => {
-            let opts = graph_opts();
-            let cfg2 = cfg.clone();
-            let opts2 = opts.clone();
-            let out = Runtime::run_with(RANKS, rt_cfg, move |p| {
-                let rt = ArmciMpi::with_config(p, cfg2.clone());
-                let r = graph::run_graph(p, &rt, &opts2);
-                (
-                    r,
-                    rt.transport_name(),
-                    rt.atomics_mode_name(),
-                    rt.progress_mode_name(),
-                )
-            });
-            let verified = graph::verify(
-                &opts,
-                &out.iter().map(|(r, ..)| r.clone()).collect::<Vec<_>>(),
-            )
-            .is_ok();
-            let (r0, transport, atomics, progress) = {
-                let (r, t, a, p) = &out[0];
-                (r.clone(), *t, *a, *p)
-            };
-            ArmRun {
-                transport,
-                atomics,
-                progress,
-                ops: out.iter().map(|(r, ..)| r.ops).sum(),
-                virtual_s: out.iter().map(|(r, ..)| r.elapsed_s).fold(0.0, f64::max),
-                verified,
-                payload: Payload::Graph(r0.dist, r0.pagerank),
-            }
-        }
-        "stencil" => {
-            let opts = stencil_opts();
-            let cfg2 = cfg.clone();
-            let opts2 = opts.clone();
-            let out = Runtime::run_with(RANKS, rt_cfg, move |p| {
-                let rt = ArmciMpi::with_config(p, cfg2.clone());
-                let r = stencil::run_stencil(p, &rt, &opts2);
-                (
-                    r,
-                    rt.transport_name(),
-                    rt.atomics_mode_name(),
-                    rt.progress_mode_name(),
-                )
-            });
-            let verified = stencil::verify(
-                &opts,
-                RANKS,
-                &out.iter().map(|(r, ..)| r.clone()).collect::<Vec<_>>(),
-            )
-            .is_ok();
-            let (r0, transport, atomics, progress) = {
-                let (r, t, a, p) = &out[0];
-                (r.clone(), *t, *a, *p)
-            };
-            ArmRun {
-                transport,
-                atomics,
-                progress,
-                ops: out.iter().map(|(r, ..)| r.ops).sum(),
-                virtual_s: out.iter().map(|(r, ..)| r.elapsed_s).fold(0.0, f64::max),
-                verified,
-                payload: Payload::Stencil(
-                    r0.field.iter().map(|v| v.to_bits()).collect(),
-                    r0.residuals.iter().map(|v| v.to_bits()).collect(),
-                ),
-            }
-        }
-        _ => {
-            let opts = kv_opts();
-            let cfg2 = cfg.clone();
-            let opts2 = opts.clone();
-            let out = Runtime::run_with(RANKS, rt_cfg, move |p| {
-                let rt = ArmciMpi::with_config(p, cfg2.clone());
-                let r = kv::run_kv(p, &rt, &opts2);
-                (
-                    r,
-                    rt.transport_name(),
-                    rt.atomics_mode_name(),
-                    rt.progress_mode_name(),
-                )
-            });
-            let verified = kv::verify(
-                &opts,
-                &out.iter().map(|(r, ..)| r.clone()).collect::<Vec<_>>(),
-            )
-            .is_ok();
-            let (r0, transport, atomics, progress) = {
-                let (r, t, a, p) = &out[0];
-                (r.clone(), *t, *a, *p)
-            };
-            ArmRun {
-                transport,
-                atomics,
-                progress,
-                ops: out.iter().map(|(r, ..)| r.ops).sum(),
-                virtual_s: out.iter().map(|(r, ..)| r.elapsed_s).fold(0.0, f64::max),
-                verified,
-                payload: Payload::Kv(r0.finals),
-            }
+    ];
+    let mut arms = Vec::new();
+    for driver in [Driver::Graph, Driver::Stencil, Driver::Kv] {
+        for (label, cfg) in axes.clone() {
+            arms.push(Arm::new(label, driver, platform, RANKS, cfg));
         }
     }
+    arms
+}
+
+/// Measures every arm of every driver, with its throughput.
+pub fn generate(platform: PlatformId) -> Vec<Row> {
+    let mut rows = run_table(arms(platform));
+    for r in &mut rows {
+        let throughput = r.metric("ops") / r.virtual_s.max(1e-12);
+        r.metrics.push(("throughput_per_s", throughput.to_value()));
+    }
+    rows
 }
 
 /// Maps a DES contention discipline to the provenance columns.
@@ -283,84 +160,50 @@ fn des_provenance(discipline: &'static str) -> (&'static str, &'static str) {
     }
 }
 
-/// Measures every arm of every driver and appends the DES series.
-pub fn generate(platform: PlatformId) -> Vec<Row> {
-    let mut rows = Vec::new();
-    for workload in ["graph", "stencil", "kv"] {
-        let mut baseline_payload: Option<Payload> = None;
-        for (axis, cfg) in arms() {
-            let coalesce = coalesce_name(cfg.coalesce);
-            let run = run_driver(platform, workload, cfg);
-            // The config axes are timing models: every arm must produce
-            // the baseline arm's bits.
-            let identical = match &baseline_payload {
-                None => {
-                    baseline_payload = Some(run.payload);
-                    true
-                }
-                Some(b) => *b == run.payload,
-            };
-            rows.push(Row {
-                platform,
-                workload,
-                source: "runtime",
-                axis,
-                transport: run.transport,
-                atomics: run.atomics,
-                progress: run.progress,
-                coalesce,
-                ranks: RANKS as u64,
-                ranks_per_node: 1,
-                ops: run.ops,
-                virtual_s: run.virtual_s,
-                throughput_per_s: run.ops as f64 / run.virtual_s.max(1e-12),
-                verified: run.verified && identical,
-            });
-        }
-    }
+/// The scalesim series of every driver.
+pub fn scale_series(platform: PlatformId) -> Vec<ScalePoint> {
     let p = Platform::get(platform);
     let shard_rpn = (p.sockets_per_node * p.cores_per_socket).max(1);
-    for s in scale::kv_scale(&p)
+    scale::kv_scale(&p)
         .into_iter()
         .chain(scale::graph_scale(&p))
         .chain(scale::stencil_scale(&p))
-    {
-        let (transport, atomics) = des_provenance(s.discipline);
-        let driver: &'static str = match s.driver {
-            "graph" => "graph",
-            "stencil" => "stencil",
-            _ => "kv",
-        };
-        rows.push(Row {
-            platform,
-            workload: driver,
-            source: "des",
-            axis: "scale",
-            transport,
-            atomics,
-            progress: "none",
-            coalesce: "auto",
-            ranks: s.clients as u64,
-            ranks_per_node: if s.discipline == "sharded" {
-                shard_rpn
-            } else {
-                1
-            },
-            ops: (s.throughput_per_s * s.makespan_s).round() as u64,
-            virtual_s: s.makespan_s,
-            throughput_per_s: s.throughput_per_s,
-            verified: true,
-        });
-    }
-    rows
+        .map(|s| {
+            let (transport, atomics) = des_provenance(s.discipline);
+            ScalePoint {
+                platform,
+                workload: match s.driver {
+                    "graph" => "graph",
+                    "stencil" => "stencil",
+                    _ => "kv",
+                },
+                source: "des",
+                axis: "scale",
+                transport,
+                atomics,
+                progress: "none",
+                coalesce: "auto",
+                ranks: s.clients as u64,
+                ranks_per_node: if s.discipline == "sharded" {
+                    shard_rpn
+                } else {
+                    1
+                },
+                ops: (s.throughput_per_s * s.makespan_s).round() as u64,
+                virtual_s: s.makespan_s,
+                throughput_per_s: s.throughput_per_s,
+                verified: true,
+            }
+        })
+        .collect()
 }
 
-/// Spread (slowest/fastest virtual time) of one driver across the
-/// runtime arms of one axis vs baseline.
+/// Spread (slowest/fastest virtual time) of one driver between the
+/// baseline arm and one axis arm.
 pub fn axis_spread(rows: &[Row], workload: &str, axis: &str) -> Option<f64> {
     let of = |a: &str| {
         rows.iter()
-            .find(|r| r.source == "runtime" && r.workload == workload && r.axis == a)
+            .find(|r| r.workload == workload && r.arm == a)
             .map(|r| r.virtual_s)
     };
     let (base, arm) = (of("baseline")?, of(axis)?);
@@ -369,54 +212,35 @@ pub fn axis_spread(rows: &[Row], workload: &str, axis: &str) -> Option<f64> {
 
 /// The widest axis spread a driver shows (the ≥1.3× gate reads this).
 pub fn best_spread(rows: &[Row], workload: &str) -> Option<(&'static str, f64)> {
-    ["transport", "atomics", "progress", "coalesce"]
-        .into_iter()
+    AXES.into_iter()
         .filter_map(|a| axis_spread(rows, workload, a).map(|s| (a, s)))
         .max_by(|a, b| a.1.total_cmp(&b.1))
 }
 
-/// Renders the sweep as aligned text with the per-driver headline
-/// spreads.
-pub fn render(rows: &[Row]) -> String {
-    let mut s = String::new();
-    s.push_str("# Workload suite — config-axis A/B + DES scaling\n");
-    s.push_str(&format!(
-        "{:<8} {:<8} {:<10} {:>9} {:>8} {:>8} {:>9} {:>9} {:>12} {:>12} {:>3}\n",
-        "workload",
-        "source",
-        "axis",
-        "transport",
-        "atomics",
-        "progress",
-        "ranks",
-        "ops",
-        "virtual_ms",
-        "ops/s",
-        "ok"
-    ));
-    for r in rows {
-        s.push_str(&format!(
-            "{:<8} {:<8} {:<10} {:>9} {:>8} {:>8} {:>9} {:>9} {:>12.3} {:>12.0} {:>3}\n",
-            r.workload,
-            r.source,
-            r.axis,
-            r.transport,
-            r.atomics,
-            r.progress,
-            r.ranks,
-            r.ops,
-            r.virtual_s * 1e3,
-            r.throughput_per_s,
-            if r.verified { "y" } else { "N" },
-        ));
+const COLUMNS: &[Column] = &[
+    ("ops", |r| r.metric("ops")),
+    ("ops/s", |r| r.metric("throughput_per_s").round()),
+];
+
+/// The artifact: runtime rows, the DES series, and the per-driver
+/// headline spreads.
+pub fn table(platform: PlatformId) -> Table {
+    tabulate(generate(platform), scale_series(platform))
+}
+
+fn tabulate(rows: Vec<Row>, series: Vec<ScalePoint>) -> Table {
+    let spreads: Vec<String> = ["graph", "stencil", "kv"]
+        .iter()
+        .filter_map(|w| {
+            let (axis, spread) = best_spread(&rows, w)?;
+            Some(format!("{w} {axis} {spread:.2}x"))
+        })
+        .collect();
+    let headline = format!("widest config-axis spread: {}\n", spreads.join(", "));
+    Table {
+        series: series.iter().map(Serialize::to_value).collect(),
+        ..Table::new("Workload suite — config-axis A/B", COLUMNS, rows, headline)
     }
-    for w in ["graph", "stencil", "kv"] {
-        if let Some((axis, spread)) = best_spread(rows, w) {
-            s.push_str(&format!("{w}: widest axis {axis}, {spread:.2}x spread\n"));
-        }
-    }
-    s.push('\n');
-    s
 }
 
 #[cfg(test)]
@@ -426,16 +250,15 @@ mod tests {
     #[test]
     fn sweep_verifies_and_spreads() {
         let rows = generate(PlatformId::InfiniBandCluster);
-        print!("{}", render(&rows)); // shown by libtest on failure
-        assert_eq!(
-            rows.iter().filter(|r| r.source == "runtime").count(),
-            3 * arms().len()
-        );
+        let series = scale_series(PlatformId::InfiniBandCluster);
+        print!("{}", tabulate(rows.clone(), series.clone()).render()); // shown by libtest on failure
+        assert_eq!(rows.len(), 3 * (AXES.len() + 1));
         for r in &rows {
             assert!(
-                r.verified,
-                "{}/{}/{}: oracle or cross-arm payload check failed",
-                r.workload, r.source, r.axis
+                r.verified && r.payload_ok,
+                "{}/{}: oracle or cross-arm payload check failed",
+                r.workload,
+                r.arm
             );
             assert!(!r.transport.is_empty() && !r.atomics.is_empty());
         }
@@ -446,23 +269,19 @@ mod tests {
                 "{w}: widest config-axis spread {spread:.2}x ({axis}) below the {GATE_SPREAD}x gate"
             );
         }
-        // The DES series must reach the 10^6-client scale the ISSUE
-        // names, and the mutex discipline must be the one that hurts.
-        let kv_max = rows
+        // The DES series must reach 10^6 clients, and the mutex
+        // discipline must be the one that hurts.
+        let kv_max = series
             .iter()
-            .filter(|r| r.source == "des" && r.workload == "kv")
-            .map(|r| r.ranks)
+            .filter(|d| d.workload == "kv")
+            .map(|d| d.ranks)
             .max()
             .unwrap();
         assert_eq!(kv_max, 1_000_000);
         let des_kv = |atomics: &str| {
-            rows.iter()
-                .find(|r| {
-                    r.source == "des"
-                        && r.workload == "kv"
-                        && r.atomics == atomics
-                        && r.ranks == 1_000_000
-                })
+            series
+                .iter()
+                .find(|d| d.workload == "kv" && d.atomics == atomics && d.ranks == 1_000_000)
                 .unwrap()
                 .virtual_s
         };

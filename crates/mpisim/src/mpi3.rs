@@ -9,9 +9,8 @@
 //! (mutex-based RMW vs native `fetch_and_op`, per-op epochs vs `lock_all`
 //! + `flush`).
 
-use crate::dtype::Datatype;
 use crate::error::{MpiError, MpiResult};
-use crate::win::{AccOp, ElemType, LockMode, LockOps, WinHandle};
+use crate::win::{LockMode, LockOps, WinHandle};
 
 /// Atomic fetch-and-op operator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -314,65 +313,6 @@ impl WinHandle {
     ) -> MpiResult<(i64, RmaRequest)> {
         let old = self.rmw_cell(target, tdisp, false, |cell| op.apply_i64(cell, operand))?;
         Ok((old, self.defer(issue, total)))
-    }
-
-    /// Request-based put (`MPI_Rput`): the caller's clock is charged only
-    /// the software issue overhead; the wire transfer proceeds in the
-    /// background and the request's `wait` advances the clock to its
-    /// completion time. Computation performed between issue and `wait`
-    /// therefore hides the transfer — §VIII-B(3)'s overlap benefit.
-    pub fn rput(
-        &self,
-        origin: &[u8],
-        odt: &Datatype,
-        target: usize,
-        tdisp: usize,
-        tdt: &Datatype,
-    ) -> MpiResult<RmaRequest> {
-        let cost = self.put_core(origin, odt, target, tdisp, tdt)?;
-        let extra = self.net_extra(target, self.wire_ser(simnet::Op::Put, odt.size()), 1);
-        let prog = self.progress_extra(target, 1);
-        Ok(self.issue_deferred(cost + extra + prog))
-    }
-
-    /// Request-based get (`MPI_Rget`).
-    pub fn rget(
-        &self,
-        origin: &mut [u8],
-        odt: &Datatype,
-        target: usize,
-        tdisp: usize,
-        tdt: &Datatype,
-    ) -> MpiResult<RmaRequest> {
-        let cost = self.get_core(origin, odt, target, tdisp, tdt)?;
-        let extra = self.net_extra(target, self.wire_ser(simnet::Op::Get, odt.size()), 1);
-        let prog = self.progress_extra(target, 1);
-        Ok(self.issue_deferred(cost + extra + prog))
-    }
-
-    /// Request-based accumulate (`MPI_Raccumulate`).
-    #[allow(clippy::too_many_arguments)] // mirrors MPI_Raccumulate's signature
-    pub fn racc(
-        &self,
-        origin: &[u8],
-        odt: &Datatype,
-        target: usize,
-        tdisp: usize,
-        tdt: &Datatype,
-        elem: ElemType,
-        op: AccOp,
-    ) -> MpiResult<RmaRequest> {
-        let cost = self.accumulate_core(origin, odt, target, tdisp, tdt, elem, op)?;
-        let extra = self.net_extra(target, self.wire_ser(simnet::Op::Acc, odt.size()), 1);
-        let prog = self.progress_extra(target, 1);
-        Ok(self.issue_deferred(cost + extra + prog))
-    }
-
-    /// Charges the issue overhead now and defers the rest of `cost` to the
-    /// returned request's completion time.
-    fn issue_deferred(&self, cost: f64) -> RmaRequest {
-        let issue = self.params_pub().op_overhead.min(cost);
-        self.defer(issue, cost)
     }
 
     /// Charges `issue` now and returns a request completing when the

@@ -1050,28 +1050,13 @@ impl WinHandle {
         tdisp: usize,
         tdt: &Datatype,
     ) -> MpiResult<()> {
-        let cost = self.put_core(origin, odt, target, tdisp, tdt)?;
+        self.check_alive()?;
+        self.put_move(origin, odt, target, tdisp, tdt)?;
+        let cost = self.wire_cost(simnet::Op::Put, obs::OpKind::Put, odt, target, tdt);
         let extra = self.net_extra(target, self.wire_ser(simnet::Op::Put, odt.size()), 1);
         let prog = self.progress_extra(target, 1);
         self.charge(cost + extra + prog);
         Ok(())
-    }
-
-    /// Validates and executes a put, returning its full virtual-time cost
-    /// *without* charging it. The blocking entry point charges the whole
-    /// cost; the request-based entry point (`rput`) charges only the issue
-    /// overhead and defers the remainder to the request's `wait`.
-    pub(crate) fn put_core(
-        &self,
-        origin: &[u8],
-        odt: &Datatype,
-        target: usize,
-        tdisp: usize,
-        tdt: &Datatype,
-    ) -> MpiResult<f64> {
-        self.check_alive()?;
-        self.put_move(origin, odt, target, tdisp, tdt)?;
-        Ok(self.wire_cost(simnet::Op::Put, obs::OpKind::Put, odt, target, tdt))
     }
 
     /// One-sided get: bytes from `target`'s window into `origin`.
@@ -1083,25 +1068,13 @@ impl WinHandle {
         tdisp: usize,
         tdt: &Datatype,
     ) -> MpiResult<()> {
-        let cost = self.get_core(origin, odt, target, tdisp, tdt)?;
+        self.check_alive()?;
+        self.get_move(origin, odt, target, tdisp, tdt)?;
+        let cost = self.wire_cost(simnet::Op::Get, obs::OpKind::Get, odt, target, tdt);
         let extra = self.net_extra(target, self.wire_ser(simnet::Op::Get, odt.size()), 1);
         let prog = self.progress_extra(target, 1);
         self.charge(cost + extra + prog);
         Ok(())
-    }
-
-    /// `get` minus the charge; see [`WinHandle::put_core`].
-    pub(crate) fn get_core(
-        &self,
-        origin: &mut [u8],
-        odt: &Datatype,
-        target: usize,
-        tdisp: usize,
-        tdt: &Datatype,
-    ) -> MpiResult<f64> {
-        self.check_alive()?;
-        self.get_move(origin, odt, target, tdisp, tdt)?;
-        Ok(self.wire_cost(simnet::Op::Get, obs::OpKind::Get, odt, target, tdt))
     }
 
     /// One-sided accumulate: `target[i] = target[i] ⊕ origin[i]` element
@@ -1118,28 +1091,13 @@ impl WinHandle {
         elem: ElemType,
         op: AccOp,
     ) -> MpiResult<()> {
-        let cost = self.accumulate_core(origin, odt, target, tdisp, tdt, elem, op)?;
+        self.check_alive()?;
+        self.acc_move(origin, odt, target, tdisp, tdt, elem, op)?;
+        let cost = self.wire_cost(simnet::Op::Acc, obs::OpKind::Acc, odt, target, tdt);
         let extra = self.net_extra(target, self.wire_ser(simnet::Op::Acc, odt.size()), 1);
         let prog = self.progress_extra(target, 1);
         self.charge(cost + extra + prog);
         Ok(())
-    }
-
-    /// `accumulate` minus the charge; see [`WinHandle::put_core`].
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn accumulate_core(
-        &self,
-        origin: &[u8],
-        odt: &Datatype,
-        target: usize,
-        tdisp: usize,
-        tdt: &Datatype,
-        elem: ElemType,
-        op: AccOp,
-    ) -> MpiResult<f64> {
-        self.check_alive()?;
-        self.acc_move(origin, odt, target, tdisp, tdt, elem, op)?;
-        Ok(self.wire_cost(simnet::Op::Acc, obs::OpKind::Acc, odt, target, tdt))
     }
 
     /// Epoch accounting, datatype-cache consultation, the RMA event and

@@ -700,28 +700,6 @@ fn lock_all_conflicts_with_per_target_locks() {
 }
 
 #[test]
-fn rput_rget_complete_via_wait() {
-    Runtime::run_with(2, quiet(), |p: &Proc| {
-        let w = p.world();
-        let win = WinHandle::create(&w, 32);
-        if p.rank() == 0 {
-            let dt = Datatype::contiguous(8);
-            win.lock_all().unwrap();
-            let req = win.rput(&[9u8; 8], &dt, 1, 0, &dt).unwrap();
-            req.wait(&win);
-            win.flush(1).unwrap();
-            let mut buf = [0u8; 8];
-            let req = win.rget(&mut buf, &dt.clone(), 1, 0, &dt).unwrap();
-            req.wait(&win);
-            assert_eq!(buf, [9u8; 8]);
-            win.unlock_all().unwrap();
-        }
-        w.barrier();
-        win.free().unwrap();
-    });
-}
-
-#[test]
 fn lock_all_permits_conflicts_without_error() {
     // MPI-3: conflicting accesses are undefined, not erroneous — the
     // checker must not fire under lock_all.
