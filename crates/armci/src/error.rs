@@ -40,11 +40,6 @@ pub enum ArmciError {
     /// software emulation whose cost and atomicity domain would differ
     /// from what the caller asked for.
     AtomicUnsupported { backend: &'static str, width: usize },
-    /// Asynchronous progress agents were requested on a backend that
-    /// cannot route passive-target traffic through one. Surfaced
-    /// explicitly instead of silently running without progress help, so
-    /// A/B measurements never compare agentless runs labelled "agent".
-    ProgressUnsupported { backend: &'static str },
     /// An operation contradicts the allocation's access-mode hint
     /// (§VIII-A): e.g. a Put into a ReadOnly-hinted GMR. The hint is a
     /// promise about application behaviour during the phase; breaking it
@@ -90,10 +85,6 @@ impl fmt::Display for ArmciError {
             ArmciError::AtomicUnsupported { backend, width } => write!(
                 f,
                 "backend `{backend}` cannot price a {width}-byte atomic operation"
-            ),
-            ArmciError::ProgressUnsupported { backend } => write!(
-                f,
-                "backend `{backend}` cannot route traffic through a progress agent"
             ),
             ArmciError::AccessModeViolation { gmr, mode, op } => write!(
                 f,

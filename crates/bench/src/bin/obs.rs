@@ -80,11 +80,8 @@ fn main() {
                 progress = match it.next().expect("--progress needs a mode").as_str() {
                     "none" => ProgressMode::None,
                     "agent" => ProgressMode::Agent,
-                    "auto" => ProgressMode::Auto,
                     other => {
-                        eprintln!(
-                            "[obs] unknown progress mode `{other}` (want none, agent or auto)"
-                        );
+                        eprintln!("[obs] unknown progress mode `{other}` (want none or agent)");
                         std::process::exit(2);
                     }
                 }

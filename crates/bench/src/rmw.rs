@@ -148,7 +148,7 @@ pub fn arms(platform: PlatformId) -> Vec<Arm> {
         (
             "native",
             Driver::Nxtval { sharded: false },
-            AtomicsMode::Auto,
+            AtomicsMode::Native,
         ),
         (
             "mutex",
@@ -158,7 +158,7 @@ pub fn arms(platform: PlatformId) -> Vec<Arm> {
         (
             "sharded",
             Driver::Nxtval { sharded: true },
-            AtomicsMode::Auto,
+            AtomicsMode::Native,
         ),
     ] {
         for ranks in RUNTIME_RANKS {

@@ -6,7 +6,7 @@
 //! 1. **plan** — address translation (§V-A), strided/IOV method selection
 //!    (§VI-A), the conflict-tree scan of the auto method (§VI-B), and
 //!    lock-mode selection from the GMR's access-mode hint (§VIII-A). The
-//!    output is a list of [`TransferPlan`]s: one access epoch each, holding
+//!    output is a list of `TransferPlan`s: one access epoch each, holding
 //!    one or more RMA operations with fully-resolved datatypes.
 //! 2. **acquire** — opening the access context: a passive-target lock in
 //!    MPI-2 mode (one epoch per plan, §V-C), nothing in MPI-3 epochless
@@ -35,7 +35,7 @@
 //! hint allows it, `flush`-completed under `lock_all` on the MPI-3
 //! path). Operations that would conflict fall back to one wire
 //! operation each — never merged, still inside the coarsened epoch. An
-//! online [`CostModel`] fed by observed issue costs arbitrates
+//! online `CostModel` fed by observed issue costs arbitrates
 //! [`CoalesceMode::Auto`] between the merged datatype and the batched
 //! per-op issue shape. In MPI-2 mode at most one queue is open at a time
 //! (opening a second target flushes the first), which keeps the
@@ -67,7 +67,7 @@ pub enum CoalesceMode {
     /// Coarsened epochs, runs merged into single wire operations with
     /// indexed datatypes (the §VI-A direct-datatype shape).
     Datatype,
-    /// Pick `Batched` or `Datatype` per run with the online [`CostModel`];
+    /// Pick `Batched` or `Datatype` per run with the online `CostModel`;
     /// behaves like `Datatype` until the model has seen enough issues.
     #[default]
     Auto,
@@ -908,37 +908,54 @@ impl ArmciMpi {
         Ok(())
     }
 
+    /// Acquire / execute / complete for one plan. The route is decided
+    /// per plan: a node-peer target on a slab-backed window takes the shm
+    /// route ([`crate::shm`]) — the shm bracket's epoch entered and left
+    /// through `win_sync`, one lock overhead, slab load/store movers —
+    /// and every other target takes the wire backend.
     fn run_plan(&self, plan: &TransferPlan, buf: &ExecBuf) -> ArmciResult<()> {
-        // Plan-time route decision: a node-peer target on a slab-backed
-        // window never touches the wire (crate::shm).
-        if self.plan_shm_routable(plan) {
-            return self.run_plan_shm(plan, buf);
-        }
         let gmrs = self.gmrs.borrow();
         let gmr = gmrs
             .get(&plan.gmr)
             .ok_or_else(|| crate::gmr::gmr_vanished(plan.gmr))?;
+        let shm = self.shm_routable(gmr, plan.target);
+        let bracket = self.shm_bracket();
+        let tx: &dyn transport::Transport = if shm { &bracket } else { self.tx() };
+        let sync = || gmr.win.win_sync().map_err(|e| Self::shm_err(plan.gmr, e));
         // acquire
         let t0 = self.vnow();
-        self.epoch_begin(gmr, plan.target, plan.mode)?;
+        self.epoch_begin_via(tx, gmr, plan.target, plan.mode)?;
+        let mut res = if shm { sync() } else { Ok(()) };
         let t1 = self.vnow();
         // execute (the epoch is closed even when an operation fails)
+        if shm {
+            self.charge(self.world.platform().shm.lock_overhead);
+        }
         let mut issued = 0u64;
-        let mut res = Ok(());
+        let mut bytes = 0u64;
         for op in &plan.ops {
-            res = self.issue_op(gmr, plan.target, op, buf);
             if res.is_err() {
                 break;
             }
-            issued += 1;
+            res = self.issue_op(gmr, plan.target, shm, op, buf);
+            if res.is_ok() {
+                issued += 1;
+                bytes += op.bytes;
+            }
         }
         let t2 = self.vnow();
-        // complete
-        let end = self.epoch_end(gmr, plan.target);
+        // complete (the shm route leaves coherence before the epoch)
+        let end = if shm { sync() } else { Ok(()) }
+            .and_then(|()| self.epoch_end_via(tx, gmr, plan.target));
         let t3 = self.vnow();
         self.stage(|g| {
             g.acquires += 1;
-            g.executed_ops += issued;
+            if shm {
+                g.shm_hits += issued;
+                g.shm_bypass_bytes += bytes;
+            } else {
+                g.executed_ops += issued;
+            }
             g.completes += 1;
             g.acquire_s += t1 - t0;
             g.execute_s += t2 - t1;
@@ -983,7 +1000,7 @@ impl ArmciMpi {
         res
     }
 
-    pub(crate) fn exec_name(buf: &ExecBuf) -> &'static str {
+    fn exec_name(buf: &ExecBuf) -> &'static str {
         match buf {
             ExecBuf::Get(..) => "get",
             ExecBuf::Put(..) => "put",
@@ -991,36 +1008,59 @@ impl ArmciMpi {
         }
     }
 
-    /// Issues one planned operation inside an open access context.
-    fn issue_op(&self, gmr: &Gmr, target: usize, op: &PlannedOp, buf: &ExecBuf) -> ArmciResult<()> {
-        match *buf {
+    /// Issues one planned operation inside an open access context: through
+    /// the wire backend, or (`shm`) as a slab copy charged at the
+    /// platform's shm tier, its errors funnelled through
+    /// [`ArmciMpi::shm_err`]. Operation statistics count the same on both
+    /// routes — the route changes the mover, not the op.
+    fn issue_op(
+        &self,
+        gmr: &Gmr,
+        target: usize,
+        shm: bool,
+        op: &PlannedOp,
+        buf: &ExecBuf,
+    ) -> ArmciResult<()> {
+        let (win, tx) = (&gmr.win, self.tx());
+        let (odt, tdisp, tdt) = (&op.odt, op.tdisp, &op.tdt);
+        let charged = |cost: f64| win.charge_virtual(cost);
+        let moved = match *buf {
             ExecBuf::Get(ptr, len) => {
                 // Safety: `ptr` covers `len` bytes for the duration of the
                 // call and the planner keeps every datatype within bounds;
                 // disjoint plans may address disjoint pieces of it.
                 let b = unsafe { std::slice::from_raw_parts_mut(ptr, len) };
-                self.tx()
-                    .get(&gmr.win, b, &op.odt, target, op.tdisp, &op.tdt)?;
+                if shm {
+                    win.shm_get(b, odt, target, tdisp, tdt).map(charged)
+                } else {
+                    tx.get(win, b, odt, target, tdisp, tdt)
+                }
             }
             ExecBuf::Put(ptr, len) => {
                 // Safety: as above, read-only.
                 let b = unsafe { std::slice::from_raw_parts(ptr, len) };
-                self.tx()
-                    .put(&gmr.win, b, &op.odt, target, op.tdisp, &op.tdt)?;
+                if shm {
+                    win.shm_put(b, odt, target, tdisp, tdt).map(charged)
+                } else {
+                    tx.put(win, b, odt, target, tdisp, tdt)
+                }
             }
             ExecBuf::Acc(staged, elem) => {
-                self.tx().accumulate(
-                    &gmr.win,
-                    staged,
-                    &op.odt,
-                    target,
-                    op.tdisp,
-                    &op.tdt,
-                    elem,
-                    AccOp::Sum,
-                )?;
+                if shm {
+                    win.shm_acc(staged, odt, target, tdisp, tdt, elem, AccOp::Sum)
+                        .map(charged)
+                } else {
+                    tx.accumulate(win, staged, odt, target, tdisp, tdt, elem, AccOp::Sum)
+                }
             }
-        }
+        };
+        moved.map_err(|e| {
+            if shm {
+                Self::shm_err(gmr.id, e)
+            } else {
+                e.into()
+            }
+        })?;
         self.note_op(buf.kind(), op.bytes);
         Ok(())
     }
@@ -1063,15 +1103,11 @@ impl ArmciMpi {
         }
         // Intra-node plans bypass the RMA scheduler entirely: a node-local
         // copy has no wire latency to overlap, so deferring it buys
-        // nothing. They complete eagerly through the shared-memory route
-        // (after quiescing, exactly like the blocking path). Mixed plan
-        // lists stay on the wire path as a unit so cross-plan ordering is
-        // owned by one engine.
+        // nothing. They complete eagerly through the blocking executor's
+        // shm route. Mixed plan lists stay on the wire path as a unit so
+        // cross-plan ordering is owned by one engine.
         if plans.iter().all(|p| self.plan_shm_routable(p)) {
-            self.nb_quiesce()?;
-            for plan in &plans {
-                self.run_plan_shm(plan, buf)?;
-            }
+            self.run_plans(&plans, buf)?;
             return Ok(NbHandle::eager());
         }
         let id = {
@@ -1515,7 +1551,7 @@ impl ArmciMpi {
                 .get(&b.gmr)
                 .ok_or_else(|| crate::gmr::gmr_vanished(b.gmr))?;
             for r in b.reqs {
-                self.tx().complete(&gmr.win, r);
+                r.wait(&gmr.win);
             }
             self.epoch_end(gmr, b.target)?;
         }

@@ -153,11 +153,7 @@ impl ArmciMpi {
         } else {
             WinHandle::create(comm, bytes)
         };
-        // Progress discipline resolves against the wire backend once per
-        // window; `Agent` on a backend that cannot route through one
-        // fails the allocation instead of running agentless.
-        let progress = self.progress_model()?;
-        win.set_progress_model(progress);
+        win.set_progress_model(self.progress_model());
         let gmr_id = win.id();
         // All-to-all exchange of local base addresses (§V-B).
         let all = comm.allgather_u64s(&[base as u64, bytes as u64]);
@@ -180,7 +176,7 @@ impl ArmciMpi {
         // Window-lifetime transport setup (the epochless backend's
         // standing `lock_all`; a no-op elsewhere).
         self.tx().attach(&win)?;
-        let rmw_mutexes = MutexSet::create(comm, 1, progress);
+        let rmw_mutexes = MutexSet::create(comm, 1, self.progress_model());
         self.gmrs.borrow_mut().insert(
             gmr_id,
             Gmr {

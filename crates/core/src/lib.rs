@@ -46,7 +46,7 @@ pub mod transport;
 
 pub use engine::{CoalesceMode, StageStats};
 pub use nxtval::NxtvalCounter;
-pub use transport::{ProgressSupport, Transport, TransportKind, TransportStats};
+pub use transport::{Transport, TransportKind, TransportStats};
 
 use armci::{
     AccKind, AccessMode, Armci, ArmciError, ArmciGroup, ArmciResult, GlobalAddr, IovDesc, NbHandle,
@@ -65,16 +65,12 @@ use std::collections::HashMap;
 /// or the paper's §V-D Latham mutex + two-epoch protocol.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AtomicsMode {
-    /// Native backend atomics when the backend prices 8-byte atomics
-    /// ([`Transport::atomic_widths`]), the mutex protocol otherwise.
-    /// Every built-in backend prices them, so this resolves to native.
+    /// The wire backend's 8-byte atomics ([`Transport::fetch_and_op_i64`]
+    /// and [`Transport::compare_and_swap_i64`]); every backend prices them.
     #[default]
-    Auto,
-    /// Force native atomics; a backend that cannot price them surfaces
-    /// [`armci::ArmciError::AtomicUnsupported`] instead of falling back.
     Native,
-    /// Force the mutex + two-epoch protocol (the MPI-2 paper path, kept
-    /// as the ablation baseline and for backends without atomics).
+    /// The mutex + two-epoch protocol (the MPI-2 paper path, kept as the
+    /// ablation baseline).
     MutexFallback,
 }
 
@@ -88,14 +84,12 @@ pub enum ProgressMode {
     /// passive-target rounds stall while the target computes.
     #[default]
     None,
-    /// Force per-node progress agents; a backend that cannot route
-    /// through one surfaces [`armci::ArmciError::ProgressUnsupported`]
-    /// instead of silently running agentless.
+    /// Per-node progress agents, priced by the platform's
+    /// [`simnet::ProgressParams`]. Both wire backends route their
+    /// software-progressed rounds (lock grants, accumulates, MPI atomics,
+    /// flush acknowledgements, the channel's software fallback) through
+    /// the agent.
     Agent,
-    /// Agents when the backend can route through one *and* the platform
-    /// prices agent service ([`simnet::ProgressParams::available`]);
-    /// host-CPU progress otherwise.
-    Auto,
 }
 
 /// ARMCI-MPI configuration knobs (the environment variables of the real
@@ -106,8 +100,7 @@ pub struct Config {
     pub strided: StridedMethod,
     /// Method used by `*_iov` operations (`Direct` acts as `IovDatatype`).
     pub iov: StridedMethod,
-    /// RMW discipline selector; see [`AtomicsMode`]. `Auto` resolves
-    /// against what the wire backend can price.
+    /// RMW discipline; see [`AtomicsMode`].
     pub atomics: AtomicsMode,
     /// MPI-3 epochless passive mode (§VIII-B(2)): windows are opened with
     /// `lock_all` at allocation; operations are followed by `flush`
@@ -139,7 +132,7 @@ impl Default for Config {
         Config {
             strided: StridedMethod::Direct,
             iov: StridedMethod::Auto,
-            atomics: AtomicsMode::Auto,
+            atomics: AtomicsMode::Native,
             epochless: false,
             coalesce: CoalesceMode::Auto,
             shm: true,
@@ -240,9 +233,6 @@ pub struct ArmciMpi {
     pub(crate) dtype_base: Cell<(u64, u64)>,
     /// The wire backend every inter-node transfer goes through.
     pub(crate) tx: Box<dyn Transport>,
-    /// The intra-node tier, bracketed the same way as the wire backend
-    /// (only honouring `epochless` when a `lock_all` actually stands).
-    pub(crate) shm_tx: transport::ShmTransport,
 }
 
 impl ArmciMpi {
@@ -310,14 +300,8 @@ impl ArmciMpi {
         // what lets the pool amortize the Fig-5 registration penalty.
         let pool = BufferPool::new(RegistrationPolicy::OnDemand, world.platform().reg.clone());
         let tx = transport::for_kind(cfg.transport, cfg.epochless);
-        // The shm tier may only skip per-plan locks when a standing
-        // `lock_all` covers its `win_sync` calls — i.e. epochless mode on
-        // the MPI backend. The channel backend never opens one.
-        let shm_tx =
-            transport::ShmTransport::new(cfg.epochless && cfg.transport == TransportKind::MpiRma);
         ArmciMpi {
             tx,
-            shm_tx,
             world,
             cfg,
             pool,
@@ -432,40 +416,21 @@ impl ArmciMpi {
         self.tx.name()
     }
 
-    /// Resolves the configured [`ProgressMode`] against the wire backend
-    /// and the platform's agent pricing. `Agent` on a backend that cannot
-    /// route through an agent is an error, not a silent agentless run.
-    pub(crate) fn progress_model(&self) -> ArmciResult<mpisim::ProgressModel> {
-        use transport::ProgressSupport;
+    /// The configured [`ProgressMode`] as the window-level progress model.
+    pub(crate) fn progress_model(&self) -> mpisim::ProgressModel {
         match self.cfg.progress {
-            ProgressMode::None => Ok(mpisim::ProgressModel::Host),
-            ProgressMode::Agent => match self.tx.progress_support() {
-                ProgressSupport::Agent => Ok(mpisim::ProgressModel::Agent),
-                // Hardware progress needs no agent: remote completion is
-                // independent of the target CPU already.
-                ProgressSupport::Hardware => Ok(mpisim::ProgressModel::Off),
-                ProgressSupport::Unsupported => Err(ArmciError::ProgressUnsupported {
-                    backend: self.tx.name(),
-                }),
-            },
-            ProgressMode::Auto => match self.tx.progress_support() {
-                ProgressSupport::Agent if self.world.platform().progress.available => {
-                    Ok(mpisim::ProgressModel::Agent)
-                }
-                ProgressSupport::Hardware => Ok(mpisim::ProgressModel::Off),
-                _ => Ok(mpisim::ProgressModel::Host),
-            },
+            ProgressMode::None => mpisim::ProgressModel::Host,
+            ProgressMode::Agent => mpisim::ProgressModel::Agent,
         }
     }
 
-    /// The resolved progress mode as a provenance string for benchmarks
-    /// and reports (`"none"` = host-CPU progress, `"agent"` = per-node
+    /// The progress mode as a provenance string for benchmarks and
+    /// reports (`"none"` = host-CPU progress, `"agent"` = per-node
     /// agents).
     pub fn progress_mode_name(&self) -> &'static str {
-        match self.progress_model() {
-            Ok(mpisim::ProgressModel::Agent) => "agent",
-            Ok(_) => "none",
-            Err(_) => "unsupported",
+        match self.cfg.progress {
+            ProgressMode::None => "none",
+            ProgressMode::Agent => "agent",
         }
     }
 

@@ -23,7 +23,7 @@
 
 use crate::transport::Transport;
 use armci::{ArmciError, ArmciResult};
-use mpisim::{Comm, LockMode, RecvSrc, WinHandle};
+use mpisim::{Comm, Datatype, LockMode, RecvSrc, WinHandle};
 use std::cell::RefCell;
 use std::collections::HashSet;
 
@@ -76,6 +76,40 @@ impl MutexSet {
         Ok(())
     }
 
+    /// One exclusive context on `host`: stores `mark` into this
+    /// process's byte of the queue at `base` and fetches every other byte
+    /// (two non-overlapping gets, so the context holds no conflicting
+    /// accesses). Returns the bytes before and after this process's slot.
+    /// The context is closed even if a transfer fails mid-way — leaving
+    /// the host locked would wedge every other requester.
+    fn exchange(
+        &self,
+        tx: &dyn Transport,
+        mark: u8,
+        host: usize,
+        base: usize,
+    ) -> ArmciResult<(Vec<u8>, Vec<u8>)> {
+        let me = self.comm.rank();
+        let mut before = vec![0u8; me];
+        let mut after = vec![0u8; self.comm.size() - me - 1];
+        tx.atomic_epoch_begin(&self.win, host, LockMode::Exclusive)?;
+        let res = (|| {
+            let one = Datatype::contiguous(1);
+            tx.put(&self.win, &[mark], &one, host, base + me, &one)?;
+            for (buf, disp) in [(&mut before, base), (&mut after, base + me + 1)] {
+                if !buf.is_empty() {
+                    let dt = Datatype::contiguous(buf.len());
+                    tx.get(&self.win, buf, &dt, host, disp, &dt)?;
+                }
+            }
+            Ok::<_, mpisim::MpiError>(())
+        })();
+        let end = tx.atomic_epoch_end(&self.win, host);
+        res?;
+        end?;
+        Ok((before, after))
+    }
+
     /// Acquires `mutex` on `host` (group rank). Blocks until granted.
     ///
     /// The put-then-snapshot sequence must be atomic with respect to
@@ -88,29 +122,8 @@ impl MutexSet {
                 "mutex {mutex}@{host} already held by this process"
             )));
         }
-        let nproc = self.comm.size();
-        let me = self.comm.rank();
-        let base = mutex * nproc;
-
-        // One exclusive context: B[me] = 1, fetch all other entries.
-        // Always close the context, even if a transfer fails mid-way —
-        // leaving the host locked would wedge every other requester.
-        let mut before = vec![0u8; me];
-        let mut after = vec![0u8; nproc - me - 1];
-        tx.atomic_epoch_begin(&self.win, host, LockMode::Exclusive)?;
-        let res: mpisim::MpiResult<()> = (|| {
-            tx.put_bytes(&self.win, &[1], host, base + me)?;
-            if !before.is_empty() {
-                tx.get_bytes(&self.win, &mut before, host, base)?;
-            }
-            if !after.is_empty() {
-                tx.get_bytes(&self.win, &mut after, host, base + me + 1)?;
-            }
-            Ok(())
-        })();
-        let end = tx.atomic_epoch_end(&self.win, host);
-        res.map_err(ArmciError::from)?;
-        end?;
+        // B[me] = 1, fetch all other entries.
+        let (before, after) = self.exchange(tx, 1, host, mutex * self.comm.size())?;
 
         let contended = before.iter().chain(after.iter()).any(|&b| b != 0);
         if contended {
@@ -144,26 +157,8 @@ impl MutexSet {
         }
         let nproc = self.comm.size();
         let me = self.comm.rank();
-        let base = mutex * nproc;
-
-        // One exclusive context: B[me] = 0, fetch all other entries
-        // (closed unconditionally, as in `lock`).
-        let mut before = vec![0u8; me];
-        let mut after = vec![0u8; nproc - me - 1];
-        tx.atomic_epoch_begin(&self.win, host, LockMode::Exclusive)?;
-        let res: mpisim::MpiResult<()> = (|| {
-            tx.put_bytes(&self.win, &[0], host, base + me)?;
-            if !before.is_empty() {
-                tx.get_bytes(&self.win, &mut before, host, base)?;
-            }
-            if !after.is_empty() {
-                tx.get_bytes(&self.win, &mut after, host, base + me + 1)?;
-            }
-            Ok(())
-        })();
-        let end = tx.atomic_epoch_end(&self.win, host);
-        res.map_err(ArmciError::from)?;
-        end?;
+        // B[me] = 0, fetch all other entries.
+        let (before, after) = self.exchange(tx, 0, host, mutex * nproc)?;
 
         // Reassemble B without our own slot and scan from me+1, wrapping —
         // the fairness order of the paper.
@@ -193,7 +188,7 @@ impl MutexSet {
 
 impl ArmciMpi {
     pub(crate) fn create_mutexes_impl(&self, count: usize) -> ArmciResult<usize> {
-        let set = MutexSet::create(&self.world, count, self.progress_model()?);
+        let set = MutexSet::create(&self.world, count, self.progress_model());
         let handle = self.next_mutex_handle.get();
         self.next_mutex_handle.set(handle + 1);
         self.user_mutexes.borrow_mut().insert(handle, set);

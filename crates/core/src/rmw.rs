@@ -12,12 +12,11 @@
 //! default**: [`crate::AtomicsMode`] selects between backend atomics
 //! (fetch-and-op / compare-and-swap through the [`crate::Transport`]
 //! hooks, with per-backend pricing) and the Latham-mutex protocol, which
-//! is kept as `MutexFallback` — the ablation baseline and the escape
-//! hatch for backends that cannot price an atomic width
-//! ([`armci::ArmciError::AtomicUnsupported`] is surfaced instead of a
-//! silent software emulation). Atomics quiesce only the in-flight
-//! nonblocking work they order against
-//! ([`crate::ArmciMpi::nb_quiesce_for_atomic`]), and the nonblocking
+//! is kept as `MutexFallback` — the ablation baseline. Every operand is
+//! 8 bytes; asking for another width surfaces
+//! [`armci::ArmciError::AtomicUnsupported`] instead of a silent software
+//! emulation. Atomics quiesce only the in-flight nonblocking work they
+//! order against (`ArmciMpi::nb_quiesce_for_atomic`), and the nonblocking
 //! variant attaches its completion request to the engine's atomic
 //! batches so RMWs ride coalesced/epochless batches (§VIII-B(3)+(4)).
 
@@ -32,42 +31,25 @@ use mpisim::LockMode;
 const RMW_WIDTH: usize = 8;
 
 impl ArmciMpi {
-    /// Resolves the configured [`AtomicsMode`] against the wire backend:
-    /// `Ok(true)` = native backend atomics, `Ok(false)` = the Latham
-    /// mutex protocol. `Native` on a backend that cannot price an 8-byte
-    /// atomic is an error, not a silent fallback.
-    pub(crate) fn atomics_native(&self) -> ArmciResult<bool> {
-        let supported = self.tx.atomic_widths().contains(&RMW_WIDTH);
-        match self.cfg.atomics {
-            AtomicsMode::Auto => Ok(supported || self.cfg.epochless),
-            AtomicsMode::Native => {
-                if supported {
-                    Ok(true)
-                } else {
-                    Err(ArmciError::AtomicUnsupported {
-                        backend: self.tx.name(),
-                        width: RMW_WIDTH,
-                    })
-                }
-            }
-            AtomicsMode::MutexFallback => Ok(false),
-        }
+    /// Whether RMWs take the backend's native atomics (`false` = the
+    /// Latham mutex protocol).
+    fn atomics_native(&self) -> bool {
+        self.cfg.atomics == AtomicsMode::Native
     }
 
-    /// The resolved atomics mode as a provenance string for benchmarks
-    /// and reports.
+    /// The atomics mode as a provenance string for benchmarks and reports.
     pub fn atomics_mode_name(&self) -> &'static str {
-        match self.atomics_native() {
-            Ok(true) => "native",
-            Ok(false) => "mutex",
-            Err(_) => "unsupported",
+        if self.atomics_native() {
+            "native"
+        } else {
+            "mutex"
         }
     }
 
     pub(crate) fn rmw_impl(&self, op: RmwOp, target: GlobalAddr) -> ArmciResult<i64> {
         let tr = self.translate(target, RMW_WIDTH)?;
         self.stat(|s| s.rmws += 1);
-        if self.atomics_native()? {
+        if self.atomics_native() {
             // RMW atomicity is per-location: retire only the in-flight
             // nonblocking work this atomic orders against.
             self.nb_quiesce_for_atomic(tr.gmr, tr.group_rank, tr.disp, tr.disp + RMW_WIDTH)?;
@@ -96,7 +78,7 @@ impl ArmciMpi {
     pub fn nb_rmw(&self, op: RmwOp, target: GlobalAddr) -> ArmciResult<(i64, NbHandle)> {
         let tr = self.translate(target, RMW_WIDTH)?;
         self.stat(|s| s.rmws += 1);
-        if !self.atomics_native()? {
+        if !self.atomics_native() {
             self.nb_quiesce_gmr(tr.gmr)?;
             self.stat(|s| s.rmw_mutex_fallback += 1);
             let old = self.rmw_mutex(op, target)?;
@@ -128,11 +110,10 @@ impl ArmciMpi {
 
     /// ARMCI extension: atomic compare-and-swap of a `width`-byte
     /// integer at `target` — if the current value equals `compare`,
-    /// stores `swap`; returns the value observed either way. A width the
-    /// backend cannot price surfaces
-    /// [`ArmciError::AtomicUnsupported`]; under `MutexFallback` the
-    /// operation is emulated with the Latham mutex (same semantics,
-    /// mutex pricing).
+    /// stores `swap`; returns the value observed either way. Any width but
+    /// 8 surfaces [`ArmciError::AtomicUnsupported`]; under
+    /// `MutexFallback` the operation is emulated with the Latham mutex
+    /// (same semantics, mutex pricing).
     pub fn compare_and_swap(
         &self,
         compare: i64,
@@ -140,21 +121,16 @@ impl ArmciMpi {
         target: GlobalAddr,
         width: usize,
     ) -> ArmciResult<i64> {
-        let native = self.atomics_native()?;
-        if native && !self.tx.atomic_widths().contains(&width) {
+        // Backend atomics and the mutex emulation both work on 8-byte
+        // cells; other widths are the unpriceable case the error exists
+        // for.
+        if width != RMW_WIDTH {
             return Err(ArmciError::AtomicUnsupported {
                 backend: self.tx.name(),
                 width,
             });
         }
-        if !native && width != RMW_WIDTH {
-            // The mutex emulation moves 8-byte cells; other widths are
-            // exactly the unpriceable case the error exists for.
-            return Err(ArmciError::AtomicUnsupported {
-                backend: self.tx.name(),
-                width,
-            });
-        }
+        let native = self.atomics_native();
         let tr = self.translate(target, width)?;
         self.stat(|s| s.rmws += 1);
         let t0 = if obs::enabled() { self.vnow() } else { 0.0 };
@@ -303,10 +279,7 @@ fn fetch_op_of(op: RmwOp) -> (i64, FetchOp) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::{
-        EpochStyle, MpiRmaTransport, ProgressSupport, ShmTransport, Transport, TransportKind,
-        TransportStats,
-    };
+    use crate::transport::{EpochStyle, MpiRmaTransport, Transport, TransportKind, TransportStats};
     use crate::{Config, ProgressMode};
     use armci::Armci;
     use mpisim::dtype::Datatype;
@@ -321,14 +294,11 @@ mod tests {
     /// Injectable wire faults, shared with the test body: `atomics` fails
     /// every backend atomic while set; `gets_after` lets N get-family
     /// transfers through, fails the next one once, then self-heals (a
-    /// transient wire blip mid-protocol); `no_agent` masks the wire's
-    /// progress-agent capability so forced-`Agent` error surfacing is
-    /// testable.
+    /// transient wire blip mid-protocol).
     #[derive(Default)]
     struct Faults {
         atomics: Cell<bool>,
         gets_after: Cell<Option<u32>>,
-        no_agent: Cell<bool>,
     }
 
     impl Faults {
@@ -430,28 +400,6 @@ mod tests {
             self.inner
                 .accumulate(win, origin, odt, target, tdisp, tdt, elem, op)
         }
-        fn put_bytes(
-            &self,
-            win: &WinHandle,
-            origin: &[u8],
-            target: usize,
-            tdisp: usize,
-        ) -> MpiResult<()> {
-            self.inner.put_bytes(win, origin, target, tdisp)
-        }
-        fn get_bytes(
-            &self,
-            win: &WinHandle,
-            origin: &mut [u8],
-            target: usize,
-            tdisp: usize,
-        ) -> MpiResult<()> {
-            self.faults.get_ok()?;
-            self.inner.get_bytes(win, origin, target, tdisp)
-        }
-        fn complete(&self, win: &WinHandle, req: RmaRequest) {
-            self.inner.complete(win, req)
-        }
         fn stage_put(
             &self,
             win: &WinHandle,
@@ -502,9 +450,6 @@ mod tests {
             self.faults.atomic_ok()?;
             self.inner.fetch_and_op_i64(win, operand, target, tdisp, op)
         }
-        fn atomic_widths(&self) -> &'static [usize] {
-            self.inner.atomic_widths()
-        }
         fn compare_and_swap_i64(
             &self,
             win: &WinHandle,
@@ -532,20 +477,13 @@ mod tests {
         fn stats(&self) -> TransportStats {
             self.inner.stats()
         }
-        fn progress_support(&self) -> ProgressSupport {
-            if self.faults.no_agent.get() {
-                ProgressSupport::Unsupported
-            } else {
-                self.inner.progress_support()
-            }
-        }
     }
 
-    /// Runtime with `ranks_per_node` cores per node and no clock charging.
-    fn netcfg(ranks_per_node: u32) -> RuntimeConfig {
+    /// Runtime with one rank per node and no clock charging.
+    fn netcfg() -> RuntimeConfig {
         let mut platform = Platform::get(PlatformId::InfiniBandCluster).customized("rmw-loss");
         platform.sockets_per_node = 1;
-        platform.cores_per_socket = ranks_per_node;
+        platform.cores_per_socket = 1;
         RuntimeConfig {
             platform,
             charge_time: false,
@@ -554,15 +492,12 @@ mod tests {
     }
 
     /// Builds the runtime and splices the fault-injecting wrapper around
-    /// its wire backend (or around a [`ShmTransport`] wire when asked).
-    fn lossy_runtime(p: &Proc, cfg: Config, shm_wire: bool) -> (ArmciMpi, Rc<Faults>) {
+    /// its wire backend.
+    fn lossy_runtime(p: &Proc, cfg: Config) -> (ArmciMpi, Rc<Faults>) {
         let mut rt = ArmciMpi::with_config(p, cfg);
         let faults = Rc::new(Faults::default());
         let placeholder: Box<dyn Transport> = Box::new(MpiRmaTransport { epochless: false });
-        let mut inner = std::mem::replace(&mut rt.tx, placeholder);
-        if shm_wire {
-            inner = Box::new(ShmTransport::new(false));
-        }
+        let inner = std::mem::replace(&mut rt.tx, placeholder);
         rt.tx = Box::new(LossyTransport {
             inner,
             faults: faults.clone(),
@@ -574,9 +509,9 @@ mod tests {
     /// loss mid-rmw must surface as an error and leak neither epochs nor
     /// nonblocking queue slots — subsequent atomics, nonblocking work and
     /// data epochs on the same target must all still succeed.
-    fn native_loss_scenario(cfg: Config, shm_wire: bool, rpn: u32) {
-        Runtime::run_with(2, netcfg(rpn), move |p: &Proc| {
-            let (rt, faults) = lossy_runtime(p, cfg.clone(), shm_wire);
+    fn native_loss_scenario(cfg: Config) {
+        Runtime::run_with(2, netcfg(), move |p: &Proc| {
+            let (rt, faults) = lossy_runtime(p, cfg.clone());
             let bases = rt.malloc(256).unwrap();
             rt.barrier();
             if p.rank() == 0 {
@@ -611,55 +546,28 @@ mod tests {
 
     #[test]
     fn backend_loss_mid_rmw_mpi_rma() {
-        native_loss_scenario(
-            Config {
-                shm: false,
-                ..Default::default()
-            },
-            false,
-            1,
-        );
+        native_loss_scenario(Config {
+            shm: false,
+            ..Default::default()
+        });
     }
 
     #[test]
     fn backend_loss_mid_rmw_mpi_rma_epochless() {
-        native_loss_scenario(
-            Config {
-                shm: false,
-                epochless: true,
-                ..Default::default()
-            },
-            false,
-            1,
-        );
+        native_loss_scenario(Config {
+            shm: false,
+            epochless: true,
+            ..Default::default()
+        });
     }
 
     #[test]
     fn backend_loss_mid_rmw_channel() {
-        native_loss_scenario(
-            Config {
-                shm: false,
-                transport: TransportKind::Channel,
-                ..Default::default()
-            },
-            false,
-            1,
-        );
-    }
-
-    #[test]
-    fn backend_loss_mid_rmw_shm() {
-        // Both ranks on one node; the shm tier serves as the wire
-        // backend. `shm: true` so allocations are shared-backed — the
-        // slab is what makes node peers reachable for the shm wire.
-        native_loss_scenario(
-            Config {
-                shm: true,
-                ..Default::default()
-            },
-            true,
-            2,
-        );
+        native_loss_scenario(Config {
+            shm: false,
+            transport: TransportKind::Channel,
+            ..Default::default()
+        });
     }
 
     #[test]
@@ -673,8 +581,8 @@ mod tests {
             atomics: AtomicsMode::MutexFallback,
             ..Default::default()
         };
-        Runtime::run_with(2, netcfg(1), move |p: &Proc| {
-            let (rt, faults) = lossy_runtime(p, cfg.clone(), false);
+        Runtime::run_with(2, netcfg(), move |p: &Proc| {
+            let (rt, faults) = lossy_runtime(p, cfg.clone());
             let bases = rt.malloc(256).unwrap();
             rt.barrier();
             if p.rank() == 0 {
@@ -697,10 +605,10 @@ mod tests {
 
     /// Like [`netcfg`] but with real virtual-time charging, so the
     /// progress agent has busy profiles to price while the wire blips.
-    fn timedcfg(rpn: u32) -> RuntimeConfig {
+    fn timedcfg() -> RuntimeConfig {
         RuntimeConfig {
             charge_time: true,
-            ..netcfg(rpn)
+            ..netcfg()
         }
     }
 
@@ -717,8 +625,8 @@ mod tests {
             progress: ProgressMode::Agent,
             ..Default::default()
         };
-        Runtime::run_with(2, timedcfg(1), move |p: &Proc| {
-            let (rt, faults) = lossy_runtime(p, cfg.clone(), false);
+        Runtime::run_with(2, timedcfg(), move |p: &Proc| {
+            let (rt, faults) = lossy_runtime(p, cfg.clone());
             let bases = rt.malloc(256).unwrap();
             assert_eq!(rt.progress_mode_name(), "agent");
             // Both ranks bank compute so the barrier publishes busy
@@ -744,53 +652,12 @@ mod tests {
         });
     }
 
-    #[test]
-    fn forced_agent_on_unsupported_backend_fails_malloc() {
-        // `Agent` on a wire that cannot route through an agent must
-        // fail the allocation loudly — never a silent agentless run —
-        // and the failed allocation must leak nothing.
-        let agent = Config {
-            shm: false,
-            progress: ProgressMode::Agent,
-            ..Default::default()
-        };
-        Runtime::run_with(2, netcfg(1), move |p: &Proc| {
-            let (rt, faults) = lossy_runtime(p, agent.clone(), false);
-            faults.no_agent.set(true);
-            assert!(matches!(
-                rt.malloc(64),
-                Err(armci::ArmciError::ProgressUnsupported { .. })
-            ));
-            // Capability restored: the same runtime allocates and runs.
-            faults.no_agent.set(false);
-            let bases = rt.malloc(64).unwrap();
-            assert_eq!(rt.progress_mode_name(), "agent");
-            rt.barrier();
-            rt.free(bases[p.rank()]).unwrap();
-        });
-        // `Auto` on the same capability-less wire degrades to host
-        // progress instead of erroring.
-        let auto = Config {
-            shm: false,
-            progress: ProgressMode::Auto,
-            ..Default::default()
-        };
-        Runtime::run_with(2, netcfg(1), move |p: &Proc| {
-            let (rt, faults) = lossy_runtime(p, auto.clone(), false);
-            faults.no_agent.set(true);
-            let bases = rt.malloc(64).unwrap();
-            assert_eq!(rt.progress_mode_name(), "none");
-            rt.barrier();
-            rt.free(bases[p.rank()]).unwrap();
-        });
-    }
-
     /// Asking any backend for a CAS width it cannot price must surface
     /// [`ArmciError::AtomicUnsupported`] — never a silent software
     /// emulation with a different atomicity domain.
-    fn assert_width_unsupported(cfg: Config, shm_wire: bool, rpn: u32) {
-        Runtime::run_with(2, netcfg(rpn), move |p: &Proc| {
-            let (rt, _faults) = lossy_runtime(p, cfg.clone(), shm_wire);
+    fn assert_width_unsupported(cfg: Config) {
+        Runtime::run_with(2, netcfg(), move |p: &Proc| {
+            let (rt, _faults) = lossy_runtime(p, cfg.clone());
             let bases = rt.malloc(64).unwrap();
             rt.barrier();
             if p.rank() == 0 {
@@ -810,51 +677,27 @@ mod tests {
 
     #[test]
     fn unsupported_cas_width_mpi_rma() {
-        assert_width_unsupported(
-            Config {
-                shm: false,
-                ..Default::default()
-            },
-            false,
-            1,
-        );
+        assert_width_unsupported(Config {
+            shm: false,
+            ..Default::default()
+        });
     }
 
     #[test]
     fn unsupported_cas_width_channel() {
-        assert_width_unsupported(
-            Config {
-                shm: false,
-                transport: TransportKind::Channel,
-                ..Default::default()
-            },
-            false,
-            1,
-        );
-    }
-
-    #[test]
-    fn unsupported_cas_width_shm() {
-        assert_width_unsupported(
-            Config {
-                shm: false,
-                ..Default::default()
-            },
-            true,
-            2,
-        );
+        assert_width_unsupported(Config {
+            shm: false,
+            transport: TransportKind::Channel,
+            ..Default::default()
+        });
     }
 
     #[test]
     fn unsupported_cas_width_mutex_fallback() {
-        assert_width_unsupported(
-            Config {
-                shm: false,
-                atomics: AtomicsMode::MutexFallback,
-                ..Default::default()
-            },
-            false,
-            1,
-        );
+        assert_width_unsupported(Config {
+            shm: false,
+            atomics: AtomicsMode::MutexFallback,
+            ..Default::default()
+        });
     }
 }

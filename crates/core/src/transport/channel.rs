@@ -17,7 +17,7 @@
 //! * **NIC atomics** — fetch-and-op and compare-and-swap execute on the
 //!   NIC with no epoch, priced as doorbell + wire round trip + CQ poll
 //!   ([`simnet::ChannelParams::atomic_cost`] via
-//!   [`WinHandle::fetch_and_op_i64_priced`]).
+//!   [`WinHandle::atomic_i64_priced`]).
 //!
 //! Payloads move through the window's bounds-checked staging movers, so
 //! the bytes delivered are bit-identical to the MPI-RMA backend's — only
@@ -25,9 +25,9 @@
 //! network model, each segment counts as one injected message
 //! ([`WinHandle::net_extra`] with `msgs = nsegs`).
 
-use super::{EpochStyle, ProgressSupport, Transport, TransportStats};
+use super::{EpochStyle, Transport, TransportStats};
 use mpisim::dtype::{Datatype, Flat};
-use mpisim::mpi3::{FetchOp, RmaRequest};
+use mpisim::mpi3::{CellOp, FetchOp, RmaRequest};
 use mpisim::{AccOp, ElemType, LockMode, MpiError, MpiResult, RmaClass, WinHandle};
 use simnet::ChannelParams;
 use std::cell::{Cell, RefCell};
@@ -330,7 +330,8 @@ impl Transport for ChannelTransport {
         op: FetchOp,
     ) -> MpiResult<i64> {
         let cost = self.atomic_total(win, target);
-        let old = win.fetch_and_op_i64_priced(operand, target, tdisp, op, cost)?;
+        let (old, _) =
+            win.atomic_i64_priced(CellOp::Fetch(op, operand), target, tdisp, cost, cost)?;
         self.account_atomic(win, target);
         Ok(old)
     }
@@ -344,7 +345,8 @@ impl Transport for ChannelTransport {
         tdisp: usize,
     ) -> MpiResult<i64> {
         let cost = self.atomic_total(win, target);
-        let old = win.compare_and_swap_i64_priced(compare, swap, target, tdisp, cost)?;
+        let cas = CellOp::CompareAndSwap { compare, swap };
+        let (old, _) = win.atomic_i64_priced(cas, target, tdisp, cost, cost)?;
         self.account_atomic(win, target);
         Ok(old)
     }
@@ -360,16 +362,10 @@ impl Transport for ChannelTransport {
         // Doorbell now; wire round trip + CQ poll reaped at completion.
         let total = self.atomic_total(win, target);
         let issue = win.channel_params().doorbell.min(total);
-        let pair = win.rfetch_and_op_i64_priced(operand, target, tdisp, op, issue, total)?;
+        let pair =
+            win.atomic_i64_priced(CellOp::Fetch(op, operand), target, tdisp, issue, total)?;
         self.account_atomic(win, target);
         Ok(pair)
-    }
-
-    fn progress_support(&self) -> ProgressSupport {
-        // The software fallback (noncontiguous, accumulate combine) is
-        // serviced by the target's runtime; an agent can drain it. The
-        // offloaded contiguous/NIC-atomic paths never stall either way.
-        ProgressSupport::Agent
     }
 
     fn stats(&self) -> TransportStats {

@@ -1,24 +1,25 @@
 //! Pluggable wire backends.
 //!
 //! Everything in ARMCI-MPI that issues wire traffic — epoch bracketing,
-//! blocking data movement, the coalescing scheduler's staged payloads
-//! and merged-run issue, byte-protocol accesses (the Latham mutex queue),
-//! and atomic read-modify-write — goes through the object-safe
-//! [`Transport`] trait. Three implementations exist:
+//! blocking data movement (including the Latham mutex queue's byte
+//! accesses), the coalescing scheduler's staged payloads and merged-run
+//! issue, and atomic read-modify-write — goes through the object-safe
+//! [`Transport`] trait. Two wire backends exist:
 //!
 //! * [`MpiRmaTransport`] — the paper's backend: MPI-2 per-op passive
 //!   epochs (`lock`/`unlock`) or the MPI-3 epochless discipline
 //!   (`lock_all` at attach, `flush` per access context), delegating 1:1
 //!   to the [`WinHandle`] entry points;
-//! * [`ShmTransport`] — the intra-node tier: same epoch discipline, but
-//!   payloads move as node-local load/store/accumulate priced by the
-//!   platform's shm parameters ([`crate::shm`] owns the `win_sync`
-//!   coherence bracketing around it);
 //! * [`ChannelTransport`] — a RAMC-style remote-memory-channel model:
 //!   no MPI epochs at all; contiguous puts/gets are offloaded
 //!   doorbell-ring + completion-queue operations, noncontiguous and
 //!   accumulate traffic takes a software fallback path, and atomics run
 //!   on the NIC. Selected with [`Config::transport`](crate::Config).
+//!
+//! Node-local plans on shared-backed windows are not a backend: the
+//! engine's shm route ([`crate::shm`]) brackets them with
+//! [`MpiRmaTransport`]'s epoch discipline and moves payload as slab
+//! load/store.
 //!
 //! The trait is *stateless with respect to windows*: every method takes
 //! the [`WinHandle`] it operates on, so one boxed backend serves every
@@ -55,23 +56,6 @@ pub enum EpochStyle {
     Flush,
     /// No epochs: the backend orders its own traffic (channel).
     None,
-}
-
-/// How a backend relates to asynchronous progress agents
-/// ([`crate::ProgressMode`]): whether its passive-target traffic can be
-/// drained by a per-node agent while the target computes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProgressSupport {
-    /// The backend's software-progressed rounds (epochs, accumulates,
-    /// software atomics, flush acknowledgements) can route through a
-    /// per-node agent.
-    Agent,
-    /// Remote completion is hardware-asynchronous already (NIC or
-    /// load/store); an agent has nothing to drain.
-    Hardware,
-    /// The backend cannot route through an agent;
-    /// [`armci::ArmciError::ProgressUnsupported`] when one is forced.
-    Unsupported,
 }
 
 /// Offload counters a backend may expose (zero for backends without an
@@ -176,36 +160,6 @@ pub trait Transport {
         op: AccOp,
     ) -> MpiResult<()>;
 
-    /// Contiguous-put convenience (byte protocols).
-    fn put_bytes(
-        &self,
-        win: &WinHandle,
-        origin: &[u8],
-        target: usize,
-        tdisp: usize,
-    ) -> MpiResult<()> {
-        let dt = Datatype::contiguous(origin.len());
-        self.put(win, origin, &dt, target, tdisp, &dt)
-    }
-
-    /// Contiguous-get convenience (byte protocols).
-    fn get_bytes(
-        &self,
-        win: &WinHandle,
-        origin: &mut [u8],
-        target: usize,
-        tdisp: usize,
-    ) -> MpiResult<()> {
-        let dt = Datatype::contiguous(origin.len());
-        self.get(win, origin, &dt, target, tdisp, &dt)
-    }
-
-    /// Completes a request, advancing the virtual clock to its remote
-    /// completion time.
-    fn complete(&self, win: &WinHandle, req: RmaRequest) {
-        req.wait(win);
-    }
-
     /// Moves scheduler-deferred put payload (no pricing, no admission).
     /// `pieces` are one operation's `(origin_offset, target_disp, len)`
     /// copy pieces: every piece is bounds-checked before any byte moves,
@@ -267,15 +221,6 @@ pub trait Transport {
         op: FetchOp,
     ) -> MpiResult<i64>;
 
-    /// Atomic operand widths (in bytes) this backend can price natively.
-    /// The `AtomicsMode::Auto` selector keys off whether 8 is present;
-    /// asking for an absent width surfaces
-    /// `ArmciError::AtomicUnsupported` instead of a silent software
-    /// emulation with a different atomicity domain.
-    fn atomic_widths(&self) -> &'static [usize] {
-        &[8]
-    }
-
     /// Atomic compare-and-swap on a 64-bit integer cell, including
     /// whatever bracketing the backend needs for atomicity. The default
     /// brackets the window's RMW primitive with the atomic-epoch hooks,
@@ -311,12 +256,6 @@ pub trait Transport {
     ) -> MpiResult<(i64, RmaRequest)> {
         let v = self.fetch_and_op_i64(win, operand, target, tdisp, op)?;
         Ok((v, win.defer(0.0, 0.0)))
-    }
-
-    /// Whether this backend's passive-target traffic can route through a
-    /// per-node progress agent. Conservative default: it cannot.
-    fn progress_support(&self) -> ProgressSupport {
-        ProgressSupport::Unsupported
     }
 
     /// Offload counters (zero for backends without the distinction).
@@ -427,26 +366,6 @@ impl Transport for MpiRmaTransport {
         win.accumulate(origin, odt, target, tdisp, tdt, elem, op)
     }
 
-    fn put_bytes(
-        &self,
-        win: &WinHandle,
-        origin: &[u8],
-        target: usize,
-        tdisp: usize,
-    ) -> MpiResult<()> {
-        win.put_bytes(origin, target, tdisp)
-    }
-
-    fn get_bytes(
-        &self,
-        win: &WinHandle,
-        origin: &mut [u8],
-        target: usize,
-        tdisp: usize,
-    ) -> MpiResult<()> {
-        win.get_bytes(origin, target, tdisp)
-    }
-
     fn issue_merged(
         &self,
         win: &WinHandle,
@@ -493,163 +412,5 @@ impl Transport for MpiRmaTransport {
         // point, so there is nothing left to defer.
         let v = self.fetch_and_op_i64(win, operand, target, tdisp, op)?;
         Ok((v, win.defer(0.0, 0.0)))
-    }
-
-    fn progress_support(&self) -> ProgressSupport {
-        // Lock grants, software accumulates and flush acknowledgements
-        // all need target-side MPI calls — exactly what an agent drains.
-        ProgressSupport::Agent
-    }
-}
-
-/// The intra-node tier as a transport: epoch discipline identical to
-/// [`MpiRmaTransport`], data movement as node-local load/store/accumulate
-/// priced (and charged) from the platform's shm parameters. The
-/// `win_sync` coherence bracketing stays with the caller
-/// ([`crate::shm`]) — it is a memory-model fence, not wire traffic.
-///
-/// `epochless` is only honoured when the wire backend is MPI RMA (the
-/// standing `lock_all` is what makes lock-free `win_sync` legal); under
-/// the channel backend the shm tier always locks.
-#[derive(Debug, Clone, Copy)]
-pub struct ShmTransport {
-    epochless: bool,
-}
-
-impl ShmTransport {
-    /// `epochless` must already account for the wire backend (see type
-    /// docs).
-    pub fn new(epochless: bool) -> ShmTransport {
-        ShmTransport { epochless }
-    }
-}
-
-impl Transport for ShmTransport {
-    fn name(&self) -> &'static str {
-        "shm"
-    }
-
-    fn epoch_style(&self) -> EpochStyle {
-        if self.epochless {
-            EpochStyle::Flush
-        } else {
-            EpochStyle::PerOp
-        }
-    }
-
-    fn attach(&self, _win: &WinHandle) -> MpiResult<()> {
-        Ok(())
-    }
-
-    fn detach(&self, _win: &WinHandle) -> MpiResult<()> {
-        Ok(())
-    }
-
-    fn epoch_begin(&self, win: &WinHandle, target: usize, mode: LockMode) -> MpiResult<()> {
-        if self.epochless {
-            Ok(())
-        } else {
-            win.lock(mode, target)
-        }
-    }
-
-    fn epoch_end(&self, win: &WinHandle, target: usize) -> MpiResult<()> {
-        if self.epochless {
-            win.flush(target)
-        } else {
-            win.unlock(target)
-        }
-    }
-
-    fn put(
-        &self,
-        win: &WinHandle,
-        origin: &[u8],
-        odt: &Datatype,
-        target: usize,
-        tdisp: usize,
-        tdt: &Datatype,
-    ) -> MpiResult<()> {
-        let cost = win.shm_put(origin, odt, target, tdisp, tdt)?;
-        win.charge_virtual(cost);
-        Ok(())
-    }
-
-    fn get(
-        &self,
-        win: &WinHandle,
-        origin: &mut [u8],
-        odt: &Datatype,
-        target: usize,
-        tdisp: usize,
-        tdt: &Datatype,
-    ) -> MpiResult<()> {
-        let cost = win.shm_get(origin, odt, target, tdisp, tdt)?;
-        win.charge_virtual(cost);
-        Ok(())
-    }
-
-    fn accumulate(
-        &self,
-        win: &WinHandle,
-        origin: &[u8],
-        odt: &Datatype,
-        target: usize,
-        tdisp: usize,
-        tdt: &Datatype,
-        elem: ElemType,
-        op: AccOp,
-    ) -> MpiResult<()> {
-        let cost = win.shm_acc(origin, odt, target, tdisp, tdt, elem, op)?;
-        win.charge_virtual(cost);
-        Ok(())
-    }
-
-    fn issue_merged(
-        &self,
-        _win: &WinHandle,
-        _class: RmaClass,
-        _target: usize,
-        _segs: &[(usize, usize)],
-    ) -> MpiResult<f64> {
-        // The engine never schedules node-local plans (they bypass the
-        // coalescer and complete eagerly), so nothing can reach here.
-        Ok(0.0)
-    }
-
-    fn fetch_and_op_i64(
-        &self,
-        win: &WinHandle,
-        operand: i64,
-        target: usize,
-        tdisp: usize,
-        op: FetchOp,
-    ) -> MpiResult<i64> {
-        // Slab atomics are processor atomics on the shared mapping: no
-        // epoch, no wire latency — priced as one cacheline RMW. The
-        // io-lock inside the cell mutator provides the atomicity.
-        win.fetch_and_op_i64_priced(operand, target, tdisp, op, win.shm_params().atomic_cost())
-    }
-
-    fn compare_and_swap_i64(
-        &self,
-        win: &WinHandle,
-        compare: i64,
-        swap: i64,
-        target: usize,
-        tdisp: usize,
-    ) -> MpiResult<i64> {
-        win.compare_and_swap_i64_priced(
-            compare,
-            swap,
-            target,
-            tdisp,
-            win.shm_params().atomic_cost(),
-        )
-    }
-
-    fn progress_support(&self) -> ProgressSupport {
-        // Node-local load/store completes without the target CPU.
-        ProgressSupport::Hardware
     }
 }

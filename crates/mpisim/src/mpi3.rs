@@ -23,15 +23,31 @@ pub enum FetchOp {
     NoOp,
 }
 
-impl FetchOp {
-    /// Applies the operator to an 8-byte little-endian `i64` cell in
-    /// place; returns the old value.
-    fn apply_i64(self, cell: &mut [u8; 8], operand: i64) -> i64 {
+/// One atomic update of an 8-byte little-endian `i64` cell: what
+/// [`WinHandle::atomic_i64_priced`] applies at the target.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CellOp {
+    /// `MPI_Fetch_and_op` with this operator and operand.
+    Fetch(FetchOp, i64),
+    /// `MPI_Compare_and_swap`: stores `swap` iff the cell equals `compare`.
+    CompareAndSwap { compare: i64, swap: i64 },
+}
+
+impl CellOp {
+    /// Applies the update in place; returns the old value.
+    fn apply(self, cell: &mut [u8; 8]) -> i64 {
         let old = i64::from_le_bytes(*cell);
         let new = match self {
-            FetchOp::Sum => old.wrapping_add(operand),
-            FetchOp::Replace => operand,
-            FetchOp::NoOp => old,
+            CellOp::Fetch(FetchOp::Sum, x) => old.wrapping_add(x),
+            CellOp::Fetch(FetchOp::Replace, x) => x,
+            CellOp::Fetch(FetchOp::NoOp, _) => old,
+            CellOp::CompareAndSwap { compare, swap } => {
+                if old == compare {
+                    swap
+                } else {
+                    old
+                }
+            }
         };
         *cell = new.to_le_bytes();
         old
@@ -134,45 +150,7 @@ impl WinHandle {
         tdisp: usize,
         op: FetchOp,
     ) -> MpiResult<i64> {
-        self.rmw_guarded(target, tdisp, true, |cell| op.apply_i64(cell, operand))
-    }
-
-    /// Epoch-free fetch-and-op with an explicit backend-supplied price.
-    /// Used by wire backends whose atomics are not MPI operations (NIC
-    /// atomics, shared-slab atomics) and therefore carry their own cost
-    /// model; emits no `Rma` event.
-    pub fn fetch_and_op_i64_priced(
-        &self,
-        operand: i64,
-        target: usize,
-        tdisp: usize,
-        op: FetchOp,
-        cost: f64,
-    ) -> MpiResult<i64> {
-        let old = self.rmw_cell(target, tdisp, false, |cell| op.apply_i64(cell, operand))?;
-        self.charge_pub(cost);
-        Ok(old)
-    }
-
-    /// Epoch-free compare-and-swap with an explicit backend-supplied
-    /// price; the epoch-free sibling of
-    /// [`WinHandle::compare_and_swap_i64`]. Emits no `Rma` event.
-    pub fn compare_and_swap_i64_priced(
-        &self,
-        compare: i64,
-        swap: i64,
-        target: usize,
-        tdisp: usize,
-        cost: f64,
-    ) -> MpiResult<i64> {
-        let old = self.rmw_cell(target, tdisp, false, |cell| {
-            let old = i64::from_le_bytes(*cell);
-            let new = if old == compare { swap } else { old };
-            *cell = new.to_le_bytes();
-            old
-        })?;
-        self.charge_pub(cost);
-        Ok(old)
+        self.rmw_guarded(CellOp::Fetch(op, operand), target, tdisp)
     }
 
     /// MPI-3 `MPI_Compare_and_swap` on a 64-bit signed integer: if the
@@ -184,25 +162,14 @@ impl WinHandle {
         target: usize,
         tdisp: usize,
     ) -> MpiResult<i64> {
-        self.rmw_guarded(target, tdisp, true, |cell| {
-            let old = i64::from_le_bytes(*cell);
-            let new = if old == compare { swap } else { old };
-            *cell = new.to_le_bytes();
-            old
-        })
+        self.rmw_guarded(CellOp::CompareAndSwap { compare, swap }, target, tdisp)
     }
 
-    /// Atomically applies `f` to the 8-byte cell at `tdisp` on `target`,
+    /// Atomically applies `op` to the 8-byte cell at `tdisp` on `target`,
     /// charging the MPI backend's `rmw_latency` and emitting the `Rma`
     /// event the epoch auditor watches.
-    fn rmw_guarded(
-        &self,
-        target: usize,
-        tdisp: usize,
-        require_epoch: bool,
-        f: impl FnOnce(&mut [u8; 8]) -> i64,
-    ) -> MpiResult<i64> {
-        let old = self.rmw_cell(target, tdisp, require_epoch, f)?;
+    fn rmw_guarded(&self, op: CellOp, target: usize, tdisp: usize) -> MpiResult<i64> {
+        let old = self.rmw_cell(op, target, tdisp, true)?;
         // MPI-level atomics complete inside the target's library.
         let prog = self.progress_extra(target, 1);
         self.charge_pub(self.params_pub().rmw_latency + prog);
@@ -222,16 +189,16 @@ impl WinHandle {
 
     /// Cell-level atomic mutation only: bounds/epoch checks and the
     /// io-lock-serialised 8-byte update, with no time charged and no
-    /// event emitted. The mutator works in place on a stack array — RMW
+    /// event emitted. The update works in place on a stack array — RMW
     /// ops allocate nothing per call. `require_epoch` enforces the MPI
     /// rule that an epoch covers the access; non-MPI wire atomics pass
     /// `false`.
     fn rmw_cell(
         &self,
+        op: CellOp,
         target: usize,
         tdisp: usize,
         require_epoch: bool,
-        f: impl FnOnce(&mut [u8; 8]) -> i64,
     ) -> MpiResult<i64> {
         const WIDTH: usize = 8;
         if target >= self.size_count() {
@@ -262,7 +229,7 @@ impl WinHandle {
             let lo = base + tdisp;
             let mut cell = [0u8; WIDTH];
             cell.copy_from_slice(&slice[lo..lo + WIDTH]);
-            let old = f(&mut cell);
+            let old = op.apply(&mut cell);
             slice[lo..lo + WIDTH].copy_from_slice(&cell);
             old
         };
@@ -282,7 +249,7 @@ impl WinHandle {
         tdisp: usize,
         op: FetchOp,
     ) -> MpiResult<(i64, RmaRequest)> {
-        let old = self.rmw_cell(target, tdisp, true, |cell| op.apply_i64(cell, operand))?;
+        let old = self.rmw_cell(CellOp::Fetch(op, operand), target, tdisp, true)?;
         if obs::enabled() {
             obs::instant_at(
                 obs::EventKind::Rma {
@@ -299,19 +266,22 @@ impl WinHandle {
         Ok((old, self.defer(issue, total)))
     }
 
-    /// Epoch-free request-based fetch-and-op with backend-supplied issue
-    /// and total prices (e.g. a channel backend's doorbell now, wire
-    /// round trip + CQ poll at completion). Emits no `Rma` event.
-    pub fn rfetch_and_op_i64_priced(
+    /// Epoch-free atomic on the 8-byte cell at `tdisp` with
+    /// backend-supplied prices, for wire backends whose atomics are not
+    /// MPI operations (e.g. a channel backend's NIC atomics): charges
+    /// `issue` now and returns a request completing `total` after issue
+    /// (see [`WinHandle::defer`]). A blocking caller passes `issue ==
+    /// total` and drops the already-complete request. Emits no `Rma`
+    /// event.
+    pub fn atomic_i64_priced(
         &self,
-        operand: i64,
+        op: CellOp,
         target: usize,
         tdisp: usize,
-        op: FetchOp,
         issue: f64,
         total: f64,
     ) -> MpiResult<(i64, RmaRequest)> {
-        let old = self.rmw_cell(target, tdisp, false, |cell| op.apply_i64(cell, operand))?;
+        let old = self.rmw_cell(op, target, tdisp, false)?;
         Ok((old, self.defer(issue, total)))
     }
 

@@ -1285,10 +1285,8 @@ impl WinHandle {
     // latency, no pipelining credit, and no datatype pack cost: a
     // non-contiguous shape is just more `memcpy` segments.
 
-    /// Intra-node shared-slab parameters of the configured platform, for
-    /// backends that price node-local traffic (including slab atomics)
-    /// themselves.
-    pub fn shm_params(&self) -> &simnet::ShmParams {
+    /// Intra-node shared-slab parameters of the configured platform.
+    fn shm_params(&self) -> &simnet::ShmParams {
         &self.shared.cfg.platform.shm
     }
 

@@ -119,7 +119,7 @@ pub fn point_with(
 ) -> Fig6Point {
     let cfg = fig6_config();
     let prof = task_profile(&cfg, platform, backend, phase);
-    let agent = opts.progress_agent && backend == Backend::ArmciMpi && platform.progress.available;
+    let agent = opts.progress_agent && backend == Backend::ArmciMpi;
     let cpn = platform.cores_per_node() as usize;
     let comm = match backend {
         Backend::ArmciMpi if !opts.access_modes => {

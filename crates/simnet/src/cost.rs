@@ -240,9 +240,6 @@ pub struct ProgressParams {
     /// node: all of a node's ranks share one agent, so its queue deepens
     /// with the node's fan-in.
     pub host_contention: f64,
-    /// Whether the platform can dedicate an agent core at all
-    /// (`ProgressMode::Auto` falls back to host-side progress when not).
-    pub available: bool,
 }
 
 impl ProgressParams {
@@ -255,7 +252,6 @@ impl ProgressParams {
             agent_service: mpi.op_overhead + 0.5 * mpi.epoch_overhead,
             agent_forward: 0.3 * mpi.op_overhead,
             host_contention: 0.15,
-            available: true,
         }
     }
 

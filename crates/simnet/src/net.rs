@@ -79,7 +79,7 @@ impl Nic {
     }
 }
 
-/// The congestion model: one [`Nic`] per node.
+/// The congestion model: one `Nic` per node.
 #[derive(Debug)]
 pub struct Network {
     nics: Vec<Nic>,

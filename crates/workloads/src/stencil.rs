@@ -108,9 +108,9 @@ fn relax(read: &dyn Fn(&[isize]) -> f64, nd: usize, radius: usize) -> f64 {
 /// interior of `gb`: writes the relaxed interior, row-major, into `new`
 /// and returns this block's L1 change, summed in row-major order.
 ///
-/// Each cell sums in [`relax`]'s contract order (centre, then dimensions
+/// Each cell sums in `relax`'s contract order (centre, then dimensions
 /// ascending, `r = 1..=radius`, minus before plus) and divides by the same
-/// count, so the result is bit-equal to [`relax`]. The neighbours are a
+/// count, so the result is bit-equal to `relax`. The neighbours are a
 /// table of flat offsets into `gb.data`, built once per sweep, and the
 /// walk goes a whole interior row at a time: per row, `new` starts as the
 /// centre row and each neighbour row is added to it in table order.

@@ -21,15 +21,15 @@ fn main() {
         // Bootstrap ARMCI-MPI (the paper's runtime) on this process,
         // using the MPI-3 epochless passive mode so the coalescing
         // scheduler can keep one queue per target open at a time.
-        // `ProgressMode::Auto` turns on the per-node asynchronous
-        // progress agent where the platform can dedicate a core to it —
-        // passive-target traffic aimed at busy ranks is drained by the
-        // agent instead of stalling until the target re-enters MPI.
+        // `ProgressMode::Agent` turns on the per-node asynchronous
+        // progress agent — passive-target traffic aimed at busy ranks is
+        // drained by the agent instead of stalling until the target
+        // re-enters MPI.
         let rt = ArmciMpi::with_config(
             p,
             Config {
                 epochless: true,
-                progress: armci_mpi::ProgressMode::Auto,
+                progress: armci_mpi::ProgressMode::Agent,
                 ..Config::default()
             },
         );
