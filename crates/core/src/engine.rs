@@ -1,13 +1,15 @@
 //! The unified transfer engine.
 //!
 //! Every data-movement path in ARMCI-MPI — contiguous, IOV, strided, RMW
-//! staging — runs through one explicit four-stage pipeline:
+//! staging — runs through one explicit four-stage pipeline, entered
+//! through the data verbs' one front door ([`crate::xfer`]):
 //!
-//! 1. **plan** — address translation (§V-A), strided/IOV method selection
-//!    (§VI-A), the conflict-tree scan of the auto method (§VI-B), and
-//!    lock-mode selection from the GMR's access-mode hint (§VIII-A). The
-//!    output is a list of `TransferPlan`s: one access epoch each, holding
-//!    one or more RMA operations with fully-resolved datatypes.
+//! 1. **plan** — address translation (§V-A), the §VI-A IOV method plans
+//!    the front door picked, the conflict-tree scan of the auto method
+//!    (§VI-B), and lock-mode selection from the GMR's access-mode hint
+//!    (§VIII-A). The output is a list of `TransferPlan`s: one access
+//!    epoch each, holding one or more RMA operations with fully-resolved
+//!    datatypes.
 //! 2. **acquire** — opening the access context: a passive-target lock in
 //!    MPI-2 mode (one epoch per plan, §V-C), nothing in MPI-3 epochless
 //!    mode where the window-wide `lock_all` epoch is already open
@@ -47,8 +49,8 @@
 //! complete at the same synchronisation points.
 
 use crate::gmr::Gmr;
-use crate::ops::OpClass;
 use crate::transport;
+use crate::xfer::Local;
 use crate::ArmciMpi;
 use armci::{ArmciError, ArmciResult, GlobalAddr, IovDesc, NbHandle, StridedMethod};
 use ctree::ConflictTree;
@@ -374,6 +376,14 @@ impl NbKind {
     }
 }
 
+/// Virtual seconds charged for a conflict-tree scan over `n` segments
+/// (§VI-B): `O(n log n)` at 4 ns per step. The auto method's plan-stage
+/// scan and the scheduler's run formation both pay it.
+fn conflict_scan_cost(n: usize) -> f64 {
+    let n = n.max(1) as f64;
+    4e-9 * n * n.log2().max(1.0)
+}
+
 /// Splits queued operations (kept in program order) into maximal runs of
 /// same-class operations whose combined target segments the conflict
 /// tree proves disjoint — the precondition for merging a run into one
@@ -561,70 +571,59 @@ impl ArmciMpi {
         }
     }
 
-    /// Lock mode for an operation of `class` against `gmr_id`, derived
-    /// from the GMR's access-mode hint (§VIII-A). Errors when the
-    /// operation contradicts the hint.
-    fn mode_for_gmr(&self, gmr_id: u64, class: OpClass) -> ArmciResult<LockMode> {
-        let gmrs = self.gmrs.borrow();
-        let gmr = gmrs
-            .get(&gmr_id)
-            .ok_or_else(|| crate::gmr::gmr_vanished(gmr_id))?;
-        self.lock_mode_for(gmr_id, gmr.mode.get(), class)
+    /// Books one completed access context to [`StageStats`] and records
+    /// a `Stage` span per stage. `t` holds the boundaries of the context's
+    /// trailing stages of acquire → execute → complete: four times for a
+    /// full context, two for a completion alone.
+    fn note_stages(&self, gmr: u64, t: &[f64]) {
+        const STAGES: [&str; 3] = ["acquire", "execute", "complete"];
+        let first = STAGES.len() + 1 - t.len();
+        self.stage(|g| {
+            g.completes += 1;
+            let slots = [&mut g.acquire_s, &mut g.execute_s, &mut g.complete_s];
+            for (slot, w) in slots.into_iter().skip(first).zip(t.windows(2)) {
+                *slot += w[1] - w[0];
+            }
+        });
+        obs::batch(|b| {
+            for (&stage, w) in STAGES[first..].iter().zip(t.windows(2)) {
+                b.span(obs::EventKind::Stage { stage, gmr }, w[0], w[1]);
+            }
+        });
     }
 
     // ------------------------------------------------------------------
     // Plan stage
     // ------------------------------------------------------------------
 
-    /// Plans a contiguous transfer: one epoch, one operation.
-    pub(crate) fn plan_contiguous(
-        &self,
-        class: OpClass,
-        remote: GlobalAddr,
-        len: usize,
-    ) -> ArmciResult<TransferPlan> {
-        let t0 = self.vnow();
-        let tr = self.translate(remote, len)?;
-        let mode = self.mode_for_gmr(tr.gmr, class)?;
-        let plan = Self::single_plan(tr.gmr, tr.group_rank, mode, len, tr.disp);
-        self.note_plans(t0, std::slice::from_ref(&plan));
-        Ok(plan)
-    }
-
-    /// Plans a contiguous transfer with an explicit lock mode (the RMW
-    /// protocol's read/write epochs are always exclusive, §V-D).
-    pub(crate) fn plan_fixed(
+    /// Plans one operation in one epoch — a contiguous, direct strided or
+    /// RMW-protocol transfer: translates the `extent` target bytes at
+    /// `remote`, takes the lock mode `mode` picks for the GMR, and records
+    /// the plan stage.
+    pub(crate) fn plan_single(
         &self,
         remote: GlobalAddr,
-        len: usize,
-        mode: LockMode,
+        extent: usize,
+        mode: impl FnOnce(u64) -> ArmciResult<LockMode>,
+        odt: Datatype,
+        tdt: Datatype,
+        bytes: usize,
     ) -> ArmciResult<TransferPlan> {
         let t0 = self.vnow();
-        let tr = self.translate(remote, len)?;
-        let plan = Self::single_plan(tr.gmr, tr.group_rank, mode, len, tr.disp);
-        self.note_plans(t0, std::slice::from_ref(&plan));
-        Ok(plan)
-    }
-
-    fn single_plan(
-        gmr: u64,
-        target: usize,
-        mode: LockMode,
-        len: usize,
-        disp: usize,
-    ) -> TransferPlan {
-        let dt = Datatype::contiguous(len);
-        TransferPlan {
-            gmr,
-            target,
-            mode,
+        let tr = self.translate(remote, extent)?;
+        let plan = TransferPlan {
+            gmr: tr.gmr,
+            target: tr.group_rank,
+            mode: mode(tr.gmr)?,
             ops: vec![PlannedOp {
-                odt: dt.clone(),
-                tdisp: disp,
-                tdt: dt,
-                bytes: len as u64,
+                odt,
+                tdisp: tr.disp,
+                tdt,
+                bytes: bytes as u64,
             }],
-        }
+        };
+        self.note_plans(t0, std::slice::from_ref(&plan));
+        Ok(plan)
     }
 
     /// Resolves every IOV segment, requiring a single common GMR (the
@@ -659,32 +658,29 @@ impl ArmciMpi {
     /// Origin-side byte offset of segment `i`: into the caller's buffer
     /// for put/get, into the gathered staging buffer (segment order) for
     /// accumulates.
-    fn seg_off(desc: &IovDesc, staged: bool, i: usize) -> usize {
-        if staged {
+    fn seg_off(desc: &IovDesc, local: &Local<'_>, i: usize) -> usize {
+        if local.is_acc() {
             i * desc.bytes
         } else {
             desc.local_offsets[i]
         }
     }
 
-    /// Plans an IOV transfer with the given §VI-A method. `staged` marks
-    /// accumulate transfers whose origin is the contiguous pre-scaled
-    /// staging buffer rather than the caller's scattered buffer.
+    /// Plans an IOV transfer with the given §VI-A method. An accumulate's
+    /// origin is the contiguous pre-scaled staging buffer rather than the
+    /// caller's scattered buffer.
     pub(crate) fn plan_iov(
         &self,
         desc: &IovDesc,
-        class: OpClass,
-        staged: bool,
+        local: &Local<'_>,
         method: StridedMethod,
     ) -> ArmciResult<Vec<TransferPlan>> {
         let t0 = self.vnow();
         let plans = match method {
-            StridedMethod::IovConservative => self.plan_iov_conservative(desc, class, staged)?,
-            StridedMethod::IovBatched { batch } => {
-                self.plan_iov_batched(desc, class, staged, batch)?
-            }
+            StridedMethod::IovConservative => self.plan_iov_conservative(desc, local)?,
+            StridedMethod::IovBatched { batch } => self.plan_iov_batched(desc, local, batch)?,
             StridedMethod::IovDatatype | StridedMethod::Direct => {
-                vec![self.plan_iov_datatype(desc, class, staged)?]
+                vec![self.plan_iov_datatype(desc, local)?]
             }
             StridedMethod::Auto => {
                 // §VI-B: conflict-tree scan; datatype when the descriptor
@@ -692,12 +688,11 @@ impl ArmciMpi {
                 // O(N log N) scan is charged to the plan stage.
                 let single = self.resolve_single_gmr(desc).is_ok();
                 let clean = single && ctree::scan_segments(&desc.remote_segments()).is_ok();
-                let n = desc.len().max(1) as f64;
-                self.charge(4e-9 * n * n.log2().max(1.0));
+                self.charge(conflict_scan_cost(desc.len()));
                 if clean {
-                    vec![self.plan_iov_datatype(desc, class, staged)?]
+                    vec![self.plan_iov_datatype(desc, local)?]
                 } else {
-                    self.plan_iov_conservative(desc, class, staged)?
+                    self.plan_iov_conservative(desc, local)?
                 }
             }
         };
@@ -721,20 +716,19 @@ impl ArmciMpi {
     fn plan_iov_conservative(
         &self,
         desc: &IovDesc,
-        class: OpClass,
-        staged: bool,
+        local: &Local<'_>,
     ) -> ArmciResult<Vec<TransferPlan>> {
         let mut plans = Vec::with_capacity(desc.len());
         for (i, &raddr) in desc.remote_addrs.iter().enumerate() {
             let tr = self.translate(GlobalAddr::new(desc.rank, raddr), desc.bytes)?;
-            let mode = self.mode_for_gmr(tr.gmr, class)?;
+            let mode = self.lock_mode(tr.gmr, local)?;
             plans.push(TransferPlan {
                 gmr: tr.gmr,
                 target: tr.group_rank,
                 mode,
                 ops: vec![PlannedOp {
                     odt: Datatype::Indexed {
-                        blocks: vec![(Self::seg_off(desc, staged, i), desc.bytes)],
+                        blocks: vec![(Self::seg_off(desc, local, i), desc.bytes)],
                     },
                     tdisp: tr.disp,
                     tdt: Datatype::contiguous(desc.bytes),
@@ -750,12 +744,11 @@ impl ArmciMpi {
     fn plan_iov_batched(
         &self,
         desc: &IovDesc,
-        class: OpClass,
-        staged: bool,
+        local: &Local<'_>,
         batch: usize,
     ) -> ArmciResult<Vec<TransferPlan>> {
         let (gmr_id, group_rank, disps) = self.resolve_single_gmr(desc)?;
-        let mode = self.mode_for_gmr(gmr_id, class)?;
+        let mode = self.lock_mode(gmr_id, local)?;
         let chunk = if batch == 0 { desc.len() } else { batch };
         let mut plans = Vec::with_capacity(desc.len().div_ceil(chunk));
         let mut i = 0usize;
@@ -764,7 +757,7 @@ impl ArmciMpi {
             let ops = (i..end)
                 .map(|j| PlannedOp {
                     odt: Datatype::Indexed {
-                        blocks: vec![(Self::seg_off(desc, staged, j), desc.bytes)],
+                        blocks: vec![(Self::seg_off(desc, local, j), desc.bytes)],
                     },
                     tdisp: disps[j],
                     tdt: Datatype::contiguous(desc.bytes),
@@ -783,18 +776,13 @@ impl ArmciMpi {
     }
 
     /// Datatype method: two indexed datatypes, one operation, one epoch.
-    fn plan_iov_datatype(
-        &self,
-        desc: &IovDesc,
-        class: OpClass,
-        staged: bool,
-    ) -> ArmciResult<TransferPlan> {
+    fn plan_iov_datatype(&self, desc: &IovDesc, local: &Local<'_>) -> ArmciResult<TransferPlan> {
         let (gmr_id, group_rank, disps) = self.resolve_single_gmr(desc)?;
-        let mode = self.mode_for_gmr(gmr_id, class)?;
+        let mode = self.lock_mode(gmr_id, local)?;
         let tdt = Datatype::Indexed {
             blocks: disps.iter().map(|&d| (d, desc.bytes)).collect(),
         };
-        let odt = if staged {
+        let odt = if local.is_acc() {
             // pre-scaled staging buffer is contiguous in segment order
             Datatype::contiguous(desc.total_bytes())
         } else {
@@ -817,80 +805,6 @@ impl ArmciMpi {
                 bytes: desc.total_bytes() as u64,
             }],
         })
-    }
-
-    /// Plans a direct strided transfer (§VI-C): subarray datatypes on both
-    /// sides, one operation, one epoch. Returns `Ok(None)` when the shape
-    /// cannot be expressed as subarrays (caller falls back to IOV).
-    pub(crate) fn plan_strided_direct(
-        &self,
-        class: OpClass,
-        local_len: usize,
-        local_strides: &[usize],
-        remote: GlobalAddr,
-        remote_strides: &[usize],
-        count: &[usize],
-    ) -> ArmciResult<Option<TransferPlan>> {
-        let t0 = self.vnow();
-        let (Some(odt), Some(tdt)) = (
-            armci::strided_to_subarray(local_strides, count),
-            armci::strided_to_subarray(remote_strides, count),
-        ) else {
-            return Ok(None);
-        };
-        if odt.extent() > local_len {
-            return Err(ArmciError::BadDescriptor(format!(
-                "strided origin extent {} exceeds buffer {}",
-                odt.extent(),
-                local_len
-            )));
-        }
-        let tr = self.translate(remote, armci::stride::extent(remote_strides, count))?;
-        let mode = self.mode_for_gmr(tr.gmr, class)?;
-        let plan = TransferPlan {
-            gmr: tr.gmr,
-            target: tr.group_rank,
-            mode,
-            ops: vec![PlannedOp {
-                odt,
-                tdisp: tr.disp,
-                tdt,
-                bytes: armci::stride::total_bytes(count) as u64,
-            }],
-        };
-        self.note_plans(t0, std::slice::from_ref(&plan));
-        Ok(Some(plan))
-    }
-
-    /// Plans a direct strided accumulate: contiguous pre-scaled staging
-    /// buffer on the origin side, subarray datatype on the target side.
-    /// The caller has already verified the target shape is
-    /// subarray-expressible.
-    pub(crate) fn plan_strided_direct_acc(
-        &self,
-        remote: GlobalAddr,
-        remote_strides: &[usize],
-        count: &[usize],
-        staged_len: usize,
-    ) -> ArmciResult<TransferPlan> {
-        let t0 = self.vnow();
-        let tdt = armci::strided_to_subarray(remote_strides, count)
-            .expect("caller verified subarray-expressible shape");
-        let tr = self.translate(remote, armci::stride::extent(remote_strides, count))?;
-        let mode = self.mode_for_gmr(tr.gmr, OpClass::Acc)?;
-        let plan = TransferPlan {
-            gmr: tr.gmr,
-            target: tr.group_rank,
-            mode,
-            ops: vec![PlannedOp {
-                odt: Datatype::contiguous(staged_len),
-                tdisp: tr.disp,
-                tdt,
-                bytes: armci::stride::total_bytes(count) as u64,
-            }],
-        };
-        self.note_plans(t0, std::slice::from_ref(&plan));
-        Ok(plan)
     }
 
     // ------------------------------------------------------------------
@@ -956,36 +870,9 @@ impl ArmciMpi {
             } else {
                 g.executed_ops += issued;
             }
-            g.completes += 1;
-            g.acquire_s += t1 - t0;
-            g.execute_s += t2 - t1;
-            g.complete_s += t3 - t2;
         });
+        self.note_stages(plan.gmr, &[t0, t1, t2, t3]);
         obs::batch(|b| {
-            b.span(
-                obs::EventKind::Stage {
-                    stage: "acquire",
-                    gmr: plan.gmr,
-                },
-                t0,
-                t1,
-            );
-            b.span(
-                obs::EventKind::Stage {
-                    stage: "execute",
-                    gmr: plan.gmr,
-                },
-                t1,
-                t2,
-            );
-            b.span(
-                obs::EventKind::Stage {
-                    stage: "complete",
-                    gmr: plan.gmr,
-                },
-                t2,
-                t3,
-            );
             b.span(
                 obs::EventKind::Op {
                     name: Self::exec_name(buf),
@@ -1095,7 +982,7 @@ impl ArmciMpi {
     /// point).
     pub(crate) fn nb_run_plans(
         &self,
-        plans: Vec<TransferPlan>,
+        plans: &[TransferPlan],
         buf: &ExecBuf,
     ) -> ArmciResult<NbHandle> {
         if plans.is_empty() {
@@ -1107,7 +994,7 @@ impl ArmciMpi {
         // shm route. Mixed plan lists stay on the wire path as a unit so
         // cross-plan ordering is owned by one engine.
         if plans.iter().all(|p| self.plan_shm_routable(p)) {
-            self.run_plans(&plans, buf)?;
+            self.run_plans(plans, buf)?;
             return Ok(NbHandle::eager());
         }
         let id = {
@@ -1281,8 +1168,7 @@ impl ArmciMpi {
             let t1 = self.vnow();
             // Run formation re-runs the conflict-tree scan over the queued
             // segments; charge it like the plan stage charges its scan.
-            let n = q.ops.len().max(1) as f64;
-            self.charge(4e-9 * n * n.log2().max(1.0));
+            self.charge(conflict_scan_cost(q.ops.len()));
             let (mut tree, mut runs, mut merged) = {
                 let mut nb = self.nb.borrow_mut();
                 let sc = &mut nb.scratch;
@@ -1378,62 +1264,33 @@ impl ArmciMpi {
             end = self.epoch_end(gmr, q.target);
             let t3 = self.vnow();
             self.stage(|g| {
-                g.completes += 1;
                 g.executed_ops += wire_ops;
                 g.sched_flushes += 1;
                 g.sched_runs += wire_ops;
                 g.sched_segs_in += segs_in;
                 g.sched_segs_out += segs_out;
-                g.acquire_s += t1 - t0;
-                g.execute_s += t2 - t1;
-                g.complete_s += t3 - t2;
             });
-            if obs::enabled() {
-                obs::batch(|b| {
-                    b.instant_at(
-                        obs::EventKind::SchedFlush {
-                            win: q.gmr,
-                            target: q.target as u32,
-                            ops: q.ops.len() as u32,
-                            runs: wire_ops as u32,
-                            segs_in: segs_in as u32,
-                            segs_out: segs_out as u32,
-                        },
-                        t2,
-                    );
-                    b.instant_at(
-                        obs::EventKind::NbEpochClose {
-                            win: q.gmr,
-                            target: q.target as u32,
-                        },
-                        t3,
-                    );
-                    b.span(
-                        obs::EventKind::Stage {
-                            stage: "acquire",
-                            gmr: q.gmr,
-                        },
-                        t0,
-                        t1,
-                    );
-                    b.span(
-                        obs::EventKind::Stage {
-                            stage: "execute",
-                            gmr: q.gmr,
-                        },
-                        t1,
-                        t2,
-                    );
-                    b.span(
-                        obs::EventKind::Stage {
-                            stage: "complete",
-                            gmr: q.gmr,
-                        },
-                        t2,
-                        t3,
-                    );
-                });
-            }
+            obs::batch(|b| {
+                b.instant_at(
+                    obs::EventKind::SchedFlush {
+                        win: q.gmr,
+                        target: q.target as u32,
+                        ops: q.ops.len() as u32,
+                        runs: wire_ops as u32,
+                        segs_in: segs_in as u32,
+                        segs_out: segs_out as u32,
+                    },
+                    t2,
+                );
+                b.instant_at(
+                    obs::EventKind::NbEpochClose {
+                        win: q.gmr,
+                        target: q.target as u32,
+                    },
+                    t3,
+                );
+            });
+            self.note_stages(q.gmr, &[t0, t1, t2, t3]);
         }
         self.nb.borrow_mut().resolved.extend(q.ids.iter().copied());
         end?;
@@ -1557,24 +1414,11 @@ impl ArmciMpi {
         }
         self.nb.borrow_mut().resolved.extend(b.ids);
         let t1 = self.vnow();
-        self.stage(|g| {
-            g.completes += 1;
-            g.complete_s += t1 - t0;
+        obs::instant(obs::EventKind::NbEpochClose {
+            win: b.gmr,
+            target: b.target as u32,
         });
-        if obs::enabled() {
-            obs::instant(obs::EventKind::NbEpochClose {
-                win: b.gmr,
-                target: b.target as u32,
-            });
-            obs::span(
-                obs::EventKind::Stage {
-                    stage: "complete",
-                    gmr: b.gmr,
-                },
-                t0,
-                t1,
-            );
-        }
+        self.note_stages(b.gmr, &[t0, t1]);
         Ok(())
     }
 

@@ -35,14 +35,12 @@
 pub mod dla;
 pub mod engine;
 pub mod gmr;
-pub mod iov;
 pub mod mutex;
 pub mod nxtval;
-pub mod ops;
 pub mod rmw;
 pub mod shm;
-pub mod strided;
 pub mod transport;
+pub mod xfer;
 
 pub use engine::{CoalesceMode, StageStats};
 pub use nxtval::NxtvalCounter;
@@ -59,6 +57,7 @@ use simnet::pool::{BufferPool, PoolBuf, RegistrationPolicy};
 use simnet::PoolStats;
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
+use xfer::{Local, Remote};
 
 /// How `ARMCI_Rmw` (and the NXTVAL counters built on it) maps onto the
 /// backend: native atomics (§VIII-B `fetch_and_op`/`compare_and_swap`)
@@ -486,15 +485,18 @@ impl Armci for ArmciMpi {
     }
 
     fn get(&self, src: GlobalAddr, dst: &mut [u8]) -> ArmciResult<()> {
-        self.get_impl(src, dst)
+        self.xfer(Remote::Contig(src), Local::Get(dst), false)
+            .map(drop)
     }
 
     fn put(&self, src: &[u8], dst: GlobalAddr) -> ArmciResult<()> {
-        self.put_impl(src, dst)
+        self.xfer(Remote::Contig(dst), Local::Put(src), false)
+            .map(drop)
     }
 
     fn acc(&self, kind: AccKind, src: &[u8], dst: GlobalAddr) -> ArmciResult<()> {
-        self.acc_impl(kind, src, dst)
+        self.xfer(Remote::Contig(dst), Local::Acc(kind, src), false)
+            .map(drop)
     }
 
     fn copy(&self, src: GlobalAddr, dst: GlobalAddr, bytes: usize) -> ArmciResult<()> {
@@ -509,7 +511,13 @@ impl Armci for ArmciMpi {
         dst_strides: &[usize],
         count: &[usize],
     ) -> ArmciResult<()> {
-        self.get_strided_impl(src, src_strides, dst, dst_strides, count)
+        let remote = Remote::Strided {
+            addr: src,
+            strides: src_strides,
+            local_strides: dst_strides,
+            count,
+        };
+        self.xfer(remote, Local::Get(dst), false).map(drop)
     }
 
     fn put_strided(
@@ -520,7 +528,13 @@ impl Armci for ArmciMpi {
         dst_strides: &[usize],
         count: &[usize],
     ) -> ArmciResult<()> {
-        self.put_strided_impl(src, src_strides, dst, dst_strides, count)
+        let remote = Remote::Strided {
+            addr: dst,
+            strides: dst_strides,
+            local_strides: src_strides,
+            count,
+        };
+        self.xfer(remote, Local::Put(src), false).map(drop)
     }
 
     fn acc_strided(
@@ -532,31 +546,40 @@ impl Armci for ArmciMpi {
         dst_strides: &[usize],
         count: &[usize],
     ) -> ArmciResult<()> {
-        self.acc_strided_impl(kind, src, src_strides, dst, dst_strides, count)
+        let remote = Remote::Strided {
+            addr: dst,
+            strides: dst_strides,
+            local_strides: src_strides,
+            count,
+        };
+        self.xfer(remote, Local::Acc(kind, src), false).map(drop)
     }
 
     fn get_iov(&self, desc: &IovDesc, local: &mut [u8]) -> ArmciResult<()> {
-        self.get_iov_impl(desc, local, self.cfg.iov)
+        self.xfer(Remote::Iov(desc), Local::Get(local), false)
+            .map(drop)
     }
 
     fn put_iov(&self, desc: &IovDesc, local: &[u8]) -> ArmciResult<()> {
-        self.put_iov_impl(desc, local, self.cfg.iov)
+        self.xfer(Remote::Iov(desc), Local::Put(local), false)
+            .map(drop)
     }
 
     fn acc_iov(&self, kind: AccKind, desc: &IovDesc, local: &[u8]) -> ArmciResult<()> {
-        self.acc_iov_impl(kind, desc, local, self.cfg.iov)
+        self.xfer(Remote::Iov(desc), Local::Acc(kind, local), false)
+            .map(drop)
     }
 
     fn nb_get(&self, src: GlobalAddr, dst: &mut [u8]) -> ArmciResult<NbHandle> {
-        self.nb_get_impl(src, dst)
+        self.xfer(Remote::Contig(src), Local::Get(dst), true)
     }
 
     fn nb_put(&self, src: &[u8], dst: GlobalAddr) -> ArmciResult<NbHandle> {
-        self.nb_put_impl(src, dst)
+        self.xfer(Remote::Contig(dst), Local::Put(src), true)
     }
 
     fn nb_acc(&self, kind: AccKind, src: &[u8], dst: GlobalAddr) -> ArmciResult<NbHandle> {
-        self.nb_acc_impl(kind, src, dst)
+        self.xfer(Remote::Contig(dst), Local::Acc(kind, src), true)
     }
 
     fn nb_get_strided(
@@ -567,7 +590,13 @@ impl Armci for ArmciMpi {
         dst_strides: &[usize],
         count: &[usize],
     ) -> ArmciResult<NbHandle> {
-        self.nb_get_strided_impl(src, src_strides, dst, dst_strides, count)
+        let remote = Remote::Strided {
+            addr: src,
+            strides: src_strides,
+            local_strides: dst_strides,
+            count,
+        };
+        self.xfer(remote, Local::Get(dst), true)
     }
 
     fn nb_put_strided(
@@ -578,7 +607,13 @@ impl Armci for ArmciMpi {
         dst_strides: &[usize],
         count: &[usize],
     ) -> ArmciResult<NbHandle> {
-        self.nb_put_strided_impl(src, src_strides, dst, dst_strides, count)
+        let remote = Remote::Strided {
+            addr: dst,
+            strides: dst_strides,
+            local_strides: src_strides,
+            count,
+        };
+        self.xfer(remote, Local::Put(src), true)
     }
 
     fn nb_acc_strided(
@@ -590,7 +625,13 @@ impl Armci for ArmciMpi {
         dst_strides: &[usize],
         count: &[usize],
     ) -> ArmciResult<NbHandle> {
-        self.nb_acc_strided_impl(kind, src, src_strides, dst, dst_strides, count)
+        let remote = Remote::Strided {
+            addr: dst,
+            strides: dst_strides,
+            local_strides: src_strides,
+            count,
+        };
+        self.xfer(remote, Local::Acc(kind, src), true)
     }
 
     fn wait(&self, handle: NbHandle) -> ArmciResult<()> {

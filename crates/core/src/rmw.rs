@@ -25,7 +25,7 @@ use crate::gmr::Translation;
 use crate::{ArmciMpi, AtomicsMode};
 use armci::{ArmciError, ArmciResult, GlobalAddr, NbHandle, RmwOp};
 use mpisim::mpi3::FetchOp;
-use mpisim::LockMode;
+use mpisim::{Datatype, LockMode};
 
 /// Width in bytes of every `ARMCI_Rmw` operand.
 const RMW_WIDTH: usize = 8;
@@ -226,8 +226,13 @@ impl ArmciMpi {
         let result = (|| {
             // Read epoch (always exclusive — the hint system never
             // downgrades the RMW protocol).
+            let plan = || {
+                let dt = Datatype::contiguous(RMW_WIDTH);
+                let mode = |_| Ok(LockMode::Exclusive);
+                self.plan_single(target, RMW_WIDTH, mode, dt.clone(), dt, RMW_WIDTH)
+            };
             let mut buf = [0u8; RMW_WIDTH];
-            let read = self.plan_fixed(target, RMW_WIDTH, LockMode::Exclusive)?;
+            let read = plan()?;
             self.run_plans(
                 std::slice::from_ref(&read),
                 &ExecBuf::Get(buf.as_mut_ptr(), RMW_WIDTH),
@@ -236,7 +241,7 @@ impl ArmciMpi {
             if let Some(new) = f(old) {
                 // Write epoch.
                 let bytes = new.to_le_bytes();
-                let write = self.plan_fixed(target, RMW_WIDTH, LockMode::Exclusive)?;
+                let write = plan()?;
                 self.run_plans(
                     std::slice::from_ref(&write),
                     &ExecBuf::Put(bytes.as_ptr(), RMW_WIDTH),

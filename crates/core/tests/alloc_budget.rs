@@ -228,7 +228,7 @@ fn stencil_step_budget_independent_of_grid_size() {
         println!("stencil step {n}x{n}: {per_step:.2} allocations per step");
         // Six halo pieces fan out to nine per-owner strided gets, each
         // with its plan; plus the block bounds, the sweep's offset table
-        // and the put's plan. None of it scales with the cell count (44
+        // and the put's plan. None of it scales with the cell count (34
         // at both sizes).
         assert!(
             per_step <= 48.0,

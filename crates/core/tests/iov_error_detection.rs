@@ -4,7 +4,7 @@
 //! semantics checker on, the error is surfaced; the auto method avoids it
 //! entirely by scanning first.
 
-use armci::{Armci, ArmciError, IovDesc, StridedMethod};
+use armci::{AccKind, Armci, ArmciError, IovDesc, StridedMethod};
 use armci_mpi::{ArmciMpi, Config};
 use mpisim::{Proc, Runtime, RuntimeConfig};
 
@@ -70,4 +70,27 @@ fn auto_avoids_the_error_via_conflict_scan() {
 #[test]
 fn conservative_handles_overlap_by_design() {
     put_overlapping(StridedMethod::IovConservative).unwrap();
+}
+
+/// A strided accumulate whose local buffer is shorter than its origin
+/// shape (4 rows of 16 bytes every 32 bytes span 112 bytes) is a bad
+/// descriptor on both the blocking and the nonblocking path, exactly as
+/// for `put_strided`. One rank, so a panicking transfer fails the test
+/// instead of leaving a peer waiting in a collective.
+#[test]
+fn short_strided_acc_buffer_is_a_bad_descriptor() {
+    let errs = Runtime::run_with(1, RuntimeConfig::default(), |p: &Proc| {
+        let rt = ArmciMpi::new(p);
+        let bases = rt.malloc(256).unwrap();
+        let kind = AccKind::Double(1.0);
+        let src = [0u8; 100];
+        let blocking = rt.acc_strided(kind, &src, &[32], bases[0], &[64], &[16, 4]);
+        let nb = rt.nb_acc_strided(kind, &src, &[32], bases[0], &[64], &[16, 4]);
+        rt.free(bases[0]).unwrap();
+        [blocking.unwrap_err(), nb.unwrap_err()]
+    })
+    .swap_remove(0);
+    for err in errs {
+        assert!(matches!(err, ArmciError::BadDescriptor(_)), "{err}");
+    }
 }

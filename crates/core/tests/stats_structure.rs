@@ -4,9 +4,11 @@
 //! epochs in epochless mode, and the §V-D RMW protocol's mutex+2-epoch
 //! shape.
 
-use armci::{Armci, ArmciExt, IovDesc, StridedMethod};
+use armci::{AccKind, Armci, ArmciExt, ArmciResult, GlobalAddr, IovDesc, StridedMethod};
 use armci_mpi::{ArmciMpi, Config, OpStats};
 use mpisim::{Proc, Runtime, RuntimeConfig};
+use simnet::{Platform, PlatformId};
+use std::fmt::Write;
 
 fn quiet() -> RuntimeConfig {
     RuntimeConfig {
@@ -180,4 +182,207 @@ fn byte_accounting_matches_traffic() {
         rt.barrier();
         rt.free(bases[p.rank()]).unwrap();
     });
+}
+
+/// Bytes of rank 1's memory the verb matrix addresses.
+const REGION: usize = 4096;
+/// The matrix's strided shape: 3×2 rows of 16 bytes. The remote strides
+/// describe a dense array; the local ones do not (80 is no multiple of
+/// 24), so under `Direct` a put or get falls back to the IOV datatype
+/// method while an accumulate, whose origin is its contiguous staging
+/// buffer, stays a subarray transfer.
+const COUNT: [usize; 3] = [16, 3, 2];
+const REMOTE_STRIDES: [usize; 2] = [64, 256];
+const LOCAL_STRIDES: [usize; 2] = [24, 80];
+
+/// The matrix's contiguous target (64 bytes) and IOV descriptor (four
+/// disjoint, unsorted 16-byte segments), both clear of the strided patch.
+fn matrix_iov(remote: GlobalAddr) -> IovDesc {
+    IovDesc {
+        rank: remote.rank,
+        bytes: 16,
+        local_offsets: vec![0, 48, 16, 96],
+        remote_addrs: [2048, 2200, 2100, 2400]
+            .iter()
+            .map(|&o| remote.addr + o)
+            .collect(),
+    }
+}
+
+type Verb = fn(&ArmciMpi, GlobalAddr, &mut [u8], AccKind) -> ArmciResult<()>;
+
+/// Every data verb of the `Armci` trait; the `bool` marks accumulates,
+/// which run once per scale.
+const VERBS: [(&str, bool, Verb); 15] = [
+    ("get", false, |rt, r, l, _| {
+        rt.get(r.offset(3072), &mut l[..64])
+    }),
+    ("put", false, |rt, r, l, _| rt.put(&l[..64], r.offset(3072))),
+    ("acc", true, |rt, r, l, k| {
+        rt.acc(k, &l[..64], r.offset(3072))
+    }),
+    ("get_strided", false, |rt, r, l, _| {
+        rt.get_strided(r, &REMOTE_STRIDES, l, &LOCAL_STRIDES, &COUNT)
+    }),
+    ("put_strided", false, |rt, r, l, _| {
+        rt.put_strided(l, &LOCAL_STRIDES, r, &REMOTE_STRIDES, &COUNT)
+    }),
+    ("acc_strided", true, |rt, r, l, k| {
+        rt.acc_strided(k, l, &LOCAL_STRIDES, r, &REMOTE_STRIDES, &COUNT)
+    }),
+    ("get_iov", false, |rt, r, l, _| {
+        rt.get_iov(&matrix_iov(r), l)
+    }),
+    ("put_iov", false, |rt, r, l, _| {
+        rt.put_iov(&matrix_iov(r), l)
+    }),
+    ("acc_iov", true, |rt, r, l, k| {
+        rt.acc_iov(k, &matrix_iov(r), l)
+    }),
+    ("nb_get", false, |rt, r, l, _| {
+        let h = rt.nb_get(r.offset(3072), &mut l[..64])?;
+        rt.wait(h)
+    }),
+    ("nb_put", false, |rt, r, l, _| {
+        let h = rt.nb_put(&l[..64], r.offset(3072))?;
+        rt.wait(h)
+    }),
+    ("nb_acc", true, |rt, r, l, k| {
+        let h = rt.nb_acc(k, &l[..64], r.offset(3072))?;
+        rt.wait(h)
+    }),
+    ("nb_get_strided", false, |rt, r, l, _| {
+        let h = rt.nb_get_strided(r, &REMOTE_STRIDES, l, &LOCAL_STRIDES, &COUNT)?;
+        rt.wait(h)
+    }),
+    ("nb_put_strided", false, |rt, r, l, _| {
+        let h = rt.nb_put_strided(l, &LOCAL_STRIDES, r, &REMOTE_STRIDES, &COUNT)?;
+        rt.wait(h)
+    }),
+    ("nb_acc_strided", true, |rt, r, l, k| {
+        let h = rt.nb_acc_strided(k, l, &LOCAL_STRIDES, r, &REMOTE_STRIDES, &COUNT)?;
+        rt.wait(h)
+    }),
+];
+
+/// Runs every verb (accumulates at scales 1 and 2) from rank 0 against
+/// rank 1 on a separate node with time charging on, under `strided` and
+/// `iov` set to `method`. Returns a transcript of rank 0's `OpStats`,
+/// engine counters and virtual time after each call, then the payload
+/// of both sides, plus rank 0's final virtual time.
+fn verb_matrix(method: StridedMethod) -> (String, f64) {
+    let mut platform = Platform::get(PlatformId::InfiniBandCluster).customized("verb-matrix");
+    platform.sockets_per_node = 1;
+    platform.cores_per_socket = 1;
+    let rc = RuntimeConfig {
+        platform,
+        ..Default::default()
+    };
+    let cfg = Config {
+        strided: method,
+        iov: method,
+        ..Default::default()
+    };
+    Runtime::run_with(2, rc, move |p: &Proc| {
+        let rt = ArmciMpi::with_config(p, cfg.clone());
+        let bases = rt.malloc(REGION).unwrap();
+        let me = bases[rt.rank()];
+        rt.access_mut(me, REGION, &mut |b| {
+            for (i, c) in b.chunks_exact_mut(8).enumerate() {
+                c.copy_from_slice(&(i as f64).to_le_bytes());
+            }
+        })
+        .unwrap();
+        rt.barrier();
+        let mut out = (String::new(), 0.0);
+        if p.rank() == 0 {
+            let mut local: Vec<u8> = (0..32)
+                .flat_map(|i| (i as f64 * 0.5 - 3.0).to_le_bytes())
+                .collect();
+            rt.reset_stats();
+            rt.reset_stage_stats();
+            let t = &mut out.0;
+            for (name, acc, verb) in VERBS {
+                let scales: &[f64] = if acc { &[1.0, 2.0] } else { &[1.0] };
+                for &scale in scales {
+                    verb(&rt, bases[1], &mut local, AccKind::Double(scale)).unwrap();
+                    let g = rt.stage_stats();
+                    writeln!(
+                        t,
+                        "{name} x{scale}: {:?} plans={} planned_ops={} acquires={} \
+                         executed_ops={} vtime={:#x}",
+                        rt.stats(),
+                        g.plans,
+                        g.planned_ops,
+                        g.acquires,
+                        g.executed_ops,
+                        rt.vtime().to_bits()
+                    )
+                    .unwrap();
+                }
+            }
+            out.1 = rt.vtime();
+            let mut remote = vec![0u8; REGION];
+            rt.get(bases[1], &mut remote).unwrap();
+            writeln!(t, "remote {remote:?}\nlocal {local:?}").unwrap();
+        }
+        rt.barrier();
+        rt.free(me).unwrap();
+        out
+    })
+    .swap_remove(0)
+}
+
+/// FNV-1a, so one `u64` pins a whole transcript.
+fn fnv1a(s: &str) -> u64 {
+    s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// Pins the payload, operation statistics, engine counters and rank 0's
+/// virtual time of all 15 data verbs under each of the five strided/IOV
+/// methods — one transcript digest and one final time per method.
+#[test]
+fn verb_matrix_is_pinned_under_every_method() {
+    let pinned: [(StridedMethod, u64, u64); 5] = [
+        (
+            StridedMethod::IovConservative,
+            0xc0cf_409c_79f5_c634,
+            0x3f3c_7b34_7248_6807,
+        ),
+        (
+            StridedMethod::IovBatched { batch: 4 },
+            0x7e64_ca79_f06b_c265,
+            0x3f33_1cc3_147e_cfcb,
+        ),
+        (
+            StridedMethod::IovDatatype,
+            0x209f_524a_f380_0d31,
+            0x3f2f_5035_c5bb_b3b0,
+        ),
+        (
+            StridedMethod::Direct,
+            0xe9e0_88f4_bbb6_1a61,
+            0x3f2f_8c9b_a797_dc3b,
+        ),
+        (
+            StridedMethod::Auto,
+            0xb833_4989_f000_9562,
+            0x3f2f_6528_9419_75cc,
+        ),
+    ];
+    for (method, digest, vtime) in pinned {
+        let (transcript, t) = verb_matrix(method);
+        println!(
+            "{method:?}: digest {:#x}, vtime {:#x} ({t:e} s)",
+            fnv1a(&transcript),
+            t.to_bits()
+        );
+        assert_eq!(
+            (fnv1a(&transcript), t.to_bits()),
+            (digest, vtime),
+            "{method:?} moved; transcript:\n{transcript}"
+        );
+    }
 }
