@@ -1,105 +1,19 @@
-//! Backend parity: the same ARMCI program must produce identical results
-//! on ARMCI-MPI and ARMCI-Native — the property that lets GA/NWChem be
-//! relinked against either runtime (Figure 1).
+//! ARMCI-Native under contention and on the wire: fetch-add tickets and
+//! mutex-guarded counters stay exact with many ranks hammering one cell,
+//! and its tuned InfiniBand protocols beat ARMCI-MPI (Figure 3b). Payload
+//! parity of the two backends is checked by the differential oracle
+//! (`crates/core/tests/differential.rs`).
 
-use armci::{Armci, ArmciExt, IovDesc, RmwOp};
+use armci::{Armci, ArmciExt};
 use armci_mpi::ArmciMpi;
 use armci_native::ArmciNative;
-use mpisim::{Proc, Runtime, RuntimeConfig};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use mpisim::{Runtime, RuntimeConfig};
 
 fn quiet() -> RuntimeConfig {
     RuntimeConfig {
         charge_time: false,
         ..Default::default()
     }
-}
-
-/// A deterministic mixed workload driven through the trait object;
-/// returns a digest of everything rank 0 observed.
-fn scenario(p: &Proc, rt: &dyn Armci, seed: u64) -> Vec<f64> {
-    let n = rt.nprocs();
-    let me = rt.rank();
-    let words = 64usize;
-    let bases = rt.malloc(words * 8).unwrap();
-    rt.barrier();
-
-    let mut rng = StdRng::seed_from_u64(seed + me as u64);
-    // Phase 1: every rank puts a pattern into its right neighbour.
-    let pattern: Vec<f64> = (0..words).map(|i| (me * 1000 + i) as f64).collect();
-    rt.put_f64s(&pattern, bases[(me + 1) % n]).unwrap();
-    rt.barrier();
-
-    // Phase 2: random accumulates into rank 0 (deterministic per rank).
-    for _ in 0..10 {
-        let off = rng.gen_range(0..words - 8);
-        rt.acc_f64s(2.0, &[1.0; 8], bases[0].offset(off * 8))
-            .unwrap();
-    }
-    rt.barrier();
-
-    // Phase 3: strided put of a 4x4 f64 block into rank 0's tail half,
-    // only from rank n-1 (deterministic).
-    if me == n - 1 {
-        let block: Vec<u8> = armci::acc::f64s_to_bytes(&[7.5; 16]);
-        rt.put_strided(&block, &[32], bases[0].offset(words * 4), &[64], &[32, 4])
-            .unwrap();
-    }
-    rt.barrier();
-
-    // Phase 4: fetch-add token ring.
-    let counter = bases[0].offset((words - 1) * 8);
-    let _ = rt.rmw(RmwOp::FetchAdd(1), counter).unwrap();
-    rt.barrier();
-
-    // Phase 5: IOV gather of four slots from rank 0 into rank 1.
-    if me == 1 {
-        let desc = IovDesc {
-            rank: bases[0].rank,
-            bytes: 8,
-            local_offsets: vec![0, 8, 16, 24],
-            remote_addrs: vec![
-                bases[0].addr,
-                bases[0].addr + 16,
-                bases[0].addr + 32,
-                bases[0].addr + 64,
-            ],
-        };
-        let mut four = vec![0u8; 32];
-        rt.get_iov(&desc, &mut four).unwrap();
-        rt.put(&four, bases[2]).unwrap();
-    }
-    rt.barrier();
-
-    // Digest: rank 0 reads everything relevant.
-    let digest = if me == 0 {
-        let mut d = rt.get_f64s(bases[0], words).unwrap();
-        d.extend(rt.get_f64s(bases[1], words).unwrap());
-        d.extend(rt.get_f64s(bases[2], 4).unwrap());
-        d
-    } else {
-        Vec::new()
-    };
-    rt.barrier();
-    rt.free(bases[me]).unwrap();
-    let _ = p;
-    digest
-}
-
-#[test]
-fn mixed_workload_identical_across_backends() {
-    let n = 4;
-    let on_mpi = Runtime::run_with(n, quiet(), |p| {
-        let rt = ArmciMpi::new(p);
-        scenario(p, &rt, 42)
-    });
-    let on_native = Runtime::run_with(n, quiet(), |p| {
-        let rt = ArmciNative::new(p);
-        scenario(p, &rt, 42)
-    });
-    assert!(!on_mpi[0].is_empty());
-    assert_eq!(on_mpi[0], on_native[0]);
 }
 
 #[test]

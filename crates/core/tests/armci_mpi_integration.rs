@@ -385,7 +385,9 @@ impl IovTestExt for ArmciMpi {
 #[test]
 fn iov_auto_handles_overlapping_segments() {
     // Overlapping remote segments force the conservative fallback; the
-    // datatype/batched prerequisites are violated by design here.
+    // datatype/batched prerequisites are violated by design here. The
+    // segments carry different bytes, so the image also shows that the
+    // later segment wins, as issue order on one origin requires.
     let cfg = Config {
         iov: StridedMethod::Auto,
         ..Default::default()
@@ -394,7 +396,7 @@ fn iov_auto_handles_overlapping_segments() {
         let bases = rt.malloc(64).unwrap();
         rt.barrier();
         if p.rank() == 0 {
-            let local = vec![7u8; 16];
+            let local = [[1u8; 8], [2u8; 8]].concat();
             let desc = IovDesc {
                 rank: 1,
                 bytes: 8,
@@ -404,7 +406,7 @@ fn iov_auto_handles_overlapping_segments() {
             rt.put_iov(&desc, &local).unwrap();
             let mut buf = vec![0u8; 12];
             rt.get(bases[1], &mut buf).unwrap();
-            assert_eq!(buf, vec![7u8; 12]);
+            assert_eq!(buf, [[1u8; 4], [2u8; 4], [2u8; 4]].concat());
         }
         rt.barrier();
         rt.free(bases[p.rank()]).unwrap();

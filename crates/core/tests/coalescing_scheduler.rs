@@ -1,12 +1,11 @@
-//! The coalescing RMA scheduler: behavioural equivalence with blocking
-//! program order on every wire discipline, wire-level op merging and
-//! epoch coarsening, §VIII-A access-mode rejection, and the
-//! committed-datatype cache.
+//! The coalescing RMA scheduler: wire-level op merging and epoch
+//! coarsening, §VIII-A access-mode rejection, and the committed-datatype
+//! cache. That every coalesce mode keeps blocking program order's
+//! payloads is checked by the differential oracle (`differential.rs`).
 
 use armci::{AccKind, AccessMode, Armci, ArmciError, ArmciExt};
-use armci_mpi::{ArmciMpi, CoalesceMode, Config, TransportKind};
+use armci_mpi::{ArmciMpi, CoalesceMode, Config};
 use mpisim::{Runtime, RuntimeConfig};
-use proptest::prelude::*;
 
 fn quiet() -> RuntimeConfig {
     RuntimeConfig {
@@ -22,7 +21,7 @@ fn cfg(coalesce: CoalesceMode, epochless: bool) -> Config {
         // These tests assert wire-scheduler internals (sched_* counters,
         // datatype cache hits); the intra-node shared-memory bypass would
         // route every op around the scheduler on the 2-rank single-node
-        // layouts used here. shm-on equivalence lives in shm_subsystem.rs.
+        // layouts used here. shm-on payloads are checked by differential.rs.
         shm: false,
         ..Default::default()
     }
@@ -183,111 +182,4 @@ fn repeated_strided_shape_hits_dtype_cache() {
         rt.barrier();
         rt.free(bases[p.rank()]).unwrap();
     });
-}
-
-// ---------------------------------------------------------------------
-// Equivalence: every coalesce mode leaves the same memory as blocking
-// program order
-// ---------------------------------------------------------------------
-
-/// One random operation: (kind, slot offset, slot length, payload seed).
-/// Slots are 8-byte (f64) units inside a 256-byte region.
-type MixOp = (u8, usize, usize, u8);
-
-fn arb_ops() -> impl Strategy<Value = Vec<MixOp>> {
-    proptest::collection::vec((0u8..3, 0usize..24, 1usize..6, 0u8..200), 1..12)
-}
-
-/// The wire disciplines every mode is checked under, as `(epochless,
-/// transport)`: MPI-2 per-op epochs, MPI-3 `lock_all` + flush, and the
-/// epoch-free channel backend.
-const DISCIPLINES: [(bool, TransportKind); 3] = [
-    (false, TransportKind::MpiRma),
-    (true, TransportKind::MpiRma),
-    (false, TransportKind::Channel),
-];
-
-/// Replays an op mix under one wire discipline — through the coalescing
-/// scheduler in `mode`, or with blocking calls in program order when
-/// `mode` is `None` — and returns the final remote image and the
-/// concatenated get results.
-fn run_mix(
-    mode: Option<CoalesceMode>,
-    (epochless, transport): (bool, TransportKind),
-    ops: Vec<MixOp>,
-) -> (Vec<u8>, Vec<u8>) {
-    let cfg = Config {
-        transport,
-        ..cfg(mode.unwrap_or_default(), epochless)
-    };
-    Runtime::run_with(2, quiet(), move |p| {
-        let rt = ArmciMpi::with_config(p, cfg.clone());
-        let bases = rt.malloc(256).unwrap();
-        rt.barrier();
-        let mut out = (Vec::new(), Vec::new());
-        if p.rank() == 0 {
-            let mut handles = Vec::new();
-            let mut gets: Vec<Vec<u8>> = Vec::new();
-            for &(kind, off, len, seed) in &ops {
-                let addr = bases[1].offset(off * 8);
-                let bytes = len * 8;
-                match kind {
-                    0 => {
-                        let payload: Vec<u8> = (0..bytes)
-                            .map(|i| (i as u8).wrapping_mul(11).wrapping_add(seed))
-                            .collect();
-                        match mode {
-                            Some(_) => handles.push(rt.nb_put(&payload, addr).unwrap()),
-                            None => rt.put(&payload, addr).unwrap(),
-                        }
-                    }
-                    1 => {
-                        let mut buf = vec![0u8; bytes];
-                        match mode {
-                            Some(_) => handles.push(rt.nb_get(addr, &mut buf).unwrap()),
-                            None => rt.get(addr, &mut buf).unwrap(),
-                        }
-                        gets.push(buf);
-                    }
-                    _ => {
-                        let raw: Vec<u8> = std::iter::repeat_n(f64::from(seed).to_le_bytes(), len)
-                            .flatten()
-                            .collect();
-                        let kind = AccKind::Double(1.0);
-                        match mode {
-                            Some(_) => handles.push(rt.nb_acc(kind, &raw, addr).unwrap()),
-                            None => rt.acc(kind, &raw, addr).unwrap(),
-                        }
-                    }
-                }
-            }
-            rt.wait_all(handles).unwrap();
-            let mut image = vec![0u8; 256];
-            rt.get(bases[1], &mut image).unwrap();
-            out = (image, gets.concat());
-        }
-        rt.barrier();
-        rt.free(bases[p.rank()]).unwrap();
-        out
-    })
-    .swap_remove(0)
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// Any mix of possibly-overlapping nonblocking puts, gets and
-    /// accumulates leaves the same remote memory and get results as the
-    /// blocking calls in program order, under every coalesce mode and
-    /// every wire discipline.
-    #[test]
-    fn coalesce_modes_equivalent(ops in arb_ops()) {
-        for discipline in DISCIPLINES {
-            let reference = run_mix(None, discipline, ops.clone());
-            for mode in [CoalesceMode::Batched, CoalesceMode::Datatype, CoalesceMode::Auto] {
-                let got = run_mix(Some(mode), discipline, ops.clone());
-                prop_assert_eq!(&got, &reference, "mode {:?} discipline {:?}", mode, discipline);
-            }
-        }
-    }
 }

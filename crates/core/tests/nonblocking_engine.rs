@@ -10,7 +10,6 @@
 use armci::{Armci, ArmciExt, NbHandle};
 use armci_mpi::{ArmciMpi, Config};
 use mpisim::{Proc, Runtime, RuntimeConfig};
-use proptest::prelude::*;
 
 fn quiet() -> RuntimeConfig {
     RuntimeConfig {
@@ -22,7 +21,7 @@ fn quiet() -> RuntimeConfig {
 // Every layout in this file fits on one node, so the intra-node
 // shared-memory bypass would route ops around the deferred engine whose
 // counters and overlap schedule these tests assert. Pin the wire path;
-// shm-on equivalence is covered in shm_subsystem.rs.
+// shm-on payloads are checked by differential.rs.
 fn epochless() -> Config {
     Config {
         epochless: true,
@@ -288,74 +287,4 @@ fn wait_on_unknown_handle_is_an_error() {
         // Eager handles are always fine.
         rt.wait(NbHandle::eager()).unwrap();
     });
-}
-
-// ----------------------------------------------------------------------
-// Property: interleaved nonblocking and blocking puts are
-// observationally equivalent to all-blocking, in both lock disciplines
-// ----------------------------------------------------------------------
-
-const SLOTS: usize = 8;
-
-/// Applies a schedule of 8-byte slot writes from rank 0, flagged ops via
-/// the nonblocking path, and returns the final memory images of ranks 1
-/// and 2.
-fn run_schedule(ops: Vec<(usize, usize, u8, usize)>, epochless_mode: bool) -> Vec<Vec<u8>> {
-    Runtime::run_with(3, quiet(), move |p: &Proc| {
-        let cfg = if epochless_mode {
-            epochless()
-        } else {
-            Config::default()
-        };
-        let rt = ArmciMpi::with_config(p, cfg);
-        let bases = rt.malloc(SLOTS * 8).unwrap();
-        rt.barrier();
-        if p.rank() == 0 {
-            let mut handles = Vec::new();
-            for &(target, slot, val, nb) in &ops {
-                let dst = bases[1 + target % 2].offset((slot % SLOTS) * 8);
-                let payload = [val; 8];
-                if nb != 0 {
-                    handles.push(rt.nb_put(&payload, dst).unwrap());
-                } else {
-                    rt.put(&payload, dst).unwrap();
-                }
-            }
-            rt.wait_all(handles).unwrap();
-        }
-        rt.barrier();
-        let mut image = vec![0u8; SLOTS * 8];
-        if p.rank() > 0 {
-            rt.access(bases[p.rank()], SLOTS * 8, &mut |b| {
-                image.copy_from_slice(b)
-            })
-            .unwrap();
-        }
-        rt.barrier();
-        rt.free(bases[p.rank()]).unwrap();
-        image
-    })
-    .split_off(1)
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    #[test]
-    fn nb_schedule_equivalent_to_blocking(
-        ops in proptest::collection::vec(
-            (0usize..2, 0usize..SLOTS, 0u8..255, 0usize..2),
-            1..16,
-        ),
-    ) {
-        let blocking: Vec<_> = ops
-            .iter()
-            .map(|&(t, s, v, _)| (t, s, v, 0))
-            .collect();
-        for mode in [false, true] {
-            let want = run_schedule(blocking.clone(), mode);
-            let got = run_schedule(ops.clone(), mode);
-            prop_assert_eq!(&got, &want, "epochless={}", mode);
-        }
-    }
 }

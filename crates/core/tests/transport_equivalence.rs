@@ -1,14 +1,12 @@
-//! Wire-backend equivalence: the RAMC-style channel transport must be
-//! observationally identical to MPI passive-target RMA — byte-identical
-//! remote memory, get results, and RMW return values — over random rank
-//! layouts and operation mixes. Payload correctness is a property of the
-//! ARMCI layer, not of the backend; only cost and offload accounting may
-//! differ.
+//! Wire backends: the RAMC-style channel transport reports its offload
+//! split, MPI RMA reports none, and the channel composes with the shm
+//! tier. That both backends move identical payloads is checked by the
+//! differential oracle (`differential.rs`); only cost and offload
+//! accounting may differ.
 
-use armci::{AccKind, Armci, RmwOp};
+use armci::Armci;
 use armci_mpi::{ArmciMpi, Config, TransportKind};
 use mpisim::{Runtime, RuntimeConfig};
-use proptest::prelude::*;
 use simnet::{Platform, PlatformId};
 
 /// Runtime with `ranks_per_node` cores per node and no clock charging,
@@ -29,127 +27,6 @@ fn tx_cfg(transport: TransportKind) -> Config {
     Config {
         transport,
         ..Default::default()
-    }
-}
-
-/// One random operation: `(kind, target, slot, len, seed)`. Kinds 0–2
-/// are blocking put/get/acc; 3–5 their nonblocking forms; 6–7 strided
-/// put/get (noncontiguous — the channel backend's software fallback);
-/// 8 is an RMW fetch-and-add. Slots are 8-byte units inside each rank's
-/// 256-byte region.
-type MixOp = (u8, usize, usize, usize, u8);
-
-fn arb_ops() -> impl Strategy<Value = Vec<MixOp>> {
-    proptest::collection::vec((0u8..9, 1usize..4, 0usize..24, 1usize..6, 0u8..200), 1..14)
-}
-
-/// Replays an op mix from rank 0 over four ranks; returns the final
-/// images of ranks 1–3, the concatenated get results, and the RMW
-/// return values.
-fn run_mix(
-    ranks_per_node: u32,
-    transport: TransportKind,
-    ops: Vec<MixOp>,
-) -> (Vec<u8>, Vec<u8>, Vec<i64>) {
-    Runtime::run_with(4, layout(ranks_per_node), move |p| {
-        let rt = ArmciMpi::with_config(p, tx_cfg(transport));
-        let bases = rt.malloc(256).unwrap();
-        rt.barrier();
-        let mut out = (Vec::new(), Vec::new(), Vec::new());
-        if p.rank() == 0 {
-            let mut handles = Vec::new();
-            let mut gets: Vec<Vec<u8>> = Vec::new();
-            let mut rmws: Vec<i64> = Vec::new();
-            for &(kind, target, slot, len, seed) in &ops {
-                let addr = bases[target].offset(slot * 8);
-                let bytes = len * 8;
-                match kind {
-                    0 | 3 => {
-                        let payload: Vec<u8> = (0..bytes)
-                            .map(|i| (i as u8).wrapping_mul(13).wrapping_add(seed))
-                            .collect();
-                        if kind == 0 {
-                            rt.put(&payload, addr).unwrap();
-                        } else {
-                            handles.push(rt.nb_put(&payload, addr).unwrap());
-                        }
-                    }
-                    1 | 4 => {
-                        let mut buf = vec![0u8; bytes];
-                        if kind == 1 {
-                            rt.get(addr, &mut buf).unwrap();
-                        } else {
-                            handles.push(rt.nb_get(addr, &mut buf).unwrap());
-                        }
-                        gets.push(buf);
-                    }
-                    2 | 5 => {
-                        let raw: Vec<u8> = std::iter::repeat_n(f64::from(seed).to_le_bytes(), len)
-                            .flatten()
-                            .collect();
-                        if kind == 2 {
-                            rt.acc(AccKind::Double(1.0), &raw, addr).unwrap();
-                        } else {
-                            handles.push(rt.nb_acc(AccKind::Double(1.0), &raw, addr).unwrap());
-                        }
-                    }
-                    6 | 7 => {
-                        // Strided 2-D transfer: 8-byte runs every 16 bytes,
-                        // bounded inside the 256-byte region. Noncontiguous,
-                        // so the channel backend must take its software path.
-                        let rows = (len % 3) + 2;
-                        let addr = bases[target].offset((slot % 12) * 8);
-                        let count = [8usize, rows];
-                        if kind == 6 {
-                            let src: Vec<u8> = (0..rows * 8)
-                                .map(|i| (i as u8).wrapping_mul(29).wrapping_add(seed))
-                                .collect();
-                            rt.put_strided(&src, &[8], addr, &[16], &count).unwrap();
-                        } else {
-                            let mut dst = vec![0u8; rows * 8];
-                            rt.get_strided(addr, &[16], &mut dst, &[8], &count).unwrap();
-                            gets.push(dst);
-                        }
-                    }
-                    _ => {
-                        let cell = bases[target].offset((slot % 24) * 8);
-                        rmws.push(rt.rmw(RmwOp::FetchAdd(i64::from(seed) + 1), cell).unwrap());
-                    }
-                }
-            }
-            rt.wait_all(handles).unwrap();
-            let mut images = Vec::new();
-            for &base in &bases[1..] {
-                let mut image = vec![0u8; 256];
-                rt.get(base, &mut image).unwrap();
-                images.extend(image);
-            }
-            out = (images, gets.concat(), rmws);
-        }
-        rt.barrier();
-        rt.free(bases[p.rank()]).unwrap();
-        out
-    })
-    .swap_remove(0)
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// Any mix of blocking, nonblocking, strided and read-modify-write
-    /// operations leaves byte-identical remote memory, get results and
-    /// RMW values whether the wire is MPI passive-target RMA or the
-    /// RAMC-style channel backend, on every node layout.
-    #[test]
-    fn channel_backend_equivalent_to_mpi_rma(ops in arb_ops()) {
-        for ranks_per_node in [1u32, 2, 4] {
-            let mpi = run_mix(ranks_per_node, TransportKind::MpiRma, ops.clone());
-            let chan = run_mix(ranks_per_node, TransportKind::Channel, ops.clone());
-            prop_assert_eq!(
-                &chan, &mpi,
-                "backend divergence at {} ranks/node", ranks_per_node
-            );
-        }
     }
 }
 

@@ -22,15 +22,6 @@ use std::sync::Arc;
 const TAG_NONCOLL_XCHG: i32 = i32::MIN + 10;
 const TAG_NONCOLL_CTX: i32 = i32::MIN + 11;
 
-/// Selector for [`Comm::split_type`] (`MPI_Comm_split_type`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CommSplitType {
-    /// `MPI_COMM_TYPE_SHARED`: the largest groups of ranks that can share
-    /// memory — here, ranks on the same node under the platform's
-    /// authoritative [`simnet::Platform::node_of`] mapping.
-    Shared,
-}
-
 /// Shared, immutable communicator state.
 pub(crate) struct CommInner {
     pub id: u64,
@@ -151,11 +142,6 @@ impl Comm {
         std::sync::Arc::clone(map.entry(id).or_insert(value))
     }
 
-    /// Looks up a shared segment.
-    pub fn shmem_lookup(&self, id: u64) -> Option<std::sync::Arc<dyn std::any::Any + Send + Sync>> {
-        self.shared.shmem.read().get(&id).cloned()
-    }
-
     /// Removes a shared segment registration.
     pub fn shmem_remove(&self, id: u64) {
         self.shared.shmem.write().remove(&id);
@@ -269,11 +255,6 @@ impl Comm {
         (env.data, status)
     }
 
-    /// Non-blocking probe for a matching message.
-    pub fn iprobe(&self, src: RecvSrc, tag: i32) -> Option<Status> {
-        self.shared.mailboxes[self.my_world_rank].iprobe(self.inner.id, src, tag)
-    }
-
     // ------------------------------------------------------------------
     // Collectives
     // ------------------------------------------------------------------
@@ -379,44 +360,6 @@ impl Comm {
         coll::maxloc_i64(&pairs)
     }
 
-    /// All-to-all exchange of variable-size blocks: `send[d]` goes to rank
-    /// `d`; returns `recv[s]` = the block rank `s` sent here.
-    pub fn alltoallv_bytes(&self, send: Vec<Vec<u8>>) -> Vec<Vec<u8>> {
-        assert_eq!(
-            send.len(),
-            self.size(),
-            "alltoallv: need one block per rank"
-        );
-        let total: usize = send.iter().map(Vec::len).sum();
-        // Serialise: lengths header then concatenated blocks.
-        let mut buf = Vec::with_capacity(8 * send.len() + total);
-        coll::wire::put_u64s(
-            &mut buf,
-            &send.iter().map(|b| b.len() as u64).collect::<Vec<_>>(),
-        );
-        for b in &send {
-            buf.extend_from_slice(b);
-        }
-        let (arr, out) = self.coll_exchange(buf);
-        self.coll_leave(arr, &out, self.coll_cost(total / self.size().max(1)));
-        out.data
-            .iter()
-            .map(|b| {
-                let (lens, mut rest) = coll::wire::get_u64s(b, self.size());
-                let mut block = Vec::new();
-                for (d, &l) in lens.iter().enumerate() {
-                    let l = l as usize;
-                    if d == self.my_comm_rank {
-                        block = rest[..l].to_vec();
-                        break;
-                    }
-                    rest = &rest[l..];
-                }
-                block
-            })
-            .collect()
-    }
-
     // ------------------------------------------------------------------
     // Communicator creation
     // ------------------------------------------------------------------
@@ -507,21 +450,6 @@ impl Comm {
         let id = coll::wire::get_i64s(&ids[leader_old_rank])[0] as u64;
         let inner = self.register_comm(id, my_group);
         Some(self.comm_from(inner))
-    }
-
-    /// Collective `MPI_Comm_split_type`: groups ranks by capability class.
-    /// With [`CommSplitType::Shared`] every node's ranks land in one
-    /// sub-communicator (ordered by `(key, old rank)`), which is what
-    /// [`crate::WinHandle::allocate_shared`] callers use to find their
-    /// node peers.
-    pub fn split_type(&self, kind: CommSplitType, key: i64) -> Comm {
-        match kind {
-            CommSplitType::Shared => {
-                let node = self.platform().node_of(self.my_world_rank) as i64;
-                self.split(node, key)
-                    .expect("non-negative colour always yields a communicator")
-            }
-        }
     }
 
     /// **Noncollective** communicator creation: only the listed members

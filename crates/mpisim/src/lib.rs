@@ -38,7 +38,7 @@ pub mod runtime;
 mod sync;
 pub mod win;
 
-pub use comm::{Comm, CommSplitType};
+pub use comm::Comm;
 pub use dtype::{Datatype, DtypeCache, DtypeSig};
 pub use error::{MpiError, MpiResult};
 pub use p2p::{RecvSrc, Status, ANY_TAG};

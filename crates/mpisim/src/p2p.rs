@@ -81,18 +81,6 @@ impl Mailbox {
         .1
     }
 
-    /// Non-blocking probe: metadata of the first matching message, if any.
-    pub fn iprobe(&self, comm: u64, src: RecvSrc, tag: i32) -> Option<Status> {
-        let q = self.m.lock();
-        q.iter()
-            .find(|e| Self::matches(e, comm, src, tag))
-            .map(|e| Status {
-                source: e.src_comm_rank,
-                tag: e.tag,
-                len: e.data.len(),
-            })
-    }
-
     /// Number of queued messages (test/diagnostic aid).
     #[cfg(test)]
     pub fn depth(&self) -> usize {
@@ -141,23 +129,6 @@ mod tests {
         let e = mb.recv(0, RecvSrc::Any, ANY_TAG);
         assert_eq!(e.src_comm_rank, 3);
         assert_eq!(e.tag, 42);
-    }
-
-    #[test]
-    fn iprobe_does_not_consume() {
-        let mb = Mailbox::new();
-        mb.deliver(env(0, 2, 1, vec![1, 2, 3]));
-        let st = mb.iprobe(0, RecvSrc::Any, ANY_TAG).unwrap();
-        assert_eq!(
-            st,
-            Status {
-                source: 2,
-                tag: 1,
-                len: 3
-            }
-        );
-        assert_eq!(mb.depth(), 1);
-        assert!(mb.iprobe(0, RecvSrc::Rank(5), ANY_TAG).is_none());
     }
 
     #[test]

@@ -240,6 +240,10 @@ impl Runtime {
                     f(&proc)
                 }));
             }
+            // The explicit join is what makes the recorder's exit flush
+            // visible to the caller: it returns only after the rank
+            // thread's thread-locals are destroyed, whereas the scope's
+            // implicit join may return before `obs`'s TLS drop has run.
             handles
                 .into_iter()
                 .map(|h| h.join().expect("rank panicked"))

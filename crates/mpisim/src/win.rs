@@ -336,10 +336,6 @@ pub struct WinHandle {
     /// an epoch's accesses reuses one allocation.
     spare_records: RefCell<Vec<OpRecord>>,
     pub(crate) lock_all_active: Cell<bool>,
-    /// Active-target (fence) epoch open on this handle (§III "active
-    /// mode"). Between two `fence` calls every rank may be both origin
-    /// and target without per-target locks.
-    active_epoch: Cell<bool>,
     /// How remote passive-target completion is priced on this handle
     /// (see [`crate::progress`]). Origin-local, like the epoch state.
     progress: Cell<ProgressModel>,
@@ -453,48 +449,8 @@ impl WinHandle {
             flat: RefCell::new(Flat::default()),
             spare_records: RefCell::new(Vec::new()),
             lock_all_active: Cell::new(false),
-            active_epoch: Cell::new(false),
             progress: Cell::new(ProgressModel::Off),
         }
-    }
-
-    /// Active-target synchronisation (`MPI_Win_fence`): collective; closes
-    /// the previous active access/exposure epoch and opens a new one. The
-    /// paper's §III notes active mode "requires synchronization among all
-    /// parties", which is why ARMCI-MPI uses passive mode — this exists to
-    /// complete the model (and for programs that *are* bulk-synchronous).
-    ///
-    /// Mixing fence epochs with open passive epochs on the same handle is
-    /// rejected, like the standard's matching rules.
-    pub fn fence(&self) -> MpiResult<()> {
-        self.check_alive()?;
-        if !self.epochs.borrow().is_empty() || self.lock_all_active.get() {
-            return Err(MpiError::EpochModeMixed { target: usize::MAX });
-        }
-        self.comm.barrier();
-        self.active_epoch.set(true);
-        self.charge(0.5 * self.params().epoch_overhead);
-        if obs::enabled() {
-            obs::instant_at(obs::EventKind::FenceBegin { win: self.inner.id }, self.vt());
-        }
-        Ok(())
-    }
-
-    /// Ends active-target mode on this handle (an `MPI_Win_fence` with
-    /// `MPI_MODE_NOSUCCEED`): completes outstanding operations and leaves
-    /// no epoch open.
-    pub fn fence_end(&self) -> MpiResult<()> {
-        self.check_alive()?;
-        if !self.active_epoch.get() {
-            return Err(MpiError::NoEpoch { target: usize::MAX });
-        }
-        self.comm.barrier();
-        self.active_epoch.set(false);
-        self.charge(0.5 * self.params().epoch_overhead);
-        if obs::enabled() {
-            obs::instant_at(obs::EventKind::FenceEnd { win: self.inner.id }, self.vt());
-        }
-        Ok(())
     }
 
     /// The communicator the window was created on.
@@ -749,9 +705,7 @@ impl WinHandle {
 
     /// Is an epoch currently open on `target`?
     pub fn is_locked(&self, target: usize) -> bool {
-        self.epochs.borrow().contains_key(&target)
-            || self.lock_all_active.get()
-            || self.active_epoch.get()
+        self.epochs.borrow().contains_key(&target) || self.lock_all_active.get()
     }
 
     /// Mode of the open epoch on `target`, if any.
@@ -784,10 +738,6 @@ impl WinHandle {
             Some(e) => e,
             // MPI-3 lock_all: conflicts undefined, not erroneous.
             None if self.lock_all_active.get() => return Ok(()),
-            // Active-target epoch: the fences provide the synchronisation;
-            // conflicting access rules are the programmer's bulk-sync
-            // discipline (not tracked per-target here).
-            None if self.active_epoch.get() => return Ok(()),
             None => return Err(MpiError::NoEpoch { target }),
         };
         if self.shared.cfg.semantic_checks {
@@ -1290,11 +1240,6 @@ impl WinHandle {
         &self.shared.cfg.platform.shm
     }
 
-    /// Was this window created with [`WinHandle::allocate_shared`]?
-    pub fn is_shared_backed(&self) -> bool {
-        matches!(self.inner.backing, Backing::Shared(_))
-    }
-
     /// Can `target` be reached through a node-local slab (shared-backed
     /// window *and* same node as the caller)? This is the route predicate
     /// the transfer engine consults at plan time.
@@ -1331,13 +1276,10 @@ impl WinHandle {
     /// under the separate-memory model. Load/store access to a peer's
     /// section is only well-defined between a `win_sync` and the close of
     /// the surrounding epoch — the epoch auditor enforces exactly this.
-    /// Requires an open epoch (lock, lock_all, or fence) on the handle.
+    /// Requires an open epoch (lock or lock_all) on the handle.
     pub fn win_sync(&self) -> MpiResult<()> {
         self.check_alive()?;
-        if self.epochs.borrow().is_empty()
-            && !self.lock_all_active.get()
-            && !self.active_epoch.get()
-        {
+        if self.epochs.borrow().is_empty() && !self.lock_all_active.get() {
             return Err(MpiError::NoEpoch { target: usize::MAX });
         }
         std::sync::atomic::fence(Ordering::SeqCst);
@@ -1507,9 +1449,7 @@ impl WinHandle {
     pub fn free(self) -> MpiResult<()> {
         self.check_alive()?;
         assert!(
-            self.epochs.borrow().is_empty()
-                && !self.lock_all_active.get()
-                && !self.active_epoch.get(),
+            self.epochs.borrow().is_empty() && !self.lock_all_active.get(),
             "window freed with open epochs"
         );
         // Every rank calls free; the first one to get here removes the
@@ -1599,16 +1539,6 @@ impl ShmSection {
 
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Byte offset of this section within its node slab — the simulated
-    /// analogue of the base-pointer arithmetic real `shared_query` users
-    /// do.
-    pub fn slab_offset(&self) -> usize {
-        match &self.inner.backing {
-            Backing::Shared(shm) => shm.place[self.rank].1,
-            Backing::PerRank(_) => unreachable!("ShmSection only exists for shared backings"),
-        }
     }
 
     fn check(&self, disp: usize, len: usize) -> MpiResult<()> {

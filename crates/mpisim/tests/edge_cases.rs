@@ -19,8 +19,6 @@ fn single_rank_world_collectives() {
         assert_eq!(w.allreduce_i64(ReduceOp::Sum, &[7])[0], 7);
         assert_eq!(w.bcast_bytes(0, Some(vec![1, 2])), vec![1, 2]);
         assert_eq!(w.maxloc_i64(5), (5, 0));
-        let a2a = w.alltoallv_bytes(vec![vec![9]]);
-        assert_eq!(a2a, vec![vec![9]]);
     });
 }
 

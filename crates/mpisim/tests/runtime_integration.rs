@@ -129,20 +129,6 @@ fn maxloc_elects_lowest_winner() {
 }
 
 #[test]
-fn alltoallv_routes_blocks() {
-    Runtime::run_with(3, quiet(), |p: &Proc| {
-        let w = p.world();
-        let send: Vec<Vec<u8>> = (0..3)
-            .map(|d| vec![(w.rank() * 10 + d) as u8; d + 1])
-            .collect();
-        let recv = w.alltoallv_bytes(send);
-        for (s, block) in recv.iter().enumerate() {
-            assert_eq!(block, &vec![(s * 10 + w.rank()) as u8; w.rank() + 1]);
-        }
-    });
-}
-
-#[test]
 fn barrier_synchronises_clocks() {
     Runtime::run(3, |p: &Proc| {
         let w = p.world();
@@ -187,12 +173,6 @@ fn dup_is_independent_context() {
             d.send(1, 5, b"dup");
         }
         if d.rank() == 1 {
-            assert!(
-                w.iprobe(RecvSrc::Any, ANY_TAG).is_none() || {
-                    // it may not have arrived yet; wait on the right comm:
-                    true
-                }
-            );
             let (data, _) = d.recv(RecvSrc::Rank(0), 5);
             assert_eq!(data, b"dup");
         }

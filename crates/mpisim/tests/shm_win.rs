@@ -1,9 +1,8 @@
-//! Shared-memory window subsystem: `split_type`, `allocate_shared`,
+//! Shared-memory window subsystem: `allocate_shared`,
 //! `shared_query` load/store, `win_sync`, and the `shm_*` movers.
 
 use mpisim::{
-    AccOp, CommSplitType, Datatype, ElemType, LockMode, MpiError, Proc, Runtime, RuntimeConfig,
-    WinHandle,
+    AccOp, Datatype, ElemType, LockMode, MpiError, Proc, Runtime, RuntimeConfig, WinHandle,
 };
 use simnet::{Platform, PlatformId};
 
@@ -18,21 +17,6 @@ fn quiet_nodes(ranks_per_node: u32) -> RuntimeConfig {
         charge_time: false,
         ..Default::default()
     }
-}
-
-#[test]
-fn split_type_shared_groups_node_peers() {
-    // 6 ranks, 2 per node → three node communicators of size 2.
-    Runtime::run_with(6, quiet_nodes(2), |p: &Proc| {
-        let w = p.world();
-        let node = w.split_type(CommSplitType::Shared, 0);
-        assert_eq!(node.size(), 2);
-        assert_eq!(node.rank(), w.rank() % 2);
-        // Members really are this node's world ranks, in rank order.
-        let base = w.rank() / 2 * 2;
-        assert_eq!(node.world_rank_of(0), base);
-        assert_eq!(node.world_rank_of(1), base + 1);
-    });
 }
 
 #[test]
@@ -71,7 +55,6 @@ fn shared_query_rejects_per_rank_windows() {
     Runtime::run_with(2, quiet_nodes(2), |p: &Proc| {
         let w = p.world();
         let win = WinHandle::create(&w, 32);
-        assert!(!win.is_shared_backed());
         assert_eq!(
             win.shared_query(0).unwrap_err(),
             MpiError::ShmUnavailable { target: 0 }

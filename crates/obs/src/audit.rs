@@ -8,7 +8,7 @@
 //!   (window, target) pair this rank already holds, or mixing `lock` and
 //!   `lock_all` epochs on one window (MPI allows one epoch per pair per
 //!   origin; nested exclusive epochs self-deadlock).
-//! * **UnlockWithoutLock** — releasing a lock, `lock_all`, or fence the
+//! * **UnlockWithoutLock** — releasing a lock or `lock_all` the
 //!   rank does not hold (includes double-unlock).
 //! * **DlaViolation** — a direct load/store of window memory outside an
 //!   `ARMCI_Access_begin/end` region, or a region opened without the
@@ -21,10 +21,10 @@
 //!   [`EventKind::NbEpochOpen`] and are exempt: the engine stages the
 //!   next fragment under the open aggregate epoch by design.
 //! * **OpOutsideEpoch** — an MPI-level RMA call on a (window, target)
-//!   with no lock, `lock_all`, or fence epoch covering it.
+//!   with no lock or `lock_all` epoch covering it.
 //! * **AtomicOutsideEpoch** — the same leak for an MPI-level atomic
 //!   (`Rma` with kind `rmw`): fetch-and-op / compare-and-swap issued
-//!   with no covering passive or fence epoch. Split from
+//!   with no covering passive epoch. Split from
 //!   `OpOutsideEpoch` because atomics have a legal epoch-free path
 //!   (NIC-offloaded channel atomics, shm slab atomics) that does *not*
 //!   emit `Rma` events — so any `Rma { Rmw }` seen here claimed an MPI
@@ -112,7 +112,6 @@ struct HeldLock {
 struct RankState {
     held: HashMap<(u64, u32), HeldLock>,
     lock_all: HashSet<u64>,
-    fence: HashSet<u64>,
     dla_depth: HashMap<u64, u32>,
     /// Windows where a `win_sync` has been seen under a still-open epoch.
     synced: HashSet<u64>,
@@ -120,9 +119,7 @@ struct RankState {
 
 impl RankState {
     fn epoch_on(&self, win: &u64) -> bool {
-        self.lock_all.contains(win)
-            || self.fence.contains(win)
-            || self.held.keys().any(|(w, _)| w == win)
+        self.lock_all.contains(win) || self.held.keys().any(|(w, _)| w == win)
     }
 }
 
@@ -204,18 +201,6 @@ pub fn audit(events: &[Event]) -> Vec<Violation> {
                 }
                 st.synced.remove(win);
             }
-            EventKind::FenceBegin { win } => {
-                st.fence.insert(*win);
-            }
-            EventKind::FenceEnd { win } => {
-                if !st.fence.remove(win) {
-                    flag(
-                        Rule::UnlockWithoutLock,
-                        format!("fence end on win {win} with no matching fence begin"),
-                    );
-                }
-                st.synced.remove(win);
-            }
             EventKind::NbEpochOpen { win, target } => {
                 if let Some(h) = st.held.get_mut(&(*win, *target)) {
                     h.aggregate = true;
@@ -223,10 +208,7 @@ pub fn audit(events: &[Event]) -> Vec<Violation> {
             }
             EventKind::NbEpochClose { .. } => {}
             EventKind::DlaBegin { win, .. } => {
-                let covered = st.lock_all.contains(win)
-                    || st.fence.contains(win)
-                    || st.held.keys().any(|(w, _)| w == win);
-                if !covered {
+                if !st.epoch_on(win) {
                     flag(
                         Rule::DlaViolation,
                         format!("access region opened on win {win} without a local epoch"),
@@ -280,9 +262,7 @@ pub fn audit(events: &[Event]) -> Vec<Violation> {
             EventKind::Rma {
                 win, target, kind, ..
             } => {
-                let covered = st.held.contains_key(&(*win, *target))
-                    || st.lock_all.contains(win)
-                    || st.fence.contains(win);
+                let covered = st.held.contains_key(&(*win, *target)) || st.lock_all.contains(win);
                 if !covered {
                     let rule = if *kind == crate::OpKind::Rmw {
                         Rule::AtomicOutsideEpoch

@@ -2,8 +2,8 @@
 //!
 //! [`to_chrome_trace`] renders the event stream as a Chrome trace-event
 //! JSON object (load it in `chrome://tracing` or Perfetto): span events
-//! become complete (`"X"`) slices, paired instants (lock/unlock, DLA and
-//! fence begin/end) become `"B"`/`"E"` duration slices so epochs show as
+//! become complete (`"X"`) slices, paired instants (lock/unlock and DLA
+//! begin/end) become `"B"`/`"E"` duration slices so epochs show as
 //! nested bars, everything else becomes a thread-scoped instant. Ranks
 //! map to tids; timestamps are virtual seconds scaled to microseconds.
 
@@ -149,18 +149,6 @@ fn describe(e: &Event) -> (String, &'static str, Phase, Vec<(String, Value)>) {
                 ("win".into(), uval(*win)),
                 ("target".into(), uval(u64::from(*target))),
             ],
-        ),
-        FenceBegin { win } => (
-            format!("fence:w{win}"),
-            "epoch",
-            Phase::Begin,
-            vec![("win".into(), uval(*win))],
-        ),
-        FenceEnd { win } => (
-            format!("fence:w{win}"),
-            "epoch",
-            Phase::End,
-            vec![("win".into(), uval(*win))],
         ),
         NbEpochOpen { win, target } => (
             format!("nb_epoch:w{win}->{target}"),

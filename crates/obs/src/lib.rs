@@ -192,13 +192,6 @@ pub enum EventKind {
         win: u64,
         target: u32,
     },
-    /// Active-target fence epoch opened / closed.
-    FenceBegin {
-        win: u64,
-    },
-    FenceEnd {
-        win: u64,
-    },
     /// A nonblocking aggregate epoch adopted the lock on (window, target):
     /// the auditor must not treat staging under it as a violation.
     NbEpochOpen {
@@ -618,11 +611,16 @@ mod tests {
         let _g = test_guard();
         clear();
         enable();
+        // Join explicitly: a scope's implicit join returns once the
+        // thread's result is dropped, before its thread-locals (and so
+        // `Tls::drop`'s flush) are destroyed; `join` waits for both.
         std::thread::scope(|s| {
             s.spawn(|| {
                 set_rank(1);
                 instant_at(EventKind::LockAll { win: 7 }, 0.25);
-            });
+            })
+            .join()
+            .unwrap();
         });
         let ev = take();
         disable();

@@ -258,8 +258,6 @@ impl Registry {
                     }
                 }
                 Flush { .. } => reg.bump("epochs.flushes", 1),
-                FenceBegin { .. } => reg.bump("epochs.fences", 1),
-                FenceEnd { .. } => {}
                 NbEpochOpen { .. } => reg.bump("epochs.aggregate", 1),
                 NbEpochClose { .. } => {}
                 Rma {
@@ -393,13 +391,12 @@ impl Registry {
             }
         }
         out.push_str(&format!(
-            "  epochs : shared={} exclusive={} lock_all={} aggregate={} flushes={} fences={}\n",
+            "  epochs : shared={} exclusive={} lock_all={} aggregate={} flushes={}\n",
             self.counter("epochs.shared"),
             self.counter("epochs.exclusive"),
             self.counter("epochs.lock_all"),
             self.counter("epochs.aggregate"),
             self.counter("epochs.flushes"),
-            self.counter("epochs.fences"),
         ));
         if let Some(h) = self.histograms.get("lock_hold_us") {
             out.push_str(&format!(
