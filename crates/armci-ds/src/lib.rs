@@ -29,9 +29,10 @@
 mod protocol;
 mod server;
 
+use armci::stride::extent;
 use armci::{
-    AccKind, AccessMode, Armci, ArmciError, ArmciGroup, ArmciResult, GlobalAddr, IovDesc, NbHandle,
-    RmwOp,
+    AccessMode, Armci, ArmciError, ArmciGroup, ArmciResult, GlobalAddr, Local, NbHandle, Remote,
+    RmwOp, StridedIter,
 };
 use mpisim::{Comm, Proc, RecvSrc, Runtime, RuntimeConfig};
 use protocol::{Reply, Request, TAG_REPLY, TAG_REQUEST};
@@ -82,6 +83,23 @@ where
         .take(ncompute)
         .map(|r| r.expect("compute rank result"))
         .collect()
+}
+
+/// Packs the `seg`-byte runs of `src` at `offs` back to back.
+fn pack(src: &[u8], offs: impl Iterator<Item = usize>, seg: usize) -> Vec<u8> {
+    let mut data = Vec::new();
+    for l in offs {
+        data.extend_from_slice(&src[l..l + seg]);
+    }
+    data
+}
+
+/// The error a failed or mismatched data reply stands for.
+fn bad_reply(reply: Reply) -> ArmciError {
+    ArmciError::BadDescriptor(match reply {
+        Reply::Err(e) => e,
+        _ => "unexpected reply".into(),
+    })
 }
 
 /// Per-rank translation index: base address → (allocation id, size).
@@ -176,6 +194,98 @@ impl ArmciDs {
             });
         }
         Ok((id, addr.addr - base))
+    }
+
+    /// A nonempty contiguous transfer: a get is a round trip, a put or
+    /// accumulate a fire-and-forget send (remote completion at fence).
+    fn contig(&self, addr: GlobalAddr, local: Local<'_>) -> ArmciResult<()> {
+        let (id, off) = self.locate(addr, local.len())?;
+        let req = match local {
+            Local::Get(dst) => {
+                let req = Request::Get {
+                    id,
+                    off,
+                    len: dst.len(),
+                };
+                return match self.roundtrip(addr.rank, &req) {
+                    Reply::Data(d) => {
+                        dst.copy_from_slice(&d);
+                        Ok(())
+                    }
+                    reply => Err(bad_reply(reply)),
+                };
+            }
+            Local::Put(src) => Request::Put {
+                id,
+                off,
+                data: src.to_vec(),
+            },
+            Local::Acc(kind, src) => Request::Acc {
+                id,
+                off,
+                elem: protocol::elem_code(&kind),
+                data: kind.prescale(src)?,
+            },
+        };
+        self.send_req(addr.rank, &req);
+        Ok(())
+    }
+
+    /// A strided transfer. The two-sided design ships dense payloads: a
+    /// get's reply is unpacked into the local layout, a put's or an
+    /// accumulate's source is packed at the origin.
+    fn strided(
+        &self,
+        addr: GlobalAddr,
+        strides: &[usize],
+        local_strides: &[usize],
+        count: &[usize],
+        local: Local<'_>,
+    ) -> ArmciResult<()> {
+        let (id, off) = self.locate(addr, extent(strides, count))?;
+        let seg = count[0];
+        let segs = StridedIter::new(strides, local_strides, count)?.map(|(_, l)| l);
+        let (strides, count) = (strides.to_vec(), count.to_vec());
+        let req = match local {
+            Local::Get(dst) => {
+                let req = Request::GetStrided {
+                    id,
+                    off,
+                    strides,
+                    count,
+                };
+                return match self.roundtrip(addr.rank, &req) {
+                    Reply::Data(packed) => {
+                        for (i, l) in segs.enumerate() {
+                            dst[l..l + seg].copy_from_slice(&packed[i * seg..(i + 1) * seg]);
+                        }
+                        Ok(())
+                    }
+                    reply => Err(bad_reply(reply)),
+                };
+            }
+            Local::Put(src) => Request::PutStrided {
+                id,
+                off,
+                strides,
+                count,
+                data: pack(src, segs, seg),
+            },
+            Local::Acc(kind, src) => {
+                let mut data = pack(src, segs, seg);
+                kind.scale_in_place(&mut data)?;
+                Request::AccStrided {
+                    id,
+                    off,
+                    strides,
+                    count,
+                    elem: protocol::elem_code(&kind),
+                    data,
+                }
+            }
+        };
+        self.send_req(addr.rank, &req);
+        Ok(())
     }
 
     /// Tells this rank's server to exit (called by `run_with_servers`).
@@ -296,258 +406,31 @@ impl Armci for ArmciDs {
         Ok(())
     }
 
-    fn get(&self, src: GlobalAddr, dst: &mut [u8]) -> ArmciResult<()> {
-        if dst.is_empty() {
-            return Ok(());
-        }
-        let (id, off) = self.locate(src, dst.len())?;
-        match self.roundtrip(
-            src.rank,
-            &Request::Get {
-                id,
-                off,
-                len: dst.len(),
-            },
-        ) {
-            Reply::Data(d) => {
-                dst.copy_from_slice(&d);
-                Ok(())
-            }
-            Reply::Err(e) => Err(ArmciError::BadDescriptor(e)),
-            _ => Err(ArmciError::BadDescriptor("unexpected reply".into())),
-        }
-    }
-
-    fn put(&self, src: &[u8], dst: GlobalAddr) -> ArmciResult<()> {
-        if src.is_empty() {
-            return Ok(());
-        }
-        let (id, off) = self.locate(dst, src.len())?;
-        // puts are fire-and-forget (remote completion at fence)
-        self.send_req(
-            dst.rank,
-            &Request::Put {
-                id,
-                off,
-                data: src.to_vec(),
-            },
-        );
-        Ok(())
-    }
-
-    fn acc(&self, kind: AccKind, src: &[u8], dst: GlobalAddr) -> ArmciResult<()> {
-        if src.is_empty() {
-            return Ok(());
-        }
-        kind.check_len(src.len())?;
-        let (id, off) = self.locate(dst, src.len())?;
-        let scaled = kind.prescale(src)?;
-        self.send_req(
-            dst.rank,
-            &Request::Acc {
-                id,
-                off,
-                elem: protocol::elem_code(&kind),
-                data: scaled,
-            },
-        );
-        Ok(())
-    }
-
-    fn copy(&self, src: GlobalAddr, dst: GlobalAddr, bytes: usize) -> ArmciResult<()> {
-        let mut tmp = vec![0u8; bytes];
-        self.get(src, &mut tmp)?;
-        self.put(&tmp, dst)
-    }
-
-    fn get_strided(
-        &self,
-        src: GlobalAddr,
-        src_strides: &[usize],
-        dst: &mut [u8],
-        dst_strides: &[usize],
-        count: &[usize],
-    ) -> ArmciResult<()> {
-        armci::stride::validate(src_strides, count)?;
-        armci::stride::validate(dst_strides, count)?;
-        let extent = armci::stride::extent(src_strides, count);
-        let (id, off) = self.locate(src, extent)?;
-        let req = Request::GetStrided {
-            id,
-            off,
-            strides: src_strides.to_vec(),
-            count: count.to_vec(),
-        };
-        match self.roundtrip(src.rank, &req) {
-            Reply::Data(packed) => {
-                // unpack the dense payload into the local strided layout
-                let seg = count[0];
-                for (i, (_, ld)) in
-                    armci::StridedIter::new(src_strides, dst_strides, count)?.enumerate()
-                {
-                    dst[ld..ld + seg].copy_from_slice(&packed[i * seg..(i + 1) * seg]);
-                }
-                Ok(())
-            }
-            Reply::Err(e) => Err(ArmciError::BadDescriptor(e)),
-            _ => Err(ArmciError::BadDescriptor("unexpected reply".into())),
-        }
-    }
-
-    fn put_strided(
-        &self,
-        src: &[u8],
-        src_strides: &[usize],
-        dst: GlobalAddr,
-        dst_strides: &[usize],
-        count: &[usize],
-    ) -> ArmciResult<()> {
-        armci::stride::validate(src_strides, count)?;
-        armci::stride::validate(dst_strides, count)?;
-        let extent = armci::stride::extent(dst_strides, count);
-        let (id, off) = self.locate(dst, extent)?;
-        // pack at the origin (two-sided design ships dense payloads)
-        let seg = count[0];
-        let total = armci::stride::total_bytes(count);
-        let mut packed = Vec::with_capacity(total);
-        for (ls, _) in armci::StridedIter::new(src_strides, dst_strides, count)? {
-            packed.extend_from_slice(&src[ls..ls + seg]);
-        }
-        self.send_req(
-            dst.rank,
-            &Request::PutStrided {
-                id,
-                off,
-                strides: dst_strides.to_vec(),
-                count: count.to_vec(),
-                data: packed,
-            },
-        );
-        Ok(())
-    }
-
-    fn acc_strided(
-        &self,
-        kind: AccKind,
-        src: &[u8],
-        src_strides: &[usize],
-        dst: GlobalAddr,
-        dst_strides: &[usize],
-        count: &[usize],
-    ) -> ArmciResult<()> {
-        armci::stride::validate(src_strides, count)?;
-        armci::stride::validate(dst_strides, count)?;
-        kind.check_len(count[0])?;
-        let extent = armci::stride::extent(dst_strides, count);
-        let (id, off) = self.locate(dst, extent)?;
-        let seg = count[0];
-        let total = armci::stride::total_bytes(count);
-        let mut packed = Vec::with_capacity(total);
-        for (ls, _) in armci::StridedIter::new(src_strides, dst_strides, count)? {
-            packed.extend_from_slice(&src[ls..ls + seg]);
-        }
-        let packed = kind.prescale(&packed)?;
-        self.send_req(
-            dst.rank,
-            &Request::AccStrided {
-                id,
-                off,
-                strides: dst_strides.to_vec(),
-                count: count.to_vec(),
-                elem: protocol::elem_code(&kind),
-                data: packed,
-            },
-        );
-        Ok(())
-    }
-
-    fn get_iov(&self, desc: &IovDesc, local: &mut [u8]) -> ArmciResult<()> {
-        desc.validate()?;
-        for (&lo, &ra) in desc.local_offsets.iter().zip(&desc.remote_addrs) {
-            self.get(
-                GlobalAddr::new(desc.rank, ra),
-                &mut local[lo..lo + desc.bytes],
-            )?;
-        }
-        Ok(())
-    }
-
-    fn put_iov(&self, desc: &IovDesc, local: &[u8]) -> ArmciResult<()> {
-        desc.validate()?;
-        for (&lo, &ra) in desc.local_offsets.iter().zip(&desc.remote_addrs) {
-            self.put(&local[lo..lo + desc.bytes], GlobalAddr::new(desc.rank, ra))?;
-        }
-        Ok(())
-    }
-
-    fn acc_iov(&self, kind: AccKind, desc: &IovDesc, local: &[u8]) -> ArmciResult<()> {
-        desc.validate()?;
-        kind.check_len(desc.bytes)?;
-        for (&lo, &ra) in desc.local_offsets.iter().zip(&desc.remote_addrs) {
-            self.acc(
-                kind,
-                &local[lo..lo + desc.bytes],
-                GlobalAddr::new(desc.rank, ra),
-            )?;
-        }
-        Ok(())
-    }
-
     // Every data-server operation is a synchronous request/reply
-    // roundtrip: the transfer has fully completed (including remotely)
-    // when the call returns. The nonblocking entry points therefore
-    // complete eagerly and say so via the handle — honest eager
-    // completion, not a blocking shim.
-
-    fn nb_get(&self, src: GlobalAddr, dst: &mut [u8]) -> ArmciResult<NbHandle> {
-        self.get(src, dst)?;
-        Ok(NbHandle::eager())
-    }
-
-    fn nb_put(&self, src: &[u8], dst: GlobalAddr) -> ArmciResult<NbHandle> {
-        self.put(src, dst)?;
-        Ok(NbHandle::eager())
-    }
-
-    fn nb_acc(&self, kind: AccKind, src: &[u8], dst: GlobalAddr) -> ArmciResult<NbHandle> {
-        self.acc(kind, src, dst)?;
-        Ok(NbHandle::eager())
-    }
-
-    fn nb_get_strided(
-        &self,
-        src: GlobalAddr,
-        src_strides: &[usize],
-        dst: &mut [u8],
-        dst_strides: &[usize],
-        count: &[usize],
-    ) -> ArmciResult<NbHandle> {
-        self.get_strided(src, src_strides, dst, dst_strides, count)?;
-        Ok(NbHandle::eager())
-    }
-
-    fn nb_put_strided(
-        &self,
-        src: &[u8],
-        src_strides: &[usize],
-        dst: GlobalAddr,
-        dst_strides: &[usize],
-        count: &[usize],
-    ) -> ArmciResult<NbHandle> {
-        self.put_strided(src, src_strides, dst, dst_strides, count)?;
-        Ok(NbHandle::eager())
-    }
-
-    fn nb_acc_strided(
-        &self,
-        kind: AccKind,
-        src: &[u8],
-        src_strides: &[usize],
-        dst: GlobalAddr,
-        dst_strides: &[usize],
-        count: &[usize],
-    ) -> ArmciResult<NbHandle> {
-        self.acc_strided(kind, src, src_strides, dst, dst_strides, count)?;
+    // roundtrip or an in-order send the next fence flushes: the transfer
+    // needs nothing more from the origin when the call returns. A
+    // nonblocking transfer therefore completes eagerly and says so via
+    // the handle — honest eager completion, not a blocking shim.
+    fn xfer(&self, remote: Remote<'_>, mut local: Local<'_>, _nb: bool) -> ArmciResult<NbHandle> {
+        if !remote.check(&local)? {
+            return Ok(NbHandle::eager());
+        }
+        match remote {
+            Remote::Contig(addr) => self.contig(addr, local)?,
+            Remote::Strided {
+                addr,
+                strides,
+                local_strides,
+                count,
+            } => self.strided(addr, strides, local_strides, count, local)?,
+            // one contiguous request per segment
+            Remote::Iov(desc) => {
+                for (&lo, &ra) in desc.local_offsets.iter().zip(&desc.remote_addrs) {
+                    let at = GlobalAddr::new(desc.rank, ra);
+                    self.contig(at, local.slice(lo..lo + desc.bytes))?;
+                }
+            }
+        }
         Ok(NbHandle::eager())
     }
 
@@ -589,8 +472,7 @@ impl Armci for ArmciDs {
             },
         ) {
             Reply::Value(v) => Ok(v),
-            Reply::Err(e) => Err(ArmciError::BadDescriptor(e)),
-            _ => Err(ArmciError::BadDescriptor("unexpected reply".into())),
+            reply => Err(bad_reply(reply)),
         }
     }
 

@@ -25,10 +25,10 @@
 //! * `ARMCI_Fence` charges a round trip (native puts complete remotely
 //!   only at fence, unlike ARMCI-MPI where fence is a no-op).
 
-use armci::stride::{extent, num_segments, validate, StridedIter};
+use armci::stride::{extent, num_segments, StridedIter};
 use armci::{
-    AccKind, AccessMode, Armci, ArmciError, ArmciGroup, ArmciResult, GlobalAddr, IntervalMap,
-    IovDesc, NbHandle, RmwOp,
+    AccessMode, Armci, ArmciError, ArmciGroup, ArmciResult, GlobalAddr, IntervalMap, Local,
+    NbHandle, Remote, RmwOp,
 };
 use mpisim::{Comm, Proc};
 use parking_lot::{Condvar, Mutex, RwLock};
@@ -87,7 +87,8 @@ impl QueueMutex {
         let ticket = st.next_ticket;
         st.next_ticket += 1;
         while st.held || st.serving != ticket {
-            self.cv.wait(&mut st);
+            // Fails instead of waiting for ever if the holder's rank panicked.
+            mpisim::park(&self.cv, &mut st);
         }
         st.held = true;
     }
@@ -268,6 +269,36 @@ impl ArmciNative {
         Ok(f(&mut buf[loc.disp..loc.disp + len]))
     }
 
+    /// Moves `seg`-byte segments between `local` and the `len` target
+    /// bytes at `loc`, one per `(target, local)` displacement pair in
+    /// `segs`, under one acquisition of the target slice's lock: shared
+    /// for a get, exclusive for a put or an accumulate.
+    fn move_segments(
+        &self,
+        loc: &Located,
+        len: usize,
+        local: Local<'_>,
+        segs: impl IntoIterator<Item = (usize, usize)>,
+        seg: usize,
+    ) -> ArmciResult<()> {
+        match local {
+            Local::Get(dst) => self.with_read(loc, len, |b| {
+                for (r, l) in segs {
+                    dst[l..l + seg].copy_from_slice(&b[r..r + seg]);
+                }
+            }),
+            Local::Put(src) => self.with_write(loc, len, |b| {
+                for (r, l) in segs {
+                    b[r..r + seg].copy_from_slice(&src[l..l + seg]);
+                }
+            }),
+            Local::Acc(kind, src) => self.with_write(loc, len, |b| {
+                segs.into_iter()
+                    .try_for_each(|(r, l)| kind.apply(&mut b[r..r + seg], &src[l..l + seg]))
+            })?,
+        }
+    }
+
     fn strided_charge(&self, method: StridedMethodCost, op: Op, nsegs: usize, seg: usize) {
         self.charge(self.params().strided_cost(method, op, nsegs, seg));
     }
@@ -426,35 +457,50 @@ impl Armci for ArmciNative {
         Ok(())
     }
 
-    fn get(&self, src: GlobalAddr, dst: &mut [u8]) -> ArmciResult<()> {
-        if dst.is_empty() {
-            return Ok(());
+    // Shared-memory transfers complete inside the call itself, so a
+    // nonblocking transfer legitimately completes eagerly: the returned
+    // handle says so (`completed_eagerly`), and `wait` on it is a no-op.
+    // This is honest eager completion, not a blocking shim — there is no
+    // deferred work a request could name.
+    fn xfer(&self, remote: Remote<'_>, mut local: Local<'_>, _nb: bool) -> ArmciResult<NbHandle> {
+        if !remote.check(&local)? {
+            return Ok(NbHandle::eager());
         }
-        let loc = self.locate(src, dst.len())?;
-        self.with_read(&loc, dst.len(), |b| dst.copy_from_slice(b))?;
-        self.charge(self.params().contig_epoch_cost(Op::Get, dst.len()));
-        Ok(())
-    }
-
-    fn put(&self, src: &[u8], dst: GlobalAddr) -> ArmciResult<()> {
-        if src.is_empty() {
-            return Ok(());
+        let op = match local {
+            Local::Get(_) => Op::Get,
+            Local::Put(_) => Op::Put,
+            Local::Acc(..) => Op::Acc,
+        };
+        match remote {
+            Remote::Contig(addr) => {
+                let len = local.len();
+                let loc = self.locate(addr, len)?;
+                self.move_segments(&loc, len, local, [(0, 0)], len)?;
+                self.charge(self.params().contig_epoch_cost(op, len));
+            }
+            // The tuned strided engine: one lock acquisition per patch.
+            Remote::Strided {
+                addr,
+                strides,
+                local_strides,
+                count,
+            } => {
+                let (len, seg) = (extent(strides, count), count[0]);
+                let loc = self.locate(addr, len)?;
+                let segs = StridedIter::new(strides, local_strides, count)?;
+                self.move_segments(&loc, len, local, segs, seg)?;
+                self.strided_charge(StridedMethodCost::Native, op, num_segments(count), seg);
+            }
+            Remote::Iov(desc) => {
+                for (&loff, &raddr) in desc.local_offsets.iter().zip(&desc.remote_addrs) {
+                    let loc = self.locate(GlobalAddr::new(desc.rank, raddr), desc.bytes)?;
+                    let local = local.slice(loff..loff + desc.bytes);
+                    self.move_segments(&loc, desc.bytes, local, [(0, 0)], desc.bytes)?;
+                }
+                self.strided_charge(StridedMethodCost::Native, op, desc.len(), desc.bytes);
+            }
         }
-        let loc = self.locate(dst, src.len())?;
-        self.with_write(&loc, src.len(), |b| b.copy_from_slice(src))?;
-        self.charge(self.params().contig_epoch_cost(Op::Put, src.len()));
-        Ok(())
-    }
-
-    fn acc(&self, kind: AccKind, src: &[u8], dst: GlobalAddr) -> ArmciResult<()> {
-        if src.is_empty() {
-            return Ok(());
-        }
-        kind.check_len(src.len())?;
-        let loc = self.locate(dst, src.len())?;
-        self.with_write(&loc, src.len(), |b| kind.apply(b, src))??;
-        self.charge(self.params().contig_epoch_cost(Op::Acc, src.len()));
-        Ok(())
+        Ok(NbHandle::eager())
     }
 
     fn copy(&self, src: GlobalAddr, dst: GlobalAddr, bytes: usize) -> ArmciResult<()> {
@@ -465,178 +511,6 @@ impl Armci for ArmciNative {
         let mut tmp = self.scratch(bytes);
         self.get(src, &mut tmp)?;
         self.put(&tmp, dst)
-    }
-
-    fn get_strided(
-        &self,
-        src: GlobalAddr,
-        src_strides: &[usize],
-        dst: &mut [u8],
-        dst_strides: &[usize],
-        count: &[usize],
-    ) -> ArmciResult<()> {
-        validate(src_strides, count)?;
-        validate(dst_strides, count)?;
-        let loc = self.locate(src, extent(src_strides, count))?;
-        let seg = count[0];
-        self.with_read(&loc, extent(src_strides, count), |b| -> ArmciResult<()> {
-            for (sdisp, ddisp) in StridedIter::new(src_strides, dst_strides, count)? {
-                dst[ddisp..ddisp + seg].copy_from_slice(&b[sdisp..sdisp + seg]);
-            }
-            Ok(())
-        })??;
-        self.strided_charge(StridedMethodCost::Native, Op::Get, num_segments(count), seg);
-        Ok(())
-    }
-
-    fn put_strided(
-        &self,
-        src: &[u8],
-        src_strides: &[usize],
-        dst: GlobalAddr,
-        dst_strides: &[usize],
-        count: &[usize],
-    ) -> ArmciResult<()> {
-        validate(src_strides, count)?;
-        validate(dst_strides, count)?;
-        let loc = self.locate(dst, extent(dst_strides, count))?;
-        let seg = count[0];
-        self.with_write(&loc, extent(dst_strides, count), |b| -> ArmciResult<()> {
-            for (sdisp, ddisp) in StridedIter::new(src_strides, dst_strides, count)? {
-                b[ddisp..ddisp + seg].copy_from_slice(&src[sdisp..sdisp + seg]);
-            }
-            Ok(())
-        })??;
-        self.strided_charge(StridedMethodCost::Native, Op::Put, num_segments(count), seg);
-        Ok(())
-    }
-
-    fn acc_strided(
-        &self,
-        kind: AccKind,
-        src: &[u8],
-        src_strides: &[usize],
-        dst: GlobalAddr,
-        dst_strides: &[usize],
-        count: &[usize],
-    ) -> ArmciResult<()> {
-        validate(src_strides, count)?;
-        validate(dst_strides, count)?;
-        kind.check_len(count[0])?;
-        let loc = self.locate(dst, extent(dst_strides, count))?;
-        let seg = count[0];
-        self.with_write(&loc, extent(dst_strides, count), |b| -> ArmciResult<()> {
-            for (sdisp, ddisp) in StridedIter::new(src_strides, dst_strides, count)? {
-                kind.apply(&mut b[ddisp..ddisp + seg], &src[sdisp..sdisp + seg])?;
-            }
-            Ok(())
-        })??;
-        self.strided_charge(StridedMethodCost::Native, Op::Acc, num_segments(count), seg);
-        Ok(())
-    }
-
-    fn get_iov(&self, desc: &IovDesc, local: &mut [u8]) -> ArmciResult<()> {
-        desc.validate()?;
-        if desc.is_empty() {
-            return Ok(());
-        }
-        for (&loff, &raddr) in desc.local_offsets.iter().zip(&desc.remote_addrs) {
-            let loc = self.locate(GlobalAddr::new(desc.rank, raddr), desc.bytes)?;
-            self.with_read(&loc, desc.bytes, |b| {
-                local[loff..loff + desc.bytes].copy_from_slice(b)
-            })?;
-        }
-        self.strided_charge(StridedMethodCost::Native, Op::Get, desc.len(), desc.bytes);
-        Ok(())
-    }
-
-    fn put_iov(&self, desc: &IovDesc, local: &[u8]) -> ArmciResult<()> {
-        desc.validate()?;
-        if desc.is_empty() {
-            return Ok(());
-        }
-        for (&loff, &raddr) in desc.local_offsets.iter().zip(&desc.remote_addrs) {
-            let loc = self.locate(GlobalAddr::new(desc.rank, raddr), desc.bytes)?;
-            self.with_write(&loc, desc.bytes, |b| {
-                b.copy_from_slice(&local[loff..loff + desc.bytes])
-            })?;
-        }
-        self.strided_charge(StridedMethodCost::Native, Op::Put, desc.len(), desc.bytes);
-        Ok(())
-    }
-
-    fn acc_iov(&self, kind: AccKind, desc: &IovDesc, local: &[u8]) -> ArmciResult<()> {
-        desc.validate()?;
-        kind.check_len(desc.bytes)?;
-        if desc.is_empty() {
-            return Ok(());
-        }
-        for (&loff, &raddr) in desc.local_offsets.iter().zip(&desc.remote_addrs) {
-            let loc = self.locate(GlobalAddr::new(desc.rank, raddr), desc.bytes)?;
-            self.with_write(&loc, desc.bytes, |b| {
-                kind.apply(b, &local[loff..loff + desc.bytes])
-            })??;
-        }
-        self.strided_charge(StridedMethodCost::Native, Op::Acc, desc.len(), desc.bytes);
-        Ok(())
-    }
-
-    // Shared-memory transfers complete inside the call itself, so the
-    // nonblocking entry points legitimately complete eagerly: the returned
-    // handle says so (`completed_eagerly`), and `wait` on it is a no-op.
-    // This is honest eager completion, not a blocking shim — there is no
-    // deferred work a request could name.
-
-    fn nb_get(&self, src: GlobalAddr, dst: &mut [u8]) -> ArmciResult<NbHandle> {
-        self.get(src, dst)?;
-        Ok(NbHandle::eager())
-    }
-
-    fn nb_put(&self, src: &[u8], dst: GlobalAddr) -> ArmciResult<NbHandle> {
-        self.put(src, dst)?;
-        Ok(NbHandle::eager())
-    }
-
-    fn nb_acc(&self, kind: AccKind, src: &[u8], dst: GlobalAddr) -> ArmciResult<NbHandle> {
-        self.acc(kind, src, dst)?;
-        Ok(NbHandle::eager())
-    }
-
-    fn nb_get_strided(
-        &self,
-        src: GlobalAddr,
-        src_strides: &[usize],
-        dst: &mut [u8],
-        dst_strides: &[usize],
-        count: &[usize],
-    ) -> ArmciResult<NbHandle> {
-        self.get_strided(src, src_strides, dst, dst_strides, count)?;
-        Ok(NbHandle::eager())
-    }
-
-    fn nb_put_strided(
-        &self,
-        src: &[u8],
-        src_strides: &[usize],
-        dst: GlobalAddr,
-        dst_strides: &[usize],
-        count: &[usize],
-    ) -> ArmciResult<NbHandle> {
-        self.put_strided(src, src_strides, dst, dst_strides, count)?;
-        Ok(NbHandle::eager())
-    }
-
-    fn nb_acc_strided(
-        &self,
-        kind: AccKind,
-        src: &[u8],
-        src_strides: &[usize],
-        dst: GlobalAddr,
-        dst_strides: &[usize],
-        count: &[usize],
-    ) -> ArmciResult<NbHandle> {
-        self.acc_strided(kind, src, src_strides, dst, dst_strides, count)?;
-        Ok(NbHandle::eager())
     }
 
     fn fence(&self, _proc: usize) -> ArmciResult<()> {

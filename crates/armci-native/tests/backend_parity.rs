@@ -129,3 +129,37 @@ fn native_faster_than_mpi_on_infiniband_contig() {
         "native {t_native} should beat MPI {t_mpi} on InfiniBand"
     );
 }
+
+/// Rank 0 panics while it holds a queueing mutex that rank 1 waits for.
+/// The run must fail with rank 0's panic rather than hang; a watchdog
+/// bounds it at 10 s.
+#[test]
+fn native_mutex_holder_panic_fails_the_run() {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let run = std::thread::spawn(move || {
+        let outcome = std::panic::catch_unwind(|| {
+            Runtime::run_with(2, quiet(), |p| {
+                let rt = ArmciNative::new(p);
+                let h = rt.create_mutexes(1).unwrap();
+                if rt.rank() == 0 {
+                    rt.lock_mutex(h, 0, 1).unwrap();
+                }
+                rt.barrier();
+                if rt.rank() == 0 {
+                    panic!("rank 0 fails holding the mutex");
+                }
+                rt.lock_mutex(h, 0, 1).unwrap();
+            })
+        });
+        tx.send(outcome.err()).unwrap();
+    });
+    let payload = rx
+        .recv_timeout(std::time::Duration::from_secs(10))
+        .expect("the run hung after rank 0 panicked")
+        .expect("the run returned although rank 0 panicked");
+    run.join().unwrap();
+    assert_eq!(
+        payload.downcast_ref::<&str>(),
+        Some(&"rank 0 fails holding the mutex")
+    );
+}

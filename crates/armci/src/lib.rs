@@ -12,13 +12,17 @@
 //!   MPI subarray type (§VI-C);
 //! * [`acc`] — scaled accumulate kinds (`ARMCI_ACC_DBL` etc.) and their
 //!   element-wise combine;
-//! * [`ArmciGroup`] — processor groups over [`mpisim::Comm`].
+//! * [`ArmciGroup`] — processor groups over [`mpisim::Comm`];
+//! * [`xfer`] — the shape of one data transfer ([`Remote`], [`Local`])
+//!   and the shape check every implementation runs first.
 //!
-//! Two implementations exist in this workspace: `armci-mpi` (the paper's
-//! contribution, over MPI passive-target RMA) and `armci-native` (the
-//! baseline, over direct shared memory with a tuned cost model). Global
-//! Arrays (`ga`) is generic over this trait, exactly as NWChem can be
-//! relinked against either runtime.
+//! The trait's one data method is [`Armci::xfer`]; the fifteen ARMCI
+//! get/put/accumulate verbs are provided over it. Three implementations
+//! exist in this workspace: `armci-mpi` (the paper's contribution, over
+//! MPI passive-target RMA), `armci-native` (the baseline, over direct
+//! shared memory with a tuned cost model) and `armci-ds` (the §IX data
+//! server over two-sided messaging). Global Arrays (`ga`) is generic over
+//! this trait, exactly as NWChem can be relinked against either runtime.
 
 pub mod acc;
 pub mod error;
@@ -27,6 +31,7 @@ pub mod ivmap;
 pub mod stride;
 pub mod traits;
 pub mod types;
+pub mod xfer;
 
 pub use acc::AccKind;
 pub use error::{ArmciError, ArmciResult};
@@ -35,3 +40,4 @@ pub use ivmap::IntervalMap;
 pub use stride::{strided_to_subarray, StridedIter};
 pub use traits::{AccessMode, Armci, ArmciExt, NbHandle, RmwOp, StridedMethod};
 pub use types::{GlobalAddr, IovDesc};
+pub use xfer::{Local, Remote};

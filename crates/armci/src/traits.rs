@@ -1,9 +1,10 @@
-//! The `Armci` trait: the contract both runtimes implement.
+//! The `Armci` trait: the contract every runtime implements.
 
 use crate::acc::AccKind;
 use crate::error::ArmciResult;
 use crate::group::ArmciGroup;
 use crate::types::{GlobalAddr, IovDesc};
+use crate::xfer::{Local, Remote};
 
 /// Strided transfer methods implemented by ARMCI-MPI (§VI).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -87,6 +88,11 @@ impl NbHandle {
 /// All addresses are absolute `⟨process, address⟩` pairs; group-rank
 /// translation happens through [`ArmciGroup::absolute_id`] before any
 /// communication call, exactly as in the C API.
+///
+/// An implementation moves data through one method, [`Armci::xfer`]:
+/// the fifteen get/put/accumulate verbs — contiguous, strided and I/O
+/// vector, blocking and nonblocking — are provided one-liners over it,
+/// and so is the default global-to-global [`Armci::copy`].
 pub trait Armci {
     // ---------------- identity -----------------------------------------
 
@@ -140,23 +146,49 @@ pub trait Armci {
         mode: AccessMode,
     ) -> ArmciResult<()>;
 
-    // ---------------- contiguous one-sided ------------------------------
+    // ---------------- one-sided data movement ----------------------------
+
+    /// Moves data between `local` and the remote shape `remote` — the one
+    /// data method a backend implements. `local`'s variant is the
+    /// operation (get, put or accumulate). With `nb` the transfer is
+    /// nonblocking: a backend either defers it and returns
+    /// [`NbHandle::deferred`], which [`Armci::wait`] completes, or
+    /// completes it at issue and says so with [`NbHandle::eager`]. A
+    /// blocking transfer has completed when the call returns.
+    ///
+    /// Every implementation first runs the shared shape check,
+    /// [`Remote::check`], so a bad descriptor, a local buffer shorter
+    /// than its origin shape or a partial accumulate element is a
+    /// [`crate::ArmciError::BadDescriptor`] on every backend.
+    fn xfer(&self, remote: Remote<'_>, local: Local<'_>, nb: bool) -> ArmciResult<NbHandle>;
 
     /// `ARMCI_Get`: contiguous read from global memory into `dst`.
-    fn get(&self, src: GlobalAddr, dst: &mut [u8]) -> ArmciResult<()>;
+    fn get(&self, src: GlobalAddr, dst: &mut [u8]) -> ArmciResult<()> {
+        self.xfer(Remote::Contig(src), Local::Get(dst), false)
+            .map(drop)
+    }
 
     /// `ARMCI_Put`: contiguous write of `src` into global memory.
-    fn put(&self, src: &[u8], dst: GlobalAddr) -> ArmciResult<()>;
+    fn put(&self, src: &[u8], dst: GlobalAddr) -> ArmciResult<()> {
+        self.xfer(Remote::Contig(dst), Local::Put(src), false)
+            .map(drop)
+    }
 
     /// `ARMCI_Acc`: contiguous scaled accumulate into global memory.
-    fn acc(&self, kind: AccKind, src: &[u8], dst: GlobalAddr) -> ArmciResult<()>;
+    fn acc(&self, kind: AccKind, src: &[u8], dst: GlobalAddr) -> ArmciResult<()> {
+        self.xfer(Remote::Contig(dst), Local::Acc(kind, src), false)
+            .map(drop)
+    }
 
     /// Global-to-global contiguous copy (the §V-E1 "communicating with
     /// global buffers" case). Implementations must stage through a local
-    /// buffer when required to avoid double locking or deadlock.
-    fn copy(&self, src: GlobalAddr, dst: GlobalAddr, bytes: usize) -> ArmciResult<()>;
-
-    // ---------------- strided one-sided ----------------------------------
+    /// buffer when required to avoid double locking or deadlock; the
+    /// default bounces through a fresh one: a get, then a put.
+    fn copy(&self, src: GlobalAddr, dst: GlobalAddr, bytes: usize) -> ArmciResult<()> {
+        let mut tmp = vec![0u8; bytes];
+        self.get(src, &mut tmp)?;
+        self.put(&tmp, dst)
+    }
 
     /// `ARMCI_GetS`: strided read. `count[0]` is the contiguous byte run;
     /// `src_strides`/`dst_strides` have length `count.len() - 1`.
@@ -167,7 +199,15 @@ pub trait Armci {
         dst: &mut [u8],
         dst_strides: &[usize],
         count: &[usize],
-    ) -> ArmciResult<()>;
+    ) -> ArmciResult<()> {
+        let remote = Remote::Strided {
+            addr: src,
+            strides: src_strides,
+            local_strides: dst_strides,
+            count,
+        };
+        self.xfer(remote, Local::Get(dst), false).map(drop)
+    }
 
     /// `ARMCI_PutS`: strided write.
     fn put_strided(
@@ -177,7 +217,15 @@ pub trait Armci {
         dst: GlobalAddr,
         dst_strides: &[usize],
         count: &[usize],
-    ) -> ArmciResult<()>;
+    ) -> ArmciResult<()> {
+        let remote = Remote::Strided {
+            addr: dst,
+            strides: dst_strides,
+            local_strides: src_strides,
+            count,
+        };
+        self.xfer(remote, Local::Put(src), false).map(drop)
+    }
 
     /// `ARMCI_AccS`: strided scaled accumulate.
     fn acc_strided(
@@ -188,43 +236,47 @@ pub trait Armci {
         dst: GlobalAddr,
         dst_strides: &[usize],
         count: &[usize],
-    ) -> ArmciResult<()>;
-
-    // ---------------- vector one-sided -----------------------------------
+    ) -> ArmciResult<()> {
+        let remote = Remote::Strided {
+            addr: dst,
+            strides: dst_strides,
+            local_strides: src_strides,
+            count,
+        };
+        self.xfer(remote, Local::Acc(kind, src), false).map(drop)
+    }
 
     /// `ARMCI_GetV`.
-    fn get_iov(&self, desc: &IovDesc, local: &mut [u8]) -> ArmciResult<()>;
+    fn get_iov(&self, desc: &IovDesc, local: &mut [u8]) -> ArmciResult<()> {
+        self.xfer(Remote::Iov(desc), Local::Get(local), false)
+            .map(drop)
+    }
 
     /// `ARMCI_PutV`.
-    fn put_iov(&self, desc: &IovDesc, local: &[u8]) -> ArmciResult<()>;
+    fn put_iov(&self, desc: &IovDesc, local: &[u8]) -> ArmciResult<()> {
+        self.xfer(Remote::Iov(desc), Local::Put(local), false)
+            .map(drop)
+    }
 
     /// `ARMCI_AccV`.
-    fn acc_iov(&self, kind: AccKind, desc: &IovDesc, local: &[u8]) -> ArmciResult<()>;
-
-    // ---------------- nonblocking ----------------------------------------
-    //
-    // The defaults return `Unsupported` rather than silently falling back
-    // to the blocking operation: a caller overlapping communication with
-    // computation must find out that no overlap is happening. Backends
-    // either implement deferred operations for real, or complete eagerly
-    // and return [`NbHandle::eager`] to record that fact.
+    fn acc_iov(&self, kind: AccKind, desc: &IovDesc, local: &[u8]) -> ArmciResult<()> {
+        self.xfer(Remote::Iov(desc), Local::Acc(kind, local), false)
+            .map(drop)
+    }
 
     /// `ARMCI_NbGet`.
     fn nb_get(&self, src: GlobalAddr, dst: &mut [u8]) -> ArmciResult<NbHandle> {
-        let _ = (src, dst);
-        Err(crate::ArmciError::Unsupported("nonblocking get"))
+        self.xfer(Remote::Contig(src), Local::Get(dst), true)
     }
 
     /// `ARMCI_NbPut`.
     fn nb_put(&self, src: &[u8], dst: GlobalAddr) -> ArmciResult<NbHandle> {
-        let _ = (src, dst);
-        Err(crate::ArmciError::Unsupported("nonblocking put"))
+        self.xfer(Remote::Contig(dst), Local::Put(src), true)
     }
 
     /// `ARMCI_NbAcc`.
     fn nb_acc(&self, kind: AccKind, src: &[u8], dst: GlobalAddr) -> ArmciResult<NbHandle> {
-        let _ = (kind, src, dst);
-        Err(crate::ArmciError::Unsupported("nonblocking accumulate"))
+        self.xfer(Remote::Contig(dst), Local::Acc(kind, src), true)
     }
 
     /// `ARMCI_NbGetS`: nonblocking strided read.
@@ -236,8 +288,13 @@ pub trait Armci {
         dst_strides: &[usize],
         count: &[usize],
     ) -> ArmciResult<NbHandle> {
-        let _ = (src, src_strides, dst, dst_strides, count);
-        Err(crate::ArmciError::Unsupported("nonblocking strided get"))
+        let remote = Remote::Strided {
+            addr: src,
+            strides: src_strides,
+            local_strides: dst_strides,
+            count,
+        };
+        self.xfer(remote, Local::Get(dst), true)
     }
 
     /// `ARMCI_NbPutS`: nonblocking strided write.
@@ -249,8 +306,13 @@ pub trait Armci {
         dst_strides: &[usize],
         count: &[usize],
     ) -> ArmciResult<NbHandle> {
-        let _ = (src, src_strides, dst, dst_strides, count);
-        Err(crate::ArmciError::Unsupported("nonblocking strided put"))
+        let remote = Remote::Strided {
+            addr: dst,
+            strides: dst_strides,
+            local_strides: src_strides,
+            count,
+        };
+        self.xfer(remote, Local::Put(src), true)
     }
 
     /// `ARMCI_NbAccS`: nonblocking strided accumulate.
@@ -263,8 +325,13 @@ pub trait Armci {
         dst_strides: &[usize],
         count: &[usize],
     ) -> ArmciResult<NbHandle> {
-        let _ = (kind, src, src_strides, dst, dst_strides, count);
-        Err(crate::ArmciError::Unsupported("nonblocking strided acc"))
+        let remote = Remote::Strided {
+            addr: dst,
+            strides: dst_strides,
+            local_strides: src_strides,
+            count,
+        };
+        self.xfer(remote, Local::Acc(kind, src), true)
     }
 
     /// `ARMCI_Wait`: completes the operation behind `handle`. The default

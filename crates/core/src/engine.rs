@@ -50,9 +50,8 @@
 
 use crate::gmr::Gmr;
 use crate::transport;
-use crate::xfer::Local;
 use crate::ArmciMpi;
-use armci::{ArmciError, ArmciResult, GlobalAddr, IovDesc, NbHandle, StridedMethod};
+use armci::{ArmciError, ArmciResult, GlobalAddr, IovDesc, Local, NbHandle, StridedMethod};
 use ctree::ConflictTree;
 use mpisim::dtype::{zip_into, Flat};
 use mpisim::mpi3::RmaRequest;

@@ -47,7 +47,7 @@ pub use nxtval::NxtvalCounter;
 pub use transport::{Transport, TransportKind, TransportStats};
 
 use armci::{
-    AccKind, AccessMode, Armci, ArmciError, ArmciGroup, ArmciResult, GlobalAddr, IovDesc, NbHandle,
+    AccessMode, Armci, ArmciError, ArmciGroup, ArmciResult, GlobalAddr, Local, NbHandle, Remote,
     RmwOp, StridedMethod,
 };
 use gmr::{Gmr, GmrTable};
@@ -57,7 +57,6 @@ use simnet::pool::{BufferPool, PoolBuf, RegistrationPolicy};
 use simnet::PoolStats;
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
-use xfer::{Local, Remote};
 
 /// How `ARMCI_Rmw` (and the NXTVAL counters built on it) maps onto the
 /// backend: native atomics (§VIII-B `fetch_and_op`/`compare_and_swap`)
@@ -484,154 +483,12 @@ impl Armci for ArmciMpi {
         self.set_access_mode_impl(addr, group, mode)
     }
 
-    fn get(&self, src: GlobalAddr, dst: &mut [u8]) -> ArmciResult<()> {
-        self.xfer(Remote::Contig(src), Local::Get(dst), false)
-            .map(drop)
-    }
-
-    fn put(&self, src: &[u8], dst: GlobalAddr) -> ArmciResult<()> {
-        self.xfer(Remote::Contig(dst), Local::Put(src), false)
-            .map(drop)
-    }
-
-    fn acc(&self, kind: AccKind, src: &[u8], dst: GlobalAddr) -> ArmciResult<()> {
-        self.xfer(Remote::Contig(dst), Local::Acc(kind, src), false)
-            .map(drop)
+    fn xfer(&self, remote: Remote<'_>, local: Local<'_>, nb: bool) -> ArmciResult<NbHandle> {
+        self.xfer_impl(remote, local, nb)
     }
 
     fn copy(&self, src: GlobalAddr, dst: GlobalAddr, bytes: usize) -> ArmciResult<()> {
         self.copy_impl(src, dst, bytes)
-    }
-
-    fn get_strided(
-        &self,
-        src: GlobalAddr,
-        src_strides: &[usize],
-        dst: &mut [u8],
-        dst_strides: &[usize],
-        count: &[usize],
-    ) -> ArmciResult<()> {
-        let remote = Remote::Strided {
-            addr: src,
-            strides: src_strides,
-            local_strides: dst_strides,
-            count,
-        };
-        self.xfer(remote, Local::Get(dst), false).map(drop)
-    }
-
-    fn put_strided(
-        &self,
-        src: &[u8],
-        src_strides: &[usize],
-        dst: GlobalAddr,
-        dst_strides: &[usize],
-        count: &[usize],
-    ) -> ArmciResult<()> {
-        let remote = Remote::Strided {
-            addr: dst,
-            strides: dst_strides,
-            local_strides: src_strides,
-            count,
-        };
-        self.xfer(remote, Local::Put(src), false).map(drop)
-    }
-
-    fn acc_strided(
-        &self,
-        kind: AccKind,
-        src: &[u8],
-        src_strides: &[usize],
-        dst: GlobalAddr,
-        dst_strides: &[usize],
-        count: &[usize],
-    ) -> ArmciResult<()> {
-        let remote = Remote::Strided {
-            addr: dst,
-            strides: dst_strides,
-            local_strides: src_strides,
-            count,
-        };
-        self.xfer(remote, Local::Acc(kind, src), false).map(drop)
-    }
-
-    fn get_iov(&self, desc: &IovDesc, local: &mut [u8]) -> ArmciResult<()> {
-        self.xfer(Remote::Iov(desc), Local::Get(local), false)
-            .map(drop)
-    }
-
-    fn put_iov(&self, desc: &IovDesc, local: &[u8]) -> ArmciResult<()> {
-        self.xfer(Remote::Iov(desc), Local::Put(local), false)
-            .map(drop)
-    }
-
-    fn acc_iov(&self, kind: AccKind, desc: &IovDesc, local: &[u8]) -> ArmciResult<()> {
-        self.xfer(Remote::Iov(desc), Local::Acc(kind, local), false)
-            .map(drop)
-    }
-
-    fn nb_get(&self, src: GlobalAddr, dst: &mut [u8]) -> ArmciResult<NbHandle> {
-        self.xfer(Remote::Contig(src), Local::Get(dst), true)
-    }
-
-    fn nb_put(&self, src: &[u8], dst: GlobalAddr) -> ArmciResult<NbHandle> {
-        self.xfer(Remote::Contig(dst), Local::Put(src), true)
-    }
-
-    fn nb_acc(&self, kind: AccKind, src: &[u8], dst: GlobalAddr) -> ArmciResult<NbHandle> {
-        self.xfer(Remote::Contig(dst), Local::Acc(kind, src), true)
-    }
-
-    fn nb_get_strided(
-        &self,
-        src: GlobalAddr,
-        src_strides: &[usize],
-        dst: &mut [u8],
-        dst_strides: &[usize],
-        count: &[usize],
-    ) -> ArmciResult<NbHandle> {
-        let remote = Remote::Strided {
-            addr: src,
-            strides: src_strides,
-            local_strides: dst_strides,
-            count,
-        };
-        self.xfer(remote, Local::Get(dst), true)
-    }
-
-    fn nb_put_strided(
-        &self,
-        src: &[u8],
-        src_strides: &[usize],
-        dst: GlobalAddr,
-        dst_strides: &[usize],
-        count: &[usize],
-    ) -> ArmciResult<NbHandle> {
-        let remote = Remote::Strided {
-            addr: dst,
-            strides: dst_strides,
-            local_strides: src_strides,
-            count,
-        };
-        self.xfer(remote, Local::Put(src), true)
-    }
-
-    fn nb_acc_strided(
-        &self,
-        kind: AccKind,
-        src: &[u8],
-        src_strides: &[usize],
-        dst: GlobalAddr,
-        dst_strides: &[usize],
-        count: &[usize],
-    ) -> ArmciResult<NbHandle> {
-        let remote = Remote::Strided {
-            addr: dst,
-            strides: dst_strides,
-            local_strides: src_strides,
-            count,
-        };
-        self.xfer(remote, Local::Acc(kind, src), true)
     }
 
     fn wait(&self, handle: NbHandle) -> ArmciResult<()> {

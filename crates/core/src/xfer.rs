@@ -1,12 +1,13 @@
 //! The one front door of ARMCI-MPI's data verbs (§V-C, §VI-A, §VI-C).
 //!
 //! Every get, put and accumulate — contiguous, strided or IOV, blocking
-//! or nonblocking — enters through `ArmciMpi::xfer` with the shape of
-//! its remote side (`Remote`) and its local buffer (`Local`). The
-//! front door validates the shape once, picks the §VI method in one
-//! place, stages an accumulate's pre-scaled source once, and ends in the
-//! engine's blocking executor or its coalescing scheduler
-//! ([`crate::engine`]).
+//! or nonblocking — enters through ARMCI-MPI's [`armci::Armci::xfer`],
+//! the trait's one data method, with the shape of its remote side
+//! ([`armci::Remote`]) and its local buffer ([`armci::Local`]). The
+//! front door runs the shape check all backends share
+//! ([`armci::Remote::check`]), picks the §VI method in one place, stages
+//! an accumulate's pre-scaled source once, and ends in the engine's
+//! blocking executor or its coalescing scheduler ([`crate::engine`]).
 //!
 //! # Epochs and lock modes (§V-C, §VIII-A)
 //!
@@ -58,58 +59,14 @@
 
 use crate::engine::{ExecBuf, TransferPlan};
 use crate::ArmciMpi;
-use armci::stride::{extent, total_bytes, validate};
+use armci::stride::{extent, total_bytes};
 use armci::{
-    strided_to_subarray, AccKind, AccessMode, ArmciError, ArmciResult, GlobalAddr, IovDesc,
-    NbHandle, StridedIter, StridedMethod,
+    strided_to_subarray, AccKind, AccessMode, ArmciError, ArmciResult, GlobalAddr, IovDesc, Local,
+    NbHandle, Remote, StridedIter, StridedMethod,
 };
 use mpisim::{Datatype, LockMode};
 use simnet::PoolBuf;
 use std::borrow::Cow;
-
-/// The remote side of a transfer.
-#[derive(Clone, Copy)]
-pub(crate) enum Remote<'a> {
-    /// As many contiguous bytes as the local buffer holds.
-    Contig(GlobalAddr),
-    /// A strided patch: `count[0]` contiguous bytes repeated per the
-    /// higher counts, `strides` apart at the target and `local_strides`
-    /// apart in the local buffer.
-    Strided {
-        addr: GlobalAddr,
-        strides: &'a [usize],
-        local_strides: &'a [usize],
-        count: &'a [usize],
-    },
-    /// A generalized I/O vector.
-    Iov(&'a IovDesc),
-}
-
-/// The local side of a transfer. Its variant is the operation's class:
-/// it picks the lock mode (§VIII-A) and the execute stage's buffer.
-pub(crate) enum Local<'a> {
-    /// Destination of a get.
-    Get(&'a mut [u8]),
-    /// Source of a put.
-    Put(&'a [u8]),
-    /// Source of an accumulate, with its element type and scale.
-    Acc(AccKind, &'a [u8]),
-}
-
-impl Local<'_> {
-    fn len(&self) -> usize {
-        match self {
-            Local::Get(b) => b.len(),
-            Local::Put(b) | Local::Acc(_, b) => b.len(),
-        }
-    }
-
-    /// Accumulates move from contiguous pre-scaled staging, not from the
-    /// caller's buffer.
-    pub(crate) fn is_acc(&self) -> bool {
-        matches!(self, Local::Acc(..))
-    }
-}
 
 /// How the front door plans a noncontiguous transfer.
 enum Method<'a> {
@@ -135,42 +92,16 @@ impl ArmciMpi {
     /// simulator moves bytes at issue time, so a nonblocking get's
     /// buffer is filled on return — only the virtual-time completion is
     /// deferred.
-    pub(crate) fn xfer(
+    pub(crate) fn xfer_impl(
         &self,
         remote: Remote<'_>,
         mut local: Local<'_>,
         nb: bool,
     ) -> ArmciResult<NbHandle> {
-        let len = local.len();
-        // Validate the shape once: segment size, origin extent, emptiness.
-        let (seg, end, empty) = match remote {
-            Remote::Contig(_) => (len, len, len == 0),
-            Remote::Strided {
-                strides,
-                local_strides,
-                count,
-                ..
-            } => {
-                validate(local_strides, count)?;
-                validate(strides, count)?;
-                (count[0], extent(local_strides, count), false)
-            }
-            Remote::Iov(desc) => {
-                desc.validate()?;
-                (desc.bytes, desc.local_end(), desc.is_empty())
-            }
-        };
-        if end > len {
-            return Err(ArmciError::BadDescriptor(format!(
-                "origin extent {end} exceeds buffer {len}"
-            )));
-        }
-        if let Local::Acc(kind, _) = local {
-            kind.check_len(seg)?;
-        }
-        if empty {
+        if !remote.check(&local)? {
             return Ok(NbHandle::eager());
         }
+        let len = local.len();
         // Plan, and stage an accumulate's source: a contiguous transfer
         // plans first, every other shape stages first.
         let mode = |gmr| self.lock_mode(gmr, &local);
@@ -413,7 +344,7 @@ impl ArmciMpi {
             // out, release (no window is locked while we then lock dst's).
             self.access_impl(src, bytes, &mut |b| tmp.copy_from_slice(b))?;
         } else {
-            self.xfer(Remote::Contig(src), Local::Get(&mut tmp), false)
+            self.xfer_impl(Remote::Contig(src), Local::Get(&mut tmp), false)
                 .map(drop)?;
         }
         self.charge(self.copy_cost(bytes));
@@ -424,7 +355,7 @@ impl ArmciMpi {
                 self.stage_touch(tr.gmr, bytes);
             }
         }
-        self.xfer(Remote::Contig(dst), Local::Put(&tmp), false)
+        self.xfer_impl(Remote::Contig(dst), Local::Put(&tmp), false)
             .map(drop)
     }
 }

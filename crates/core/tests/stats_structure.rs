@@ -5,7 +5,9 @@
 //! shape.
 
 use armci::{AccKind, Armci, ArmciExt, ArmciResult, GlobalAddr, IovDesc, StridedMethod};
+use armci_ds::run_with_servers;
 use armci_mpi::{ArmciMpi, Config, OpStats};
+use armci_native::ArmciNative;
 use mpisim::{Proc, Runtime, RuntimeConfig};
 use simnet::{Platform, PlatformId};
 use std::fmt::Write;
@@ -209,7 +211,7 @@ fn matrix_iov(remote: GlobalAddr) -> IovDesc {
     }
 }
 
-type Verb = fn(&ArmciMpi, GlobalAddr, &mut [u8], AccKind) -> ArmciResult<()>;
+type Verb = fn(&dyn Armci, GlobalAddr, &mut [u8], AccKind) -> ArmciResult<()>;
 
 /// Every data verb of the `Armci` trait; the `bool` marks accumulates,
 /// which run once per scale.
@@ -271,13 +273,7 @@ const VERBS: [(&str, bool, Verb); 15] = [
 /// engine counters and virtual time after each call, then the payload
 /// of both sides, plus rank 0's final virtual time.
 fn verb_matrix(method: StridedMethod) -> (String, f64) {
-    let mut platform = Platform::get(PlatformId::InfiniBandCluster).customized("verb-matrix");
-    platform.sockets_per_node = 1;
-    platform.cores_per_socket = 1;
-    let rc = RuntimeConfig {
-        platform,
-        ..Default::default()
-    };
+    let rc = matrix_runtime();
     let cfg = Config {
         strided: method,
         iov: method,
@@ -287,12 +283,7 @@ fn verb_matrix(method: StridedMethod) -> (String, f64) {
         let rt = ArmciMpi::with_config(p, cfg.clone());
         let bases = rt.malloc(REGION).unwrap();
         let me = bases[rt.rank()];
-        rt.access_mut(me, REGION, &mut |b| {
-            for (i, c) in b.chunks_exact_mut(8).enumerate() {
-                c.copy_from_slice(&(i as f64).to_le_bytes());
-            }
-        })
-        .unwrap();
+        fill_words(&rt, me);
         rt.barrier();
         let mut out = (String::new(), 0.0);
         if p.rank() == 0 {
@@ -331,6 +322,103 @@ fn verb_matrix(method: StridedMethod) -> (String, f64) {
         out
     })
     .swap_remove(0)
+}
+
+/// The verb matrix's runtime: the InfiniBand cluster with one core per
+/// node, so every rank sits on its own node.
+fn matrix_runtime() -> RuntimeConfig {
+    let mut platform = Platform::get(PlatformId::InfiniBandCluster).customized("verb-matrix");
+    platform.sockets_per_node = 1;
+    platform.cores_per_socket = 1;
+    RuntimeConfig {
+        platform,
+        ..Default::default()
+    }
+}
+
+/// Fills the caller's slice `me` with its f64 word indices.
+fn fill_words(rt: &dyn Armci, me: GlobalAddr) {
+    rt.access_mut(me, REGION, &mut |b| {
+        for (i, c) in b.chunks_exact_mut(8).enumerate() {
+            c.copy_from_slice(&(i as f64).to_le_bytes());
+        }
+    })
+    .unwrap();
+}
+
+/// Runs every verb (accumulates at scales 1 and 2) from the calling rank
+/// against `remote`. Returns a transcript of the caller's virtual time
+/// after each call, then the payload of both sides, plus the final
+/// virtual time.
+fn backend_matrix(p: &Proc, rt: &dyn Armci, remote: GlobalAddr) -> (String, f64) {
+    let mut local: Vec<u8> = (0..32)
+        .flat_map(|i| (i as f64 * 0.5 - 3.0).to_le_bytes())
+        .collect();
+    let mut t = String::new();
+    for (name, acc, verb) in VERBS {
+        let scales: &[f64] = if acc { &[1.0, 2.0] } else { &[1.0] };
+        for &scale in scales {
+            verb(rt, remote, &mut local, AccKind::Double(scale)).unwrap();
+            writeln!(t, "{name} x{scale}: vtime={:#x}", p.clock().now().to_bits()).unwrap();
+        }
+    }
+    let end = p.clock().now();
+    let mut bytes = vec![0u8; REGION];
+    rt.get(remote, &mut bytes).unwrap();
+    writeln!(t, "remote {bytes:?}\nlocal {local:?}").unwrap();
+    (t, end)
+}
+
+/// Pins the payload and rank 0's virtual time of all 15 data verbs on
+/// the two other backends: ARMCI-Native from rank 0 against rank 1, and
+/// ARMCI-DS with one compute rank against its own slice (one client, so
+/// its server sees the requests in program order).
+#[test]
+fn native_and_ds_verb_pricing_is_pinned() {
+    let native = Runtime::run_with(2, matrix_runtime(), |p: &Proc| {
+        let rt = ArmciNative::new(p);
+        let bases = rt.malloc(REGION).unwrap();
+        fill_words(&rt, bases[p.rank()]);
+        rt.barrier();
+        let out = if p.rank() == 0 {
+            backend_matrix(p, &rt, bases[1])
+        } else {
+            (String::new(), 0.0)
+        };
+        rt.barrier();
+        rt.free(bases[p.rank()]).unwrap();
+        out
+    })
+    .swap_remove(0);
+    let ds = run_with_servers(1, matrix_runtime(), |p, rt| {
+        let bases = rt.malloc(REGION).unwrap();
+        fill_words(rt, bases[0]);
+        let out = backend_matrix(p, rt, bases[0]);
+        rt.free(bases[0]).unwrap();
+        out
+    })
+    .swap_remove(0);
+    let pinned = [
+        (
+            "native",
+            native,
+            0x0f36_0b13_ef2e_b34d,
+            0x3f42_7790_a6cb_7026,
+        ),
+        ("ds", ds, 0xde3d_e1cf_3e65_4f92, 0x3f26_f2cb_3923_e309),
+    ];
+    for (name, (transcript, t), digest, vtime) in pinned {
+        println!(
+            "{name}: digest {:#x}, vtime {:#x} ({t:e} s)",
+            fnv1a(&transcript),
+            t.to_bits()
+        );
+        assert_eq!(
+            (fnv1a(&transcript), t.to_bits()),
+            (digest, vtime),
+            "{name} moved; transcript:\n{transcript}"
+        );
+    }
 }
 
 /// FNV-1a, so one `u64` pins a whole transcript.

@@ -2,7 +2,7 @@
 
 use crate::dist::{Distribution, Region, MAX_DIM};
 use crate::GaResult;
-use armci::{AccKind, Armci, ArmciError, ArmciGroup, GlobalAddr, NbHandle, RmwOp};
+use armci::{AccKind, Armci, ArmciError, ArmciGroup, GlobalAddr, Local, NbHandle, Remote, RmwOp};
 use std::borrow::Cow;
 
 /// Handle for a nonblocking patch operation (`NGA_NbPut`/`NbGet`/`NbAcc`):
@@ -166,23 +166,15 @@ impl StridedArgs {
     }
 }
 
-enum Verb<'d> {
-    Put(&'d [u8]),
-    Get(&'d mut [u8]),
-    Acc(f64, &'d [u8]),
-    AccI64(i64, &'d [u8]),
-}
-
-impl Verb<'_> {
-    fn name(&self, nb: bool) -> &'static str {
-        match (self, nb) {
-            (Verb::Put(_), false) => "ga_put",
-            (Verb::Get(_), false) => "ga_get",
-            (Verb::Acc(..) | Verb::AccI64(..), false) => "ga_acc",
-            (Verb::Put(_), true) => "ga_nb_put",
-            (Verb::Get(_), true) => "ga_nb_get",
-            (Verb::Acc(..) | Verb::AccI64(..), true) => "ga_nb_acc",
-        }
+/// The trace name of a GA patch operation moving `local`.
+fn op_name(local: &Local<'_>, nb: bool) -> &'static str {
+    match (local, nb) {
+        (Local::Put(_), false) => "ga_put",
+        (Local::Get(_), false) => "ga_get",
+        (Local::Acc(..), false) => "ga_acc",
+        (Local::Put(_), true) => "ga_nb_put",
+        (Local::Get(_), true) => "ga_nb_get",
+        (Local::Acc(..), true) => "ga_nb_acc",
     }
 }
 
@@ -406,89 +398,48 @@ impl<'a, A: Armci + ?Sized> GlobalArray<'a, A> {
     }
 
     /// The Figure 2 fan-out: decompose the patch over owners and issue
-    /// one strided ARMCI operation per owner, against a local buffer laid
-    /// out as `local` (`None`: the dense patch buffer).
+    /// one strided ARMCI transfer per owner, against `local`'s buffer laid
+    /// out as `layout` (`None`: the dense patch buffer). With `nb` the
+    /// transfers are nonblocking and their handles come back unwaited, so
+    /// transfers to distinct owners stay in flight concurrently; a
+    /// blocking fan-out returns no handles.
     fn xfer(
         &self,
         lo: &[usize],
         hi: &[usize],
-        local: Option<&LocalLayout>,
-        mut verb: Verb<'_>,
-    ) -> GaResult<()> {
-        let trace =
-            obs::enabled().then(|| (verb.name(false), self.patch_bytes(lo, hi), self.rt.vtime()));
+        layout: Option<&LocalLayout>,
+        mut local: Local<'_>,
+        nb: bool,
+    ) -> GaResult<GaNbHandle> {
+        let trace = obs::enabled().then(|| {
+            (
+                op_name(&local, nb),
+                self.patch_bytes(lo, hi),
+                self.rt.vtime(),
+            )
+        });
         let dense;
-        let local = match local {
+        let layout = match layout {
             Some(l) => l,
             None => {
                 dense = LocalLayout::dense(lo, hi);
                 &dense
             }
         };
-        self.dist.for_each_region(lo, hi, |r| {
-            let a = self.strided_args(r, lo, local);
-            let (raddr, loff) = (a.raddr, a.loff);
-            let (rs, ls, count) = (a.rstrides(), a.lstrides(), a.count());
-            match &mut verb {
-                Verb::Put(data) => self.rt.put_strided(&data[loff..], ls, raddr, rs, count),
-                Verb::Get(out) => self.rt.get_strided(raddr, rs, &mut out[loff..], ls, count),
-                Verb::Acc(scale, data) => self.rt.acc_strided(
-                    AccKind::Double(*scale),
-                    &data[loff..],
-                    ls,
-                    raddr,
-                    rs,
-                    count,
-                ),
-                Verb::AccI64(scale, data) => {
-                    self.rt
-                        .acc_strided(AccKind::Long(*scale), &data[loff..], ls, raddr, rs, count)
-                }
-            }
-        })?;
-        if let Some((name, bytes, t0)) = trace {
-            obs::span(obs::EventKind::GaOp { name, bytes }, t0, self.rt.vtime());
-        }
-        Ok(())
-    }
-
-    /// The nonblocking counterpart of [`Self::xfer`]: issues one
-    /// nonblocking strided operation per owner and returns their handles
-    /// unwaited, so transfers to distinct owners stay in flight
-    /// concurrently.
-    fn nb_xfer(&self, lo: &[usize], hi: &[usize], mut verb: Verb<'_>) -> GaResult<GaNbHandle> {
-        let trace =
-            obs::enabled().then(|| (verb.name(true), self.patch_bytes(lo, hi), self.rt.vtime()));
         let mut handles = Vec::new();
-        let local = LocalLayout::dense(lo, hi);
         self.dist.for_each_region(lo, hi, |r| {
-            let a = self.strided_args(r, lo, &local);
-            let (raddr, loff) = (a.raddr, a.loff);
-            let (rs, ls, count) = (a.rstrides(), a.lstrides(), a.count());
-            handles.push(match &mut verb {
-                Verb::Put(data) => self
-                    .rt
-                    .nb_put_strided(&data[loff..], ls, raddr, rs, count)?,
-                Verb::Get(out) => self
-                    .rt
-                    .nb_get_strided(raddr, rs, &mut out[loff..], ls, count)?,
-                Verb::Acc(scale, data) => self.rt.nb_acc_strided(
-                    AccKind::Double(*scale),
-                    &data[loff..],
-                    ls,
-                    raddr,
-                    rs,
-                    count,
-                )?,
-                Verb::AccI64(scale, data) => self.rt.nb_acc_strided(
-                    AccKind::Long(*scale),
-                    &data[loff..],
-                    ls,
-                    raddr,
-                    rs,
-                    count,
-                )?,
-            });
+            let a = self.strided_args(r, lo, layout);
+            let remote = Remote::Strided {
+                addr: a.raddr,
+                strides: a.rstrides(),
+                local_strides: a.lstrides(),
+                count: a.count(),
+            };
+            let end = local.len();
+            let h = self.rt.xfer(remote, local.slice(a.loff..end), nb)?;
+            if nb {
+                handles.push(h);
+            }
             Ok::<(), ArmciError>(())
         })?;
         if let Some((name, bytes, t0)) = trace {
@@ -515,7 +466,8 @@ impl<'a, A: Armci + ?Sized> GlobalArray<'a, A> {
     pub fn put_patch(&self, lo: &[usize], hi: &[usize], data: &[f64]) -> GaResult<()> {
         self.want(GaType::F64)?;
         self.check_patch(lo, hi, data.len() * 8)?;
-        self.xfer(lo, hi, None, Verb::Put(&le_bytes(data)))
+        self.xfer(lo, hi, None, Local::Put(&le_bytes(data)), false)
+            .map(drop)
     }
 
     /// `NGA_Get`: reads the patch into a dense row-major vector.
@@ -523,7 +475,8 @@ impl<'a, A: Armci + ?Sized> GlobalArray<'a, A> {
         self.want(GaType::F64)?;
         self.check_bounds(lo, hi)?;
         let mut out = vec![0.0f64; Self::patch_len(lo, hi)];
-        self.xfer(lo, hi, None, Verb::Get(bytes_of_mut(&mut out)))?;
+        self.xfer(lo, hi, None, Local::Get(bytes_of_mut(&mut out)), false)
+            .map(drop)?;
         from_le_in_place(&mut out);
         Ok(out)
     }
@@ -544,7 +497,8 @@ impl<'a, A: Armci + ?Sized> GlobalArray<'a, A> {
     ) -> GaResult<()> {
         self.want(GaType::F64)?;
         let local = self.check_local(lo, hi, out.len(), ld, at)?;
-        self.xfer(lo, hi, Some(&local), Verb::Get(bytes_of_mut(out)))?;
+        self.xfer(lo, hi, Some(&local), Local::Get(bytes_of_mut(out)), false)
+            .map(drop)?;
         if cfg!(target_endian = "big") {
             // Only the elements the patch wrote: one run per patch row.
             let n = lo.len();
@@ -623,7 +577,8 @@ impl<'a, A: Armci + ?Sized> GlobalArray<'a, A> {
     pub fn acc_patch(&self, scale: f64, lo: &[usize], hi: &[usize], data: &[f64]) -> GaResult<()> {
         self.want(GaType::F64)?;
         self.check_patch(lo, hi, data.len() * 8)?;
-        self.xfer(lo, hi, None, Verb::Acc(scale, &le_bytes(data)))
+        let local = Local::Acc(AccKind::Double(scale), &le_bytes(data));
+        self.xfer(lo, hi, None, local, false).map(drop)
     }
 
     /// `NGA_NbPut`: nonblocking patch write. The transfer stays in flight
@@ -634,7 +589,7 @@ impl<'a, A: Armci + ?Sized> GlobalArray<'a, A> {
     pub fn nb_put_patch(&self, lo: &[usize], hi: &[usize], data: &[f64]) -> GaResult<GaNbHandle> {
         self.want(GaType::F64)?;
         self.check_patch(lo, hi, data.len() * 8)?;
-        self.nb_xfer(lo, hi, Verb::Put(&le_bytes(data)))
+        self.xfer(lo, hi, None, Local::Put(&le_bytes(data)), true)
     }
 
     /// `NGA_NbGet`: nonblocking patch read into a caller-owned buffer.
@@ -650,7 +605,7 @@ impl<'a, A: Armci + ?Sized> GlobalArray<'a, A> {
         self.check_patch(lo, hi, out.len() * 8)?;
         // The simulator moves bytes at issue, so the patch lands in `out`
         // now; only completion is deferred.
-        let h = self.nb_xfer(lo, hi, Verb::Get(bytes_of_mut(out)))?;
+        let h = self.xfer(lo, hi, None, Local::Get(bytes_of_mut(out)), true)?;
         from_le_in_place(out);
         Ok(h)
     }
@@ -665,7 +620,8 @@ impl<'a, A: Armci + ?Sized> GlobalArray<'a, A> {
     ) -> GaResult<GaNbHandle> {
         self.want(GaType::F64)?;
         self.check_patch(lo, hi, data.len() * 8)?;
-        self.nb_xfer(lo, hi, Verb::Acc(scale, &le_bytes(data)))
+        let local = Local::Acc(AccKind::Double(scale), &le_bytes(data));
+        self.xfer(lo, hi, None, local, true)
     }
 
     /// `NGA_NbWait`: completes a nonblocking patch operation.
@@ -677,7 +633,8 @@ impl<'a, A: Armci + ?Sized> GlobalArray<'a, A> {
     pub fn put_patch_i64(&self, lo: &[usize], hi: &[usize], data: &[i64]) -> GaResult<()> {
         self.want(GaType::I64)?;
         self.check_patch(lo, hi, data.len() * 8)?;
-        self.xfer(lo, hi, None, Verb::Put(&le_bytes(data)))
+        self.xfer(lo, hi, None, Local::Put(&le_bytes(data)), false)
+            .map(drop)
     }
 
     /// Integer get.
@@ -685,7 +642,8 @@ impl<'a, A: Armci + ?Sized> GlobalArray<'a, A> {
         self.want(GaType::I64)?;
         self.check_bounds(lo, hi)?;
         let mut out = vec![0i64; Self::patch_len(lo, hi)];
-        self.xfer(lo, hi, None, Verb::Get(bytes_of_mut(&mut out)))?;
+        self.xfer(lo, hi, None, Local::Get(bytes_of_mut(&mut out)), false)
+            .map(drop)?;
         from_le_in_place(&mut out);
         Ok(out)
     }
@@ -700,7 +658,8 @@ impl<'a, A: Armci + ?Sized> GlobalArray<'a, A> {
     ) -> GaResult<()> {
         self.want(GaType::I64)?;
         self.check_patch(lo, hi, data.len() * 8)?;
-        self.xfer(lo, hi, None, Verb::AccI64(scale, &le_bytes(data)))
+        let local = Local::Acc(AccKind::Long(scale), &le_bytes(data));
+        self.xfer(lo, hi, None, local, false).map(drop)
     }
 
     /// `NGA_Read_inc`: atomically adds `inc` to the I64 element at `idx`

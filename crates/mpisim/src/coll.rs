@@ -77,6 +77,11 @@ impl CollectiveCell {
         }
     }
 
+    /// Wakes every participant parked on this cell.
+    pub fn wake(&self) {
+        sync::wake(&self.m, &self.cv);
+    }
+
     /// Deposits `data` as participant `rank`'s contribution (arriving at
     /// virtual time `now`) and, once every participant has arrived, returns
     /// all contributions together with the round number, the latest arrival

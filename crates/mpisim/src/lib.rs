@@ -44,4 +44,5 @@ pub use error::{MpiError, MpiResult};
 pub use p2p::{RecvSrc, Status, ANY_TAG};
 pub use progress::ProgressModel;
 pub use runtime::{Proc, Runtime, RuntimeConfig};
+pub use sync::park;
 pub use win::{AccOp, ElemType, LockMode, RmaClass, ShmSection, WinHandle};

@@ -57,6 +57,11 @@ impl Mailbox {
         }
     }
 
+    /// Wakes every receiver parked on this mailbox.
+    pub fn wake(&self) {
+        sync::wake(&self.m, &self.cv);
+    }
+
     /// Enqueues a message.
     pub fn deliver(&self, env: Envelope) {
         self.m.lock().push_back(env);

@@ -4,6 +4,7 @@ use crate::coll::CollectiveCell;
 use crate::comm::{Comm, CommInner};
 use crate::p2p::Mailbox;
 use crate::progress::ProgressBoard;
+use crate::sync::{self, Abort};
 use crate::win::WinInner;
 use parking_lot::{Mutex, RwLock};
 use simnet::{CongestionParams, Network, Platform, PlatformId, VClock};
@@ -76,6 +77,8 @@ pub(crate) struct Shared {
     /// phase profiles published at world-collective entries (see
     /// [`crate::progress`]).
     pub progress: ProgressBoard,
+    /// Which rank panicked first; set, it fails every parked wait.
+    pub abort: Arc<Abort>,
 }
 
 pub(crate) const WORLD_COMM_ID: u64 = 0;
@@ -107,6 +110,7 @@ impl Shared {
             next_uid: AtomicU64::new(1),
             net,
             progress: ProgressBoard::new(nranks),
+            abort: Abort::new(),
         })
     }
 
@@ -128,6 +132,20 @@ impl Shared {
     /// freed window, after its `wins` entry has been removed.
     pub fn recycle_win_id(&self, id: u64) {
         self.free_win_ids.lock().push(id);
+    }
+
+    /// Wakes every waiter parked on the runtime's mailboxes, collective
+    /// cells and window locks (see [`crate::sync`]).
+    fn wake_all(&self) {
+        for mailbox in &self.mailboxes {
+            mailbox.wake();
+        }
+        for comm in self.comms.read().values() {
+            comm.coll.wake();
+        }
+        for win in self.wins.read().values() {
+            win.wake();
+        }
     }
 
     /// Allocates a fresh generic uid (shared-segment registry keys).
@@ -196,6 +214,34 @@ impl Proc {
     }
 }
 
+/// Marks the calling thread as rank `rank` of `shared`'s runtime while
+/// it lives. Dropped by a panic, it records the rank as the runtime's
+/// first to panic, unless another one already is, and wakes every
+/// parked waiter so that it fails too.
+struct RankGuard {
+    shared: Arc<Shared>,
+    rank: usize,
+}
+
+impl RankGuard {
+    fn enter(shared: &Arc<Shared>, rank: usize) -> RankGuard {
+        sync::set_abort(Some(&shared.abort));
+        RankGuard {
+            shared: Arc::clone(shared),
+            rank,
+        }
+    }
+}
+
+impl Drop for RankGuard {
+    fn drop(&mut self) {
+        if std::thread::panicking() && self.shared.abort.record(self.rank) {
+            self.shared.wake_all();
+        }
+        sync::set_abort(None);
+    }
+}
+
 /// Entry point: spawns `nranks` threads and runs `f` as each rank's main.
 ///
 /// ```
@@ -215,7 +261,10 @@ impl Runtime {
     /// configuration; returns each rank's result, indexed by rank.
     ///
     /// Panics in any rank propagate (the whole run aborts), matching an MPI
-    /// job dying on error.
+    /// job dying on error: a peer waiting on the panicking rank (for a
+    /// lock, a message or a collective) panics in turn instead of waiting
+    /// for ever, and once every rank has stopped, the first rank's panic
+    /// is re-raised here.
     pub fn run_with<F, R>(nranks: usize, cfg: RuntimeConfig, f: F) -> Vec<R>
     where
         F: Fn(&Proc) -> R + Send + Sync,
@@ -223,7 +272,7 @@ impl Runtime {
     {
         assert!(nranks > 0, "need at least one rank");
         let shared = Shared::new(nranks, cfg);
-        std::thread::scope(|s| {
+        let results: Vec<_> = std::thread::scope(|s| {
             let mut handles = Vec::with_capacity(nranks);
             for rank in 0..nranks {
                 let shared = Arc::clone(&shared);
@@ -233,6 +282,7 @@ impl Runtime {
                     // thread-local buffer flushes when the thread exits,
                     // i.e. before `run_with` returns.
                     obs::set_rank(rank);
+                    let _rank = RankGuard::enter(&shared, rank);
                     let proc = Proc {
                         world_rank: rank,
                         shared,
@@ -244,11 +294,17 @@ impl Runtime {
             // visible to the caller: it returns only after the rank
             // thread's thread-locals are destroyed, whereas the scope's
             // implicit join may return before `obs`'s TLS drop has run.
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("rank panicked"))
-                .collect()
-        })
+            handles.into_iter().map(|h| h.join()).collect()
+        });
+        if let Some(first) = shared.abort.first() {
+            // The other panics are peers that stopped waiting for it.
+            let payload = results.into_iter().nth(first).and_then(Result::err);
+            std::panic::resume_unwind(payload.expect("the first panic's payload"));
+        }
+        results
+            .into_iter()
+            .map(|r| r.unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
     }
 
     /// [`Runtime::run_with`] under the default (InfiniBand, checks-on)

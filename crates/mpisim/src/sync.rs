@@ -20,11 +20,102 @@
 //! No charge depends on how a thread waited: clocks are charged from the
 //! cost model, so a program whose outcome program order fixes gets the
 //! same virtual time bit for bit.
+//!
+//! # A panicking rank fails the run
+//!
+//! A rank that panics can leave its peers waiting for something it will
+//! never do: release a window lock, send a message, join a collective.
+//! Each rank thread therefore runs with its runtime's [`Abort`] state,
+//! which records the first rank to unwind. That rank then wakes every
+//! waiter parked on the runtime's mailboxes, collective cells and window
+//! locks, and a waiter that finds the state set panics in turn instead
+//! of parking, so `Runtime::run_with` can join every rank and re-raise
+//! the first panic. The check runs under the waiter's lock just before
+//! it parks, which is what makes the wake-up impossible to miss; until
+//! then it costs nothing. A wait on a condition variable the runtime
+//! cannot reach (ARMCI-Native's queueing mutexes) uses [`park`], which
+//! re-checks every [`ABORT_POLL`] instead.
 
 use parking_lot::{Condvar, Mutex, MutexGuard};
+use std::cell::RefCell;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+use std::time::Duration;
 
 /// Backoff rounds before parking; round `k` (from 1) issues `2^k` hints.
 const SPIN_ROUNDS: u32 = 6;
+
+/// How long a [`park`]ed waiter sleeps before it checks whether a peer
+/// rank has panicked.
+const ABORT_POLL: Duration = Duration::from_millis(10);
+
+/// Which rank of a runtime panicked first, if any.
+pub(crate) struct Abort {
+    /// The rank, or `usize::MAX` while no rank has panicked.
+    first: AtomicUsize,
+}
+
+impl Abort {
+    pub fn new() -> Arc<Abort> {
+        Arc::new(Abort {
+            first: AtomicUsize::new(usize::MAX),
+        })
+    }
+
+    /// The first rank that panicked.
+    pub fn first(&self) -> Option<usize> {
+        match self.first.load(Ordering::Acquire) {
+            usize::MAX => None,
+            rank => Some(rank),
+        }
+    }
+
+    /// Records `rank` as the first rank to panic; false if another
+    /// already is.
+    pub fn record(&self, rank: usize) -> bool {
+        self.first
+            .compare_exchange(usize::MAX, rank, Ordering::AcqRel, Ordering::Acquire)
+            .is_ok()
+    }
+}
+
+thread_local! {
+    /// The abort state of the runtime this thread is a rank of.
+    static RUNTIME: RefCell<Option<Arc<Abort>>> = const { RefCell::new(None) };
+}
+
+/// Makes `abort` the calling rank thread's abort state (`None`: the
+/// thread is no longer a rank).
+pub(crate) fn set_abort(abort: Option<&Arc<Abort>>) {
+    RUNTIME.with(|r| *r.borrow_mut() = abort.cloned());
+}
+
+/// Panics if a peer rank of the calling thread's runtime has panicked:
+/// the wait about to start could then never be satisfied. A thread that
+/// is not a rank, or is already unwinding, waits on.
+fn check_abort() {
+    let aborted = RUNTIME.with(|r| r.borrow().as_ref().is_some_and(|a| a.first().is_some()));
+    if aborted && !std::thread::panicking() {
+        panic!("a peer rank panicked while this rank waited on it");
+    }
+}
+
+/// Wakes every waiter parked on `cv`. Taking `m` first orders the
+/// wake-up after any waiter's abort check, so none can miss it.
+pub(crate) fn wake<T>(m: &Mutex<T>, cv: &Condvar) {
+    drop(m.lock());
+    cv.notify_all();
+}
+
+/// Parks on `cv` like [`Condvar::wait`] (spurious wake-ups included),
+/// for a rank waiting on a condition variable its runtime cannot reach:
+/// every 10 ms it checks whether a peer rank has panicked, and if one
+/// has, it panics too instead of waiting for ever.
+pub fn park<T>(cv: &Condvar, guard: &mut MutexGuard<'_, T>) {
+    if cv.wait_for(guard, ABORT_POLL).timed_out() {
+        check_abort();
+    }
+}
 
 /// Waits until `poll` returns `Some`, then hands back the re-taken guard
 /// and the result. `poll` runs under the lock on every check, so it can
@@ -54,6 +145,7 @@ pub(crate) fn wait_for<'a, T, R>(
             }
             guard = m.lock();
         } else {
+            check_abort();
             cv.wait(&mut guard);
         }
     }

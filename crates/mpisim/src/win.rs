@@ -286,6 +286,13 @@ pub(crate) struct WinInner {
 }
 
 impl WinInner {
+    /// Wakes every origin parked on one of this window's target locks.
+    pub(crate) fn wake(&self) {
+        for lock in &self.locks {
+            sync::wake(&lock.m, &lock.cv);
+        }
+    }
+
     /// The section view of `target`'s window slice.
     fn section(&self, target: usize) -> Section<'_> {
         match &self.backing {

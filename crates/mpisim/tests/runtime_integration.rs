@@ -727,3 +727,45 @@ fn bigger_transfers_cost_more_virtual_time() {
     let (small, big) = times[0];
     assert!(big > 10.0 * small, "big {big} small {small}");
 }
+
+// ---------------------------------------------------------------------
+// A panicking rank
+// ---------------------------------------------------------------------
+
+/// Rank 0 panics inside an exclusive epoch on rank 1's window while its
+/// peers wait on it in a lock (rank 1), a receive (rank 2) and a barrier
+/// (rank 3). The run must fail with rank 0's panic rather than hang; a
+/// watchdog bounds it at 10 s.
+#[test]
+fn a_panicking_rank_fails_the_run_instead_of_hanging_it() {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let run = std::thread::spawn(move || {
+        let outcome = std::panic::catch_unwind(|| {
+            Runtime::run_with(4, quiet(), |p: &Proc| {
+                let w = p.world();
+                let win = WinHandle::create(&w, 64);
+                if w.rank() == 0 {
+                    win.lock(LockMode::Exclusive, 1).unwrap();
+                }
+                w.barrier();
+                match w.rank() {
+                    0 => panic!("rank 0 fails inside its epoch"),
+                    1 => win.lock(LockMode::Exclusive, 1).unwrap(),
+                    2 => drop(w.recv(RecvSrc::Rank(0), 7)),
+                    _ => w.barrier(),
+                }
+            })
+        });
+        tx.send(outcome.err()).unwrap();
+    });
+    let payload = rx
+        .recv_timeout(std::time::Duration::from_secs(10))
+        .expect("the run hung after rank 0 panicked")
+        .expect("the run returned although rank 0 panicked");
+    run.join().unwrap();
+    assert_eq!(
+        payload.downcast_ref::<&str>(),
+        Some(&"rank 0 fails inside its epoch"),
+        "the first panic is re-raised"
+    );
+}
