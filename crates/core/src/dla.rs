@@ -7,6 +7,7 @@
 //! (`begin`/`end` become scope entry/exit), which makes it impossible to
 //! leak the pointer past the epoch.
 
+use crate::transport::{atomic_epoch_begin, atomic_epoch_end};
 use crate::ArmciMpi;
 use armci::{ArmciError, ArmciResult, GlobalAddr};
 use mpisim::LockMode;
@@ -34,17 +35,16 @@ impl ArmciMpi {
         let gmr = gmrs
             .get(&tr.gmr)
             .ok_or_else(|| crate::gmr::gmr_vanished(tr.gmr))?;
-        // The backend decides whether an exclusive lock is needed or a
-        // standing lock_all epoch already covers local access (MPI-3
-        // unified memory model, ordered by the win_sync discipline).
-        self.tx()
-            .atomic_epoch_begin(&gmr.win, tr.group_rank, LockMode::Exclusive)?;
+        // An exclusive lock, unless a standing lock_all epoch already
+        // covers local access (MPI-3 unified memory model, ordered by the
+        // win_sync discipline).
+        atomic_epoch_begin(&gmr.win, tr.group_rank, LockMode::Exclusive)?;
         self.dla_begin(tr.gmr, true);
         let res = gmr
             .win
             .with_local_mut(|buf| f(&mut buf[tr.disp..tr.disp + len]));
         self.dla_end(tr.gmr);
-        self.tx().atomic_epoch_end(&gmr.win, tr.group_rank)?;
+        atomic_epoch_end(&gmr.win, tr.group_rank)?;
         res.map_err(ArmciError::from)
     }
 
@@ -88,13 +88,12 @@ impl ArmciMpi {
             .get(&tr.gmr)
             .ok_or_else(|| crate::gmr::gmr_vanished(tr.gmr))?;
         // A standing lock_all epoch already grants shared access; the
-        // backend locks otherwise.
-        self.tx()
-            .atomic_epoch_begin(&gmr.win, tr.group_rank, LockMode::Shared)?;
+        // window is locked otherwise.
+        atomic_epoch_begin(&gmr.win, tr.group_rank, LockMode::Shared)?;
         self.dla_begin(tr.gmr, false);
         let res = gmr.win.with_local(|buf| f(&buf[tr.disp..tr.disp + len]));
         self.dla_end(tr.gmr);
-        self.tx().atomic_epoch_end(&gmr.win, tr.group_rank)?;
+        atomic_epoch_end(&gmr.win, tr.group_rank)?;
         res.map_err(ArmciError::from)
     }
 }

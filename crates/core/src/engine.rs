@@ -43,18 +43,13 @@
 //! (opening a second target flushes the first), which keeps the
 //! hold-and-wait deadlock impossible; in epochless mode any number of
 //! targets may have operations in flight concurrently.
-//!
-//! Request-based atomics (`ARMCI_Rmw` under a standing `lock_all` or the
-//! channel backend) join per-target *atomic batches* whose requests
-//! complete at the same synchronisation points.
 
 use crate::gmr::Gmr;
-use crate::transport;
+use crate::transport::{EpochStyle, Origin};
 use crate::ArmciMpi;
 use armci::{ArmciError, ArmciResult, GlobalAddr, IovDesc, Local, NbHandle, StridedMethod};
 use ctree::ConflictTree;
 use mpisim::dtype::{zip_into, Flat};
-use mpisim::mpi3::RmaRequest;
 use mpisim::{AccOp, Datatype, ElemType, LockMode, RmaClass};
 use std::collections::HashSet;
 use std::ops::Range;
@@ -166,7 +161,7 @@ pub struct StageStats {
     /// RMA operations contained in those plans.
     pub planned_ops: u64,
     /// Access contexts opened (blocking epochs, plus one per scheduler
-    /// queue or atomic batch opened).
+    /// queue opened).
     pub acquires: u64,
     /// RMA operations issued by the execute stage (blocking and
     /// scheduler-flushed combined).
@@ -176,7 +171,7 @@ pub struct StageStats {
     /// Operations submitted through the nonblocking path.
     pub nb_submitted: u64,
     /// Nonblocking operations that joined an already-open scheduler queue
-    /// or atomic batch instead of paying for a new one.
+    /// instead of paying for a new one.
     pub nb_aggregated: u64,
     /// `ARMCI_Wait`/`ARMCI_WaitAll` resolutions.
     pub nb_waits: u64,
@@ -334,6 +329,23 @@ pub(crate) enum ExecBuf<'a> {
 }
 
 impl ExecBuf<'_> {
+    /// The buffer as one transfer's origin.
+    ///
+    /// # Safety
+    ///
+    /// A `Get`/`Put` pointer must cover its length for as long as the
+    /// returned origin lives, and no other live reference may alias the
+    /// bytes a get writes. The executor upholds this for one call at a
+    /// time: the planner keeps every datatype within bounds, and disjoint
+    /// plans address disjoint pieces of the buffer.
+    unsafe fn origin(&self) -> Origin<'_> {
+        match *self {
+            ExecBuf::Get(ptr, len) => Origin::Get(std::slice::from_raw_parts_mut(ptr, len)),
+            ExecBuf::Put(ptr, len) => Origin::Put(std::slice::from_raw_parts(ptr, len)),
+            ExecBuf::Acc(staged, elem) => Origin::Acc(staged, elem, AccOp::Sum),
+        }
+    }
+
     /// The access kind of every operation moving against this buffer.
     pub(crate) fn kind(&self) -> NbKind {
         match *self {
@@ -423,17 +435,6 @@ fn form_runs(ops: &[QueuedOp], tree: &mut ConflictTree, runs: &mut Vec<Range<usi
             .all(|&(off, len)| tree.try_insert(off, off + len).is_ok());
         runs.push(i..i + 1);
     }
-}
-
-/// In-flight request-based atomics on one `(GMR, target)` pair whose
-/// completion has been deferred to `ARMCI_Wait` (only opened by backends
-/// without per-target locks; see [`ArmciMpi::nb_attach_atomic`]).
-struct AtomicBatch {
-    gmr: u64,
-    target: usize,
-    /// Handle ids with atomics in this batch.
-    ids: Vec<u64>,
-    reqs: Vec<RmaRequest>,
 }
 
 /// One operation queued by the coalescing scheduler: payload already
@@ -530,8 +531,6 @@ pub(crate) struct NbState {
     next_id: u64,
     /// Coalescing-scheduler queues.
     queues: Vec<SchedQueue>,
-    /// Request-based atomics awaiting completion.
-    atomics: Vec<AtomicBatch>,
     /// Online issue-cost estimates for [`CoalesceMode::Auto`].
     model: CostModel,
     scratch: SchedScratch,
@@ -832,12 +831,15 @@ impl ArmciMpi {
             .get(&plan.gmr)
             .ok_or_else(|| crate::gmr::gmr_vanished(plan.gmr))?;
         let shm = self.shm_routable(gmr, plan.target);
-        let bracket = self.shm_bracket();
-        let tx: &dyn transport::Transport = if shm { &bracket } else { self.tx() };
+        let style = if shm {
+            self.shm_style()
+        } else {
+            self.tx.epoch_style()
+        };
         let sync = || gmr.win.win_sync().map_err(|e| Self::shm_err(plan.gmr, e));
         // acquire
         let t0 = self.vnow();
-        self.epoch_begin_via(tx, gmr, plan.target, plan.mode)?;
+        self.epoch_begin_via(style, gmr, plan.target, plan.mode)?;
         let mut res = if shm { sync() } else { Ok(()) };
         let t1 = self.vnow();
         // execute (the epoch is closed even when an operation fails)
@@ -859,7 +861,7 @@ impl ArmciMpi {
         let t2 = self.vnow();
         // complete (the shm route leaves coherence before the epoch)
         let end = if shm { sync() } else { Ok(()) }
-            .and_then(|()| self.epoch_end_via(tx, gmr, plan.target));
+            .and_then(|()| self.epoch_end_via(style, gmr, plan.target));
         let t3 = self.vnow();
         self.stage(|g| {
             g.acquires += 1;
@@ -909,36 +911,19 @@ impl ArmciMpi {
     ) -> ArmciResult<()> {
         let (win, tx) = (&gmr.win, self.tx());
         let (odt, tdisp, tdt) = (&op.odt, op.tdisp, &op.tdt);
-        let charged = |cost: f64| win.charge_virtual(cost);
-        let moved = match *buf {
-            ExecBuf::Get(ptr, len) => {
-                // Safety: `ptr` covers `len` bytes for the duration of the
-                // call and the planner keeps every datatype within bounds;
-                // disjoint plans may address disjoint pieces of it.
-                let b = unsafe { std::slice::from_raw_parts_mut(ptr, len) };
-                if shm {
-                    win.shm_get(b, odt, target, tdisp, tdt).map(charged)
-                } else {
-                    tx.get(win, b, odt, target, tdisp, tdt)
-                }
+        // SAFETY: the planner keeps every datatype within the caller's
+        // buffer, which outlives this call, and disjoint plans address
+        // disjoint pieces of it; `origin` is dropped before returning.
+        let origin = unsafe { buf.origin() };
+        let moved = if shm {
+            match origin {
+                Origin::Get(b) => win.shm_get(b, odt, target, tdisp, tdt),
+                Origin::Put(b) => win.shm_put(b, odt, target, tdisp, tdt),
+                Origin::Acc(b, elem, acc) => win.shm_acc(b, odt, target, tdisp, tdt, elem, acc),
             }
-            ExecBuf::Put(ptr, len) => {
-                // Safety: as above, read-only.
-                let b = unsafe { std::slice::from_raw_parts(ptr, len) };
-                if shm {
-                    win.shm_put(b, odt, target, tdisp, tdt).map(charged)
-                } else {
-                    tx.put(win, b, odt, target, tdisp, tdt)
-                }
-            }
-            ExecBuf::Acc(staged, elem) => {
-                if shm {
-                    win.shm_acc(staged, odt, target, tdisp, tdt, elem, AccOp::Sum)
-                        .map(charged)
-                } else {
-                    tx.accumulate(win, staged, odt, target, tdisp, tdt, elem, AccOp::Sum)
-                }
-            }
+            .map(|cost| win.charge_virtual(cost))
+        } else {
+            tx.transfer(win, origin, odt, target, tdisp, tdt)
         };
         moved.map_err(|e| {
             if shm {
@@ -1012,7 +997,7 @@ impl ArmciMpi {
             // coarsened MPI-2 epoch is still *one* epoch, so a plan whose
             // ranges would conflict with queued operations cannot join —
             // the queue is flushed and a fresh one opened.
-            let per_op = self.tx.epoch_style() == transport::EpochStyle::PerOp;
+            let per_op = self.tx.epoch_style() == EpochStyle::PerOp;
             let found = self.nb.borrow().queues.iter().position(|q| {
                 q.gmr == plan.gmr
                     && q.target == plan.target
@@ -1122,22 +1107,13 @@ impl ArmciMpi {
         op.odt.segments_into(&mut flat.osegs);
         flat.pieces.clear();
         zip_into(&flat.osegs, tsegs, &mut flat.pieces);
-        match *buf {
-            ExecBuf::Get(ptr, buflen) => {
-                // Safety: see `issue_op` — the pointer covers `buflen`
-                // bytes and the borrow ends with this call.
-                let b = unsafe { std::slice::from_raw_parts_mut(ptr, buflen) };
-                self.tx().stage_get(&gmr.win, b, target, &flat.pieces)?;
-            }
-            ExecBuf::Put(ptr, buflen) => {
-                // Safety: as above, read-only.
-                let b = unsafe { std::slice::from_raw_parts(ptr, buflen) };
-                self.tx().stage_put(&gmr.win, b, target, &flat.pieces)?;
-            }
-            ExecBuf::Acc(staged, elem) => {
-                self.tx()
-                    .stage_acc(&gmr.win, staged, target, &flat.pieces, elem, AccOp::Sum)?;
-            }
+        let (win, pieces) = (&gmr.win, &flat.pieces);
+        // SAFETY: as in `issue_op`: the pieces stay within the caller's
+        // buffer, and the origin is dropped before this call returns.
+        match unsafe { buf.origin() } {
+            Origin::Get(b) => win.stage_get_bytes(b, target, pieces)?,
+            Origin::Put(b) => win.stage_put_bytes(b, target, pieces)?,
+            Origin::Acc(b, elem, acc) => win.stage_acc_bytes(b, target, pieces, elem, acc)?,
         }
         Ok(())
     }
@@ -1156,7 +1132,7 @@ impl ArmciMpi {
             let gmr = gmrs
                 .get(&q.gmr)
                 .ok_or_else(|| crate::gmr::gmr_vanished(q.gmr))?;
-            let per_op = self.tx.epoch_style() == transport::EpochStyle::PerOp;
+            let per_op = self.tx.epoch_style() == EpochStyle::PerOp;
             if per_op {
                 self.epoch_begin(gmr, q.target, q.mode)?;
                 obs::instant(obs::EventKind::NbEpochOpen {
@@ -1300,13 +1276,13 @@ impl ArmciMpi {
     // Complete — nonblocking path
     // ------------------------------------------------------------------
 
-    /// Completes every open scheduler queue and atomic batch. Called by
+    /// Completes every open scheduler queue. Called by
     /// blocking transfers, direct local access, fences, barriers and
     /// collective memory operations: any synchronising call serialises
     /// against in-flight nonblocking operations instead of corrupting
     /// them.
     pub(crate) fn nb_quiesce(&self) -> ArmciResult<()> {
-        self.nb_retire(|_| true, |_| true)
+        self.nb_retire(|_| true)
     }
 
     /// Completes only the nonblocking work that touches `gmr`. Used by
@@ -1315,7 +1291,7 @@ impl ArmciMpi {
     /// unrelated allocations (that would serialise the §VIII-B(3) overlap
     /// schedule).
     pub(crate) fn nb_quiesce_gmr(&self, gmr: u64) -> ArmciResult<()> {
-        self.nb_retire(|q| q.gmr == gmr, |b| b.gmr == gmr)
+        self.nb_retire(|q| q.gmr == gmr)
     }
 
     /// Quiesce for a native atomic on bytes `[lo, hi)` of `(gmr,
@@ -1324,8 +1300,7 @@ impl ArmciMpi {
     /// leaves everything else in flight — §VIII-B(4)'s point that atomics
     /// need not serialise the overlap schedule. Queues hold no lock until
     /// their flush, so a per-op backend's own atomic lock cannot collide
-    /// with them. Atomic batches stay open: atomics are ordered against
-    /// each other at issue.
+    /// with them.
     pub(crate) fn nb_quiesce_for_atomic(
         &self,
         gmr: u64,
@@ -1333,97 +1308,23 @@ impl ArmciMpi {
         lo: usize,
         hi: usize,
     ) -> ArmciResult<()> {
-        self.nb_retire(
-            |q| q.gmr == gmr && q.target == target && q.ops.iter().any(|op| op.overlaps(lo, hi)),
-            |_| false,
-        )
+        self.nb_retire(|q| {
+            q.gmr == gmr && q.target == target && q.ops.iter().any(|op| op.overlaps(lo, hi))
+        })
     }
 
     /// Retires the scheduler queues selected by `queue` (flushing each),
-    /// then the atomic batches selected by `batch`, in open order; the
-    /// rest stay in flight.
-    fn nb_retire(
-        &self,
-        queue: impl FnMut(&mut SchedQueue) -> bool,
-        batch: impl FnMut(&mut AtomicBatch) -> bool,
-    ) -> ArmciResult<()> {
+    /// in open order; the rest stay in flight.
+    fn nb_retire(&self, queue: impl FnMut(&mut SchedQueue) -> bool) -> ArmciResult<()> {
         let queues: Vec<_> = self.nb.borrow_mut().queues.extract_if(.., queue).collect();
         for q in queues {
             self.sched_flush(q)?;
         }
-        let batches: Vec<_> = self.nb.borrow_mut().atomics.extract_if(.., batch).collect();
-        for b in batches {
-            self.nb_complete_batch(b)?;
-        }
         Ok(())
     }
 
-    /// Attaches an in-flight atomic's completion request to the atomic
-    /// batch on `(gmr, target)` — opening one if necessary — and returns
-    /// the deferred handle that retires it. Only meaningful for backends
-    /// without per-target locks (`Flush` or `None` epoch styles): the
-    /// standing `lock_all` (or the NIC) covers the access, so the RMW
-    /// completes at the same synchronisation points as coalesced data
-    /// traffic instead of forcing its own exclusive epoch.
-    pub(crate) fn nb_attach_atomic(&self, gmr: u64, target: usize, req: RmaRequest) -> NbHandle {
-        let mut nb = self.nb.borrow_mut();
-        nb.next_id += 1;
-        let id = nb.next_id;
-        let idx = match nb
-            .atomics
-            .iter()
-            .position(|b| b.gmr == gmr && b.target == target)
-        {
-            Some(i) => {
-                self.stage(|g| g.nb_aggregated += 1);
-                i
-            }
-            None => {
-                self.stage(|g| g.acquires += 1);
-                nb.atomics.push(AtomicBatch {
-                    gmr,
-                    target,
-                    ids: Vec::new(),
-                    reqs: Vec::new(),
-                });
-                nb.atomics.len() - 1
-            }
-        };
-        let b = &mut nb.atomics[idx];
-        b.reqs.push(req);
-        b.ids.push(id);
-        self.stage(|g| g.nb_submitted += 1);
-        NbHandle::deferred(id)
-    }
-
-    /// Completes one atomic batch: waits all requests (advancing the
-    /// virtual clock to the latest completion), then closes the access
-    /// context (`flush` under `lock_all`, nothing on the channel).
-    fn nb_complete_batch(&self, b: AtomicBatch) -> ArmciResult<()> {
-        let t0 = self.vnow();
-        {
-            let gmrs = self.gmrs.borrow();
-            let gmr = gmrs
-                .get(&b.gmr)
-                .ok_or_else(|| crate::gmr::gmr_vanished(b.gmr))?;
-            for r in b.reqs {
-                r.wait(&gmr.win);
-            }
-            self.epoch_end(gmr, b.target)?;
-        }
-        self.nb.borrow_mut().resolved.extend(b.ids);
-        let t1 = self.vnow();
-        obs::instant(obs::EventKind::NbEpochClose {
-            win: b.gmr,
-            target: b.target as u32,
-        });
-        self.note_stages(b.gmr, &[t0, t1]);
-        Ok(())
-    }
-
-    /// `ARMCI_Wait`: completes the queues and atomic batch holding
-    /// `handle`'s operations (a no-op for eagerly-completed or
-    /// already-completed handles).
+    /// `ARMCI_Wait`: completes the queues holding `handle`'s operations
+    /// (a no-op for eagerly-completed or already-completed handles).
     pub(crate) fn nb_wait(&self, handle: NbHandle) -> ArmciResult<()> {
         self.stage(|g| g.nb_waits += 1);
         if handle.completed_eagerly {
@@ -1436,12 +1337,8 @@ impl ArmciMpi {
         // already-resolved earlier flush (an MPI-2 multi-plan transfer
         // split across targets): retire every live holder first, then the
         // resolved record.
-        let live = {
-            let nb = self.nb.borrow();
-            nb.queues.iter().any(|q| q.ids.contains(&id))
-                || nb.atomics.iter().any(|b| b.ids.contains(&id))
-        };
-        self.nb_retire(|q| q.ids.contains(&id), |b| b.ids.contains(&id))?;
+        let live = self.nb.borrow().queues.iter().any(|q| q.ids.contains(&id));
+        self.nb_retire(|q| q.ids.contains(&id))?;
         if self.nb.borrow_mut().resolved.remove(&id) || live {
             return Ok(());
         }

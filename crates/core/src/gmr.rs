@@ -175,7 +175,7 @@ impl ArmciMpi {
         }
         // Window-lifetime transport setup (the epochless backend's
         // standing `lock_all`; a no-op elsewhere).
-        self.tx().attach(&win)?;
+        self.tx.epoch_style().attach(&win)?;
         let rmw_mutexes = MutexSet::create(comm, 1, self.progress_model());
         self.gmrs.borrow_mut().insert(
             gmr_id,
@@ -259,7 +259,7 @@ impl ArmciMpi {
             }
         }
         gmr.rmw_mutexes.destroy()?;
-        self.tx().detach(&gmr.win)?;
+        self.tx.epoch_style().detach(&gmr.win)?;
         // Preserve the window's committed-datatype cache counters past its
         // destruction: stage-stat snapshots fold live windows + retired.
         let (hits, misses, _) = gmr.win.dtype_cache_stats();

@@ -57,14 +57,15 @@ use simnet::pool::{BufferPool, PoolBuf, RegistrationPolicy};
 use simnet::PoolStats;
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
+use transport::EpochStyle;
 
 /// How `ARMCI_Rmw` (and the NXTVAL counters built on it) maps onto the
 /// backend: native atomics (§VIII-B `fetch_and_op`/`compare_and_swap`)
 /// or the paper's §V-D Latham mutex + two-epoch protocol.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AtomicsMode {
-    /// The wire backend's 8-byte atomics ([`Transport::fetch_and_op_i64`]
-    /// and [`Transport::compare_and_swap_i64`]); every backend prices them.
+    /// The wire backend's 8-byte atomics ([`Transport::atomic`]); every
+    /// backend prices them.
     #[default]
     Native,
     /// The mutex + two-epoch protocol (the MPI-2 paper path, kept as the
@@ -219,7 +220,7 @@ pub struct ArmciMpi {
     pub(crate) pool: BufferPool,
     /// Transfer-engine pipeline counters and stage timings.
     pub(crate) stage_stats: RefCell<StageStats>,
-    /// Scheduler queues, atomic batches and resolved nonblocking handles.
+    /// Scheduler queues and resolved nonblocking handles.
     pub(crate) nb: RefCell<engine::NbState>,
     /// Committed-datatype cache counters of already-freed windows; live
     /// windows are folded in at snapshot time (the caches themselves live
@@ -239,50 +240,49 @@ impl ArmciMpi {
         &*self.tx
     }
 
-    /// Opens an access context on `target` through `tx`: a passive-target
-    /// epoch for per-op backends, nothing for epochless or channel
-    /// backends. Epoch statistics follow the backend's style.
+    /// Opens an access context on `target` under `style`: a
+    /// passive-target epoch (counted) for the per-op style, nothing for
+    /// the epochless or channel styles.
     pub(crate) fn epoch_begin_via(
         &self,
-        tx: &dyn Transport,
+        style: EpochStyle,
         gmr: &gmr::Gmr,
         target: usize,
         mode: mpisim::LockMode,
     ) -> ArmciResult<()> {
-        if tx.epoch_style() == transport::EpochStyle::PerOp {
+        if style == EpochStyle::PerOp {
             self.stat(|s| s.epochs += 1);
         }
-        tx.epoch_begin(&gmr.win, target, mode)
-            .map_err(ArmciError::from)
+        Ok(style.begin(&gmr.win, target, mode)?)
     }
 
-    /// Closes the access context through `tx`: `unlock`, `flush` (counted
-    /// as a flush), or nothing per the backend's style.
+    /// Closes the access context under `style`: `unlock`, `flush`
+    /// (counted as a flush), or nothing.
     pub(crate) fn epoch_end_via(
         &self,
-        tx: &dyn Transport,
+        style: EpochStyle,
         gmr: &gmr::Gmr,
         target: usize,
     ) -> ArmciResult<()> {
-        if tx.epoch_style() == transport::EpochStyle::Flush {
+        if style == EpochStyle::Flush {
             self.stat(|s| s.flushes += 1);
         }
-        tx.epoch_end(&gmr.win, target).map_err(ArmciError::from)
+        Ok(style.end(&gmr.win, target)?)
     }
 
-    /// [`ArmciMpi::epoch_begin_via`] on the wire backend.
+    /// [`ArmciMpi::epoch_begin_via`] under the wire backend's style.
     pub(crate) fn epoch_begin(
         &self,
         gmr: &gmr::Gmr,
         target: usize,
         mode: mpisim::LockMode,
     ) -> ArmciResult<()> {
-        self.epoch_begin_via(self.tx(), gmr, target, mode)
+        self.epoch_begin_via(self.tx.epoch_style(), gmr, target, mode)
     }
 
-    /// [`ArmciMpi::epoch_end_via`] on the wire backend.
+    /// [`ArmciMpi::epoch_end_via`] under the wire backend's style.
     pub(crate) fn epoch_end(&self, gmr: &gmr::Gmr, target: usize) -> ArmciResult<()> {
-        self.epoch_end_via(self.tx(), gmr, target)
+        self.epoch_end_via(self.tx.epoch_style(), gmr, target)
     }
 
     /// Bootstraps ARMCI-MPI for this process with the default config.

@@ -21,7 +21,7 @@
 //! Each set duplicates its communicator so notification messages can never
 //! be confused between sets (or with application traffic).
 
-use crate::transport::Transport;
+use crate::transport::{atomic_epoch_begin, atomic_epoch_end, Transport};
 use armci::{ArmciError, ArmciResult};
 use mpisim::{Comm, Datatype, LockMode, RecvSrc, WinHandle};
 use std::cell::RefCell;
@@ -92,7 +92,7 @@ impl MutexSet {
         let me = self.comm.rank();
         let mut before = vec![0u8; me];
         let mut after = vec![0u8; self.comm.size() - me - 1];
-        tx.atomic_epoch_begin(&self.win, host, LockMode::Exclusive)?;
+        atomic_epoch_begin(&self.win, host, LockMode::Exclusive)?;
         let res = (|| {
             let one = Datatype::contiguous(1);
             tx.put(&self.win, &[mark], &one, host, base + me, &one)?;
@@ -104,7 +104,7 @@ impl MutexSet {
             }
             Ok::<_, mpisim::MpiError>(())
         })();
-        let end = tx.atomic_epoch_end(&self.win, host);
+        let end = atomic_epoch_end(&self.win, host);
         res?;
         end?;
         Ok((before, after))
@@ -113,8 +113,8 @@ impl MutexSet {
     /// Acquires `mutex` on `host` (group rank). Blocks until granted.
     ///
     /// The put-then-snapshot sequence must be atomic with respect to
-    /// other ranks' sequences, so it runs inside the transport's
-    /// mutual-exclusion bracketing rather than a plain data epoch.
+    /// other ranks' sequences, so it runs inside a mutual-exclusion
+    /// bracket ([`atomic_epoch_begin`]) rather than a plain data epoch.
     pub fn lock(&self, tx: &dyn Transport, mutex: usize, host: usize) -> ArmciResult<()> {
         self.check_args(mutex, host)?;
         if self.held.borrow().contains(&(mutex, host)) {
@@ -237,12 +237,9 @@ use crate::ArmciMpi;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::{EpochStyle, MpiRmaTransport, Transport};
-    use mpisim::dtype::Datatype;
-    use mpisim::mpi3::FetchOp;
-    use mpisim::{
-        AccOp, ElemType, MpiError, MpiResult, Proc, RmaClass, Runtime, RuntimeConfig, WinHandle,
-    };
+    use crate::transport::{EpochStyle, MpiRmaTransport, Origin, Transport};
+    use mpisim::mpi3::CellOp;
+    use mpisim::{MpiError, MpiResult, Proc, RmaClass, Runtime, RuntimeConfig};
 
     /// A wire backend whose bulk transfers work but whose byte-protocol
     /// gets fail mid-sequence — the "backend lost during the lock
@@ -258,54 +255,19 @@ mod tests {
         fn epoch_style(&self) -> EpochStyle {
             self.inner.epoch_style()
         }
-        fn attach(&self, win: &WinHandle) -> MpiResult<()> {
-            self.inner.attach(win)
-        }
-        fn detach(&self, win: &WinHandle) -> MpiResult<()> {
-            self.inner.detach(win)
-        }
-        fn epoch_begin(&self, win: &WinHandle, target: usize, mode: LockMode) -> MpiResult<()> {
-            self.inner.epoch_begin(win, target, mode)
-        }
-        fn epoch_end(&self, win: &WinHandle, target: usize) -> MpiResult<()> {
-            self.inner.epoch_end(win, target)
-        }
-        fn put(
+        fn transfer(
             &self,
             win: &WinHandle,
-            origin: &[u8],
+            origin: Origin<'_>,
             odt: &Datatype,
             target: usize,
             tdisp: usize,
             tdt: &Datatype,
         ) -> MpiResult<()> {
-            self.inner.put(win, origin, odt, target, tdisp, tdt)
-        }
-        fn get(
-            &self,
-            _win: &WinHandle,
-            _origin: &mut [u8],
-            _odt: &Datatype,
-            _target: usize,
-            _tdisp: usize,
-            _tdt: &Datatype,
-        ) -> MpiResult<()> {
-            Err(MpiError::WinFreed)
-        }
-        #[allow(clippy::too_many_arguments)]
-        fn accumulate(
-            &self,
-            win: &WinHandle,
-            origin: &[u8],
-            odt: &Datatype,
-            target: usize,
-            tdisp: usize,
-            tdt: &Datatype,
-            elem: ElemType,
-            op: AccOp,
-        ) -> MpiResult<()> {
-            self.inner
-                .accumulate(win, origin, odt, target, tdisp, tdt, elem, op)
+            match origin {
+                Origin::Get(_) => Err(MpiError::WinFreed),
+                _ => self.inner.transfer(win, origin, odt, target, tdisp, tdt),
+            }
         }
         fn issue_merged(
             &self,
@@ -316,15 +278,14 @@ mod tests {
         ) -> MpiResult<f64> {
             self.inner.issue_merged(win, class, target, segs)
         }
-        fn fetch_and_op_i64(
+        fn atomic(
             &self,
             win: &WinHandle,
-            operand: i64,
+            op: CellOp,
             target: usize,
             tdisp: usize,
-            op: FetchOp,
         ) -> MpiResult<i64> {
-            self.inner.fetch_and_op_i64(win, operand, target, tdisp, op)
+            self.inner.atomic(win, op, target, tdisp)
         }
     }
 

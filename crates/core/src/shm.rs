@@ -6,8 +6,8 @@
 //! (`engine::run_plan`) consults the window's `shm_reachable` route
 //! predicate: plans whose target is a node peer take the shm route — the
 //! payload moves as a direct load/store/accumulate on the slab, bracketed
-//! by `win_sync` under the MPI backend's epoch discipline
-//! (`ArmciMpi::shm_bracket`) — while plans whose target lives on another
+//! by `win_sync` under the MPI backend's epoch style
+//! (`ArmciMpi::shm_style`) — while plans whose target lives on another
 //! node flow through the wire backend. The route is per-plan and
 //! invisible to callers: same epoch accounting, same operation
 //! statistics, same error surface; only the mover (and its two-tier cost)
@@ -20,7 +20,7 @@
 
 use crate::engine::TransferPlan;
 use crate::gmr::Gmr;
-use crate::transport::{MpiRmaTransport, Transport, TransportKind};
+use crate::transport::{self, EpochStyle};
 use crate::ArmciMpi;
 use armci::{ArmciError, ArmciResult};
 
@@ -40,13 +40,14 @@ impl ArmciMpi {
             .is_some_and(|g| self.shm_routable(g, plan.target))
     }
 
-    /// The epoch discipline of the shm route: the MPI backend's, epochless
-    /// only when a standing `lock_all` covers the route's `win_sync`
-    /// calls — i.e. epochless mode on the MPI backend. The channel backend
-    /// never opens one, so its shm route always locks.
-    pub(crate) fn shm_bracket(&self) -> MpiRmaTransport {
-        MpiRmaTransport {
-            epochless: self.cfg.epochless && self.cfg.transport == TransportKind::MpiRma,
+    /// The epoch style of the shm route: the wire backend's, except that
+    /// a wire without epochs (the channel) opens no standing `lock_all`
+    /// to cover the route's `win_sync` calls, so its shm route locks per
+    /// plan.
+    pub(crate) fn shm_style(&self) -> EpochStyle {
+        match self.tx.epoch_style() {
+            EpochStyle::None => EpochStyle::PerOp,
+            style => style,
         }
     }
 
@@ -89,16 +90,15 @@ impl ArmciMpi {
             .shared_query(tr.group_rank)
             .map_err(|e| Self::shm_err(tr.gmr, e))?;
         let shm = self.world.platform().shm.clone();
-        // Mutual-exclusion bracketing belongs to the transport: a standing
-        // lock_all epoch (MPI-3 epochless) already covers peer access;
-        // otherwise the window is locked for the section's duration.
+        // A standing lock_all epoch (MPI-3 epochless) already covers peer
+        // access; otherwise the window is locked for the section's
+        // duration.
         let mode = if write {
             LockMode::Exclusive
         } else {
             LockMode::Shared
         };
-        let bracket = self.shm_bracket();
-        bracket.atomic_epoch_begin(&gmr.win, tr.group_rank, mode)?;
+        transport::atomic_epoch_begin(&gmr.win, tr.group_rank, mode)?;
         gmr.win.win_sync().map_err(|e| Self::shm_err(tr.gmr, e))?;
         self.dla_begin(tr.gmr, write);
         let mut buf = self.scratch(len);
@@ -121,9 +121,7 @@ impl ArmciMpi {
             .win_sync()
             .map_err(|e| Self::shm_err(tr.gmr, e))
             .and_then(|()| {
-                bracket
-                    .atomic_epoch_end(&gmr.win, tr.group_rank)
-                    .map_err(ArmciError::from)
+                transport::atomic_epoch_end(&gmr.win, tr.group_rank).map_err(ArmciError::from)
             });
         end?;
         res

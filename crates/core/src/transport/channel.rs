@@ -25,10 +25,10 @@
 //! network model, each segment counts as one injected message
 //! ([`WinHandle::net_extra`] with `msgs = nsegs`).
 
-use super::{EpochStyle, Transport, TransportStats};
+use super::{EpochStyle, Origin, Transport, TransportStats};
 use mpisim::dtype::{Datatype, Flat};
-use mpisim::mpi3::{CellOp, FetchOp, RmaRequest};
-use mpisim::{AccOp, ElemType, LockMode, MpiError, MpiResult, RmaClass, WinHandle};
+use mpisim::mpi3::CellOp;
+use mpisim::{AccOp, ElemType, MpiError, MpiResult, RmaClass, WinHandle};
 use simnet::ChannelParams;
 use std::cell::{Cell, RefCell};
 
@@ -133,23 +133,77 @@ impl ChannelTransport {
         priced.cost + extra + prog
     }
 
-    /// Flattens both datatypes once and zips them into window-absolute
-    /// copy pieces (target offsets shifted by `tdisp`) for the staging
-    /// movers.
-    fn pieces(flat: &mut Flat, odt: &Datatype, tdisp: usize, tdt: &Datatype) -> MpiResult<()> {
+    /// Validates a put's or get's origin, zips both datatypes into
+    /// window-absolute copy pieces (target offsets shifted by `tdisp`)
+    /// and hands them to `mv`, the window's staging mover for the
+    /// direction.
+    fn zip_and_move(
+        &self,
+        origin_len: usize,
+        odt: &Datatype,
+        tdisp: usize,
+        tdt: &Datatype,
+        mv: impl FnOnce(&[(usize, usize, usize)]) -> MpiResult<()>,
+    ) -> MpiResult<()> {
+        Self::check_origin(origin_len, odt)?;
+        let mut flat = self.flat.borrow_mut();
         flat.flatten_target(tdt);
         flat.zip_origin(odt, tdt.size())?;
         for p in &mut flat.pieces {
             p.1 += tdisp;
         }
-        Ok(())
+        mv(&flat.pieces)
     }
 
-    /// Total cost of one NIC atomic to `target`: the channel atomic
-    /// price plus congestion delay for its single 8-byte message.
-    fn atomic_total(&self, win: &WinHandle, target: usize) -> f64 {
-        win.channel_params().atomic_cost()
-            + win.net_extra(target, win.channel_params().ser_time(8), 1)
+    /// Validates an accumulate the way the wire path does (element-multiple
+    /// size, origin extent, matching origin/target sizes, element-aligned
+    /// target segments in the staging mover), then gathers the origin
+    /// selection contiguously and combines it per target segment
+    /// (element-atomic via the mover's slab lock). As on the wire path,
+    /// origin segments need not be element-aligned, only target ones.
+    #[allow(clippy::too_many_arguments)]
+    fn combine(
+        &self,
+        win: &WinHandle,
+        origin: &[u8],
+        odt: &Datatype,
+        target: usize,
+        tdisp: usize,
+        tdt: &Datatype,
+        elem: ElemType,
+        op: AccOp,
+    ) -> MpiResult<()> {
+        let es = elem.size();
+        if !odt.size().is_multiple_of(es) {
+            return Err(MpiError::BadDatatype(format!(
+                "accumulate of {} bytes not a multiple of element size {es}",
+                odt.size()
+            )));
+        }
+        Self::check_origin(origin.len(), odt)?;
+        if odt.size() != tdt.size() {
+            return Err(MpiError::TypeMismatch {
+                origin_bytes: odt.size(),
+                target_bytes: tdt.size(),
+            });
+        }
+        let mut flat = self.flat.borrow_mut();
+        let flat = &mut *flat;
+        let mut staged = vec![0u8; odt.size()];
+        let mut w = 0usize;
+        odt.segments_into(&mut flat.osegs);
+        for &(off, len) in &flat.osegs {
+            staged[w..w + len].copy_from_slice(&origin[off..off + len]);
+            w += len;
+        }
+        flat.flatten_target(tdt);
+        flat.pieces.clear();
+        let mut s = 0usize;
+        for &(toff, len) in &flat.tsegs {
+            flat.pieces.push((s, tdisp + toff, len));
+            s += len;
+        }
+        win.stage_acc_bytes(&staged, target, &flat.pieces, elem, op)
     }
 
     /// Counts one offloaded NIC atomic and emits its trace event.
@@ -180,115 +234,36 @@ impl Transport for ChannelTransport {
         EpochStyle::None
     }
 
-    fn attach(&self, _win: &WinHandle) -> MpiResult<()> {
-        Ok(())
-    }
-
-    fn detach(&self, _win: &WinHandle) -> MpiResult<()> {
-        Ok(())
-    }
-
-    fn epoch_begin(&self, _win: &WinHandle, _target: usize, _mode: LockMode) -> MpiResult<()> {
-        Ok(())
-    }
-
-    fn epoch_end(&self, _win: &WinHandle, _target: usize) -> MpiResult<()> {
-        Ok(())
-    }
-
-    fn put(
+    fn transfer(
         &self,
         win: &WinHandle,
-        origin: &[u8],
+        origin: Origin<'_>,
         odt: &Datatype,
         target: usize,
         tdisp: usize,
         tdt: &Datatype,
     ) -> MpiResult<()> {
-        Self::check_origin(origin.len(), odt)?;
-        let mut flat = self.flat.borrow_mut();
-        Self::pieces(&mut flat, odt, tdisp, tdt)?;
-        win.stage_put_bytes(origin, target, &flat.pieces)?;
+        let (kind, combine) = match origin {
+            Origin::Put(b) => {
+                let mv = |pieces: &_| win.stage_put_bytes(b, target, pieces);
+                self.zip_and_move(b.len(), odt, tdisp, tdt, mv)?;
+                (obs::OpKind::Put, false)
+            }
+            Origin::Get(b) => {
+                let len = b.len();
+                let mv = |pieces: &_| win.stage_get_bytes(b, target, pieces);
+                self.zip_and_move(len, odt, tdisp, tdt, mv)?;
+                (obs::OpKind::Get, false)
+            }
+            Origin::Acc(b, elem, op) => {
+                self.combine(win, b, odt, target, tdisp, tdt, elem, op)?;
+                (obs::OpKind::Acc, true)
+            }
+        };
         let bytes = odt.size();
         let nsegs = odt.num_segments().max(tdt.num_segments());
-        let priced = Self::price(win.channel_params(), bytes, nsegs, false);
-        win.charge_virtual(self.account(win, obs::OpKind::Put, target, bytes, nsegs, &priced));
-        Ok(())
-    }
-
-    fn get(
-        &self,
-        win: &WinHandle,
-        origin: &mut [u8],
-        odt: &Datatype,
-        target: usize,
-        tdisp: usize,
-        tdt: &Datatype,
-    ) -> MpiResult<()> {
-        Self::check_origin(origin.len(), odt)?;
-        let mut flat = self.flat.borrow_mut();
-        Self::pieces(&mut flat, odt, tdisp, tdt)?;
-        win.stage_get_bytes(origin, target, &flat.pieces)?;
-        let bytes = odt.size();
-        let nsegs = odt.num_segments().max(tdt.num_segments());
-        let priced = Self::price(win.channel_params(), bytes, nsegs, false);
-        win.charge_virtual(self.account(win, obs::OpKind::Get, target, bytes, nsegs, &priced));
-        Ok(())
-    }
-
-    fn accumulate(
-        &self,
-        win: &WinHandle,
-        origin: &[u8],
-        odt: &Datatype,
-        target: usize,
-        tdisp: usize,
-        tdt: &Datatype,
-        elem: ElemType,
-        op: AccOp,
-    ) -> MpiResult<()> {
-        // Validation replicates the wire path: element-multiple size,
-        // matching origin/target sizes, element-aligned target segments
-        // (checked by the staging mover).
-        let es = elem.size();
-        if !odt.size().is_multiple_of(es) {
-            return Err(MpiError::BadDatatype(format!(
-                "accumulate of {} bytes not a multiple of element size {es}",
-                odt.size()
-            )));
-        }
-        Self::check_origin(origin.len(), odt)?;
-        if odt.size() != tdt.size() {
-            return Err(MpiError::TypeMismatch {
-                origin_bytes: odt.size(),
-                target_bytes: tdt.size(),
-            });
-        }
-        // Gather the origin selection contiguously, then combine per
-        // target segment (element-atomic via the mover's slab lock) — the
-        // same shape as the wire path, so origin segments need not be
-        // element-aligned, only target ones.
-        let mut flat = self.flat.borrow_mut();
-        let flat = &mut *flat;
-        let mut staged = vec![0u8; odt.size()];
-        let mut w = 0usize;
-        odt.segments_into(&mut flat.osegs);
-        for &(off, len) in &flat.osegs {
-            staged[w..w + len].copy_from_slice(&origin[off..off + len]);
-            w += len;
-        }
-        flat.flatten_target(tdt);
-        flat.pieces.clear();
-        let mut s = 0usize;
-        for &(toff, len) in &flat.tsegs {
-            flat.pieces.push((s, tdisp + toff, len));
-            s += len;
-        }
-        win.stage_acc_bytes(&staged, target, &flat.pieces, elem, op)?;
-        let bytes = odt.size();
-        let nsegs = odt.num_segments().max(tdt.num_segments());
-        let priced = Self::price(win.channel_params(), bytes, nsegs, true);
-        win.charge_virtual(self.account(win, obs::OpKind::Acc, target, bytes, nsegs, &priced));
+        let priced = Self::price(win.channel_params(), bytes, nsegs, combine);
+        win.charge_virtual(self.account(win, kind, target, bytes, nsegs, &priced));
         Ok(())
     }
 
@@ -321,51 +296,14 @@ impl Transport for ChannelTransport {
         Ok(self.account(win, kind, target, bytes, nsegs, &priced))
     }
 
-    fn fetch_and_op_i64(
-        &self,
-        win: &WinHandle,
-        operand: i64,
-        target: usize,
-        tdisp: usize,
-        op: FetchOp,
-    ) -> MpiResult<i64> {
-        let cost = self.atomic_total(win, target);
-        let (old, _) =
-            win.atomic_i64_priced(CellOp::Fetch(op, operand), target, tdisp, cost, cost)?;
+    /// Doorbell + wire round trip + CQ poll, plus congestion delay for
+    /// the single 8-byte message; no epoch.
+    fn atomic(&self, win: &WinHandle, op: CellOp, target: usize, tdisp: usize) -> MpiResult<i64> {
+        let p = win.channel_params();
+        let cost = p.atomic_cost() + win.net_extra(target, p.ser_time(8), 1);
+        let old = win.atomic_i64_priced(op, target, tdisp, cost)?;
         self.account_atomic(win, target);
         Ok(old)
-    }
-
-    fn compare_and_swap_i64(
-        &self,
-        win: &WinHandle,
-        compare: i64,
-        swap: i64,
-        target: usize,
-        tdisp: usize,
-    ) -> MpiResult<i64> {
-        let cost = self.atomic_total(win, target);
-        let cas = CellOp::CompareAndSwap { compare, swap };
-        let (old, _) = win.atomic_i64_priced(cas, target, tdisp, cost, cost)?;
-        self.account_atomic(win, target);
-        Ok(old)
-    }
-
-    fn rfetch_and_op_i64(
-        &self,
-        win: &WinHandle,
-        operand: i64,
-        target: usize,
-        tdisp: usize,
-        op: FetchOp,
-    ) -> MpiResult<(i64, RmaRequest)> {
-        // Doorbell now; wire round trip + CQ poll reaped at completion.
-        let total = self.atomic_total(win, target);
-        let issue = win.channel_params().doorbell.min(total);
-        let pair =
-            win.atomic_i64_priced(CellOp::Fetch(op, operand), target, tdisp, issue, total)?;
-        self.account_atomic(win, target);
-        Ok(pair)
     }
 
     fn stats(&self) -> TransportStats {

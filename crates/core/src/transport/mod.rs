@@ -1,10 +1,20 @@
 //! Pluggable wire backends.
 //!
-//! Everything in ARMCI-MPI that issues wire traffic — epoch bracketing,
-//! blocking data movement (including the Latham mutex queue's byte
-//! accesses), the coalescing scheduler's staged payloads and merged-run
-//! issue, and atomic read-modify-write — goes through the object-safe
-//! [`Transport`] trait. Two wire backends exist:
+//! A backend holds only what differs between wire mechanisms: how a
+//! blocking transfer moves and is priced, how a coalesced run is priced,
+//! how an 8-byte atomic executes, and which [`EpochStyle`] brackets its
+//! access contexts. Everything else is written once on top of that:
+//!
+//! * epoch brackets (`EpochStyle::attach`, `EpochStyle::begin`,
+//!   `EpochStyle::end`, `EpochStyle::detach`) follow from the style
+//!   alone;
+//! * the mutual-exclusion brackets of byte-protocol sequences and direct
+//!   access (`atomic_epoch_begin`/`atomic_epoch_end`) are the same
+//!   for every backend;
+//! * the coalescing scheduler's staged payload moves through the
+//!   window's `stage_*_bytes` movers directly.
+//!
+//! Two wire backends exist:
 //!
 //! * [`MpiRmaTransport`] — the paper's backend: MPI-2 per-op passive
 //!   epochs (`lock`/`unlock`) or the MPI-3 epochless discipline
@@ -17,9 +27,8 @@
 //!   on the NIC. Selected with [`Config::transport`](crate::Config).
 //!
 //! Node-local plans on shared-backed windows are not a backend: the
-//! engine's shm route ([`crate::shm`]) brackets them with
-//! [`MpiRmaTransport`]'s epoch discipline and moves payload as slab
-//! load/store.
+//! engine's shm route ([`crate::shm`]) brackets them with the MPI
+//! backend's epoch style and moves payload as slab load/store.
 //!
 //! The trait is *stateless with respect to windows*: every method takes
 //! the [`WinHandle`] it operates on, so one boxed backend serves every
@@ -32,7 +41,7 @@ mod channel;
 pub use channel::ChannelTransport;
 
 use mpisim::dtype::Datatype;
-use mpisim::mpi3::{FetchOp, RmaRequest};
+use mpisim::mpi3::{CellOp, FetchOp};
 use mpisim::{AccOp, ElemType, LockMode, MpiResult, RmaClass, WinHandle};
 
 /// Which wire backend a runtime instance uses.
@@ -58,6 +67,76 @@ pub enum EpochStyle {
     None,
 }
 
+impl EpochStyle {
+    /// Window-lifetime setup at GMR creation: the epochless style's
+    /// standing `lock_all`.
+    pub(crate) fn attach(self, win: &WinHandle) -> MpiResult<()> {
+        match self {
+            EpochStyle::Flush => win.lock_all(),
+            EpochStyle::PerOp | EpochStyle::None => Ok(()),
+        }
+    }
+
+    /// Window-lifetime teardown before the window is freed.
+    pub(crate) fn detach(self, win: &WinHandle) -> MpiResult<()> {
+        match self {
+            EpochStyle::Flush => win.unlock_all(),
+            EpochStyle::PerOp | EpochStyle::None => Ok(()),
+        }
+    }
+
+    /// Opens an access context on `target`: a lock for the per-op style,
+    /// nothing otherwise.
+    pub(crate) fn begin(self, win: &WinHandle, target: usize, mode: LockMode) -> MpiResult<()> {
+        match self {
+            EpochStyle::PerOp => win.lock(mode, target),
+            EpochStyle::Flush | EpochStyle::None => Ok(()),
+        }
+    }
+
+    /// Closes the access context on `target`: unlock, flush, or nothing.
+    pub(crate) fn end(self, win: &WinHandle, target: usize) -> MpiResult<()> {
+        match self {
+            EpochStyle::PerOp => win.unlock(target),
+            EpochStyle::Flush => win.flush(target),
+            EpochStyle::None => Ok(()),
+        }
+    }
+}
+
+/// Opens a mutual-exclusion context on `target` for a byte-protocol
+/// sequence (the Latham mutex's put-then-snapshot), a direct-access
+/// section or a native atomic: the window lock, unless a standing
+/// `lock_all` already covers the access. The same on every backend.
+pub(crate) fn atomic_epoch_begin(win: &WinHandle, target: usize, mode: LockMode) -> MpiResult<()> {
+    if win.lock_all_is_active() {
+        Ok(())
+    } else {
+        win.lock(mode, target)
+    }
+}
+
+/// Closes the context [`atomic_epoch_begin`] opened.
+pub(crate) fn atomic_epoch_end(win: &WinHandle, target: usize) -> MpiResult<()> {
+    if win.lock_all_is_active() {
+        Ok(())
+    } else {
+        win.unlock(target)
+    }
+}
+
+/// The origin side of one blocking transfer: the caller's buffer and what
+/// the transfer does with it.
+#[derive(Debug)]
+pub enum Origin<'a> {
+    /// Bytes to write into the target.
+    Put(&'a [u8]),
+    /// Buffer the target's bytes land in.
+    Get(&'a mut [u8]),
+    /// Elements to combine into the target with `AccOp`.
+    Acc(&'a [u8], ElemType, AccOp),
+}
+
 /// Offload counters a backend may expose (zero for backends without an
 /// offload distinction).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -69,22 +148,18 @@ pub struct TransportStats {
     pub fallback: u64,
 }
 
-/// An object-safe wire backend. See the module docs for the contract;
-/// the blanket rules are:
+/// An object-safe wire backend: five required methods, the rest
+/// provided. See the module docs for what is written once above it.
 ///
-/// * `epoch_begin`/`epoch_end` bracket one access context on one target
-///   (data transfers). Backends without per-target epochs make them
-///   no-ops.
-/// * `atomic_epoch_begin`/`atomic_epoch_end` bracket a byte-protocol
-///   sequence that must execute atomically with respect to other ranks'
-///   sequences (the Latham mutex's put-then-snapshot). Every backend
-///   must provide real mutual exclusion here; the default takes the
-///   window lock unless a standing `lock_all` already covers it.
-/// * Blocking data movement (`put`/`get`/`accumulate`) validates,
-///   moves payload, and charges its full cost.
-/// * `stage_*` move scheduler-deferred payload without pricing;
-///   `issue_merged` prices (without charging) one coalesced run whose
-///   bytes already moved.
+/// * `transfer` validates, moves payload and charges its full cost,
+///   inside an access context the caller opened.
+/// * `issue_merged` prices (without charging) one coalesced run whose
+///   bytes already moved through the window's staging movers.
+/// * `atomic` applies one 8-byte cell update, including whatever
+///   bracketing the backend needs for atomicity, and charges its cost.
+///
+/// The provided bracket and per-verb methods are compatibility names
+/// over these; no backend overrides them.
 #[allow(clippy::too_many_arguments)] // mirrors the MPI RMA signatures
 pub trait Transport {
     /// Backend name, as recorded in benchmarks and trace events.
@@ -93,39 +168,63 @@ pub trait Transport {
     /// The backend's epoch discipline.
     fn epoch_style(&self) -> EpochStyle;
 
-    /// Window-lifetime setup at GMR creation (e.g. the epochless
-    /// backend's `lock_all`).
-    fn attach(&self, win: &WinHandle) -> MpiResult<()>;
+    /// Blocking one-sided transfer inside an open access context:
+    /// `origin` selected by `odt`, the target's window by `tdt` at
+    /// `tdisp`. An accumulate is element-atomic at the target.
+    fn transfer(
+        &self,
+        win: &WinHandle,
+        origin: Origin<'_>,
+        odt: &Datatype,
+        target: usize,
+        tdisp: usize,
+        tdt: &Datatype,
+    ) -> MpiResult<()>;
 
-    /// Window-lifetime teardown before the window is freed.
-    fn detach(&self, win: &WinHandle) -> MpiResult<()>;
+    /// Prices one coalesced run of same-class operations whose bytes
+    /// already moved through the window's `stage_*_bytes` movers. Returns
+    /// the virtual-time cost for the scheduler to charge or defer.
+    fn issue_merged(
+        &self,
+        win: &WinHandle,
+        class: RmaClass,
+        target: usize,
+        segs: &[(usize, usize)],
+    ) -> MpiResult<f64>;
 
-    /// Opens an access context on `target`.
-    fn epoch_begin(&self, win: &WinHandle, target: usize, mode: LockMode) -> MpiResult<()>;
+    /// Atomically applies `op` to the 8-byte integer cell at `tdisp` on
+    /// `target`; returns the cell's old value.
+    fn atomic(&self, win: &WinHandle, op: CellOp, target: usize, tdisp: usize) -> MpiResult<i64>;
 
-    /// Closes the access context on `target` (unlock, flush, or nothing
-    /// per [`Transport::epoch_style`]).
-    fn epoch_end(&self, win: &WinHandle, target: usize) -> MpiResult<()>;
-
-    /// Opens a mutual-exclusion context for a byte-protocol sequence.
-    fn atomic_epoch_begin(&self, win: &WinHandle, target: usize, mode: LockMode) -> MpiResult<()> {
-        if win.lock_all_is_active() {
-            Ok(())
-        } else {
-            win.lock(mode, target)
-        }
+    /// Offload counters (zero for backends without the distinction).
+    fn stats(&self) -> TransportStats {
+        TransportStats::default()
     }
 
-    /// Closes the mutual-exclusion context.
-    fn atomic_epoch_end(&self, win: &WinHandle, target: usize) -> MpiResult<()> {
-        if win.lock_all_is_active() {
-            Ok(())
-        } else {
-            win.unlock(target)
-        }
+    /// Window-lifetime setup under this backend's style: the epochless
+    /// style's standing `lock_all`, nothing otherwise.
+    fn attach(&self, win: &WinHandle) -> MpiResult<()> {
+        self.epoch_style().attach(win)
     }
 
-    /// Blocking one-sided put inside an open access context.
+    /// Window-lifetime teardown: undoes [`Transport::attach`].
+    fn detach(&self, win: &WinHandle) -> MpiResult<()> {
+        self.epoch_style().detach(win)
+    }
+
+    /// Opens an access context on `target`: a lock under the per-op
+    /// style, nothing otherwise.
+    fn epoch_begin(&self, win: &WinHandle, target: usize, mode: LockMode) -> MpiResult<()> {
+        self.epoch_style().begin(win, target, mode)
+    }
+
+    /// Closes the access context on `target`: unlock, flush or nothing,
+    /// by style.
+    fn epoch_end(&self, win: &WinHandle, target: usize) -> MpiResult<()> {
+        self.epoch_style().end(win, target)
+    }
+
+    /// [`Transport::transfer`] of a put.
     fn put(
         &self,
         win: &WinHandle,
@@ -134,9 +233,11 @@ pub trait Transport {
         target: usize,
         tdisp: usize,
         tdt: &Datatype,
-    ) -> MpiResult<()>;
+    ) -> MpiResult<()> {
+        self.transfer(win, Origin::Put(origin), odt, target, tdisp, tdt)
+    }
 
-    /// Blocking one-sided get.
+    /// [`Transport::transfer`] of a get.
     fn get(
         &self,
         win: &WinHandle,
@@ -145,9 +246,11 @@ pub trait Transport {
         target: usize,
         tdisp: usize,
         tdt: &Datatype,
-    ) -> MpiResult<()>;
+    ) -> MpiResult<()> {
+        self.transfer(win, Origin::Get(origin), odt, target, tdisp, tdt)
+    }
 
-    /// Blocking one-sided accumulate (element-atomic at the target).
+    /// [`Transport::transfer`] of an accumulate.
     fn accumulate(
         &self,
         win: &WinHandle,
@@ -158,60 +261,11 @@ pub trait Transport {
         tdt: &Datatype,
         elem: ElemType,
         op: AccOp,
-    ) -> MpiResult<()>;
-
-    /// Moves scheduler-deferred put payload (no pricing, no admission).
-    /// `pieces` are one operation's `(origin_offset, target_disp, len)`
-    /// copy pieces: every piece is bounds-checked before any byte moves,
-    /// and the copy takes the target's I/O lock once.
-    fn stage_put(
-        &self,
-        win: &WinHandle,
-        origin: &[u8],
-        target: usize,
-        pieces: &[(usize, usize, usize)],
     ) -> MpiResult<()> {
-        win.stage_put_bytes(origin, target, pieces)
+        self.transfer(win, Origin::Acc(origin, elem, op), odt, target, tdisp, tdt)
     }
 
-    /// Moves scheduler-deferred get payload; see [`Transport::stage_put`].
-    fn stage_get(
-        &self,
-        win: &WinHandle,
-        origin: &mut [u8],
-        target: usize,
-        pieces: &[(usize, usize, usize)],
-    ) -> MpiResult<()> {
-        win.stage_get_bytes(origin, target, pieces)
-    }
-
-    /// Applies scheduler-deferred accumulate payload (element-atomic);
-    /// see [`Transport::stage_put`].
-    fn stage_acc(
-        &self,
-        win: &WinHandle,
-        origin: &[u8],
-        target: usize,
-        pieces: &[(usize, usize, usize)],
-        elem: ElemType,
-        op: AccOp,
-    ) -> MpiResult<()> {
-        win.stage_acc_bytes(origin, target, pieces, elem, op)
-    }
-
-    /// Prices one coalesced run of same-class operations whose bytes
-    /// already moved through the `stage_*` movers. Returns the
-    /// virtual-time cost for the scheduler to charge or defer.
-    fn issue_merged(
-        &self,
-        win: &WinHandle,
-        class: RmaClass,
-        target: usize,
-        segs: &[(usize, usize)],
-    ) -> MpiResult<f64>;
-
-    /// Atomic fetch-and-op on a 64-bit integer cell, including whatever
-    /// bracketing the backend needs for atomicity.
+    /// [`Transport::atomic`] of an MPI-3 fetch-and-op.
     fn fetch_and_op_i64(
         &self,
         win: &WinHandle,
@@ -219,48 +273,8 @@ pub trait Transport {
         target: usize,
         tdisp: usize,
         op: FetchOp,
-    ) -> MpiResult<i64>;
-
-    /// Atomic compare-and-swap on a 64-bit integer cell, including
-    /// whatever bracketing the backend needs for atomicity. The default
-    /// brackets the window's RMW primitive with the atomic-epoch hooks,
-    /// which is correct for every MPI-epoch-disciplined backend.
-    fn compare_and_swap_i64(
-        &self,
-        win: &WinHandle,
-        compare: i64,
-        swap: i64,
-        target: usize,
-        tdisp: usize,
     ) -> MpiResult<i64> {
-        self.atomic_epoch_begin(win, target, LockMode::Shared)?;
-        let res = win.compare_and_swap_i64(compare, swap, target, tdisp);
-        let end = self.atomic_epoch_end(win, target);
-        let v = res?;
-        end?;
-        Ok(v)
-    }
-
-    /// Request-based fetch-and-op: the fetched value is available at
-    /// issue (ordering against other atomics is decided now), the rest
-    /// of the round trip is deferred to the returned request. Backends
-    /// without deferred atomics complete eagerly with a zero-length
-    /// deferral.
-    fn rfetch_and_op_i64(
-        &self,
-        win: &WinHandle,
-        operand: i64,
-        target: usize,
-        tdisp: usize,
-        op: FetchOp,
-    ) -> MpiResult<(i64, RmaRequest)> {
-        let v = self.fetch_and_op_i64(win, operand, target, tdisp, op)?;
-        Ok((v, win.defer(0.0, 0.0)))
-    }
-
-    /// Offload counters (zero for backends without the distinction).
-    fn stats(&self) -> TransportStats {
-        TransportStats::default()
+        self.atomic(win, CellOp::Fetch(op, operand), target, tdisp)
     }
 }
 
@@ -296,74 +310,20 @@ impl Transport for MpiRmaTransport {
         }
     }
 
-    fn attach(&self, win: &WinHandle) -> MpiResult<()> {
-        if self.epochless {
-            win.lock_all()
-        } else {
-            Ok(())
-        }
-    }
-
-    fn detach(&self, win: &WinHandle) -> MpiResult<()> {
-        if self.epochless {
-            win.unlock_all()
-        } else {
-            Ok(())
-        }
-    }
-
-    fn epoch_begin(&self, win: &WinHandle, target: usize, mode: LockMode) -> MpiResult<()> {
-        if self.epochless {
-            Ok(())
-        } else {
-            win.lock(mode, target)
-        }
-    }
-
-    fn epoch_end(&self, win: &WinHandle, target: usize) -> MpiResult<()> {
-        if self.epochless {
-            win.flush(target)
-        } else {
-            win.unlock(target)
-        }
-    }
-
-    fn put(
+    fn transfer(
         &self,
         win: &WinHandle,
-        origin: &[u8],
+        origin: Origin<'_>,
         odt: &Datatype,
         target: usize,
         tdisp: usize,
         tdt: &Datatype,
     ) -> MpiResult<()> {
-        win.put(origin, odt, target, tdisp, tdt)
-    }
-
-    fn get(
-        &self,
-        win: &WinHandle,
-        origin: &mut [u8],
-        odt: &Datatype,
-        target: usize,
-        tdisp: usize,
-        tdt: &Datatype,
-    ) -> MpiResult<()> {
-        win.get(origin, odt, target, tdisp, tdt)
-    }
-
-    fn accumulate(
-        &self,
-        win: &WinHandle,
-        origin: &[u8],
-        odt: &Datatype,
-        target: usize,
-        tdisp: usize,
-        tdt: &Datatype,
-        elem: ElemType,
-        op: AccOp,
-    ) -> MpiResult<()> {
-        win.accumulate(origin, odt, target, tdisp, tdt, elem, op)
+        match origin {
+            Origin::Put(b) => win.put(b, odt, target, tdisp, tdt),
+            Origin::Get(b) => win.get(b, odt, target, tdisp, tdt),
+            Origin::Acc(b, elem, op) => win.accumulate(b, odt, target, tdisp, tdt, elem, op),
+        }
     }
 
     fn issue_merged(
@@ -376,41 +336,14 @@ impl Transport for MpiRmaTransport {
         win.issue_merged(class, target, segs)
     }
 
-    fn fetch_and_op_i64(
-        &self,
-        win: &WinHandle,
-        operand: i64,
-        target: usize,
-        tdisp: usize,
-        op: FetchOp,
-    ) -> MpiResult<i64> {
-        if self.epochless {
-            return win.fetch_and_op_i64(operand, target, tdisp, op);
-        }
-        win.lock(LockMode::Shared, target)?;
-        let res = win.fetch_and_op_i64(operand, target, tdisp, op);
-        let end = win.unlock(target);
+    /// A shared epoch around the MPI-3 atomic, or the standing `lock_all`
+    /// in epochless mode.
+    fn atomic(&self, win: &WinHandle, op: CellOp, target: usize, tdisp: usize) -> MpiResult<i64> {
+        atomic_epoch_begin(win, target, LockMode::Shared)?;
+        let res = win.atomic_i64(op, target, tdisp);
+        let end = atomic_epoch_end(win, target);
         let v = res?;
         end?;
         Ok(v)
-    }
-
-    fn rfetch_and_op_i64(
-        &self,
-        win: &WinHandle,
-        operand: i64,
-        target: usize,
-        tdisp: usize,
-        op: FetchOp,
-    ) -> MpiResult<(i64, RmaRequest)> {
-        if self.epochless {
-            // The standing `lock_all` covers the access; completion rides
-            // the request so the RMW joins coalesced/epochless batches.
-            return win.rfetch_and_op_i64(operand, target, tdisp, op);
-        }
-        // Per-op discipline: the exclusive unlock is the completion
-        // point, so there is nothing left to defer.
-        let v = self.fetch_and_op_i64(win, operand, target, tdisp, op)?;
-        Ok((v, win.defer(0.0, 0.0)))
     }
 }

@@ -171,7 +171,7 @@ pub fn reduce_f64(op: ReduceOp, vecs: &[Vec<f64>]) -> Vec<f64> {
 }
 
 /// Element-wise reduction of i64 vectors.
-pub fn reduce_i64(op: ReduceOp, vecs: &[Vec<i64>]) -> Vec<i64> {
+pub(crate) fn reduce_i64(op: ReduceOp, vecs: &[Vec<i64>]) -> Vec<i64> {
     assert!(!vecs.is_empty());
     let len = vecs[0].len();
     let mut out = vecs[0].clone();
@@ -204,14 +204,14 @@ pub fn maxloc_i64(pairs: &[(i64, usize)]) -> (i64, usize) {
 /// Little-endian byte serialisation helpers for collective payloads.
 pub mod wire {
     /// Encodes a `u64` slice.
-    pub fn put_u64s(out: &mut Vec<u8>, xs: &[u64]) {
+    pub(crate) fn put_u64s(out: &mut Vec<u8>, xs: &[u64]) {
         for &x in xs {
             out.extend_from_slice(&x.to_le_bytes());
         }
     }
 
     /// Decodes `n` `u64`s from the front of `buf`, returning the rest.
-    pub fn get_u64s(buf: &[u8], n: usize) -> (Vec<u64>, &[u8]) {
+    pub(crate) fn get_u64s(buf: &[u8], n: usize) -> (Vec<u64>, &[u8]) {
         let mut out = Vec::with_capacity(n);
         for i in 0..n {
             let mut b = [0u8; 8];
@@ -236,14 +236,14 @@ pub mod wire {
     }
 
     /// Decodes all i64s in `buf`.
-    pub fn get_i64s(buf: &[u8]) -> Vec<i64> {
+    pub(crate) fn get_i64s(buf: &[u8]) -> Vec<i64> {
         buf.chunks_exact(8)
             .map(|c| i64::from_le_bytes(c.try_into().unwrap()))
             .collect()
     }
 
     /// Encodes i64s.
-    pub fn put_i64s(out: &mut Vec<u8>, xs: &[i64]) {
+    pub(crate) fn put_i64s(out: &mut Vec<u8>, xs: &[i64]) {
         for &x in xs {
             out.extend_from_slice(&x.to_le_bytes());
         }

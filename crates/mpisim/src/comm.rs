@@ -94,7 +94,7 @@ impl Comm {
     }
 
     /// This rank's world rank.
-    pub fn my_world_rank(&self) -> usize {
+    pub(crate) fn my_world_rank(&self) -> usize {
         self.my_world_rank
     }
 
@@ -276,7 +276,7 @@ impl Comm {
     /// Allgather of one `u64` per rank — the typed fast path for window
     /// and allocation metadata exchanges (no per-rank `Vec` decoding,
     /// no `try_into().unwrap()` at every call site).
-    pub fn allgather_u64(&self, v: u64) -> Vec<u64> {
+    pub(crate) fn allgather_u64(&self, v: u64) -> Vec<u64> {
         self.allgather_u64s(&[v]).iter().map(|p| p[0]).collect()
     }
 

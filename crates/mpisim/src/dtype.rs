@@ -588,7 +588,7 @@ impl DtypeCache {
     /// Consults the cache for the (origin, target) pack descriptor,
     /// committing it on miss. Returns `true` on hit (descriptor build
     /// skipped).
-    pub fn commit_pair(&mut self, origin: &Datatype, target: &Datatype) -> bool {
+    pub(crate) fn commit_pair(&mut self, origin: &Datatype, target: &Datatype) -> bool {
         self.commit_with(|v| {
             encode(origin, v);
             encode(target, v);
@@ -604,7 +604,7 @@ impl DtypeCache {
     /// origin of `bytes` paired with the indexed target `blocks` — the
     /// same signature as [`DtypeCache::commit_pair`] on those two types,
     /// without building them.
-    pub fn commit_merged(&mut self, bytes: usize, blocks: &[(usize, usize)]) -> bool {
+    pub(crate) fn commit_merged(&mut self, bytes: usize, blocks: &[(usize, usize)]) -> bool {
         self.commit_with(|v| {
             encode(&Datatype::contiguous(bytes), v);
             encode_indexed(blocks, v);

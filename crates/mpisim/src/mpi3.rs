@@ -4,10 +4,11 @@
 //! (1) conflicting operations relaxed from *erroneous* to *undefined*,
 //! (2) an epochless passive mode (`lock_all`), (3) request-based operations
 //! for communication/computation overlap, and (4) atomic read-modify-write
-//! operations. This module implements all four on [`WinHandle`] so that the
-//! `armci-mpi` crate can offer an MPI-3 backend for ablation studies
-//! (mutex-based RMW vs native `fetch_and_op`, per-op epochs vs `lock_all`
-//! + `flush`).
+//! operations. This module implements (1), (2) and (4) on [`WinHandle`] so
+//! that the `armci-mpi` crate can offer an MPI-3 backend for ablation
+//! studies (mutex-based RMW vs native `fetch_and_op`, per-op epochs vs
+//! `lock_all` + `flush`). Overlap (3) is the transfer engine's deferred
+//! flush, not a request object here.
 
 use crate::error::{MpiError, MpiResult};
 use crate::win::{LockMode, LockOps, WinHandle};
@@ -34,45 +35,22 @@ pub enum CellOp {
 }
 
 impl CellOp {
-    /// Applies the update in place; returns the old value.
-    fn apply(self, cell: &mut [u8; 8]) -> i64 {
-        let old = i64::from_le_bytes(*cell);
-        let new = match self {
-            CellOp::Fetch(FetchOp::Sum, x) => old.wrapping_add(x),
-            CellOp::Fetch(FetchOp::Replace, x) => x,
-            CellOp::Fetch(FetchOp::NoOp, _) => old,
-            CellOp::CompareAndSwap { compare, swap } => {
-                if old == compare {
-                    swap
-                } else {
-                    old
-                }
-            }
-        };
-        *cell = new.to_le_bytes();
-        old
-    }
-}
-
-/// A request-based RMA operation in flight.
-#[derive(Debug)]
-pub struct RmaRequest {
-    completes_at: f64,
-}
-
-impl RmaRequest {
-    /// Blocks (in virtual time) until the operation completes; models
-    /// communication/computation overlap: compute performed between issue
-    /// and `wait` hides the transfer.
-    pub fn wait(self, win: &WinHandle) {
-        if win.shared.cfg.charge_time {
-            win.shared.clocks[win.comm.my_world_rank()].advance_to(self.completes_at);
+    /// The value the update stores over `old`, or `None` when it leaves
+    /// the cell untouched (a fetch-only op or a failed compare).
+    pub fn stored(self, old: i64) -> Option<i64> {
+        match self {
+            CellOp::Fetch(FetchOp::Sum, x) => Some(old.wrapping_add(x)),
+            CellOp::Fetch(FetchOp::Replace, x) => Some(x),
+            CellOp::Fetch(FetchOp::NoOp, _) => None,
+            CellOp::CompareAndSwap { compare, swap } => (old == compare).then_some(swap),
         }
     }
 
-    /// Virtual time at which the transfer completes remotely.
-    pub fn completes_at(&self) -> f64 {
-        self.completes_at
+    /// Applies the update in place; returns the old value.
+    fn apply(self, cell: &mut [u8; 8]) -> i64 {
+        let old = i64::from_le_bytes(*cell);
+        *cell = self.stored(old).unwrap_or(old).to_le_bytes();
+        old
     }
 }
 
@@ -150,7 +128,7 @@ impl WinHandle {
         tdisp: usize,
         op: FetchOp,
     ) -> MpiResult<i64> {
-        self.rmw_guarded(CellOp::Fetch(op, operand), target, tdisp)
+        self.atomic_i64(CellOp::Fetch(op, operand), target, tdisp)
     }
 
     /// MPI-3 `MPI_Compare_and_swap` on a 64-bit signed integer: if the
@@ -162,13 +140,14 @@ impl WinHandle {
         target: usize,
         tdisp: usize,
     ) -> MpiResult<i64> {
-        self.rmw_guarded(CellOp::CompareAndSwap { compare, swap }, target, tdisp)
+        self.atomic_i64(CellOp::CompareAndSwap { compare, swap }, target, tdisp)
     }
 
     /// Atomically applies `op` to the 8-byte cell at `tdisp` on `target`,
     /// charging the MPI backend's `rmw_latency` and emitting the `Rma`
-    /// event the epoch auditor watches.
-    fn rmw_guarded(&self, op: CellOp, target: usize, tdisp: usize) -> MpiResult<i64> {
+    /// event the epoch auditor watches. Requires an open epoch (lock or
+    /// lock_all) on the target.
+    pub fn atomic_i64(&self, op: CellOp, target: usize, tdisp: usize) -> MpiResult<i64> {
         let old = self.rmw_cell(op, target, tdisp, true)?;
         // MPI-level atomics complete inside the target's library.
         let prog = self.progress_extra(target, 1);
@@ -236,64 +215,20 @@ impl WinHandle {
         Ok(old)
     }
 
-    /// Request-based fetch-and-op: the cell mutates atomically at issue
-    /// (so the fetched value is available immediately and ordering with
-    /// respect to other atomics is decided now), the caller's clock is
-    /// charged only the issue overhead, and the returned request defers
-    /// the rest of the RMW round trip to `wait`/`flush` — §VIII-B(3)+(4)
-    /// combined: atomics that participate in overlap.
-    pub fn rfetch_and_op_i64(
-        &self,
-        operand: i64,
-        target: usize,
-        tdisp: usize,
-        op: FetchOp,
-    ) -> MpiResult<(i64, RmaRequest)> {
-        let old = self.rmw_cell(CellOp::Fetch(op, operand), target, tdisp, true)?;
-        if obs::enabled() {
-            obs::instant_at(
-                obs::EventKind::Rma {
-                    win: self.id(),
-                    target: target as u32,
-                    kind: obs::OpKind::Rmw,
-                    bytes: 8,
-                },
-                self.now(),
-            );
-        }
-        let total = self.params_pub().rmw_latency + self.progress_extra(target, 1);
-        let issue = self.params_pub().op_overhead.min(total);
-        Ok((old, self.defer(issue, total)))
-    }
-
-    /// Epoch-free atomic on the 8-byte cell at `tdisp` with
-    /// backend-supplied prices, for wire backends whose atomics are not
-    /// MPI operations (e.g. a channel backend's NIC atomics): charges
-    /// `issue` now and returns a request completing `total` after issue
-    /// (see [`WinHandle::defer`]). A blocking caller passes `issue ==
-    /// total` and drops the already-complete request. Emits no `Rma`
-    /// event.
+    /// Epoch-free atomic on the 8-byte cell at `tdisp`, charging the
+    /// backend-supplied `cost`, for wire backends whose atomics are not
+    /// MPI operations (e.g. a channel backend's NIC atomics). Emits no
+    /// `Rma` event.
     pub fn atomic_i64_priced(
         &self,
         op: CellOp,
         target: usize,
         tdisp: usize,
-        issue: f64,
-        total: f64,
-    ) -> MpiResult<(i64, RmaRequest)> {
+        cost: f64,
+    ) -> MpiResult<i64> {
         let old = self.rmw_cell(op, target, tdisp, false)?;
-        Ok((old, self.defer(issue, total)))
-    }
-
-    /// Charges `issue` now and returns a request completing when the
-    /// remaining `total - issue` has elapsed. For wire backends that price
-    /// operations themselves (e.g. a channel backend's doorbell write now,
-    /// completion-queue poll at `wait`).
-    pub fn defer(&self, issue: f64, total: f64) -> RmaRequest {
-        self.charge_pub(issue);
-        RmaRequest {
-            completes_at: self.now() + (total - issue).max(0.0),
-        }
+        self.charge_pub(cost);
+        Ok(old)
     }
 
     fn now(&self) -> f64 {

@@ -63,7 +63,7 @@ impl Mailbox {
     }
 
     /// Enqueues a message.
-    pub fn deliver(&self, env: Envelope) {
+    pub(crate) fn deliver(&self, env: Envelope) {
         self.m.lock().push_back(env);
         self.cv.notify_all();
     }

@@ -107,7 +107,7 @@ impl ProgressBoard {
 
     /// Adds one compute span of `seconds` to `rank`'s meter. Called only
     /// from the rank's own thread.
-    pub fn note_compute(&self, rank: usize, seconds: f64) {
+    pub(crate) fn note_compute(&self, rank: usize, seconds: f64) {
         let m = &self.meters[rank];
         let total = f64::from_bits(m.compute_bits.load(Ordering::Relaxed)) + seconds;
         m.compute_bits.store(total.to_bits(), Ordering::Relaxed);
@@ -116,7 +116,7 @@ impl ProgressBoard {
 
     /// Publishes `rank`'s current profile; called at entry to every
     /// world-sized collective, before the rendezvous.
-    pub fn publish(&self, rank: usize, now: f64) {
+    pub(crate) fn publish(&self, rank: usize, now: f64) {
         let m = &self.meters[rank];
         let prof = PhaseProfile {
             compute_s: f64::from_bits(m.compute_bits.load(Ordering::Relaxed)),
@@ -130,7 +130,7 @@ impl ProgressBoard {
     /// `origin`, from the freshest profile the rendezvous ordering
     /// guarantees is published. `None` before the first world collective
     /// or when the target has no compute on record.
-    pub fn expected_busy(&self, origin: usize, target: usize) -> Option<(f64, f64)> {
+    pub(crate) fn expected_busy(&self, origin: usize, target: usize) -> Option<(f64, f64)> {
         let k = self.profiles[origin].read().len();
         if k == 0 {
             return None;

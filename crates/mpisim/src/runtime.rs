@@ -115,13 +115,13 @@ impl Shared {
     }
 
     /// Allocates a fresh communicator id.
-    pub fn alloc_comm_id(&self) -> u64 {
+    pub(crate) fn alloc_comm_id(&self) -> u64 {
         self.next_comm_id.fetch_add(1, Ordering::Relaxed)
     }
 
     /// Allocates a window id, preferring ids recycled by
     /// [`Shared::recycle_win_id`] over growing the counter.
-    pub fn alloc_win_id(&self) -> u64 {
+    pub(crate) fn alloc_win_id(&self) -> u64 {
         if let Some(id) = self.free_win_ids.lock().pop() {
             return id;
         }
@@ -130,7 +130,7 @@ impl Shared {
 
     /// Returns a window id to the free list. Called exactly once per
     /// freed window, after its `wins` entry has been removed.
-    pub fn recycle_win_id(&self, id: u64) {
+    pub(crate) fn recycle_win_id(&self, id: u64) {
         self.free_win_ids.lock().push(id);
     }
 

@@ -711,7 +711,7 @@ impl WinHandle {
     }
 
     /// Is an epoch currently open on `target`?
-    pub fn is_locked(&self, target: usize) -> bool {
+    pub(crate) fn is_locked(&self, target: usize) -> bool {
         self.epochs.borrow().contains_key(&target) || self.lock_all_active.get()
     }
 
