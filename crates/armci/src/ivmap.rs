@@ -8,10 +8,14 @@
 //! candidate is the greatest base `<= addr`, and the range matches iff it
 //! ends beyond `addr + len`.
 //!
-//! `armci-mpi` stores `(gmr id, size)` per slice, the native baseline
-//! stores `(allocation id, size)`; both wrap this one structure.
+//! The per-rank maps sit in a vector indexed by rank, so reaching a
+//! rank's map is an index, not a hash.
+//!
+//! `armci-mpi` stores what a plan needs of the owning GMR per slice, the
+//! native baseline stores the allocation id; both wrap this one
+//! structure.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// A located interval: the slice base/size plus the caller's payload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -21,46 +25,46 @@ pub struct Found<T> {
     pub value: T,
 }
 
-/// Per-rank base-ordered interval index; `T` is the per-slice payload
-/// (an allocation id in both backends).
-#[derive(Debug, Clone, Default)]
+/// Per-rank base-ordered interval index; `T` is the per-slice payload.
+#[derive(Debug, Clone)]
 pub struct IntervalMap<T> {
-    by_rank: HashMap<usize, BTreeMap<usize, (usize, T)>>,
+    /// Index = rank; grown on demand to the highest rank registered.
+    by_rank: Vec<BTreeMap<usize, (usize, T)>>,
+}
+
+impl<T> Default for IntervalMap<T> {
+    fn default() -> IntervalMap<T> {
+        IntervalMap {
+            by_rank: Vec::new(),
+        }
+    }
 }
 
 impl<T: Copy> IntervalMap<T> {
     pub fn new() -> IntervalMap<T> {
-        IntervalMap {
-            by_rank: HashMap::new(),
-        }
+        IntervalMap::default()
     }
 
     /// Registers the slice `[base, base+size)` on `rank`. NULL bases and
     /// empty slices are never indexed.
     pub fn insert(&mut self, rank: usize, base: usize, size: usize, value: T) {
         debug_assert!(base != 0 && size > 0);
-        self.by_rank
-            .entry(rank)
-            .or_default()
-            .insert(base, (size, value));
+        if rank >= self.by_rank.len() {
+            self.by_rank.resize_with(rank + 1, BTreeMap::new);
+        }
+        self.by_rank[rank].insert(base, (size, value));
     }
 
     /// Unregisters the slice at `base` on `rank`, returning its payload.
-    /// Removing an unknown base is a no-op. Empties prune their rank
-    /// entry so alloc/free cycles leave no residue.
+    /// Removing an unknown base is a no-op.
     pub fn remove(&mut self, rank: usize, base: usize) -> Option<T> {
-        let m = self.by_rank.get_mut(&rank)?;
-        let out = m.remove(&base).map(|(_, v)| v);
-        if m.is_empty() {
-            self.by_rank.remove(&rank);
-        }
-        out
+        self.by_rank.get_mut(rank)?.remove(&base).map(|(_, v)| v)
     }
 
     /// Finds the slice containing `[addr, addr+len)` on `rank`
     /// (`len == 0` is treated as 1: the address itself must be inside).
     pub fn lookup(&self, rank: usize, addr: usize, len: usize) -> Option<Found<T>> {
-        let m = self.by_rank.get(&rank)?;
+        let m = self.by_rank.get(rank)?;
         let (&base, &(size, value)) = m.range(..=addr).next_back()?;
         if addr + len.max(1) <= base + size {
             Some(Found { base, size, value })
@@ -72,7 +76,7 @@ impl<T: Copy> IntervalMap<T> {
     /// Total registered slices across all ranks (diagnostics; the
     /// alloc/free-loop tests assert this stays bounded).
     pub fn len(&self) -> usize {
-        self.by_rank.values().map(BTreeMap::len).sum()
+        self.by_rank.iter().map(BTreeMap::len).sum()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -81,7 +85,7 @@ impl<T: Copy> IntervalMap<T> {
 
     /// Number of ranks with at least one registered slice.
     pub fn rank_count(&self) -> usize {
-        self.by_rank.len()
+        self.by_rank.iter().filter(|m| !m.is_empty()).count()
     }
 }
 
@@ -110,5 +114,32 @@ mod tests {
         assert_eq!(t.rank_count(), 0);
         assert!(t.is_empty());
         assert_eq!(t.remove(9, 0xdead), None);
+    }
+
+    #[test]
+    fn unregistered_ranks_find_nothing() {
+        let mut t = IntervalMap::new();
+        t.insert(3, 0x100, 16, 1u64);
+        // Below, between and above the registered rank.
+        for rank in [0, 2, 4, 1000] {
+            assert_eq!(t.lookup(rank, 0x100, 1), None, "rank {rank}");
+        }
+        assert_eq!(t.lookup(3, 0x100, 1).map(|f| f.value), Some(1));
+        // Alloc/free cycles over several ranks leave only live ranks
+        // counted.
+        for round in 0..4u64 {
+            for rank in [5, 0, 7] {
+                t.insert(rank, 0x1000, 64, round);
+            }
+            assert_eq!(t.rank_count(), 4);
+            for rank in [7, 5, 0] {
+                assert_eq!(t.remove(rank, 0x1000), Some(round));
+            }
+            assert_eq!(t.rank_count(), 1);
+        }
+        assert_eq!(t.remove(3, 0x100), Some(1));
+        assert_eq!(t.rank_count(), 0);
+        assert!(t.is_empty());
+        assert_eq!(t.lookup(7, 0x1000, 1), None);
     }
 }

@@ -32,18 +32,16 @@ impl ArmciMpi {
         self.nb_quiesce()?;
         let tr = self.translate(addr, len)?;
         let gmrs = self.gmrs.borrow();
-        let gmr = gmrs
-            .get(&tr.gmr)
-            .ok_or_else(|| crate::gmr::gmr_vanished(tr.gmr))?;
+        let gmr = gmrs.get(tr.gmr)?;
         // An exclusive lock, unless a standing lock_all epoch already
         // covers local access (MPI-3 unified memory model, ordered by the
         // win_sync discipline).
         atomic_epoch_begin(&gmr.win, tr.group_rank, LockMode::Exclusive)?;
-        self.dla_begin(tr.gmr, true);
+        self.dla_begin(tr.gmr.id, true);
         let res = gmr
             .win
             .with_local_mut(|buf| f(&mut buf[tr.disp..tr.disp + len]));
-        self.dla_end(tr.gmr);
+        self.dla_end(tr.gmr.id);
         atomic_epoch_end(&gmr.win, tr.group_rank)?;
         res.map_err(ArmciError::from)
     }
@@ -84,15 +82,13 @@ impl ArmciMpi {
         self.nb_quiesce()?;
         let tr = self.translate(addr, len)?;
         let gmrs = self.gmrs.borrow();
-        let gmr = gmrs
-            .get(&tr.gmr)
-            .ok_or_else(|| crate::gmr::gmr_vanished(tr.gmr))?;
+        let gmr = gmrs.get(tr.gmr)?;
         // A standing lock_all epoch already grants shared access; the
         // window is locked otherwise.
         atomic_epoch_begin(&gmr.win, tr.group_rank, LockMode::Shared)?;
-        self.dla_begin(tr.gmr, false);
+        self.dla_begin(tr.gmr.id, false);
         let res = gmr.win.with_local(|buf| f(&buf[tr.disp..tr.disp + len]));
-        self.dla_end(tr.gmr);
+        self.dla_end(tr.gmr.id);
         atomic_epoch_end(&gmr.win, tr.group_rank)?;
         res.map_err(ArmciError::from)
     }

@@ -50,7 +50,7 @@ use armci::{
     AccessMode, Armci, ArmciError, ArmciGroup, ArmciResult, GlobalAddr, Local, NbHandle, Remote,
     RmwOp, StridedMethod,
 };
-use gmr::{Gmr, GmrTable};
+use gmr::{GmrSlab, GmrTable};
 use mpisim::{Comm, Proc};
 use mutex::MutexSet;
 use simnet::pool::{BufferPool, PoolBuf, RegistrationPolicy};
@@ -206,8 +206,8 @@ pub struct ArmciMpi {
     pub(crate) cfg: Config,
     /// Address-range → GMR translation table (§V-A).
     pub(crate) table: RefCell<GmrTable>,
-    /// Live GMRs by window id.
-    pub(crate) gmrs: RefCell<HashMap<u64, Gmr>>,
+    /// Live GMRs, by the slot the translation table hands out.
+    pub(crate) gmrs: RefCell<GmrSlab>,
     /// This process's global-address allocator cursor.
     pub(crate) next_addr: Cell<usize>,
     /// User-created mutex sets by handle.
@@ -304,7 +304,7 @@ impl ArmciMpi {
             cfg,
             pool,
             table: RefCell::new(GmrTable::new()),
-            gmrs: RefCell::new(HashMap::new()),
+            gmrs: RefCell::new(GmrSlab::default()),
             // Base of this process's global address space; non-zero so
             // that 0 remains NULL.
             next_addr: Cell::new(0x1000),
@@ -354,7 +354,7 @@ impl ArmciMpi {
     /// freed ones.
     fn dtype_counts(&self) -> (u64, u64) {
         let (mut hits, mut misses) = self.dtype_retired.get();
-        for gmr in self.gmrs.borrow().values() {
+        for gmr in self.gmrs.borrow().iter() {
             let (h, m, _) = gmr.win.dtype_cache_stats();
             hits += h;
             misses += m;

@@ -25,15 +25,15 @@ use crate::transport::{atomic_epoch_begin, atomic_epoch_end, Transport};
 use armci::{ArmciError, ArmciResult};
 use mpisim::{Comm, Datatype, LockMode, RecvSrc, WinHandle};
 use std::cell::RefCell;
-use std::collections::HashSet;
 
 /// One collection of `count` mutexes hosted on every member of a group.
 pub(crate) struct MutexSet {
     comm: Comm,
     win: WinHandle,
     count: usize,
-    /// Mutexes this process currently holds: `(mutex, host group rank)`.
-    held: RefCell<HashSet<(usize, usize)>>,
+    /// Whether this process holds mutex `m` on host `h` (group rank), at
+    /// [`MutexSet::slot`]`(m, h)`.
+    held: RefCell<Vec<bool>>,
 }
 
 impl MutexSet {
@@ -50,7 +50,7 @@ impl MutexSet {
             comm: dup,
             win,
             count,
-            held: RefCell::new(HashSet::new()),
+            held: RefCell::new(vec![false; count * nproc]),
         }
     }
 
@@ -74,6 +74,11 @@ impl MutexSet {
             )));
         }
         Ok(())
+    }
+
+    /// Index of mutex `mutex` on `host` in `held`.
+    fn slot(&self, mutex: usize, host: usize) -> usize {
+        mutex * self.comm.size() + host
     }
 
     /// One exclusive context on `host`: stores `mark` into this
@@ -117,7 +122,7 @@ impl MutexSet {
     /// bracket ([`atomic_epoch_begin`]) rather than a plain data epoch.
     pub fn lock(&self, tx: &dyn Transport, mutex: usize, host: usize) -> ArmciResult<()> {
         self.check_args(mutex, host)?;
-        if self.held.borrow().contains(&(mutex, host)) {
+        if self.held.borrow()[self.slot(mutex, host)] {
             return Err(ArmciError::MutexMisuse(format!(
                 "mutex {mutex}@{host} already held by this process"
             )));
@@ -143,14 +148,14 @@ impl MutexSet {
                 );
             }
         }
-        self.held.borrow_mut().insert((mutex, host));
+        self.held.borrow_mut()[self.slot(mutex, host)] = true;
         Ok(())
     }
 
     /// Releases `mutex` on `host`, forwarding it fairly if contended.
     pub fn unlock(&self, tx: &dyn Transport, mutex: usize, host: usize) -> ArmciResult<()> {
         self.check_args(mutex, host)?;
-        if !self.held.borrow_mut().remove(&(mutex, host)) {
+        if !std::mem::take(&mut self.held.borrow_mut()[self.slot(mutex, host)]) {
             return Err(ArmciError::MutexMisuse(format!(
                 "unlock of mutex {mutex}@{host} that is not held"
             )));
@@ -176,7 +181,7 @@ impl MutexSet {
     /// Collectively destroys the set. All held mutexes must have been
     /// released.
     pub fn destroy(self) -> ArmciResult<()> {
-        if !self.held.borrow().is_empty() {
+        if self.held.borrow().contains(&true) {
             return Err(ArmciError::MutexMisuse(
                 "destroying mutex set while holding mutexes".into(),
             ));
@@ -309,7 +314,7 @@ mod tests {
                 let err = set.lock(&bad, 0, 0);
                 assert!(err.is_err(), "mid-lock transfer failure must surface");
                 assert!(
-                    set.held.borrow().is_empty(),
+                    !set.held.borrow().contains(&true),
                     "failed lock must not record the mutex as held"
                 );
                 let err = set.lock(&bad, 0, 1);

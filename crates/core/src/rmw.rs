@@ -92,9 +92,7 @@ impl ArmciMpi {
             self.nb_quiesce_for_atomic(tr.gmr, tr.group_rank, tr.disp, tr.disp + width)?;
             self.stat(|s| s.rmw_native += 1);
             let gmrs = self.gmrs.borrow();
-            let gmr = gmrs
-                .get(&tr.gmr)
-                .ok_or_else(|| crate::gmr::gmr_vanished(tr.gmr))?;
+            let gmr = gmrs.get(tr.gmr)?;
             self.tx().atomic(&gmr.win, op, tr.group_rank, tr.disp)?
         } else {
             // The mutex protocol's two exclusive epochs conflict with any
@@ -114,7 +112,7 @@ impl ArmciMpi {
                 // spend again — attribute it to the owning rank.
                 let src = {
                     let gmrs = self.gmrs.borrow();
-                    gmrs.get(&tr.gmr)
+                    gmrs.get(tr.gmr)
                         .map(|g| g.group.comm().world_rank_of(tr.group_rank) as u32)
                         .unwrap_or(tr.group_rank as u32)
                 };
@@ -122,7 +120,7 @@ impl ArmciMpi {
                     obs::EventKind::Wait {
                         cat: obs::WaitCat::CasRetry,
                         src,
-                        obj: tr.gmr,
+                        obj: tr.gmr.id,
                     },
                     t0,
                     self.vnow(),
@@ -132,7 +130,7 @@ impl ArmciMpi {
         if obs::enabled() {
             obs::instant_at(
                 obs::EventKind::AtomicOp {
-                    win: tr.gmr,
+                    win: tr.gmr.id,
                     target: tr.group_rank as u32,
                     cas,
                     native,
@@ -152,9 +150,7 @@ impl ArmciMpi {
         self.stat(|s| s.mutex_locks += 1);
         {
             let gmrs = self.gmrs.borrow();
-            let gmr = gmrs
-                .get(&tr.gmr)
-                .ok_or_else(|| crate::gmr::gmr_vanished(tr.gmr))?;
+            let gmr = gmrs.get(tr.gmr)?;
             gmr.rmw_mutexes.lock(self.tx(), 0, tr.group_rank)?;
         }
         let result = (|| {
@@ -162,7 +158,7 @@ impl ArmciMpi {
             // downgrades the RMW protocol).
             let plan = || {
                 let dt = Datatype::contiguous(RMW_WIDTH);
-                let mode = |_| Ok(LockMode::Exclusive);
+                let mode = |_: &_| Ok(LockMode::Exclusive);
                 self.plan_single(target, RMW_WIDTH, mode, dt.clone(), dt, RMW_WIDTH)
             };
             let mut buf = [0u8; RMW_WIDTH];
@@ -185,9 +181,7 @@ impl ArmciMpi {
         })();
         // Release the mutex even on error.
         let gmrs = self.gmrs.borrow();
-        let gmr = gmrs
-            .get(&tr.gmr)
-            .ok_or_else(|| crate::gmr::gmr_vanished(tr.gmr))?;
+        let gmr = gmrs.get(tr.gmr)?;
         gmr.rmw_mutexes.unlock(self.tx(), 0, tr.group_rank)?;
         result
     }

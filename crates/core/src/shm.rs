@@ -36,8 +36,8 @@ impl ArmciMpi {
     pub(crate) fn plan_shm_routable(&self, plan: &TransferPlan) -> bool {
         self.gmrs
             .borrow()
-            .get(&plan.gmr)
-            .is_some_and(|g| self.shm_routable(g, plan.target))
+            .get(plan.gmr)
+            .is_ok_and(|g| self.shm_routable(g, plan.target))
     }
 
     /// The epoch style of the shm route: the wire backend's, except that
@@ -75,9 +75,7 @@ impl ArmciMpi {
         self.nb_quiesce()?;
         let tr = self.translate(addr, len)?;
         let gmrs = self.gmrs.borrow();
-        let gmr = gmrs
-            .get(&tr.gmr)
-            .ok_or_else(|| crate::gmr::gmr_vanished(tr.gmr))?;
+        let gmr = gmrs.get(tr.gmr)?;
         if !self.shm_routable(gmr, tr.group_rank) {
             return Err(ArmciError::BadDescriptor(format!(
                 "direct access to remote process {} from {}",
@@ -88,7 +86,7 @@ impl ArmciMpi {
         let sec = gmr
             .win
             .shared_query(tr.group_rank)
-            .map_err(|e| Self::shm_err(tr.gmr, e))?;
+            .map_err(|e| Self::shm_err(tr.gmr.id, e))?;
         let shm = self.world.platform().shm.clone();
         // A standing lock_all epoch (MPI-3 epochless) already covers peer
         // access; otherwise the window is locked for the section's
@@ -99,27 +97,29 @@ impl ArmciMpi {
             LockMode::Shared
         };
         transport::atomic_epoch_begin(&gmr.win, tr.group_rank, mode)?;
-        gmr.win.win_sync().map_err(|e| Self::shm_err(tr.gmr, e))?;
-        self.dla_begin(tr.gmr, write);
+        gmr.win
+            .win_sync()
+            .map_err(|e| Self::shm_err(tr.gmr.id, e))?;
+        self.dla_begin(tr.gmr.id, write);
         let mut buf = self.scratch(len);
         let res = sec
             .load(tr.disp, &mut buf)
-            .map_err(|e| Self::shm_err(tr.gmr, e))
+            .map_err(|e| Self::shm_err(tr.gmr.id, e))
             .and_then(|()| {
                 self.charge(shm.op_cost(simnet::Op::Get, len, 1));
                 f(&mut buf);
                 if write {
                     sec.store(tr.disp, &buf)
-                        .map_err(|e| Self::shm_err(tr.gmr, e))?;
+                        .map_err(|e| Self::shm_err(tr.gmr.id, e))?;
                     self.charge(shm.op_cost(simnet::Op::Put, len, 1));
                 }
                 Ok(())
             });
-        self.dla_end(tr.gmr);
+        self.dla_end(tr.gmr.id);
         let end = gmr
             .win
             .win_sync()
-            .map_err(|e| Self::shm_err(tr.gmr, e))
+            .map_err(|e| Self::shm_err(tr.gmr.id, e))
             .and_then(|()| {
                 transport::atomic_epoch_end(&gmr.win, tr.group_rank).map_err(ArmciError::from)
             });

@@ -58,6 +58,7 @@
 //! committed-datatype cache instead of rebuilding subarray types.
 
 use crate::engine::{ExecBuf, TransferPlan};
+use crate::gmr::Gmr;
 use crate::ArmciMpi;
 use armci::stride::{extent, total_bytes};
 use armci::{
@@ -104,7 +105,7 @@ impl ArmciMpi {
         let len = local.len();
         // Plan, and stage an accumulate's source: a contiguous transfer
         // plans first, every other shape stages first.
-        let mode = |gmr| self.lock_mode(gmr, &local);
+        let mode = |gmr: &Gmr| self.lock_mode(gmr, &local);
         let mut staged = None;
         let (one, many);
         let plans: &[TransferPlan] = if let Remote::Contig(addr) = remote {
@@ -145,7 +146,7 @@ impl ArmciMpi {
             (Local::Get(b), _) => ExecBuf::Get(b.as_mut_ptr(), b.len()),
             (Local::Put(b), _) => ExecBuf::Put(b.as_ptr(), b.len()),
             (Local::Acc(kind, _), Some(staged)) => {
-                self.stage_touch(plans[0].gmr, staged.len());
+                self.stage_touch(plans[0].gmr.id, staged.len());
                 ExecBuf::Acc(staged, kind.mpi_elem())
             }
             (Local::Acc(..), None) => unreachable!("accumulates are staged"),
@@ -276,7 +277,7 @@ impl ArmciMpi {
         })
     }
 
-    /// Lock mode for an operation of `local`'s class against `gmr_id`,
+    /// Lock mode for an operation of `local`'s class against `gmr`,
     /// from the GMR's access-mode hint (§VIII-A). The hint is a *promise*
     /// about application behaviour during the phase — shared locks for
     /// compatible operations are sound only because nothing else touches
@@ -285,11 +286,7 @@ impl ArmciMpi {
     /// erroneous and is rejected outright rather than silently escalated
     /// to an exclusive lock that could still corrupt concurrent
     /// shared-lock traffic.
-    pub(crate) fn lock_mode(&self, gmr_id: u64, local: &Local<'_>) -> ArmciResult<LockMode> {
-        let gmrs = self.gmrs.borrow();
-        let gmr = gmrs
-            .get(&gmr_id)
-            .ok_or_else(|| crate::gmr::gmr_vanished(gmr_id))?;
+    pub(crate) fn lock_mode(&self, gmr: &Gmr, local: &Local<'_>) -> ArmciResult<LockMode> {
         let mode = match (gmr.mode.get(), local) {
             (AccessMode::Standard, _) => return Ok(LockMode::Exclusive),
             (AccessMode::ReadOnly, Local::Get(_))
@@ -303,7 +300,7 @@ impl ArmciMpi {
             Local::Acc(..) => "accumulate",
         };
         Err(ArmciError::AccessModeViolation {
-            gmr: gmr_id,
+            gmr: gmr.id,
             mode,
             op,
         })
@@ -352,7 +349,7 @@ impl ArmciMpi {
             // The bounce buffer is complete and the source epoch released;
             // the destination window must not be locked yet (§V-E1).
             if let Ok(tr) = self.translate(dst, bytes) {
-                self.stage_touch(tr.gmr, bytes);
+                self.stage_touch(tr.gmr.id, bytes);
             }
         }
         self.xfer_impl(Remote::Contig(dst), Local::Put(&tmp), false)

@@ -27,7 +27,6 @@ use crate::sync;
 use parking_lot::{Condvar, Mutex};
 use simnet::pool::{BufferPool, RegistrationPolicy};
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -325,7 +324,13 @@ pub struct WinHandle {
     pub(crate) shared: Arc<Shared>,
     pub(crate) inner: Arc<WinInner>,
     pub(crate) comm: Comm,
-    epochs: RefCell<HashMap<usize, Epoch>>,
+    /// The open passive-target epoch per target rank, indexed by rank
+    /// and sized at creation, so an operation reaches its epoch without
+    /// hashing.
+    epochs: RefCell<Box<[Option<Epoch>]>>,
+    /// How many entries of `epochs` are open (`win_sync` needs one, and
+    /// `free` none).
+    open_epochs: Cell<usize>,
     /// Scratch pool for datatype pack/unpack staging. Policy is
     /// `Unregistered`: these copies are simulator-internal (they never
     /// cross the modelled NIC), so only the allocator churn is saved —
@@ -445,9 +450,10 @@ impl WinHandle {
     fn from_inner(comm: &Comm, inner: Arc<WinInner>) -> WinHandle {
         WinHandle {
             shared: Arc::clone(&comm.shared),
+            epochs: RefCell::new(inner.sizes.iter().map(|_| None).collect()),
             inner,
             comm: comm.clone(),
-            epochs: RefCell::new(HashMap::new()),
+            open_epochs: Cell::new(0),
             pool: BufferPool::new(
                 RegistrationPolicy::Unregistered,
                 comm.platform().reg.clone(),
@@ -655,18 +661,16 @@ impl WinHandle {
         if self.lock_all_active.get() {
             return Err(MpiError::EpochModeMixed { target });
         }
-        if self.epochs.borrow().contains_key(&target) {
+        if self.epochs.borrow()[target].is_some() {
             return Err(MpiError::AlreadyLocked { target });
         }
         self.inner.locks[target].acquire(mode);
-        self.epochs.borrow_mut().insert(
-            target,
-            Epoch {
-                mode,
-                ops: self.spare_records.take(),
-                issued: 0,
-            },
-        );
+        self.epochs.borrow_mut()[target] = Some(Epoch {
+            mode,
+            ops: self.spare_records.take(),
+            issued: 0,
+        });
+        self.open_epochs.set(self.open_epochs.get() + 1);
         // The lock grant is a target-serviced protocol round.
         let prog = self.progress_extra(target, 1);
         self.charge(0.5 * self.params().epoch_overhead + prog);
@@ -689,8 +693,10 @@ impl WinHandle {
         let ep = self
             .epochs
             .borrow_mut()
-            .remove(&target)
+            .get_mut(target)
+            .and_then(Option::take)
             .ok_or(MpiError::NotLocked { target })?;
+        self.open_epochs.set(self.open_epochs.get() - 1);
         self.inner.locks[target].release(ep.mode);
         let mut records = ep.ops;
         records.clear();
@@ -712,12 +718,12 @@ impl WinHandle {
 
     /// Is an epoch currently open on `target`?
     pub(crate) fn is_locked(&self, target: usize) -> bool {
-        self.epochs.borrow().contains_key(&target) || self.lock_all_active.get()
+        self.lock_mode(target).is_some() || self.lock_all_active.get()
     }
 
     /// Mode of the open epoch on `target`, if any.
     pub fn lock_mode(&self, target: usize) -> Option<LockMode> {
-        self.epochs.borrow().get(&target).map(|e| e.mode)
+        self.epochs.borrow().get(target)?.as_ref().map(|e| e.mode)
     }
 
     /// Validates epoch presence and (optionally) records + conflict-checks
@@ -741,7 +747,7 @@ impl WinHandle {
             });
         }
         let mut epochs = self.epochs.borrow_mut();
-        let ep = match epochs.get_mut(&target) {
+        let ep = match &mut epochs[target] {
             Some(e) => e,
             // MPI-3 lock_all: conflicts undefined, not erroneous.
             None if self.lock_all_active.get() => return Ok(()),
@@ -856,8 +862,7 @@ impl WinHandle {
 
     /// Bumps and returns the prior per-epoch issue counter for `target`.
     fn bump_issued(&self, target: usize) -> usize {
-        let mut epochs = self.epochs.borrow_mut();
-        match epochs.get_mut(&target) {
+        match &mut self.epochs.borrow_mut()[target] {
             Some(ep) => {
                 let n = ep.issued;
                 ep.issued += 1;
@@ -1286,7 +1291,7 @@ impl WinHandle {
     /// Requires an open epoch (lock or lock_all) on the handle.
     pub fn win_sync(&self) -> MpiResult<()> {
         self.check_alive()?;
-        if self.epochs.borrow().is_empty() && !self.lock_all_active.get() {
+        if self.open_epochs.get() == 0 && !self.lock_all_active.get() {
             return Err(MpiError::NoEpoch { target: usize::MAX });
         }
         std::sync::atomic::fence(Ordering::SeqCst);
@@ -1456,7 +1461,7 @@ impl WinHandle {
     pub fn free(self) -> MpiResult<()> {
         self.check_alive()?;
         assert!(
-            self.epochs.borrow().is_empty() && !self.lock_all_active.get(),
+            self.open_epochs.get() == 0 && !self.lock_all_active.get(),
             "window freed with open epochs"
         );
         // Every rank calls free; the first one to get here removes the
@@ -1781,6 +1786,59 @@ mod tests {
         assert!(!Acc(ElemType::F64, AccOp::Sum).compatible(Acc(ElemType::I64, AccOp::Sum)));
         assert!(!Acc(ElemType::F64, AccOp::Sum).compatible(Acc(ElemType::F64, AccOp::Max)));
         assert!(!Acc(ElemType::F64, AccOp::Sum).compatible(Write));
+    }
+
+    /// The target-indexed epoch table on a 4-rank window: rank 0 locks
+    /// and unlocks every target out of order, and after every step the
+    /// per-target modes, `is_locked` and the open-epoch count agree with
+    /// the set of epochs it opened. Misuse is refused without touching
+    /// the count.
+    #[test]
+    fn epoch_table_tracks_every_target() {
+        crate::Runtime::run(4, |p| {
+            let win = WinHandle::create(&p.world(), 64);
+            if p.rank() == 0 {
+                let mut open: [Option<LockMode>; 4] = [None; 4];
+                let agree = |open: &[Option<LockMode>; 4]| {
+                    for (t, &mode) in open.iter().enumerate() {
+                        assert_eq!(win.lock_mode(t), mode, "mode of target {t}");
+                        assert_eq!(win.is_locked(t), mode.is_some(), "target {t}");
+                    }
+                    let n = open.iter().flatten().count();
+                    assert_eq!(win.open_epochs.get(), n, "open-epoch count");
+                };
+                agree(&open);
+                for (i, t) in [2, 0, 3, 1].into_iter().enumerate() {
+                    let mode = [LockMode::Exclusive, LockMode::Shared][i % 2];
+                    win.lock(mode, t).unwrap();
+                    open[t] = Some(mode);
+                    agree(&open);
+                    assert!(matches!(
+                        win.lock(LockMode::Exclusive, t),
+                        Err(MpiError::AlreadyLocked { target }) if target == t
+                    ));
+                    agree(&open);
+                }
+                assert!(matches!(
+                    win.lock(LockMode::Shared, 4),
+                    Err(MpiError::BadRank { rank: 4, size: 4 })
+                ));
+                agree(&open);
+                for t in [3, 1, 2, 0] {
+                    win.win_sync().unwrap();
+                    win.unlock(t).unwrap();
+                    open[t] = None;
+                    agree(&open);
+                    assert!(matches!(
+                        win.unlock(t),
+                        Err(MpiError::NotLocked { target }) if target == t
+                    ));
+                    agree(&open);
+                }
+                assert!(matches!(win.win_sync(), Err(MpiError::NoEpoch { .. })));
+            }
+            win.free().unwrap();
+        });
     }
 
     #[test]

@@ -472,8 +472,7 @@ pub fn run_ccsd_overlap<A: Armci + ?Sized>(p: &Proc, rt: &A, cfg: &CcsdConfig) -
 /// Runs the same CCSD ladder as [`run_ccsd`] with the chunked schedule
 /// production GA codes use: NXTVAL claims [`CCSD_CHUNK`] tasks per RMW,
 /// every claimed task's V and T tiles are prefetched in one nonblocking
-/// volley — trains of same-array, same-owner gets a coalescing runtime
-/// can merge — and the result accumulates are deferred to the iteration
+/// volley, and the result accumulates are deferred to the iteration
 /// fence, which ARMCI's location consistency permits because each r2
 /// tile is written by exactly one task. The arithmetic (tile order, cd
 /// reduction order, global reductions) is unchanged, so the energy is
@@ -539,7 +538,12 @@ pub fn run_ccsd_pipelined<A: Armci + ?Sized>(p: &Proc, rt: &A, cfg: &CcsdConfig)
                 )
             };
             // One prefetch volley for every (task, cd pair) tile in the
-            // chunk; gets to the same array and owner queue back to back.
+            // chunk. V and T gets alternate, so consecutive gets name
+            // different arrays (GMRs). Under MPI-2 per-op epochs a get
+            // that opens a new scheduler queue flushes every open one,
+            // and a get from a node peer's tile completes eagerly after
+            // the same flush: each queue holds one get, and the
+            // coalescer merges nothing here.
             let mut gets = Vec::new();
             for (t, &task) in chunk.iter().enumerate() {
                 let (lo, hi) = tile_of(task);
