@@ -7,7 +7,7 @@
 //! engine keeps one flush-based aggregate epoch open per target and
 //! only pays per-op issue overhead up front.
 
-use armci::{Armci, ArmciExt, NbHandle};
+use armci::{Armci, ArmciError, ArmciExt, IovDesc, Local, NbHandle, Remote, StridedMethod};
 use armci_mpi::{ArmciMpi, Config};
 use mpisim::{Proc, Runtime, RuntimeConfig};
 
@@ -287,4 +287,53 @@ fn wait_on_unknown_handle_is_an_error() {
         // Eager handles are always fine.
         rt.wait(NbHandle::eager()).unwrap();
     });
+}
+
+/// Issues a nonblocking I/O-vector put planned as one operation per
+/// segment (`IovConservative`) and waits on it, then waits on the same
+/// handle again: the second wait must find no record left. Disjoint
+/// segments share one MPI-2 epoch; overlapping ones split across epochs,
+/// so the handle is resolved by more than one flush.
+fn double_wait_after_multi_plan_put(remote_addrs: [usize; 4]) -> ArmciError {
+    let cfg = Config {
+        iov: StridedMethod::IovConservative,
+        ..mpi2()
+    };
+    Runtime::run_with(2, quiet(), move |p: &Proc| {
+        let rt = ArmciMpi::with_config(p, cfg.clone());
+        let bases = rt.malloc(64).unwrap();
+        rt.barrier();
+        let err = if p.rank() == 0 {
+            let desc = IovDesc {
+                rank: 1,
+                bytes: 8,
+                local_offsets: vec![0, 8, 16, 24],
+                remote_addrs: remote_addrs.map(|a| bases[1].addr + a).to_vec(),
+            };
+            let h = rt
+                .xfer(Remote::Iov(&desc), Local::Put(&[6u8; 32]), true)
+                .unwrap();
+            let id = h.id.expect("a wire put is deferred");
+            rt.wait(h).unwrap();
+            Some(rt.wait(NbHandle::deferred(id)).unwrap_err())
+        } else {
+            None
+        };
+        rt.barrier();
+        rt.free(bases[p.rank()]).unwrap();
+        err
+    })
+    .swap_remove(0)
+    .unwrap()
+}
+
+#[test]
+fn second_wait_on_a_multi_plan_handle_is_an_error() {
+    for addrs in [[0, 16, 32, 48], [0, 4, 8, 12]] {
+        let err = double_wait_after_multi_plan_put(addrs);
+        assert!(
+            matches!(err, ArmciError::BadDescriptor(_)),
+            "segments at {addrs:?}: {err}"
+        );
+    }
 }
