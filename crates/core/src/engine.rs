@@ -28,10 +28,11 @@
 //! movers, so no raw caller pointer outlives the call), but the wire
 //! operations themselves are deferred into a per-`(GMR, target)` queue
 //! — the engine-level realisation of ARMCI's aggregate handles. At
-//! flush the queue is walked in program order and split into **runs** of
+//! flush the queue is split, in program order, into **runs** of
 //! same-class operations (all-get, all-put, or all-accumulate with one
-//! element type) whose target segments the [`ctree`] conflict scan
-//! proves disjoint; each run is issued as **one** MPI operation whose
+//! element type) whose target segments are pairwise disjoint (one sort
+//! and sweep of the queued segments, before any lock is taken); each
+//! run is issued as **one** MPI operation whose
 //! target datatype is the adjacency-merged segment list, under **one**
 //! coarsened epoch per flush (shared-lock when the §VIII-A access-mode
 //! hint allows it, `flush`-completed under `lock_all` on the MPI-3
@@ -39,16 +40,15 @@
 //! operation each — never merged, still inside the coarsened epoch. An
 //! online `CostModel` fed by observed issue costs arbitrates
 //! [`CoalesceMode::Auto`] between the merged datatype and the batched
-//! per-op issue shape. In MPI-2 mode at most one queue is open at a time
-//! (opening a second target flushes the first), which keeps the
-//! hold-and-wait deadlock impossible; in epochless mode any number of
-//! targets may have operations in flight concurrently.
+//! per-op issue shape. Queues on any number of `(GMR, target)` pairs may
+//! be open at once: an open queue holds no lock, and an MPI-2 flush takes
+//! one lock and releases it before returning, so no hold-and-wait can
+//! form. A plan that cannot join its pair's queue retires only that one.
 
 use crate::gmr::{Gmr, GmrRef};
 use crate::transport::{EpochStyle, Origin};
 use crate::ArmciMpi;
 use armci::{ArmciError, ArmciResult, GlobalAddr, IovDesc, Local, NbHandle, StridedMethod};
-use ctree::ConflictTree;
 use mpisim::dtype::{zip_into, Flat};
 use mpisim::{AccOp, Datatype, ElemType, LockMode, RmaClass};
 use std::ops::Range;
@@ -412,45 +412,147 @@ fn conflict_scan_cost(n: usize) -> f64 {
     4e-9 * n * n.log2().max(1.0)
 }
 
-/// Splits queued operations (kept in program order) into maximal runs of
-/// same-class operations whose combined target segments the conflict
-/// tree proves disjoint — the precondition for merging a run into one
-/// wire operation. An operation that would overlap its run (or change
-/// class) starts a new run: the conservative per-op fallback, which
-/// preserves program order because MPI executes the flush's operations
-/// in issue order within one epoch.
+/// Run formation over one queue: splits its operations (kept in program
+/// order) into maximal runs of same-class operations whose combined
+/// target segments are pairwise disjoint — the precondition for merging
+/// a run into one wire operation — and yields each run's merged segment
+/// list. An operation that would overlap its run (or change class)
+/// starts a new run: the conservative per-op fallback, which preserves
+/// program order because MPI executes the flush's operations in issue
+/// order within one epoch. A run whose first operation overlaps itself
+/// takes no followers.
 ///
-/// Incremental: `tree` holds the current run's segments, and each
-/// candidate's segments are checked and inserted one at a time, so
-/// forming the runs costs O(S·log S) over S queued segments. `tree` and
-/// `runs` are caller-owned scratch (runs come out as index ranges).
-fn form_runs(ops: &[QueuedOp], tree: &mut ConflictTree, runs: &mut Vec<Range<usize>>) {
-    runs.clear();
-    // Whether the current run can still grow: a run whose first
-    // operation's own segments overlap can never prove a candidate
-    // disjoint from it.
-    let mut open = false;
-    for (i, op) in ops.iter().enumerate() {
-        if let Some(run) = runs.last_mut() {
-            if open
-                && ops[run.start].kind == op.kind
-                && op
-                    .segs
+/// One sort of the queue's S nonempty segments, then linear passes:
+/// a sweep records for each operation the latest earlier operation it
+/// overlaps, the runs are cut from that, and a stable partition of the
+/// same sorted list by run gives each run's segments in address order,
+/// fused as [`ctree::merge_in_place`] fuses them. O(S·log S + P) for P
+/// overlapping segment pairs. Every buffer is kept across flushes, and
+/// the merged output is sized to the fused segments, not the input.
+#[derive(Default)]
+struct Runs {
+    /// `(off, end, op)` of every nonempty queued segment, by offset.
+    sorted: Vec<(usize, usize, usize)>,
+    /// The sweep's `(end, op)` of sorted segments that reach past the
+    /// current offset.
+    active: Vec<(usize, usize)>,
+    /// Per operation: the lowest run start that may take it (one past
+    /// the latest earlier operation it overlaps), and whether its own
+    /// segments overlap.
+    reach: Vec<(usize, bool)>,
+    /// Per operation: the index of its run.
+    run_of: Vec<usize>,
+    /// The runs, as ranges of queued operations.
+    runs: Vec<Range<usize>>,
+    /// Every run's merged segments, run by run; run `r`'s are
+    /// `merged[bounds[r]..bounds[r + 1]]`.
+    merged: Vec<(usize, usize)>,
+    bounds: Vec<usize>,
+    /// Per run: partition state (see [`Runs::form`]).
+    tail: Vec<usize>,
+}
+
+impl Runs {
+    /// Forms the runs of `ops`, whose segments live in `segs`.
+    fn form(&mut self, ops: &[QueuedOp], segs: &[(usize, usize)]) {
+        self.sorted.clear();
+        for (i, op) in ops.iter().enumerate() {
+            self.sorted.extend(
+                segs[op.segs.clone()]
                     .iter()
-                    .all(|&(off, len)| tree.try_insert(off, off + len).is_ok())
-            {
-                run.end = i + 1;
-                continue;
+                    .filter(|&&(_, len)| len > 0)
+                    .map(|&(off, len)| (off, off + len, i)),
+            );
+        }
+        // By offset alone: ties may come in any order, since the sweep
+        // and the fusing below only need ascending offsets.
+        self.sorted.sort_unstable_by_key(|&(off, ..)| off);
+
+        // Sweep: a sorted segment overlaps exactly the earlier-sorted
+        // ones still active at its offset.
+        self.reach.clear();
+        self.reach.resize(ops.len(), (0, false));
+        self.active.clear();
+        for &(off, end, op) in &self.sorted {
+            self.active.retain(|&(e, _)| e > off);
+            for &(_, other) in &self.active {
+                let (early, late) = (other.min(op), other.max(op));
+                if early == late {
+                    self.reach[op].1 = true;
+                } else {
+                    self.reach[late].0 = self.reach[late].0.max(early + 1);
+                }
+            }
+            self.active.push((end, op));
+        }
+
+        // Cut: an operation joins the open run if it has the run's class,
+        // overlaps neither itself nor any operation since the run start,
+        // and the run's first operation did not overlap itself.
+        self.runs.clear();
+        self.run_of.clear();
+        let mut grows = false;
+        for (i, op) in ops.iter().enumerate() {
+            let (lowest, own) = self.reach[i];
+            match self.runs.last_mut() {
+                Some(run)
+                    if grows && ops[run.start].kind == op.kind && !own && lowest <= run.start =>
+                {
+                    run.end = i + 1;
+                }
+                _ => {
+                    grows = !own;
+                    self.runs.push(i..i + 1);
+                }
+            }
+            self.run_of.push(self.runs.len() - 1);
+        }
+
+        // Stable partition of the sorted segments by run (a counting
+        // sort), fused on the fly: a run's segments arrive in address
+        // order, so one that reaches its run's last segment extends it.
+        // The first pass counts each run's fused segments at
+        // `bounds[r + 1]` (`tail[r]`: the end of its last one), the
+        // prefix sum turns the counts into bounds, and the second pass
+        // places them (`tail[r]`: the run's next free slot).
+        let nruns = self.runs.len();
+        self.bounds.clear();
+        self.bounds.resize(nruns + 1, 0);
+        self.tail.clear();
+        self.tail.resize(nruns, 0);
+        for &(off, end, op) in &self.sorted {
+            let r = self.run_of[op];
+            if self.bounds[r + 1] > 0 && off <= self.tail[r] {
+                self.tail[r] = self.tail[r].max(end);
+            } else {
+                self.tail[r] = end;
+                self.bounds[r + 1] += 1;
             }
         }
-        // A rejected candidate may have left part of its segments in the
-        // tree; the new run starts from an empty one either way.
-        tree.clear();
-        open = op
-            .segs
-            .iter()
-            .all(|&(off, len)| tree.try_insert(off, off + len).is_ok());
-        runs.push(i..i + 1);
+        for r in 1..nruns {
+            self.bounds[r + 1] += self.bounds[r];
+        }
+        self.tail.copy_from_slice(&self.bounds[..nruns]);
+        self.merged.clear();
+        self.merged.resize(self.bounds[nruns], (0, 0));
+        for &(off, end, op) in &self.sorted {
+            let r = self.run_of[op];
+            let at = self.tail[r];
+            match self.merged[self.bounds[r]..at].last_mut() {
+                Some(last) if off <= last.0 + last.1 => {
+                    last.1 = (last.0 + last.1).max(end) - last.0;
+                }
+                _ => {
+                    self.merged[at] = (off, end - off);
+                    self.tail[r] += 1;
+                }
+            }
+        }
+    }
+
+    /// Run `r`'s merged target segments, ascending.
+    fn merged(&self, r: usize) -> &[(usize, usize)] {
+        &self.merged[self.bounds[r]..self.bounds[r + 1]]
     }
 }
 
@@ -459,35 +561,18 @@ fn form_runs(ops: &[QueuedOp], tree: &mut ConflictTree, runs: &mut Vec<Range<usi
 #[derive(Debug)]
 struct QueuedOp {
     kind: NbKind,
-    /// Window-absolute target byte segments, in datatype order. The only
-    /// flattening of the operation's target datatype: the conflict check,
-    /// staging, run formation and the merged issue all borrow it.
-    segs: Vec<(usize, usize)>,
+    /// Its window-absolute target byte segments, in datatype order, as a
+    /// range of its queue's segment arena ([`SchedQueue::segs`]). The
+    /// only flattening of the operation's target datatype: the conflict
+    /// check, staging, run formation and the batched issue all borrow it.
+    segs: Range<usize>,
     /// Payload bytes (statistics).
     bytes: u64,
 }
 
-impl QueuedOp {
-    /// Flattens a planned operation's target datatype into
-    /// window-absolute segments (one allocation, sized exactly).
-    fn new(op: &PlannedOp, kind: NbKind) -> QueuedOp {
-        let mut segs = Vec::new();
-        op.tdt.segments_into(&mut segs);
-        for s in &mut segs {
-            s.0 += op.tdisp;
-        }
-        QueuedOp {
-            kind,
-            segs,
-            bytes: op.bytes,
-        }
-    }
-
-    fn overlaps(&self, lo: usize, hi: usize) -> bool {
-        self.segs
-            .iter()
-            .any(|&(off, len)| lo < off + len && off < hi)
-    }
+/// Does any of `segs` overlap `[lo, hi)`?
+fn overlaps(segs: &[(usize, usize)], lo: usize, hi: usize) -> bool {
+    segs.iter().any(|&(off, len)| lo < off + len && off < hi)
 }
 
 /// A per-`(GMR, target)` scheduler queue. No lock is held while the
@@ -504,6 +589,8 @@ struct SchedQueue {
     /// Handle ids with operations in this queue.
     ids: Vec<u64>,
     ops: Vec<QueuedOp>,
+    /// Every queued operation's target segments, back to back.
+    segs: Vec<(usize, usize)>,
     /// The kind every queued operation has, or `None` once kinds mix.
     uniform: Option<NbKind>,
 }
@@ -514,32 +601,43 @@ impl SchedQueue {
     /// conflicting accesses inside it would be erroneous)? A kind
     /// compatible with a uniform queue cannot conflict, so only mixed
     /// queues pay the range scan.
-    fn conflicts(&self, kind: NbKind, new: &[QueuedOp]) -> bool {
+    fn conflicts(&self, kind: NbKind, new: &[(usize, usize)]) -> bool {
         if self.uniform.is_some_and(|k| k.compatible(kind)) {
             return false;
         }
-        new.iter().flat_map(|n| &n.segs).any(|&(off, len)| {
-            self.ops
-                .iter()
-                .any(|q| !kind.compatible(q.kind) && q.overlaps(off, off + len))
+        new.iter().any(|&(off, len)| {
+            self.ops.iter().any(|q| {
+                !kind.compatible(q.kind) && overlaps(&self.segs[q.segs.clone()], off, off + len)
+            })
         })
+    }
+
+    /// Does a queued operation touch bytes `[lo, hi)`?
+    fn touches(&self, lo: usize, hi: usize) -> bool {
+        self.ops
+            .iter()
+            .any(|q| overlaps(&self.segs[q.segs.clone()], lo, hi))
     }
 }
 
 /// Buffers the coalescing scheduler reuses across enqueues and flushes,
-/// so a steady-state queued operation allocates only its own segment
-/// list. Each field is taken out while in use and put back after.
+/// so a steady-state queued operation allocates nothing of its own. Each
+/// field is taken out while in use and put back after.
 #[derive(Default)]
 struct SchedScratch {
-    /// The plan being enqueued, flattened, before it joins a queue.
+    /// The plan being enqueued, flattened, before it joins a queue: its
+    /// operations, with ranges into `staged_segs`.
     staged: Vec<QueuedOp>,
-    /// Origin segments and copy pieces of the operation being staged.
+    staged_segs: Vec<(usize, usize)>,
+    /// Target segments, origin segments and copy pieces of the operation
+    /// being staged.
     flat: Flat,
-    /// Run formation's conflict tree and output.
-    tree: ConflictTree,
-    runs: Vec<Range<usize>>,
-    /// A wire operation's merged target segments.
+    /// Run formation's buffers and output.
+    runs: Runs,
+    /// A batched wire operation's merged target segments.
     merged: Vec<(usize, usize)>,
+    /// Flushed queues, emptied, whose buffers the next queues reuse.
+    spare: Vec<SchedQueue>,
 }
 
 /// Engine-side nonblocking state.
@@ -989,11 +1087,16 @@ impl ArmciMpi {
         }
         // Intra-node plans bypass the RMA scheduler entirely: a node-local
         // copy has no wire latency to overlap, so deferring it buys
-        // nothing. They complete eagerly through the blocking executor's
-        // shm route. Mixed plan lists stay on the wire path as a unit so
-        // cross-plan ordering is owned by one engine.
+        // nothing. Each completes eagerly through the blocking executor's
+        // shm route once the queue on its own `(GMR, target)` pair, if
+        // any, is retired; queues on other pairs stay in flight. Mixed
+        // plan lists stay on the wire path as a unit so cross-plan
+        // ordering is owned by one engine.
         if plans.iter().all(|p| self.plan_shm_routable(p)) {
-            self.run_plans(plans, buf)?;
+            for plan in plans {
+                self.nb_retire(|q| q.gmr == plan.gmr && q.target == plan.target)?;
+                self.run_plan(plan, buf)?;
+            }
             return Ok(NbHandle::eager());
         }
         let id = {
@@ -1003,20 +1106,36 @@ impl ArmciMpi {
         };
         let kind = buf.kind();
         let op_overhead = self.world.platform().mpi.op_overhead;
+        let per_op = self.tx.epoch_style() == EpochStyle::PerOp;
         for plan in plans {
             let t0 = self.vnow();
             // Flatten every operation's target once, up front.
-            let mut staged = std::mem::take(&mut self.nb.borrow_mut().scratch.staged);
-            staged.extend(plan.ops.iter().map(|op| QueuedOp::new(op, kind)));
-            // Join an open queue on (gmr, target) or open a new one. The
+            let (mut staged, mut segs, mut flat) = {
+                let sc = &mut self.nb.borrow_mut().scratch;
+                (
+                    std::mem::take(&mut sc.staged),
+                    std::mem::take(&mut sc.staged_segs),
+                    std::mem::take(&mut sc.flat),
+                )
+            };
+            for op in plan.ops.iter() {
+                let start = segs.len();
+                op.tdt.segments_into(&mut flat.tsegs);
+                segs.extend(flat.tsegs.iter().map(|&(off, len)| (off + op.tdisp, len)));
+                staged.push(QueuedOp {
+                    kind,
+                    segs: start..segs.len(),
+                    bytes: op.bytes,
+                });
+            }
+            // Join the open queue on (gmr, target) or open a new one. The
             // coarsened MPI-2 epoch is still *one* epoch, so a plan whose
-            // ranges would conflict with queued operations cannot join —
-            // the queue is flushed and a fresh one opened.
-            let per_op = self.tx.epoch_style() == EpochStyle::PerOp;
+            // lock mode differs or whose ranges would conflict with queued
+            // operations cannot join.
             let found = self.nb.borrow().queues.iter().position(|q| {
                 q.gmr == plan.gmr
                     && q.target == plan.target
-                    && (!per_op || (q.mode == plan.mode && !q.conflicts(kind, &staged)))
+                    && (!per_op || (q.mode == plan.mode && !q.conflicts(kind, &segs)))
             });
             let idx = match found {
                 Some(i) => {
@@ -1024,24 +1143,26 @@ impl ArmciMpi {
                     i
                 }
                 None => {
-                    if per_op {
-                        // One coarsened MPI-2 epoch at a time: flushing
-                        // everything outstanding before opening a new
-                        // queue keeps hold-and-wait impossible (and is
-                        // the only way to retire a conflicting queue on
-                        // the same target).
-                        self.nb_quiesce()?;
-                    }
+                    // A queue on this pair that the plan could not join is
+                    // retired first; queues on other pairs stay open. None
+                    // holds a lock until its flush, which takes and
+                    // releases exactly one, so open queues on several
+                    // targets cannot hold-and-wait.
+                    self.nb_retire(|q| q.gmr == plan.gmr && q.target == plan.target)?;
                     self.stage(|g| g.acquires += 1);
                     let t_open = self.vnow();
                     let mut nb = self.nb.borrow_mut();
+                    let spare = nb.scratch.spare.pop();
+                    let (ids, ops, segs) =
+                        spare.map(|q| (q.ids, q.ops, q.segs)).unwrap_or_default();
                     nb.queues.push(SchedQueue {
                         gmr: plan.gmr,
                         target: plan.target,
                         mode: plan.mode,
                         t_open,
-                        ids: Vec::new(),
-                        ops: Vec::new(),
+                        ids,
+                        ops,
+                        segs,
                         uniform: Some(kind),
                     });
                     nb.queues.len() - 1
@@ -1051,11 +1172,16 @@ impl ArmciMpi {
             {
                 let gmrs = self.gmrs.borrow();
                 let gmr = gmrs.get(plan.gmr)?;
-                let mut flat = std::mem::take(&mut self.nb.borrow_mut().scratch.flat);
                 for (op, q) in plan.ops.iter().zip(&staged) {
-                    self.sched_stage_op(gmr, plan.target, op, &q.segs, buf, &mut flat)?;
+                    self.sched_stage_op(
+                        gmr,
+                        plan.target,
+                        op,
+                        &segs[q.segs.clone()],
+                        buf,
+                        &mut flat,
+                    )?;
                 }
-                self.nb.borrow_mut().scratch.flat = flat;
             }
             // Software issue overhead per queued operation; the wire time
             // itself is charged when the flush prices the runs.
@@ -1095,11 +1221,18 @@ impl ArmciMpi {
             if q.uniform != Some(kind) {
                 q.uniform = None;
             }
-            q.ops.append(&mut staged);
+            let base = q.segs.len();
+            q.segs.extend_from_slice(&segs);
+            q.ops.extend(staged.drain(..).map(|op| QueuedOp {
+                segs: op.segs.start + base..op.segs.end + base,
+                ..op
+            }));
             if q.ids.last() != Some(&id) {
                 q.ids.push(id);
             }
-            nb.scratch.staged = staged;
+            segs.clear();
+            let sc = &mut nb.scratch;
+            (sc.staged, sc.staged_segs, sc.flat) = (staged, segs, flat);
         }
         Ok(NbHandle::deferred(id))
     }
@@ -1133,11 +1266,12 @@ impl ArmciMpi {
         Ok(())
     }
 
-    /// Flushes one scheduler queue: acquires the coarsened epoch (MPI-2),
-    /// forms merged runs, issues them, prices the wire, and releases.
-    fn sched_flush(&self, q: SchedQueue) -> ArmciResult<()> {
+    /// Flushes one scheduler queue: forms merged runs, acquires the
+    /// coarsened epoch (MPI-2), issues the runs, prices the wire, and
+    /// releases. The emptied queue's buffers go back to the scratch.
+    fn sched_flush(&self, mut q: SchedQueue) -> ArmciResult<()> {
         let t0 = self.vnow();
-        let segs_in: u64 = q.ops.iter().map(|o| o.segs.len() as u64).sum();
+        let segs_in = q.segs.len() as u64;
         let mut segs_out = 0u64;
         let mut wire_ops = 0u64;
         let mut res = Ok(());
@@ -1146,6 +1280,13 @@ impl ArmciMpi {
             let gmrs = self.gmrs.borrow();
             let gmr = gmrs.get(q.gmr)?;
             let per_op = self.tx.epoch_style() == EpochStyle::PerOp;
+            // Runs form before the lock is taken, so the target stays
+            // locked only while they issue.
+            let (mut runs, mut merged) = {
+                let sc = &mut self.nb.borrow_mut().scratch;
+                (std::mem::take(&mut sc.runs), std::mem::take(&mut sc.merged))
+            };
+            runs.form(&q.ops, &q.segs);
             if per_op {
                 self.epoch_begin(gmr, q.target, q.mode)?;
                 obs::instant(obs::EventKind::NbEpochOpen {
@@ -1154,34 +1295,21 @@ impl ArmciMpi {
                 });
             }
             let t1 = self.vnow();
-            // Run formation re-runs the conflict-tree scan over the queued
-            // segments; charge it like the plan stage charges its scan.
+            // Run formation (done above, off the lock) re-scans the queued
+            // segments for conflicts; it is charged after the grant, like
+            // the plan stage charges its scan.
             self.charge(conflict_scan_cost(q.ops.len()));
-            let (mut tree, mut runs, mut merged) = {
-                let mut nb = self.nb.borrow_mut();
-                let sc = &mut nb.scratch;
-                (
-                    std::mem::take(&mut sc.tree),
-                    std::mem::take(&mut sc.runs),
-                    std::mem::take(&mut sc.merged),
-                )
-            };
-            form_runs(&q.ops, &mut tree, &mut runs);
             // Wire origin: transfers without a per-target epoch (standing
             // lock_all, or the free-running channel) have been on the wire
             // since enqueue; MPI-2 transfers cannot start before the
             // coarsened lock was granted.
             let mut wire_t = if per_op { t1 } else { q.t_open };
-            'runs: for run in &runs {
+            'runs: for (r, run) in runs.runs.iter().enumerate() {
                 let ops = &q.ops[run.clone()];
                 let kind = ops[0].kind;
                 let class = kind.rma_class();
                 let bytes: u64 = ops.iter().map(|op| op.bytes).sum();
-                merged.clear();
-                for op in ops {
-                    merged.extend_from_slice(&op.segs);
-                }
-                ctree::merge_in_place(&mut merged);
+                let run_segs = runs.merged(r);
                 let use_merged = match self.cfg.coalesce {
                     CoalesceMode::Datatype => true,
                     CoalesceMode::Batched => false,
@@ -1191,11 +1319,11 @@ impl ArmciMpi {
                         self.nb
                             .borrow()
                             .model
-                            .prefer_merged(bytes, ops.len(), merged.len())
+                            .prefer_merged(bytes, ops.len(), run_segs.len())
                     }
                 };
                 if use_merged {
-                    let cost = match self.tx().issue_merged(&gmr.win, class, q.target, &merged) {
+                    let cost = match self.tx().issue_merged(&gmr.win, class, q.target, run_segs) {
                         Ok(c) => c,
                         Err(e) => {
                             res = Err(e.into());
@@ -1205,9 +1333,9 @@ impl ArmciMpi {
                     self.nb
                         .borrow_mut()
                         .model
-                        .observe(cost, bytes, merged.len());
+                        .observe(cost, bytes, run_segs.len());
                     wire_t += cost;
-                    segs_out += merged.len() as u64;
+                    segs_out += run_segs.len() as u64;
                     wire_ops += 1;
                     self.note_op(kind, bytes);
                 } else {
@@ -1216,7 +1344,7 @@ impl ArmciMpi {
                     // the one coarsened epoch.
                     for op in ops {
                         merged.clear();
-                        merged.extend_from_slice(&op.segs);
+                        merged.extend_from_slice(&q.segs[op.segs.clone()]);
                         ctree::merge_in_place(&mut merged);
                         let cost = match self.tx().issue_merged(&gmr.win, class, q.target, &merged)
                         {
@@ -1238,9 +1366,7 @@ impl ArmciMpi {
                 }
             }
             {
-                let mut nb = self.nb.borrow_mut();
-                let sc = &mut nb.scratch;
-                sc.tree = tree;
+                let sc = &mut self.nb.borrow_mut().scratch;
                 sc.runs = runs;
                 sc.merged = merged;
             }
@@ -1281,13 +1407,17 @@ impl ArmciMpi {
             self.note_stages(q.gmr.id, &[t0, t1, t2, t3]);
         }
         {
-            let resolved = &mut self.nb.borrow_mut().resolved;
+            let nb = &mut *self.nb.borrow_mut();
             for &id in &q.ids {
                 // A multi-plan handle's id can reach several queues.
-                if let Err(at) = resolved.binary_search(&id) {
-                    resolved.insert(at, id);
+                if let Err(at) = nb.resolved.binary_search(&id) {
+                    nb.resolved.insert(at, id);
                 }
             }
+            q.ids.clear();
+            q.ops.clear();
+            q.segs.clear();
+            nb.scratch.spare.push(q);
         }
         end?;
         res
@@ -1329,19 +1459,24 @@ impl ArmciMpi {
         lo: usize,
         hi: usize,
     ) -> ArmciResult<()> {
-        self.nb_retire(|q| {
-            q.gmr == gmr && q.target == target && q.ops.iter().any(|op| op.overlaps(lo, hi))
-        })
+        self.nb_retire(|q| q.gmr == gmr && q.target == target && q.touches(lo, hi))
     }
 
-    /// Retires the scheduler queues selected by `queue` (flushing each),
+    /// Retires the scheduler queues selected by `pick` (flushing each),
     /// in open order; the rest stay in flight.
-    fn nb_retire(&self, queue: impl FnMut(&mut SchedQueue) -> bool) -> ArmciResult<()> {
-        let queues: Vec<_> = self.nb.borrow_mut().queues.extract_if(.., queue).collect();
-        for q in queues {
+    fn nb_retire(&self, mut pick: impl FnMut(&SchedQueue) -> bool) -> ArmciResult<()> {
+        let mut at = 0;
+        loop {
+            let q = {
+                let mut nb = self.nb.borrow_mut();
+                let Some(k) = nb.queues[at..].iter().position(&mut pick) else {
+                    return Ok(());
+                };
+                at += k;
+                nb.queues.remove(at)
+            };
             self.sched_flush(q)?;
         }
-        Ok(())
     }
 
     /// `ARMCI_Wait`: completes the queues holding `handle`'s operations
@@ -1381,28 +1516,67 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// A queue as run formation sees it: its operations and their
+    /// segment arena.
+    type Queue = (Vec<QueuedOp>, Vec<(usize, usize)>);
+
+    fn queue(specs: Vec<(NbKind, Vec<(usize, usize)>)>) -> Queue {
+        let mut segs = Vec::new();
+        let ops = specs
+            .into_iter()
+            .map(|(kind, s)| {
+                let start = segs.len();
+                segs.extend(s);
+                QueuedOp {
+                    kind,
+                    segs: start..segs.len(),
+                    bytes: 0,
+                }
+            })
+            .collect();
+        (ops, segs)
+    }
+
     /// Reference run formation: re-scans the run's accumulated segments
     /// plus the candidate's from scratch, pairwise, for every queued
-    /// operation (independent of the conflict tree).
-    fn form_runs_reference(ops: &[QueuedOp]) -> Vec<Vec<usize>> {
+    /// operation (independent of the sort and sweep).
+    fn form_runs_reference((ops, segs): &Queue) -> Vec<Vec<usize>> {
         let mut runs: Vec<Vec<usize>> = Vec::new();
-        let mut segs: Vec<(usize, usize)> = Vec::new();
+        let mut run_segs: Vec<(usize, usize)> = Vec::new();
         for (i, op) in ops.iter().enumerate() {
+            let own = &segs[op.segs.clone()];
             if let Some(run) = runs.last_mut() {
                 if ops[run[0]].kind == op.kind {
-                    let mut cand = segs.clone();
-                    cand.extend(op.segs.iter().copied());
+                    let mut cand = run_segs.clone();
+                    cand.extend_from_slice(own);
                     if ctree::scan_segments_naive(&cand).is_ok() {
                         run.push(i);
-                        segs = cand;
+                        run_segs = cand;
                         continue;
                     }
                 }
             }
-            segs = op.segs.clone();
+            run_segs = own.to_vec();
             runs.push(vec![i]);
         }
         runs
+    }
+
+    /// Forms `q`'s runs and checks them, and each run's merged segments,
+    /// against the reference and [`ctree::merge_in_place`] over the run.
+    fn check_runs(runs: &mut Runs, q: &Queue) {
+        let (ops, segs) = q;
+        runs.form(ops, segs);
+        let got: Vec<Vec<usize>> = runs.runs.iter().map(|r| r.clone().collect()).collect();
+        assert_eq!(got, form_runs_reference(q));
+        for (r, run) in runs.runs.iter().enumerate() {
+            let mut want: Vec<(usize, usize)> = ops[run.clone()]
+                .iter()
+                .flat_map(|op| segs[op.segs.clone()].iter().copied())
+                .collect();
+            ctree::merge_in_place(&mut want);
+            assert_eq!(runs.merged(r), &want[..], "run {r}");
+        }
     }
 
     fn kind_of(k: usize) -> NbKind {
@@ -1416,8 +1590,9 @@ mod tests {
 
     /// Random queues: each op picks a kind (mostly the previous one, so
     /// runs can grow) and a few segments on a small address space, so
-    /// overlapping, adjacent and self-overlapping ops all occur.
-    fn arb_queue() -> impl Strategy<Value = Vec<QueuedOp>> {
+    /// overlapping, adjacent, zero-length and self-overlapping ops all
+    /// occur.
+    fn arb_queue() -> impl Strategy<Value = Queue> {
         proptest::collection::vec(
             (
                 0usize..8,
@@ -1427,89 +1602,126 @@ mod tests {
         )
         .prop_map(|specs| {
             let mut kind = 0usize;
-            specs
-                .into_iter()
-                .map(|(k, segs)| {
-                    if k < 4 {
-                        kind = k;
-                    }
-                    QueuedOp {
-                        kind: kind_of(kind),
-                        segs: segs.into_iter().map(|(w, len)| (w * 4, len * 4)).collect(),
-                        bytes: 0,
-                    }
-                })
-                .collect()
+            queue(
+                specs
+                    .into_iter()
+                    .map(|(k, segs)| {
+                        if k < 4 {
+                            kind = k;
+                        }
+                        let segs = segs.into_iter().map(|(w, len)| (w * 4, len * 4));
+                        (kind_of(kind), segs.collect())
+                    })
+                    .collect(),
+            )
         })
     }
 
     /// Tile-shaped queues: each op is an ascending strided segment list
     /// (a flattened tile) placed past the previous op's end, so runs grow
     /// by appending; an occasional op lands below (disjoint or
-    /// overlapping) or changes kind, so the tree links inside a run.
-    fn arb_tile_queue() -> impl Strategy<Value = Vec<QueuedOp>> {
+    /// overlapping), changes kind, carries a zero-length segment or
+    /// overlaps itself.
+    fn arb_tile_queue() -> impl Strategy<Value = Queue> {
         proptest::collection::vec(
-            (0usize..16, 1usize..6, 1usize..5, 0usize..4, 0usize..400),
+            (0usize..20, 1usize..6, 1usize..5, 0usize..4, 0usize..400),
             0..16,
         )
         .prop_map(|specs| {
             let mut end = 0usize;
-            specs
-                .into_iter()
-                .map(|(pick, count, len, gap, low)| {
-                    let (len, stride) = (len * 8, (len + gap) * 8);
-                    let base = match pick {
-                        0 | 1 => low,
-                        _ => end + gap * 8,
-                    };
-                    let segs: Vec<(usize, usize)> =
-                        (0..count).map(|i| (base + i * stride, len)).collect();
-                    end = end.max(base + (count - 1) * stride + len);
-                    QueuedOp {
-                        kind: kind_of(usize::from(pick == 2)),
-                        segs,
-                        bytes: 0,
-                    }
-                })
-                .collect()
+            queue(
+                specs
+                    .into_iter()
+                    .map(|(pick, count, len, gap, low)| {
+                        let (len, stride) = (len * 8, (len + gap) * 8);
+                        let base = match pick {
+                            0 | 1 => low,
+                            _ => end + gap * 8,
+                        };
+                        let mut segs: Vec<(usize, usize)> =
+                            (0..count).map(|i| (base + i * stride, len)).collect();
+                        match pick {
+                            3 => segs.insert(count / 2, (base + 4, 0)),
+                            4 => segs.push((base, len)),
+                            _ => {}
+                        }
+                        end = end.max(base + (count - 1) * stride + len);
+                        (kind_of(usize::from(pick == 2)), segs)
+                    })
+                    .collect(),
+            )
+        })
+    }
+
+    /// Duplicated tiles, the CCSD T-tile pattern: `tasks` tasks each
+    /// fetch the same `tiles` strided tiles in turn (task-major), so every
+    /// tile recurs once per task and cuts a run at each task boundary.
+    fn arb_dup_tile_queue() -> impl Strategy<Value = Queue> {
+        (1usize..5, 1usize..8, 1usize..5, 0usize..3).prop_map(|(tasks, tiles, rows, gap)| {
+            let (len, stride) = (16, 16 * (1 + gap));
+            let tile = |t: usize| -> Vec<(usize, usize)> {
+                (0..rows)
+                    .map(|i| (t * rows * stride + i * stride, len))
+                    .collect()
+            };
+            queue(
+                (0..tasks)
+                    .flat_map(|_| (0..tiles).map(|t| (NbKind::Get, tile(t))))
+                    .collect(),
+            )
         })
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
-        /// Incremental run formation splits every queue exactly like the
-        /// from-scratch reference, on random queues and on tile-shaped
-        /// ones (where the tree appends until an out-of-order op links it
-        /// partway through a run).
+        /// The sort-and-sweep run formation splits every queue exactly
+        /// like the from-scratch reference, and merges each run's
+        /// segments as `merge_in_place` does, on random queues, on
+        /// tile-shaped ones and on duplicated tiles.
         #[test]
-        fn form_runs_matches_reference(ops in arb_queue(), tiles in arb_tile_queue()) {
-            let mut tree = ConflictTree::new();
-            let mut runs = Vec::new();
-            for queue in [&ops, &tiles] {
-                form_runs(queue, &mut tree, &mut runs);
-                let got: Vec<Vec<usize>> = runs.iter().map(|r| r.clone().collect()).collect();
-                prop_assert_eq!(got, form_runs_reference(queue));
+        fn form_runs_matches_reference(
+            ops in arb_queue(),
+            tiles in arb_tile_queue(),
+            dups in arb_dup_tile_queue(),
+        ) {
+            let mut runs = Runs::default();
+            for q in [&ops, &tiles, &dups] {
+                check_runs(&mut runs, q);
             }
         }
     }
 
     #[test]
     fn self_overlapping_seed_takes_no_followers() {
-        let op = |segs: Vec<(usize, usize)>| QueuedOp {
-            kind: NbKind::Put,
-            segs,
-            bytes: 0,
-        };
-        let ops = vec![
-            op(vec![(0, 8), (4, 8)]),
-            op(vec![(64, 8)]),
-            op(vec![(96, 8)]),
-        ];
-        let mut tree = ConflictTree::new();
-        let mut runs = Vec::new();
-        form_runs(&ops, &mut tree, &mut runs);
-        assert_eq!(runs, vec![0..1, 1..3]);
-        assert_eq!(form_runs_reference(&ops), vec![vec![0], vec![1, 2]]);
+        let q = queue(vec![
+            (NbKind::Put, vec![(0, 8), (4, 8)]),
+            (NbKind::Put, vec![(64, 8)]),
+            (NbKind::Put, vec![(96, 8)]),
+        ]);
+        let mut runs = Runs::default();
+        runs.form(&q.0, &q.1);
+        assert_eq!(runs.runs, vec![0..1, 1..3]);
+        assert_eq!(runs.merged(0), &[(0, 12)]);
+        assert_eq!(runs.merged(1), &[(64, 8), (96, 8)]);
+        assert_eq!(form_runs_reference(&q), vec![vec![0], vec![1, 2]]);
+    }
+
+    #[test]
+    fn duplicated_tiles_cut_at_each_task() {
+        // Two tasks fetch the same two 2-row tiles: one run per task,
+        // each merging its two tiles' rows.
+        let tile = |t: usize| vec![(t * 64, 16), (t * 64 + 32, 16)];
+        let q = queue(
+            (0..2)
+                .flat_map(|_| (0..2).map(|t| (NbKind::Get, tile(t))))
+                .collect(),
+        );
+        let mut runs = Runs::default();
+        runs.form(&q.0, &q.1);
+        assert_eq!(runs.runs, vec![0..2, 2..4]);
+        for r in 0..2 {
+            assert_eq!(runs.merged(r), &[(0, 16), (32, 16), (64, 16), (96, 16)]);
+        }
     }
 }

@@ -183,3 +183,83 @@ fn repeated_strided_shape_hits_dtype_cache() {
         rt.free(bases[p.rank()]).unwrap();
     });
 }
+
+/// A CCSD-shaped prefetch volley under the default `Config`: tile gets
+/// alternate between two arrays (GMRs), half from the peer node and half
+/// from this rank's own block, and the second array's tiles recur once
+/// per task, as the T tiles do. Queues on different `(GMR, target)`
+/// pairs stay open side by side, so each remote pair flushes once and
+/// merges its tiles; self-owned tiles complete eagerly on the shm route
+/// without flushing anything. The payloads equal blocking gets'.
+#[test]
+fn ccsd_volley_flushes_once_per_pair_and_merges() {
+    const N: usize = 16; // f64 elements per row and rows per rank's block
+    const ROW: usize = N * 8;
+    let mut platform =
+        simnet::Platform::get(simnet::PlatformId::InfiniBandCluster).customized("ccsd-volley-test");
+    platform.sockets_per_node = 1;
+    platform.cores_per_socket = 1;
+    let layout = RuntimeConfig {
+        platform,
+        charge_time: false,
+        ..Default::default()
+    };
+    Runtime::run_with(2, layout, |p| {
+        let rt = ArmciMpi::with_config(p, Config::default());
+        let me = p.rank();
+        let arrays = [rt.malloc(N * ROW).unwrap(), rt.malloc(N * ROW).unwrap()];
+        for (a, bases) in arrays.iter().enumerate() {
+            rt.access_mut(bases[me], N * ROW, &mut |b| {
+                for (i, x) in b.chunks_exact_mut(8).enumerate() {
+                    x.copy_from_slice(&((a * 10_000 + me * 1000 + i) as f64).to_le_bytes());
+                }
+            })
+            .unwrap();
+        }
+        rt.barrier();
+        if me == 0 {
+            // A 4×4 tile of doubles: 4 rows of 32 bytes at the row stride.
+            let tile = |owner: usize, r: usize, c: usize, a: usize| {
+                arrays[a][owner].offset(r * 4 * ROW + c * 32)
+            };
+            let mut volley = Vec::new();
+            for task in 0..4 {
+                for pair in 0..4 {
+                    let owner = pair % 2;
+                    volley.push(tile(owner, task, pair, 0));
+                    volley.push(tile(owner, 0, pair, 1));
+                }
+            }
+            let mut got = vec![vec![0u8; 128]; volley.len()];
+            let handles: Vec<_> = volley
+                .iter()
+                .zip(&mut got)
+                .map(|(&addr, buf)| {
+                    rt.nb_get_strided(addr, &[ROW], buf, &[32], &[32, 4])
+                        .unwrap()
+                })
+                .collect();
+            assert_eq!(
+                rt.stage_stats().sched_flushes,
+                0,
+                "nothing flushes mid-volley"
+            );
+            rt.wait_all(handles).unwrap();
+            let g = rt.stage_stats();
+            assert_eq!(g.sched_enqueued, 16, "the remote half is queued");
+            assert_eq!(g.sched_flushes, 2, "one flush per remote (GMR, target)");
+            assert!(g.sched_ops_merged() > 0, "{g:?}");
+            assert_eq!(g.shm_hits, 16, "self-owned tiles take the shm route");
+            for (&addr, nb) in volley.iter().zip(&got) {
+                let mut want = vec![0u8; 128];
+                rt.get_strided(addr, &[ROW], &mut want, &[32], &[32, 4])
+                    .unwrap();
+                assert_eq!(nb, &want);
+            }
+        }
+        rt.barrier();
+        for bases in &arrays {
+            rt.free(bases[me]).unwrap();
+        }
+    });
+}

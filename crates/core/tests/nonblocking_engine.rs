@@ -167,10 +167,11 @@ fn mpi2_conflicting_ops_split_the_epoch() {
 }
 
 #[test]
-fn mpi2_second_target_closes_first_epoch() {
-    // MPI-2 mode holds at most one aggregate epoch: opening a second
-    // target quiesces the first (no hold-and-wait deadlock), and waiting
-    // on the already-retired handle is still Ok.
+fn mpi2_second_target_leaves_first_queue_open() {
+    // An MPI-2 scheduler queue holds no lock until its flush, which takes
+    // and releases exactly one: a second target opens its own queue and
+    // leaves the first in flight, and each wait flushes only the queue
+    // holding its handle, in whatever order the waits come.
     Runtime::run_with(3, quiet(), |p: &Proc| {
         let rt = ArmciMpi::with_config(p, mpi2());
         let bases = rt.malloc(8).unwrap();
@@ -180,13 +181,70 @@ fn mpi2_second_target_closes_first_epoch() {
             let h2 = rt.nb_put(&[2u8; 8], bases[2]).unwrap();
             let g = rt.stage_stats();
             assert_eq!(g.acquires, 2);
-            assert_eq!(g.completes, 1, "first epoch closed on second acquire");
-            rt.wait(h1).unwrap();
+            assert_eq!(g.completes, 0, "both queues open until a wait");
             rt.wait(h2).unwrap();
+            assert_eq!(
+                rt.stage_stats().completes,
+                1,
+                "a wait flushes its own queue"
+            );
+            rt.wait(h1).unwrap();
             assert_eq!(rt.stage_stats().completes, 2);
         }
         rt.barrier();
+        if p.rank() > 0 {
+            let v = p.rank() as u8;
+            rt.access(bases[p.rank()], 8, &mut |b| assert_eq!(b, &[v; 8]))
+                .unwrap();
+        }
+        rt.barrier();
         rt.free(bases[p.rank()]).unwrap();
+    });
+}
+
+#[test]
+fn mpi2_crossed_queues_on_two_gmrs_do_not_deadlock() {
+    // Both ranks queue MPI-2 puts to each other (and to themselves) on
+    // two allocations, then wait in opposite orders, round after round.
+    // Every flush takes one exclusive lock and releases it before the
+    // next, so the crossed queues cannot hold-and-wait.
+    const ROUNDS: usize = 32;
+    Runtime::run_with(2, quiet(), |p: &Proc| {
+        let rt = ArmciMpi::with_config(p, mpi2());
+        let me = p.rank();
+        let peer = 1 - me;
+        let gmrs = [rt.malloc(64).unwrap(), rt.malloc(64).unwrap()];
+        rt.barrier();
+        for round in 0..ROUNDS {
+            // Each rank writes its own 8-byte slot of every target block.
+            let v = |g: usize, t: usize| (round * 8 + g * 4 + t * 2 + me) as u8;
+            let mut handles = Vec::new();
+            for (g, bases) in gmrs.iter().enumerate() {
+                for t in [peer, me] {
+                    handles.push(rt.nb_put(&[v(g, t); 8], bases[t].offset(me * 8)).unwrap());
+                }
+            }
+            if me == 1 {
+                handles.reverse();
+            }
+            for h in handles {
+                rt.wait(h).unwrap();
+            }
+        }
+        rt.barrier();
+        for (g, bases) in gmrs.iter().enumerate() {
+            rt.access(bases[me], 16, &mut |b| {
+                for writer in 0..2 {
+                    let want = ((ROUNDS - 1) * 8 + g * 4 + me * 2 + writer) as u8;
+                    assert_eq!(&b[writer * 8..writer * 8 + 8], &[want; 8]);
+                }
+            })
+            .unwrap();
+        }
+        rt.barrier();
+        for bases in &gmrs {
+            rt.free(bases[me]).unwrap();
+        }
     });
 }
 

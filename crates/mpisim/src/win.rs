@@ -1181,8 +1181,8 @@ impl WinHandle {
     /// Prices and records one scheduler-merged RMA: a whole run of
     /// same-class queued operations issued as a single wire operation
     /// whose target datatype is the merged segment list (window-absolute
-    /// `(offset, len)` pairs, disjoint and ascending — the scheduler
-    /// proves this with the conflict tree before calling). Bytes have
+    /// `(offset, len)` pairs, disjoint and ascending — the scheduler's
+    /// run formation guarantees this before calling). Bytes have
     /// already moved via the `stage_*` movers; this performs the epoch
     /// admission, consults the committed-datatype cache, records the RMA
     /// (and pack) events, and returns the virtual-time cost for the

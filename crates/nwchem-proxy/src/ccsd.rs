@@ -539,11 +539,13 @@ pub fn run_ccsd_pipelined<A: Armci + ?Sized>(p: &Proc, rt: &A, cfg: &CcsdConfig)
             };
             // One prefetch volley for every (task, cd pair) tile in the
             // chunk. V and T gets alternate, so consecutive gets name
-            // different arrays (GMRs). Under MPI-2 per-op epochs a get
-            // that opens a new scheduler queue flushes every open one,
-            // and a get from a node peer's tile completes eagerly after
-            // the same flush: each queue holds one get, and the
-            // coalescer merges nothing here.
+            // different arrays (GMRs); each remote (array, owner) pair
+            // fills its own scheduler queue, flushed once at the first
+            // wait on it, and a node peer's (or this rank's own) tile
+            // completes eagerly without flushing the others. A queue's
+            // disjoint tiles merge into one wire get; the four tasks of
+            // a chunk fetch the same T tiles, so the T queue splits into
+            // one run per task.
             let mut gets = Vec::new();
             for (t, &task) in chunk.iter().enumerate() {
                 let (lo, hi) = tile_of(task);
