@@ -24,12 +24,12 @@
 //!
 //! Nonblocking operations run the same plans through one deferred path,
 //! with completion deferred to `ARMCI_Wait` (or the next synchronising
-//! call). Payload bytes move at enqueue (through the window's `stage_*`
-//! movers, so no raw caller pointer outlives the call), but the wire
-//! operations themselves are deferred into a per-`(GMR, target)` queue
-//! — the engine-level realisation of ARMCI's aggregate handles. At
-//! flush the queue is split, in program order, into **runs** of
-//! same-class operations (all-get, all-put, or all-accumulate with one
+//! call). Payload bytes move at enqueue (through the window's one mover,
+//! `WinHandle::stage`, so no raw caller pointer outlives the call), but
+//! the wire operations themselves are deferred into a per-`(GMR,
+//! target)` queue — the engine-level realisation of ARMCI's aggregate
+//! handles. At flush the queue is split, in program order, into **runs**
+//! of same-class operations (all-get, all-put, or all-accumulate with one
 //! element type) whose target segments are pairwise disjoint (one sort
 //! and sweep of the queued segments, before any lock is taken); each
 //! run is issued as **one** MPI operation whose
@@ -49,7 +49,7 @@ use crate::gmr::{Gmr, GmrRef};
 use crate::transport::{EpochStyle, Origin};
 use crate::ArmciMpi;
 use armci::{ArmciError, ArmciResult, GlobalAddr, IovDesc, Local, NbHandle, StridedMethod};
-use mpisim::dtype::{zip_into, Flat};
+use mpisim::dtype::Flat;
 use mpisim::{AccOp, Datatype, ElemType, LockMode, RmaClass};
 use std::ops::Range;
 
@@ -938,7 +938,7 @@ impl ArmciMpi {
     /// Acquire / execute / complete for one plan. The route is decided
     /// per plan: a node-peer target on a slab-backed window takes the shm
     /// route ([`crate::shm`]) — the shm bracket's epoch entered and left
-    /// through `win_sync`, one lock overhead, slab load/store movers —
+    /// through `win_sync`, one lock overhead, the shm-priced mover —
     /// and every other target takes the wire backend.
     fn run_plan(&self, plan: &TransferPlan, buf: &ExecBuf) -> ArmciResult<()> {
         let gmrs = self.gmrs.borrow();
@@ -1013,7 +1013,7 @@ impl ArmciMpi {
     /// the wire backend, or (`shm`) as a slab copy charged at the
     /// platform's shm tier, its errors funnelled through
     /// [`ArmciMpi::shm_err`]. Operation statistics count the same on both
-    /// routes — the route changes the mover, not the op.
+    /// routes — the route changes the price, not the op.
     fn issue_op(
         &self,
         gmr: &Gmr,
@@ -1029,12 +1029,8 @@ impl ArmciMpi {
         // disjoint pieces of it; `origin` is dropped before returning.
         let origin = unsafe { buf.origin() };
         let moved = if shm {
-            match origin {
-                Origin::Get(b) => win.shm_get(b, odt, target, tdisp, tdt),
-                Origin::Put(b) => win.shm_put(b, odt, target, tdisp, tdt),
-                Origin::Acc(b, elem, acc) => win.shm_acc(b, odt, target, tdisp, tdt, elem, acc),
-            }
-            .map(|cost| win.charge_virtual(cost))
+            win.shm_transfer(origin, odt, target, tdisp, tdt)
+                .map(|cost| win.charge_virtual(cost))
         } else {
             tx.transfer(win, origin, odt, target, tdisp, tdt)
         };
@@ -1074,7 +1070,7 @@ impl ArmciMpi {
 
     /// Enqueues plans on the coalescing scheduler and returns a deferred
     /// handle: payload moves now (through the window's bounds-checked
-    /// staging movers), wire issue and epoch accounting are deferred to
+    /// mover), wire issue and epoch accounting are deferred to
     /// the queue's flush at `ARMCI_Wait` (or the next synchronisation
     /// point).
     pub(crate) fn nb_run_plans(
@@ -1109,7 +1105,9 @@ impl ArmciMpi {
         let per_op = self.tx.epoch_style() == EpochStyle::PerOp;
         for plan in plans {
             let t0 = self.vnow();
-            // Flatten every operation's target once, up front.
+            // Flatten each operation once and move its payload now: the
+            // queue keeps the window-absolute target segments, and pricing
+            // waits for the flush.
             let (mut staged, mut segs, mut flat) = {
                 let sc = &mut self.nb.borrow_mut().scratch;
                 (
@@ -1118,15 +1116,24 @@ impl ArmciMpi {
                     std::mem::take(&mut sc.flat),
                 )
             };
-            for op in plan.ops.iter() {
-                let start = segs.len();
-                op.tdt.segments_into(&mut flat.tsegs);
-                segs.extend(flat.tsegs.iter().map(|&(off, len)| (off + op.tdisp, len)));
-                staged.push(QueuedOp {
-                    kind,
-                    segs: start..segs.len(),
-                    bytes: op.bytes,
-                });
+            {
+                let gmrs = self.gmrs.borrow();
+                let win = &gmrs.get(plan.gmr)?.win;
+                for op in plan.ops.iter() {
+                    // SAFETY: as in `issue_op`: the planner keeps every
+                    // datatype within the caller's buffer, and the origin
+                    // is dropped before this call returns.
+                    let origin = unsafe { buf.origin() };
+                    flat.flatten(&origin, &op.odt, op.tdisp, &op.tdt)?;
+                    win.stage(origin, plan.target, &flat)?;
+                    let start = segs.len();
+                    segs.extend_from_slice(flat.tsegs());
+                    staged.push(QueuedOp {
+                        kind,
+                        segs: start..segs.len(),
+                        bytes: op.bytes,
+                    });
+                }
             }
             // Join the open queue on (gmr, target) or open a new one. The
             // coarsened MPI-2 epoch is still *one* epoch, so a plan whose
@@ -1168,21 +1175,6 @@ impl ArmciMpi {
                     nb.queues.len() - 1
                 }
             };
-            // Move the payload eagerly; pricing waits for the flush.
-            {
-                let gmrs = self.gmrs.borrow();
-                let gmr = gmrs.get(plan.gmr)?;
-                for (op, q) in plan.ops.iter().zip(&staged) {
-                    self.sched_stage_op(
-                        gmr,
-                        plan.target,
-                        op,
-                        &segs[q.segs.clone()],
-                        buf,
-                        &mut flat,
-                    )?;
-                }
-            }
             // Software issue overhead per queued operation; the wire time
             // itself is charged when the flush prices the runs.
             self.charge(plan.ops.len() as f64 * op_overhead);
@@ -1235,35 +1227,6 @@ impl ArmciMpi {
             (sc.staged, sc.staged_segs, sc.flat) = (staged, segs, flat);
         }
         Ok(NbHandle::deferred(id))
-    }
-
-    /// Moves one planned operation's payload between the caller's buffer
-    /// and the target window *now*, without wire pricing: the origin
-    /// datatype is flattened into `flat`, zipped with the operation's
-    /// already-flattened window-absolute target segments `tsegs` (a
-    /// two-pointer walk splitting at whichever boundary comes first), and
-    /// the resulting piece list moves in one staging call.
-    fn sched_stage_op(
-        &self,
-        gmr: &Gmr,
-        target: usize,
-        op: &PlannedOp,
-        tsegs: &[(usize, usize)],
-        buf: &ExecBuf,
-        flat: &mut Flat,
-    ) -> ArmciResult<()> {
-        op.odt.segments_into(&mut flat.osegs);
-        flat.pieces.clear();
-        zip_into(&flat.osegs, tsegs, &mut flat.pieces);
-        let (win, pieces) = (&gmr.win, &flat.pieces);
-        // SAFETY: as in `issue_op`: the pieces stay within the caller's
-        // buffer, and the origin is dropped before this call returns.
-        match unsafe { buf.origin() } {
-            Origin::Get(b) => win.stage_get_bytes(b, target, pieces)?,
-            Origin::Put(b) => win.stage_put_bytes(b, target, pieces)?,
-            Origin::Acc(b, elem, acc) => win.stage_acc_bytes(b, target, pieces, elem, acc)?,
-        }
-        Ok(())
     }
 
     /// Flushes one scheduler queue: forms merged runs, acquires the

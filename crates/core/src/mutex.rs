@@ -54,12 +54,6 @@ impl MutexSet {
         }
     }
 
-    /// Number of mutexes per host.
-    #[allow(dead_code)]
-    pub fn count(&self) -> usize {
-        self.count
-    }
-
     fn check_args(&self, mutex: usize, host: usize) -> ArmciResult<()> {
         if mutex >= self.count {
             return Err(ArmciError::MutexMisuse(format!(

@@ -19,29 +19,23 @@
 //!   ([`simnet::ChannelParams::atomic_cost`] via
 //!   [`WinHandle::atomic_i64_priced`]).
 //!
-//! Payloads move through the window's bounds-checked staging movers, so
-//! the bytes delivered are bit-identical to the MPI-RMA backend's — only
-//! pricing, events, and epoch traffic differ. Under the congestion-aware
+//! A transfer is flatten, move, price: [`Flat::flatten`] validates and
+//! flattens the datatype pair, and the window's one mover
+//! ([`WinHandle::stage`]) bounds-checks and moves the bytes, so the bytes
+//! delivered and the errors returned are the MPI-RMA backend's; only
+//! pricing, events and epoch traffic differ. Under the congestion-aware
 //! network model, each segment counts as one injected message
 //! ([`WinHandle::net_extra`] with `msgs = nsegs`).
 
 use super::{EpochStyle, Origin, Transport, TransportStats};
 use mpisim::dtype::{Datatype, Flat};
 use mpisim::mpi3::CellOp;
-use mpisim::{AccOp, ElemType, MpiError, MpiResult, RmaClass, WinHandle};
-use simnet::ChannelParams;
+use mpisim::{MpiResult, RmaClass, WinHandle};
 use std::cell::{Cell, RefCell};
-
-/// One channel transfer, priced. `offloaded` means the NIC handled it
-/// end-to-end (contiguous, no combine).
-struct Priced {
-    cost: f64,
-    offloaded: bool,
-}
 
 /// The channel wire backend. Stateless per window; the only state is a
 /// pair of offload counters surfaced through [`Transport::stats`] and the
-/// flattening scratch its software path reuses.
+/// flattening scratch its transfers reuse.
 #[derive(Debug, Default)]
 pub struct ChannelTransport {
     offloaded: Cell<u64>,
@@ -55,55 +49,40 @@ impl ChannelTransport {
         ChannelTransport::default()
     }
 
-    /// Replicates the wire path's origin-buffer validation: the origin
-    /// datatype must fit in the caller's buffer.
-    fn check_origin(origin_len: usize, odt: &Datatype) -> MpiResult<()> {
-        if odt.extent() > origin_len {
-            return Err(MpiError::BadDatatype(format!(
-                "origin datatype extent {} exceeds buffer {}",
-                odt.extent(),
-                origin_len
-            )));
-        }
-        Ok(())
-    }
-
-    /// Prices one transfer and classifies it offloaded/fallback.
-    fn price(p: &ChannelParams, bytes: usize, nsegs: usize, combine: bool) -> Priced {
-        if nsegs <= 1 && !combine {
-            Priced {
-                cost: p.contig_cost(bytes),
-                offloaded: true,
-            }
-        } else {
-            let mut cost = p.sw_cost(bytes, nsegs);
-            if combine {
-                cost += p.combine_cost(bytes);
-            }
-            Priced {
-                cost,
-                offloaded: false,
-            }
-        }
-    }
-
-    /// Counts the op, emits its trace event, and returns the total cost
-    /// (channel pricing plus congestion delay) for the caller to charge
-    /// or defer.
-    fn account(
+    /// Prices one channel operation, counts it, emits its trace event and
+    /// returns the total cost (channel pricing plus congestion and
+    /// progress delay) for the caller to charge or defer. The NIC offloads
+    /// a single-segment put or get when `offload` allows it; everything
+    /// else takes the software path, and an accumulate adds the software
+    /// combine.
+    fn issue(
         &self,
         win: &WinHandle,
-        kind: obs::OpKind,
+        class: RmaClass,
         target: usize,
         bytes: usize,
         nsegs: usize,
-        priced: &Priced,
+        offload: bool,
     ) -> f64 {
-        if priced.offloaded {
+        let p = win.channel_params();
+        let (kind, combine) = match class {
+            RmaClass::Get => (obs::OpKind::Get, false),
+            RmaClass::Put => (obs::OpKind::Put, false),
+            RmaClass::Acc(..) => (obs::OpKind::Acc, true),
+        };
+        let offloaded = offload && nsegs <= 1 && !combine;
+        let cost = if offloaded {
             self.offloaded.set(self.offloaded.get() + 1);
+            p.contig_cost(bytes)
         } else {
             self.fallback.set(self.fallback.get() + 1);
-        }
+            let sw = p.sw_cost(bytes, nsegs);
+            if combine {
+                sw + p.combine_cost(bytes)
+            } else {
+                sw
+            }
+        };
         if obs::enabled() {
             obs::instant_at(
                 obs::EventKind::TransportIssue {
@@ -112,98 +91,21 @@ impl ChannelTransport {
                     target: target as u32,
                     kind,
                     bytes: bytes as u64,
-                    offloaded: priced.offloaded,
+                    offloaded,
                 },
                 win.vnow(),
             );
         }
-        let extra = win.net_extra(
-            target,
-            win.channel_params().ser_time(bytes),
-            nsegs.max(1) as u64,
-        );
+        let extra = win.net_extra(target, p.ser_time(bytes), nsegs.max(1) as u64);
         // Offloaded transfers complete on the NIC regardless of the
         // target CPU; only the software fallback needs the target (or
         // its node's agent) to service the request.
-        let prog = if priced.offloaded {
+        let prog = if offloaded {
             0.0
         } else {
             win.progress_extra(target, 1)
         };
-        priced.cost + extra + prog
-    }
-
-    /// Validates a put's or get's origin, zips both datatypes into
-    /// window-absolute copy pieces (target offsets shifted by `tdisp`)
-    /// and hands them to `mv`, the window's staging mover for the
-    /// direction.
-    fn zip_and_move(
-        &self,
-        origin_len: usize,
-        odt: &Datatype,
-        tdisp: usize,
-        tdt: &Datatype,
-        mv: impl FnOnce(&[(usize, usize, usize)]) -> MpiResult<()>,
-    ) -> MpiResult<()> {
-        Self::check_origin(origin_len, odt)?;
-        let mut flat = self.flat.borrow_mut();
-        flat.flatten_target(tdt);
-        flat.zip_origin(odt, tdt.size())?;
-        for p in &mut flat.pieces {
-            p.1 += tdisp;
-        }
-        mv(&flat.pieces)
-    }
-
-    /// Validates an accumulate the way the wire path does (element-multiple
-    /// size, origin extent, matching origin/target sizes, element-aligned
-    /// target segments in the staging mover), then gathers the origin
-    /// selection contiguously and combines it per target segment
-    /// (element-atomic via the mover's slab lock). As on the wire path,
-    /// origin segments need not be element-aligned, only target ones.
-    #[allow(clippy::too_many_arguments)]
-    fn combine(
-        &self,
-        win: &WinHandle,
-        origin: &[u8],
-        odt: &Datatype,
-        target: usize,
-        tdisp: usize,
-        tdt: &Datatype,
-        elem: ElemType,
-        op: AccOp,
-    ) -> MpiResult<()> {
-        let es = elem.size();
-        if !odt.size().is_multiple_of(es) {
-            return Err(MpiError::BadDatatype(format!(
-                "accumulate of {} bytes not a multiple of element size {es}",
-                odt.size()
-            )));
-        }
-        Self::check_origin(origin.len(), odt)?;
-        if odt.size() != tdt.size() {
-            return Err(MpiError::TypeMismatch {
-                origin_bytes: odt.size(),
-                target_bytes: tdt.size(),
-            });
-        }
-        let mut flat = self.flat.borrow_mut();
-        let flat = &mut *flat;
-        let mut staged = vec![0u8; odt.size()];
-        let mut w = 0usize;
-        odt.segments_into(&mut flat.osegs);
-        for &(off, len) in &flat.osegs {
-            staged[w..w + len].copy_from_slice(&origin[off..off + len]);
-            w += len;
-        }
-        flat.flatten_target(tdt);
-        flat.pieces.clear();
-        let mut s = 0usize;
-        for &(toff, len) in &flat.tsegs {
-            flat.pieces.push((s, tdisp + toff, len));
-            s += len;
-        }
-        win.stage_acc_bytes(&staged, target, &flat.pieces, elem, op)
+        cost + extra + prog
     }
 
     /// Counts one offloaded NIC atomic and emits its trace event.
@@ -243,27 +145,14 @@ impl Transport for ChannelTransport {
         tdisp: usize,
         tdt: &Datatype,
     ) -> MpiResult<()> {
-        let (kind, combine) = match origin {
-            Origin::Put(b) => {
-                let mv = |pieces: &_| win.stage_put_bytes(b, target, pieces);
-                self.zip_and_move(b.len(), odt, tdisp, tdt, mv)?;
-                (obs::OpKind::Put, false)
-            }
-            Origin::Get(b) => {
-                let len = b.len();
-                let mv = |pieces: &_| win.stage_get_bytes(b, target, pieces);
-                self.zip_and_move(len, odt, tdisp, tdt, mv)?;
-                (obs::OpKind::Get, false)
-            }
-            Origin::Acc(b, elem, op) => {
-                self.combine(win, b, odt, target, tdisp, tdt, elem, op)?;
-                (obs::OpKind::Acc, true)
-            }
-        };
-        let bytes = odt.size();
+        let class = origin.class();
+        {
+            let mut flat = self.flat.borrow_mut();
+            flat.flatten(&origin, odt, tdisp, tdt)?;
+            win.stage(origin, target, &flat)?;
+        }
         let nsegs = odt.num_segments().max(tdt.num_segments());
-        let priced = Self::price(win.channel_params(), bytes, nsegs, combine);
-        win.charge_virtual(self.account(win, kind, target, bytes, nsegs, &priced));
+        win.charge_virtual(self.issue(win, class, target, odt.size(), nsegs, true));
         Ok(())
     }
 
@@ -274,26 +163,11 @@ impl Transport for ChannelTransport {
         target: usize,
         segs: &[(usize, usize)],
     ) -> MpiResult<f64> {
-        // Bytes already moved through the stage movers (bounds-checked
+        // Bytes already moved through the window's mover (bounds-checked
         // there); merged runs always take the software path — the NIC
         // offload is contiguous-only.
         let bytes: usize = segs.iter().map(|&(_, len)| len).sum();
-        let nsegs = segs.len().max(1);
-        let p = win.channel_params();
-        let (combine, kind) = match class {
-            RmaClass::Acc(..) => (true, obs::OpKind::Acc),
-            RmaClass::Put => (false, obs::OpKind::Put),
-            RmaClass::Get => (false, obs::OpKind::Get),
-        };
-        let mut cost = p.sw_cost(bytes, nsegs);
-        if combine {
-            cost += p.combine_cost(bytes);
-        }
-        let priced = Priced {
-            cost,
-            offloaded: false,
-        };
-        Ok(self.account(win, kind, target, bytes, nsegs, &priced))
+        Ok(self.issue(win, class, target, bytes, segs.len().max(1), false))
     }
 
     /// Doorbell + wire round trip + CQ poll, plus congestion delay for

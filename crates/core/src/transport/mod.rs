@@ -11,15 +11,18 @@
 //! * the mutual-exclusion brackets of byte-protocol sequences and direct
 //!   access (`atomic_epoch_begin`/`atomic_epoch_end`) are the same
 //!   for every backend;
-//! * the coalescing scheduler's staged payload moves through the
-//!   window's `stage_*_bytes` movers directly.
+//! * payload movement: every route flattens with
+//!   [`Flat::flatten`](mpisim::dtype::Flat::flatten) and moves through
+//!   the window's one mover, [`WinHandle::stage`]. A backend's
+//!   `transfer` adds only admission (where it has epochs) and its
+//!   price, and the coalescing scheduler calls the two directly.
 //!
 //! Two wire backends exist:
 //!
 //! * [`MpiRmaTransport`] — the paper's backend: MPI-2 per-op passive
 //!   epochs (`lock`/`unlock`) or the MPI-3 epochless discipline
 //!   (`lock_all` at attach, `flush` per access context), delegating 1:1
-//!   to the [`WinHandle`] entry points;
+//!   to [`WinHandle::transfer`], `issue_merged` and the MPI-3 atomics;
 //! * [`ChannelTransport`] — a RAMC-style remote-memory-channel model:
 //!   no MPI epochs at all; contiguous puts/gets are offloaded
 //!   doorbell-ring + completion-queue operations, noncontiguous and
@@ -28,7 +31,8 @@
 //!
 //! Node-local plans on shared-backed windows are not a backend: the
 //! engine's shm route ([`crate::shm`]) brackets them with the MPI
-//! backend's epoch style and moves payload as slab load/store.
+//! backend's epoch style and moves payload with
+//! [`WinHandle::shm_transfer`]: the same mover, priced by the shm tier.
 //!
 //! The trait is *stateless with respect to windows*: every method takes
 //! the [`WinHandle`] it operates on, so one boxed backend serves every
@@ -42,6 +46,8 @@ pub use channel::ChannelTransport;
 
 use mpisim::dtype::Datatype;
 use mpisim::mpi3::{CellOp, FetchOp};
+pub use mpisim::Origin;
+
 use mpisim::{AccOp, ElemType, LockMode, MpiResult, RmaClass, WinHandle};
 
 /// Which wire backend a runtime instance uses.
@@ -125,18 +131,6 @@ pub(crate) fn atomic_epoch_end(win: &WinHandle, target: usize) -> MpiResult<()> 
     }
 }
 
-/// The origin side of one blocking transfer: the caller's buffer and what
-/// the transfer does with it.
-#[derive(Debug)]
-pub enum Origin<'a> {
-    /// Bytes to write into the target.
-    Put(&'a [u8]),
-    /// Buffer the target's bytes land in.
-    Get(&'a mut [u8]),
-    /// Elements to combine into the target with `AccOp`.
-    Acc(&'a [u8], ElemType, AccOp),
-}
-
 /// Offload counters a backend may expose (zero for backends without an
 /// offload distinction).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -154,7 +148,7 @@ pub struct TransportStats {
 /// * `transfer` validates, moves payload and charges its full cost,
 ///   inside an access context the caller opened.
 /// * `issue_merged` prices (without charging) one coalesced run whose
-///   bytes already moved through the window's staging movers.
+///   bytes already moved through the window's mover.
 /// * `atomic` applies one 8-byte cell update, including whatever
 ///   bracketing the backend needs for atomicity, and charges its cost.
 ///
@@ -182,8 +176,8 @@ pub trait Transport {
     ) -> MpiResult<()>;
 
     /// Prices one coalesced run of same-class operations whose bytes
-    /// already moved through the window's `stage_*_bytes` movers. Returns
-    /// the virtual-time cost for the scheduler to charge or defer.
+    /// already moved through the window's mover ([`WinHandle::stage`]).
+    /// Returns the virtual-time cost for the scheduler to charge or defer.
     fn issue_merged(
         &self,
         win: &WinHandle,
@@ -319,11 +313,7 @@ impl Transport for MpiRmaTransport {
         tdisp: usize,
         tdt: &Datatype,
     ) -> MpiResult<()> {
-        match origin {
-            Origin::Put(b) => win.put(b, odt, target, tdisp, tdt),
-            Origin::Get(b) => win.get(b, odt, target, tdisp, tdt),
-            Origin::Acc(b, elem, op) => win.accumulate(b, odt, target, tdisp, tdt, elem, op),
-        }
+        win.transfer(origin, odt, target, tdisp, tdt)
     }
 
     fn issue_merged(

@@ -10,7 +10,7 @@
 //! time in the benchmark.
 
 use armci::{AccKind, Armci, GlobalAddr, RmwOp};
-use armci_mpi::ArmciMpi;
+use armci_mpi::{ArmciMpi, Config, TransportKind};
 use ga::ghosts::GhostBlock;
 use ga::{GaType, GlobalArray};
 use mpisim::{Runtime, RuntimeConfig};
@@ -172,12 +172,16 @@ fn ga_get_patch_budget() {
     assert!(per_get <= 3.0, "{per_get} allocations per get_patch");
 }
 
-/// Allocations per blocking contiguous call of `call` on rank 0, with
-/// two ranks on separate nodes and `dst` 256 bytes inside rank 1's
-/// slice.
-fn blocking_allocs(call: impl Fn(&ArmciMpi, GlobalAddr) + Sync) -> f64 {
-    let out = Runtime::run_with(2, layout(1), |p| {
-        let rt = ArmciMpi::new(p);
+/// Allocations per blocking contiguous call of `call` on rank 0 of a
+/// runtime built with `cfg`, with two ranks laid out `ranks_per_node` to
+/// a node and `dst` 256 bytes inside rank 1's slice.
+fn blocking_allocs(
+    cfg: Config,
+    ranks_per_node: u32,
+    call: impl Fn(&ArmciMpi, GlobalAddr) + Sync,
+) -> f64 {
+    let out = Runtime::run_with(2, layout(ranks_per_node), |p| {
+        let rt = ArmciMpi::with_config(p, cfg.clone());
         let bases = rt.malloc(4096).unwrap();
         let got = if rt.rank() == 0 {
             per_op(4, 256, 1, || call(&rt, bases[1].offset(512)))
@@ -191,10 +195,27 @@ fn blocking_allocs(call: impl Fn(&ArmciMpi, GlobalAddr) + Sync) -> f64 {
     out[0]
 }
 
+/// Allocations per blocking contiguous put, get and accumulate under
+/// `cfg` with `ranks_per_node` ranks to a node.
+fn blocking_put_get_acc_allocs(cfg: Config, ranks_per_node: u32) -> [f64; 3] {
+    let src = 1.5f64.to_le_bytes().repeat(32);
+    let put = |rt: &ArmciMpi, dst| rt.put(&src, dst).unwrap();
+    let get = |rt: &ArmciMpi, src| {
+        let mut dst = [0u8; 256];
+        rt.get(src, &mut dst).unwrap();
+    };
+    let acc = |rt: &ArmciMpi, dst| rt.acc(AccKind::Double(2.0), &src, dst).unwrap();
+    [
+        blocking_allocs(cfg.clone(), ranks_per_node, put),
+        blocking_allocs(cfg.clone(), ranks_per_node, get),
+        blocking_allocs(cfg, ranks_per_node, acc),
+    ]
+}
+
 #[test]
 fn blocking_contiguous_put_budget() {
     let src = vec![7u8; 256];
-    let per_put = blocking_allocs(|rt, dst| rt.put(&src, dst).unwrap());
+    let per_put = blocking_allocs(Config::default(), 1, |rt, dst| rt.put(&src, dst).unwrap());
     println!("blocking contiguous put: {per_put:.2} allocations per put");
     // One probe translates the address, the plan keeps its one
     // operation inline and the window's epoch table is indexed by
@@ -204,7 +225,7 @@ fn blocking_contiguous_put_budget() {
 
 #[test]
 fn blocking_contiguous_get_budget() {
-    let per_get = blocking_allocs(|rt, src| {
+    let per_get = blocking_allocs(Config::default(), 1, |rt, src| {
         let mut dst = [0u8; 256];
         rt.get(src, &mut dst).unwrap();
     });
@@ -215,11 +236,34 @@ fn blocking_contiguous_get_budget() {
 #[test]
 fn blocking_contiguous_acc_budget() {
     let src = 1.5f64.to_le_bytes().repeat(32);
-    let per_acc = blocking_allocs(|rt, dst| rt.acc(AccKind::Double(2.0), &src, dst).unwrap());
+    let per_acc = blocking_allocs(Config::default(), 1, |rt, dst| {
+        rt.acc(AccKind::Double(2.0), &src, dst).unwrap()
+    });
     println!("blocking contiguous acc: {per_acc:.2} allocations per acc");
     // The pre-scaled source is staged in pooled scratch, which the
     // warm-up calls have already grown.
     assert_eq!(per_acc, 0.0, "allocations per contiguous acc");
+}
+
+#[test]
+fn blocking_contiguous_channel_budget() {
+    let cfg = Config {
+        transport: TransportKind::Channel,
+        ..Config::default()
+    };
+    let [put, get, acc] = blocking_put_get_acc_allocs(cfg, 1);
+    println!("blocking contiguous channel put/get/acc: {put:.2}/{get:.2}/{acc:.2} allocations");
+    // The channel backend flattens into its own reused scratch and moves
+    // through the window's mover, which packs an accumulate's origin
+    // into the window's pooled scratch.
+    assert_eq!([put, get, acc], [0.0; 3], "channel put/get/acc allocations");
+}
+
+#[test]
+fn blocking_contiguous_shm_budget() {
+    let [put, get, acc] = blocking_put_get_acc_allocs(Config::default(), 2);
+    println!("blocking contiguous shm put/get/acc: {put:.2}/{get:.2}/{acc:.2} allocations");
+    assert_eq!([put, get, acc], [0.0; 3], "shm put/get/acc allocations");
 }
 
 /// Allocations per call of `call` on rank 0, with two ranks laid out

@@ -1,12 +1,17 @@
 //! Wire backends: the RAMC-style channel transport reports its offload
-//! split, MPI RMA reports none, and the channel composes with the shm
-//! tier. That both backends move identical payloads is checked by the
+//! split, MPI RMA reports none, the channel composes with the shm tier,
+//! and every route refuses a malformed transfer with the same error.
+//! That both backends move identical payloads is checked by the
 //! differential oracle (`differential.rs`); only cost and offload
 //! accounting may differ.
 
 use armci::Armci;
+use armci_mpi::transport::for_kind;
 use armci_mpi::{ArmciMpi, Config, TransportKind};
-use mpisim::{Runtime, RuntimeConfig};
+use mpisim::{
+    AccOp, Datatype, ElemType, LockMode, MpiError, Origin, RmaClass, Runtime, RuntimeConfig,
+    WinHandle,
+};
 use simnet::{Platform, PlatformId};
 
 /// Runtime with `ranks_per_node` cores per node and no clock charging,
@@ -107,5 +112,122 @@ fn channel_backend_composes_with_shm_tier() {
         }
         rt.barrier();
         rt.free(bases[p.rank()]).unwrap();
+    });
+}
+
+/// One error surface: each malformed blocking transfer returns the same
+/// `MpiError` variant on the MPI-RMA wire path, the channel backend and
+/// the shm route, and leaves both the target window and a get's origin
+/// buffer unchanged.
+#[test]
+fn malformed_transfers_fail_alike_on_every_route() {
+    use std::mem::discriminant;
+    Runtime::run_with(2, layout(2), |p| {
+        let w = p.world();
+        let win = WinHandle::allocate_shared(&w, 64);
+        if w.rank() == 0 {
+            let (wire, channel) = (
+                for_kind(TransportKind::MpiRma, false),
+                for_kind(TransportKind::Channel, false),
+            );
+            let c = Datatype::contiguous;
+            let (put, get) = (RmaClass::Put, RmaClass::Get);
+            let acc = RmaClass::Acc(ElemType::F64, AccOp::Sum);
+            let misaligned = Datatype::Indexed {
+                blocks: vec![(0, 4), (8, 12)],
+            };
+            let bad_dt = MpiError::BadDatatype(String::new());
+            let mismatch = MpiError::TypeMismatch {
+                origin_bytes: 0,
+                target_bytes: 0,
+            };
+            let oob = MpiError::OutOfBounds {
+                target: 1,
+                disp: 0,
+                len: 0,
+                size: 0,
+            };
+            // (classes, origin buffer length, odt, tdisp, tdt, expected)
+            let cases = [
+                (
+                    "origin extent exceeds buffer",
+                    vec![put, get, acc],
+                    8,
+                    c(16),
+                    0,
+                    c(16),
+                    &bad_dt,
+                ),
+                (
+                    "origin/target size mismatch",
+                    vec![put, get, acc],
+                    16,
+                    c(8),
+                    0,
+                    c(16),
+                    &mismatch,
+                ),
+                (
+                    "accumulate not element multiple",
+                    vec![acc],
+                    12,
+                    c(12),
+                    0,
+                    c(12),
+                    &bad_dt,
+                ),
+                (
+                    "misaligned target segment",
+                    vec![acc],
+                    16,
+                    c(16),
+                    0,
+                    misaligned,
+                    &bad_dt,
+                ),
+                (
+                    "out of bounds",
+                    vec![put, get, acc],
+                    8,
+                    c(8),
+                    60,
+                    c(8),
+                    &oob,
+                ),
+            ];
+            win.lock(LockMode::Exclusive, 1).unwrap();
+            for (name, classes, len, odt, tdisp, tdt, want) in &cases {
+                for &class in classes {
+                    let errs = [0, 1, 2].map(|route| {
+                        let mut buf = vec![0x5au8; *len];
+                        let origin = match class {
+                            RmaClass::Put => Origin::Put(&buf),
+                            RmaClass::Get => Origin::Get(&mut buf),
+                            RmaClass::Acc(elem, op) => Origin::Acc(&buf, elem, op),
+                        };
+                        let res = match route {
+                            0 => wire.transfer(&win, origin, odt, 1, *tdisp, tdt),
+                            1 => channel.transfer(&win, origin, odt, 1, *tdisp, tdt),
+                            _ => win.shm_transfer(origin, odt, 1, *tdisp, tdt).map(drop),
+                        };
+                        assert!(buf.iter().all(|&b| b == 0x5a), "{name}: origin changed");
+                        res.expect_err(name)
+                    });
+                    for err in &errs {
+                        assert_eq!(
+                            discriminant(err),
+                            discriminant(*want),
+                            "{name} {class:?}: {errs:?}"
+                        );
+                    }
+                }
+            }
+            let mut image = [9u8; 64];
+            win.get_bytes(&mut image, 1, 0).unwrap();
+            assert_eq!(image, [0; 64], "a malformed transfer moved bytes");
+            win.unlock(1).unwrap();
+        }
+        w.barrier();
+        win.free().unwrap();
     });
 }

@@ -11,6 +11,7 @@
 //! displacement on the target side).
 
 use crate::error::{MpiError, MpiResult};
+use crate::win::Origin;
 use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -352,11 +353,7 @@ fn coalesce(segs: &mut Vec<(usize, usize)>) {
 /// Splits two flattened segment lists into a common refinement so that
 /// bytes can be copied pairwise: appends `(origin_piece, target_piece,
 /// len)` triples to `out` until either list runs out.
-pub fn zip_into(
-    os: &[(usize, usize)],
-    ts: &[(usize, usize)],
-    out: &mut Vec<(usize, usize, usize)>,
-) {
+fn zip_into(os: &[(usize, usize)], ts: &[(usize, usize)], out: &mut Vec<(usize, usize, usize)>) {
     out.reserve(os.len().max(ts.len()));
     let (mut oi, mut ti) = (0usize, 0usize);
     let (mut ooff, mut toff) = (0usize, 0usize);
@@ -379,53 +376,97 @@ pub fn zip_into(
 }
 
 /// Reusable flattening buffers for one transfer: the target datatype's
-/// segments, the origin's, and their common refinement (the copy pieces).
-/// A transfer flattens each datatype into these exactly once; admission,
-/// the copy, and pricing then borrow the lists. Held per window handle,
-/// so steady-state transfers flatten without allocating.
+/// window-absolute segments, the origin's segments, and their common
+/// refinement (the copy pieces). [`Flat::flatten`] validates a datatype
+/// pair and fills all three once; admission, the window's one mover
+/// ([`crate::WinHandle::stage`]) and pricing then borrow the lists. Kept
+/// by each caller across transfers, so steady-state transfers flatten
+/// without allocating.
 #[derive(Debug, Default)]
 pub struct Flat {
-    /// Target segments, relative to the target displacement.
-    pub tsegs: Vec<(usize, usize)>,
+    /// Target segments, window-absolute.
+    pub(crate) tsegs: Vec<(usize, usize)>,
     /// Origin segments, relative to the origin buffer.
-    pub osegs: Vec<(usize, usize)>,
-    /// `(origin_offset, target_offset, len)` copy pieces.
-    pub pieces: Vec<(usize, usize, usize)>,
+    pub(crate) osegs: Vec<(usize, usize)>,
+    /// `(origin_offset, window_offset, len)` copy pieces.
+    pub(crate) pieces: Vec<(usize, usize, usize)>,
 }
 
 impl Flat {
-    /// Flattens `target` into [`Flat::tsegs`].
-    pub fn flatten_target(&mut self, target: &Datatype) {
-        target.segments_into(&mut self.tsegs);
-    }
-
-    /// Checks that `origin` selects `target_bytes` bytes, flattens it into
-    /// [`Flat::osegs`], and zips it with the already-flattened target into
-    /// [`Flat::pieces`].
-    pub fn zip_origin(&mut self, origin: &Datatype, target_bytes: usize) -> MpiResult<()> {
-        let ob = origin.size();
-        if ob != target_bytes {
+    /// Validates one transfer and flattens it into window-absolute pieces.
+    /// The origin datatype must fit the caller's buffer and select as many
+    /// bytes as the target datatype. An accumulate must move whole
+    /// elements, and every target segment must be a whole number of
+    /// elements; origin segments need not be, because the mover packs
+    /// them. Window offsets past `usize::MAX` saturate, so the mover's
+    /// bounds check refuses them.
+    pub fn flatten(
+        &mut self,
+        origin: &Origin<'_>,
+        odt: &Datatype,
+        tdisp: usize,
+        tdt: &Datatype,
+    ) -> MpiResult<()> {
+        let elem = origin.class().elem();
+        if let Some(es) = elem.filter(|&es| !odt.size().is_multiple_of(es)) {
+            return Err(MpiError::BadDatatype(format!(
+                "accumulate of {} bytes not a multiple of element size {es}",
+                odt.size()
+            )));
+        }
+        if odt.extent() > origin.len() {
+            return Err(MpiError::BadDatatype(format!(
+                "origin datatype extent {} exceeds buffer {}",
+                odt.extent(),
+                origin.len()
+            )));
+        }
+        if odt.size() != tdt.size() {
             return Err(MpiError::TypeMismatch {
-                origin_bytes: ob,
-                target_bytes,
+                origin_bytes: odt.size(),
+                target_bytes: tdt.size(),
             });
         }
-        origin.segments_into(&mut self.osegs);
+        tdt.segments_into(&mut self.tsegs);
+        if let Some(es) = elem {
+            if let Some(&(_, len)) = self.tsegs.iter().find(|&&(_, len)| len % es != 0) {
+                return Err(MpiError::BadDatatype(format!(
+                    "target segment of {len} bytes not element-aligned (elem {es})"
+                )));
+            }
+        }
+        odt.segments_into(&mut self.osegs);
         self.pieces.clear();
         zip_into(&self.osegs, &self.tsegs, &mut self.pieces);
+        for seg in &mut self.tsegs {
+            seg.0 = seg.0.saturating_add(tdisp);
+        }
+        for piece in &mut self.pieces {
+            piece.1 = piece.1.saturating_add(tdisp);
+        }
         Ok(())
+    }
+
+    /// The window-absolute target segments of the last [`Flat::flatten`].
+    pub fn tsegs(&self) -> &[(usize, usize)] {
+        &self.tsegs
     }
 }
 
 /// Splits the segment lists of two datatypes into a common refinement so
 /// that bytes can be copied pairwise. Returns `(origin_piece, target_piece,
 /// len)` triples. Errors if total sizes differ. Allocates fresh buffers;
-/// hot paths keep a [`Flat`] instead.
+/// transfers keep a [`Flat`] instead.
 pub fn zip_segments(origin: &Datatype, target: &Datatype) -> MpiResult<Vec<(usize, usize, usize)>> {
-    let mut flat = Flat::default();
-    flat.flatten_target(target);
-    flat.zip_origin(origin, target.size())?;
-    Ok(flat.pieces)
+    if origin.size() != target.size() {
+        return Err(MpiError::TypeMismatch {
+            origin_bytes: origin.size(),
+            target_bytes: target.size(),
+        });
+    }
+    let mut pieces = Vec::new();
+    zip_into(&origin.segments(), &target.segments(), &mut pieces);
+    Ok(pieces)
 }
 
 /// Structural signature of a datatype: a canonical `u64` encoding of

@@ -45,4 +45,4 @@ pub use p2p::{RecvSrc, Status, ANY_TAG};
 pub use progress::ProgressModel;
 pub use runtime::{Proc, Runtime, RuntimeConfig};
 pub use sync::park;
-pub use win::{AccOp, ElemType, LockMode, RmaClass, ShmSection, WinHandle};
+pub use win::{AccOp, ElemType, LockMode, Origin, RmaClass, ShmSection, WinHandle};

@@ -67,13 +67,72 @@ pub enum AccOp {
     Max,
 }
 
-/// Operation class of a scheduler-merged RMA issue (see
-/// [`WinHandle::issue_merged`]).
+/// Operation class of a window data operation: what a transfer does, and
+/// what a scheduler-merged run (see [`WinHandle::issue_merged`]) is
+/// priced as.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RmaClass {
     Get,
     Put,
     Acc(ElemType, AccOp),
+}
+
+impl RmaClass {
+    /// The cost model's operation class.
+    pub(crate) fn op(self) -> simnet::Op {
+        match self {
+            RmaClass::Get => simnet::Op::Get,
+            RmaClass::Put => simnet::Op::Put,
+            RmaClass::Acc(..) => simnet::Op::Acc,
+        }
+    }
+
+    /// Element width of an accumulate; `None` for put and get.
+    pub(crate) fn elem(self) -> Option<usize> {
+        match self {
+            RmaClass::Acc(elem, _) => Some(elem.size()),
+            RmaClass::Get | RmaClass::Put => None,
+        }
+    }
+
+    fn kind(self) -> OpKind {
+        match self {
+            RmaClass::Get => OpKind::Read,
+            RmaClass::Put => OpKind::Write,
+            RmaClass::Acc(elem, op) => OpKind::Acc(elem, op),
+        }
+    }
+}
+
+/// The origin side of one window data operation: the caller's buffer and
+/// what the operation does with it.
+#[derive(Debug)]
+pub enum Origin<'a> {
+    /// Bytes to write into the target.
+    Put(&'a [u8]),
+    /// Buffer the target's bytes land in.
+    Get(&'a mut [u8]),
+    /// Elements to combine into the target with `AccOp`.
+    Acc(&'a [u8], ElemType, AccOp),
+}
+
+impl Origin<'_> {
+    /// The operation's class.
+    pub fn class(&self) -> RmaClass {
+        match *self {
+            Origin::Put(_) => RmaClass::Put,
+            Origin::Get(_) => RmaClass::Get,
+            Origin::Acc(_, elem, op) => RmaClass::Acc(elem, op),
+        }
+    }
+
+    /// Length of the caller's buffer.
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            Origin::Put(b) | Origin::Acc(b, ..) => b.len(),
+            Origin::Get(b) => b.len(),
+        }
+    }
 }
 
 /// What an epoch-recorded operation did, for conflict detection.
@@ -726,19 +785,31 @@ impl WinHandle {
         self.epochs.borrow().get(target)?.as_ref().map(|e| e.mode)
     }
 
+    /// Size of `target`'s window section, or `BadRank`.
+    fn target_size(&self, target: usize) -> MpiResult<usize> {
+        self.inner
+            .sizes
+            .get(target)
+            .copied()
+            .ok_or(MpiError::BadRank {
+                rank: target,
+                size: self.inner.sizes.len(),
+            })
+    }
+
     /// Validates epoch presence and (optionally) records + conflict-checks
-    /// the operation's target ranges: `segs` are the flattened target
-    /// datatype (relative to `tdisp`) and `extent` its span.
+    /// the operation's window-absolute target segments `segs`, which lie
+    /// within `extent` bytes from `tdisp`.
     fn admit(
         &self,
         target: usize,
         tdisp: usize,
         extent: usize,
         segs: &[(usize, usize)],
-        kind: OpKind,
+        class: RmaClass,
     ) -> MpiResult<()> {
-        let size = self.inner.sizes[target];
-        if tdisp + extent > size {
+        let size = self.target_size(target)?;
+        if tdisp.checked_add(extent).is_none_or(|end| end > size) {
             return Err(MpiError::OutOfBounds {
                 target,
                 disp: tdisp,
@@ -754,7 +825,7 @@ impl WinHandle {
             None => return Err(MpiError::NoEpoch { target }),
         };
         if self.shared.cfg.semantic_checks {
-            record_checked(&mut ep.ops, target, tdisp, segs, kind)?;
+            record_checked(&mut ep.ops, target, 0, segs, class.kind())?;
         }
         Ok(())
     }
@@ -800,14 +871,8 @@ impl WinHandle {
         t
     }
 
-    /// Consults the committed-datatype cache for the (origin, target)
-    /// shape of a non-contiguous transfer. Returns `true` on hit; records
-    /// the consultation as a `DtypeCommit` instant.
-    fn dtype_commit(&self, odt: &Datatype, tdt: &Datatype) -> bool {
-        let hit = self.dtype_cache.borrow_mut().commit_pair(odt, tdt);
-        self.note_dtype_commit(hit)
-    }
-
+    /// Records a committed-datatype cache consultation as a `DtypeCommit`
+    /// instant and passes its outcome through.
     fn note_dtype_commit(&self, hit: bool) -> bool {
         if obs::enabled() {
             obs::instant_at(
@@ -830,10 +895,15 @@ impl WinHandle {
     /// Records an MPI-level RMA event — plus a pack span when the datatype
     /// is non-contiguous, sized by the same pack model `op_cost` charges —
     /// at the current virtual time.
-    fn note_rma(&self, kind: obs::OpKind, target: usize, bytes: usize, nsegs: usize, cached: bool) {
+    fn note_rma(&self, op: simnet::Op, target: usize, bytes: usize, nsegs: usize, cached: bool) {
         if !obs::enabled() {
             return;
         }
+        let kind = match op {
+            simnet::Op::Get => obs::OpKind::Get,
+            simnet::Op::Put => obs::OpKind::Put,
+            simnet::Op::Acc => obs::OpKind::Acc,
+        };
         let ts = self.vt();
         obs::instant_at(
             obs::EventKind::Rma {
@@ -878,127 +948,108 @@ impl WinHandle {
     // Data movement
     // ------------------------------------------------------------------
     //
-    // Every mover flattens each datatype exactly once into the handle's
-    // `Flat` scratch: admission borrows the target segments, and the copy
-    // walks the zipped pieces under one I/O lock. The wire (`*_core`) and
-    // shm entry points share these movers and differ only in pricing.
+    // Every window data operation has one shape. [`Flat::flatten`]
+    // validates and flattens its datatype pair once; routes with epochs
+    // then admit the target segments; the one mover, [`WinHandle::stage`],
+    // moves the bytes; and the route prices the operation. The wire route
+    // prices through `price_wire` (typed operations and scheduler-merged
+    // runs), the shm route through its tier (`shm_transfer`), and the
+    // channel backend through its channel model. The coalescing scheduler
+    // stages at enqueue and prices at flush (`issue_merged`), so queued
+    // operations hold no raw caller pointer: the caller's buffers are
+    // consumed before enqueue returns.
 
-    /// The origin datatype must fit in the caller's buffer.
-    fn check_origin(origin_len: usize, odt: &Datatype) -> MpiResult<()> {
-        if odt.extent() > origin_len {
-            return Err(MpiError::BadDatatype(format!(
-                "origin datatype extent {} exceeds buffer {}",
-                odt.extent(),
-                origin_len
-            )));
-        }
-        Ok(())
-    }
-
-    /// Validates, admits and moves a put's bytes.
-    fn put_move(
-        &self,
-        origin: &[u8],
-        odt: &Datatype,
-        target: usize,
-        tdisp: usize,
-        tdt: &Datatype,
-    ) -> MpiResult<()> {
-        Self::check_origin(origin.len(), odt)?;
-        let mut flat = self.flat.borrow_mut();
-        flat.flatten_target(tdt);
-        self.admit(target, tdisp, tdt.extent(), &flat.tsegs, OpKind::Write)?;
-        flat.zip_origin(odt, tdt.size())?;
-        self.inner
-            .section(target)
-            .with_mut(|dst| copy_in(dst, tdisp, origin, &flat.pieces));
-        Ok(())
-    }
-
-    /// Validates, admits and moves a get's bytes.
-    fn get_move(
-        &self,
-        origin: &mut [u8],
-        odt: &Datatype,
-        target: usize,
-        tdisp: usize,
-        tdt: &Datatype,
-    ) -> MpiResult<()> {
-        Self::check_origin(origin.len(), odt)?;
-        let mut flat = self.flat.borrow_mut();
-        flat.flatten_target(tdt);
-        self.admit(target, tdisp, tdt.extent(), &flat.tsegs, OpKind::Read)?;
-        flat.zip_origin(odt, tdt.size())?;
-        self.inner
-            .section(target)
-            .with(|src| copy_out(src, tdisp, origin, &flat.pieces));
-        Ok(())
-    }
-
-    /// Validates, admits and applies an accumulate: the origin selection is
-    /// packed into pooled scratch (steady state: no allocation), then
-    /// combined per target segment. Every target segment must be
-    /// element-aligned.
-    #[allow(clippy::too_many_arguments)]
-    fn acc_move(
-        &self,
-        origin: &[u8],
-        odt: &Datatype,
-        target: usize,
-        tdisp: usize,
-        tdt: &Datatype,
-        elem: ElemType,
-        op: AccOp,
-    ) -> MpiResult<()> {
-        let es = elem.size();
-        if !odt.size().is_multiple_of(es) {
-            return Err(MpiError::BadDatatype(format!(
-                "accumulate of {} bytes not a multiple of element size {es}",
-                odt.size()
-            )));
-        }
-        Self::check_origin(origin.len(), odt)?;
-        let mut flat = self.flat.borrow_mut();
-        flat.flatten_target(tdt);
-        self.admit(
-            target,
-            tdisp,
-            tdt.extent(),
-            &flat.tsegs,
-            OpKind::Acc(elem, op),
-        )?;
-        for &(_, len) in &flat.tsegs {
-            if len % es != 0 {
-                return Err(MpiError::BadDatatype(format!(
-                    "target segment of {len} bytes not element-aligned (elem {es})"
-                )));
+    /// The one mover: moves a flattened operation's bytes between `origin`
+    /// and `target`'s window section. Every piece is bounds-checked before
+    /// any byte moves; then all of them copy (put, get) or combine
+    /// (accumulate, element-atomic) under one I/O lock. An accumulate's
+    /// origin selection is packed into pooled scratch first (steady state:
+    /// no allocation), since its origin segments need not be
+    /// element-aligned. Uncharged, eventless and epoch-free: callers admit
+    /// and price separately. `flat` must come from [`Flat::flatten`] of the
+    /// same origin.
+    pub fn stage(&self, origin: Origin<'_>, target: usize, flat: &Flat) -> MpiResult<()> {
+        self.check_alive()?;
+        let size = self.target_size(target)?;
+        for &(_, disp, len) in &flat.pieces {
+            if disp.checked_add(len).is_none_or(|end| end > size) {
+                return Err(MpiError::OutOfBounds {
+                    target,
+                    disp,
+                    len,
+                    size,
+                });
             }
         }
-        if odt.size() != tdt.size() {
-            return Err(MpiError::TypeMismatch {
-                origin_bytes: odt.size(),
-                target_bytes: tdt.size(),
-            });
-        }
-        odt.segments_into(&mut flat.osegs);
-        let mut staged = self.pool.take(odt.size());
-        let mut w = 0usize;
-        for &(off, len) in &flat.osegs {
-            staged[w..w + len].copy_from_slice(&origin[off..off + len]);
-            w += len;
-        }
-        self.inner.section(target).with_mut(|dst| {
-            let mut s = 0usize;
-            for &(toff, len) in &flat.tsegs {
-                apply_acc(
-                    &mut dst[tdisp + toff..tdisp + toff + len],
-                    &staged[s..s + len],
-                    elem,
-                    op,
-                );
-                s += len;
+        let packed = match &origin {
+            Origin::Acc(b, ..) => {
+                let mut packed = self.pool.take(flat.osegs.iter().map(|&(_, len)| len).sum());
+                let mut w = 0usize;
+                for &(off, len) in &flat.osegs {
+                    packed[w..w + len].copy_from_slice(&b[off..off + len]);
+                    w += len;
+                }
+                Some(packed)
+            }
+            Origin::Put(_) | Origin::Get(_) => None,
+        };
+        self.inner.section(target).with_mut(|win| match origin {
+            Origin::Put(b) => {
+                for &(o, t, len) in &flat.pieces {
+                    win[t..t + len].copy_from_slice(&b[o..o + len]);
+                }
+            }
+            Origin::Get(b) => {
+                for &(o, t, len) in &flat.pieces {
+                    b[o..o + len].copy_from_slice(&win[t..t + len]);
+                }
+            }
+            Origin::Acc(_, elem, op) => {
+                let src = packed.as_deref().unwrap_or_default();
+                let mut s = 0usize;
+                for &(t, len) in &flat.tsegs {
+                    apply_acc(&mut win[t..t + len], &src[s..s + len], elem, op);
+                    s += len;
+                }
             }
         });
+        Ok(())
+    }
+
+    /// Flattens, admits and moves one typed operation (wire and shm
+    /// routes), through the handle's flattening scratch.
+    fn flat_move(
+        &self,
+        origin: Origin<'_>,
+        odt: &Datatype,
+        target: usize,
+        tdisp: usize,
+        tdt: &Datatype,
+    ) -> MpiResult<()> {
+        let mut flat = self.flat.borrow_mut();
+        flat.flatten(&origin, odt, tdisp, tdt)?;
+        self.admit(target, tdisp, tdt.extent(), &flat.tsegs, origin.class())?;
+        self.stage(origin, target, &flat)
+    }
+
+    /// Blocking one-sided operation on the wire route, inside an open
+    /// epoch: `origin` selected by `odt`, `target`'s window by `tdt` at
+    /// `tdisp`. An accumulate is element-atomic at the target, and every
+    /// target segment must be element-aligned. Charged at the wire price.
+    pub fn transfer(
+        &self,
+        origin: Origin<'_>,
+        odt: &Datatype,
+        target: usize,
+        tdisp: usize,
+        tdt: &Datatype,
+    ) -> MpiResult<()> {
+        self.check_alive()?;
+        let op = origin.class().op();
+        self.flat_move(origin, odt, target, tdisp, tdt)?;
+        let nsegs = odt.num_segments().max(tdt.num_segments());
+        let commit = |c: &mut DtypeCache| c.commit_pair(odt, tdt);
+        self.charge(self.price_wire(op, target, odt.size(), nsegs, commit));
         Ok(())
     }
 
@@ -1012,13 +1063,7 @@ impl WinHandle {
         tdisp: usize,
         tdt: &Datatype,
     ) -> MpiResult<()> {
-        self.check_alive()?;
-        self.put_move(origin, odt, target, tdisp, tdt)?;
-        let cost = self.wire_cost(simnet::Op::Put, obs::OpKind::Put, odt, target, tdt);
-        let extra = self.net_extra(target, self.wire_ser(simnet::Op::Put, odt.size()), 1);
-        let prog = self.progress_extra(target, 1);
-        self.charge(cost + extra + prog);
-        Ok(())
+        self.transfer(Origin::Put(origin), odt, target, tdisp, tdt)
     }
 
     /// One-sided get: bytes from `target`'s window into `origin`.
@@ -1030,13 +1075,7 @@ impl WinHandle {
         tdisp: usize,
         tdt: &Datatype,
     ) -> MpiResult<()> {
-        self.check_alive()?;
-        self.get_move(origin, odt, target, tdisp, tdt)?;
-        let cost = self.wire_cost(simnet::Op::Get, obs::OpKind::Get, odt, target, tdt);
-        let extra = self.net_extra(target, self.wire_ser(simnet::Op::Get, odt.size()), 1);
-        let prog = self.progress_extra(target, 1);
-        self.charge(cost + extra + prog);
-        Ok(())
+        self.transfer(Origin::Get(origin), odt, target, tdisp, tdt)
     }
 
     /// One-sided accumulate: `target[i] = target[i] ⊕ origin[i]` element
@@ -1053,141 +1092,40 @@ impl WinHandle {
         elem: ElemType,
         op: AccOp,
     ) -> MpiResult<()> {
-        self.check_alive()?;
-        self.acc_move(origin, odt, target, tdisp, tdt, elem, op)?;
-        let cost = self.wire_cost(simnet::Op::Acc, obs::OpKind::Acc, odt, target, tdt);
-        let extra = self.net_extra(target, self.wire_ser(simnet::Op::Acc, odt.size()), 1);
-        let prog = self.progress_extra(target, 1);
-        self.charge(cost + extra + prog);
-        Ok(())
+        self.transfer(Origin::Acc(origin, elem, op), odt, target, tdisp, tdt)
     }
 
-    /// Epoch accounting, datatype-cache consultation, the RMA event and
-    /// the virtual-time price of one wire operation whose bytes moved.
-    fn wire_cost(
+    /// The wire price of one operation whose bytes moved: epoch
+    /// accounting, the committed-datatype cache consultation (`commit`,
+    /// only for multi-segment shapes), the RMA event, congestion and
+    /// progress. Returns the virtual-time cost for the caller to charge or
+    /// defer.
+    fn price_wire(
         &self,
         op: simnet::Op,
-        kind: obs::OpKind,
-        odt: &Datatype,
         target: usize,
-        tdt: &Datatype,
+        bytes: usize,
+        nsegs: usize,
+        commit: impl FnOnce(&mut DtypeCache) -> bool,
     ) -> f64 {
         let issued = self.bump_issued(target);
-        let nsegs = odt.num_segments().max(tdt.num_segments());
-        let cached = nsegs > 1 && self.dtype_commit(odt, tdt);
-        self.note_rma(kind, target, odt.size(), nsegs, cached);
-        self.op_cost(op, odt.size(), nsegs, issued, cached)
-    }
-
-    // ------------------------------------------------------------------
-    // Coalescing-scheduler support
-    // ------------------------------------------------------------------
-    //
-    // The transfer engine's coalescing scheduler moves bytes eagerly at
-    // enqueue time (`stage_*`, below: bounds-checked and serialised but
-    // uncharged, eventless, and epoch-free) and defers all pricing and
-    // epoch accounting to flush time, where whole runs of same-class ops
-    // are issued as one merged RMA (`issue_merged`). Splitting movement
-    // from pricing this way keeps queued operations free of raw-pointer
-    // lifetime hazards — the caller's buffers are consumed before enqueue
-    // returns, exactly like the existing request-based (`rput`) path.
-
-    /// Bounds check shared by the stage movers.
-    fn stage_check(&self, target: usize, tdisp: usize, len: usize) -> MpiResult<()> {
-        self.check_alive()?;
-        if target >= self.inner.sizes.len() {
-            return Err(MpiError::BadRank {
-                rank: target,
-                size: self.inner.sizes.len(),
-            });
-        }
-        let size = self.inner.sizes[target];
-        if tdisp + len > size {
-            return Err(MpiError::OutOfBounds {
-                target,
-                disp: tdisp,
-                len,
-                size,
-            });
-        }
-        Ok(())
-    }
-
-    /// Moves put bytes for a queued (scheduler-deferred) operation.
-    /// `pieces` are `(origin_offset, target_disp, len)` triples: every
-    /// piece is bounds-checked before any byte moves, then all of them
-    /// copy under one I/O lock.
-    pub fn stage_put_bytes(
-        &self,
-        origin: &[u8],
-        target: usize,
-        pieces: &[(usize, usize, usize)],
-    ) -> MpiResult<()> {
-        for &(_, tdisp, len) in pieces {
-            self.stage_check(target, tdisp, len)?;
-        }
-        self.inner
-            .section(target)
-            .with_mut(|dst| copy_in(dst, 0, origin, pieces));
-        Ok(())
-    }
-
-    /// Moves get bytes for a queued (scheduler-deferred) operation; see
-    /// [`WinHandle::stage_put_bytes`].
-    pub fn stage_get_bytes(
-        &self,
-        origin: &mut [u8],
-        target: usize,
-        pieces: &[(usize, usize, usize)],
-    ) -> MpiResult<()> {
-        for &(_, tdisp, len) in pieces {
-            self.stage_check(target, tdisp, len)?;
-        }
-        self.inner
-            .section(target)
-            .with(|src| copy_out(src, 0, origin, pieces));
-        Ok(())
-    }
-
-    /// Applies accumulate bytes for a queued (scheduler-deferred)
-    /// operation; see [`WinHandle::stage_put_bytes`]. Every piece must be
-    /// a whole number of elements; element alignment within the window is
-    /// the caller's contract, as with [`WinHandle::accumulate`].
-    pub fn stage_acc_bytes(
-        &self,
-        origin: &[u8],
-        target: usize,
-        pieces: &[(usize, usize, usize)],
-        elem: ElemType,
-        op: AccOp,
-    ) -> MpiResult<()> {
-        let es = elem.size();
-        for &(_, tdisp, len) in pieces {
-            if !len.is_multiple_of(es) {
-                return Err(MpiError::BadDatatype(format!(
-                    "accumulate of {len} bytes not a multiple of element size {es}"
-                )));
-            }
-            self.stage_check(target, tdisp, len)?;
-        }
-        self.inner.section(target).with_mut(|dst| {
-            for &(o, t, len) in pieces {
-                apply_acc(&mut dst[t..t + len], &origin[o..o + len], elem, op);
-            }
-        });
-        Ok(())
+        let cached =
+            nsegs > 1 && self.note_dtype_commit(commit(&mut self.dtype_cache.borrow_mut()));
+        self.note_rma(op, target, bytes, nsegs, cached);
+        let extra = self.net_extra(target, self.wire_ser(op, bytes), 1);
+        let prog = self.progress_extra(target, 1);
+        self.op_cost(op, bytes, nsegs, issued, cached) + extra + prog
     }
 
     /// Prices and records one scheduler-merged RMA: a whole run of
     /// same-class queued operations issued as a single wire operation
     /// whose target datatype is the merged segment list (window-absolute
     /// `(offset, len)` pairs, disjoint and ascending — the scheduler's
-    /// run formation guarantees this before calling). Bytes have
-    /// already moved via the `stage_*` movers; this performs the epoch
-    /// admission, consults the committed-datatype cache, records the RMA
-    /// (and pack) events, and returns the virtual-time cost for the
-    /// caller to charge or defer. `segs` is priced exactly like an
-    /// indexed target type with those blocks, without building one.
+    /// run formation guarantees this before calling). Bytes have already
+    /// moved through [`WinHandle::stage`]; this admits the run into the
+    /// epoch and returns its wire price (see `price_wire`). `segs` is
+    /// priced exactly like an indexed target type with those blocks,
+    /// without building one.
     pub fn issue_merged(
         &self,
         class: RmaClass,
@@ -1195,31 +1133,16 @@ impl WinHandle {
         segs: &[(usize, usize)],
     ) -> MpiResult<f64> {
         self.check_alive()?;
-        let kind = match class {
-            RmaClass::Get => OpKind::Read,
-            RmaClass::Put => OpKind::Write,
-            RmaClass::Acc(elem, op) => OpKind::Acc(elem, op),
-        };
         {
             let mut flat = self.flat.borrow_mut();
             flat.tsegs.clear();
             flatten_blocks(segs, &mut flat.tsegs);
-            self.admit(target, 0, blocks_extent(segs), &flat.tsegs, kind)?;
+            self.admit(target, 0, blocks_extent(segs), &flat.tsegs, class)?;
         }
         let bytes: usize = segs.iter().map(|&(_, len)| len).sum();
         let nsegs = segs.iter().filter(|&&(_, len)| len > 0).count();
-        let issued = self.bump_issued(target);
-        let cached = nsegs > 1
-            && self.note_dtype_commit(self.dtype_cache.borrow_mut().commit_merged(bytes, segs));
-        let (op, okind) = match class {
-            RmaClass::Get => (simnet::Op::Get, obs::OpKind::Get),
-            RmaClass::Put => (simnet::Op::Put, obs::OpKind::Put),
-            RmaClass::Acc(..) => (simnet::Op::Acc, obs::OpKind::Acc),
-        };
-        self.note_rma(okind, target, bytes, nsegs, cached);
-        let extra = self.net_extra(target, self.wire_ser(op, bytes), 1);
-        let prog = self.progress_extra(target, 1);
-        Ok(self.op_cost(op, bytes, nsegs, issued, cached) + extra + prog)
+        let commit = |c: &mut DtypeCache| c.commit_merged(bytes, segs);
+        Ok(self.price_wire(class.op(), target, bytes, nsegs, commit))
     }
 
     /// Contiguous-put convenience.
@@ -1240,12 +1163,12 @@ impl WinHandle {
     //
     // Windows created with `allocate_shared` expose intra-node peers'
     // sections directly: `shared_query` returns a load/store handle, and
-    // the `shm_*` movers run whole RMA-shaped operations as node-local
-    // copies priced by the platform's `ShmParams` tier instead of the NIC
-    // model. Epoch discipline is unchanged — the movers go through the
-    // same `admit` as the wire path — but there is no per-message wire
-    // latency, no pipelining credit, and no datatype pack cost: a
-    // non-contiguous shape is just more `memcpy` segments.
+    // `shm_transfer` runs whole RMA-shaped operations as node-local copies
+    // priced by the platform's `ShmParams` tier instead of the NIC model.
+    // Epoch discipline is unchanged — the same `admit` as the wire route —
+    // but there is no per-message wire latency, no pipelining credit, and
+    // no datatype pack cost: a non-contiguous shape is just more `memcpy`
+    // segments.
 
     /// Intra-node shared-slab parameters of the configured platform.
     fn shm_params(&self) -> &simnet::ShmParams {
@@ -1315,92 +1238,37 @@ impl WinHandle {
         Ok(())
     }
 
-    /// Records a shared-memory access event at the current virtual time.
-    fn note_shm(&self, write: bool, target: usize, bytes: usize) {
+    /// One operation on the shm route, inside an open epoch: the same
+    /// validation, admission and mover as [`WinHandle::transfer`], but
+    /// `target` must be a node peer and the returned (uncharged) cost
+    /// comes from the platform's shm tier.
+    pub fn shm_transfer(
+        &self,
+        origin: Origin<'_>,
+        odt: &Datatype,
+        target: usize,
+        tdisp: usize,
+        tdt: &Datatype,
+    ) -> MpiResult<f64> {
+        self.check_alive()?;
+        if !self.shm_reachable(target) {
+            return Err(MpiError::ShmUnavailable { target });
+        }
+        let class = origin.class();
+        self.flat_move(origin, odt, target, tdisp, tdt)?;
+        let nsegs = odt.num_segments().max(tdt.num_segments());
         if obs::enabled() {
             obs::instant_at(
                 obs::EventKind::ShmAccess {
                     win: self.inner.id,
                     target: target as u32,
-                    write,
-                    bytes: bytes as u64,
+                    write: class != RmaClass::Get,
+                    bytes: odt.size() as u64,
                 },
                 self.vt(),
             );
         }
-    }
-
-    /// Shared-memory put: same validation and epoch admission as
-    /// [`WinHandle::put`], but the bytes move as a node-local copy and the
-    /// returned (uncharged) cost comes from the platform's shm tier.
-    pub fn shm_put(
-        &self,
-        origin: &[u8],
-        odt: &Datatype,
-        target: usize,
-        tdisp: usize,
-        tdt: &Datatype,
-    ) -> MpiResult<f64> {
-        self.check_shm(target)?;
-        self.put_move(origin, odt, target, tdisp, tdt)?;
-        Ok(self.shm_cost(simnet::Op::Put, true, odt, target, tdt))
-    }
-
-    /// Shared-memory get; see [`WinHandle::shm_put`].
-    pub fn shm_get(
-        &self,
-        origin: &mut [u8],
-        odt: &Datatype,
-        target: usize,
-        tdisp: usize,
-        tdt: &Datatype,
-    ) -> MpiResult<f64> {
-        self.check_shm(target)?;
-        self.get_move(origin, odt, target, tdisp, tdt)?;
-        Ok(self.shm_cost(simnet::Op::Get, false, odt, target, tdt))
-    }
-
-    /// Shared-memory accumulate; see [`WinHandle::shm_put`]. The combine
-    /// runs under the slab's I/O lock, so same-type-and-op concurrent
-    /// accumulates from node peers remain element-atomic exactly like the
-    /// wire path.
-    #[allow(clippy::too_many_arguments)] // mirrors MPI_Accumulate's signature
-    pub fn shm_acc(
-        &self,
-        origin: &[u8],
-        odt: &Datatype,
-        target: usize,
-        tdisp: usize,
-        tdt: &Datatype,
-        elem: ElemType,
-        op: AccOp,
-    ) -> MpiResult<f64> {
-        self.check_shm(target)?;
-        self.acc_move(origin, odt, target, tdisp, tdt, elem, op)?;
-        Ok(self.shm_cost(simnet::Op::Acc, true, odt, target, tdt))
-    }
-
-    /// The window is alive and `target` is a node peer.
-    fn check_shm(&self, target: usize) -> MpiResult<()> {
-        self.check_alive()?;
-        if !self.shm_reachable(target) {
-            return Err(MpiError::ShmUnavailable { target });
-        }
-        Ok(())
-    }
-
-    /// The shm event and shm-tier price of one node-local operation.
-    fn shm_cost(
-        &self,
-        op: simnet::Op,
-        write: bool,
-        odt: &Datatype,
-        target: usize,
-        tdt: &Datatype,
-    ) -> f64 {
-        let nsegs = odt.num_segments().max(tdt.num_segments());
-        self.note_shm(write, target, odt.size());
-        self.shm_params().op_cost(op, odt.size(), nsegs)
+        Ok(self.shm_params().op_cost(class.op(), odt.size(), nsegs))
     }
 
     // ------------------------------------------------------------------
@@ -1558,7 +1426,7 @@ impl ShmSection {
             return Err(MpiError::WinFreed);
         }
         let size = self.inner.sizes[self.rank];
-        if disp + len > size {
+        if disp.checked_add(len).is_none_or(|end| end > size) {
             return Err(MpiError::OutOfBounds {
                 target: self.rank,
                 disp,
@@ -1601,22 +1469,6 @@ impl ShmSection {
             });
         }
         Ok(())
-    }
-}
-
-/// Copies `(origin_offset, target_offset, len)` pieces from `origin` into
-/// `dst` at `tdisp + target_offset`.
-fn copy_in(dst: &mut [u8], tdisp: usize, origin: &[u8], pieces: &[(usize, usize, usize)]) {
-    for &(o, t, len) in pieces {
-        dst[tdisp + t..tdisp + t + len].copy_from_slice(&origin[o..o + len]);
-    }
-}
-
-/// Copies pieces the other way: from `src` at `tdisp + target_offset`
-/// into `origin`.
-fn copy_out(src: &[u8], tdisp: usize, origin: &mut [u8], pieces: &[(usize, usize, usize)]) {
-    for &(o, t, len) in pieces {
-        origin[o..o + len].copy_from_slice(&src[tdisp + t..tdisp + t + len]);
     }
 }
 
@@ -1695,7 +1547,10 @@ fn first_self_overlap(segs: &[(usize, usize)]) -> Option<(usize, usize)> {
     (1..segs.len()).find_map(|j| (0..j).find(|&i| overlap(segs[i], segs[j])).map(|i| (j, i)))
 }
 
-/// Element-wise combine.
+/// Element-wise combine. Kept out of line: inlined into the mover's
+/// closure, its loops stop vectorising (a 16 KiB `f64` sum took about
+/// twice as long).
+#[inline(never)]
 fn apply_acc(dst: &mut [u8], src: &[u8], elem: ElemType, op: AccOp) {
     debug_assert_eq!(dst.len(), src.len());
     if op == AccOp::Replace {

@@ -1,8 +1,13 @@
 //! Edge cases: single-rank communicators, windows on subcommunicators
-//! with concurrent traffic elsewhere, large payloads.
+//! with concurrent traffic elsewhere, large payloads, displacements whose
+//! end wraps past `usize::MAX`.
 
 use mpisim::coll::ReduceOp;
-use mpisim::{LockMode, Proc, RecvSrc, Runtime, RuntimeConfig, WinHandle};
+use mpisim::dtype::Flat;
+use mpisim::{
+    AccOp, Datatype, ElemType, LockMode, MpiError, MpiResult, Origin, Proc, RecvSrc, Runtime,
+    RuntimeConfig, WinHandle,
+};
 
 fn quiet() -> RuntimeConfig {
     RuntimeConfig {
@@ -122,5 +127,64 @@ fn many_windows_lifecycle() {
         for win in wins {
             win.free().unwrap();
         }
+    });
+}
+
+/// Window bounds checks do not wrap: a displacement near `usize::MAX`
+/// whose end overflows is out of bounds on every path (typed put, get
+/// and accumulate, the window's mover, shm load and store), and the
+/// window is left unchanged. A wrapped check would pass these in a
+/// release build and write near the start of the window.
+#[test]
+fn wrapping_displacements_are_out_of_bounds() {
+    Runtime::run_with(2, quiet(), |p: &Proc| {
+        let w = p.world();
+        let win = WinHandle::allocate_shared(&w, 64);
+        if w.rank() == 0 {
+            let oob = |target: usize, r: MpiResult<()>| {
+                assert!(
+                    matches!(r, Err(MpiError::OutOfBounds { target: t, .. }) if t == target),
+                    "{r:?}"
+                );
+            };
+            let (odt, tdt) = (
+                Datatype::contiguous(4),
+                Datatype::Indexed {
+                    blocks: vec![(16, 4)],
+                },
+            );
+            let tdisp = usize::MAX - 7;
+            win.lock(LockMode::Exclusive, 1).unwrap();
+            oob(1, win.put(&[1; 4], &odt, 1, tdisp, &tdt));
+            oob(1, win.get(&mut [0; 4], &odt, 1, tdisp, &tdt));
+            let (elem, op) = (ElemType::I32, AccOp::Sum);
+            oob(1, win.accumulate(&[1; 4], &odt, 1, tdisp, &tdt, elem, op));
+
+            let dt = Datatype::contiguous(8);
+            let mut flat = Flat::default();
+            let mut back = [0u8; 8];
+            let origins = [
+                Origin::Put(&[1; 8]),
+                Origin::Acc(&[1; 8], ElemType::I64, AccOp::Sum),
+                Origin::Get(&mut back),
+            ];
+            for origin in origins {
+                flat.flatten(&origin, &dt, usize::MAX - 2, &dt).unwrap();
+                oob(1, win.stage(origin, 1, &flat));
+            }
+            let mut image = [9u8; 64];
+            win.get_bytes(&mut image, 1, 0).unwrap();
+            assert_eq!(image, [0; 64], "the target window changed");
+            win.unlock(1).unwrap();
+
+            let mine = win.shared_query(0).unwrap();
+            oob(0, mine.store(usize::MAX - 2, &[1; 8]));
+            oob(0, mine.load(usize::MAX - 2, &mut [0; 8]));
+            let mut image = [9u8; 64];
+            mine.load(0, &mut image).unwrap();
+            assert_eq!(image, [0; 64], "the own section changed");
+        }
+        w.barrier();
+        win.free().unwrap();
     });
 }

@@ -303,6 +303,45 @@ fn get_reads_remote_window() {
     });
 }
 
+/// An accumulate's origin segments need not be element-aligned: the
+/// mover packs the origin selection before combining, so two `f64`s
+/// split across four 4-byte origin blocks add as whole elements.
+#[test]
+fn accumulate_packs_an_unaligned_origin_selection() {
+    with_win(2, 32, |p, win| {
+        if p.rank() == 0 {
+            let packed: Vec<u8> = [1.5f64, 2.5].iter().flat_map(|x| x.to_le_bytes()).collect();
+            let mut origin = vec![0xffu8; 32];
+            for (i, half) in packed.chunks(4).enumerate() {
+                origin[8 * i..8 * i + 4].copy_from_slice(half);
+            }
+            let odt = Datatype::Vector {
+                count: 4,
+                blocklen: 4,
+                stride: 8,
+            };
+            let tdt = Datatype::contiguous(16);
+            let ones: Vec<u8> = [1.0f64, 1.0].iter().flat_map(|x| x.to_le_bytes()).collect();
+            win.lock(LockMode::Exclusive, 1).unwrap();
+            win.put(&ones, &tdt, 1, 8, &tdt).unwrap();
+            win.unlock(1).unwrap();
+            win.lock(LockMode::Exclusive, 1).unwrap();
+            let (elem, op) = (ElemType::F64, AccOp::Sum);
+            win.accumulate(&origin, &odt, 1, 8, &tdt, elem, op).unwrap();
+            win.unlock(1).unwrap();
+            let mut got = [0u8; 16];
+            win.lock(LockMode::Shared, 1).unwrap();
+            win.get_bytes(&mut got, 1, 8).unwrap();
+            win.unlock(1).unwrap();
+            let vals: Vec<f64> = got
+                .chunks_exact(8)
+                .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
+                .collect();
+            assert_eq!(vals, [2.5, 3.5]);
+        }
+    });
+}
+
 #[test]
 fn accumulate_sums_from_all_ranks() {
     let n = 4;

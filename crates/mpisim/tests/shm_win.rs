@@ -1,8 +1,9 @@
 //! Shared-memory window subsystem: `allocate_shared`,
-//! `shared_query` load/store, `win_sync`, and the `shm_*` movers.
+//! `shared_query` load/store, `win_sync`, and the shm route's
+//! `shm_transfer`.
 
 use mpisim::{
-    AccOp, Datatype, ElemType, LockMode, MpiError, Proc, Runtime, RuntimeConfig, WinHandle,
+    AccOp, Datatype, ElemType, LockMode, MpiError, Origin, Proc, Runtime, RuntimeConfig, WinHandle,
 };
 use simnet::{Platform, PlatformId};
 
@@ -112,13 +113,15 @@ fn shm_movers_respect_epochs_and_reach() {
         if w.rank() == 0 {
             // No epoch → NoEpoch, same discipline as the wire path.
             assert_eq!(
-                win.shm_put(&[1; 8], &dt, 1, 0, &dt).unwrap_err(),
+                win.shm_transfer(Origin::Put(&[1; 8]), &dt, 1, 0, &dt)
+                    .unwrap_err(),
                 MpiError::NoEpoch { target: 1 }
             );
             // Remote node → ShmUnavailable even under an epoch.
             win.lock(LockMode::Exclusive, 2).unwrap();
             assert_eq!(
-                win.shm_put(&[1; 8], &dt, 2, 0, &dt).unwrap_err(),
+                win.shm_transfer(Origin::Put(&[1; 8]), &dt, 2, 0, &dt)
+                    .unwrap_err(),
                 MpiError::ShmUnavailable { target: 2 }
             );
             win.unlock(2).unwrap();
@@ -127,30 +130,25 @@ fn shm_movers_respect_epochs_and_reach() {
             // by win_sync.
             win.lock(LockMode::Exclusive, 1).unwrap();
             win.win_sync().unwrap();
-            let cost = win.shm_put(&3.5f64.to_le_bytes(), &dt, 1, 0, &dt).unwrap();
+            let cost = win
+                .shm_transfer(Origin::Put(&3.5f64.to_le_bytes()), &dt, 1, 0, &dt)
+                .unwrap();
             assert!(cost > 0.0);
             win.win_sync().unwrap();
             win.unlock(1).unwrap();
 
             win.lock(LockMode::Exclusive, 1).unwrap();
             win.win_sync().unwrap();
-            win.shm_acc(
-                &1.5f64.to_le_bytes(),
-                &dt,
-                1,
-                0,
-                &dt,
-                ElemType::F64,
-                AccOp::Sum,
-            )
-            .unwrap();
+            let origin = Origin::Acc(&1.5f64.to_le_bytes(), ElemType::F64, AccOp::Sum);
+            win.shm_transfer(origin, &dt, 1, 0, &dt).unwrap();
             win.win_sync().unwrap();
             win.unlock(1).unwrap();
 
             win.lock(LockMode::Exclusive, 1).unwrap();
             win.win_sync().unwrap();
             let mut back = [0u8; 8];
-            win.shm_get(&mut back, &dt, 1, 0, &dt).unwrap();
+            win.shm_transfer(Origin::Get(&mut back), &dt, 1, 0, &dt)
+                .unwrap();
             assert_eq!(f64::from_le_bytes(back), 5.0);
             win.win_sync().unwrap();
             win.unlock(1).unwrap();
@@ -229,7 +227,7 @@ fn shm_cost_tier_is_cheaper_than_wire() {
             let buf = vec![9u8; 1 << 16];
             win.lock(LockMode::Exclusive, 1).unwrap();
             let t0 = w.clock_now();
-            let shm_cost = win.shm_put(&buf, &dt, 1, 0, &dt).unwrap();
+            let shm_cost = win.shm_transfer(Origin::Put(&buf), &dt, 1, 0, &dt).unwrap();
             w.charge_time(shm_cost);
             let shm_elapsed = w.clock_now() - t0;
             win.unlock(1).unwrap();
