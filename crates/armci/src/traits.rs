@@ -21,7 +21,7 @@ pub enum StridedMethod {
     /// Strided notation translated directly to MPI subarray datatypes,
     /// one RMA operation (§VI-C).
     Direct,
-    /// Scan the descriptor with the conflict tree (§VI-B) and pick
+    /// Scan the descriptor for overlapping segments (§VI-B) and pick
     /// `IovDatatype` when clean, `IovConservative` otherwise.
     Auto,
 }

@@ -104,11 +104,6 @@ impl IovDesc {
         self.bytes * self.len()
     }
 
-    /// Remote segments as `(offset, len)` pairs for overlap scanning.
-    pub fn remote_segments(&self) -> Vec<(usize, usize)> {
-        self.remote_addrs.iter().map(|&a| (a, self.bytes)).collect()
-    }
-
     /// The minimal remote address touched, if any.
     pub fn remote_min(&self) -> Option<usize> {
         self.remote_addrs.iter().copied().min()
@@ -198,16 +193,5 @@ mod tests {
         assert!(e.is_empty());
         assert_eq!(e.remote_min(), None);
         assert_eq!(e.local_end(), 0);
-    }
-
-    #[test]
-    fn remote_segments_for_scanning() {
-        let d = IovDesc {
-            rank: 0,
-            bytes: 4,
-            local_offsets: vec![0, 4],
-            remote_addrs: vec![32, 64],
-        };
-        assert_eq!(d.remote_segments(), vec![(32, 4), (64, 4)]);
     }
 }

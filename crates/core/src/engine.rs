@@ -5,7 +5,7 @@
 //! through the data verbs' one front door ([`crate::xfer`]):
 //!
 //! 1. **plan** — address translation (§V-A), the §VI-A IOV method plans
-//!    the front door picked, the conflict-tree scan of the auto method
+//!    the front door picked, the overlap scan of the auto method
 //!    (§VI-B), and lock-mode selection from the GMR's access-mode hint
 //!    (§VIII-A). The output is a list of `TransferPlan`s: one access
 //!    epoch each, holding one or more RMA operations with fully-resolved
@@ -51,7 +51,7 @@ use crate::ArmciMpi;
 use armci::{ArmciError, ArmciResult, GlobalAddr, IovDesc, Local, NbHandle, StridedMethod};
 use mpisim::dtype::Flat;
 use mpisim::{AccOp, Datatype, ElemType, LockMode, RmaClass};
-use std::ops::Range;
+use std::ops::{ControlFlow, Range};
 
 /// How the scheduler issues queued nonblocking operations at flush.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -203,7 +203,7 @@ pub struct StageStats {
     /// bytes that never touched the NIC model.
     pub shm_bypass_bytes: u64,
     /// Virtual seconds spent in the plan stage (method selection,
-    /// conflict-tree scans).
+    /// overlap scans).
     pub plan_s: f64,
     /// Virtual seconds spent acquiring access epochs.
     pub acquire_s: f64,
@@ -404,9 +404,9 @@ impl NbKind {
     }
 }
 
-/// Virtual seconds charged for a conflict-tree scan over `n` segments
-/// (§VI-B): `O(n log n)` at 4 ns per step. The auto method's plan-stage
-/// scan and the scheduler's run formation both pay it.
+/// Virtual seconds charged for a §VI-B overlap scan over `n` segments:
+/// `O(n log n)` at 4 ns per step. The auto method's plan-stage scan and
+/// the scheduler's run formation both pay it.
 fn conflict_scan_cost(n: usize) -> f64 {
     let n = n.max(1) as f64;
     4e-9 * n * n.log2().max(1.0)
@@ -422,20 +422,17 @@ fn conflict_scan_cost(n: usize) -> f64 {
 /// order within one epoch. A run whose first operation overlaps itself
 /// takes no followers.
 ///
-/// One sort of the queue's S nonempty segments, then linear passes:
-/// a sweep records for each operation the latest earlier operation it
-/// overlaps, the runs are cut from that, and a stable partition of the
-/// same sorted list by run gives each run's segments in address order,
-/// fused as [`ctree::merge_in_place`] fuses them. O(S·log S + P) for P
-/// overlapping segment pairs. Every buffer is kept across flushes, and
-/// the merged output is sized to the fused segments, not the input.
+/// One [`ctree::Sweep`] over the queue's S nonempty segments, tagged by
+/// operation, records for each operation the latest earlier operation it
+/// overlaps; the runs are cut from that, and a stable partition of the
+/// sweep's sorted list by run gives each run's segments in address
+/// order, fused as [`ctree::merge_in_place`] fuses them. O(S·log S + P)
+/// for P overlapping segment pairs. Every buffer is kept across flushes,
+/// and the merged output is sized to the fused segments, not the input.
 #[derive(Default)]
 struct Runs {
-    /// `(off, end, op)` of every nonempty queued segment, by offset.
-    sorted: Vec<(usize, usize, usize)>,
-    /// The sweep's `(end, op)` of sorted segments that reach past the
-    /// current offset.
-    active: Vec<(usize, usize)>,
+    /// Every queued segment, tagged by its operation.
+    sweep: ctree::Sweep,
     /// Per operation: the lowest run start that may take it (one past
     /// the latest earlier operation it overlaps), and whether its own
     /// segments overlap.
@@ -455,36 +452,23 @@ struct Runs {
 impl Runs {
     /// Forms the runs of `ops`, whose segments live in `segs`.
     fn form(&mut self, ops: &[QueuedOp], segs: &[(usize, usize)]) {
-        self.sorted.clear();
+        self.sweep.clear();
         for (i, op) in ops.iter().enumerate() {
-            self.sorted.extend(
-                segs[op.segs.clone()]
-                    .iter()
-                    .filter(|&&(_, len)| len > 0)
-                    .map(|&(off, len)| (off, off + len, i)),
-            );
+            for &(off, len) in &segs[op.segs.clone()] {
+                self.sweep.push(off, off + len, i);
+            }
         }
-        // By offset alone: ties may come in any order, since the sweep
-        // and the fusing below only need ascending offsets.
-        self.sorted.sort_unstable_by_key(|&(off, ..)| off);
-
-        // Sweep: a sorted segment overlaps exactly the earlier-sorted
-        // ones still active at its offset.
         self.reach.clear();
         self.reach.resize(ops.len(), (0, false));
-        self.active.clear();
-        for &(off, end, op) in &self.sorted {
-            self.active.retain(|&(e, _)| e > off);
-            for &(_, other) in &self.active {
-                let (early, late) = (other.min(op), other.max(op));
-                if early == late {
-                    self.reach[op].1 = true;
-                } else {
-                    self.reach[late].0 = self.reach[late].0.max(early + 1);
-                }
+        let reach = &mut self.reach;
+        let _ = self.sweep.overlaps(|early, late| {
+            if early == late {
+                reach[late].1 = true;
+            } else {
+                reach[late].0 = reach[late].0.max(early + 1);
             }
-            self.active.push((end, op));
-        }
+            ControlFlow::<()>::Continue(())
+        });
 
         // Cut: an operation joins the open run if it has the run's class,
         // overlaps neither itself nor any operation since the run start,
@@ -520,7 +504,7 @@ impl Runs {
         self.bounds.resize(nruns + 1, 0);
         self.tail.clear();
         self.tail.resize(nruns, 0);
-        for &(off, end, op) in &self.sorted {
+        for &(off, end, op) in self.sweep.sorted() {
             let r = self.run_of[op];
             if self.bounds[r + 1] > 0 && off <= self.tail[r] {
                 self.tail[r] = self.tail[r].max(end);
@@ -535,7 +519,7 @@ impl Runs {
         self.tail.copy_from_slice(&self.bounds[..nruns]);
         self.merged.clear();
         self.merged.resize(self.bounds[nruns], (0, 0));
-        for &(off, end, op) in &self.sorted {
+        for &(off, end, op) in self.sweep.sorted() {
             let r = self.run_of[op];
             let at = self.tail[r];
             match self.merged[self.bounds[r]..at].last_mut() {
@@ -620,9 +604,10 @@ impl SchedQueue {
     }
 }
 
-/// Buffers the coalescing scheduler reuses across enqueues and flushes,
-/// so a steady-state queued operation allocates nothing of its own. Each
-/// field is taken out while in use and put back after.
+/// Buffers the coalescing scheduler (and the IOV auto method's scan)
+/// reuse across calls, so a steady-state queued operation allocates
+/// nothing of its own. Each field is taken out while in use and put back
+/// after.
 #[derive(Default)]
 struct SchedScratch {
     /// The plan being enqueued, flattened, before it joins a queue: its
@@ -634,6 +619,9 @@ struct SchedScratch {
     flat: Flat,
     /// Run formation's buffers and output.
     runs: Runs,
+    /// The IOV auto method's overlap scan, borrowed in place (the scan
+    /// calls nothing that could reach the scratch).
+    iov_sweep: ctree::Sweep,
     /// A batched wire operation's merged target segments.
     merged: Vec<(usize, usize)>,
     /// Flushed queues, emptied, whose buffers the next queues reuse.
@@ -793,19 +781,22 @@ impl ArmciMpi {
             StridedMethod::IovConservative => self.plan_iov_conservative(desc, local)?,
             StridedMethod::IovBatched { batch } => self.plan_iov_batched(desc, local, batch)?,
             StridedMethod::IovDatatype | StridedMethod::Direct => {
-                vec![self.plan_iov_datatype(desc, local)?]
+                let resolved = self.resolve_single_gmr(desc)?;
+                vec![self.plan_iov_datatype(desc, local, resolved)?]
             }
             StridedMethod::Auto => {
-                // §VI-B: conflict-tree scan; datatype when the descriptor
-                // is clean and single-GMR, conservative otherwise. The
-                // O(N log N) scan is charged to the plan stage.
-                let single = self.resolve_single_gmr(desc).is_ok();
-                let clean = single && ctree::scan_segments(&desc.remote_segments()).is_ok();
+                // §VI-B: overlap scan of the resolved displacements;
+                // datatype when the descriptor is single-GMR and clean,
+                // conservative otherwise. The O(N log N) scan is charged
+                // to the plan stage.
+                let clean = self
+                    .resolve_single_gmr(desc)
+                    .ok()
+                    .filter(|(_, _, disps)| self.disjoint(disps, desc.bytes));
                 self.charge(conflict_scan_cost(desc.len()));
-                if clean {
-                    vec![self.plan_iov_datatype(desc, local)?]
-                } else {
-                    self.plan_iov_conservative(desc, local)?
+                match clean {
+                    Some(resolved) => vec![self.plan_iov_datatype(desc, local, resolved)?],
+                    None => self.plan_iov_conservative(desc, local)?,
                 }
             }
         };
@@ -814,8 +805,8 @@ impl ArmciMpi {
                 StridedMethod::IovConservative => ("iov_conservative", false),
                 StridedMethod::IovBatched { .. } => ("iov_batched", false),
                 StridedMethod::IovDatatype | StridedMethod::Direct => ("iov_datatype", true),
-                // Auto elected the datatype method iff the conflict-tree
-                // scan came back clean (one plan instead of one per segment).
+                // Auto elected the datatype method iff the overlap scan
+                // came back clean (one plan instead of one per segment).
                 StridedMethod::Auto => ("iov_auto", plans.len() == 1),
             };
             obs::instant_at(obs::EventKind::Method { name, fast }, self.vnow());
@@ -888,9 +879,25 @@ impl ArmciMpi {
         Ok(plans)
     }
 
-    /// Datatype method: two indexed datatypes, one operation, one epoch.
-    fn plan_iov_datatype(&self, desc: &IovDesc, local: &Local<'_>) -> ArmciResult<TransferPlan> {
-        let (gmr, group_rank, disps) = self.resolve_single_gmr(desc)?;
+    /// Are `len`-byte segments at `disps` pairwise disjoint? One sweep
+    /// in the engine's reused scratch.
+    fn disjoint(&self, disps: &[usize], len: usize) -> bool {
+        let sweep = &mut self.nb.borrow_mut().scratch.iov_sweep;
+        sweep.clear();
+        for (i, &d) in disps.iter().enumerate() {
+            sweep.push(d, d + len, i);
+        }
+        sweep.first_overlap().is_none()
+    }
+
+    /// Datatype method: two indexed datatypes, one operation, one epoch,
+    /// over the descriptor's [`ArmciMpi::resolve_single_gmr`] resolution.
+    fn plan_iov_datatype(
+        &self,
+        desc: &IovDesc,
+        local: &Local<'_>,
+        (gmr, group_rank, disps): (GmrRef, usize, Vec<usize>),
+    ) -> ArmciResult<TransferPlan> {
         let mode = self.lock_mode(self.gmrs.borrow().get(gmr)?, local)?;
         let tdt = Datatype::Indexed {
             blocks: disps.iter().map(|&d| (d, desc.bytes)).collect(),

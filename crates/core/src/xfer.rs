@@ -31,7 +31,7 @@
 //! * **datatype** ("direct") — MPI indexed datatypes for the local and
 //!   remote layouts and a single operation, letting the MPI layer pick
 //!   pack/unpack or scatter-gather;
-//! * **auto** — scans the descriptor with the AVL conflict tree (§VI-B);
+//! * **auto** — scans the descriptor for overlap (§VI-B, one sort-and-sweep);
 //!   clean descriptors take the datatype path, conflicted ones fall back
 //!   to conservative (detecting the error *after* MPI has started the
 //!   transfer would be too late).

@@ -9,7 +9,7 @@
 //! per-call churn on these paths fails here before it shows up as host
 //! time in the benchmark.
 
-use armci::{AccKind, Armci, GlobalAddr, RmwOp};
+use armci::{AccKind, Armci, GlobalAddr, IovDesc, RmwOp};
 use armci_mpi::{ArmciMpi, Config, TransportKind};
 use ga::ghosts::GhostBlock;
 use ga::{GaType, GlobalArray};
@@ -264,6 +264,55 @@ fn blocking_contiguous_shm_budget() {
     let [put, get, acc] = blocking_put_get_acc_allocs(Config::default(), 2);
     println!("blocking contiguous shm put/get/acc: {put:.2}/{get:.2}/{acc:.2} allocations");
     assert_eq!([put, get, acc], [0.0; 3], "shm put/get/acc allocations");
+}
+
+/// Allocations per IOV put under the default `StridedMethod::Auto`: 16
+/// segments of 16 bytes into rank 1's slice, `stride` bytes apart.
+fn iov_auto_put_allocs(stride: usize) -> f64 {
+    let out = Runtime::run_with(2, layout(1), |p| {
+        let rt = ArmciMpi::new(p);
+        let bases = rt.malloc(4096).unwrap();
+        let got = if rt.rank() == 0 {
+            let desc = IovDesc {
+                rank: 1,
+                bytes: 16,
+                local_offsets: (0..16).map(|i| i * 16).collect(),
+                remote_addrs: (0..16).map(|i| bases[1].addr + i * stride).collect(),
+            };
+            let src = vec![3u8; 256];
+            per_op(4, 64, 1, || rt.put_iov(&desc, &src).unwrap())
+        } else {
+            0.0
+        };
+        rt.barrier();
+        rt.free(bases[rt.rank()]).unwrap();
+        got
+    });
+    out[0]
+}
+
+#[test]
+fn iov_auto_clean_budget() {
+    let per_put = iov_auto_put_allocs(64);
+    println!("IOV auto put, clean: {per_put:.2} allocations per put");
+    // One resolution of the descriptor, the datatype plan's two block
+    // lists and its plan list; the overlap scan reuses the engine's
+    // sweep (9 when the descriptor was resolved twice and each scan
+    // built a segment list and a tree).
+    assert!(per_put <= 4.0, "{per_put} allocations per clean IOV put");
+}
+
+#[test]
+fn iov_auto_overlapping_budget() {
+    let per_put = iov_auto_put_allocs(8);
+    println!("IOV auto put, overlapping: {per_put:.2} allocations per put");
+    // The conservative plan: one block list per segment and its plan
+    // list, plus the resolution that found the descriptor single-GMR
+    // (20 with a segment list and a tree per scan).
+    assert!(
+        per_put <= 18.0,
+        "{per_put} allocations per overlapping IOV put"
+    );
 }
 
 /// Allocations per call of `call` on rank 0, with two ranks laid out

@@ -171,7 +171,8 @@ impl Datatype {
     }
 
     /// The span in bytes from the first to one past the last selected byte
-    /// (the buffer must be at least `extent()` long).
+    /// (the buffer must be at least `extent()` long). A span past
+    /// `usize::MAX` saturates, so bounds checks refuse it.
     pub fn extent(&self) -> usize {
         match self {
             Datatype::Contiguous { len } => *len,
@@ -183,7 +184,9 @@ impl Datatype {
                 if *count == 0 || *blocklen == 0 {
                     0
                 } else {
-                    (count - 1) * stride + blocklen
+                    (count - 1)
+                        .saturating_mul(*stride)
+                        .saturating_add(*blocklen)
                 }
             }
             Datatype::Indexed { blocks } => blocks_extent(blocks),
@@ -199,7 +202,7 @@ impl Datatype {
     }
 
     /// Flattens to ordered `(offset, len)` segments, coalescing contiguous
-    /// runs.
+    /// runs. Offsets past `usize::MAX` saturate, like [`Datatype::extent`].
     pub fn segments(&self) -> Vec<(usize, usize)> {
         let mut out = Vec::new();
         self.segments_into(&mut out);
@@ -224,7 +227,7 @@ impl Datatype {
                 stride,
             } => {
                 if *blocklen > 0 {
-                    out.extend((0..*count).map(|i| (i * stride, *blocklen)));
+                    out.extend((0..*count).map(|i| (i.saturating_mul(*stride), *blocklen)));
                 }
                 coalesce(out);
             }
@@ -237,9 +240,14 @@ impl Datatype {
     }
 }
 
-/// One past the last byte an indexed block list touches.
+/// One past the last byte an indexed block list touches, saturating at
+/// `usize::MAX`.
 pub(crate) fn blocks_extent(blocks: &[(usize, usize)]) -> usize {
-    blocks.iter().map(|&(d, l)| d + l).max().unwrap_or(0)
+    blocks
+        .iter()
+        .map(|&(d, l)| d.saturating_add(l))
+        .max()
+        .unwrap_or(0)
 }
 
 /// Flattens an indexed block list the way [`Datatype::Indexed`] does:
@@ -340,7 +348,7 @@ fn subarray_segments(
 fn coalesce(segs: &mut Vec<(usize, usize)>) {
     let mut w = 0usize;
     for i in 0..segs.len() {
-        if w > 0 && segs[w - 1].0 + segs[w - 1].1 == segs[i].0 {
+        if w > 0 && segs[w - 1].0.checked_add(segs[w - 1].1) == Some(segs[i].0) {
             segs[w - 1].1 += segs[i].1;
         } else {
             segs[w] = segs[i];
@@ -361,7 +369,7 @@ fn zip_into(os: &[(usize, usize)], ts: &[(usize, usize)], out: &mut Vec<(usize, 
         let orem = os[oi].1 - ooff;
         let trem = ts[ti].1 - toff;
         let n = orem.min(trem);
-        out.push((os[oi].0 + ooff, ts[ti].0 + toff, n));
+        out.push((os[oi].0 + ooff, ts[ti].0.saturating_add(toff), n));
         ooff += n;
         toff += n;
         if ooff == os[oi].1 {

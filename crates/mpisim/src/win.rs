@@ -24,9 +24,11 @@ use crate::error::{MpiError, MpiResult};
 use crate::progress::ProgressModel;
 use crate::runtime::Shared;
 use crate::sync;
+use ctree::Sweep;
 use parking_lot::{Condvar, Mutex};
 use simnet::pool::{BufferPool, RegistrationPolicy};
 use std::cell::{Cell, RefCell};
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -406,6 +408,8 @@ pub struct WinHandle {
     /// A drained epoch record list kept for the next `lock`, so recording
     /// an epoch's accesses reuses one allocation.
     spare_records: RefCell<Vec<OpRecord>>,
+    /// The conflict check's overlap scan, kept across operations.
+    sweep: RefCell<Sweep>,
     pub(crate) lock_all_active: Cell<bool>,
     /// How remote passive-target completion is priced on this handle
     /// (see [`crate::progress`]). Origin-local, like the epoch state.
@@ -519,6 +523,7 @@ impl WinHandle {
             ),
             dtype_cache: RefCell::new(DtypeCache::new(64)),
             flat: RefCell::new(Flat::default()),
+            sweep: RefCell::default(),
             spare_records: RefCell::new(Vec::new()),
             lock_all_active: Cell::new(false),
             progress: Cell::new(ProgressModel::Off),
@@ -825,7 +830,8 @@ impl WinHandle {
             None => return Err(MpiError::NoEpoch { target }),
         };
         if self.shared.cfg.semantic_checks {
-            record_checked(&mut ep.ops, target, 0, segs, class.kind())?;
+            let sweep = &mut self.sweep.borrow_mut();
+            record_checked(sweep, &mut ep.ops, target, 0, segs, class.kind())?;
         }
         Ok(())
     }
@@ -1475,76 +1481,76 @@ impl ShmSection {
 /// Conflict-checks one operation's target segments (relative to `tdisp`)
 /// against an epoch's records and appends them. The outcome is exactly
 /// the all-pairs reference scan's (`record_naive`): the same Ok/Err, the
-/// same reported pair, the same records left behind on error. It just
-/// never compares an operation's segments with each other pairwise. Only
-/// a self-incompatible kind (a write) can conflict with itself; that gets
-/// one O(n) sortedness pass, and an O(n log n) sort when the segments are
-/// unsorted. The earlier operations' records are then scanned only when
-/// one of them is incompatible with `kind`.
+/// same reported pair, the same records left behind on error. An empty
+/// record list, a lone segment and kinds compatible with every record and
+/// with themselves need no scan.
 fn record_checked(
+    sweep: &mut Sweep,
     records: &mut Vec<OpRecord>,
     target: usize,
     tdisp: usize,
     segs: &[(usize, usize)],
     kind: OpKind,
 ) -> MpiResult<()> {
-    let own = if kind.compatible(kind) {
-        None
-    } else {
-        first_self_overlap(segs)
-    };
-    // Segment j's conflicts with earlier operations precede (in record
-    // order) its conflicts with its own operation, so only segments up to
-    // the first self-conflict need the scan.
-    let scan = own.map_or(segs.len(), |(j, _)| j + 1);
-    let mut err = None;
-    if !records.iter().all(|r| kind.compatible(r.kind)) {
-        err = segs[..scan]
-            .iter()
-            .enumerate()
-            .find_map(|(j, &(off, len))| {
-                let (lo, hi) = (tdisp + off, tdisp + off + len);
-                records
-                    .iter()
-                    .find(|r| lo < r.hi && r.lo < hi && !kind.compatible(r.kind))
-                    .map(|r| (j, (r.lo, r.hi - r.lo)))
-            });
-    }
-    let err = err.or(own.map(|(j, i)| (j, (tdisp + segs[i].0, segs[i].1))));
-    let keep = err.map_or(segs.len(), |(j, _)| j);
-    records.extend(segs[..keep].iter().map(|&(off, len)| OpRecord {
+    let new = segs.iter().map(|&(off, len)| OpRecord {
         lo: tdisp + off,
         hi: tdisp + off + len,
         kind,
-    }));
+    });
+    let own = !kind.compatible(kind) && segs.len() > 1;
+    let err = if own || records.iter().any(|r| !kind.compatible(r.kind)) {
+        first_conflict(sweep, records, new.clone(), kind, own)
+    } else {
+        None
+    };
+    let keep = err.map_or(segs.len(), |(j, _)| j);
+    records.extend(new.take(keep));
     match err {
-        Some((j, first)) => Err(MpiError::ConflictingAccess {
+        Some((j, r)) => Err(MpiError::ConflictingAccess {
             target,
-            first,
+            first: (r.lo, r.hi - r.lo),
             second: (tdisp + segs[j].0, segs[j].1),
         }),
         None => Ok(()),
     }
 }
 
-/// The first `(j, i)`, `i < j`, with overlapping segments, in the order
-/// the all-pairs scan meets them — or `None` when the segments are
-/// pairwise disjoint. Ascending disjoint lists (every contiguous, vector
-/// and subarray type) are proven clean in one pass; unsorted ones by a
-/// sort. Only a list that really overlaps (an error) pays the pairwise
-/// search.
-fn first_self_overlap(segs: &[(usize, usize)]) -> Option<(usize, usize)> {
-    let disjoint = |s: &[(usize, usize)]| s.windows(2).all(|w| w[0].0 + w[0].1 <= w[1].0);
-    if disjoint(segs) {
+/// The conflict the all-pairs scan meets first, as `(j, record)`: new
+/// record `j` (of `kind`) against the epoch's `records`, then, when
+/// `own` (the kind conflicts with itself), against the earlier new ones.
+/// One [`Sweep`] over the incompatible records (tag 0) and the new ones
+/// (tag 1) decides in O(N·log N) whether any conflict exists; only then
+/// (an error) is the first one looked up, in the all-pairs order.
+fn first_conflict(
+    sweep: &mut Sweep,
+    records: &[OpRecord],
+    new: impl Iterator<Item = OpRecord> + Clone,
+    kind: OpKind,
+    own: bool,
+) -> Option<(usize, OpRecord)> {
+    sweep.clear();
+    for r in records.iter().filter(|r| !kind.compatible(r.kind)) {
+        sweep.push(r.lo, r.hi, 0);
+    }
+    for n in new.clone() {
+        sweep.push(n.lo, n.hi, 1);
+    }
+    let found = sweep.overlaps(|a, b| {
+        if b == 1 && (a == 0 || own) {
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(())
+        }
+    });
+    if found.is_continue() {
         return None;
     }
-    let mut sorted = segs.to_vec();
-    sorted.sort_unstable();
-    if disjoint(&sorted) {
-        return None;
-    }
-    let overlap = |a: (usize, usize), b: (usize, usize)| a.0 < b.0 + b.1 && b.0 < a.0 + a.1;
-    (1..segs.len()).find_map(|j| (0..j).find(|&i| overlap(segs[i], segs[j])).map(|i| (j, i)))
+    new.clone().enumerate().find_map(|(j, n)| {
+        let mut earlier = records.iter().copied().chain(new.clone().take(j));
+        earlier
+            .find(|r| n.lo < r.hi && r.lo < n.hi && !kind.compatible(r.kind))
+            .map(|r| (j, r))
+    })
 }
 
 /// Element-wise combine. Kept out of line: inlined into the mover's
@@ -1906,9 +1912,10 @@ mod admission_proptests {
             ops in proptest::collection::vec((arb_datatype(), 0usize..64, arb_kind()), 1..10)
         ) {
             let (mut fast, mut naive) = (Vec::new(), Vec::new());
+            let mut sweep = Sweep::default();
             for (dt, tdisp, kind) in &ops {
                 let segs = dt.segments();
-                let got = record_checked(&mut fast, 3, *tdisp, &segs, *kind);
+                let got = record_checked(&mut sweep, &mut fast, 3, *tdisp, &segs, *kind);
                 let want = record_naive(&mut naive, 3, *tdisp, &segs, *kind);
                 prop_assert_eq!(got, want);
                 let key = |r: &OpRecord| (r.lo, r.hi, format!("{:?}", r.kind));

@@ -1,6 +1,6 @@
 //! Edge cases: single-rank communicators, windows on subcommunicators
-//! with concurrent traffic elsewhere, large payloads, displacements whose
-//! end wraps past `usize::MAX`.
+//! with concurrent traffic elsewhere, large payloads, displacements and
+//! target types whose end wraps past `usize::MAX`.
 
 use mpisim::coll::ReduceOp;
 use mpisim::dtype::Flat;
@@ -183,6 +183,67 @@ fn wrapping_displacements_are_out_of_bounds() {
             let mut image = [9u8; 64];
             mine.load(0, &mut image).unwrap();
             assert_eq!(image, [0; 64], "the own section changed");
+        }
+        w.barrier();
+        win.free().unwrap();
+    });
+}
+
+/// Target types whose extent or block offsets run past `usize::MAX`:
+/// put, get and accumulate through each give `OutOfBounds` (no overflow
+/// panic in a debug build, no wrapped extent in a release build) before
+/// the epoch records anything, so the next legal operation in the same
+/// epoch succeeds and the window holds only its bytes. A wrapped extent
+/// would pass admission, record the segments, and fail in the mover,
+/// leaving records that make the legal put a conflicting access.
+#[test]
+fn overflowing_target_types_are_out_of_bounds() {
+    Runtime::run_with(2, quiet(), |p: &Proc| {
+        let w = p.world();
+        let win = WinHandle::create(&w, 64);
+        if w.rank() == 0 {
+            let oob = |r: MpiResult<()>| {
+                assert!(matches!(r, Err(MpiError::OutOfBounds { .. })), "{r:?}");
+            };
+            let huge = [
+                Datatype::Indexed {
+                    blocks: vec![(usize::MAX - 2, 8), (0, 8)],
+                },
+                Datatype::Vector {
+                    count: 3,
+                    blocklen: 8,
+                    stride: usize::MAX / 2,
+                },
+                Datatype::Vector {
+                    count: 3,
+                    blocklen: 8,
+                    stride: usize::MAX / 2 + 1,
+                },
+            ];
+            win.lock(LockMode::Exclusive, 1).unwrap();
+            for tdt in &huge {
+                // 4-byte origin blocks split every target segment.
+                let n = tdt.size();
+                let odt = Datatype::Vector {
+                    count: n / 4,
+                    blocklen: 4,
+                    stride: 8,
+                };
+                let (elem, op) = (ElemType::F64, AccOp::Sum);
+                oob(win.put(&vec![1; 2 * n], &odt, 1, 0, tdt));
+                oob(win.get(&mut vec![0; 2 * n], &odt, 1, 0, tdt));
+                oob(win.accumulate(&vec![1; 2 * n], &odt, 1, 0, tdt, elem, op));
+            }
+            win.put_bytes(&[7; 8], 1, 0).unwrap();
+            win.unlock(1).unwrap();
+
+            win.lock(LockMode::Shared, 1).unwrap();
+            let mut image = [9u8; 64];
+            win.get_bytes(&mut image, 1, 0).unwrap();
+            win.unlock(1).unwrap();
+            let mut want = [0u8; 64];
+            want[..8].fill(7);
+            assert_eq!(image, want);
         }
         w.barrier();
         win.free().unwrap();

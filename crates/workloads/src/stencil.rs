@@ -4,7 +4,7 @@
 //! Each iteration every rank refreshes its block plus a `radius`-deep
 //! halo in place with [`GlobalArray::fetch_ghosted_into`] — a fan of
 //! *strided* subarray gets that exercise the derived-datatype LRU cache,
-//! the conflict-tree disjointness proofs, and (intra-node) the shm tier —
+//! the overlap-scan disjointness proofs, and (intra-node) the shm tier —
 //! relaxes the interior with [`sweep`], writes it back, and folds a global
 //! L1 residual through the allreduce.
 //!
