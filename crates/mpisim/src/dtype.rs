@@ -119,25 +119,37 @@ impl Datatype {
         })
     }
 
-    /// Total number of bytes the type selects.
+    /// Total number of bytes the type selects. A count past `usize::MAX`
+    /// saturates; [`Flat::flatten`] refuses such a type.
     pub fn size(&self) -> usize {
-        match self {
-            Datatype::Contiguous { len } => *len,
+        self.checked_size().unwrap_or(usize::MAX)
+    }
+
+    /// [`Datatype::size`], or `BadDatatype` for a count past `usize::MAX`,
+    /// so that no segment list is ever sized from such a type.
+    fn checked_size(&self) -> MpiResult<usize> {
+        let size = match self {
+            Datatype::Contiguous { len } => Some(*len),
             Datatype::Vector {
                 count, blocklen, ..
-            } => count * blocklen,
-            Datatype::Indexed { blocks } => blocks.iter().map(|&(_, l)| l).sum(),
+            } => count.checked_mul(*blocklen),
+            Datatype::Indexed { blocks } => blocks
+                .iter()
+                .try_fold(0usize, |sum, &(_, l)| sum.checked_add(l)),
             Datatype::Subarray { shape, elem } => {
                 // An empty dimension selects nothing, however large the
                 // others' product.
                 let subsizes = split_shape(shape).1;
                 if subsizes.contains(&0) {
-                    0
+                    Some(0)
                 } else {
-                    subsizes.iter().product::<usize>() * elem
+                    subsizes.iter().try_fold(*elem, |n, &d| n.checked_mul(d))
                 }
             }
-        }
+        };
+        size.ok_or_else(|| {
+            MpiError::BadDatatype("datatype selects more than usize::MAX bytes".into())
+        })
     }
 
     /// Number of contiguous segments after coalescing along the innermost
@@ -416,10 +428,10 @@ impl Flat {
         tdt: &Datatype,
     ) -> MpiResult<()> {
         let elem = origin.class().elem();
-        if let Some(es) = elem.filter(|&es| !odt.size().is_multiple_of(es)) {
+        let size = odt.checked_size()?;
+        if let Some(es) = elem.filter(|&es| !size.is_multiple_of(es)) {
             return Err(MpiError::BadDatatype(format!(
-                "accumulate of {} bytes not a multiple of element size {es}",
-                odt.size()
+                "accumulate of {size} bytes not a multiple of element size {es}"
             )));
         }
         if odt.extent() > origin.len() {
@@ -429,12 +441,7 @@ impl Flat {
                 origin.len()
             )));
         }
-        if odt.size() != tdt.size() {
-            return Err(MpiError::TypeMismatch {
-                origin_bytes: odt.size(),
-                target_bytes: tdt.size(),
-            });
-        }
+        same_size(size, tdt)?;
         tdt.segments_into(&mut self.tsegs);
         if let Some(es) = elem {
             if let Some(&(_, len)) = self.tsegs.iter().find(|&&(_, len)| len % es != 0) {
@@ -463,18 +470,25 @@ impl Flat {
 
 /// Splits the segment lists of two datatypes into a common refinement so
 /// that bytes can be copied pairwise. Returns `(origin_piece, target_piece,
-/// len)` triples. Errors if total sizes differ. Allocates fresh buffers;
-/// transfers keep a [`Flat`] instead.
+/// len)` triples. Errors if a size overflows `usize` or the sizes
+/// differ. Allocates fresh buffers; transfers keep a [`Flat`] instead.
 pub fn zip_segments(origin: &Datatype, target: &Datatype) -> MpiResult<Vec<(usize, usize, usize)>> {
-    if origin.size() != target.size() {
-        return Err(MpiError::TypeMismatch {
-            origin_bytes: origin.size(),
-            target_bytes: target.size(),
-        });
-    }
+    same_size(origin.checked_size()?, target)?;
     let mut pieces = Vec::new();
     zip_into(&origin.segments(), &target.segments(), &mut pieces);
     Ok(pieces)
+}
+
+/// `TypeMismatch` unless `target` selects the origin's `origin_bytes`.
+fn same_size(origin_bytes: usize, target: &Datatype) -> MpiResult<()> {
+    let target_bytes = target.checked_size()?;
+    if origin_bytes != target_bytes {
+        return Err(MpiError::TypeMismatch {
+            origin_bytes,
+            target_bytes,
+        });
+    }
+    Ok(())
 }
 
 /// Structural signature of a datatype: a canonical `u64` encoding of

@@ -249,3 +249,49 @@ fn overflowing_target_types_are_out_of_bounds() {
         win.free().unwrap();
     });
 }
+
+/// A type whose selected byte count runs past `usize::MAX` is refused as
+/// `BadDatatype` on put, get and accumulate, on either side and against
+/// an 8-byte or an empty partner: no multiply-overflow panic in a debug
+/// build, and in a release build no wrapped count that happens to match
+/// the partner's and no segment list sized from the type's block count.
+/// Nothing reaches the epoch, so the next legal operation in it succeeds.
+#[test]
+fn overflowing_type_sizes_are_bad_datatypes() {
+    Runtime::run_with(2, quiet(), |p: &Proc| {
+        let w = p.world();
+        let win = WinHandle::create(&w, 64);
+        if w.rank() == 0 {
+            let bad = |r: MpiResult<()>| {
+                assert!(matches!(r, Err(MpiError::BadDatatype(_))), "{r:?}");
+            };
+            let huge = Datatype::Vector {
+                count: usize::MAX / 2 + 1,
+                blocklen: 2,
+                stride: 2,
+            };
+            let (elem, op) = (ElemType::F64, AccOp::Sum);
+            win.lock(LockMode::Exclusive, 1).unwrap();
+            for len in [8, 0] {
+                let small = Datatype::contiguous(len);
+                for (odt, tdt) in [(&small, &huge), (&huge, &small)] {
+                    bad(win.put(&[1; 8][..len], odt, 1, 0, tdt));
+                    bad(win.get(&mut [0; 8][..len], odt, 1, 0, tdt));
+                    bad(win.accumulate(&[1; 8][..len], odt, 1, 0, tdt, elem, op));
+                }
+            }
+            win.put_bytes(&[7; 8], 1, 0).unwrap();
+            win.unlock(1).unwrap();
+
+            win.lock(LockMode::Shared, 1).unwrap();
+            let mut image = [9u8; 64];
+            win.get_bytes(&mut image, 1, 0).unwrap();
+            win.unlock(1).unwrap();
+            let mut want = [0u8; 64];
+            want[..8].fill(7);
+            assert_eq!(image, want);
+        }
+        w.barrier();
+        win.free().unwrap();
+    });
+}

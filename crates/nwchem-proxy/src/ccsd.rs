@@ -97,6 +97,20 @@ impl CcsdConfig {
     pub fn ccsd_task_acc_bytes(&self) -> usize {
         self.tile_o * self.tile_o * self.tile_v * self.tile_v * 8
     }
+
+    /// The `(lo, hi)` bounds of task `task`'s `[i, j, a, b]` tile, tasks
+    /// numbered with `b` fastest.
+    fn tile_of(&self, task: usize) -> ([usize; 4], [usize; 4]) {
+        let (ot, vt, to, tv) = (self.ot(), self.vt(), self.tile_o, self.tile_v);
+        let ti = task / (ot * vt * vt);
+        let tj = (task / (vt * vt)) % ot;
+        let ta = (task / vt) % vt;
+        let tb = task % vt;
+        (
+            [ti * to, tj * to, ta * tv, tb * tv],
+            [(ti + 1) * to, (tj + 1) * to, (ta + 1) * tv, (tb + 1) * tv],
+        )
+    }
 }
 
 /// Result of a proxy run.
@@ -113,104 +127,7 @@ pub struct CcsdResult {
 /// Runs `cfg.iterations` CCSD ladder iterations and returns the final
 /// synthetic energy `R · T / (1 + |T|²)`. Collective over the world group.
 pub fn run_ccsd<A: Armci + ?Sized>(p: &Proc, rt: &A, cfg: &CcsdConfig) -> CcsdResult {
-    cfg.check();
-    let t0 = p.clock().now();
-    let flop_rate = p.config().platform.compute.flops_per_core;
-
-    let tdims = [cfg.no, cfg.no, cfg.nv, cfg.nv];
-    let vdims = [cfg.nv, cfg.nv, cfg.nv, cfg.nv];
-    let t2 = GlobalArray::create(rt, "t2", GaType::F64, &tdims).expect("create t2");
-    let v2 = GlobalArray::create(rt, "v2", GaType::F64, &vdims).expect("create v2");
-    let r2 = GlobalArray::create(rt, "r2", GaType::F64, &tdims).expect("create r2");
-    let counter = GlobalArray::create(rt, "nxtval", GaType::I64, &[1]).expect("create counter");
-
-    // Initialise amplitudes and integrals: every rank fills its own block.
-    init_4d(&t2, t2_value);
-    init_4d(&v2, v2_value);
-    t2.sync();
-
-    let (ot, vt, to, tv) = (cfg.ot(), cfg.vt(), cfg.tile_o, cfg.tile_v);
-    let ntasks = cfg.ccsd_tasks();
-    let mut tasks_done = 0usize;
-    let mut energy = 0.0;
-
-    for _iter in 0..cfg.iterations {
-        r2.zero().expect("zero r2");
-        if rt.rank() == 0 {
-            counter
-                .put_patch_i64(&[0], &[1], &[0])
-                .expect("reset counter");
-        }
-        counter.sync();
-
-        // Dynamic load balancing: claim tile-pair tasks from NXTVAL.
-        loop {
-            let task = counter.read_inc(&[0], 1).expect("nxtval") as usize;
-            if task >= ntasks {
-                break;
-            }
-            tasks_done += 1;
-            // decode (ti, tj, ta, tb)
-            let ti = task / (ot * vt * vt);
-            let tj = (task / (vt * vt)) % ot;
-            let ta = (task / vt) % vt;
-            let tb = task % vt;
-            let (ilo, ihi) = (ti * to, (ti + 1) * to);
-            let (jlo, jhi) = (tj * to, (tj + 1) * to);
-            let (alo, ahi) = (ta * tv, (ta + 1) * tv);
-            let (blo, bhi) = (tb * tv, (tb + 1) * tv);
-
-            let m = to * to; // ij pairs in tile
-            let n = tv * tv; // ab pairs in tile
-            let mut rblock = vec![0.0f64; m * n];
-
-            for tc in 0..vt {
-                for td in 0..vt {
-                    let (clo, chi) = (tc * tv, (tc + 1) * tv);
-                    let (dlo, dhi) = (td * tv, (td + 1) * tv);
-                    // gets: V[a,b,c,d] and T[i,j,c,d]
-                    let vblk = v2
-                        .get_patch(&[alo, blo, clo, dlo], &[ahi, bhi, chi, dhi])
-                        .expect("get V");
-                    let tblk = t2
-                        .get_patch(&[ilo, jlo, clo, dlo], &[ihi, jhi, chi, dhi])
-                        .expect("get T");
-                    // local DGEMM: R[ij, ab] += Σ_cd V[ab, cd] · T[ij, cd]
-                    let k = tv * tv;
-                    for ij in 0..m {
-                        for ab in 0..n {
-                            let mut acc = 0.0;
-                            for cd in 0..k {
-                                acc += vblk[ab * k + cd] * tblk[ij * k + cd];
-                            }
-                            rblock[ij * n + ab] += acc;
-                        }
-                    }
-                    p.compute(2.0 * (m * n * k) as f64 / flop_rate);
-                }
-            }
-            // accumulate the result tile
-            r2.acc_patch(1.0, &[ilo, jlo, alo, blo], &[ihi, jhi, ahi, bhi], &rblock)
-                .expect("acc R");
-        }
-        r2.sync();
-        // synthetic energy from global reductions
-        let rt_dot = r2.dot(&t2).expect("dot");
-        let tt = t2.dot(&t2).expect("dot");
-        energy = rt_dot / (1.0 + tt);
-    }
-
-    t2.sync();
-    counter.destroy().expect("destroy counter");
-    r2.destroy().expect("destroy r2");
-    v2.destroy().expect("destroy v2");
-    t2.destroy().expect("destroy t2");
-
-    CcsdResult {
-        energy,
-        elapsed: p.clock().now() - t0,
-        tasks_done,
-    }
+    run_blocking(p, rt, cfg, true, 1.0)
 }
 
 /// Runs the same CCSD ladder as [`run_ccsd`] with a deterministic
@@ -229,245 +146,12 @@ pub fn run_ccsd_skewed<A: Armci + ?Sized>(
     cfg: &CcsdConfig,
     skew: f64,
 ) -> CcsdResult {
-    cfg.check();
-    let t0 = p.clock().now();
-    let nprocs = rt.nprocs();
-    let me = rt.rank();
-    let slow = 1.0 + skew * me as f64 / (nprocs - 1).max(1) as f64;
-    let flop_rate = p.config().platform.compute.flops_per_core;
-
-    let tdims = [cfg.no, cfg.no, cfg.nv, cfg.nv];
-    let vdims = [cfg.nv, cfg.nv, cfg.nv, cfg.nv];
-    let t2 = GlobalArray::create(rt, "t2", GaType::F64, &tdims).expect("create t2");
-    let v2 = GlobalArray::create(rt, "v2", GaType::F64, &vdims).expect("create v2");
-    let r2 = GlobalArray::create(rt, "r2", GaType::F64, &tdims).expect("create r2");
-
-    init_4d(&t2, t2_value);
-    init_4d(&v2, v2_value);
-    t2.sync();
-
-    let (ot, vt, to, tv) = (cfg.ot(), cfg.vt(), cfg.tile_o, cfg.tile_v);
-    let ntasks = cfg.ccsd_tasks();
-    let mut tasks_done = 0usize;
-    let mut energy = 0.0;
-
-    for _iter in 0..cfg.iterations {
-        r2.zero().expect("zero r2");
-        r2.sync();
-
-        for task in (me..ntasks).step_by(nprocs.max(1)) {
-            tasks_done += 1;
-            let ti = task / (ot * vt * vt);
-            let tj = (task / (vt * vt)) % ot;
-            let ta = (task / vt) % vt;
-            let tb = task % vt;
-            let (ilo, ihi) = (ti * to, (ti + 1) * to);
-            let (jlo, jhi) = (tj * to, (tj + 1) * to);
-            let (alo, ahi) = (ta * tv, (ta + 1) * tv);
-            let (blo, bhi) = (tb * tv, (tb + 1) * tv);
-
-            let m = to * to;
-            let n = tv * tv;
-            let mut rblock = vec![0.0f64; m * n];
-
-            for tc in 0..vt {
-                for td in 0..vt {
-                    let (clo, chi) = (tc * tv, (tc + 1) * tv);
-                    let (dlo, dhi) = (td * tv, (td + 1) * tv);
-                    let vblk = v2
-                        .get_patch(&[alo, blo, clo, dlo], &[ahi, bhi, chi, dhi])
-                        .expect("get V");
-                    let tblk = t2
-                        .get_patch(&[ilo, jlo, clo, dlo], &[ihi, jhi, chi, dhi])
-                        .expect("get T");
-                    let k = tv * tv;
-                    for ij in 0..m {
-                        for ab in 0..n {
-                            let mut acc = 0.0;
-                            for cd in 0..k {
-                                acc += vblk[ab * k + cd] * tblk[ij * k + cd];
-                            }
-                            rblock[ij * n + ab] += acc;
-                        }
-                    }
-                    p.compute(slow * 2.0 * (m * n * k) as f64 / flop_rate);
-                }
-            }
-            r2.acc_patch(1.0, &[ilo, jlo, alo, blo], &[ihi, jhi, ahi, bhi], &rblock)
-                .expect("acc R");
-        }
-        r2.sync();
-        let rt_dot = r2.dot(&t2).expect("dot");
-        let tt = t2.dot(&t2).expect("dot");
-        energy = rt_dot / (1.0 + tt);
-    }
-
-    t2.sync();
-    r2.destroy().expect("destroy r2");
-    v2.destroy().expect("destroy v2");
-    t2.destroy().expect("destroy t2");
-
-    CcsdResult {
-        energy,
-        elapsed: p.clock().now() - t0,
-        tasks_done,
-    }
+    let slow = 1.0 + skew * rt.rank() as f64 / (rt.nprocs() - 1).max(1) as f64;
+    run_blocking(p, rt, cfg, false, slow)
 }
 
-/// Runs the same CCSD ladder as [`run_ccsd`] but with the NWChem-style
-/// overlap schedule: the V/T tiles of the *next* `cd` pair are prefetched
-/// with nonblocking gets while the current pair's DGEMM runs
-/// (double-buffering), and each task's result accumulate is issued
-/// nonblocking and retired while the next task's first tiles are fetched.
-/// The arithmetic — tile order, contraction order, reductions — is
-/// identical to the blocking path, so the returned energy is bit-exact
-/// equal; only the virtual-time schedule differs.
-pub fn run_ccsd_overlap<A: Armci + ?Sized>(p: &Proc, rt: &A, cfg: &CcsdConfig) -> CcsdResult {
-    cfg.check();
-    let t0 = p.clock().now();
-    let flop_rate = p.config().platform.compute.flops_per_core;
-
-    let tdims = [cfg.no, cfg.no, cfg.nv, cfg.nv];
-    let vdims = [cfg.nv, cfg.nv, cfg.nv, cfg.nv];
-    let t2 = GlobalArray::create(rt, "t2", GaType::F64, &tdims).expect("create t2");
-    let v2 = GlobalArray::create(rt, "v2", GaType::F64, &vdims).expect("create v2");
-    let r2 = GlobalArray::create(rt, "r2", GaType::F64, &tdims).expect("create r2");
-    let counter = GlobalArray::create(rt, "nxtval", GaType::I64, &[1]).expect("create counter");
-
-    init_4d(&t2, t2_value);
-    init_4d(&v2, v2_value);
-    t2.sync();
-
-    let (ot, vt, to, tv) = (cfg.ot(), cfg.vt(), cfg.tile_o, cfg.tile_v);
-    let ntasks = cfg.ccsd_tasks();
-    let mut tasks_done = 0usize;
-    let mut energy = 0.0;
-
-    let m = to * to;
-    let n = tv * tv;
-    let k = tv * tv;
-    // Double buffers for the V and T tiles of two consecutive cd pairs.
-    let mut vcur = vec![0.0f64; n * k];
-    let mut tcur = vec![0.0f64; m * k];
-    let mut vnext = vec![0.0f64; n * k];
-    let mut tnext = vec![0.0f64; m * k];
-
-    for _iter in 0..cfg.iterations {
-        r2.zero().expect("zero r2");
-        if rt.rank() == 0 {
-            counter
-                .put_patch_i64(&[0], &[1], &[0])
-                .expect("reset counter");
-        }
-        counter.sync();
-
-        // Pending result accumulate from the previous task; retired while
-        // the next task's first tiles are in flight.
-        let mut pending_acc: Option<ga::GaNbHandle> = None;
-
-        loop {
-            let task = counter.read_inc(&[0], 1).expect("nxtval") as usize;
-            if task >= ntasks {
-                break;
-            }
-            tasks_done += 1;
-            let ti = task / (ot * vt * vt);
-            let tj = (task / (vt * vt)) % ot;
-            let ta = (task / vt) % vt;
-            let tb = task % vt;
-            let (ilo, ihi) = (ti * to, (ti + 1) * to);
-            let (jlo, jhi) = (tj * to, (tj + 1) * to);
-            let (alo, ahi) = (ta * tv, (ta + 1) * tv);
-            let (blo, bhi) = (tb * tv, (tb + 1) * tv);
-
-            let mut rblock = vec![0.0f64; m * n];
-            let bounds = |tc: usize, td: usize| {
-                let (clo, chi) = (tc * tv, (tc + 1) * tv);
-                let (dlo, dhi) = (td * tv, (td + 1) * tv);
-                (
-                    [alo, blo, clo, dlo],
-                    [ahi, bhi, chi, dhi],
-                    [ilo, jlo, clo, dlo],
-                    [ihi, jhi, chi, dhi],
-                )
-            };
-
-            // Prefetch the first cd pair, overlapping the still-pending
-            // accumulate of the previous task's result tile.
-            let (vlo0, vhi0, tlo0, thi0) = bounds(0, 0);
-            let hv = v2
-                .nb_get_patch_into(&vlo0, &vhi0, &mut vcur)
-                .expect("nb get V");
-            let ht = t2
-                .nb_get_patch_into(&tlo0, &thi0, &mut tcur)
-                .expect("nb get T");
-            if let Some(h) = pending_acc.take() {
-                r2.nb_wait(h).expect("wait acc R");
-            }
-            v2.nb_wait(hv).expect("wait V");
-            t2.nb_wait(ht).expect("wait T");
-
-            let npairs = vt * vt;
-            for pair in 0..npairs {
-                // Issue the next pair's gets before computing this one.
-                let mut inflight = None;
-                if pair + 1 < npairs {
-                    let (tc, td) = ((pair + 1) / vt, (pair + 1) % vt);
-                    let (vlo, vhi, tlo, thi) = bounds(tc, td);
-                    let hv = v2
-                        .nb_get_patch_into(&vlo, &vhi, &mut vnext)
-                        .expect("nb get V");
-                    let ht = t2
-                        .nb_get_patch_into(&tlo, &thi, &mut tnext)
-                        .expect("nb get T");
-                    inflight = Some((hv, ht));
-                }
-                // local DGEMM on the current pair, overlapping the fetch
-                for ij in 0..m {
-                    for ab in 0..n {
-                        let mut acc = 0.0;
-                        for cd in 0..k {
-                            acc += vcur[ab * k + cd] * tcur[ij * k + cd];
-                        }
-                        rblock[ij * n + ab] += acc;
-                    }
-                }
-                p.compute(2.0 * (m * n * k) as f64 / flop_rate);
-                if let Some((hv, ht)) = inflight {
-                    v2.nb_wait(hv).expect("wait V");
-                    t2.nb_wait(ht).expect("wait T");
-                    std::mem::swap(&mut vcur, &mut vnext);
-                    std::mem::swap(&mut tcur, &mut tnext);
-                }
-            }
-            // Issue the result-tile accumulate nonblocking; it completes
-            // while the next task fetches its first tiles.
-            pending_acc = Some(
-                r2.nb_acc_patch(1.0, &[ilo, jlo, alo, blo], &[ihi, jhi, ahi, bhi], &rblock)
-                    .expect("nb acc R"),
-            );
-        }
-        if let Some(h) = pending_acc.take() {
-            r2.nb_wait(h).expect("wait acc R");
-        }
-        r2.sync();
-        let rt_dot = r2.dot(&t2).expect("dot");
-        let tt = t2.dot(&t2).expect("dot");
-        energy = rt_dot / (1.0 + tt);
-    }
-
-    t2.sync();
-    counter.destroy().expect("destroy counter");
-    r2.destroy().expect("destroy r2");
-    v2.destroy().expect("destroy v2");
-    t2.destroy().expect("destroy t2");
-
-    CcsdResult {
-        energy,
-        elapsed: p.clock().now() - t0,
-        tasks_done,
-    }
-}
+/// Tasks claimed per NXTVAL RMW by [`run_ccsd_pipelined`].
+pub const CCSD_CHUNK: usize = 4;
 
 /// Runs the same CCSD ladder as [`run_ccsd`] with the chunked schedule
 /// production GA codes use: NXTVAL claims [`CCSD_CHUNK`] tasks per RMW,
@@ -479,64 +163,24 @@ pub fn run_ccsd_overlap<A: Armci + ?Sized>(p: &Proc, rt: &A, cfg: &CcsdConfig) -
 /// bit-exact equal to the blocking path; only the communication
 /// schedule differs.
 pub fn run_ccsd_pipelined<A: Armci + ?Sized>(p: &Proc, rt: &A, cfg: &CcsdConfig) -> CcsdResult {
-    cfg.check();
-    let t0 = p.clock().now();
-    let flop_rate = p.config().platform.compute.flops_per_core;
-
-    let tdims = [cfg.no, cfg.no, cfg.nv, cfg.nv];
-    let vdims = [cfg.nv, cfg.nv, cfg.nv, cfg.nv];
-    let t2 = GlobalArray::create(rt, "t2", GaType::F64, &tdims).expect("create t2");
-    let v2 = GlobalArray::create(rt, "v2", GaType::F64, &vdims).expect("create v2");
-    let r2 = GlobalArray::create(rt, "r2", GaType::F64, &tdims).expect("create r2");
-    let counter = GlobalArray::create(rt, "nxtval", GaType::I64, &[1]).expect("create counter");
-
-    init_4d(&t2, t2_value);
-    init_4d(&v2, v2_value);
-    t2.sync();
-
-    let (ot, vt, to, tv) = (cfg.ot(), cfg.vt(), cfg.tile_o, cfg.tile_v);
     let ntasks = cfg.ccsd_tasks();
-    let mut tasks_done = 0usize;
-    let mut energy = 0.0;
-
-    let m = to * to;
-    let n = tv * tv;
-    let k = tv * tv;
-    let npairs = vt * vt;
+    let npairs = cfg.vt() * cfg.vt();
+    let (m, n) = (cfg.tile_o * cfg.tile_o, cfg.tile_v * cfg.tile_v);
     // Tile buffers for a whole claimed chunk's worth of cd pairs.
-    let mut vbufs = vec![vec![0.0f64; n * k]; CCSD_CHUNK * npairs];
-    let mut tbufs = vec![vec![0.0f64; m * k]; CCSD_CHUNK * npairs];
-
-    for _iter in 0..cfg.iterations {
-        r2.zero().expect("zero r2");
-        if rt.rank() == 0 {
-            counter
-                .put_patch_i64(&[0], &[1], &[0])
-                .expect("reset counter");
-        }
-        counter.sync();
-
-        // Result accumulates are retired at the iteration fence, not per
-        // task: each r2 tile has exactly one writer, so deferral is safe.
-        let mut pending_accs = Vec::new();
-
+    let mut vbufs = vec![vec![0.0f64; n * n]; CCSD_CHUNK * npairs];
+    let mut tbufs = vec![vec![0.0f64; m * n]; CCSD_CHUNK * npairs];
+    let mut rblock = vec![0.0f64; m * n];
+    let (mut gets, mut accs) = (Vec::new(), Vec::new());
+    run_frame(p, rt, cfg, true, 1.0, |f| {
+        let counter = f.counter.as_ref().expect("NXTVAL counter");
+        let mut done = 0;
         loop {
             let first = counter.read_inc(&[0], CCSD_CHUNK as i64).expect("nxtval") as usize;
             if first >= ntasks {
                 break;
             }
-            let chunk: Vec<usize> = (first..(first + CCSD_CHUNK).min(ntasks)).collect();
-            tasks_done += chunk.len();
-            let tile_of = |task: usize| {
-                let ti = task / (ot * vt * vt);
-                let tj = (task / (vt * vt)) % ot;
-                let ta = (task / vt) % vt;
-                let tb = task % vt;
-                (
-                    [ti * to, tj * to, ta * tv, tb * tv],
-                    [(ti + 1) * to, (tj + 1) * to, (ta + 1) * tv, (tb + 1) * tv],
-                )
-            };
+            let chunk = first..(first + CCSD_CHUNK).min(ntasks);
+            done += chunk.len();
             // One prefetch volley for every (task, cd pair) tile in the
             // chunk. V and T gets alternate, so consecutive gets name
             // different arrays (GMRs); each remote (array, owner) pair
@@ -546,71 +190,189 @@ pub fn run_ccsd_pipelined<A: Armci + ?Sized>(p: &Proc, rt: &A, cfg: &CcsdConfig)
             // disjoint tiles merge into one wire get; the four tasks of
             // a chunk fetch the same T tiles, so the T queue splits into
             // one run per task.
-            let mut gets = Vec::new();
-            for (t, &task) in chunk.iter().enumerate() {
-                let (lo, hi) = tile_of(task);
-                for pair in 0..npairs {
-                    let (tc, td) = (pair / vt, pair % vt);
-                    let (clo, chi) = (tc * tv, (tc + 1) * tv);
-                    let (dlo, dhi) = (td * tv, (td + 1) * tv);
-                    let slot = t * npairs + pair;
-                    gets.push(
-                        v2.nb_get_patch_into(
-                            &[lo[2], lo[3], clo, dlo],
-                            &[hi[2], hi[3], chi, dhi],
-                            &mut vbufs[slot],
-                        )
-                        .expect("nb get V"),
-                    );
-                    gets.push(
-                        t2.nb_get_patch_into(
-                            &[lo[0], lo[1], clo, dlo],
-                            &[hi[0], hi[1], chi, dhi],
-                            &mut tbufs[slot],
-                        )
-                        .expect("nb get T"),
-                    );
-                }
-            }
-            for h in gets {
-                t2.nb_wait(h).expect("wait tiles");
-            }
-            // Compute each task from its prefetched tiles; same cd order
-            // as the blocking path, so rblock is bit-identical.
-            for (t, &task) in chunk.iter().enumerate() {
-                let (lo, hi) = tile_of(task);
-                let mut rblock = vec![0.0f64; m * n];
+            for (t, task) in chunk.clone().enumerate() {
+                let (lo, hi) = cfg.tile_of(task);
                 for pair in 0..npairs {
                     let slot = t * npairs + pair;
-                    let (vblk, tblk) = (&vbufs[slot], &tbufs[slot]);
-                    for ij in 0..m {
-                        for ab in 0..n {
-                            let mut acc = 0.0;
-                            for cd in 0..k {
-                                acc += vblk[ab * k + cd] * tblk[ij * k + cd];
-                            }
-                            rblock[ij * n + ab] += acc;
-                        }
-                    }
-                    p.compute(2.0 * (m * n * k) as f64 / flop_rate);
+                    let [(vlo, vhi), (tlo, thi)] = f.operands(&lo, &hi, pair);
+                    let vbuf = &mut vbufs[slot];
+                    gets.push(f.v2.nb_get_patch_into(&vlo, &vhi, vbuf).expect("nb get V"));
+                    let tbuf = &mut tbufs[slot];
+                    gets.push(f.t2.nb_get_patch_into(&tlo, &thi, tbuf).expect("nb get T"));
                 }
-                pending_accs.push(r2.nb_acc_patch(1.0, &lo, &hi, &rblock).expect("nb acc R"));
+            }
+            for h in gets.drain(..) {
+                f.t2.nb_wait(h).expect("wait tiles");
+            }
+            // Compute each task from its prefetched tiles. Each r2 tile
+            // has exactly one writer, so its accumulate is retired at
+            // the iteration fence, not per task.
+            for (t, task) in chunk.enumerate() {
+                let (lo, hi) = cfg.tile_of(task);
+                rblock.fill(0.0);
+                for slot in t * npairs..(t + 1) * npairs {
+                    f.contract(&mut rblock, &vbufs[slot], &tbufs[slot]);
+                }
+                accs.push(f.r2.nb_acc_patch(1.0, &lo, &hi, &rblock).expect("nb acc R"));
             }
         }
-        for h in pending_accs {
-            r2.nb_wait(h).expect("wait acc R");
+        for h in accs.drain(..) {
+            f.r2.nb_wait(h).expect("wait acc R");
         }
-        r2.sync();
-        let rt_dot = r2.dot(&t2).expect("dot");
-        let tt = t2.dot(&t2).expect("dot");
+        done
+    })
+}
+
+/// The blocking ladder: claim a task (one NXTVAL RMW when `nxtval`,
+/// else the next of this rank's static cyclic share), get each cd pair's
+/// V and T tiles, contract them with compute charged `slow` times the
+/// flop time, accumulate the result tile.
+fn run_blocking<A: Armci + ?Sized>(
+    p: &Proc,
+    rt: &A,
+    cfg: &CcsdConfig,
+    nxtval: bool,
+    slow: f64,
+) -> CcsdResult {
+    let ntasks = cfg.ccsd_tasks();
+    let npairs = cfg.vt() * cfg.vt();
+    let (me, nprocs) = (rt.rank(), rt.nprocs());
+    let mut rblock = vec![0.0f64; cfg.tile_o * cfg.tile_o * cfg.tile_v * cfg.tile_v];
+    run_frame(p, rt, cfg, nxtval, slow, |f| {
+        let mut cyclic = (me..ntasks).step_by(nprocs.max(1));
+        let mut done = 0;
+        loop {
+            let task = match &f.counter {
+                Some(counter) => counter.read_inc(&[0], 1).expect("nxtval") as usize,
+                None => cyclic.next().unwrap_or(ntasks),
+            };
+            if task >= ntasks {
+                return done;
+            }
+            done += 1;
+            let (lo, hi) = cfg.tile_of(task);
+            rblock.fill(0.0);
+            for pair in 0..npairs {
+                let [(vlo, vhi), (tlo, thi)] = f.operands(&lo, &hi, pair);
+                let vblk = f.v2.get_patch(&vlo, &vhi).expect("get V");
+                let tblk = f.t2.get_patch(&tlo, &thi).expect("get T");
+                f.contract(&mut rblock, &vblk, &tblk);
+            }
+            f.r2.acc_patch(1.0, &lo, &hi, &rblock).expect("acc R");
+        }
+    })
+}
+
+/// What every ladder iteration works on: the amplitudes `t2`, integrals
+/// `v2` and result `r2`, plus the NXTVAL counter when tasks are claimed
+/// dynamically.
+struct Frame<'a, A: Armci + ?Sized> {
+    p: &'a Proc,
+    cfg: CcsdConfig,
+    t2: GlobalArray<'a, A>,
+    v2: GlobalArray<'a, A>,
+    r2: GlobalArray<'a, A>,
+    counter: Option<GlobalArray<'a, A>>,
+    /// Virtual seconds charged per cd-pair contraction.
+    pair_s: f64,
+}
+
+impl<A: Armci + ?Sized> Frame<'_, A> {
+    /// The `(lo, hi)` bounds of the V and T tiles that task tile
+    /// `(lo, hi)` contracts at cd pair `pair`.
+    fn operands(
+        &self,
+        lo: &[usize; 4],
+        hi: &[usize; 4],
+        pair: usize,
+    ) -> [([usize; 4], [usize; 4]); 2] {
+        let (tv, vt) = (self.cfg.tile_v, self.cfg.vt());
+        let (c, d) = (pair / vt * tv, pair % vt * tv);
+        [
+            ([lo[2], lo[3], c, d], [hi[2], hi[3], c + tv, d + tv]),
+            ([lo[0], lo[1], c, d], [hi[0], hi[1], c + tv, d + tv]),
+        ]
+    }
+
+    /// Local DGEMM over one cd pair, `R[ij, ab] += Σ_cd V[ab, cd] · T[ij, cd]`,
+    /// and its compute charge.
+    fn contract(&self, rblock: &mut [f64], vblk: &[f64], tblk: &[f64]) {
+        let k = self.cfg.tile_v * self.cfg.tile_v;
+        let n = vblk.len() / k;
+        for (trow, rrow) in tblk.chunks_exact(k).zip(rblock.chunks_exact_mut(n)) {
+            for (vrow, r) in vblk.chunks_exact(k).zip(rrow) {
+                *r += vrow.iter().zip(trow).fold(0.0, |acc, (v, t)| acc + v * t);
+            }
+        }
+        self.p.compute(self.pair_s);
+    }
+}
+
+/// Creates and initialises the ladder's arrays, runs `cfg.iterations`
+/// iterations of `sweep` (which runs one iteration's tasks and returns
+/// how many it ran) between the per-iteration reset and the energy
+/// reduction, and tears the arrays down. Collective over the world group.
+fn run_frame<'a, A: Armci + ?Sized>(
+    p: &'a Proc,
+    rt: &'a A,
+    cfg: &CcsdConfig,
+    nxtval: bool,
+    slow: f64,
+    mut sweep: impl FnMut(&Frame<'a, A>) -> usize,
+) -> CcsdResult {
+    cfg.check();
+    let t0 = p.clock().now();
+    let flop_rate = p.config().platform.compute.flops_per_core;
+    let (m, n) = (cfg.tile_o * cfg.tile_o, cfg.tile_v * cfg.tile_v);
+
+    let tdims = [cfg.no, cfg.no, cfg.nv, cfg.nv];
+    let vdims = [cfg.nv, cfg.nv, cfg.nv, cfg.nv];
+    let f = Frame {
+        p,
+        cfg: *cfg,
+        t2: GlobalArray::create(rt, "t2", GaType::F64, &tdims).expect("create t2"),
+        v2: GlobalArray::create(rt, "v2", GaType::F64, &vdims).expect("create v2"),
+        r2: GlobalArray::create(rt, "r2", GaType::F64, &tdims).expect("create r2"),
+        counter: nxtval
+            .then(|| GlobalArray::create(rt, "nxtval", GaType::I64, &[1]).expect("create counter")),
+        pair_s: slow * 2.0 * (m * n * n) as f64 / flop_rate,
+    };
+
+    // Initialise amplitudes and integrals: every rank fills its own block.
+    init_4d(&f.t2, t2_value);
+    init_4d(&f.v2, v2_value);
+    f.t2.sync();
+
+    let mut tasks_done = 0usize;
+    let mut energy = 0.0;
+    for _iter in 0..cfg.iterations {
+        f.r2.zero().expect("zero r2");
+        match &f.counter {
+            Some(counter) => {
+                if rt.rank() == 0 {
+                    counter
+                        .put_patch_i64(&[0], &[1], &[0])
+                        .expect("reset counter");
+                }
+                counter.sync();
+            }
+            None => f.r2.sync(),
+        }
+        tasks_done += sweep(&f);
+        f.r2.sync();
+        // synthetic energy from global reductions
+        let rt_dot = f.r2.dot(&f.t2).expect("dot");
+        let tt = f.t2.dot(&f.t2).expect("dot");
         energy = rt_dot / (1.0 + tt);
     }
 
-    t2.sync();
-    counter.destroy().expect("destroy counter");
-    r2.destroy().expect("destroy r2");
-    v2.destroy().expect("destroy v2");
-    t2.destroy().expect("destroy t2");
+    f.t2.sync();
+    if let Some(counter) = f.counter {
+        counter.destroy().expect("destroy counter");
+    }
+    f.r2.destroy().expect("destroy r2");
+    f.v2.destroy().expect("destroy v2");
+    f.t2.destroy().expect("destroy t2");
 
     CcsdResult {
         energy,
@@ -618,9 +380,6 @@ pub fn run_ccsd_pipelined<A: Armci + ?Sized>(p: &Proc, rt: &A, cfg: &CcsdConfig)
         tasks_done,
     }
 }
-
-/// Tasks claimed per NXTVAL RMW by [`run_ccsd_pipelined`].
-pub const CCSD_CHUNK: usize = 4;
 
 /// Runs the (T)-like triples sweep: energy-only, get-dominated, with a
 /// triples-scale flop charge per task. Collective.
@@ -638,10 +397,9 @@ pub fn run_triples<A: Armci + ?Sized>(p: &Proc, rt: &A, cfg: &CcsdConfig) -> Ccs
     }
     t2.sync();
 
-    let (ot, vt, to, tv) = (cfg.ot(), cfg.vt(), cfg.tile_o, cfg.tile_v);
     // tasks over (ij-tile, ab-tile); triples weight: no · nv extra flops
     // per amplitude pair (the O(no³nv⁴) / O(no²nv⁴) ratio times nv).
-    let ntasks = ot * ot * vt * vt;
+    let ntasks = cfg.ccsd_tasks();
     let mut partial = 0.0f64;
     let mut tasks_done = 0usize;
     loop {
@@ -650,12 +408,7 @@ pub fn run_triples<A: Armci + ?Sized>(p: &Proc, rt: &A, cfg: &CcsdConfig) -> Ccs
             break;
         }
         tasks_done += 1;
-        let ti = task / (ot * vt * vt);
-        let tj = (task / (vt * vt)) % ot;
-        let ta = (task / vt) % vt;
-        let tb = task % vt;
-        let lo = [ti * to, tj * to, ta * tv, tb * tv];
-        let hi = [(ti + 1) * to, (tj + 1) * to, (ta + 1) * tv, (tb + 1) * tv];
+        let (lo, hi) = cfg.tile_of(task);
         let blk = t2.get_patch(&lo, &hi).expect("get T");
         // disconnected-triples-like combination: exactly representable
         let mut e = 0.0;

@@ -26,7 +26,6 @@ pub mod profile;
 pub mod tensors;
 
 pub use ccsd::{
-    run_ccsd, run_ccsd_overlap, run_ccsd_pipelined, run_ccsd_skewed, run_triples, CcsdConfig,
-    CcsdResult, CCSD_CHUNK,
+    run_ccsd, run_ccsd_pipelined, run_ccsd_skewed, run_triples, CcsdConfig, CcsdResult, CCSD_CHUNK,
 };
 pub use profile::{nxtval_service, task_profile, Backend, ProxyPhase, TaskProfile};

@@ -3,9 +3,17 @@
 //! `scalesim` replays Figure 6 with thousands of logical processes; it
 //! needs, per backend and platform, the virtual-time cost of one task's
 //! communication and computation plus the NXTVAL service time. Those are
-//! derived here from the *same* [`simnet`] cost models the executable
-//! runtimes charge, so the DES and the thread-level simulation agree by
-//! construction.
+//! derived here from [`simnet`]'s analytic strided costs
+//! (`BackendParams::strided_cost`: `DirectStrided` for ARMCI-MPI,
+//! `Native` for ARMCI-Native).
+//!
+//! The executable ARMCI-MPI does not charge the same formula, so the DES
+//! and the thread-level simulation do not agree by construction: mpisim
+//! prices each RMA operation with its own per-op cost, which charges the
+//! full `dtype_seg_overhead` per segment where `DirectStrided` charges
+//! half, and waives `dtype_setup` on a committed-datatype cache hit where
+//! `DirectStrided` always pays it. Driving the DES from measured
+//! executable profiles instead is ROADMAP item 9.
 
 use crate::ccsd::CcsdConfig;
 use simnet::{Op, Platform, StridedMethodCost};

@@ -289,16 +289,11 @@ impl BackendParams {
     }
 }
 
-/// Per-strided-method cost breakdowns used by both ARMCI backends and the
-/// figure harness. `nsegs` segments of `seg` bytes each.
+/// Analytic strided-transfer costs priced outside the executable
+/// runtime: ARMCI-Native's strided engine and `nwchem_proxy`'s per-task
+/// profiles. `nsegs` segments of `seg` bytes each.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum StridedMethodCost {
-    /// One epoch per segment (ARMCI-MPI conservative IOV).
-    Conservative,
-    /// All segments in one epoch, one RMA op per segment (batched IOV).
-    Batched,
-    /// One RMA op with an indexed datatype covering all segments.
-    IovDatatype,
     /// One RMA op with a subarray datatype built straight from the strided
     /// descriptor.
     DirectStrided,
@@ -313,29 +308,11 @@ impl BackendParams {
         let link = self.link(op);
         let n = nsegs as f64;
         match method {
-            StridedMethodCost::Conservative => {
-                n * (self.epoch_overhead + self.op_overhead + link.xfer_time(seg))
-            }
-            StridedMethodCost::Batched => {
-                // One epoch; per-op issue costs; segment payloads pipeline so
-                // latency is paid once.
-                let op_over = match self.batched_bug {
-                    Some(scale) => self.op_overhead * (1.0 + n / scale),
-                    None => self.op_overhead,
-                };
-                self.epoch_overhead
-                    + link.alpha
-                    + n * (op_over + self.seg_overhead + seg as f64 / link.effective_peak(seg))
-            }
-            StridedMethodCost::IovDatatype | StridedMethodCost::DirectStrided => {
+            StridedMethodCost::DirectStrided => {
                 // Build datatype, pack at origin, single wire transfer,
-                // unpack at target. DirectStrided skips the IOV expansion so
-                // its per-segment descriptor cost is lower.
-                let seg_cost = if method == StridedMethodCost::DirectStrided {
-                    0.5 * self.dtype_seg_overhead
-                } else {
-                    self.dtype_seg_overhead
-                };
+                // unpack at target. Built straight from the strided
+                // descriptor, so the per-segment descriptor cost is half
+                // an IOV datatype's.
                 let combine = if op == Op::Acc {
                     self.combine_cost(total)
                 } else {
@@ -344,7 +321,7 @@ impl BackendParams {
                 self.epoch_overhead
                     + self.op_overhead
                     + self.dtype_setup
-                    + n * seg_cost
+                    + n * (0.5 * self.dtype_seg_overhead)
                     + 2.0 * (total as f64 / self.pack_rate)
                     + link.xfer_time(total)
                     + combine
@@ -405,47 +382,6 @@ mod tests {
     }
 
     #[test]
-    fn conservative_costs_epoch_per_segment() {
-        let p = params();
-        let one = p.strided_cost(StridedMethodCost::Conservative, Op::Put, 1, 64);
-        let many = p.strided_cost(StridedMethodCost::Conservative, Op::Put, 100, 64);
-        assert!((many - 100.0 * one).abs() < 1e-12);
-    }
-
-    #[test]
-    fn batched_beats_conservative_for_many_segments() {
-        let p = params();
-        let b = p.strided_cost(StridedMethodCost::Batched, Op::Put, 1024, 16);
-        let c = p.strided_cost(StridedMethodCost::Conservative, Op::Put, 1024, 16);
-        assert!(b < c);
-    }
-
-    #[test]
-    fn datatype_beats_batched_for_tiny_segments() {
-        let p = params();
-        let d = p.strided_cost(StridedMethodCost::IovDatatype, Op::Put, 1024, 16);
-        let b = p.strided_cost(StridedMethodCost::Batched, Op::Put, 1024, 16);
-        assert!(d < b, "dtype {d} vs batched {b}");
-    }
-
-    #[test]
-    fn batched_bug_degrades_large_batches() {
-        let mut p = params();
-        let ok = p.strided_cost(StridedMethodCost::Batched, Op::Get, 1024, 16);
-        p.batched_bug = Some(16.0);
-        let buggy = p.strided_cost(StridedMethodCost::Batched, Op::Get, 1024, 16);
-        assert!(buggy > 5.0 * ok);
-    }
-
-    #[test]
-    fn direct_strided_cheaper_than_iov_datatype() {
-        let p = params();
-        let ds = p.strided_cost(StridedMethodCost::DirectStrided, Op::Get, 512, 16);
-        let iv = p.strided_cost(StridedMethodCost::IovDatatype, Op::Get, 512, 16);
-        assert!(ds < iv);
-    }
-
-    #[test]
     fn channel_offload_beats_mpi_own_epoch_contiguous() {
         let p = params();
         let ch = ChannelParams::derived(&p);
@@ -469,8 +405,8 @@ mod tests {
     #[test]
     fn acc_pays_combine_cost_in_datatype_path() {
         let p = params();
-        let put = p.strided_cost(StridedMethodCost::IovDatatype, Op::Put, 64, 1024);
-        let acc = p.strided_cost(StridedMethodCost::IovDatatype, Op::Acc, 64, 1024);
+        let put = p.strided_cost(StridedMethodCost::DirectStrided, Op::Put, 64, 1024);
+        let acc = p.strided_cost(StridedMethodCost::DirectStrided, Op::Acc, 64, 1024);
         // acc link itself is slower AND pays the combine
         assert!(acc > put);
     }
