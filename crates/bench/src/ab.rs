@@ -342,43 +342,23 @@ impl Arm {
     }
 }
 
-/// Runs `f` with the process-global recorder switched `on` (or held
-/// off) and returns its result with every event recorded meanwhile.
-/// The one place this crate arms the recorder: it holds
-/// [`obs::test_guard`] throughout, and disables and drains the recorder
-/// before returning.
-pub fn recording<T>(on: bool, f: impl FnOnce() -> T) -> (T, Vec<obs::Event>) {
-    let _g = obs::test_guard();
-    obs::clear();
-    if on {
-        obs::enable();
-    } else {
-        obs::disable();
-    }
-    let out = f();
-    obs::disable();
-    (out, obs::take())
-}
-
 /// Runs one arm on a fresh runtime and folds every rank into a row
 /// (`payload_ok` is left true; [`run_table`] compares), with every
 /// rank's recorder events (none unless [`Arm::record`]).
 pub fn run(arm: &Arm) -> (Row, Vec<obs::Event>) {
     let body = || {
         Runtime::run_with(arm.ranks, arm.runtime(), |p| {
-            let out = {
-                let rt = ArmciMpi::with_config(p, arm.cfg.clone());
-                let (name, ranks) = (arm.driver.name(), arm.ranks);
-                let row = Row::new(arm.platform, name, arm.label, ranks, arm.ranks_per_node);
-                (row.resolved(&rt), arm.driver.run(p, &rt))
-            };
-            obs::flush_thread();
-            out
+            let rt = ArmciMpi::with_config(p, arm.cfg.clone());
+            let (name, ranks) = (arm.driver.name(), arm.ranks);
+            let row = Row::new(arm.platform, name, arm.label, ranks, arm.ranks_per_node);
+            (row.resolved(&rt), arm.driver.run(p, &rt))
         })
     };
-    // Unrecorded arms hold the recorder off, so a concurrent capture
-    // cannot collect their events.
-    let (outs, events) = recording(arm.record, body);
+    let (outs, events) = if arm.record {
+        obs::capture(body)
+    } else {
+        (body(), Vec::new())
+    };
     let mut row = outs[0].0.clone();
     row.congested = arm.congested;
     row.params = arm.driver.params();

@@ -15,7 +15,7 @@ use mpisim::{Proc, Runtime};
 use serde::Serialize;
 use simnet::PlatformId;
 
-use crate::ab::{recording, Column, Row, Sample, Table};
+use crate::ab::{Column, Row, Sample, Table};
 
 /// Operations issued back to back per measurement; the nonblocking path
 /// aggregates them into one epoch, the blocking path pays one each.
@@ -37,9 +37,8 @@ pub fn strided_shapes() -> Vec<(usize, usize)> {
 /// and the rest is drained when the run returns.
 pub fn generate(platform: PlatformId) -> Vec<Row> {
     let cfg = crate::internode(platform);
-    let (mut per_rank, _) = recording(true, || {
-        Runtime::run_with(2, cfg, move |p| measure(p, platform))
-    });
+    let (mut per_rank, _) =
+        obs::capture(|| Runtime::run_with(2, cfg, move |p| measure(p, platform)));
     per_rank.swap_remove(0)
 }
 
@@ -239,10 +238,9 @@ mod tests {
     #[test]
     fn generator_leaves_recorder_disarmed() {
         generate(PlatformId::InfiniBandCluster);
-        let _g = obs::test_guard();
         assert!(
             !obs::enabled(),
-            "the pipeline generator left the process-global recorder on"
+            "the pipeline generator left this thread's recorder armed"
         );
     }
 }

@@ -20,18 +20,16 @@ use mpisim::{Proc, Runtime};
 use serde::Serialize;
 use simnet::{PlatformId, PoolStats};
 
-use crate::ab::{recording, Column, Row, Sample, Table};
+use crate::ab::{Column, Row, Sample, Table};
 use crate::pipeline::{contig_sizes, strided_shapes};
 
 /// Steady-state passes per workload (the cold row is always one pass).
 pub const STEADY_PASSES: usize = 8;
 
-/// Runs every workload on `platform` for both backends, with the
-/// recorder held off (see [`crate::ab::recording`]).
+/// Runs every workload on `platform` for both backends, unrecorded.
 pub fn generate(platform: PlatformId) -> Vec<Row> {
     let cfg = crate::internode(platform);
-    let run = || Runtime::run_with(2, cfg, move |p| measure(p, platform));
-    recording(false, run).0.swap_remove(0)
+    Runtime::run_with(2, cfg, move |p| measure(p, platform)).swap_remove(0)
 }
 
 /// One phase's row: the pool counters as metrics (`pool.*`), plus the

@@ -107,16 +107,12 @@ pub fn critpath_row(workload: &str, ranks: usize, cap: &Capture) -> serde::Value
     ])
 }
 
-/// Runs `body` on `ranks` simulated processes with the recorder on and
-/// collects every rank's events (see [`crate::ab::recording`]: the sink
-/// is process-wide, so concurrent captures would cross-contaminate).
+/// Runs `body` on `ranks` simulated processes under its own recorder
+/// ([`obs::capture`]) and collects every rank's events.
 pub fn capture(ranks: usize, platform: PlatformId, body: impl Fn(&Proc) + Send + Sync) -> Capture {
     let cfg = crate::internode(platform);
-    let ((), events) = crate::ab::recording(true, || {
-        Runtime::run_with(ranks, cfg, |p| {
-            body(p);
-            obs::flush_thread();
-        });
+    let ((), events) = obs::capture(|| {
+        Runtime::run_with(ranks, cfg, body);
     });
     Capture { events }
 }
@@ -286,46 +282,39 @@ pub fn kv_capture() -> Capture {
 /// stays flat; the number only means something A/B'd against the other
 /// build of the same binary.
 pub fn contig_overhead(reps: usize) -> std::time::Duration {
-    contig_loop(reps, true)
-}
-
-/// The same loop with the recorder explicitly disabled (the runtime-off
-/// arm of the per-op overhead assertion — one relaxed load per call
-/// site). Comparing against [`contig_overhead`] in one `COMPILED_IN`
-/// binary isolates the recording cost from build-to-build noise.
-pub fn contig_overhead_off(reps: usize) -> std::time::Duration {
-    contig_loop(reps, false)
+    obs::capture(|| contig_overhead_off(reps)).0
 }
 
 /// ARMCI data ops issued by one rep of the overhead loop (3 puts + 3
 /// gets), for normalising wall-clock deltas to per-op cost.
 pub const OVERHEAD_OPS_PER_REP: u64 = 6;
 
-fn contig_loop(reps: usize, record: bool) -> std::time::Duration {
+/// The same loop unrecorded (the runtime-off arm of the per-op overhead
+/// assertion — one relaxed load per call site). Comparing against
+/// [`contig_overhead`] in one `COMPILED_IN` binary isolates the recording
+/// cost from build-to-build noise.
+pub fn contig_overhead_off(reps: usize) -> std::time::Duration {
     let cfg = crate::internode(PlatformId::InfiniBandCluster);
-    let (dt, _) = crate::ab::recording(record, || {
-        let start = std::time::Instant::now();
-        Runtime::run_with(2, cfg, |p| {
-            let rt = ArmciMpi::with_config(p, Config::default());
-            let bases = rt.malloc(1 << 18).expect("malloc");
-            rt.barrier();
-            if p.rank() == 0 {
-                let src = vec![1u8; 1 << 14];
-                let mut dst = vec![0u8; 1 << 14];
-                for _ in 0..reps {
-                    for &size in &[256usize, 1 << 10, 1 << 14] {
-                        rt.put(&src[..size], bases[1]).unwrap();
-                        rt.get(bases[1], &mut dst[..size]).unwrap();
-                    }
-                    let _ = obs::take_local();
+    let start = std::time::Instant::now();
+    Runtime::run_with(2, cfg, |p| {
+        let rt = ArmciMpi::with_config(p, Config::default());
+        let bases = rt.malloc(1 << 18).expect("malloc");
+        rt.barrier();
+        if p.rank() == 0 {
+            let src = vec![1u8; 1 << 14];
+            let mut dst = vec![0u8; 1 << 14];
+            for _ in 0..reps {
+                for &size in &[256usize, 1 << 10, 1 << 14] {
+                    rt.put(&src[..size], bases[1]).unwrap();
+                    rt.get(bases[1], &mut dst[..size]).unwrap();
                 }
+                let _ = obs::take_local();
             }
-            rt.barrier();
-            rt.free(bases[p.rank()]).unwrap();
-        });
-        start.elapsed()
+        }
+        rt.barrier();
+        rt.free(bases[p.rank()]).unwrap();
     });
-    dt
+    start.elapsed()
 }
 
 #[cfg(test)]

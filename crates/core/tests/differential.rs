@@ -835,8 +835,7 @@ enum Imp {
 /// Runs a case on `imp` with the recorder on; returns the rank logs and
 /// the capture.
 fn run(case: &Case, imp: Imp, rpn: u32) -> (Vec<RankLog>, Vec<obs::Event>) {
-    obs::clear();
-    let logs = match imp {
+    obs::capture(|| match imp {
         Imp::Native => Runtime::run_with(case.n, layout(rpn), |p| {
             let rt = ArmciNative::new(p);
             run_rank(p, &rt, Tickets::cells(&rt), case)
@@ -848,8 +847,7 @@ fn run(case: &Case, imp: Imp, rpn: u32) -> (Vec<RankLog>, Vec<obs::Event>) {
             let rt = ArmciMpi::with_config(p, point(i));
             run_rank(p, &rt, Tickets::mpi(&rt, case.block), case)
         }),
-    };
-    (logs, obs::take())
+    })
 }
 
 const METHODS: [StridedMethod; 5] = [
@@ -1045,15 +1043,6 @@ fn replay(seed: u64, imp: Imp, rpn: u32) {
     oracle(seed, &[imp], &[rpn]);
 }
 
-/// Holds the process-global recorder for one test.
-fn recording(f: impl FnOnce()) {
-    let _g = obs::test_guard();
-    obs::enable();
-    f();
-    obs::disable();
-    obs::clear();
-}
-
 /// Cases in the default run, and seeded lattice points per case on top
 /// of the corners.
 const CASES: u64 = 12;
@@ -1068,15 +1057,13 @@ fn every_config_and_backend_matches_the_model() {
         format!("{:?}", point(index(DEFAULT))),
         format!("{:?}", Config::default())
     );
-    recording(|| {
-        for seed in 0..CASES {
-            let mut rng = StdRng::seed_from_u64(!seed);
-            let sample = (0..SAMPLED).map(|_| rng.gen_range(0..LATTICE));
-            let mut imps = vec![Imp::Native, Imp::Ds];
-            imps.extend(corners().into_iter().chain(sample).map(Imp::Mpi));
-            oracle(seed, &imps, &[1, 2, 4]);
-        }
-    });
+    for seed in 0..CASES {
+        let mut rng = StdRng::seed_from_u64(!seed);
+        let sample = (0..SAMPLED).map(|_| rng.gen_range(0..LATTICE));
+        let mut imps = vec![Imp::Native, Imp::Ds];
+        imps.extend(corners().into_iter().chain(sample).map(Imp::Mpi));
+        oracle(seed, &imps, &[1, 2, 4]);
+    }
 }
 
 /// The default cases put through overlapping IOV segments, so the
@@ -1104,11 +1091,9 @@ fn default_cases_overlap_iov_puts() {
 #[test]
 #[ignore = "exhaustive sweep; the default run samples the lattice"]
 fn full_lattice_sweep() {
-    recording(|| {
-        for i in 0..LATTICE {
-            oracle(i as u64 % 4, &[Imp::Mpi(i)], &[1, 2, 4]);
-        }
-    });
+    for i in 0..LATTICE {
+        oracle(i as u64 % 4, &[Imp::Mpi(i)], &[1, 2, 4]);
+    }
 }
 
 /// Replays a failure: paste the `replay(..)` line it printed here and
@@ -1116,5 +1101,5 @@ fn full_lattice_sweep() {
 #[test]
 #[ignore = "edit to replay a printed failure"]
 fn replay_one() {
-    recording(|| replay(0, Imp::Mpi(index(DEFAULT)), 4));
+    replay(0, Imp::Mpi(index(DEFAULT)), 4);
 }

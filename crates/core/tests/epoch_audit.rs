@@ -12,31 +12,28 @@ use obs::audit::{audit, Rule};
 use obs::{Event, EventKind};
 use simnet::PlatformId;
 
-/// Runs `body` on two simulated ranks with the recorder enabled and
-/// returns the full event stream. Serialised on the recorder's global
-/// guard — the sink is process-wide.
+/// Runs `body` on two simulated ranks under its own recorder and
+/// returns the full event stream.
 fn capture_with(
     epochless: bool,
     shm: bool,
     body: impl Fn(&Proc, &ArmciMpi) + Send + Sync,
 ) -> Vec<Event> {
-    let _g = obs::test_guard();
-    obs::enable();
-    obs::clear();
     let cfg = RuntimeConfig::on_platform(PlatformId::InfiniBandCluster);
-    Runtime::run_with(2, cfg, |p| {
-        let rt = ArmciMpi::with_config(
-            p,
-            Config {
-                epochless,
-                shm,
-                ..Default::default()
-            },
-        );
-        body(p, &rt);
-        obs::flush_thread();
+    let (_, events) = obs::capture(|| {
+        Runtime::run_with(2, cfg, |p| {
+            let rt = ArmciMpi::with_config(
+                p,
+                Config {
+                    epochless,
+                    shm,
+                    ..Default::default()
+                },
+            );
+            body(p, &rt);
+        })
     });
-    obs::take()
+    events
 }
 
 /// Wire-path capture: both ranks share a node, so the seeded-violation

@@ -272,16 +272,19 @@ impl Runtime {
     {
         assert!(nranks > 0, "need at least one rank");
         let shared = Shared::new(nranks, cfg);
+        let rec = obs::recorder();
         let results: Vec<_> = std::thread::scope(|s| {
             let mut handles = Vec::with_capacity(nranks);
             for rank in 0..nranks {
                 let shared = Arc::clone(&shared);
+                let rec = rec.clone();
                 let f = &f;
                 handles.push(s.spawn(move || {
-                    // Tag this rank thread's trace events; the recorder's
-                    // thread-local buffer flushes when the thread exits,
-                    // i.e. before `run_with` returns.
-                    obs::set_rank(rank);
+                    // Record into the spawning thread's recorder, tagged
+                    // with this rank; the thread-local buffer flushes
+                    // into it when the thread exits, i.e. before
+                    // `run_with` returns.
+                    obs::attach(rec, rank);
                     let _rank = RankGuard::enter(&shared, rank);
                     let proc = Proc {
                         world_rank: rank,

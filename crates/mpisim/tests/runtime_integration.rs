@@ -808,3 +808,102 @@ fn a_panicking_rank_fails_the_run_instead_of_hanging_it() {
         "the first panic is re-raised"
     );
 }
+
+// ---------------------------------------------------------------------
+// Recorder scoping (nothing records with the recorder compiled out)
+// ---------------------------------------------------------------------
+
+/// Events stably sorted by rank: program order within a rank, whatever
+/// order the rank threads flushed in.
+fn by_rank(mut events: Vec<obs::Event>) -> Vec<obs::Event> {
+    events.sort_by_key(|e| e.rank);
+    events
+}
+
+#[test]
+fn arming_mid_run_tags_every_ranks_events_with_its_rank() {
+    if !obs::COMPILED_IN {
+        return;
+    }
+    const FLUSH: obs::EventKind = obs::EventKind::Flush { win: 9, target: 0 };
+    Runtime::run_with(2, quiet(), |p: &Proc| {
+        // Both rank threads are running before rank 0 arms the recorder.
+        p.world().barrier();
+        if p.rank() == 0 {
+            obs::enable();
+        }
+        p.world().barrier();
+        obs::instant(FLUSH);
+        obs::flush_thread();
+        p.world().barrier();
+        if p.rank() == 0 {
+            obs::disable();
+        }
+    });
+    let flushes = by_rank(obs::take()).into_iter().filter(|e| e.kind == FLUSH);
+    assert_eq!(flushes.map(|e| e.rank).collect::<Vec<_>>(), [0, 1]);
+}
+
+#[test]
+fn a_capture_holds_none_of_a_concurrent_unarmed_runtimes_events() {
+    if !obs::COMPILED_IN {
+        return;
+    }
+    // Both threads are inside `meet`'s two waits at once, so runtime 31
+    // runs while the capture is armed.
+    let meet = std::sync::Barrier::new(2);
+    let run = |win: u64| {
+        meet.wait();
+        Runtime::run_with(2, quiet(), |p: &Proc| {
+            let target = p.rank() as u32;
+            obs::instant(obs::EventKind::Flush { win, target });
+        });
+        meet.wait();
+    };
+    let events = std::thread::scope(|s| {
+        s.spawn(|| run(31));
+        obs::capture(|| run(30)).1
+    });
+    let flush = |target| obs::EventKind::Flush { win: 30, target };
+    let got: Vec<_> = by_rank(events).into_iter().map(|e| e.kind).collect();
+    assert_eq!(got, [flush(0), flush(1)]);
+}
+
+#[test]
+fn concurrent_captures_each_equal_a_solo_capture() {
+    if !obs::COMPILED_IN {
+        return;
+    }
+    // Rank 0 puts into rank 1's window under an exclusive lock, then
+    // both meet at a barrier.
+    let program = |p: &Proc| {
+        let w = p.world();
+        let win = WinHandle::create(&w, 64);
+        if w.rank() == 0 {
+            win.lock(LockMode::Exclusive, 1).unwrap();
+            win.put_bytes(&[7u8; 16], 1, 8).unwrap();
+            win.unlock(1).unwrap();
+        }
+        w.barrier();
+        win.free().unwrap();
+    };
+    let run = || Runtime::run_with(2, RuntimeConfig::default(), program);
+    let solo = by_rank(obs::capture(run).1);
+    assert!(solo
+        .iter()
+        .any(|e| matches!(e.kind, obs::EventKind::Rma { .. })));
+    let meet = std::sync::Barrier::new(2);
+    let capture = || {
+        let events = obs::capture(|| {
+            meet.wait();
+            run();
+            meet.wait();
+        });
+        by_rank(events.1)
+    };
+    std::thread::scope(|s| {
+        let other = s.spawn(capture);
+        assert_eq!(capture(), solo);
+        assert_eq!(other.join().unwrap(), solo);
+    });
+}

@@ -2,11 +2,13 @@
 //!
 //! Every layer of the runtime (simnet pool, mpisim windows, the core
 //! transfer engine, GA-level operations) records [`Event`]s into a
-//! per-thread buffer when recording is enabled. Events carry the rank's
-//! **virtual** timestamp (the same clock the simulator charges transfer
-//! costs against), so a Chrome trace of a run shows where simulated time
-//! goes inside each ARMCI op: epoch lock/unlock, datatype pack, staging
-//! copies, mutex spins.
+//! per-thread buffer while the thread's [`Recorder`] is armed (a rank
+//! thread shares the recorder of the thread that started its runtime;
+//! [`capture`] gives one run a recorder of its own). Events carry the
+//! rank's **virtual** timestamp (the same clock the simulator charges
+//! transfer costs against), so a Chrome trace of a run shows where
+//! simulated time goes inside each ARMCI op: epoch lock/unlock, datatype
+//! pack, staging copies, mutex spins.
 //!
 //! Three consumers share the one event stream:
 //!
@@ -21,8 +23,9 @@
 //!   buffers touched under their home window's lock, unlock-without-lock).
 //!
 //! The recorder is deliberately cheap when idle: one relaxed atomic load
-//! per call site, and the `off` feature compiles the whole thing down to
-//! constants for overhead A/B measurements.
+//! per call site while nothing in the process is armed, and the `off`
+//! feature compiles the whole thing down to constants for overhead A/B
+//! measurements.
 
 pub mod audit;
 pub mod chrome;
@@ -31,8 +34,8 @@ pub mod metrics;
 pub mod waitstate;
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// True when this build carries the recorder at all (the `off` feature
 /// removes it).
@@ -321,179 +324,210 @@ pub struct Event {
     pub kind: EventKind,
 }
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
-static SINK: Mutex<Vec<Event>> = Mutex::new(Vec::new());
+/// Recorders armed right now, process-wide. [`enabled`] reads it before
+/// anything thread-local, so a process with nothing armed pays one
+/// relaxed load per call site. Relaxed is enough: arming publishes no
+/// data, and a rank that arms its runtime's recorder mid-run orders the
+/// other ranks' first events after it with the runtime's own barrier.
+static ARMED: AtomicUsize = AtomicUsize::new(0);
 static TEST_MUTEX: Mutex<()> = Mutex::new(());
 
+/// One capture's recorder: an armed switch and the sink that every
+/// thread attached to it flushes its events into. A thread records
+/// into its own recorder only: the one [`attach`]ed to it (a rank
+/// thread gets the recorder of the thread that started its runtime),
+/// or else one of its own, made on first use.
+#[derive(Clone, Default)]
+pub struct Recorder(Arc<Inner>);
+
+#[derive(Default)]
+struct Inner {
+    armed: AtomicBool,
+    sink: Mutex<Vec<Event>>,
+}
+
+impl Inner {
+    fn arm(&self, on: bool) {
+        if self.armed.swap(on, Ordering::Relaxed) != on {
+            if on {
+                ARMED.fetch_add(1, Ordering::Relaxed);
+            } else {
+                ARMED.fetch_sub(1, Ordering::Relaxed);
+            }
+        }
+    }
+
+    fn sink(&self) -> MutexGuard<'_, Vec<Event>> {
+        self.sink.lock().unwrap_or_else(|e| e.into_inner())
+    }
+}
+
+impl Drop for Inner {
+    fn drop(&mut self) {
+        self.arm(false);
+    }
+}
+
 struct Tls {
+    rec: Option<Recorder>,
     rank: u32,
     now: f64,
     buf: Vec<Event>,
 }
 
+impl Tls {
+    fn armed(&self) -> bool {
+        self.rec
+            .as_ref()
+            .is_some_and(|r| r.0.armed.load(Ordering::Relaxed))
+    }
+
+    /// Moves the buffered events into this thread's recorder.
+    fn flush(&mut self) {
+        if let (Some(rec), false) = (&self.rec, self.buf.is_empty()) {
+            rec.0.sink().append(&mut self.buf);
+        }
+    }
+
+    fn push(&mut self, kind: EventKind, ts: f64, t1: f64) {
+        if t1 > self.now {
+            self.now = t1;
+        }
+        self.buf.push(Event {
+            rank: self.rank,
+            ts,
+            dur: (t1 - ts).max(0.0),
+            kind,
+        });
+    }
+}
+
 impl Drop for Tls {
     fn drop(&mut self) {
         // Rank threads flush whatever they buffered when they exit, so a
-        // `take()` after `Runtime::run` sees every rank's events.
-        if !self.buf.is_empty() {
-            let mut sink = SINK.lock().unwrap_or_else(|e| e.into_inner());
-            sink.append(&mut self.buf);
-        }
+        // capture sees every rank's events once `Runtime::run_with` has
+        // joined them.
+        self.flush();
     }
 }
 
 thread_local! {
     static TLS: RefCell<Tls> = const {
-        RefCell::new(Tls { rank: 0, now: 0.0, buf: Vec::new() })
+        RefCell::new(Tls { rec: None, rank: 0, now: 0.0, buf: Vec::new() })
     };
 }
 
-/// Is recording currently on? One relaxed load; callers use this to skip
-/// timestamp plumbing entirely on the hot path.
+/// Is this thread's recorder armed? One relaxed load while nothing in
+/// the process is armed; callers use this to skip timestamp plumbing
+/// entirely on the hot path.
 #[inline(always)]
 pub fn enabled() -> bool {
     if cfg!(feature = "off") {
         return false;
     }
-    ENABLED.load(Ordering::Relaxed)
+    ARMED.load(Ordering::Relaxed) != 0 && armed_here()
 }
 
-/// Turn recording on (no-op under the `off` feature).
-pub fn enable() {
-    if COMPILED_IN {
-        ENABLED.store(true, Ordering::Relaxed);
-    }
+#[inline(never)]
+fn armed_here() -> bool {
+    TLS.try_with(|t| t.borrow().armed()).unwrap_or(false)
 }
 
-/// Turn recording off. Buffered events stay until taken or cleared.
-pub fn disable() {
-    ENABLED.store(false, Ordering::Relaxed);
-}
-
-/// Tag this thread's future events with a rank (called once per rank
-/// thread by the runtime).
-pub fn set_rank(rank: usize) {
-    if !enabled() {
-        return;
-    }
-    TLS.with(|t| t.borrow_mut().rank = rank as u32);
-}
-
-/// Advance this thread's clock hint. Call sites that know their virtual
-/// time pass it explicitly; layers without a clock (the buffer pool)
-/// stamp events with the hint instead.
-pub fn set_now(ts: f64) {
-    if !enabled() {
+/// Runs `f` on this thread's buffer if its recorder is armed.
+#[inline]
+fn record(f: impl FnOnce(&mut Tls)) {
+    if cfg!(feature = "off") || ARMED.load(Ordering::Relaxed) == 0 {
         return;
     }
     TLS.with(|t| {
         let mut t = t.borrow_mut();
-        if ts > t.now {
-            t.now = ts;
+        if t.armed() {
+            f(&mut t);
         }
     });
 }
 
-/// This thread's last known virtual time.
-pub fn now_hint() -> f64 {
-    if !enabled() {
-        return 0.0;
+/// Arm this thread's recorder, and so every rank thread sharing it
+/// (no-op under the `off` feature).
+pub fn enable() {
+    if COMPILED_IN {
+        recorder().0.arm(true);
     }
-    TLS.with(|t| t.borrow().now)
 }
 
-/// Record an instant at the thread's clock hint.
-pub fn instant(kind: EventKind) {
-    if !enabled() {
-        return;
-    }
+/// Disarm this thread's recorder. Buffered events stay until taken or
+/// cleared.
+pub fn disable() {
+    TLS.with(|t| {
+        if let Some(rec) = &t.borrow().rec {
+            rec.0.arm(false);
+        }
+    });
+}
+
+/// Makes `rec` the calling thread's recorder, after moving the events
+/// the thread has buffered into the recorder it replaces; returns that.
+fn swap(rec: Option<Recorder>) -> Option<Recorder> {
     TLS.with(|t| {
         let mut t = t.borrow_mut();
-        let (rank, ts) = (t.rank, t.now);
-        t.buf.push(Event {
-            rank,
-            ts,
-            dur: 0.0,
-            kind,
-        });
-    });
+        t.flush();
+        std::mem::replace(&mut t.rec, rec)
+    })
+}
+
+/// The calling thread's recorder, made on first use.
+pub fn recorder() -> Recorder {
+    TLS.with(|t| {
+        let mut t = t.borrow_mut();
+        t.rec.get_or_insert_with(Recorder::default).clone()
+    })
+}
+
+/// Makes `rec` this thread's recorder and tags the thread's events with
+/// `rank` (called once per rank thread by the runtime, whether or not
+/// `rec` is armed yet: a rank may arm it mid-run).
+pub fn attach(rec: Recorder, rank: usize) {
+    swap(Some(rec));
+    set_rank(rank);
+}
+
+/// Tag this thread's future events with a rank.
+pub fn set_rank(rank: usize) {
+    TLS.with(|t| t.borrow_mut().rank = rank as u32);
+}
+
+/// Record an instant at the thread's clock hint. Call sites that know
+/// their virtual time pass it explicitly; layers without a clock (the
+/// buffer pool) stamp events with the hint instead.
+pub fn instant(kind: EventKind) {
+    record(|t| t.push(kind, t.now, t.now));
 }
 
 /// Record an instant at an explicit virtual time (also advances the hint).
 pub fn instant_at(kind: EventKind, ts: f64) {
-    if !enabled() {
-        return;
-    }
-    TLS.with(|t| {
-        let mut t = t.borrow_mut();
-        if ts > t.now {
-            t.now = ts;
-        }
-        let rank = t.rank;
-        t.buf.push(Event {
-            rank,
-            ts,
-            dur: 0.0,
-            kind,
-        });
-    });
+    record(|t| t.push(kind, ts, ts));
 }
 
 /// Record a span `[t0, t1]` (also advances the hint to `t1`).
 pub fn span(kind: EventKind, t0: f64, t1: f64) {
-    if !enabled() {
-        return;
-    }
-    TLS.with(|t| {
-        let mut t = t.borrow_mut();
-        if t1 > t.now {
-            t.now = t1;
-        }
-        let rank = t.rank;
-        t.buf.push(Event {
-            rank,
-            ts: t0,
-            dur: (t1 - t0).max(0.0),
-            kind,
-        });
-    });
+    record(|t| t.push(kind, t0, t1));
 }
 
 /// A borrow of this thread's recorder for pushing several events from
 /// one call site with a single TLS access (see [`batch`]).
-pub struct Batch<'a> {
-    rank: u32,
-    now: &'a mut f64,
-    buf: &'a mut Vec<Event>,
-}
+pub struct Batch<'a>(&'a mut Tls);
 
 impl Batch<'_> {
     /// Record a span `[t0, t1]` (advances the hint like [`span`]).
     #[inline]
     pub fn span(&mut self, kind: EventKind, t0: f64, t1: f64) {
-        if t1 > *self.now {
-            *self.now = t1;
-        }
-        self.buf.push(Event {
-            rank: self.rank,
-            ts: t0,
-            dur: (t1 - t0).max(0.0),
-            kind,
-        });
+        self.0.push(kind, t0, t1);
     }
 
     /// Record an instant at `ts` (advances the hint like [`instant_at`]).
     #[inline]
     pub fn instant_at(&mut self, kind: EventKind, ts: f64) {
-        if ts > *self.now {
-            *self.now = ts;
-        }
-        self.buf.push(Event {
-            rank: self.rank,
-            ts,
-            dur: 0.0,
-            kind,
-        });
+        self.0.push(kind, ts, ts);
     }
 }
 
@@ -501,41 +535,30 @@ impl Batch<'_> {
 /// for a group of events. `f` is not called when recording is off.
 #[inline]
 pub fn batch(f: impl FnOnce(&mut Batch)) {
-    if !enabled() {
-        return;
-    }
-    TLS.with(|t| {
-        let mut t = t.borrow_mut();
-        let t = &mut *t;
-        let mut b = Batch {
-            rank: t.rank,
-            now: &mut t.now,
-            buf: &mut t.buf,
-        };
-        f(&mut b);
-    });
+    record(|t| f(&mut Batch(t)));
 }
 
-/// Push this thread's buffered events into the global sink.
+/// Push this thread's buffered events into its recorder's sink.
 pub fn flush_thread() {
+    if COMPILED_IN {
+        TLS.with(|t| t.borrow_mut().flush());
+    }
+}
+
+/// Drain every event of this thread's recorder: this thread's buffer
+/// plus everything its rank threads flushed on exit. Within a rank,
+/// slice order is program order.
+pub fn take() -> Vec<Event> {
     if !COMPILED_IN {
-        return;
+        return Vec::new();
     }
     TLS.with(|t| {
         let mut t = t.borrow_mut();
-        if !t.buf.is_empty() {
-            let mut sink = SINK.lock().unwrap_or_else(|e| e.into_inner());
-            sink.append(&mut t.buf);
-        }
-    });
-}
-
-/// Drain every recorded event: this thread's buffer plus everything rank
-/// threads flushed on exit. Within a rank, slice order is program order.
-pub fn take() -> Vec<Event> {
-    flush_thread();
-    let mut sink = SINK.lock().unwrap_or_else(|e| e.into_inner());
-    std::mem::take(&mut *sink)
+        t.flush();
+        t.rec
+            .as_ref()
+            .map_or_else(Vec::new, |r| std::mem::take(&mut *r.0.sink()))
+    })
 }
 
 /// Drain only the current thread's buffer (per-phase deltas on one rank).
@@ -547,14 +570,39 @@ pub fn take_local() -> Vec<Event> {
     TLS.with(|t| t.borrow_mut().buf.split_off(0))
 }
 
-/// Drop all recorded events everywhere reachable from this thread.
+/// Drop every event of this thread's recorder.
 pub fn clear() {
     let _ = take();
 }
 
-/// Serialise tests that enable the global recorder. Integration tests in
-/// one binary run on concurrent threads; without this their event streams
-/// interleave in the shared sink.
+/// Runs `f` with a fresh recorder armed on the calling thread and
+/// returns its result with every event recorded meanwhile, by this
+/// thread and by the rank threads of every runtime `f` starts. Only
+/// those: captures on other threads, and runtimes they start, record
+/// into recorders of their own. When `f` returns or panics, the
+/// recorder is disarmed and the thread's previous one put back.
+pub fn capture<T>(f: impl FnOnce() -> T) -> (T, Vec<Event>) {
+    /// Puts the thread's previous recorder back, disarming the capture's.
+    struct Restore(Option<Recorder>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            if let Some(rec) = swap(self.0.take()) {
+                rec.0.arm(false);
+            }
+        }
+    }
+    let rec = Recorder::default();
+    let restore = Restore(swap(Some(rec.clone())));
+    rec.0.arm(COMPILED_IN);
+    let out = f();
+    drop(restore);
+    let events = std::mem::take(&mut *rec.0.sink());
+    (out, events)
+}
+
+/// Serialises users of a thread's recorder that arm it by hand across
+/// a runtime's ranks. Only perfbench calls it: nothing in the workspace
+/// does, since [`capture`] scopes each capture to its own recorder.
 pub fn test_guard() -> MutexGuard<'static, ()> {
     TEST_MUTEX.lock().unwrap_or_else(|e| e.into_inner())
 }
@@ -568,38 +616,32 @@ mod tests {
     #[cfg(not(feature = "off"))]
     #[test]
     fn recorder_roundtrip_and_hint() {
-        let _g = test_guard();
-        clear();
-        enable();
-        set_rank(3);
-        span(
-            EventKind::Op {
-                name: "get",
-                gmr: 1,
+        let ((), ev) = capture(|| {
+            set_rank(3);
+            span(
+                EventKind::Op {
+                    name: "get",
+                    gmr: 1,
+                    bytes: 64,
+                },
+                1.0,
+                2.5,
+            );
+            instant(EventKind::Pool {
                 bytes: 64,
-            },
-            1.0,
-            2.5,
-        );
-        instant(EventKind::Pool {
-            bytes: 64,
-            hit: true,
+                hit: true,
+            });
         });
-        assert_eq!(now_hint(), 2.5);
-        let ev = take();
-        disable();
+        set_rank(0);
         assert_eq!(ev.len(), 2);
         assert_eq!(ev[0].rank, 3);
         assert!((ev[0].dur - 1.5).abs() < 1e-12);
         // The pool instant inherited the hint from the span.
         assert_eq!(ev[1].ts, 2.5);
-        set_rank(0);
     }
 
     #[test]
     fn disabled_recorder_drops_events() {
-        let _g = test_guard();
-        clear();
         disable();
         instant(EventKind::Flush { win: 1, target: 0 });
         assert!(take().is_empty());
@@ -608,24 +650,38 @@ mod tests {
     #[cfg(not(feature = "off"))]
     #[test]
     fn thread_exit_flushes_to_sink() {
-        let _g = test_guard();
-        clear();
-        enable();
-        // Join explicitly: a scope's implicit join returns once the
-        // thread's result is dropped, before its thread-locals (and so
-        // `Tls::drop`'s flush) are destroyed; `join` waits for both.
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                set_rank(1);
-                instant_at(EventKind::LockAll { win: 7 }, 0.25);
-            })
-            .join()
-            .unwrap();
+        let ((), ev) = capture(|| {
+            let rec = recorder();
+            // Join explicitly: a scope's implicit join returns once the
+            // thread's result is dropped, before its thread-locals (and so
+            // `Tls::drop`'s flush) are destroyed; `join` waits for both.
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    attach(rec, 1);
+                    instant_at(EventKind::LockAll { win: 7 }, 0.25);
+                })
+                .join()
+                .unwrap();
+            });
         });
-        let ev = take();
-        disable();
         assert_eq!(ev.len(), 1);
         assert_eq!(ev[0].rank, 1);
         assert_eq!(ev[0].ts, 0.25);
+    }
+
+    #[test]
+    fn capture_disarms_when_its_body_panics() {
+        let mut armed = false;
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            capture(|| {
+                armed = enabled();
+                panic!("body fails");
+            })
+        }));
+        assert!(caught.is_err());
+        assert_eq!(armed, COMPILED_IN);
+        assert!(!enabled());
+        instant(EventKind::Flush { win: 1, target: 0 });
+        assert!(take().is_empty());
     }
 }
