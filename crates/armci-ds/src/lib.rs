@@ -31,13 +31,13 @@ mod server;
 
 use armci::stride::extent;
 use armci::{
-    AccessMode, Armci, ArmciError, ArmciGroup, ArmciResult, GlobalAddr, Local, NbHandle, Remote,
-    RmwOp, StridedIter,
+    AccessMode, AddressSpace, Armci, ArmciError, ArmciGroup, ArmciResult, GlobalAddr, Local,
+    NbHandle, Remote, RmwOp, StridedIter,
 };
 use mpisim::{Comm, Proc, RecvSrc, Runtime, RuntimeConfig};
 use protocol::{Reply, Request, TAG_REPLY, TAG_REQUEST};
 use std::cell::{Cell, RefCell};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 /// Launches an SPMD program on `ncompute` compute processes, each paired
 /// with a data-server process (so `2·ncompute` simulated processes in
@@ -102,9 +102,6 @@ fn bad_reply(reply: Reply) -> ArmciError {
     })
 }
 
-/// Per-rank translation index: base address → (allocation id, size).
-type AddrIndex = HashMap<usize, BTreeMap<usize, (u64, usize)>>;
-
 /// Per-compute-process handle for the data-server ARMCI.
 pub struct ArmciDs {
     world: Comm,
@@ -112,11 +109,9 @@ pub struct ArmciDs {
     /// Cached compute-ranks group (created once, collectively, at
     /// construction — all compute ranks build their handle together).
     compute_group: ArmciGroup,
-    /// `(compute rank, base) → (allocation id, size)`.
-    table: RefCell<AddrIndex>,
-    /// Live allocation groups by id (needed for collective free).
-    groups: RefCell<HashMap<u64, ArmciGroup>>,
-    next_addr: Cell<usize>,
+    /// Address cursor and `(compute rank, address) → allocation id`
+    /// translation, the same [`AddressSpace`] the other backends use.
+    space: AddressSpace<u64>,
     next_mutex_handle: Cell<usize>,
     mutex_counts: RefCell<HashMap<usize, usize>>,
 }
@@ -138,9 +133,7 @@ impl ArmciDs {
             world,
             ncompute,
             compute_group,
-            table: RefCell::new(HashMap::new()),
-            groups: RefCell::new(HashMap::new()),
-            next_addr: Cell::new(0x1000),
+            space: AddressSpace::new(),
             next_mutex_handle: Cell::new(1),
             mutex_counts: RefCell::new(HashMap::new()),
         }
@@ -166,40 +159,11 @@ impl ArmciDs {
         Reply::decode(&bytes)
     }
 
-    fn locate(&self, addr: GlobalAddr, len: usize) -> ArmciResult<(u64, usize)> {
-        if addr.is_null() || addr.rank >= self.ncompute {
-            return Err(ArmciError::BadAddress {
-                rank: addr.rank,
-                addr: addr.addr,
-            });
-        }
-        let table = self.table.borrow();
-        let m = table.get(&addr.rank).ok_or(ArmciError::BadAddress {
-            rank: addr.rank,
-            addr: addr.addr,
-        })?;
-        let (&base, &(id, size)) =
-            m.range(..=addr.addr)
-                .next_back()
-                .ok_or(ArmciError::BadAddress {
-                    rank: addr.rank,
-                    addr: addr.addr,
-                })?;
-        if addr.addr + len.max(1) > base + size {
-            return Err(ArmciError::OutOfBounds {
-                rank: addr.rank,
-                addr: addr.addr,
-                len,
-                limit: base + size,
-            });
-        }
-        Ok((id, addr.addr - base))
-    }
-
     /// A nonempty contiguous transfer: a get is a round trip, a put or
     /// accumulate a fire-and-forget send (remote completion at fence).
     fn contig(&self, addr: GlobalAddr, local: Local<'_>) -> ArmciResult<()> {
-        let (id, off) = self.locate(addr, local.len())?;
+        let tr = self.space.translate(addr, local.len())?;
+        let (id, off) = (tr.alloc, tr.disp);
         let req = match local {
             Local::Get(dst) => {
                 let req = Request::Get {
@@ -242,7 +206,8 @@ impl ArmciDs {
         count: &[usize],
         local: Local<'_>,
     ) -> ArmciResult<()> {
-        let (id, off) = self.locate(addr, extent(strides, count))?;
+        let tr = self.space.translate(addr, extent(strides, count))?;
+        let (id, off) = (tr.alloc, tr.disp);
         let seg = count[0];
         let segs = StridedIter::new(strides, local_strides, count)?.map(|(_, l)| l);
         let (strides, count) = (strides.to_vec(), count.to_vec());
@@ -312,86 +277,21 @@ impl Armci for ArmciDs {
     fn malloc_group(&self, bytes: usize, group: &ArmciGroup) -> ArmciResult<Vec<GlobalAddr>> {
         let comm = group.comm();
         // agree on an allocation id
-        let id_bytes = if comm.rank() == 0 {
-            Some(comm.alloc_uid().to_le_bytes().to_vec())
-        } else {
-            None
-        };
-        let id = u64::from_le_bytes(comm.bcast_bytes(0, id_bytes).as_slice().try_into().unwrap());
-        let base = if bytes > 0 {
-            let b = self.next_addr.get();
-            self.next_addr.set(b + bytes.div_ceil(64) * 64 + 64);
-            b
-        } else {
-            0
-        };
+        let id = comm.bcast_u64(0, (comm.rank() == 0).then(|| comm.alloc_uid()));
         // my server hosts my slice
         if bytes > 0 {
             let r = self.roundtrip(self.world.rank(), &Request::Malloc { id, size: bytes });
             debug_assert!(matches!(r, Reply::Ok));
         }
-        // exchange bases
-        let mut payload = Vec::with_capacity(16);
-        payload.extend_from_slice(&(base as u64).to_le_bytes());
-        payload.extend_from_slice(&(bytes as u64).to_le_bytes());
-        let all = comm.allgather_bytes(payload);
-        let mut out = Vec::with_capacity(all.len());
-        {
-            let mut table = self.table.borrow_mut();
-            for (gr, b) in all.iter().enumerate() {
-                let gbase = u64::from_le_bytes(b[..8].try_into().unwrap()) as usize;
-                let gsize = u64::from_le_bytes(b[8..16].try_into().unwrap()) as usize;
-                let abs = group.absolute_id(gr)?;
-                if gbase != 0 {
-                    table.entry(abs).or_default().insert(gbase, (id, gsize));
-                    out.push(GlobalAddr::new(abs, gbase));
-                } else {
-                    out.push(GlobalAddr::NULL);
-                }
-            }
-        }
-        self.groups.borrow_mut().insert(id, group.clone());
-        Ok(out)
+        self.space.malloc(group, bytes, |_| Ok(id))
     }
 
     fn free_group(&self, addr: GlobalAddr, group: &ArmciGroup) -> ArmciResult<()> {
-        // leader election as in §V-B
-        let comm = group.comm();
-        let my_vote = if addr.is_null() {
-            -1
-        } else {
-            comm.rank() as i64
-        };
-        let (winner, leader) = comm.maxloc_i64(my_vote);
-        if winner < 0 {
-            return Err(ArmciError::BadDescriptor(
-                "free with all-NULL addresses".into(),
-            ));
-        }
-        let payload = if comm.rank() == leader {
-            Some((addr.addr as u64).to_le_bytes().to_vec())
-        } else {
-            None
-        };
-        let leader_addr = u64::from_le_bytes(
-            comm.bcast_bytes(leader, payload)
-                .as_slice()
-                .try_into()
-                .unwrap(),
-        ) as usize;
-        let leader_abs = group.absolute_id(leader)?;
-        let (id, _) = self.locate(GlobalAddr::new(leader_abs, leader_addr), 1)?;
-        // drop table entries for every member, free my slice at my server
-        {
-            let mut table = self.table.borrow_mut();
-            for m in table.values_mut() {
-                m.retain(|_, &mut (aid, _)| aid != id);
-            }
-        }
+        // drop every member's slice from the table, free mine at my server
+        let id = self.space.free(addr, group)?;
         let r = self.roundtrip(self.world.rank(), &Request::Free { id });
         debug_assert!(matches!(r, Reply::Ok));
-        self.groups.borrow_mut().remove(&id);
-        comm.barrier();
+        group.barrier();
         Ok(())
     }
 
@@ -457,7 +357,8 @@ impl Armci for ArmciDs {
     }
 
     fn rmw(&self, op: RmwOp, target: GlobalAddr) -> ArmciResult<i64> {
-        let (id, off) = self.locate(target, 8)?;
+        let tr = self.space.translate(target, 8)?;
+        let (id, off) = (tr.alloc, tr.disp);
         let (code, operand) = match op {
             RmwOp::FetchAdd(x) => (0u8, x),
             RmwOp::Swap(x) => (1u8, x),

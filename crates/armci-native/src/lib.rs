@@ -27,7 +27,7 @@
 
 use armci::stride::{extent, num_segments, StridedIter};
 use armci::{
-    AccessMode, Armci, ArmciError, ArmciGroup, ArmciResult, GlobalAddr, IntervalMap, Local,
+    AccessMode, AddressSpace, Armci, ArmciError, ArmciGroup, ArmciResult, GlobalAddr, Local,
     NbHandle, Remote, RmwOp,
 };
 use mpisim::{Comm, Proc};
@@ -104,12 +104,12 @@ impl QueueMutex {
 
 struct Allocation {
     seg: Arc<Segment>,
-    group: ArmciGroup,
-    bases: Vec<usize>,
-    #[allow(dead_code)]
-    sizes: Vec<usize>,
     mode: Cell<AccessMode>,
 }
+
+/// A translated address: allocation id, slice owner's group rank and
+/// displacement.
+type Translation = armci::Translation<u64>;
 
 // ---------------------------------------------------------------------
 // Runtime handle
@@ -122,23 +122,16 @@ const PREPIN_BYTES: usize = 4 << 20;
 /// Per-process handle for the native ARMCI baseline.
 pub struct ArmciNative {
     world: Comm,
-    /// `(rank, base) → allocation id` translation over the shared
-    /// [`IntervalMap`] (same index structure as ARMCI-MPI's GMR table).
-    table: RefCell<IntervalMap<u64>>,
+    /// Address cursor and `(rank, address) → allocation id` translation,
+    /// the same [`AddressSpace`] ARMCI-MPI files its GMRs in.
+    space: AddressSpace<u64>,
     allocs: RefCell<HashMap<u64, Allocation>>,
-    next_addr: Cell<usize>,
     user_mutexes: RefCell<HashMap<usize, (Arc<Segment>, usize)>>,
     next_handle: Cell<usize>,
     /// Prepinned staging pool: registration is paid once at init, so
     /// bounce copies never pay first-touch pin cost (the native half of
     /// the paper's Fig-5 registration story).
     pool: BufferPool,
-}
-
-struct Located {
-    alloc_id: u64,
-    group_rank: usize,
-    disp: usize,
 }
 
 impl ArmciNative {
@@ -154,9 +147,8 @@ impl ArmciNative {
         }
         ArmciNative {
             world,
-            table: RefCell::new(IntervalMap::new()),
+            space: AddressSpace::new(),
             allocs: RefCell::new(HashMap::new()),
-            next_addr: Cell::new(0x1000),
             user_mutexes: RefCell::new(HashMap::new()),
             next_handle: Cell::new(1),
             pool,
@@ -193,106 +185,66 @@ impl ArmciNative {
         self.world.charge_time(dt);
     }
 
-    fn locate(&self, addr: GlobalAddr, len: usize) -> ArmciResult<Located> {
-        if addr.is_null() {
-            return Err(ArmciError::BadAddress {
-                rank: addr.rank,
-                addr: addr.addr,
-            });
-        }
-        let table = self.table.borrow();
-        let found = table.lookup(addr.rank, addr.addr, len).ok_or_else(|| {
-            match table.lookup(addr.rank, addr.addr, 1) {
-                // base found but range too long → precise bounds error
-                Some(f) => ArmciError::OutOfBounds {
-                    rank: addr.rank,
-                    addr: addr.addr,
-                    len,
-                    limit: f.base + f.size,
-                },
-                None => ArmciError::BadAddress {
-                    rank: addr.rank,
-                    addr: addr.addr,
-                },
-            }
-        })?;
-        let (id, base) = (found.value, found.base);
-        let allocs = self.allocs.borrow();
-        let alloc = allocs.get(&id).ok_or(ArmciError::BadAddress {
-            rank: addr.rank,
-            addr: addr.addr,
-        })?;
-        let group_rank = alloc
-            .group
-            .group_rank_of(addr.rank)
-            .ok_or(ArmciError::NotInGroup)?;
-        Ok(Located {
-            alloc_id: id,
-            group_rank,
-            disp: addr.addr - base,
-        })
-    }
-
     /// Runs `f` with read access to the target slice bytes.
     fn with_read<R>(
         &self,
-        loc: &Located,
+        tr: &Translation,
         len: usize,
         f: impl FnOnce(&[u8]) -> R,
     ) -> ArmciResult<R> {
         let allocs = self.allocs.borrow();
         let alloc = allocs
-            .get(&loc.alloc_id)
-            .ok_or(ArmciError::GmrVanished { gmr: loc.alloc_id })?;
-        let slice = &alloc.seg.slices[loc.group_rank];
+            .get(&tr.alloc)
+            .ok_or(ArmciError::GmrVanished { gmr: tr.alloc })?;
+        let slice = &alloc.seg.slices[tr.group_rank];
         let _g = slice.lock.read();
         // Safety: `lock` guards all access to `buf`.
         let buf = unsafe { &*slice.buf.get() };
-        Ok(f(&buf[loc.disp..loc.disp + len]))
+        Ok(f(&buf[tr.disp..tr.disp + len]))
     }
 
     /// Runs `f` with write access to the target slice bytes.
     fn with_write<R>(
         &self,
-        loc: &Located,
+        tr: &Translation,
         len: usize,
         f: impl FnOnce(&mut [u8]) -> R,
     ) -> ArmciResult<R> {
         let allocs = self.allocs.borrow();
         let alloc = allocs
-            .get(&loc.alloc_id)
-            .ok_or(ArmciError::GmrVanished { gmr: loc.alloc_id })?;
-        let slice = &alloc.seg.slices[loc.group_rank];
+            .get(&tr.alloc)
+            .ok_or(ArmciError::GmrVanished { gmr: tr.alloc })?;
+        let slice = &alloc.seg.slices[tr.group_rank];
         let _g = slice.lock.write();
         // Safety: `lock` guards all access to `buf`.
         let buf = unsafe { &mut *slice.buf.get() };
-        Ok(f(&mut buf[loc.disp..loc.disp + len]))
+        Ok(f(&mut buf[tr.disp..tr.disp + len]))
     }
 
     /// Moves `seg`-byte segments between `local` and the `len` target
-    /// bytes at `loc`, one per `(target, local)` displacement pair in
+    /// bytes at `tr`, one per `(target, local)` displacement pair in
     /// `segs`, under one acquisition of the target slice's lock: shared
     /// for a get, exclusive for a put or an accumulate.
     fn move_segments(
         &self,
-        loc: &Located,
+        tr: &Translation,
         len: usize,
         local: Local<'_>,
         segs: impl IntoIterator<Item = (usize, usize)>,
         seg: usize,
     ) -> ArmciResult<()> {
         match local {
-            Local::Get(dst) => self.with_read(loc, len, |b| {
+            Local::Get(dst) => self.with_read(tr, len, |b| {
                 for (r, l) in segs {
                     dst[l..l + seg].copy_from_slice(&b[r..r + seg]);
                 }
             }),
-            Local::Put(src) => self.with_write(loc, len, |b| {
+            Local::Put(src) => self.with_write(tr, len, |b| {
                 for (r, l) in segs {
                     b[r..r + seg].copy_from_slice(&src[l..l + seg]);
                 }
             }),
-            Local::Acc(kind, src) => self.with_write(loc, len, |b| {
+            Local::Acc(kind, src) => self.with_write(tr, len, |b| {
                 segs.into_iter()
                     .try_for_each(|(r, l)| kind.apply(&mut b[r..r + seg], &src[l..l + seg]))
             })?,
@@ -301,33 +253,6 @@ impl ArmciNative {
 
     fn strided_charge(&self, method: StridedMethodCost, op: Op, nsegs: usize, seg: usize) {
         self.charge(self.params().strided_cost(method, op, nsegs, seg));
-    }
-
-    /// Resolves an allocation id leader-election style for collectives
-    /// where some callers hold NULL bases (§V-B).
-    fn locate_collective(&self, addr: GlobalAddr, group: &ArmciGroup) -> ArmciResult<u64> {
-        let comm = group.comm();
-        let my_vote = if addr.is_null() {
-            -1
-        } else {
-            group.rank() as i64
-        };
-        let (winner, leader) = comm.maxloc_i64(my_vote);
-        if winner < 0 {
-            return Err(ArmciError::BadDescriptor(
-                "collective call with all-NULL addresses".into(),
-            ));
-        }
-        let payload = if group.rank() == leader {
-            Some(addr.addr as u64)
-        } else {
-            None
-        };
-        let leader_addr = comm.bcast_u64(leader, payload) as usize;
-        let leader_abs = group.absolute_id(leader)?;
-        Ok(self
-            .locate(GlobalAddr::new(leader_abs, leader_addr), 1)?
-            .alloc_id)
     }
 }
 
@@ -346,26 +271,10 @@ impl Armci for ArmciNative {
 
     fn malloc_group(&self, bytes: usize, group: &ArmciGroup) -> ArmciResult<Vec<GlobalAddr>> {
         let comm = group.comm();
-        let base = if bytes > 0 {
-            let b = self.next_addr.get();
-            self.next_addr.set(b + bytes.div_ceil(64) * 64 + 64);
-            b
-        } else {
-            0
-        };
         // Agree on a segment id (leader allocates, broadcast).
-        let id_payload = if comm.rank() == 0 {
-            Some(comm.alloc_uid())
-        } else {
-            None
-        };
-        let id = comm.bcast_u64(0, id_payload);
-        // Exchange bases and sizes.
-        let all = comm.allgather_u64s(&[base as u64, bytes as u64]);
-        let bases: Vec<usize> = all.iter().map(|b| b[0] as usize).collect();
-        let sizes: Vec<usize> = all.iter().map(|b| b[1] as usize).collect();
-        // First registrant constructs the shared segment.
-        let seg = {
+        let id = comm.bcast_u64(0, (comm.rank() == 0).then(|| comm.alloc_uid()));
+        self.space.malloc(group, bytes, |sizes| {
+            // First registrant constructs the shared segment.
             let candidate: Arc<Segment> = Arc::new(Segment {
                 slices: sizes
                     .iter()
@@ -376,61 +285,29 @@ impl Armci for ArmciNative {
                     .collect(),
                 mutexes: Vec::new(),
             });
-            comm.shmem_register(id, candidate)
+            let seg = comm
+                .shmem_register(id, candidate)
                 .downcast::<Segment>()
-                .expect("segment type")
-        };
-        // Everyone must observe the registration before first use.
-        comm.barrier();
-        {
-            let mut table = self.table.borrow_mut();
-            for (gr, (&b, &s)) in bases.iter().zip(&sizes).enumerate() {
-                if b != 0 {
-                    let abs = group.absolute_id(gr)?;
-                    table.insert(abs, b, s, id);
-                }
-            }
-        }
-        self.allocs.borrow_mut().insert(
-            id,
-            Allocation {
-                seg,
-                group: group.clone(),
-                bases: bases.clone(),
-                sizes,
-                mode: Cell::new(AccessMode::Standard),
-            },
-        );
-        let mut out = Vec::with_capacity(bases.len());
-        for (gr, &b) in bases.iter().enumerate() {
-            out.push(if b == 0 {
-                GlobalAddr::NULL
-            } else {
-                GlobalAddr::new(group.absolute_id(gr)?, b)
-            });
-        }
-        Ok(out)
+                .expect("segment type");
+            // Everyone must observe the registration before first use.
+            comm.barrier();
+            let mode = Cell::new(AccessMode::Standard);
+            self.allocs
+                .borrow_mut()
+                .insert(id, Allocation { seg, mode });
+            Ok(id)
+        })
     }
 
     fn free_group(&self, addr: GlobalAddr, group: &ArmciGroup) -> ArmciResult<()> {
-        let alloc_id = self.locate_collective(addr, group)?;
-        let alloc = self
-            .allocs
+        let alloc_id = self.space.free(addr, group)?;
+        self.allocs
             .borrow_mut()
             .remove(&alloc_id)
             .ok_or(ArmciError::BadAddress {
                 rank: addr.rank,
                 addr: addr.addr,
             })?;
-        {
-            let mut table = self.table.borrow_mut();
-            for (gr, &b) in alloc.bases.iter().enumerate() {
-                if b != 0 {
-                    let abs = alloc.group.absolute_id(gr)?;
-                    table.remove(abs, b);
-                }
-            }
-        }
         let comm = group.comm();
         comm.barrier();
         if comm.rank() == 0 {
@@ -448,7 +325,7 @@ impl Armci for ArmciNative {
     ) -> ArmciResult<()> {
         // Native implementations can exploit these hints (§VIII-A, e.g.
         // enabling adaptive routing); here they quiesce and record.
-        let alloc_id = self.locate_collective(addr, group)?;
+        let alloc_id = self.space.elect(addr, group)?;
         group.barrier();
         if let Some(a) = self.allocs.borrow().get(&alloc_id) {
             a.mode.set(mode);
@@ -474,8 +351,8 @@ impl Armci for ArmciNative {
         match remote {
             Remote::Contig(addr) => {
                 let len = local.len();
-                let loc = self.locate(addr, len)?;
-                self.move_segments(&loc, len, local, [(0, 0)], len)?;
+                let tr = self.space.translate(addr, len)?;
+                self.move_segments(&tr, len, local, [(0, 0)], len)?;
                 self.charge(self.params().contig_epoch_cost(op, len));
             }
             // The tuned strided engine: one lock acquisition per patch.
@@ -486,16 +363,18 @@ impl Armci for ArmciNative {
                 count,
             } => {
                 let (len, seg) = (extent(strides, count), count[0]);
-                let loc = self.locate(addr, len)?;
+                let tr = self.space.translate(addr, len)?;
                 let segs = StridedIter::new(strides, local_strides, count)?;
-                self.move_segments(&loc, len, local, segs, seg)?;
+                self.move_segments(&tr, len, local, segs, seg)?;
                 self.strided_charge(StridedMethodCost::Native, op, num_segments(count), seg);
             }
             Remote::Iov(desc) => {
                 for (&loff, &raddr) in desc.local_offsets.iter().zip(&desc.remote_addrs) {
-                    let loc = self.locate(GlobalAddr::new(desc.rank, raddr), desc.bytes)?;
+                    let tr = self
+                        .space
+                        .translate(GlobalAddr::new(desc.rank, raddr), desc.bytes)?;
                     let local = local.slice(loff..loff + desc.bytes);
-                    self.move_segments(&loc, desc.bytes, local, [(0, 0)], desc.bytes)?;
+                    self.move_segments(&tr, desc.bytes, local, [(0, 0)], desc.bytes)?;
                 }
                 self.strided_charge(StridedMethodCost::Native, op, desc.len(), desc.bytes);
             }
@@ -531,8 +410,8 @@ impl Armci for ArmciNative {
     }
 
     fn rmw(&self, op: RmwOp, target: GlobalAddr) -> ArmciResult<i64> {
-        let loc = self.locate(target, 8)?;
-        let old = self.with_write(&loc, 8, |b| {
+        let tr = self.space.translate(target, 8)?;
+        let old = self.with_write(&tr, 8, |b| {
             let old = i64::from_le_bytes(b[..8].try_into().unwrap());
             let new = match op {
                 RmwOp::FetchAdd(x) => old.wrapping_add(x),
@@ -622,8 +501,8 @@ impl Armci for ArmciNative {
                 "direct access to a remote process".into(),
             ));
         }
-        let loc = self.locate(addr, len)?;
-        self.with_write(&loc, len, |b| f(b))
+        let tr = self.space.translate(addr, len)?;
+        self.with_write(&tr, len, |b| f(b))
     }
 
     fn access(&self, addr: GlobalAddr, len: usize, f: &mut dyn FnMut(&[u8])) -> ArmciResult<()> {
@@ -632,8 +511,8 @@ impl Armci for ArmciNative {
                 "direct access to a remote process".into(),
             ));
         }
-        let loc = self.locate(addr, len)?;
-        self.with_read(&loc, len, |b| f(b))
+        let tr = self.space.translate(addr, len)?;
+        self.with_read(&tr, len, |b| f(b))
     }
 }
 

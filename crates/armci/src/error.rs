@@ -68,7 +68,7 @@ impl fmt::Display for ArmciError {
             } => write!(
                 f,
                 "access [{addr:#x}..{:#x}) exceeds allocation end {limit:#x} on process {rank}",
-                addr + len
+                addr.saturating_add(*len)
             ),
             ArmciError::NotInGroup => write!(f, "caller is not a member of the group"),
             ArmciError::BadDescriptor(msg) => write!(f, "bad descriptor: {msg}"),

@@ -1,7 +1,8 @@
 //! Per-rank sorted interval map for address translation (§V-A).
 //!
-//! Both ARMCI backends keep the same index: for every process, the set of
-//! allocation slices living in its address space, queried on every
+//! The index under [`crate::AddressSpace`], the one translation table
+//! every ARMCI backend in this workspace shares: for every process, the
+//! set of allocation slices living in its address space, queried on every
 //! communication call with "which allocation contains `[addr, addr+len)`
 //! on rank r?". Intervals are non-overlapping, so a base-address ordered
 //! map answers containment with one `O(log n)` predecessor probe: the
@@ -10,10 +11,6 @@
 //!
 //! The per-rank maps sit in a vector indexed by rank, so reaching a
 //! rank's map is an index, not a hash.
-//!
-//! `armci-mpi` stores what a plan needs of the owning GMR per slice, the
-//! native baseline stores the allocation id; both wrap this one
-//! structure.
 
 use std::collections::BTreeMap;
 
@@ -55,22 +52,21 @@ impl<T: Copy> IntervalMap<T> {
         self.by_rank[rank].insert(base, (size, value));
     }
 
-    /// Unregisters the slice at `base` on `rank`, returning its payload.
-    /// Removing an unknown base is a no-op.
-    pub fn remove(&mut self, rank: usize, base: usize) -> Option<T> {
-        self.by_rank.get_mut(rank)?.remove(&base).map(|(_, v)| v)
+    /// Unregisters every slice, on every rank, whose payload fails `keep`.
+    pub fn retain(&mut self, mut keep: impl FnMut(&T) -> bool) {
+        for m in &mut self.by_rank {
+            m.retain(|_, (_, v)| keep(v));
+        }
     }
 
     /// Finds the slice containing `[addr, addr+len)` on `rank`
     /// (`len == 0` is treated as 1: the address itself must be inside).
+    /// A range that would run past `usize::MAX` is in no slice.
     pub fn lookup(&self, rank: usize, addr: usize, len: usize) -> Option<Found<T>> {
         let m = self.by_rank.get(rank)?;
         let (&base, &(size, value)) = m.range(..=addr).next_back()?;
-        if addr + len.max(1) <= base + size {
-            Some(Found { base, size, value })
-        } else {
-            None
-        }
+        let end = addr.checked_add(len.max(1))?;
+        (end <= base + size).then_some(Found { base, size, value })
     }
 
     /// Total registered slices across all ranks (diagnostics; the
@@ -103,17 +99,37 @@ mod tests {
         assert_eq!(t.lookup(2, 0x2040, 64).map(|f| f.base), Some(0x2000));
         assert_eq!(t.lookup(2, 0x1a00, 1), None);
         assert_eq!(t.lookup(3, 0x1000, 1), None);
+        // len 0 is treated as len 1 (the address must be inside)
+        assert_eq!(t.lookup(2, 0x10ff, 0).map(|f| f.value), Some(7));
+        assert_eq!(t.lookup(2, 0x1100, 0), None);
+        // adjacent slices do not bleed into each other
+        t.insert(2, 0x1100, 256, 9);
+        assert_eq!(t.lookup(2, 0x1100, 1).map(|f| f.value), Some(9));
+        assert_eq!(t.lookup(2, 0x10f0, 0x20), None);
     }
 
     #[test]
-    fn remove_prunes_empty_ranks() {
+    fn retain_prunes_empty_ranks() {
         let mut t = IntervalMap::new();
         t.insert(1, 0x100, 16, 1u64);
+        t.insert(2, 0x100, 16, 2u64);
+        assert_eq!(t.rank_count(), 2);
+        t.retain(|&v| v != 1);
         assert_eq!(t.rank_count(), 1);
-        assert_eq!(t.remove(1, 0x100), Some(1));
+        t.retain(|&v| v != 2);
         assert_eq!(t.rank_count(), 0);
         assert!(t.is_empty());
-        assert_eq!(t.remove(9, 0xdead), None);
+    }
+
+    #[test]
+    fn ranges_past_the_address_space_end_find_nothing() {
+        let mut t = IntervalMap::new();
+        t.insert(0, 0x1000, 64, 1u64);
+        t.insert(0, usize::MAX - 16, 16, 2u64);
+        // `addr + len` would wrap: no slice holds the range.
+        assert_eq!(t.lookup(0, usize::MAX - 2, 8), None);
+        assert_eq!(t.lookup(0, usize::MAX, 1), None);
+        assert_eq!(t.lookup(0, usize::MAX - 2, 2).map(|f| f.value), Some(2));
     }
 
     #[test]
@@ -129,15 +145,13 @@ mod tests {
         // counted.
         for round in 0..4u64 {
             for rank in [5, 0, 7] {
-                t.insert(rank, 0x1000, 64, round);
+                t.insert(rank, 0x1000, 64, 10 + round);
             }
             assert_eq!(t.rank_count(), 4);
-            for rank in [7, 5, 0] {
-                assert_eq!(t.remove(rank, 0x1000), Some(round));
-            }
+            t.retain(|&v| v != 10 + round);
             assert_eq!(t.rank_count(), 1);
         }
-        assert_eq!(t.remove(3, 0x100), Some(1));
+        t.retain(|&v| v != 1);
         assert_eq!(t.rank_count(), 0);
         assert!(t.is_empty());
         assert_eq!(t.lookup(7, 0x1000, 1), None);

@@ -13,6 +13,9 @@
 //! * [`acc`] — scaled accumulate kinds (`ARMCI_ACC_DBL` etc.) and their
 //!   element-wise combine;
 //! * [`ArmciGroup`] — processor groups over [`mpisim::Comm`];
+//! * [`AddressSpace`] — the §V-A/§V-B protocol every implementation runs
+//!   around its allocations: the address cursor, the base-address
+//!   exchange, the translation table and the NULL-member leader election;
 //! * [`xfer`] — the shape of one data transfer ([`Remote`], [`Local`])
 //!   and the shape check every implementation runs first.
 //!
@@ -28,6 +31,7 @@ pub mod acc;
 pub mod error;
 pub mod group;
 pub mod ivmap;
+pub mod space;
 pub mod stride;
 pub mod traits;
 pub mod types;
@@ -37,6 +41,7 @@ pub use acc::AccKind;
 pub use error::{ArmciError, ArmciResult};
 pub use group::ArmciGroup;
 pub use ivmap::IntervalMap;
+pub use space::{AddressSpace, Translation};
 pub use stride::{strided_to_subarray, StridedIter};
 pub use traits::{AccessMode, Armci, ArmciExt, NbHandle, RmwOp, StridedMethod};
 pub use types::{GlobalAddr, IovDesc};

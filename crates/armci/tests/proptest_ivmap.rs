@@ -1,5 +1,5 @@
 //! Property tests for the shared interval map: containment lookup and
-//! removal against a brute-force linear-scan oracle over random
+//! unregistration against a brute-force linear-scan oracle over random
 //! allocation layouts.
 
 use armci::IntervalMap;
@@ -86,10 +86,10 @@ proptest! {
         }
     }
 
-    /// Removing a random subset unregisters exactly those intervals and
-    /// leaves the rest findable.
+    /// Unregistering a random subset by payload removes exactly those
+    /// intervals and leaves the rest findable.
     #[test]
-    fn remove_matches_linear_scan(
+    fn retain_matches_linear_scan(
         entries in arb_layout(),
         mask in proptest::collection::vec((0u8..2).prop_map(|b| b == 1), 16),
     ) {
@@ -98,18 +98,13 @@ proptest! {
             .iter()
             .enumerate()
             .partition(|(i, _)| mask[i % mask.len()]);
-        for (_, &(rank, base, _, v)) in &gone {
-            prop_assert_eq!(m.remove(rank, base), Some(v));
-        }
+        let gone: Vec<u64> = gone.into_iter().map(|(_, e)| e.3).collect();
+        m.retain(|v| !gone.contains(v));
         let kept: Vec<Entry> = kept.into_iter().map(|(_, &e)| e).collect();
         prop_assert_eq!(m.len(), kept.len());
         for &(rank, base, size, _) in &entries {
             let got = m.lookup(rank, base, size).map(|f| (f.base, f.size, f.value));
             prop_assert_eq!(got, oracle(&kept, rank, base, size));
-        }
-        // Double-remove is a clean miss.
-        for (_, &(rank, base, _, _)) in &gone {
-            prop_assert_eq!(m.remove(rank, base), None);
         }
     }
 }

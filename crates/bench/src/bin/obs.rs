@@ -24,8 +24,11 @@
 //! (`--features obs/off`) it reports "no events" and exits zero.
 //! `overhead` times a contiguous put/get loop for A/B against a
 //! `--features obs/off` build of this same binary; `--assert-ns N`
-//! instead times recorder-on vs recorder-off in this binary and fails
-//! if the per-op delta exceeds `N` nanoseconds.
+//! instead times 15 interleaved recorder-on/recorder-off pairs in this
+//! binary and fails if the lower quartile of the pairs' per-op deltas
+//! exceeds `N` nanoseconds. The deterministic part of the budget (events
+//! per op, allocations per event) is gated exactly by the `bench` test
+//! `recorder_budget`.
 //!
 //! `--progress` selects the async-progress discipline for the
 //! `ccsd-skewed` workload (default `none`): run `critpath ccsd-skewed`
@@ -34,6 +37,9 @@
 
 use armci_mpi::ProgressMode;
 use bench::trace::{self, Capture};
+
+/// On/off pairs the `overhead --assert-ns` gate times.
+const OVERHEAD_PAIRS: usize = 15;
 
 fn capture_named(name: &str, skew: f64, progress: ProgressMode) -> Capture {
     match name {
@@ -184,24 +190,17 @@ fn main() {
                     );
                 }
                 Some(bound) => {
-                    // On/off A/B inside one binary: take the best of a few
-                    // rounds of each arm so scheduler noise doesn't fail
-                    // the gate, then normalise to per-op nanoseconds.
-                    let best = |f: &dyn Fn(usize) -> std::time::Duration| {
-                        (0..3).map(|_| f(reps)).min().unwrap()
-                    };
-                    let off = best(&trace::contig_overhead_off);
-                    let on = best(&trace::contig_overhead);
-                    let ops = reps as f64 * trace::OVERHEAD_OPS_PER_REP as f64;
-                    let per_op_ns = ((on.as_secs_f64() - off.as_secs_f64()) * 1e9 / ops).max(0.0);
+                    // Interleaved on/off pairs; the gate reads the lower
+                    // quartile of the per-op deltas, so it fails only when
+                    // most pairs, not one noisy round, exceed the budget.
+                    let deltas = trace::overhead_pairs_ns(reps, OVERHEAD_PAIRS);
+                    let (q1, median) = (deltas[OVERHEAD_PAIRS / 4], deltas[OVERHEAD_PAIRS / 2]);
                     println!(
-                        "recorder overhead: {per_op_ns:.1} ns/op \
-                         (on {:.1} ms, off {:.1} ms, {ops:.0} ops, bound {bound} ns)",
-                        on.as_secs_f64() * 1e3,
-                        off.as_secs_f64() * 1e3,
+                        "recorder overhead: lower quartile {q1:.1} ns/op, median {median:.1} ns/op \
+                         ({OVERHEAD_PAIRS} on/off pairs of {reps} reps, bound {bound} ns)"
                     );
-                    if per_op_ns > bound {
-                        eprintln!("[obs overhead] FAILED: {per_op_ns:.1} ns/op > {bound} ns/op");
+                    if q1 > bound {
+                        eprintln!("[obs overhead] FAILED: {q1:.1} ns/op > {bound} ns/op");
                         std::process::exit(1);
                     }
                 }

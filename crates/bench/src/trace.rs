@@ -294,8 +294,19 @@ pub const OVERHEAD_OPS_PER_REP: u64 = 6;
 /// [`contig_overhead`] in one `COMPILED_IN` binary isolates the recording
 /// cost from build-to-build noise.
 pub fn contig_overhead_off(reps: usize) -> std::time::Duration {
-    let cfg = crate::internode(PlatformId::InfiniBandCluster);
     let start = std::time::Instant::now();
+    contig_loop(reps, &|_| drop(obs::take_local()));
+    start.elapsed()
+}
+
+/// The overhead loop itself: two inter-node ranks, rank 0 issuing `reps`
+/// rounds of [`OVERHEAD_OPS_PER_REP`] blocking contiguous puts and gets
+/// (256 B, 1 KiB, 16 KiB) at rank 1. After each round rank 0 calls
+/// `drain(round)` on its own thread, where a caller empties the rank's
+/// event buffer (and, in the allocation gate, stops and restarts its
+/// counting around that).
+pub fn contig_loop(reps: usize, drain: &(dyn Fn(usize) + Sync)) {
+    let cfg = crate::internode(PlatformId::InfiniBandCluster);
     Runtime::run_with(2, cfg, |p| {
         let rt = ArmciMpi::with_config(p, Config::default());
         let bases = rt.malloc(1 << 18).expect("malloc");
@@ -303,18 +314,39 @@ pub fn contig_overhead_off(reps: usize) -> std::time::Duration {
         if p.rank() == 0 {
             let src = vec![1u8; 1 << 14];
             let mut dst = vec![0u8; 1 << 14];
-            for _ in 0..reps {
+            for round in 0..reps {
                 for &size in &[256usize, 1 << 10, 1 << 14] {
                     rt.put(&src[..size], bases[1]).unwrap();
                     rt.get(bases[1], &mut dst[..size]).unwrap();
                 }
-                let _ = obs::take_local();
+                drain(round);
             }
         }
         rt.barrier();
         rt.free(bases[p.rank()]).unwrap();
     });
-    start.elapsed()
+}
+
+/// Per-op recorder overhead in ns from `pairs` on/off pairs of
+/// [`contig_overhead`] and [`contig_overhead_off`] over `reps` rounds
+/// each, sorted ascending. Pairs alternate which arm runs first, so a
+/// drift in machine speed over the run lands on both arms alike.
+pub fn overhead_pairs_ns(reps: usize, pairs: usize) -> Vec<f64> {
+    let ops = (reps as u64 * OVERHEAD_OPS_PER_REP) as f64;
+    let mut deltas: Vec<f64> = (0..pairs)
+        .map(|i| {
+            let (on, off) = if i % 2 == 0 {
+                let off = contig_overhead_off(reps);
+                (contig_overhead(reps), off)
+            } else {
+                let on = contig_overhead(reps);
+                (on, contig_overhead_off(reps))
+            };
+            (on.as_secs_f64() - off.as_secs_f64()) * 1e9 / ops
+        })
+        .collect();
+    deltas.sort_by(f64::total_cmp);
+    deltas
 }
 
 #[cfg(test)]

@@ -12,36 +12,50 @@ use crate::ArmciMpi;
 use armci::{ArmciError, ArmciResult, GlobalAddr};
 use mpisim::LockMode;
 
+/// The closure a direct-access region runs: read-only under a shared
+/// epoch, or mutating under an exclusive one.
+pub(crate) enum Access<'a> {
+    Read(&'a mut dyn FnMut(&[u8])),
+    Write(&'a mut dyn FnMut(&mut [u8])),
+}
+
 impl ArmciMpi {
-    /// Mutable direct access to `len` bytes of this process's own slice
-    /// starting at `addr`. Implies an exclusive epoch on self.
-    pub(crate) fn access_mut_impl(
-        &self,
-        addr: GlobalAddr,
-        len: usize,
-        f: &mut dyn FnMut(&mut [u8]),
-    ) -> ArmciResult<()> {
+    /// Direct access to `len` bytes of this process's own slice starting
+    /// at `addr`, inside an epoch on self: exclusive for [`Access::Write`],
+    /// shared for [`Access::Read`].
+    pub(crate) fn access_impl(&self, addr: GlobalAddr, len: usize, f: Access) -> ArmciResult<()> {
+        let write = matches!(f, Access::Write(_));
         if addr.rank != self.world.rank() {
             // A node peer's slice is reachable through the shared slab
             // (crate::shm); any other remote rank stays illegal.
-            return self.access_peer_impl(addr, len, true, f);
+            return match f {
+                Access::Write(f) => self.access_peer_impl(addr, len, true, f),
+                Access::Read(f) => self.access_peer_impl(addr, len, false, &mut |b| f(b)),
+            };
         }
         // Serialise behind outstanding nonblocking operations: direct
         // load/store while a deferred transfer targets this window would
         // be a conflicting access.
         self.nb_quiesce()?;
-        let tr = self.translate(addr, len)?;
+        let tr = self.space.translate(addr, len)?;
         let gmrs = self.gmrs.borrow();
-        let gmr = gmrs.get(tr.gmr)?;
-        // An exclusive lock, unless a standing lock_all epoch already
-        // covers local access (MPI-3 unified memory model, ordered by the
+        let gmr = gmrs.get(tr.alloc)?;
+        // A lock on self, unless a standing lock_all epoch already covers
+        // local access (MPI-3 unified memory model, ordered by the
         // win_sync discipline).
-        atomic_epoch_begin(&gmr.win, tr.group_rank, LockMode::Exclusive)?;
-        self.dla_begin(tr.gmr.id, true);
-        let res = gmr
-            .win
-            .with_local_mut(|buf| f(&mut buf[tr.disp..tr.disp + len]));
-        self.dla_end(tr.gmr.id);
+        let mode = if write {
+            LockMode::Exclusive
+        } else {
+            LockMode::Shared
+        };
+        atomic_epoch_begin(&gmr.win, tr.group_rank, mode)?;
+        self.dla_begin(tr.alloc.id, write);
+        let span = tr.disp..tr.disp + len;
+        let res = match f {
+            Access::Read(f) => gmr.win.with_local(|buf| f(&buf[span])),
+            Access::Write(f) => gmr.win.with_local_mut(|buf| f(&mut buf[span])),
+        };
+        self.dla_end(tr.alloc.id);
         atomic_epoch_end(&gmr.win, tr.group_rank)?;
         res.map_err(ArmciError::from)
     }
@@ -65,31 +79,5 @@ impl ArmciMpi {
         if obs::enabled() {
             obs::instant_at(obs::EventKind::DlaEnd { win: gmr }, self.vnow());
         }
-    }
-
-    /// Read-only direct access (shared epoch on self).
-    pub(crate) fn access_impl(
-        &self,
-        addr: GlobalAddr,
-        len: usize,
-        f: &mut dyn FnMut(&[u8]),
-    ) -> ArmciResult<()> {
-        if addr.rank != self.world.rank() {
-            // Shared-slab read of a node peer's slice (as above).
-            return self.access_peer_impl(addr, len, false, &mut |b| f(b));
-        }
-        // Serialise behind outstanding nonblocking operations (as above).
-        self.nb_quiesce()?;
-        let tr = self.translate(addr, len)?;
-        let gmrs = self.gmrs.borrow();
-        let gmr = gmrs.get(tr.gmr)?;
-        // A standing lock_all epoch already grants shared access; the
-        // window is locked otherwise.
-        atomic_epoch_begin(&gmr.win, tr.group_rank, LockMode::Shared)?;
-        self.dla_begin(tr.gmr.id, false);
-        let res = gmr.win.with_local(|buf| f(&buf[tr.disp..tr.disp + len]));
-        self.dla_end(tr.gmr.id);
-        atomic_epoch_end(&gmr.win, tr.group_rank)?;
-        res.map_err(ArmciError::from)
     }
 }

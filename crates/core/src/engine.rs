@@ -711,11 +711,11 @@ impl ArmciMpi {
         bytes: usize,
     ) -> ArmciResult<TransferPlan> {
         let t0 = self.vnow();
-        let tr = self.translate(remote, extent)?;
+        let tr = self.space.translate(remote, extent)?;
         let plan = TransferPlan {
-            gmr: tr.gmr,
+            gmr: tr.alloc,
             target: tr.group_rank,
-            mode: mode(self.gmrs.borrow().get(tr.gmr)?)?,
+            mode: mode(self.gmrs.borrow().get(tr.alloc)?)?,
             ops: PlanOps::One(PlannedOp {
                 odt,
                 tdisp: tr.disp,
@@ -737,13 +737,15 @@ impl ArmciMpi {
         let mut group_rank = 0usize;
         let mut disps = Vec::with_capacity(desc.len());
         for &addr in &desc.remote_addrs {
-            let tr = self.translate(GlobalAddr::new(desc.rank, addr), desc.bytes)?;
+            let tr = self
+                .space
+                .translate(GlobalAddr::new(desc.rank, addr), desc.bytes)?;
             match gmr {
                 None => {
-                    gmr = Some(tr.gmr);
+                    gmr = Some(tr.alloc);
                     group_rank = tr.group_rank;
                 }
-                Some(r) if r != tr.gmr => {
+                Some(r) if r != tr.alloc => {
                     return Err(ArmciError::BadDescriptor(
                         "IOV segments span multiple GMRs".into(),
                     ))
@@ -824,10 +826,12 @@ impl ArmciMpi {
     ) -> ArmciResult<Vec<TransferPlan>> {
         let mut plans = Vec::with_capacity(desc.len());
         for (i, &raddr) in desc.remote_addrs.iter().enumerate() {
-            let tr = self.translate(GlobalAddr::new(desc.rank, raddr), desc.bytes)?;
-            let mode = self.lock_mode(self.gmrs.borrow().get(tr.gmr)?, local)?;
+            let tr = self
+                .space
+                .translate(GlobalAddr::new(desc.rank, raddr), desc.bytes)?;
+            let mode = self.lock_mode(self.gmrs.borrow().get(tr.alloc)?, local)?;
             plans.push(TransferPlan {
-                gmr: tr.gmr,
+                gmr: tr.alloc,
                 target: tr.group_rank,
                 mode,
                 ops: PlanOps::One(PlannedOp {

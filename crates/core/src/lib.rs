@@ -47,10 +47,11 @@ pub use nxtval::NxtvalCounter;
 pub use transport::{Transport, TransportKind, TransportStats};
 
 use armci::{
-    AccessMode, Armci, ArmciError, ArmciGroup, ArmciResult, GlobalAddr, Local, NbHandle, Remote,
-    RmwOp, StridedMethod,
+    AccessMode, AddressSpace, Armci, ArmciError, ArmciGroup, ArmciResult, GlobalAddr, Local,
+    NbHandle, Remote, RmwOp, StridedMethod,
 };
-use gmr::{GmrSlab, GmrTable};
+use dla::Access;
+use gmr::{GmrRef, GmrSlab};
 use mpisim::{Comm, Proc};
 use mutex::MutexSet;
 use simnet::pool::{BufferPool, PoolBuf, RegistrationPolicy};
@@ -204,12 +205,10 @@ pub struct OpStats {
 pub struct ArmciMpi {
     pub(crate) world: Comm,
     pub(crate) cfg: Config,
-    /// Address-range → GMR translation table (§V-A).
-    pub(crate) table: RefCell<GmrTable>,
+    /// Address cursor and address-range → GMR translation table (§V-A).
+    pub(crate) space: AddressSpace<GmrRef>,
     /// Live GMRs, by the slot the translation table hands out.
     pub(crate) gmrs: RefCell<GmrSlab>,
-    /// This process's global-address allocator cursor.
-    pub(crate) next_addr: Cell<usize>,
     /// User-created mutex sets by handle.
     pub(crate) user_mutexes: RefCell<HashMap<usize, MutexSet>>,
     pub(crate) next_mutex_handle: Cell<usize>,
@@ -303,11 +302,8 @@ impl ArmciMpi {
             world,
             cfg,
             pool,
-            table: RefCell::new(GmrTable::new()),
+            space: AddressSpace::new(),
             gmrs: RefCell::new(GmrSlab::default()),
-            // Base of this process's global address space; non-zero so
-            // that 0 remains NULL.
-            next_addr: Cell::new(0x1000),
             user_mutexes: RefCell::new(HashMap::new()),
             next_mutex_handle: Cell::new(1),
             stats: RefCell::new(OpStats::default()),
@@ -538,11 +534,11 @@ impl Armci for ArmciMpi {
         len: usize,
         f: &mut dyn FnMut(&mut [u8]),
     ) -> ArmciResult<()> {
-        self.access_mut_impl(addr, len, f)
+        self.access_impl(addr, len, Access::Write(f))
     }
 
     fn access(&self, addr: GlobalAddr, len: usize, f: &mut dyn FnMut(&[u8])) -> ArmciResult<()> {
-        self.access_impl(addr, len, f)
+        self.access_impl(addr, len, Access::Read(f))
     }
 }
 

@@ -83,21 +83,21 @@ impl ArmciMpi {
             });
         }
         let native = self.atomics_native();
-        let tr = self.translate(target, width)?;
+        let tr = self.space.translate(target, width)?;
         self.stat(|s| s.rmws += 1);
         let t0 = if obs::enabled() { self.vnow() } else { 0.0 };
         let old = if native {
             // RMW atomicity is per-location: retire only the in-flight
             // nonblocking work this atomic orders against.
-            self.nb_quiesce_for_atomic(tr.gmr, tr.group_rank, tr.disp, tr.disp + width)?;
+            self.nb_quiesce_for_atomic(tr.alloc, tr.group_rank, tr.disp, tr.disp + width)?;
             self.stat(|s| s.rmw_native += 1);
             let gmrs = self.gmrs.borrow();
-            let gmr = gmrs.get(tr.gmr)?;
+            let gmr = gmrs.get(tr.alloc)?;
             self.tx().atomic(&gmr.win, op, tr.group_rank, tr.disp)?
         } else {
             // The mutex protocol's two exclusive epochs conflict with any
             // in-flight nonblocking work on the allocation; quiesce it whole.
-            self.nb_quiesce_gmr(tr.gmr)?;
+            self.nb_quiesce_gmr(tr.alloc)?;
             self.stat(|s| s.rmw_mutex_fallback += 1);
             self.mutexed_update(op, target, &tr)?
         };
@@ -112,7 +112,7 @@ impl ArmciMpi {
                 // spend again — attribute it to the owning rank.
                 let src = {
                     let gmrs = self.gmrs.borrow();
-                    gmrs.get(tr.gmr)
+                    gmrs.get(tr.alloc)
                         .map(|g| g.group.comm().world_rank_of(tr.group_rank) as u32)
                         .unwrap_or(tr.group_rank as u32)
                 };
@@ -120,7 +120,7 @@ impl ArmciMpi {
                     obs::EventKind::Wait {
                         cat: obs::WaitCat::CasRetry,
                         src,
-                        obj: tr.gmr.id,
+                        obj: tr.alloc.id,
                     },
                     t0,
                     self.vnow(),
@@ -130,7 +130,7 @@ impl ArmciMpi {
         if obs::enabled() {
             obs::instant_at(
                 obs::EventKind::AtomicOp {
-                    win: tr.gmr.id,
+                    win: tr.alloc.id,
                     target: tr.group_rank as u32,
                     cas,
                     native,
@@ -150,7 +150,7 @@ impl ArmciMpi {
         self.stat(|s| s.mutex_locks += 1);
         {
             let gmrs = self.gmrs.borrow();
-            let gmr = gmrs.get(tr.gmr)?;
+            let gmr = gmrs.get(tr.alloc)?;
             gmr.rmw_mutexes.lock(self.tx(), 0, tr.group_rank)?;
         }
         let result = (|| {
@@ -181,7 +181,7 @@ impl ArmciMpi {
         })();
         // Release the mutex even on error.
         let gmrs = self.gmrs.borrow();
-        let gmr = gmrs.get(tr.gmr)?;
+        let gmr = gmrs.get(tr.alloc)?;
         gmr.rmw_mutexes.unlock(self.tx(), 0, tr.group_rank)?;
         result
     }

@@ -73,9 +73,9 @@ impl ArmciMpi {
         // Serialise behind outstanding nonblocking operations, like every
         // direct-access entry point.
         self.nb_quiesce()?;
-        let tr = self.translate(addr, len)?;
+        let tr = self.space.translate(addr, len)?;
         let gmrs = self.gmrs.borrow();
-        let gmr = gmrs.get(tr.gmr)?;
+        let gmr = gmrs.get(tr.alloc)?;
         if !self.shm_routable(gmr, tr.group_rank) {
             return Err(ArmciError::BadDescriptor(format!(
                 "direct access to remote process {} from {}",
@@ -86,7 +86,7 @@ impl ArmciMpi {
         let sec = gmr
             .win
             .shared_query(tr.group_rank)
-            .map_err(|e| Self::shm_err(tr.gmr.id, e))?;
+            .map_err(|e| Self::shm_err(tr.alloc.id, e))?;
         let shm = self.world.platform().shm.clone();
         // A standing lock_all epoch (MPI-3 epochless) already covers peer
         // access; otherwise the window is locked for the section's
@@ -99,27 +99,27 @@ impl ArmciMpi {
         transport::atomic_epoch_begin(&gmr.win, tr.group_rank, mode)?;
         gmr.win
             .win_sync()
-            .map_err(|e| Self::shm_err(tr.gmr.id, e))?;
-        self.dla_begin(tr.gmr.id, write);
+            .map_err(|e| Self::shm_err(tr.alloc.id, e))?;
+        self.dla_begin(tr.alloc.id, write);
         let mut buf = self.scratch(len);
         let res = sec
             .load(tr.disp, &mut buf)
-            .map_err(|e| Self::shm_err(tr.gmr.id, e))
+            .map_err(|e| Self::shm_err(tr.alloc.id, e))
             .and_then(|()| {
                 self.charge(shm.op_cost(simnet::Op::Get, len, 1));
                 f(&mut buf);
                 if write {
                     sec.store(tr.disp, &buf)
-                        .map_err(|e| Self::shm_err(tr.gmr.id, e))?;
+                        .map_err(|e| Self::shm_err(tr.alloc.id, e))?;
                     self.charge(shm.op_cost(simnet::Op::Put, len, 1));
                 }
                 Ok(())
             });
-        self.dla_end(tr.gmr.id);
+        self.dla_end(tr.alloc.id);
         let end = gmr
             .win
             .win_sync()
-            .map_err(|e| Self::shm_err(tr.gmr.id, e))
+            .map_err(|e| Self::shm_err(tr.alloc.id, e))
             .and_then(|()| {
                 transport::atomic_epoch_end(&gmr.win, tr.group_rank).map_err(ArmciError::from)
             });

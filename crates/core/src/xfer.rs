@@ -57,6 +57,7 @@
 //! epochs, and direct transfers of a repeated shape hit the window's
 //! committed-datatype cache instead of rebuilding subarray types.
 
+use crate::dla::Access;
 use crate::engine::{ExecBuf, TransferPlan};
 use crate::gmr::Gmr;
 use crate::ArmciMpi;
@@ -337,9 +338,10 @@ impl ArmciMpi {
         // classic beneficiary of prepinned staging (§V-E1).
         let mut tmp = self.scratch(bytes);
         if src.rank == self.world.rank() {
-            // Local global buffer: exclusive-epoch direct access, copy
-            // out, release (no window is locked while we then lock dst's).
-            self.access_impl(src, bytes, &mut |b| tmp.copy_from_slice(b))?;
+            // Local global buffer: shared-epoch direct access, copy out,
+            // release (no window is locked while we then lock dst's).
+            let copy_out = &mut |b: &[u8]| tmp.copy_from_slice(b);
+            self.access_impl(src, bytes, Access::Read(copy_out))?;
         } else {
             self.xfer_impl(Remote::Contig(src), Local::Get(&mut tmp), false)
                 .map(drop)?;
@@ -348,8 +350,8 @@ impl ArmciMpi {
         if obs::enabled() {
             // The bounce buffer is complete and the source epoch released;
             // the destination window must not be locked yet (§V-E1).
-            if let Ok(tr) = self.translate(dst, bytes) {
-                self.stage_touch(tr.gmr.id, bytes);
+            if let Ok(tr) = self.space.translate(dst, bytes) {
+                self.stage_touch(tr.alloc.id, bytes);
             }
         }
         self.xfer_impl(Remote::Contig(dst), Local::Put(&tmp), false)
