@@ -26,6 +26,8 @@
 //! runs the application closure on the `n` compute ranks, and runs server
 //! loops on the other `n`.
 
+#![forbid(unsafe_code)]
+
 mod protocol;
 mod server;
 

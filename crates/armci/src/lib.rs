@@ -27,6 +27,8 @@
 //! server over two-sided messaging). Global Arrays (`ga`) is generic over
 //! this trait, exactly as NWChem can be relinked against either runtime.
 
+#![forbid(unsafe_code)]
+
 pub mod acc;
 pub mod error;
 pub mod group;

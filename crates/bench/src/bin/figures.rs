@@ -11,6 +11,8 @@
 //! in `DIR` (see `bench::check`: one row schema, provenance, acceptance
 //! gates) and exits nonzero on any problem.
 
+#![forbid(unsafe_code)]
+
 use bench::{fig3, fig4, fig5, fig6r, table2, trace};
 use simnet::PlatformId;
 

@@ -35,6 +35,8 @@
 //! once per arm to see the straggler's share of the attributed waits
 //! collapse when the per-node agent drains passive-target rounds.
 
+#![forbid(unsafe_code)]
+
 use armci_mpi::ProgressMode;
 use bench::trace::{self, Capture};
 

@@ -34,6 +34,8 @@
 //! really execute on the simulated runtime and the platform cost model
 //! prices them, so shapes are deterministic and platform-faithful.
 
+#![forbid(unsafe_code)]
+
 pub mod ab;
 pub mod check;
 pub mod coalesce;

@@ -50,7 +50,7 @@ use crate::transport::{EpochStyle, Origin};
 use crate::ArmciMpi;
 use armci::{ArmciError, ArmciResult, GlobalAddr, IovDesc, Local, NbHandle, StridedMethod};
 use mpisim::dtype::Flat;
-use mpisim::{AccOp, Datatype, ElemType, LockMode, RmaClass};
+use mpisim::{Datatype, LockMode, RmaClass};
 use std::ops::{ControlFlow, Range};
 
 /// How the scheduler issues queued nonblocking operations at flush.
@@ -332,78 +332,6 @@ impl std::ops::Deref for PlanOps {
     }
 }
 
-/// The buffer the execute stage moves data against. Raw pointers (not
-/// slices) because IOV descriptors address disjoint pieces of one caller
-/// buffer that may also be the *source* of a get (`&mut` would alias).
-pub(crate) enum ExecBuf<'a> {
-    /// Destination of a get: base pointer and length of the local buffer.
-    Get(*mut u8, usize),
-    /// Source of a put.
-    Put(*const u8, usize),
-    /// Pre-scaled contiguous staging buffer for an accumulate, plus the
-    /// MPI element type of the wire operation.
-    Acc(&'a [u8], ElemType),
-}
-
-impl ExecBuf<'_> {
-    /// The buffer as one transfer's origin.
-    ///
-    /// # Safety
-    ///
-    /// A `Get`/`Put` pointer must cover its length for as long as the
-    /// returned origin lives, and no other live reference may alias the
-    /// bytes a get writes. The executor upholds this for one call at a
-    /// time: the planner keeps every datatype within bounds, and disjoint
-    /// plans address disjoint pieces of the buffer.
-    unsafe fn origin(&self) -> Origin<'_> {
-        match *self {
-            ExecBuf::Get(ptr, len) => Origin::Get(std::slice::from_raw_parts_mut(ptr, len)),
-            ExecBuf::Put(ptr, len) => Origin::Put(std::slice::from_raw_parts(ptr, len)),
-            ExecBuf::Acc(staged, elem) => Origin::Acc(staged, elem, AccOp::Sum),
-        }
-    }
-
-    /// The access kind of every operation moving against this buffer.
-    pub(crate) fn kind(&self) -> NbKind {
-        match *self {
-            ExecBuf::Get(..) => NbKind::Get,
-            ExecBuf::Put(..) => NbKind::Put,
-            ExecBuf::Acc(_, elem) => NbKind::Acc(elem),
-        }
-    }
-}
-
-/// What an operation does to its target ranges, for MPI-2 queue
-/// conflict checks (mirrors the simulator's epoch access rules:
-/// overlapping gets are fine, overlapping same-type accumulates are
-/// fine, everything else conflicts) and per-class operation statistics.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum NbKind {
-    Get,
-    Put,
-    Acc(ElemType),
-}
-
-impl NbKind {
-    fn compatible(self, other: NbKind) -> bool {
-        match (self, other) {
-            (NbKind::Get, NbKind::Get) => true,
-            (NbKind::Acc(a), NbKind::Acc(b)) => a == b,
-            _ => false,
-        }
-    }
-
-    /// The wire class a scheduler run of this kind issues as (engine
-    /// accumulates are always MPI `SUM`; scaling happened at staging).
-    fn rma_class(self) -> RmaClass {
-        match self {
-            NbKind::Get => RmaClass::Get,
-            NbKind::Put => RmaClass::Put,
-            NbKind::Acc(elem) => RmaClass::Acc(elem, AccOp::Sum),
-        }
-    }
-}
-
 /// Virtual seconds charged for a §VI-B overlap scan over `n` segments:
 /// `O(n log n)` at 4 ns per step. The auto method's plan-stage scan and
 /// the scheduler's run formation both pay it.
@@ -544,7 +472,7 @@ impl Runs {
 /// moved, wire issue deferred to flush.
 #[derive(Debug)]
 struct QueuedOp {
-    kind: NbKind,
+    kind: RmaClass,
     /// Its window-absolute target byte segments, in datatype order, as a
     /// range of its queue's segment arena ([`SchedQueue::segs`]). The
     /// only flattening of the operation's target datatype: the conflict
@@ -575,8 +503,8 @@ struct SchedQueue {
     ops: Vec<QueuedOp>,
     /// Every queued operation's target segments, back to back.
     segs: Vec<(usize, usize)>,
-    /// The kind every queued operation has, or `None` once kinds mix.
-    uniform: Option<NbKind>,
+    /// The class every queued operation has, or `None` once classes mix.
+    uniform: Option<RmaClass>,
 }
 
 impl SchedQueue {
@@ -585,7 +513,7 @@ impl SchedQueue {
     /// conflicting accesses inside it would be erroneous)? A kind
     /// compatible with a uniform queue cannot conflict, so only mixed
     /// queues pay the range scan.
-    fn conflicts(&self, kind: NbKind, new: &[(usize, usize)]) -> bool {
+    fn conflicts(&self, kind: RmaClass, new: &[(usize, usize)]) -> bool {
         if self.uniform.is_some_and(|k| k.compatible(kind)) {
             return false;
         }
@@ -938,10 +866,14 @@ impl ArmciMpi {
     /// Runs plans to completion. Outstanding nonblocking operations are
     /// completed first, serialising blocking traffic (and §V-E1
     /// staging) behind in-flight nonblocking operations.
-    pub(crate) fn run_plans(&self, plans: &[TransferPlan], buf: &ExecBuf) -> ArmciResult<()> {
+    pub(crate) fn run_plans(
+        &self,
+        plans: &[TransferPlan],
+        origin: &mut Origin<'_>,
+    ) -> ArmciResult<()> {
         self.nb_quiesce()?;
         for plan in plans {
-            self.run_plan(plan, buf)?;
+            self.run_plan(plan, origin)?;
         }
         Ok(())
     }
@@ -951,7 +883,7 @@ impl ArmciMpi {
     /// route ([`crate::shm`]) — the shm bracket's epoch entered and left
     /// through `win_sync`, one lock overhead, the shm-priced mover —
     /// and every other target takes the wire backend.
-    fn run_plan(&self, plan: &TransferPlan, buf: &ExecBuf) -> ArmciResult<()> {
+    fn run_plan(&self, plan: &TransferPlan, origin: &mut Origin<'_>) -> ArmciResult<()> {
         let gmrs = self.gmrs.borrow();
         let gmr = gmrs.get(plan.gmr)?;
         let shm = self.shm_routable(gmr, plan.target);
@@ -976,7 +908,7 @@ impl ArmciMpi {
             if res.is_err() {
                 break;
             }
-            res = self.issue_op(gmr, plan.target, shm, op, buf);
+            res = self.issue_op(gmr, plan.target, shm, op, origin.reborrow());
             if res.is_ok() {
                 issued += 1;
                 bytes += op.bytes;
@@ -1000,7 +932,11 @@ impl ArmciMpi {
         obs::batch(|b| {
             b.span(
                 obs::EventKind::Op {
-                    name: Self::exec_name(buf),
+                    name: match origin.class() {
+                        RmaClass::Get => "get",
+                        RmaClass::Put => "put",
+                        RmaClass::Acc(..) => "acc",
+                    },
                     gmr: gmr.id,
                     bytes: plan.ops.iter().map(|o| o.bytes).sum(),
                 },
@@ -1010,14 +946,6 @@ impl ArmciMpi {
         });
         end?;
         res
-    }
-
-    fn exec_name(buf: &ExecBuf) -> &'static str {
-        match buf {
-            ExecBuf::Get(..) => "get",
-            ExecBuf::Put(..) => "put",
-            ExecBuf::Acc(..) => "acc",
-        }
     }
 
     /// Issues one planned operation inside an open access context: through
@@ -1031,14 +959,11 @@ impl ArmciMpi {
         target: usize,
         shm: bool,
         op: &PlannedOp,
-        buf: &ExecBuf,
+        origin: Origin<'_>,
     ) -> ArmciResult<()> {
         let (win, tx) = (&gmr.win, self.tx());
         let (odt, tdisp, tdt) = (&op.odt, op.tdisp, &op.tdt);
-        // SAFETY: the planner keeps every datatype within the caller's
-        // buffer, which outlives this call, and disjoint plans address
-        // disjoint pieces of it; `origin` is dropped before returning.
-        let origin = unsafe { buf.origin() };
+        let class = origin.class();
         let moved = if shm {
             win.shm_transfer(origin, odt, target, tdisp, tdt)
                 .map(|cost| win.charge_virtual(cost))
@@ -1052,23 +977,23 @@ impl ArmciMpi {
                 e.into()
             }
         })?;
-        self.note_op(buf.kind(), op.bytes);
+        self.note_op(class, op.bytes);
         Ok(())
     }
 
     /// Counts one MPI-level operation of `kind` moving `bytes` in the
     /// per-class operation statistics.
-    pub(crate) fn note_op(&self, kind: NbKind, bytes: u64) {
-        self.stat(|s| match kind {
-            NbKind::Get => {
+    pub(crate) fn note_op(&self, class: RmaClass, bytes: u64) {
+        self.stat(|s| match class {
+            RmaClass::Get => {
                 s.gets += 1;
                 s.bytes_got += bytes;
             }
-            NbKind::Put => {
+            RmaClass::Put => {
                 s.puts += 1;
                 s.bytes_put += bytes;
             }
-            NbKind::Acc(_) => {
+            RmaClass::Acc(..) => {
                 s.accs += 1;
                 s.bytes_acc += bytes;
             }
@@ -1087,7 +1012,7 @@ impl ArmciMpi {
     pub(crate) fn nb_run_plans(
         &self,
         plans: &[TransferPlan],
-        buf: &ExecBuf,
+        origin: &mut Origin<'_>,
     ) -> ArmciResult<NbHandle> {
         if plans.is_empty() {
             return Ok(NbHandle::eager());
@@ -1102,7 +1027,7 @@ impl ArmciMpi {
         if plans.iter().all(|p| self.plan_shm_routable(p)) {
             for plan in plans {
                 self.nb_retire(|q| q.gmr == plan.gmr && q.target == plan.target)?;
-                self.run_plan(plan, buf)?;
+                self.run_plan(plan, origin)?;
             }
             return Ok(NbHandle::eager());
         }
@@ -1111,7 +1036,7 @@ impl ArmciMpi {
             nb.next_id += 1;
             nb.next_id
         };
-        let kind = buf.kind();
+        let kind = origin.class();
         let op_overhead = self.world.platform().mpi.op_overhead;
         let per_op = self.tx.epoch_style() == EpochStyle::PerOp;
         for plan in plans {
@@ -1131,10 +1056,7 @@ impl ArmciMpi {
                 let gmrs = self.gmrs.borrow();
                 let win = &gmrs.get(plan.gmr)?.win;
                 for op in plan.ops.iter() {
-                    // SAFETY: as in `issue_op`: the planner keeps every
-                    // datatype within the caller's buffer, and the origin
-                    // is dropped before this call returns.
-                    let origin = unsafe { buf.origin() };
+                    let origin = origin.reborrow();
                     flat.flatten(&origin, &op.odt, op.tdisp, &op.tdt)?;
                     win.stage(origin, plan.target, &flat)?;
                     let start = segs.len();
@@ -1207,9 +1129,9 @@ impl ArmciMpi {
                 b.span(
                     obs::EventKind::Op {
                         name: match kind {
-                            NbKind::Get => "nb_get",
-                            NbKind::Put => "nb_put",
-                            NbKind::Acc(_) => "nb_acc",
+                            RmaClass::Get => "nb_get",
+                            RmaClass::Put => "nb_put",
+                            RmaClass::Acc(..) => "nb_acc",
                         },
                         gmr: plan.gmr.id,
                         bytes: plan.ops.iter().map(|o| o.bytes).sum(),
@@ -1280,8 +1202,7 @@ impl ArmciMpi {
             let mut wire_t = if per_op { t1 } else { q.t_open };
             'runs: for (r, run) in runs.runs.iter().enumerate() {
                 let ops = &q.ops[run.clone()];
-                let kind = ops[0].kind;
-                let class = kind.rma_class();
+                let class = ops[0].kind;
                 let bytes: u64 = ops.iter().map(|op| op.bytes).sum();
                 let run_segs = runs.merged(r);
                 let use_merged = match self.cfg.coalesce {
@@ -1311,7 +1232,7 @@ impl ArmciMpi {
                     wire_t += cost;
                     segs_out += run_segs.len() as u64;
                     wire_ops += 1;
-                    self.note_op(kind, bytes);
+                    self.note_op(class, bytes);
                 } else {
                     // Batched shape: one wire op per queued op (adjacent
                     // segments within an op still merge), pipelined under
@@ -1335,7 +1256,7 @@ impl ArmciMpi {
                         wire_t += cost;
                         segs_out += merged.len() as u64;
                         wire_ops += 1;
-                        self.note_op(kind, op.bytes);
+                        self.note_op(class, op.bytes);
                     }
                 }
             }
@@ -1488,13 +1409,14 @@ impl ArmciMpi {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mpisim::{AccOp, ElemType};
     use proptest::prelude::*;
 
     /// A queue as run formation sees it: its operations and their
     /// segment arena.
     type Queue = (Vec<QueuedOp>, Vec<(usize, usize)>);
 
-    fn queue(specs: Vec<(NbKind, Vec<(usize, usize)>)>) -> Queue {
+    fn queue(specs: Vec<(RmaClass, Vec<(usize, usize)>)>) -> Queue {
         let mut segs = Vec::new();
         let ops = specs
             .into_iter()
@@ -1553,12 +1475,12 @@ mod tests {
         }
     }
 
-    fn kind_of(k: usize) -> NbKind {
+    fn kind_of(k: usize) -> RmaClass {
         match k {
-            0 => NbKind::Get,
-            1 => NbKind::Put,
-            2 => NbKind::Acc(ElemType::F64),
-            _ => NbKind::Acc(ElemType::I64),
+            0 => RmaClass::Get,
+            1 => RmaClass::Put,
+            2 => RmaClass::Acc(ElemType::F64, AccOp::Sum),
+            _ => RmaClass::Acc(ElemType::I64, AccOp::Sum),
         }
     }
 
@@ -1640,7 +1562,7 @@ mod tests {
             };
             queue(
                 (0..tasks)
-                    .flat_map(|_| (0..tiles).map(|t| (NbKind::Get, tile(t))))
+                    .flat_map(|_| (0..tiles).map(|t| (RmaClass::Get, tile(t))))
                     .collect(),
             )
         })
@@ -1669,9 +1591,9 @@ mod tests {
     #[test]
     fn self_overlapping_seed_takes_no_followers() {
         let q = queue(vec![
-            (NbKind::Put, vec![(0, 8), (4, 8)]),
-            (NbKind::Put, vec![(64, 8)]),
-            (NbKind::Put, vec![(96, 8)]),
+            (RmaClass::Put, vec![(0, 8), (4, 8)]),
+            (RmaClass::Put, vec![(64, 8)]),
+            (RmaClass::Put, vec![(96, 8)]),
         ]);
         let mut runs = Runs::default();
         runs.form(&q.0, &q.1);
@@ -1688,7 +1610,7 @@ mod tests {
         let tile = |t: usize| vec![(t * 64, 16), (t * 64 + 32, 16)];
         let q = queue(
             (0..2)
-                .flat_map(|_| (0..2).map(|t| (NbKind::Get, tile(t))))
+                .flat_map(|_| (0..2).map(|t| (RmaClass::Get, tile(t))))
                 .collect(),
         );
         let mut runs = Runs::default();

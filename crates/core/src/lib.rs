@@ -32,6 +32,8 @@
 //!   and plans whose target is a node peer bypass the wire entirely as
 //!   direct load/store/accumulate under `win_sync` coherence.
 
+#![forbid(unsafe_code)]
+
 pub mod dla;
 pub mod engine;
 pub mod gmr;

@@ -20,12 +20,11 @@
 //! in-flight nonblocking work they order against
 //! (`ArmciMpi::nb_quiesce_for_atomic`).
 
-use crate::engine::ExecBuf;
 use crate::gmr::Translation;
 use crate::{ArmciMpi, AtomicsMode};
 use armci::{ArmciError, ArmciResult, GlobalAddr, RmwOp};
 use mpisim::mpi3::{CellOp, FetchOp};
-use mpisim::{Datatype, LockMode};
+use mpisim::{Datatype, LockMode, Origin};
 
 /// Width in bytes of every `ARMCI_Rmw` operand.
 const RMW_WIDTH: usize = 8;
@@ -163,19 +162,13 @@ impl ArmciMpi {
             };
             let mut buf = [0u8; RMW_WIDTH];
             let read = plan()?;
-            self.run_plans(
-                std::slice::from_ref(&read),
-                &ExecBuf::Get(buf.as_mut_ptr(), RMW_WIDTH),
-            )?;
+            self.run_plans(std::slice::from_ref(&read), &mut Origin::Get(&mut buf))?;
             let old = i64::from_le_bytes(buf);
             if let Some(new) = op.stored(old) {
                 // Write epoch.
                 let bytes = new.to_le_bytes();
                 let write = plan()?;
-                self.run_plans(
-                    std::slice::from_ref(&write),
-                    &ExecBuf::Put(bytes.as_ptr(), RMW_WIDTH),
-                )?;
+                self.run_plans(std::slice::from_ref(&write), &mut Origin::Put(&bytes))?;
             }
             Ok(old)
         })();

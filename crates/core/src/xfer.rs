@@ -58,7 +58,7 @@
 //! committed-datatype cache instead of rebuilding subarray types.
 
 use crate::dla::Access;
-use crate::engine::{ExecBuf, TransferPlan};
+use crate::engine::TransferPlan;
 use crate::gmr::Gmr;
 use crate::ArmciMpi;
 use armci::stride::{extent, total_bytes};
@@ -66,7 +66,7 @@ use armci::{
     strided_to_subarray, AccKind, AccessMode, ArmciError, ArmciResult, GlobalAddr, IovDesc, Local,
     NbHandle, Remote, StridedIter, StridedMethod,
 };
-use mpisim::{Datatype, LockMode};
+use mpisim::{AccOp, Datatype, LockMode, Origin};
 use simnet::PoolBuf;
 use std::borrow::Cow;
 
@@ -143,19 +143,20 @@ impl ArmciMpi {
                 }
             }
         };
-        let buf = match (&mut local, &staged) {
-            (Local::Get(b), _) => ExecBuf::Get(b.as_mut_ptr(), b.len()),
-            (Local::Put(b), _) => ExecBuf::Put(b.as_ptr(), b.len()),
+        let mut origin = match (&mut local, &staged) {
+            (Local::Get(b), _) => Origin::Get(b),
+            (Local::Put(b), _) => Origin::Put(b),
             (Local::Acc(kind, _), Some(staged)) => {
                 self.stage_touch(plans[0].gmr.id, staged.len());
-                ExecBuf::Acc(staged, kind.mpi_elem())
+                Origin::Acc(staged, kind.mpi_elem(), AccOp::Sum)
             }
             (Local::Acc(..), None) => unreachable!("accumulates are staged"),
         };
         if nb {
-            self.nb_run_plans(plans, &buf)
+            self.nb_run_plans(plans, &mut origin)
         } else {
-            self.run_plans(plans, &buf).map(|()| NbHandle::eager())
+            self.run_plans(plans, &mut origin)
+                .map(|()| NbHandle::eager())
         }
     }
 

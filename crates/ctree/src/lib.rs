@@ -20,6 +20,8 @@
 //! Ranges here are half-open byte intervals `[lo, hi)`; an empty range
 //! overlaps nothing.
 
+#![forbid(unsafe_code)]
+
 use std::ops::ControlFlow;
 
 /// A conflict was found: the probed range overlaps an existing one.

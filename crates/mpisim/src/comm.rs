@@ -98,26 +98,16 @@ impl Comm {
         self.my_world_rank
     }
 
-    fn clock(&self) -> &simnet::VClock {
-        &self.shared.clocks[self.my_world_rank]
-    }
-
-    fn charge(&self, dt: f64) {
-        if self.shared.cfg.charge_time {
-            self.clock().advance(dt);
-        }
-    }
-
     /// Advances this rank's virtual clock by `dt` seconds. Public hook for
     /// layers built on the runtime (e.g. ARMCI staging copies) to model
     /// their own overheads in the same clock domain.
     pub fn charge_time(&self, dt: f64) {
-        self.charge(dt);
+        self.shared.advance(self.my_world_rank, dt, 0.0);
     }
 
     /// Current virtual time of this rank.
     pub fn clock_now(&self) -> f64 {
-        self.clock().now()
+        self.shared.clocks[self.my_world_rank].now()
     }
 
     /// The configured platform (cost model).
@@ -164,11 +154,7 @@ impl Comm {
     /// rendezvous, so by the time anyone leaves, every rank's snapshot
     /// for this phase is readable (see [`crate::progress`]).
     fn coll_exchange(&self, data: Vec<u8>) -> (f64, coll::CollOutcome) {
-        let now = if self.shared.cfg.charge_time {
-            self.clock().now()
-        } else {
-            0.0
-        };
+        let now = self.clock_now();
         if self.inner.members.len() == self.shared.nranks {
             self.shared.progress.publish(self.my_world_rank, now);
         }
@@ -183,15 +169,10 @@ impl Comm {
     /// straggler — the blocked share as a progress wait; recording charges
     /// nothing, so makespans are identical with the recorder on or off.
     fn coll_leave(&self, arrival: f64, out: &coll::CollOutcome, cost: f64) {
-        if self.shared.cfg.charge_time {
-            self.clock().advance_to(out.t_max + cost);
-        }
+        self.shared
+            .advance(self.my_world_rank, 0.0, out.t_max + cost);
         if obs::enabled() {
-            let leave = if self.shared.cfg.charge_time {
-                out.t_max + cost
-            } else {
-                0.0
-            };
+            let leave = self.clock_now();
             let src = self.inner.members[out.straggler] as u32;
             let comm = self.inner.id;
             let seq = out.seq;
@@ -222,12 +203,8 @@ impl Comm {
     pub fn send(&self, dest: usize, tag: i32, data: &[u8]) {
         assert!(dest < self.size(), "send: bad rank {dest}");
         let params = &self.shared.cfg.platform.mpi;
-        self.charge(params.op_overhead + params.put.xfer_time(data.len()));
-        let arrives_at = if self.shared.cfg.charge_time {
-            self.clock().now()
-        } else {
-            0.0
-        };
+        self.charge_time(params.op_overhead + params.put.xfer_time(data.len()));
+        let arrives_at = self.clock_now();
         let world_dest = self.inner.members[dest];
         self.shared.mailboxes[world_dest].deliver(Envelope {
             comm: self.inner.id,
@@ -242,11 +219,9 @@ impl Comm {
     /// [`crate::ANY_TAG`].
     pub fn recv(&self, src: RecvSrc, tag: i32) -> (Vec<u8>, Status) {
         let env = self.shared.mailboxes[self.my_world_rank].recv(self.inner.id, src, tag);
-        let params = &self.shared.cfg.platform.mpi;
-        self.charge(params.op_overhead);
-        if self.shared.cfg.charge_time {
-            self.clock().advance_to(env.arrives_at);
-        }
+        let op_overhead = self.shared.cfg.platform.mpi.op_overhead;
+        self.shared
+            .advance(self.my_world_rank, op_overhead, env.arrives_at);
         let status = Status {
             source: env.src_comm_rank,
             tag: env.tag,
@@ -263,14 +238,6 @@ impl Comm {
     pub fn barrier(&self) {
         let (arr, out) = self.coll_exchange(Vec::new());
         self.coll_leave(arr, &out, self.coll_cost(0));
-    }
-
-    /// Allgather of arbitrary per-rank byte payloads.
-    pub fn allgather_bytes(&self, data: Vec<u8>) -> Vec<Vec<u8>> {
-        let len = data.len();
-        let (arr, out) = self.coll_exchange(data);
-        self.coll_leave(arr, &out, self.coll_cost(len));
-        out.data.as_ref().clone()
     }
 
     /// Allgather of one `u64` per rank — the typed fast path for window
@@ -405,16 +372,8 @@ impl Comm {
     /// ordered by `(key, old rank)`.
     pub fn split(&self, color: i64, key: i64) -> Option<Comm> {
         // Round 1: gather (color, key) from everyone.
-        let mut buf = Vec::with_capacity(16);
-        coll::wire::put_i64s(&mut buf, &[color, key]);
-        let all = self.allgather_bytes(buf);
-        let entries: Vec<(i64, i64)> = all
-            .iter()
-            .map(|b| {
-                let v = coll::wire::get_i64s(b);
-                (v[0], v[1])
-            })
-            .collect();
+        let all = self.allgather_u64s(&[color as u64, key as u64]);
+        let entries: Vec<(i64, i64)> = all.iter().map(|v| (v[0] as i64, v[1] as i64)).collect();
         // Compute my group (world ranks ordered by (key, old comm rank)).
         let my_group: Vec<usize> = if color >= 0 {
             let mut g: Vec<(i64, usize)> = entries
@@ -432,13 +391,11 @@ impl Comm {
         // context id; gather them so every member learns its group's id.
         let leader_world = my_group.first().copied();
         let my_id = if color >= 0 && leader_world == Some(self.my_world_rank) {
-            self.shared.alloc_comm_id() as i64
+            self.shared.alloc_comm_id()
         } else {
-            -1
+            u64::MAX
         };
-        let mut buf = Vec::with_capacity(8);
-        coll::wire::put_i64s(&mut buf, &[my_id]);
-        let ids = self.allgather_bytes(buf);
+        let ids = self.allgather_u64(my_id);
         if color < 0 {
             return None;
         }
@@ -447,7 +404,7 @@ impl Comm {
             .inner
             .comm_rank_of_world(leader_world)
             .expect("leader is a member");
-        let id = coll::wire::get_i64s(&ids[leader_old_rank])[0] as u64;
+        let id = ids[leader_old_rank];
         let inner = self.register_comm(id, my_group);
         Some(self.comm_from(inner))
     }

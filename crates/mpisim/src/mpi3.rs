@@ -11,7 +11,7 @@
 //! flush, not a request object here.
 
 use crate::error::{MpiError, MpiResult};
-use crate::win::{LockMode, LockOps, WinHandle};
+use crate::win::{LockMode, WinHandle};
 
 /// Atomic fetch-and-op operator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,18 +62,17 @@ impl WinHandle {
         if self.lock_all_active.get() {
             return Err(MpiError::AlreadyLocked { target: usize::MAX });
         }
-        for t in 0..self.size_count() {
-            if self.is_locked(t) {
-                return Err(MpiError::EpochModeMixed { target: t });
-            }
+        let locks = &self.inner.locks;
+        if let Some(t) = (0..locks.len()).find(|&t| self.is_locked(t)) {
+            return Err(MpiError::EpochModeMixed { target: t });
         }
-        for t in 0..self.size_count() {
-            self.target_lock(t).acquire(LockMode::Shared);
+        for lock in locks {
+            lock.acquire(LockMode::Shared);
         }
         self.lock_all_active.set(true);
-        self.charge_pub(0.5 * self.params_pub().epoch_overhead);
+        self.charge_virtual(0.5 * self.params().epoch_overhead);
         if obs::enabled() {
-            obs::instant_at(obs::EventKind::LockAll { win: self.id() }, self.now());
+            obs::instant_at(obs::EventKind::LockAll { win: self.id() }, self.vnow());
         }
         Ok(())
     }
@@ -84,12 +83,12 @@ impl WinHandle {
             return Err(MpiError::NotLocked { target: usize::MAX });
         }
         self.lock_all_active.set(false);
-        for t in 0..self.size_count() {
-            self.target_lock(t).release(LockMode::Shared);
+        for lock in &self.inner.locks {
+            lock.release(LockMode::Shared);
         }
-        self.charge_pub(0.5 * self.params_pub().epoch_overhead);
+        self.charge_virtual(0.5 * self.params().epoch_overhead);
         if obs::enabled() {
-            obs::instant_at(obs::EventKind::UnlockAll { win: self.id() }, self.now());
+            obs::instant_at(obs::EventKind::UnlockAll { win: self.id() }, self.vnow());
         }
         Ok(())
     }
@@ -103,14 +102,14 @@ impl WinHandle {
         }
         // The flush acknowledgement is a target-serviced round.
         let prog = self.progress_extra(target, 1);
-        self.charge_pub(self.params_pub().put.alpha + prog);
+        self.charge_virtual(self.params().put.alpha + prog);
         if obs::enabled() {
             obs::instant_at(
                 obs::EventKind::Flush {
                     win: self.id(),
                     target: target as u32,
                 },
-                self.now(),
+                self.vnow(),
             );
         }
         Ok(())
@@ -118,9 +117,8 @@ impl WinHandle {
 
     /// MPI-3 `MPI_Fetch_and_op` on a 64-bit signed integer.
     ///
-    /// Atomic with respect to all other `fetch_and_op` / `compare_and_swap`
-    /// calls on the same location. Requires an open epoch (lock or
-    /// lock_all) on the target.
+    /// Atomic with respect to every other atomic on the same location.
+    /// Requires an open epoch (lock or lock_all) on the target.
     pub fn fetch_and_op_i64(
         &self,
         operand: i64,
@@ -131,18 +129,6 @@ impl WinHandle {
         self.atomic_i64(CellOp::Fetch(op, operand), target, tdisp)
     }
 
-    /// MPI-3 `MPI_Compare_and_swap` on a 64-bit signed integer: if the
-    /// target equals `compare`, stores `swap`; returns the original value.
-    pub fn compare_and_swap_i64(
-        &self,
-        compare: i64,
-        swap: i64,
-        target: usize,
-        tdisp: usize,
-    ) -> MpiResult<i64> {
-        self.atomic_i64(CellOp::CompareAndSwap { compare, swap }, target, tdisp)
-    }
-
     /// Atomically applies `op` to the 8-byte cell at `tdisp` on `target`,
     /// charging the MPI backend's `rmw_latency` and emitting the `Rma`
     /// event the epoch auditor watches. Requires an open epoch (lock or
@@ -151,7 +137,7 @@ impl WinHandle {
         let old = self.rmw_cell(op, target, tdisp, true)?;
         // MPI-level atomics complete inside the target's library.
         let prog = self.progress_extra(target, 1);
-        self.charge_pub(self.params_pub().rmw_latency + prog);
+        self.charge_virtual(self.params().rmw_latency + prog);
         if obs::enabled() {
             obs::instant_at(
                 obs::EventKind::Rma {
@@ -160,18 +146,18 @@ impl WinHandle {
                     kind: obs::OpKind::Rmw,
                     bytes: 8,
                 },
-                self.now(),
+                self.vnow(),
             );
         }
         Ok(old)
     }
 
-    /// Cell-level atomic mutation only: bounds/epoch checks and the
-    /// io-lock-serialised 8-byte update, with no time charged and no
-    /// event emitted. The update works in place on a stack array — RMW
-    /// ops allocate nothing per call. `require_epoch` enforces the MPI
-    /// rule that an epoch covers the access; non-MPI wire atomics pass
-    /// `false`.
+    /// Cell-level atomic mutation only: bounds/epoch checks and the 8-byte
+    /// update through the section's one byte path, with no time charged
+    /// and no event emitted. The update works in place on the window
+    /// bytes — RMW ops allocate nothing per call. `require_epoch` enforces
+    /// the MPI rule that an epoch covers the access; non-MPI wire atomics
+    /// pass `false`.
     fn rmw_cell(
         &self,
         op: CellOp,
@@ -180,17 +166,11 @@ impl WinHandle {
         require_epoch: bool,
     ) -> MpiResult<i64> {
         const WIDTH: usize = 8;
-        if target >= self.size_count() {
-            return Err(MpiError::BadRank {
-                rank: target,
-                size: self.size_count(),
-            });
-        }
-        if require_epoch && !self.lock_all_active.get() && !self.is_locked(target) {
+        let size = self.target_size(target)?;
+        if require_epoch && !self.is_locked(target) {
             return Err(MpiError::NoEpoch { target });
         }
-        let size = self.size_of(target);
-        if tdisp + WIDTH > size {
+        if tdisp.checked_add(WIDTH).is_none_or(|end| end > size) {
             return Err(MpiError::OutOfBounds {
                 target,
                 disp: tdisp,
@@ -198,21 +178,10 @@ impl WinHandle {
                 size,
             });
         }
-        let (io, buf, base) = self.raw_mem(target);
-        let old = {
-            let _g = io.lock();
-            // Safety: `io` serialises all access to the slice. `base` is
-            // the section offset inside the backing allocation (non-zero
-            // on shared-backed windows).
-            let slice = unsafe { &mut **buf };
-            let lo = base + tdisp;
-            let mut cell = [0u8; WIDTH];
-            cell.copy_from_slice(&slice[lo..lo + WIDTH]);
-            let old = op.apply(&mut cell);
-            slice[lo..lo + WIDTH].copy_from_slice(&cell);
-            old
-        };
-        Ok(old)
+        Ok(self.inner.section(target).with_mut(|win| {
+            let cell = (&mut win[tdisp..tdisp + WIDTH]).try_into();
+            op.apply(cell.expect("an 8-byte cell"))
+        }))
     }
 
     /// Epoch-free atomic on the 8-byte cell at `tdisp`, charging the
@@ -227,25 +196,7 @@ impl WinHandle {
         cost: f64,
     ) -> MpiResult<i64> {
         let old = self.rmw_cell(op, target, tdisp, false)?;
-        self.charge_pub(cost);
+        self.charge_virtual(cost);
         Ok(old)
-    }
-
-    fn now(&self) -> f64 {
-        self.shared.clocks[self.comm.my_world_rank()].now()
-    }
-
-    fn size_count(&self) -> usize {
-        self.comm.size()
-    }
-
-    pub(crate) fn charge_pub(&self, dt: f64) {
-        if self.shared.cfg.charge_time {
-            self.shared.clocks[self.comm.my_world_rank()].advance(dt);
-        }
-    }
-
-    pub(crate) fn params_pub(&self) -> &simnet::BackendParams {
-        &self.shared.cfg.platform.mpi
     }
 }

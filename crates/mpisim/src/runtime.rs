@@ -152,6 +152,19 @@ impl Shared {
     pub fn alloc_uid(&self) -> u64 {
         self.next_uid.fetch_add(1, Ordering::Relaxed)
     }
+
+    /// The clock gate: advances world rank `rank`'s clock by `dt`, then to
+    /// at least `floor`. Every clock moves only here, and only its own
+    /// rank's thread moves it. This is the one reader of
+    /// [`RuntimeConfig::charge_time`], so with charging off every clock
+    /// reads 0.0.
+    pub(crate) fn advance(&self, rank: usize, dt: f64, floor: f64) {
+        if self.cfg.charge_time {
+            let clock = &self.clocks[rank];
+            clock.advance(dt);
+            clock.advance_to(floor);
+        }
+    }
 }
 
 /// Handle held by each simulated process ("rank").
@@ -182,13 +195,6 @@ impl Proc {
         &self.shared.clocks[self.world_rank]
     }
 
-    /// Advances this rank's virtual clock by `dt` if time charging is on.
-    pub(crate) fn charge(&self, dt: f64) {
-        if self.shared.cfg.charge_time {
-            self.clock().advance(dt);
-        }
-    }
-
     /// The MPI-backend cost parameters of the configured platform.
     pub fn params(&self) -> &simnet::BackendParams {
         &self.shared.cfg.platform.mpi
@@ -204,12 +210,10 @@ impl Proc {
     /// board, from which peers price expected passive-target stalls.
     pub fn compute(&self, seconds: f64) {
         self.shared.progress.note_compute(self.world_rank, seconds);
+        let t0 = self.clock().now();
+        self.shared.advance(self.world_rank, seconds, 0.0);
         if obs::enabled() {
-            let t0 = self.clock().now();
-            self.charge(seconds);
             obs::span(obs::EventKind::Compute, t0, self.clock().now());
-        } else {
-            self.charge(seconds);
         }
     }
 }
@@ -355,16 +359,42 @@ mod tests {
         });
     }
 
+    /// Every path that charges time leaves every clock at exactly 0.0
+    /// when charging is off: p2p, collectives, an MPI-2 epoch, an MPI-3
+    /// epoch with its flush and atomic, and compute.
     #[test]
     fn charge_time_can_be_disabled() {
+        use crate::coll::ReduceOp;
+        use crate::mpi3::FetchOp;
+        use crate::{LockMode, RecvSrc, WinHandle};
         let cfg = RuntimeConfig {
             charge_time: false,
             ..Default::default()
         };
-        Runtime::run_with(2, cfg, |p| {
+        let clocks = Runtime::run_with(2, cfg, |p| {
+            let w = p.world();
+            let peer = 1 - p.rank();
+            if p.rank() == 0 {
+                w.send(peer, 0, &[1; 64]);
+            } else {
+                w.recv(RecvSrc::Rank(peer), 0);
+            }
+            w.barrier();
+            w.allreduce_f64(ReduceOp::Sum, &[1.0]);
+            let win = WinHandle::create(&w, 64);
+            win.lock(LockMode::Exclusive, peer).unwrap();
+            win.put_bytes(&[2; 8], peer, 0).unwrap();
+            win.unlock(peer).unwrap();
+            win.lock_all().unwrap();
+            win.fetch_and_op_i64(1, peer, 8, FetchOp::Sum).unwrap();
+            win.flush(peer).unwrap();
+            win.unlock_all().unwrap();
             p.compute(1.0);
-            assert_eq!(p.clock().now(), 0.0);
+            w.barrier();
+            win.free().unwrap();
+            p.clock().now()
         });
+        assert_eq!(clocks, vec![0.0, 0.0]);
     }
 
     #[test]

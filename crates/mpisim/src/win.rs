@@ -8,8 +8,8 @@
 //! Two layers of protection coexist:
 //!
 //! 1. **Real synchronisation** — epoch locks are actual reader–writer locks
-//!    and each operation's byte movement additionally holds a per-target
-//!    I/O mutex, so the simulator itself is free of data races even when
+//!    and each operation's byte movement additionally holds the I/O mutex
+//!    of the slab backing the target's section, so the simulator itself is free of data races even when
 //!    executing programs MPI would call erroneous.
 //! 2. **Semantic checking** — when [`crate::RuntimeConfig::semantic_checks`]
 //!    is on, the runtime reports (as `Err`) the patterns MPI-2 defines to be
@@ -27,7 +27,7 @@ use crate::sync;
 use ctree::Sweep;
 use parking_lot::{Condvar, Mutex};
 use simnet::pool::{BufferPool, RegistrationPolicy};
-use std::cell::{Cell, RefCell};
+use std::cell::{Cell, RefCell, UnsafeCell};
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -97,11 +97,14 @@ impl RmaClass {
         }
     }
 
-    fn kind(self) -> OpKind {
-        match self {
-            RmaClass::Get => OpKind::Read,
-            RmaClass::Put => OpKind::Write,
-            RmaClass::Acc(elem, op) => OpKind::Acc(elem, op),
+    /// MPI-2 compatibility of two operations on overlapping bytes in one
+    /// epoch: gets are fine, accumulates with the same type and op are
+    /// fine, all else conflicts.
+    pub fn compatible(self, other: RmaClass) -> bool {
+        match (self, other) {
+            (RmaClass::Get, RmaClass::Get) => true,
+            (RmaClass::Acc(t1, o1), RmaClass::Acc(t2, o2)) => t1 == t2 && o1 == o2,
+            _ => false,
         }
     }
 }
@@ -128,6 +131,16 @@ impl Origin<'_> {
         }
     }
 
+    /// The same origin, reborrowed for one operation, so that one caller
+    /// buffer serves several operations in turn.
+    pub fn reborrow(&mut self) -> Origin<'_> {
+        match self {
+            Origin::Put(b) => Origin::Put(b),
+            Origin::Get(b) => Origin::Get(b),
+            Origin::Acc(b, elem, op) => Origin::Acc(b, *elem, *op),
+        }
+    }
+
     /// Length of the caller's buffer.
     pub(crate) fn len(&self) -> usize {
         match self {
@@ -137,31 +150,12 @@ impl Origin<'_> {
     }
 }
 
-/// What an epoch-recorded operation did, for conflict detection.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum OpKind {
-    Read,
-    Write,
-    Acc(ElemType, AccOp),
-}
-
-impl OpKind {
-    /// MPI-2 compatibility: overlapping reads are fine; overlapping
-    /// accumulates with the same type and op are fine; all else conflicts.
-    fn compatible(self, other: OpKind) -> bool {
-        match (self, other) {
-            (OpKind::Read, OpKind::Read) => true,
-            (OpKind::Acc(t1, o1), OpKind::Acc(t2, o2)) => t1 == t2 && o1 == o2,
-            _ => false,
-        }
-    }
-}
-
+/// One epoch-recorded target range, for conflict detection.
 #[derive(Debug, Clone, Copy)]
 struct OpRecord {
     lo: usize,
     hi: usize,
-    kind: OpKind,
+    kind: RmaClass,
 }
 
 struct Epoch {
@@ -177,7 +171,7 @@ struct Epoch {
 
 /// A reader–writer lock with writer preference whose guards are explicit
 /// (MPI lock/unlock calls rather than lexical scopes).
-struct TargetLock {
+pub(crate) struct TargetLock {
     m: Mutex<LockSt>,
     cv: Condvar,
 }
@@ -197,7 +191,7 @@ impl TargetLock {
         }
     }
 
-    fn acquire(&self, mode: LockMode) {
+    pub(crate) fn acquire(&self, mode: LockMode) {
         let mut st = self.m.lock();
         match mode {
             LockMode::Shared => {
@@ -220,7 +214,7 @@ impl TargetLock {
         }
     }
 
-    fn release(&self, mode: LockMode) {
+    pub(crate) fn release(&self, mode: LockMode) {
         let mut st = self.m.lock();
         match mode {
             LockMode::Shared => {
@@ -237,46 +231,27 @@ impl TargetLock {
     }
 }
 
-/// One rank's window backing store.
-pub(crate) struct RankMem {
+/// One zero-initialised allocation of window memory: a rank's own under
+/// `MPI_Win_create`, or a node's under `MPI_Win_allocate_shared`, where
+/// every rank on the node gets a section of it, so intra-node peers see
+/// each other's window memory at real addresses.
+struct Slab {
     buf: UnsafeCell<Box<[u8]>>,
-    /// Serialises actual byte movement so that even *erroneous* concurrent
-    /// accesses cannot race at the machine level.
+    /// Serialises byte movement on the whole slab, so that even
+    /// *erroneous* concurrent accesses cannot race at the machine level.
     io: Mutex<()>,
 }
 
-// Safety: all access to `buf` goes through `io` (remote ops) or through the
-// epoch locks guaranteeing exclusivity (local access).
-unsafe impl Sync for RankMem {}
-unsafe impl Send for RankMem {}
+// SAFETY: `io` is a `Mutex`, itself `Send` and `Sync`. `buf` owns plain
+// bytes, which any thread may drop; it is dereferenced only in
+// `Section::with` and `Section::with_mut`, each while holding `io`, so no
+// two threads ever reach the bytes at once.
+unsafe impl Sync for Slab {}
+unsafe impl Send for Slab {}
 
-impl RankMem {
-    fn new(size: usize) -> RankMem {
-        RankMem {
-            buf: UnsafeCell::new(vec![0u8; size].into_boxed_slice()),
-            io: Mutex::new(()),
-        }
-    }
-}
-
-/// One node's shared slab (`MPI_Win_allocate_shared` backing): every rank
-/// on the node gets a section of the same allocation, so intra-node peers
-/// see each other's window memory at real addresses.
-struct NodeSlab {
-    buf: UnsafeCell<Box<[u8]>>,
-    /// Serialises byte movement on the whole slab. Coarser than the
-    /// per-rank `RankMem::io` (all node members share it) but the
-    /// correctness argument is identical.
-    io: Mutex<()>,
-}
-
-// Safety: all access to `buf` goes through `io`, as with `RankMem`.
-unsafe impl Sync for NodeSlab {}
-unsafe impl Send for NodeSlab {}
-
-impl NodeSlab {
-    fn new(size: usize) -> NodeSlab {
-        NodeSlab {
+impl Slab {
+    fn new(size: usize) -> Slab {
+        Slab {
             buf: UnsafeCell::new(vec![0u8; size].into_boxed_slice()),
             io: Mutex::new(()),
         }
@@ -286,62 +261,46 @@ impl NodeSlab {
 /// Section alignment inside a node slab (cache-line).
 const SHM_ALIGN: usize = 64;
 
-/// Node-carved backing for a shared window.
-struct ShmBacking {
-    /// One slab per node represented in the window, in node
-    /// first-appearance order.
-    slabs: Vec<NodeSlab>,
-    /// Per window rank: `(slab index, byte offset)` of its section.
-    place: Vec<(usize, usize)>,
-    /// Per window rank: node id (from [`simnet::Platform::node_of`] of its
-    /// world rank).
-    node: Vec<usize>,
-}
-
-/// Where a window's bytes live.
-enum Backing {
-    /// `MPI_Win_create`: each rank owns a private allocation.
-    PerRank(Vec<RankMem>),
-    /// `MPI_Win_allocate_shared`: per-node slabs, sections carved per rank.
-    Shared(ShmBacking),
-}
-
-/// A view of one rank's window section: the I/O mutex to hold, the backing
-/// allocation, and the section's extent within it. All byte movement —
-/// RMA, staging, local access, and the shm fast path — goes through
-/// [`Section::with`] / [`Section::with_mut`], which take the lock before
+/// A view of one rank's window section: the slab and the section's
+/// extent within it. All byte movement — RMA, atomics, staging, local
+/// access, and the shm fast path — goes through [`Section::with`] /
+/// [`Section::with_mut`], which take the slab's lock before
 /// dereferencing.
 pub(crate) struct Section<'a> {
-    io: &'a Mutex<()>,
-    buf: *mut Box<[u8]>,
+    slab: &'a Slab,
     off: usize,
     len: usize,
 }
 
 impl Section<'_> {
     pub(crate) fn with<R>(&self, f: impl FnOnce(&[u8]) -> R) -> R {
-        let _io = self.io.lock();
-        // Safety: `io` serialises all byte movement on this backing.
-        let buf = unsafe { &**self.buf };
+        let _io = self.slab.io.lock();
+        // SAFETY: the guard on `io` is held, and `io` serialises every
+        // access to this slab's bytes.
+        let buf = unsafe { &**self.slab.buf.get() };
         f(&buf[self.off..self.off + self.len])
     }
 
     pub(crate) fn with_mut<R>(&self, f: impl FnOnce(&mut [u8]) -> R) -> R {
-        let _io = self.io.lock();
-        // Safety: `io` serialises all byte movement on this backing.
-        let buf = unsafe { &mut **self.buf };
+        let _io = self.slab.io.lock();
+        // SAFETY: as in `with`: no other reference to the bytes exists
+        // while the guard on `io` is held.
+        let buf = unsafe { &mut **self.slab.buf.get() };
         f(&mut buf[self.off..self.off + self.len])
     }
 }
-
-use std::cell::UnsafeCell;
 
 /// Shared window state.
 pub(crate) struct WinInner {
     pub id: u64,
     pub sizes: Vec<usize>,
-    backing: Backing,
-    locks: Vec<TargetLock>,
+    slabs: Vec<Slab>,
+    /// Per window rank: `(slab index, byte offset)` of its section.
+    place: Vec<(usize, usize)>,
+    /// Per window rank: its node (from [`simnet::Platform::node_of`] of
+    /// its world rank) on a shared-backed window; `None` per rank.
+    node: Option<Vec<usize>>,
+    pub(crate) locks: Vec<TargetLock>,
     freed: AtomicBool,
 }
 
@@ -354,27 +313,12 @@ impl WinInner {
     }
 
     /// The section view of `target`'s window slice.
-    fn section(&self, target: usize) -> Section<'_> {
-        match &self.backing {
-            Backing::PerRank(mem) => {
-                let m = &mem[target];
-                Section {
-                    io: &m.io,
-                    buf: m.buf.get(),
-                    off: 0,
-                    len: self.sizes[target],
-                }
-            }
-            Backing::Shared(shm) => {
-                let (slab, off) = shm.place[target];
-                let s = &shm.slabs[slab];
-                Section {
-                    io: &s.io,
-                    buf: s.buf.get(),
-                    off,
-                    len: self.sizes[target],
-                }
-            }
+    pub(crate) fn section(&self, target: usize) -> Section<'_> {
+        let (slab, off) = self.place[target];
+        Section {
+            slab: &self.slabs[slab],
+            off,
+            len: self.sizes[target],
         }
     }
 }
@@ -420,32 +364,7 @@ impl WinHandle {
     /// Collectively creates a window; this rank contributes `local_size`
     /// bytes (zero-initialised). Zero-size contributions are allowed.
     pub fn create(comm: &Comm, local_size: usize) -> WinHandle {
-        // Leader allocates the id (recycled from freed windows when
-        // available, so alloc/free cycles keep the id space bounded).
-        let id = if comm.rank() == 0 {
-            Some(comm.shared.alloc_win_id())
-        } else {
-            None
-        };
-        let id = comm.bcast_u64(0, id);
-        let sizes: Vec<usize> = comm
-            .allgather_u64(local_size as u64)
-            .into_iter()
-            .map(|s| s as usize)
-            .collect();
-        let inner = {
-            let mut wins = comm.shared.wins.write();
-            Arc::clone(wins.entry(id).or_insert_with(|| {
-                Arc::new(WinInner {
-                    id,
-                    backing: Backing::PerRank(sizes.iter().map(|&s| RankMem::new(s)).collect()),
-                    locks: sizes.iter().map(|_| TargetLock::new()).collect(),
-                    sizes,
-                    freed: AtomicBool::new(false),
-                })
-            }))
-        };
-        Self::from_inner(comm, inner)
+        Self::open(comm, local_size, false)
     }
 
     /// Collectively creates a **shared-memory** window
@@ -461,6 +380,15 @@ impl WinHandle {
     /// every rank from the allgathered sizes, so the collective needs no
     /// extra exchange beyond `create`'s.
     pub fn allocate_shared(comm: &Comm, local_size: usize) -> WinHandle {
+        Self::open(comm, local_size, true)
+    }
+
+    /// The body of [`WinHandle::create`] (`shared` false: one exact-size
+    /// slab per rank) and [`WinHandle::allocate_shared`] (one slab per
+    /// node, sections cache-line aligned).
+    fn open(comm: &Comm, local_size: usize, shared: bool) -> WinHandle {
+        // Leader allocates the id (recycled from freed windows when
+        // available, so alloc/free cycles keep the id space bounded).
         let id = if comm.rank() == 0 {
             Some(comm.shared.alloc_win_id())
         } else {
@@ -473,34 +401,37 @@ impl WinHandle {
             .map(|s| s as usize)
             .collect();
         let plat = comm.platform();
-        let node: Vec<usize> = (0..comm.size())
-            .map(|r| plat.node_of(comm.world_rank_of(r)))
-            .collect();
-        // Deterministic carve: slabs in node first-appearance order,
-        // sections appended in window-rank order, cache-line aligned.
-        let mut slab_sizes: Vec<(usize, usize)> = Vec::new(); // (node, bytes)
+        let node = shared.then(|| {
+            (0..comm.size())
+                .map(|r| plat.node_of(comm.world_rank_of(r)))
+                .collect::<Vec<usize>>()
+        });
+        let align = if shared { SHM_ALIGN } else { 1 };
+        // Deterministic carve: a slab per node (per rank when not shared)
+        // in first-appearance order, sections appended in window-rank
+        // order.
+        let mut slab_sizes: Vec<(usize, usize)> = Vec::new(); // (key, bytes)
         let mut place = Vec::with_capacity(sizes.len());
         for (r, &sz) in sizes.iter().enumerate() {
-            let si = match slab_sizes.iter().position(|&(n, _)| n == node[r]) {
+            let key = node.as_ref().map_or(r, |n| n[r]);
+            let si = match slab_sizes.iter().position(|&(k, _)| k == key) {
                 Some(i) => i,
                 None => {
-                    slab_sizes.push((node[r], 0));
+                    slab_sizes.push((key, 0));
                     slab_sizes.len() - 1
                 }
             };
             place.push((si, slab_sizes[si].1));
-            slab_sizes[si].1 += sz.next_multiple_of(SHM_ALIGN);
+            slab_sizes[si].1 += sz.next_multiple_of(align);
         }
         let inner = {
             let mut wins = comm.shared.wins.write();
             Arc::clone(wins.entry(id).or_insert_with(|| {
                 Arc::new(WinInner {
                     id,
-                    backing: Backing::Shared(ShmBacking {
-                        slabs: slab_sizes.iter().map(|&(_, b)| NodeSlab::new(b)).collect(),
-                        place,
-                        node,
-                    }),
+                    slabs: slab_sizes.iter().map(|&(_, b)| Slab::new(b)).collect(),
+                    place,
+                    node,
                     locks: sizes.iter().map(|_| TargetLock::new()).collect(),
                     sizes,
                     freed: AtomicBool::new(false),
@@ -553,18 +484,7 @@ impl WinHandle {
         }
     }
 
-    fn charge(&self, dt: f64) {
-        if self.shared.cfg.charge_time {
-            self.shared.clocks[self.comm.my_world_rank()].advance(dt);
-        }
-    }
-
-    /// This rank's current virtual time (for trace event stamps).
-    pub(crate) fn vt(&self) -> f64 {
-        self.shared.clocks[self.comm.my_world_rank()].now()
-    }
-
-    fn params(&self) -> &simnet::BackendParams {
+    pub(crate) fn params(&self) -> &simnet::BackendParams {
         &self.shared.cfg.platform.mpi
     }
 
@@ -585,14 +505,14 @@ impl WinHandle {
     /// This rank's current virtual time (trace-event stamps for backends
     /// that emit their own events).
     pub fn vnow(&self) -> f64 {
-        self.vt()
+        self.comm.clock_now()
     }
 
     /// Advances this rank's virtual clock by `dt` (honouring
     /// `charge_time`). For transport backends that compute their own
     /// costs instead of going through the MPI-priced entry points.
     pub fn charge_virtual(&self, dt: f64) {
-        self.charge(dt);
+        self.comm.charge_time(dt);
     }
 
     /// Wire serialization time of `bytes` under the MPI link for `op` —
@@ -614,9 +534,9 @@ impl WinHandle {
         let plat = &self.shared.cfg.platform;
         let src = plat.node_of(self.comm.my_world_rank());
         let dst = plat.node_of(self.comm.world_rank_of(target));
-        let extra = net.admit(self.vt(), src, dst, ser, msgs);
+        let extra = net.admit(self.vnow(), src, dst, ser, msgs);
         if extra > 0.0 && obs::enabled() {
-            let t0 = self.vt();
+            let t0 = self.vnow();
             obs::span(
                 obs::EventKind::Wait {
                     cat: obs::WaitCat::Congestion,
@@ -674,7 +594,7 @@ impl WinHandle {
         match model {
             ProgressModel::Host => {
                 if stall > 0.0 && obs::enabled() {
-                    let t0 = self.vt();
+                    let t0 = self.vnow();
                     obs::span(
                         obs::EventKind::Wait {
                             cat: obs::WaitCat::Progress,
@@ -691,7 +611,7 @@ impl WinHandle {
                 let rpn = plat.cores_per_node().max(1) as usize;
                 let extra = rounds as f64 * busy * plat.progress.round_cost(rpn);
                 if obs::enabled() {
-                    let t0 = self.vt();
+                    let t0 = self.vnow();
                     obs::span(
                         obs::EventKind::AgentDrain {
                             win: self.inner.id,
@@ -737,7 +657,7 @@ impl WinHandle {
         self.open_epochs.set(self.open_epochs.get() + 1);
         // The lock grant is a target-serviced protocol round.
         let prog = self.progress_extra(target, 1);
-        self.charge(0.5 * self.params().epoch_overhead + prog);
+        self.charge_virtual(0.5 * self.params().epoch_overhead + prog);
         if obs::enabled() {
             obs::instant_at(
                 obs::EventKind::LockAcquire {
@@ -745,7 +665,7 @@ impl WinHandle {
                     target: target as u32,
                     exclusive: mode == LockMode::Exclusive,
                 },
-                self.vt(),
+                self.vnow(),
             );
         }
         Ok(())
@@ -767,14 +687,14 @@ impl WinHandle {
         *self.spare_records.borrow_mut() = records;
         // Unlock completes the epoch remotely: one more serviced round.
         let prog = self.progress_extra(target, 1);
-        self.charge(0.5 * self.params().epoch_overhead + prog);
+        self.charge_virtual(0.5 * self.params().epoch_overhead + prog);
         if obs::enabled() {
             obs::instant_at(
                 obs::EventKind::LockRelease {
                     win: self.inner.id,
                     target: target as u32,
                 },
-                self.vt(),
+                self.vnow(),
             );
         }
         Ok(())
@@ -791,7 +711,7 @@ impl WinHandle {
     }
 
     /// Size of `target`'s window section, or `BadRank`.
-    fn target_size(&self, target: usize) -> MpiResult<usize> {
+    pub(crate) fn target_size(&self, target: usize) -> MpiResult<usize> {
         self.inner
             .sizes
             .get(target)
@@ -831,7 +751,7 @@ impl WinHandle {
         };
         if self.shared.cfg.semantic_checks {
             let sweep = &mut self.sweep.borrow_mut();
-            record_checked(sweep, &mut ep.ops, target, 0, segs, class.kind())?;
+            record_checked(sweep, &mut ep.ops, target, 0, segs, class)?;
         }
         Ok(())
     }
@@ -886,7 +806,7 @@ impl WinHandle {
                     win: self.inner.id,
                     hit,
                 },
-                self.vt(),
+                self.vnow(),
             );
         }
         hit
@@ -910,7 +830,7 @@ impl WinHandle {
             simnet::Op::Put => obs::OpKind::Put,
             simnet::Op::Acc => obs::OpKind::Acc,
         };
-        let ts = self.vt();
+        let ts = self.vnow();
         obs::instant_at(
             obs::EventKind::Rma {
                 win: self.inner.id,
@@ -1055,7 +975,7 @@ impl WinHandle {
         self.flat_move(origin, odt, target, tdisp, tdt)?;
         let nsegs = odt.num_segments().max(tdt.num_segments());
         let commit = |c: &mut DtypeCache| c.commit_pair(odt, tdt);
-        self.charge(self.price_wire(op, target, odt.size(), nsegs, commit));
+        self.charge_virtual(self.price_wire(op, target, odt.size(), nsegs, commit));
         Ok(())
     }
 
@@ -1185,12 +1105,10 @@ impl WinHandle {
     /// window *and* same node as the caller)? This is the route predicate
     /// the transfer engine consults at plan time.
     pub fn shm_reachable(&self, target: usize) -> bool {
-        match &self.inner.backing {
-            Backing::Shared(shm) => {
-                target < shm.node.len() && shm.node[target] == shm.node[self.comm.rank()]
-            }
-            Backing::PerRank(_) => false,
-        }
+        self.inner
+            .node
+            .as_ref()
+            .is_some_and(|node| target < node.len() && node[target] == node[self.comm.rank()])
     }
 
     /// `MPI_Win_shared_query`: a load/store handle on `rank`'s section of
@@ -1224,10 +1142,10 @@ impl WinHandle {
             return Err(MpiError::NoEpoch { target: usize::MAX });
         }
         std::sync::atomic::fence(Ordering::SeqCst);
-        let t0 = self.vt();
-        self.charge(self.shm_params().win_sync);
+        let t0 = self.vnow();
+        self.charge_virtual(self.shm_params().win_sync);
         if obs::enabled() {
-            let t1 = self.vt();
+            let t1 = self.vnow();
             obs::batch(|b| {
                 b.instant_at(obs::EventKind::WinSync { win: self.inner.id }, t1);
                 b.span(
@@ -1271,7 +1189,7 @@ impl WinHandle {
                     write: class != RmaClass::Get,
                     bytes: odt.size() as u64,
                 },
-                self.vt(),
+                self.vnow(),
             );
         }
         Ok(self.shm_params().op_cost(class.op(), odt.size(), nsegs))
@@ -1295,7 +1213,7 @@ impl WinHandle {
                     win: self.inner.id,
                     write: false,
                 },
-                self.vt(),
+                self.vnow(),
             );
         }
         Ok(self.inner.section(me).with(f))
@@ -1306,7 +1224,7 @@ impl WinHandle {
     /// performed only while the window is locked for exclusive access") —
     /// or, under MPI-3 `lock_all`, the unified-memory-model rules apply:
     /// access is granted and serialised against remote operations by the
-    /// per-rank I/O lock (the `MPI_Win_sync` discipline).
+    /// slab's I/O lock (the `MPI_Win_sync` discipline).
     pub fn with_local_mut<R>(&self, f: impl FnOnce(&mut [u8]) -> R) -> MpiResult<R> {
         self.check_alive()?;
         let me = self.comm.rank();
@@ -1321,7 +1239,7 @@ impl WinHandle {
                     win: self.inner.id,
                     write: true,
                 },
-                self.vt(),
+                self.vnow(),
             );
         }
         Ok(self.inner.section(me).with_mut(f))
@@ -1357,33 +1275,6 @@ impl WinHandle {
         self.comm.barrier();
         self.inner.freed.store(true, Ordering::Release);
         Ok(())
-    }
-
-    /// Direct raw access for the MPI-3 extension module: the I/O mutex,
-    /// the backing allocation, and the byte offset of `target`'s section
-    /// within it (non-zero for shared-backed windows).
-    pub(crate) fn raw_mem(&self, target: usize) -> (&Mutex<()>, *mut Box<[u8]>, usize) {
-        let sec = self.inner.section(target);
-        (sec.io, sec.buf, sec.off)
-    }
-
-    pub(crate) fn target_lock(&self, target: usize) -> &impl LockOps {
-        &self.inner.locks[target]
-    }
-}
-
-/// Internal trait so mpi3.rs can drive the target locks.
-pub(crate) trait LockOps {
-    fn acquire(&self, mode: LockMode);
-    fn release(&self, mode: LockMode);
-}
-
-impl LockOps for TargetLock {
-    fn acquire(&self, mode: LockMode) {
-        TargetLock::acquire(self, mode)
-    }
-    fn release(&self, mode: LockMode) {
-        TargetLock::release(self, mode)
     }
 }
 
@@ -1490,7 +1381,7 @@ fn record_checked(
     target: usize,
     tdisp: usize,
     segs: &[(usize, usize)],
-    kind: OpKind,
+    kind: RmaClass,
 ) -> MpiResult<()> {
     let new = segs.iter().map(|&(off, len)| OpRecord {
         lo: tdisp + off,
@@ -1525,7 +1416,7 @@ fn first_conflict(
     sweep: &mut Sweep,
     records: &[OpRecord],
     new: impl Iterator<Item = OpRecord> + Clone,
-    kind: OpKind,
+    kind: RmaClass,
     own: bool,
 ) -> Option<(usize, OpRecord)> {
     sweep.clear();
@@ -1638,15 +1529,15 @@ mod tests {
     }
 
     #[test]
-    fn opkind_compatibility_matrix() {
-        use OpKind::*;
-        assert!(Read.compatible(Read));
-        assert!(!Read.compatible(Write));
-        assert!(!Write.compatible(Write));
+    fn rma_class_compatibility_matrix() {
+        use RmaClass::*;
+        assert!(Get.compatible(Get));
+        assert!(!Get.compatible(Put));
+        assert!(!Put.compatible(Put));
         assert!(Acc(ElemType::F64, AccOp::Sum).compatible(Acc(ElemType::F64, AccOp::Sum)));
         assert!(!Acc(ElemType::F64, AccOp::Sum).compatible(Acc(ElemType::I64, AccOp::Sum)));
         assert!(!Acc(ElemType::F64, AccOp::Sum).compatible(Acc(ElemType::F64, AccOp::Max)));
-        assert!(!Acc(ElemType::F64, AccOp::Sum).compatible(Write));
+        assert!(!Acc(ElemType::F64, AccOp::Sum).compatible(Put));
     }
 
     /// The target-indexed epoch table on a 4-rank window: rank 0 locks
@@ -1846,7 +1737,7 @@ mod admission_proptests {
         target: usize,
         tdisp: usize,
         segs: &[(usize, usize)],
-        kind: OpKind,
+        kind: RmaClass,
     ) -> MpiResult<()> {
         for &(off, len) in segs {
             let (lo, hi) = (tdisp + off, tdisp + off + len);
@@ -1892,12 +1783,12 @@ mod admission_proptests {
             )
     }
 
-    fn arb_kind() -> impl Strategy<Value = OpKind> {
+    fn arb_kind() -> impl Strategy<Value = RmaClass> {
         (0usize..4).prop_map(|k| match k {
-            0 => OpKind::Read,
-            1 => OpKind::Write,
-            2 => OpKind::Acc(ElemType::F64, AccOp::Sum),
-            _ => OpKind::Acc(ElemType::I64, AccOp::Sum),
+            0 => RmaClass::Get,
+            1 => RmaClass::Put,
+            2 => RmaClass::Acc(ElemType::F64, AccOp::Sum),
+            _ => RmaClass::Acc(ElemType::I64, AccOp::Sum),
         })
     }
 

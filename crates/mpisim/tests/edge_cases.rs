@@ -4,6 +4,7 @@
 
 use mpisim::coll::ReduceOp;
 use mpisim::dtype::Flat;
+use mpisim::mpi3::{CellOp, FetchOp};
 use mpisim::{
     AccOp, Datatype, ElemType, LockMode, MpiError, MpiResult, Origin, Proc, RecvSrc, Runtime,
     RuntimeConfig, WinHandle,
@@ -82,12 +83,13 @@ fn subcomm_window_with_concurrent_world_traffic() {
 fn large_payload_collectives_and_p2p() {
     Runtime::run_with(3, quiet(), |p: &Proc| {
         let w = p.world();
-        let big = vec![p.rank() as u8; 1 << 20];
-        let all = w.allgather_bytes(big);
+        // 1 MiB per rank, as 8-byte words.
+        let big = vec![p.rank() as u64; 1 << 17];
+        let all = w.allgather_u64s(&big);
         for (r, b) in all.iter().enumerate() {
-            assert_eq!(b.len(), 1 << 20);
-            assert_eq!(b[0], r as u8);
-            assert_eq!(b[(1 << 20) - 1], r as u8);
+            assert_eq!(b.len(), 1 << 17);
+            assert_eq!(b[0], r as u64);
+            assert_eq!(b[(1 << 17) - 1], r as u64);
         }
         if p.rank() == 0 {
             w.send(2, 1, &vec![0xabu8; 1 << 21]);
@@ -187,6 +189,61 @@ fn wrapping_displacements_are_out_of_bounds() {
         w.barrier();
         win.free().unwrap();
     });
+}
+
+/// MPI-3 atomics do not wrap either. On a per-rank and on a
+/// shared-backed window, an 8-byte cell whose end runs past `usize::MAX`
+/// is out of bounds on the MPI atomics and on the priced wire atomic,
+/// both sections stay unchanged, and a legal atomic in the same epoch
+/// then succeeds. A wrapped check would panic in the slice index, or, on
+/// a node slab, write into the neighbouring rank's section.
+#[test]
+fn wrapping_atomic_displacements_are_out_of_bounds() {
+    for shared in [false, true] {
+        Runtime::run_with(2, quiet(), |p: &Proc| {
+            let w = p.world();
+            let win = if shared {
+                WinHandle::allocate_shared(&w, 64)
+            } else {
+                WinHandle::create(&w, 64)
+            };
+            if w.rank() == 1 {
+                let oob = |r: MpiResult<i64>| {
+                    assert!(
+                        matches!(r, Err(MpiError::OutOfBounds { target: 1, .. })),
+                        "{r:?}"
+                    );
+                };
+                let swap = CellOp::CompareAndSwap {
+                    compare: 0,
+                    swap: 7,
+                };
+                win.lock(LockMode::Exclusive, 1).unwrap();
+                oob(win.fetch_and_op_i64(1, 1, usize::MAX - 3, FetchOp::Sum));
+                oob(win.fetch_and_op_i64(7, 1, usize::MAX - 6, FetchOp::Replace));
+                oob(win.atomic_i64(swap, 1, usize::MAX - 6));
+                oob(win.atomic_i64_priced(swap, 1, usize::MAX - 6, 1e-6));
+                assert_eq!(win.fetch_and_op_i64(5, 1, 56, FetchOp::Sum), Ok(0));
+                win.unlock(1).unwrap();
+            }
+            w.barrier();
+            if w.rank() == 0 {
+                for target in 0..2 {
+                    let mut image = [9u8; 64];
+                    win.lock(LockMode::Shared, target).unwrap();
+                    win.get_bytes(&mut image, target, 0).unwrap();
+                    win.unlock(target).unwrap();
+                    let mut want = [0u8; 64];
+                    if target == 1 {
+                        want[56..].copy_from_slice(&5i64.to_le_bytes());
+                    }
+                    assert_eq!(image, want, "section {target} (shared: {shared})");
+                }
+            }
+            w.barrier();
+            win.free().unwrap();
+        });
+    }
 }
 
 /// Target types whose extent or block offsets run past `usize::MAX`:

@@ -2,7 +2,7 @@
 //! communicator creation, and passive-target RMA across real threads.
 
 use mpisim::coll::ReduceOp;
-use mpisim::mpi3::FetchOp;
+use mpisim::mpi3::{CellOp, FetchOp};
 use mpisim::{
     AccOp, Comm, Datatype, ElemType, LockMode, MpiError, Proc, RecvSrc, Runtime, RuntimeConfig,
     WinHandle, ANY_TAG,
@@ -90,8 +90,11 @@ fn virtual_time_send_recv_ordering() {
 fn allgather_orders_by_rank() {
     Runtime::run_with(4, quiet(), |p: &Proc| {
         let w = p.world();
-        let all = w.allgather_bytes(vec![w.rank() as u8 + 10]);
-        assert_eq!(all, vec![vec![10], vec![11], vec![12], vec![13]]);
+        let all = w.allgather_u64s(&[w.rank() as u64 + 10, 7]);
+        assert_eq!(
+            all,
+            vec![vec![10, 7], vec![11, 7], vec![12, 7], vec![13, 7]]
+        );
     });
 }
 
@@ -672,7 +675,11 @@ fn compare_and_swap_spinlock() {
         win.lock_all().unwrap();
         for _ in 0..25 {
             // acquire
-            while win.compare_and_swap_i64(0, 1, 0, 0).unwrap() != 0 {
+            let acquire = CellOp::CompareAndSwap {
+                compare: 0,
+                swap: 1,
+            };
+            while win.atomic_i64(acquire, 0, 0).unwrap() != 0 {
                 std::hint::spin_loop();
             }
             let v = win.fetch_and_op_i64(0, 0, 8, FetchOp::NoOp).unwrap();

@@ -184,8 +184,8 @@ fn win_sync_requires_an_open_epoch() {
 
 #[test]
 fn rmw_lands_in_the_shared_slab_section() {
-    // fetch_and_op goes through raw_mem, which must apply the section
-    // offset inside the node slab — rank 1's cell, not rank 0's.
+    // fetch_and_op goes through the window section, which must apply the
+    // section offset inside the node slab — rank 1's cell, not rank 0's.
     Runtime::run_with(2, quiet_nodes(2), |p: &Proc| {
         use mpisim::mpi3::FetchOp;
         let w = p.world();

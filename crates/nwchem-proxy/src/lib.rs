@@ -21,6 +21,8 @@
 //!   full w5 scale, consumed by the `scalesim` discrete-event simulator to
 //!   regenerate Figure 6 at 744–12,288 cores.
 
+#![forbid(unsafe_code)]
+
 pub mod ccsd;
 pub mod profile;
 pub mod tensors;

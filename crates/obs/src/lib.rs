@@ -27,6 +27,8 @@
 //! feature compiles the whole thing down to constants for overhead A/B
 //! measurements.
 
+#![forbid(unsafe_code)]
+
 pub mod audit;
 pub mod chrome;
 pub mod critpath;

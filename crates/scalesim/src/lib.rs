@@ -20,6 +20,8 @@
 //!   for (T) and *worsen* for CCSD); modelled as a per-backend comm-time
 //!   multiplier `1 + P / congestion_scale`.
 
+#![forbid(unsafe_code)]
+
 pub mod fig6;
 
 use std::cmp::Ordering;

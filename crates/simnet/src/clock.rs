@@ -3,11 +3,15 @@
 //! Each simulated process owns a [`VClock`] measuring seconds of virtual
 //! time. Clocks are advanced by the cost model on every communication call.
 //! Collective operations synchronise the clocks of all participants to the
-//! maximum (everyone leaves a barrier together).
+//! maximum (everyone leaves a barrier together): each participant advances
+//! its own clock to the latest arrival plus the collective's cost.
 //!
-//! The clock is an atomic `f64` (stored as bits in an `AtomicU64`) so that
-//! collectives executed by one thread can read and bump the clocks of its
-//! peers without extra locking.
+//! A clock has a single writer, the thread of the rank that owns it.
+//! mpisim's clock gate (`Shared::advance`) is the only place that moves a
+//! rank's clock; collectives and messages carry virtual times to peers as
+//! values and never touch a peer's clock. The clock is an atomic `f64`
+//! (stored as bits in an `AtomicU64`) so that a runtime's clocks can sit in
+//! state shared by all rank threads without a lock.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -40,8 +44,8 @@ impl VClock {
     /// programming error in the cost model and panics in debug builds.
     pub fn advance(&self, dt: f64) {
         debug_assert!(dt.is_finite() && dt >= 0.0, "bad clock delta {dt}");
-        // Single-writer in practice (only the owning rank advances its own
-        // clock outside collectives), but CAS-loop for safety.
+        // The owning rank is the only writer (see the module doc), so the
+        // loop never retries; it keeps the clock sound for any caller.
         let mut cur = self.bits.load(Ordering::Acquire);
         loop {
             let next = (f64::from_bits(cur) + dt).to_bits();

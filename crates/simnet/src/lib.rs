@@ -26,6 +26,8 @@
 //! Calibration targets are the published curves; see `EXPERIMENTS.md` at the
 //! workspace root for the paper-vs-measured record.
 
+#![forbid(unsafe_code)]
+
 pub mod clock;
 pub mod cost;
 pub mod net;

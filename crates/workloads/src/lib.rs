@@ -29,6 +29,8 @@
 //! discrete-event models, extending the measured 4-rank runs to
 //! 10⁵–10⁶ simulated clients.
 
+#![forbid(unsafe_code)]
+
 pub mod graph;
 pub mod kv;
 pub mod scale;

@@ -1,4 +1,7 @@
 //! Workspace root: re-exports for examples and integration tests.
+
+#![forbid(unsafe_code)]
+
 pub use armci;
 pub use armci_ds;
 pub use armci_mpi;
