@@ -249,6 +249,14 @@ fn ccsd_volley_flushes_once_per_pair_and_merges() {
             assert_eq!(g.sched_enqueued, 16, "the remote half is queued");
             assert_eq!(g.sched_flushes, 2, "one flush per remote (GMR, target)");
             assert!(g.sched_ops_merged() > 0, "{g:?}");
+            // The V queue's 8 disjoint tiles form one run; the T queue's
+            // 2 tiles recur once per task and cut 4 runs. The rows sit a
+            // tile column apart, so no segment fuses.
+            assert_eq!(
+                (g.sched_runs, g.sched_segs_in, g.sched_segs_out),
+                (5, 64, 64),
+                "{g:?}"
+            );
             assert_eq!(g.shm_hits, 16, "self-owned tiles take the shm route");
             for (&addr, nb) in volley.iter().zip(&got) {
                 let mut want = vec![0u8; 128];
