@@ -13,9 +13,10 @@
 //! as flattened strided transfers do, are proven clean while they load,
 //! without sorting.
 //!
-//! Every overlap question in the stack is one [`Sweep`]: the IOV method
-//! choice ([`scan_segments`]), the coalescing scheduler's run formation
-//! and the simulated window's MPI conflict check.
+//! The IOV method choice ([`scan_segments`]) and the simulated window's
+//! MPI conflict check are each one [`Sweep`]. The coalescing scheduler's
+//! run formation needs none: its queued operations' segments arrive
+//! ascending, so it merges each one into its open run's fused segments.
 //!
 //! Ranges here are half-open byte intervals `[lo, hi)`; an empty range
 //! overlaps nothing.
@@ -52,8 +53,7 @@ impl std::error::Error for Conflict {}
 /// reports every overlapping pair as `(earlier tag, later tag)` until the
 /// caller breaks. O(N·log N + P) for N ranges and P reported pairs. The
 /// buffers are kept across [`Sweep::clear`], so a sweep held by its
-/// caller allocates nothing in steady state, and [`Sweep::sorted`] lends
-/// the ranges in address order afterwards.
+/// caller allocates nothing in steady state.
 ///
 /// ```
 /// use std::ops::ControlFlow;
@@ -69,7 +69,7 @@ impl std::error::Error for Conflict {}
 /// });
 /// pairs.sort_unstable();
 /// assert_eq!(pairs, [(0, 2), (1, 2)]);
-/// assert_eq!(s.sorted()[1], (8, 40, 2));
+/// assert_eq!(s.first_overlap(), Some((0, 2)));
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Sweep {
@@ -115,8 +115,7 @@ impl Sweep {
         if !self.unproven {
             return ControlFlow::Continue(());
         }
-        // By offset alone: the sweep and [`Sweep::sorted`]'s users need
-        // only ascending starts.
+        // By offset alone: the sweep needs only ascending starts.
         self.ranges.sort_unstable_by_key(|&(lo, ..)| lo);
         self.open.clear();
         for &(lo, hi, tag) in &self.ranges {
@@ -135,12 +134,6 @@ impl Sweep {
             ControlFlow::Break(pair) => Some(pair),
             ControlFlow::Continue(()) => None,
         }
-    }
-
-    /// The nonempty ranges as `(lo, hi, tag)`, ascending by `lo` (ties in
-    /// any order) once [`Sweep::overlaps`] has run.
-    pub fn sorted(&self) -> &[(usize, usize, usize)] {
-        &self.ranges
     }
 }
 
@@ -241,7 +234,7 @@ mod tests {
     fn empty_sweep_reports_nothing() {
         let mut s = Sweep::default();
         assert!(pairs(&mut s).is_empty());
-        assert!(s.sorted().is_empty());
+        assert_eq!(s.first_overlap(), None);
     }
 
     #[test]
@@ -251,7 +244,9 @@ mod tests {
             s.push(lo, lo + 10, i);
         }
         assert!(pairs(&mut s).is_empty());
-        assert_eq!(s.sorted(), [(0, 10, 1), (10, 20, 2), (20, 30, 0)]);
+        // a range across a shared edge overlaps both sides of it
+        s.push(15, 25, 3);
+        assert_eq!(pairs(&mut s), [(0, 3), (2, 3)]);
     }
 
     #[test]
@@ -293,8 +288,8 @@ mod tests {
         s.push(0, 10, 0);
         s.push(5, 5, 1);
         s.push(10, 10, 2);
+        // kept, `[5, 5)` would pair with `[0, 10)`, open at its start
         assert!(pairs(&mut s).is_empty());
-        assert_eq!(s.sorted(), [(0, 10, 0)]);
         assert!(scan_segments(&[(0, 10), (5, 0)]).is_ok());
     }
 
@@ -310,7 +305,6 @@ mod tests {
         s.push(4, 6, 100);
         assert!(s.unproven);
         assert_eq!(s.first_overlap(), Some((0, 100)));
-        assert_eq!(s.sorted()[..2], [(0, 5, 0), (4, 6, 100)]);
     }
 
     #[test]
@@ -346,10 +340,12 @@ mod tests {
         s.push(5, 15, 1);
         assert_eq!(s.first_overlap(), Some((0, 1)));
         s.clear();
-        assert!(s.sorted().is_empty());
-        s.push(20, 30, 0);
+        assert!(!s.unproven);
+        // either range left over would overlap this one
+        s.push(5, 15, 0);
         assert_eq!(s.first_overlap(), None);
-        assert_eq!(s.sorted(), [(20, 30, 0)]);
+        s.push(0, 8, 1);
+        assert_eq!(s.first_overlap(), Some((0, 1)));
     }
 
     #[test]
@@ -438,8 +434,8 @@ mod proptests {
 
         /// Over tagged ranges (tags in program order, shared by runs of
         /// ranges), the sweep reports exactly the overlapping pairs the
-        /// all-pairs scan finds, each once, as `(earlier, later)` tags,
-        /// and leaves the nonempty ranges sorted by start.
+        /// all-pairs scan finds among the nonempty ranges, each once, as
+        /// `(earlier, later)` tags.
         #[test]
         fn reports_every_overlapping_pair_once(
             segs in arb_segs(),
@@ -475,12 +471,6 @@ mod proptests {
             want.sort_unstable();
             prop_assert_eq!(want.is_empty(), scan_segments_naive(&segs).is_ok());
             prop_assert_eq!(got, want);
-            let mut live: Vec<_> = tagged.iter().copied().filter(|&(lo, hi, _)| lo < hi).collect();
-            live.sort_unstable();
-            let mut sorted = s.sorted().to_vec();
-            prop_assert!(sorted.windows(2).all(|w| w[0].0 <= w[1].0));
-            sorted.sort_unstable();
-            prop_assert_eq!(sorted, live);
         }
 
         /// An ascending prefix followed by an arbitrary tail: the scan

@@ -85,17 +85,6 @@ impl VClock {
     }
 }
 
-/// Synchronises a set of clocks to `max(now) + extra`, returning the new
-/// common time. This models a collective: no participant leaves before the
-/// slowest one arrives, and the collective itself costs `extra` seconds.
-pub fn sync_max(clocks: &[&VClock], extra: f64) -> f64 {
-    let t = clocks.iter().map(|c| c.now()).fold(0.0f64, f64::max) + extra;
-    for c in clocks {
-        c.advance_to(t);
-    }
-    t
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -121,18 +110,6 @@ mod tests {
         assert_eq!(c.now(), 2.0);
         c.advance_to(1.0); // must not go backwards
         assert_eq!(c.now(), 2.0);
-    }
-
-    #[test]
-    fn sync_max_brings_all_to_common_time() {
-        let a = VClock::new();
-        let b = VClock::new();
-        a.advance(3.0);
-        b.advance(1.0);
-        let t = sync_max(&[&a, &b], 0.5);
-        assert!((t - 3.5).abs() < 1e-12);
-        assert_eq!(a.now(), t);
-        assert_eq!(b.now(), t);
     }
 
     #[test]
